@@ -26,7 +26,7 @@ from repro.core.replayspec import ReplaySpec, resolve_replay_spec
 from repro.data.tasks import ClassIncrementalSplit
 from repro.errors import ConfigError
 from repro.seeding import spawn
-from repro.snn.network import SpikingNetwork
+from repro.snn.network import PREDICT_BATCH, SpikingNetwork
 from repro.snn.state import SpikeTrace
 from repro.snn.threshold import ThresholdController
 from repro.training.metrics import TrainingHistory, top1_accuracy
@@ -309,31 +309,41 @@ class NCLMethod:
                 controller=controller,
             )
 
-            old_test = split.pretrain_test.to_dense(timesteps)
-            new_test = split.new_test.to_dense(timesteps)
+            # Deployment semantics of Alg. 1: the frozen front keeps its
+            # static threshold and never changes during NCL, so each test
+            # set crosses it once per run, in predict's chunks (each chunk
+            # matches a full predict); epochs run only the learning layers.
+            def front(dense: np.ndarray) -> np.ndarray:
+                cuts = range(PREDICT_BATCH, dense.shape[1], PREDICT_BATCH)
+                chunks = np.split(dense, cuts, axis=1)
+                return np.concatenate([network.activations_at(insertion, c) for c in chunks], 1)
+
+            old_test = front(split.pretrain_test.to_dense(timesteps))
+            new_test = front(split.new_test.to_dense(timesteps))
             old_labels = split.pretrain_test.labels
             new_test_labels = split.new_test.labels
+            preds: dict[str, np.ndarray] = {}
 
-            def predict(inputs: np.ndarray) -> np.ndarray:
-                # Deployment semantics of Alg. 1: the frozen front keeps
-                # its static pre-trained threshold; adaptive thresholds
-                # apply to the learning layers only.
-                return network.predict(
+            def predict(key: str, inputs: np.ndarray) -> np.ndarray:
+                preds[key] = network.predict(
                     inputs,
+                    start_layer=insertion,
                     controller=self.make_controller(),
                     controller_from_layer=insertion,
                 )
+                return preds[key]
 
             def eval_old() -> float:
-                return top1_accuracy(predict(old_test), old_labels)
+                return top1_accuracy(predict("old", old_test), old_labels)
 
             def eval_new() -> float:
-                return top1_accuracy(predict(new_test), new_test_labels)
+                return top1_accuracy(predict("new", new_test), new_test_labels)
 
             def eval_overall() -> float:
-                preds = np.concatenate([predict(old_test), predict(new_test)])
+                # This epoch's old/new predictions (evaluators run in order).
+                both = np.concatenate([preds.pop("old"), preds.pop("new")])
                 labels = np.concatenate([old_labels, new_test_labels])
-                return top1_accuracy(preds, labels)
+                return top1_accuracy(both, labels)
 
             with obs.span(
                 "ncl.train",
@@ -414,7 +424,9 @@ class NCLMethod:
         both are charged here even though the implementation caches the
         results (the values are identical every epoch).  ``cells`` is the
         per-replay decompression volume, captured before a store-backed
-        run releases its dense buffer.
+        run releases its dense buffer.  Per-epoch evaluation is not
+        charged to the cost model, though it follows the same deployment
+        semantics.
         """
         frozen = self._frozen_trace(network, insertion, new_inputs)
         costs = []

@@ -190,9 +190,10 @@ def _task_accuracy(
 
     Matches the evaluators inside :meth:`NCLMethod.run`: the frozen
     front keeps its static pre-trained threshold; adaptive thresholds
-    apply from the insertion layer up.  ``mask`` restricts the readout
-    to the active task's classes (task-incremental inference); ``None``
-    evaluates over the full label space.
+    apply from the insertion layer up.  Like those evaluators, it is
+    not charged to the hardware cost model.  ``mask`` restricts the
+    readout to the active task's classes (task-incremental inference);
+    ``None`` evaluates over the full label space.
     """
     predictions = network.predict(
         dataset.to_dense(timesteps),

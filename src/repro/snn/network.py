@@ -39,6 +39,9 @@ __all__ = ["SpikingNetwork", "ForwardResult", "ControllerLike"]
 #: layer).  ``None`` means the static configured threshold.
 ControllerLike = "ThresholdController | callable | None"
 
+#: Samples per :meth:`SpikingNetwork.predict` forward chunk.
+PREDICT_BATCH = 64
+
 
 def _layer_controller(controller, layer) -> ThresholdController | None:
     """Resolve a ControllerLike for one layer (resetting shared ones)."""
@@ -315,7 +318,7 @@ class SpikingNetwork:
     def predict(
         self,
         inputs: Tensor | np.ndarray,
-        batch_size: int = 64,
+        batch_size: int = PREDICT_BATCH,
         start_layer: int = 0,
         controller=None,
         controller_from_layer: int = 0,
