@@ -30,15 +30,8 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 BENCH_FILE = BENCH_DIR / "bench_micro_kernels.py"
-FLEET_BENCH_FILE = BENCH_DIR / "bench_fleet.py"
 BASELINE_FILE = BENCH_DIR / "baseline_ci.json"
 RESULTS_JSON = BENCH_DIR / "results" / "micro_kernels.json"
-FLEET_RESULTS_JSON = BENCH_DIR / "results" / "fleet.json"
-
-FLEET_BENCH = "test_fleet_serving"
-#: extra_info keys gated for the fleet row: (key, direction) where
-#: "min" means higher-is-better (throughput) and "max" the reverse.
-FLEET_METRICS = (("p99_read_seconds", "max"), ("throughput_rps", "min"))
 
 FUSED_BENCH = "test_fused_lif_forward_backward"
 PER_STEP_BENCH = "test_per_step_lif_forward_backward"
@@ -55,19 +48,18 @@ BACKEND_ROW_PREFIX = "test_backend_"
 BACKEND_KERNELS = ("lif_forward_backward", "readout_forward_backward")
 
 
-def run_benchmarks(results_json: Path, bench_file: Path = BENCH_FILE) -> None:
-    """Invoke pytest-benchmark on one bench file."""
+def run_benchmarks(results_json: Path) -> None:
+    """Invoke pytest-benchmark on the micro-kernel bench file."""
     env = dict(os.environ)
     env.setdefault("REPRO_BENCH_SCALE", "ci")
-    # Tracing exports would tax the timed paths; the fleet CI step
-    # records its REPRO_TRACE artifact separately from this gate.
+    # Tracing exports would tax the timed paths.
     env.pop("REPRO_TRACE", None)
     results_json.parent.mkdir(parents=True, exist_ok=True)
     cmd = [
         sys.executable,
         "-m",
         "pytest",
-        str(bench_file),
+        str(BENCH_FILE),
         "-q",
         "--benchmark-only",
         f"--benchmark-json={results_json}",
@@ -95,64 +87,6 @@ def load_means(results_json: Path) -> dict[str, float]:
         print(f"no benchmarks found in {results_json}", file=sys.stderr)
         raise SystemExit(2)
     return means
-
-
-def load_extra_info(results_json: Path, name: str) -> dict:
-    """``extra_info`` payload of one benchmark row (empty if absent)."""
-    if not results_json.exists():
-        return {}
-    payload = json.loads(results_json.read_text())
-    for bench in payload.get("benchmarks", []):
-        if bench["name"] == name:
-            return dict(bench.get("extra_info", {}))
-    return {}
-
-
-def check_fleet(
-    means: dict[str, float], extra: dict, baseline: dict, tolerance: float
-) -> list[str]:
-    """Gate the fleet-serving row's p99 latency and request throughput.
-
-    The wall-time mean rides through :func:`check_baseline` with every
-    other row; this check covers the serving-quality numbers that live
-    in ``extra_info``.  Same generous tolerance: absolute numbers vary
-    across runners, the gate catches order-of-magnitude losses (e.g.
-    batching silently degrading to one decode per tenant request).
-    """
-    failures: list[str] = []
-    reference = baseline.get("fleet", {})
-    if not reference:
-        print("no fleet baseline section; fleet metric gate skipped")
-        return failures
-    if FLEET_BENCH not in means:
-        failures.append(f"fleet row {FLEET_BENCH} missing from results")
-        return failures
-    for key, direction in FLEET_METRICS:
-        base = reference.get(key)
-        current = extra.get(key)
-        if base is None:
-            continue
-        if current is None:
-            failures.append(f"fleet metric {key} missing from extra_info")
-            continue
-        if direction == "max":  # lower is better (latency)
-            ratio = current / base
-            line = (
-                f"fleet {key}: {current:.6f} vs baseline {base:.6f} "
-                f"({ratio:.2f}x, limit {tolerance:.1f}x)"
-            )
-            bad = ratio > tolerance
-        else:  # higher is better (throughput)
-            ratio = base / current if current else float("inf")
-            line = (
-                f"fleet {key}: {current:.2f} vs baseline {base:.2f} "
-                f"(slowdown {ratio:.2f}x, limit {tolerance:.1f}x)"
-            )
-            bad = ratio > tolerance
-        print(f"{line} {'REGRESSED' if bad else 'ok'}")
-        if bad:
-            failures.append(f"fleet serving metric regressed: {line}")
-    return failures
 
 
 def check_speedup(means: dict[str, float], min_speedup: float) -> list[str]:
@@ -260,21 +194,16 @@ def check_baseline(
     return failures
 
 
-def write_baseline(means: dict[str, float], fleet_extra: dict) -> None:
+def write_baseline(means: dict[str, float]) -> None:
     payload = {
         "scale": os.environ.get("REPRO_BENCH_SCALE", "ci"),
         "note": (
             "Mean seconds per benchmark from a reference run of "
-            "bench_micro_kernels.py and bench_fleet.py; regenerate with "
+            "bench_micro_kernels.py; regenerate with "
             "`python benchmarks/check_regression.py --update`."
         ),
         "benchmarks": {name: means[name] for name in sorted(means)},
     }
-    fleet = {
-        key: fleet_extra[key] for key, _ in FLEET_METRICS if key in fleet_extra
-    }
-    if fleet:
-        payload["fleet"] = fleet
     BASELINE_FILE.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote baseline for {len(means)} benchmarks to {BASELINE_FILE}")
 
@@ -314,13 +243,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.skip_run:
         run_benchmarks(args.results_json)
-        run_benchmarks(FLEET_RESULTS_JSON, FLEET_BENCH_FILE)
     means = load_means(args.results_json)
-    means.update(load_means(FLEET_RESULTS_JSON))
-    fleet_extra = load_extra_info(FLEET_RESULTS_JSON, FLEET_BENCH)
 
     if args.update:
-        write_baseline(means, fleet_extra)
+        write_baseline(means)
         return 0
 
     failures = check_speedup(means, args.min_speedup)
@@ -329,7 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     if BASELINE_FILE.exists():
         baseline = json.loads(BASELINE_FILE.read_text())
         failures += check_baseline(means, baseline, args.tolerance)
-        failures += check_fleet(means, fleet_extra, baseline, args.tolerance)
     else:
         print(f"warning: no baseline at {BASELINE_FILE}; speedup gate only")
 

@@ -12,14 +12,17 @@ store-backed spec — ``NCLMethod.run(...,
 replay=ReplaySpec(store_dir=...))``, ``run_sequential`` /
 ``run_scenario`` likewise — are the high-level faces; ``repro store``
 is the CLI one.
+
+Concurrency: mutations (append, filter, compact, adopt, rebalance) are
+file-locked read-modify-writes committed by an atomic index rename, and
+a shard file name is never reused, so a reader with an old snapshot
+either reads that snapshot's bytes or gets a
+:class:`~repro.errors.StoreError` — never an ``OSError`` and never
+another snapshot's bytes.  Readers take no locks and leave no files.
 """
 
 from repro.replaystore.builder import SAMPLE_HEADER_BYTES, StreamingStoreBuilder
-from repro.replaystore.federation import (
-    FederatedReplayStore,
-    FederatedReplayStream,
-    FederationStats,
-)
+from repro.replaystore.federation import FederatedReplayStore, FederationStats
 from repro.replaystore.format import (
     CODEC_AER,
     CODEC_BITPACK,
@@ -44,7 +47,6 @@ from repro.replaystore.store import (
     StoreStats,
 )
 from repro.replaystore.prefetch import PrefetchingStream, prefetch_enabled
-from repro.replaystore.service import ReplayService, ServiceStats
 from repro.replaystore.stream import ConcatReplaySource, ReplayStream
 
 __all__ = [
@@ -72,8 +74,5 @@ __all__ = [
     "PrefetchingStream",
     "prefetch_enabled",
     "FederatedReplayStore",
-    "FederatedReplayStream",
     "FederationStats",
-    "ReplayService",
-    "ServiceStats",
 ]

@@ -1,10 +1,9 @@
 """Federation of per-task replay stores under one global byte budget.
 
 A long task stream persists one :class:`~repro.replaystore.store.ReplayStore`
-per continual step.  The federation composes those member stores into a
-single class-balanced replay view and owns the *global* memory
-invariant: the modelled bytes of all members together never exceed
-``budget_bytes``.  When a new member pushes the total over budget,
+per continual step.  The federation orders those member stores and owns
+the *global* memory invariant: the modelled bytes of all members
+together never exceed ``budget_bytes``.  When a new member pushes the total over budget,
 :meth:`FederatedReplayStore.rebalance` re-admits every stored sample —
 in global arrival order — through one of the existing
 :mod:`~repro.replaystore.policies` and rewrites each member to hold only
@@ -24,8 +23,9 @@ On disk a federation is a directory of member stores plus one index::
         ...
 
 Member stores stay fully self-describing — ``repro store stats
-root/step-000`` keeps working — the federation only adds the budget
-ledger and the composed view on top.
+root/step-000`` keeps working, and training replays a member through an
+ordinary :class:`~repro.replaystore.stream.ReplayStream` — the
+federation only adds the budget ledger on top.
 
 Byte accounting uses the same per-sample model as the
 :class:`~repro.replaystore.builder.StreamingStoreBuilder` (bit-packed
@@ -35,33 +35,28 @@ federation budget and a builder budget mean the same thing.
 
 from __future__ import annotations
 
-import json
+import operator
 import shutil
-from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro import obs
 from repro.compression.bitpack import BitpackCodec
 from repro.errors import StoreError
-from repro.ioutil import FileLock, atomic_write_json
+from repro.ioutil import atomic_write_json, locked
 from repro.replaystore.builder import SAMPLE_HEADER_BYTES
 from repro.replaystore.policies import get_policy
-from repro.replaystore.store import INDEX_NAME, ReplayStore
-from repro.replaystore.stream import ReplayStream
+from repro.replaystore.store import INDEX_NAME, ReplayStore, read_index
 from repro.seeding import spawn
 
 __all__ = [
     "FEDERATION_INDEX_NAME",
     "FEDERATION_LOCK_NAME",
-    "DEFAULT_OPEN_MEMBERS",
     "FederationStats",
     "FederatedReplayStore",
-    "FederatedReplayStream",
 ]
 
 FEDERATION_INDEX_NAME = "federation.json"
@@ -70,11 +65,22 @@ FEDERATION_INDEX_NAME = "federation.json"
 FEDERATION_LOCK_NAME = "federation.json.lock"
 FEDERATION_VERSION = 1
 
-#: Default cap on simultaneously open member handles/streams.  Member
-#: indexes are small, but a fleet-scale federation has thousands of
-#: members — opening them all eagerly is exactly what the lazy path
-#: exists to avoid.
-DEFAULT_OPEN_MEMBERS = 8
+#: The :class:`~repro.replaystore.store.StoreMeta` fields every member
+#: must agree on (the federation's persisted ``geometry``).
+_GEOMETRY_FIELDS = (
+    "stored_frames",
+    "num_channels",
+    "codec_factor",
+    "insertion_layer",
+    "generated_timesteps",
+)
+
+
+def _names(value) -> list[str]:
+    """A list of member directory names from a parsed index field."""
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise StoreError(f"expected a list of member names, got {value!r}")
+    return list(value)
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class FederationStats:
 
 
 class FederatedReplayStore:
-    """Ordered member stores + global budget ledger + composed view."""
+    """Ordered member stores + global budget ledger."""
 
     def __init__(
         self,
@@ -110,14 +116,8 @@ class FederatedReplayStore:
         seed: int,
         rebalances: int = 0,
         pending_removal: list[str] | None = None,
-        member_samples: dict[str, int] | None = None,
         geometry: dict | None = None,
-        max_open_members: int = DEFAULT_OPEN_MEMBERS,
     ):
-        if max_open_members < 1:
-            raise StoreError(
-                f"max_open_members must be >= 1, got {max_open_members}"
-            )
         self.root = Path(root)
         self.member_names = list(member_names)
         self.budget_bytes = None if budget_bytes is None else int(budget_bytes)
@@ -130,29 +130,11 @@ class FederatedReplayStore:
         #: owes a removal — the crash ledger :meth:`adopt` consults so a
         #: stale dir is never silently re-registered as fresh latents.
         self.pending_removal = list(pending_removal or [])
-        #: Per-member sample counts, maintained by :meth:`adopt` and
-        #: :meth:`rebalance`, so :meth:`stream` can lay out the global
-        #: index space without opening a single member.
-        self.member_samples: dict[str, int] = dict(member_samples or {})
         #: Latent geometry shared by every member (persisted at first
-        #: adopt); lets :meth:`adopt` validate and :meth:`stream` plan
-        #: lazily, again without opening a reference member.
+        #: adopt); lets :meth:`adopt` validate and :attr:`sample_bytes`
+        #: model without opening a reference member.
         self.geometry = dict(geometry) if geometry else None
-        self.max_open_members = int(max_open_members)
-        self._members: OrderedDict[str, ReplayStore] = OrderedDict()
-
-    # ------------------------------------------------------------------
-    # Locking
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _locked(self):
-        """Exclusive advisory lock over federation-index mutation."""
-        lock = FileLock(self.root / FEDERATION_LOCK_NAME)
-        lock.acquire()
-        try:
-            yield lock
-        finally:
-            lock.release()
+        self._members: dict[str, ReplayStore] = {}
 
     def _reload(self) -> None:
         """Refresh this handle from the on-disk index (under the lock).
@@ -161,18 +143,9 @@ class FederatedReplayStore:
         from concurrent handles compose; a handle whose index vanished
         gets a clean :class:`~repro.errors.StoreError`.
         """
-        fresh = type(self).open(self.root, max_open_members=self.max_open_members)
-        self.member_names = fresh.member_names
-        self.budget_bytes = fresh.budget_bytes
-        self.policy = fresh.policy
-        self.seed = fresh.seed
-        self.rebalances = fresh.rebalances
-        self.pending_removal = fresh.pending_removal
-        self.member_samples = fresh.member_samples
-        self.geometry = fresh.geometry
-        # Cached handles may predate another handle's commit; drop them
-        # so the next access reopens against the current member state.
-        self._members.clear()
+        # The fresh handle's empty member cache replaces ours: cached
+        # handles may predate another handle's commit.
+        vars(self).update(vars(type(self).open(self.root)))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -194,7 +167,7 @@ class FederatedReplayStore:
             raise StoreError(f"budget_bytes must be positive, got {budget_bytes}")
         get_policy(policy)  # validate the name up front
         federation = cls(root, [], budget_bytes, policy, seed)
-        with federation._locked():
+        with locked(root / FEDERATION_LOCK_NAME):
             if index_path.exists() and not overwrite:
                 raise StoreError(
                     f"federation already exists at {root} "
@@ -228,49 +201,35 @@ class FederatedReplayStore:
         return federation
 
     @classmethod
-    def open(
-        cls,
-        root: str | Path,
-        *,
-        max_open_members: int = DEFAULT_OPEN_MEMBERS,
-    ) -> "FederatedReplayStore":
-        """Load an existing federation from its index."""
+    def open(cls, root: str | Path) -> "FederatedReplayStore":
+        """Load an existing federation from its index.
+
+        The one parser of ``federation.json``.  Fields this version no
+        longer uses (e.g. ``member_samples``) are ignored.
+        """
         root = Path(root)
-        index_path = root / FEDERATION_INDEX_NAME
-        if not index_path.exists():
-            raise StoreError(
-                f"no federation at {root} (missing {FEDERATION_INDEX_NAME})"
-            )
-        try:
-            payload = json.loads(index_path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise StoreError(
-                f"corrupt federation index at {index_path}: {error}"
-            ) from error
-        if payload.get("version") != FEDERATION_VERSION:
-            raise StoreError(
-                f"unsupported federation index version {payload.get('version')!r}"
-            )
-        try:
+
+        def parse(payload: dict) -> "FederatedReplayStore":
+            budget = payload["budget_bytes"]
+            geometry = payload.get("geometry")
+            if not isinstance(payload["policy"], str):
+                raise StoreError(f"policy must be a string, got {payload['policy']!r}")
             return cls(
                 root,
-                list(payload["members"]),
-                payload["budget_bytes"],
+                _names(payload["members"]),
+                None if budget is None else operator.index(budget),
                 payload["policy"],
-                int(payload["seed"]),
-                rebalances=int(payload.get("rebalances", 0)),
-                pending_removal=list(payload.get("pending_removal", [])),
-                member_samples={
-                    str(k): int(v)
-                    for k, v in payload.get("member_samples", {}).items()
+                operator.index(payload["seed"]),
+                rebalances=operator.index(payload.get("rebalances", 0)),
+                pending_removal=_names(payload.get("pending_removal", [])),
+                geometry=None if geometry is None else {
+                    key: operator.index(geometry[key]) for key in _GEOMETRY_FIELDS
                 },
-                geometry=payload.get("geometry"),
-                max_open_members=max_open_members,
             )
-        except (KeyError, TypeError) as error:
-            raise StoreError(
-                f"malformed federation index at {index_path}: {error}"
-            ) from error
+
+        return read_index(
+            root / FEDERATION_INDEX_NAME, FEDERATION_VERSION, "federation", parse
+        )
 
     def configure(
         self,
@@ -292,7 +251,7 @@ class FederatedReplayStore:
             )
         if policy is not None:
             get_policy(policy)  # validate the name
-        with self._locked():
+        with locked(self.root / FEDERATION_LOCK_NAME):
             self._reload()
             if budget_bytes is not None:
                 self.budget_bytes = int(budget_bytes)
@@ -312,9 +271,6 @@ class FederatedReplayStore:
             "rebalances": self.rebalances,
             "members": list(self.member_names),
             "pending_removal": list(self.pending_removal),
-            "member_samples": {
-                name: int(count) for name, count in self.member_samples.items()
-            },
             "geometry": self.geometry,
         }
         atomic_write_json(self.root / FEDERATION_INDEX_NAME, payload)
@@ -323,46 +279,28 @@ class FederatedReplayStore:
     # Membership
     # ------------------------------------------------------------------
     def member(self, name: str) -> ReplayStore:
-        """The named member store (opened lazily, LRU-capped cache).
+        """The named member store (opened on first access, then cached).
 
-        At most :attr:`max_open_members` handles stay cached; the least
-        recently used is dropped when the cap is hit (a
-        :class:`~repro.replaystore.store.ReplayStore` handle is just a
-        parsed index — dropping it costs a reopen, nothing else).
+        The cache is dropped whenever this handle reloads the federation
+        index, so a mutation always starts from current member state.
         """
         if name not in self.member_names:
             raise StoreError(
                 f"{name!r} is not a member of the federation at {self.root}"
             )
-        if name in self._members:
-            self._members.move_to_end(name)
-            return self._members[name]
-        while len(self._members) >= self.max_open_members:
-            self._members.popitem(last=False)
-        store = ReplayStore.open(self.root / name)
-        self._members[name] = store
-        return store
+        if name not in self._members:
+            self._members[name] = ReplayStore.open(self.root / name)
+        return self._members[name]
 
     def members(self) -> Iterator[tuple[str, ReplayStore]]:
-        """Member stores in registration (task-arrival) order, lazily.
-
-        A generator: members open one at a time through the LRU cache,
-        so iterating a thousand-member federation never holds a thousand
-        parsed indexes at once.
-        """
+        """Member stores in registration (task-arrival) order."""
         for name in self.member_names:
             yield name, self.member(name)
 
     @staticmethod
     def _geometry_of(store: ReplayStore) -> dict:
         """The meta fields every member must agree on."""
-        return {
-            "stored_frames": store.meta.stored_frames,
-            "num_channels": store.meta.num_channels,
-            "codec_factor": store.meta.codec_factor,
-            "insertion_layer": store.meta.insertion_layer,
-            "generated_timesteps": store.meta.generated_timesteps,
-        }
+        return {key: getattr(store.meta, key) for key in _GEOMETRY_FIELDS}
 
     def adopt(self, name: str, *, allow_orphan: bool = False) -> ReplayStore:
         """Register the store at ``root/name`` as the next member.
@@ -383,7 +321,7 @@ class FederatedReplayStore:
             raise StoreError(
                 f"member name must be a plain directory name, got {name!r}"
             )
-        with self._locked():
+        with locked(self.root / FEDERATION_LOCK_NAME):
             self._reload()
             if name in self.member_names:
                 raise StoreError(f"{name!r} is already a member of the federation")
@@ -428,7 +366,6 @@ class FederatedReplayStore:
             if name in self.pending_removal:
                 self.pending_removal.remove(name)
             self.member_names.append(name)
-            self.member_samples[name] = store.num_samples
             self._members[name] = store
             self._write_index()
         return store
@@ -529,7 +466,7 @@ class FederatedReplayStore:
         from the federation seed and the rebalance counter.  A no-op
         (returns 0) when unbudgeted or already within budget.
         """
-        with self._locked():
+        with locked(self.root / FEDERATION_LOCK_NAME):
             self._reload()
             if not self.over_budget():
                 return 0
@@ -581,85 +518,10 @@ class FederatedReplayStore:
                 dtype=np.int64,
             )
             evicted += store.filter(survivors)
-            self.member_samples[name] = store.num_samples
         self.rebalances += 1
         self._write_index()
         _span.set(evicted=evicted)
         return evicted
-
-    # ------------------------------------------------------------------
-    # Composed view
-    # ------------------------------------------------------------------
-    def stream(
-        self,
-        decompress: bool = False,
-        cache_shards: int = 2,
-        max_open_streams: int | None = None,
-        prefetch: bool = False,
-    ) -> "FederatedReplayStream":
-        """Lazy class-spanning view over every member's samples.
-
-        Fully lazy end to end: the global index layout comes from the
-        persisted per-member sample counts (falling back to one
-        index-only open per member for pre-ledger federations), and a
-        member's :class:`~repro.replaystore.stream.ReplayStream` is only
-        opened when a gather first touches it — at most
-        ``max_open_streams`` (default :attr:`max_open_members`) member
-        streams stay open at once.  ``prefetch=True`` wraps each opened
-        member in a :class:`~repro.replaystore.prefetch.PrefetchingStream`.
-        """
-        geometry = self.geometry
-        if geometry is None and self.member_names:
-            geometry = self._geometry_of(self.member(self.member_names[0]))
-        counts: list[tuple[str, int]] = []
-        for name in self.member_names:
-            if name in self.member_samples:
-                counts.append((name, self.member_samples[name]))
-            else:  # pre-ledger index: index-only open, one at a time
-                counts.append((name, self.member(name).num_samples))
-        entries = [(name, count) for name, count in counts if count > 0]
-        if not entries:
-            raise StoreError(
-                f"federation at {self.root} holds no samples to stream"
-            )
-        assert geometry is not None  # non-empty federation has geometry
-        if not decompress and geometry["codec_factor"] != 1:
-            raise StoreError(
-                "cannot stream subsampled frames without decompression: "
-                f"store codec factor is {geometry['codec_factor']}"
-            )
-        root = self.root
-
-        def opener(name: str) -> ReplayStream | "PrefetchingStream":
-            stream = ReplayStream(
-                ReplayStore.open(root / name),
-                decompress=decompress,
-                cache_shards=cache_shards,
-            )
-            if prefetch:
-                from repro.replaystore.prefetch import PrefetchingStream
-
-                return PrefetchingStream(stream)
-            return stream
-
-        timesteps = (
-            geometry["generated_timesteps"]
-            if decompress
-            else geometry["stored_frames"]
-        )
-        return FederatedReplayStream.lazy(
-            openers=[
-                (lambda name=name: opener(name)) for name, _count in entries
-            ],
-            counts=[count for _name, count in entries],
-            timesteps=timesteps,
-            num_channels=geometry["num_channels"],
-            max_open_streams=(
-                self.max_open_members
-                if max_open_streams is None
-                else max_open_streams
-            ),
-        )
 
     def __repr__(self) -> str:
         return (
@@ -668,283 +530,3 @@ class FederatedReplayStore:
             f"budget={self.budget_bytes})"
         )
 
-
-class FederatedReplayStream:
-    """Sample-axis concatenation of member :class:`ReplayStream` views.
-
-    Serves the same lazy-source protocol as a single stream (``shape`` /
-    ``gather`` / ``labels`` / shard iteration), with indices routed to
-    members by global arrival order — so a federation trains exactly
-    like one big store while peak resident memory stays
-    ``cache_shards`` decoded shards per *open* member stream.
-
-    Member streams are lazy: constructed via :meth:`lazy` (the
-    :meth:`FederatedReplayStore.stream` path), a member is only opened
-    when a gather first touches it, and at most ``max_open_streams``
-    stay open — the least recently used is closed (its reader pin
-    released) when the cap is hit.  The plain constructor takes
-    already-open streams and never evicts them (an evicted pre-built
-    stream could not be reopened).
-    """
-
-    def __init__(self, streams: list[ReplayStream]):
-        if not streams:
-            raise StoreError("FederatedReplayStream needs at least one stream")
-        first = streams[0]
-        for stream in streams[1:]:
-            if (
-                stream.timesteps != first.timesteps
-                or stream.num_channels != first.num_channels
-            ):
-                raise StoreError(
-                    f"member streams disagree on geometry: "
-                    f"[T={first.timesteps}, C={first.num_channels}] vs "
-                    f"[T={stream.timesteps}, C={stream.num_channels}]"
-                )
-        self._init(
-            openers=[(lambda s=s: s) for s in streams],
-            counts=[s.num_samples for s in streams],
-            timesteps=first.timesteps,
-            num_channels=first.num_channels,
-            max_open_streams=len(streams),
-            preopened=list(streams),
-        )
-
-    @classmethod
-    def lazy(
-        cls,
-        openers: list[Callable[[], ReplayStream]],
-        counts: list[int],
-        timesteps: int,
-        num_channels: int,
-        max_open_streams: int = DEFAULT_OPEN_MEMBERS,
-    ) -> "FederatedReplayStream":
-        """Build a stream whose members open on first gather.
-
-        ``openers[i]`` must return a fresh stream over member ``i``
-        holding exactly ``counts[i]`` samples; a mismatch at open time
-        (the member was mutated after the layout was taken) raises
-        :class:`~repro.errors.StoreError` instead of misrouting indices.
-        """
-        if not openers:
-            raise StoreError("FederatedReplayStream needs at least one stream")
-        if len(openers) != len(counts):
-            raise StoreError(
-                f"{len(openers)} openers but {len(counts)} member counts"
-            )
-        if max_open_streams < 1:
-            raise StoreError(
-                f"max_open_streams must be >= 1, got {max_open_streams}"
-            )
-        self = cls.__new__(cls)
-        self._init(
-            openers=list(openers),
-            counts=[int(c) for c in counts],
-            timesteps=int(timesteps),
-            num_channels=int(num_channels),
-            max_open_streams=int(max_open_streams),
-            preopened=None,
-        )
-        return self
-
-    def _init(
-        self,
-        openers: list[Callable[[], ReplayStream]],
-        counts: list[int],
-        timesteps: int,
-        num_channels: int,
-        max_open_streams: int,
-        preopened: list[ReplayStream] | None,
-    ) -> None:
-        self._openers = openers
-        self._counts = counts
-        self._timesteps = timesteps
-        self._num_channels = num_channels
-        self.max_open_streams = max(1, max_open_streams)
-        self._open: OrderedDict[int, ReplayStream] = OrderedDict()
-        if preopened is not None:
-            self._open.update(enumerate(preopened))
-        #: Member streams opened over this view's lifetime (telemetry;
-        #: the concurrency tests assert the LRU cap from it).
-        self.member_opens = len(self._open)
-        # Peaks of already-closed member streams, so peak_cache_bytes
-        # survives eviction.
-        self._retired_peak_bytes = 0
-        bounds = np.cumsum(counts)
-        self._bounds = np.concatenate([[0], bounds]).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Member stream lifecycle
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _close_stream(stream) -> None:
-        """Close a member view and its wrapped stream (pin release)."""
-        stream.close()
-        inner = getattr(stream, "stream", None)
-        if inner is not None and hasattr(inner, "close"):
-            inner.close()  # PrefetchingStream wraps the pinned stream
-
-    def _stream(self, member: int) -> ReplayStream:
-        """Member stream ``member``, opening (and LRU-evicting) as needed."""
-        if member in self._open:
-            self._open.move_to_end(member)
-            return self._open[member]
-        while len(self._open) >= self.max_open_streams:
-            _, victim = self._open.popitem(last=False)
-            self._retired_peak_bytes += victim.peak_cache_bytes
-            self._close_stream(victim)
-        stream = self._openers[member]()
-        if stream.num_samples != self._counts[member]:
-            self._close_stream(stream)
-            raise StoreError(
-                f"store was mutated: member {member} now holds "
-                f"{stream.num_samples} samples, this view was laid out "
-                f"for {self._counts[member]}; open a fresh stream"
-            )
-        if (
-            stream.timesteps != self._timesteps
-            or stream.num_channels != self._num_channels
-        ):
-            self._close_stream(stream)
-            raise StoreError(
-                f"member streams disagree on geometry: "
-                f"[T={self._timesteps}, C={self._num_channels}] vs "
-                f"[T={stream.timesteps}, C={stream.num_channels}]"
-            )
-        self._open[member] = stream
-        self.member_opens += 1
-        obs.count("federation.member_opens")
-        return stream
-
-    @property
-    def open_streams(self) -> int:
-        """Member streams currently open (bounded by the LRU cap)."""
-        return len(self._open)
-
-    def close(self) -> None:
-        """Close every open member stream (releasing reader pins)."""
-        while self._open:
-            _, stream = self._open.popitem(last=False)
-            self._retired_peak_bytes += stream.peak_cache_bytes
-            self._close_stream(stream)
-
-    def __enter__(self) -> "FederatedReplayStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Lazy-source protocol
-    # ------------------------------------------------------------------
-    @property
-    def num_samples(self) -> int:
-        """Total samples across the member streams."""
-        return int(self._bounds[-1])
-
-    @property
-    def timesteps(self) -> int:
-        """Generated timesteps per sample (uniform across members)."""
-        return self._timesteps
-
-    @property
-    def num_channels(self) -> int:
-        """Channels per sample (uniform across members)."""
-        return self._num_channels
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Logical ``[T, n, C]`` shape of the concatenated stream."""
-        return (self.timesteps, self.num_samples, self.num_channels)
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Labels of every member stream, concatenated in member order.
-
-        Opens members one at a time through the LRU, so even the full
-        label sweep never exceeds the open-handle cap.
-        """
-        return np.concatenate(
-            [self._stream(i).labels for i in range(len(self._counts))]
-        )
-
-    @property
-    def peak_cache_bytes(self) -> int:
-        """Upper bound on decoded-shard residency across member streams.
-
-        Open member LRU caches are resident *simultaneously*, so the
-        federated high-water mark is the sum of the members' peaks
-        (closed members contribute the peak they retired with).  A
-        bound, not an exact joint maximum: members need not peak at the
-        same instant.
-        """
-        return self._retired_peak_bytes + sum(
-            s.peak_cache_bytes for s in self._open.values()
-        )
-
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Decode the requested samples into a ``[T, k, C]`` raster.
-
-        Behaves exactly like fancy indexing on the member-concatenated
-        dense array (duplicates and arbitrary order included).
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 1:
-            raise StoreError(f"indices must be 1-D, got shape {indices.shape}")
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= self.num_samples
-        ):
-            raise StoreError(
-                f"indices out of range [0, {self.num_samples}) "
-                f"(got [{indices.min()}, {indices.max()}])"
-            )
-        out = np.empty(
-            (self.timesteps, indices.size, self.num_channels), dtype=np.float32
-        )
-        member_of = np.searchsorted(self._bounds, indices, side="right") - 1
-        with obs.span(
-            "federation.gather", category="store", samples=int(indices.size)
-        ):
-            for member in np.unique(member_of):
-                mask = member_of == member
-                local = indices[mask] - self._bounds[member]
-                out[:, mask, :] = self._stream(int(member)).gather(local)
-        return out
-
-    def prefetch(self, indices: np.ndarray) -> int:
-        """Advise members that ``indices`` are needed soon (advisory).
-
-        Routed like :meth:`gather`; members whose view cannot prefetch
-        (plain :class:`ReplayStream`) and out-of-range advice are
-        skipped.  Only already-open members are advised — warming a
-        member would force an open the caller never committed to.
-        Returns the number of shard decodes actually queued.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        valid = (indices >= 0) & (indices < self.num_samples)
-        if not np.all(valid):
-            obs.count(
-                "prefetch.bogus_advice", int(np.count_nonzero(~valid))
-            )
-            indices = indices[valid]
-        if indices.size == 0:
-            return 0
-        member_of = np.searchsorted(self._bounds, indices, side="right") - 1
-        queued = 0
-        for member in np.unique(member_of):
-            stream = self._open.get(int(member))
-            hook = getattr(stream, "prefetch", None)
-            if hook is None:
-                continue
-            mask = member_of == member
-            queued += int(hook(indices[mask] - self._bounds[member]))
-        return queued
-
-    def __iter__(self):
-        """Yield ``(raster, labels)`` shard by shard across members."""
-        for member in range(len(self._counts)):
-            yield from self._stream(member)
-
-    def materialize(self) -> np.ndarray:
-        """Densify the whole federation (tests/small stores only)."""
-        return self.gather(np.arange(self.num_samples))

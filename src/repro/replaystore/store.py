@@ -3,9 +3,10 @@
 A store is a directory::
 
     store/
-      index.json        # metadata + shard table (labels, sizes, offsets)
-      shard-00000.bin   # one encoded shard per file (format.py)
+      index.json             # metadata + shard table (labels, sizes, offsets)
+      shard-00000.bin        # one encoded shard per file (format.py)
       shard-00001.bin
+      shard-g001-00000.bin   # written after the first filter/compact
       ...
 
 The index is the lookup authority: it carries per-shard sample counts,
@@ -14,42 +15,35 @@ and class statistics never touch shard payloads.  Shard files are only
 read when their samples are actually replayed (see ``stream.py``).
 
 Shards are immutable once written; mutation happens by appending new
-shards or by :meth:`ReplayStore.compact`, which rewrites the shard set
-at uniform occupancy (after evictions leave ragged shards behind).
+shards or by :meth:`ReplayStore.filter` / :meth:`ReplayStore.compact`,
+which rewrite the shard set as the next *generation* (after evictions
+leave ragged shards behind).
 
-Concurrency: every index mutation runs under an exclusive advisory
-:class:`~repro.ioutil.FileLock` (``index.json.lock``) and re-reads the
-on-disk index before modifying it, so handles in different threads or
-processes serialize their read-modify-write cycles; the atomic index
-rename stays the commit point.  Readers register themselves through
-crash-safe pins (``.readers/``): a compaction that finds live readers
-leaves the superseded shard files on disk as a *tombstone generation*
-(recorded in the index) instead of unlinking them, so an in-flight
-gather against the old snapshot finishes cleanly — the reader then gets
-a clean :class:`~repro.errors.StoreError` at its next snapshot check,
-never a raw ``FileNotFoundError``.  Tombstones are swept by later
-mutations once no live reader pins a generation that can reference
-them.
+Concurrency: every mutation is a read-modify-write of the on-disk
+index under an exclusive :class:`~repro.ioutil.FileLock`
+(``index.json.lock``), committed by atomically renaming ``index.json``;
+files a rewrite supersedes are unlinked right after the commit.  Readers
+stay safe because **a shard file name is never reused**: names stamp the
+generation (bumped by every rewrite) and the position in that
+generation's table, which only grows.  A handle with an older snapshot
+thus reads that snapshot's exact bytes or finds the file gone, which
+:meth:`ReplayStore.read_shard` reports as
+:class:`~repro.errors.StoreError`.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 from repro import obs
 from repro.errors import StoreError
-from repro.ioutil import (
-    FileLock,
-    Pin,
-    acquire_pin,
-    atomic_write_json,
-    live_pin_payloads,
-)
+from repro.ioutil import atomic_write_json, locked
 from repro.replaystore.format import decode_shard, encode_shard, peek_header
 
 __all__ = [
@@ -59,20 +53,51 @@ __all__ = [
     "ReplayStore",
     "INDEX_NAME",
     "LOCK_NAME",
-    "READERS_DIR",
+    "read_index",
 ]
 
 INDEX_NAME = "index.json"
 #: Lock file guarding index read-modify-write (never renamed, unlike
 #: the index itself, so the locked inode is stable).
 LOCK_NAME = "index.json.lock"
-#: Directory of crash-safe reader pins (see :mod:`repro.ioutil`).
-READERS_DIR = ".readers"
 INDEX_VERSION = 1
 
 #: Default samples per shard; also the replay-time decode granularity
 #: (peak resident replay memory is ~``shard_samples`` dense samples).
 DEFAULT_SHARD_SAMPLES = 64
+
+_Parsed = TypeVar("_Parsed")
+
+
+def read_index(
+    path: Path, version: int, kind: str, parse: Callable[[dict], _Parsed]
+) -> _Parsed:
+    """Load the JSON index at ``path`` and ``parse`` its payload object.
+
+    Shared by the store and federation indexes so damage is handled in
+    one place: a missing file, bad JSON, a non-object payload, a foreign
+    ``version``, or any structural or type error ``parse`` hits all
+    raise :class:`~repro.errors.StoreError` naming ``kind`` ("replay
+    store", "federation").
+    """
+    if not path.exists():
+        raise StoreError(f"no {kind} at {path.parent} (missing {path.name})")
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError) as error:
+        raise StoreError(f"corrupt {kind} index at {path}: {error}") from error
+    try:
+        if payload.get("version") != version:
+            raise StoreError(f"unsupported {kind} index version {payload.get('version')!r}")
+        return parse(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise StoreError(f"malformed {kind} index at {path}: {error!r}") from error
+
+
+def _shard_name(generation: int, position: int) -> str:
+    """File name of the shard at ``position`` of a ``generation`` table."""
+    stamp = f"g{generation:03d}-" if generation else ""
+    return f"shard-{stamp}{position:05d}.bin"
 
 
 @dataclass(frozen=True)
@@ -133,6 +158,49 @@ class StoreStats:
         return self.payload_bytes / self.num_samples if self.num_samples else 0.0
 
 
+def _parse_shard(entry: dict) -> ShardInfo:
+    """One typed shard-table row (structural errors propagate)."""
+    file = entry["file"]
+    if not isinstance(file, str) or not file.startswith("shard-") or Path(file).name != file:
+        raise StoreError(f"shard file must be a plain shard-* name, got {file!r}")
+    if not isinstance(entry["codec"], str):
+        raise StoreError(f"shard codec must be a string, got {entry['codec']!r}")
+    info = ShardInfo(
+        file=file,
+        num_samples=operator.index(entry["num_samples"]),
+        codec=entry["codec"],
+        payload_bytes=operator.index(entry["payload_bytes"]),
+        payload_offset=operator.index(entry["payload_offset"]),
+        labels=[operator.index(v) for v in entry["labels"]],
+    )
+    if len(info.labels) != info.num_samples:
+        raise StoreError(
+            f"shard {file} lists {len(info.labels)} labels for "
+            f"{info.num_samples} samples"
+        )
+    return info
+
+
+def _parse_index(path: Path) -> tuple[StoreMeta, list[ShardInfo], int]:
+    """Meta, shard table and generation of the store index at ``path``.
+
+    The one parser of ``index.json``.  Fields this version no longer
+    uses (e.g. ``tombstones``) are ignored.
+    """
+
+    def parse(payload: dict) -> tuple[StoreMeta, list[ShardInfo], int]:
+        meta, shards = payload["meta"], payload["shards"]
+        if not isinstance(shards, list):
+            raise StoreError(f"shard table must be a list, got {shards!r}")
+        return (
+            StoreMeta(**{key: operator.index(value) for key, value in meta.items()}),
+            [_parse_shard(entry) for entry in shards],
+            operator.index(payload.get("generation", 0)),
+        )
+
+    return read_index(path, INDEX_VERSION, "replay store", parse)
+
+
 class ReplayStore:
     """Persistent shard set + index over one latent-replay buffer."""
 
@@ -142,97 +210,13 @@ class ReplayStore:
         meta: StoreMeta,
         shards: list[ShardInfo],
         generation: int = 0,
-        tombstones: list[dict] | None = None,
     ):
         self.root = Path(root)
         self.meta = meta
         self.shards = shards
-        #: Bumped by :meth:`compact`; compacted shard files carry the
-        #: generation in their name so a rewrite never collides with the
-        #: files the current index still points at.
+        #: Bumped by every rewrite (:meth:`filter`, :meth:`compact`);
+        #: shard names carry it, so no file name is ever reused.
         self.generation = int(generation)
-        #: Superseded shard files kept on disk for live pinned readers:
-        #: ``[{"file": name, "generation": g}]`` where ``g`` is the
-        #: generation whose commit orphaned the file.  Swept by
-        #: :meth:`sweep_tombstones` once no reader can reference them.
-        self.tombstones: list[dict] = list(tombstones or [])
-
-    # ------------------------------------------------------------------
-    # Locking + reader registry
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _locked(self):
-        """Exclusive advisory lock over index read-modify-write."""
-        lock = FileLock(self.root / LOCK_NAME)
-        lock.acquire()
-        try:
-            yield lock
-        finally:
-            lock.release()
-
-    def pin_reader(self) -> Pin:
-        """Register a live reader pinned to the current generation.
-
-        While the pin is held (a crashed holder releases it
-        automatically), mutations keep this generation's shard files on
-        disk as tombstones instead of unlinking them, so the reader's
-        in-flight gathers finish against its snapshot.  Release the pin
-        as soon as the snapshot view is dropped.
-        """
-        return acquire_pin(
-            self.root / READERS_DIR, {"generation": self.generation}
-        )
-
-    def _pinned_generations(self) -> list[int]:
-        """Generations pinned by live readers (unparseable pins pin all)."""
-        return [
-            int(payload.get("generation", -1))
-            for payload in live_pin_payloads(self.root / READERS_DIR)
-        ]
-
-    def _commit_and_sweep(self, orphans: list[str]) -> None:
-        """Commit the index, then remove unpinned superseded files.
-
-        ``orphans`` are files the *new* generation no longer references.
-        Every candidate (prior tombstones included) is recorded in the
-        committed index first, so a crash after the rename never loses
-        track of a file; deletion only touches candidates no live
-        reader's pinned generation can reference.  Caller holds the
-        index lock.
-        """
-        candidates = list(self.tombstones) + [
-            {"file": name, "generation": self.generation} for name in orphans
-        ]
-        self.tombstones = candidates
-        self._write_index()  # atomic rename: the commit point
-        if not candidates:
-            return
-        pinned = self._pinned_generations()
-        keep = []
-        dropped = 0
-        for tomb in candidates:
-            if any(g < int(tomb["generation"]) for g in pinned):
-                keep.append(tomb)
-                continue
-            (self.root / str(tomb["file"])).unlink(missing_ok=True)
-            dropped += 1
-        if dropped:
-            self.tombstones = keep
-            self._write_index()
-            obs.count("store.tombstones_swept", dropped)
-
-    def sweep_tombstones(self) -> int:
-        """Delete tombstoned files no live reader pins; returns count.
-
-        Safe to call any time (takes the index lock); mutations sweep
-        opportunistically, so explicit calls are only needed to reclaim
-        disk promptly after long-lived readers close.
-        """
-        with self._locked():
-            self._reload()
-            before = len(self.tombstones)
-            self._commit_and_sweep([])
-            return before - len(self.tombstones)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -250,7 +234,12 @@ class ReplayStore:
         shard_samples: int = DEFAULT_SHARD_SAMPLES,
         overwrite: bool = False,
     ) -> "ReplayStore":
-        """Initialise an empty store directory (refuses to clobber one)."""
+        """Initialise an empty store directory (refuses to clobber one).
+
+        ``overwrite=True`` continues the replaced store's generation
+        count (when its index is readable), so the new store's shard
+        names never repeat the old one's.
+        """
         root = Path(root)
         index_path = root / INDEX_NAME
         meta = StoreMeta(
@@ -262,55 +251,25 @@ class ReplayStore:
             shard_samples=shard_samples,
         )
         store = cls(root, meta, [])
-        with store._locked():
-            if index_path.exists() and not overwrite:
-                raise StoreError(
-                    f"store already exists at {root} (pass overwrite=True to replace)"
-                )
+        with locked(root / LOCK_NAME):
+            if index_path.exists():
+                if not overwrite:
+                    raise StoreError(
+                        f"store already exists at {root} (pass overwrite=True to replace)"
+                    )
+                try:
+                    store.generation = _parse_index(index_path)[2] + 1
+                except StoreError:
+                    pass  # unreadable index: replace it, nothing to continue
             root.mkdir(parents=True, exist_ok=True)
-            if overwrite:
-                for old in root.glob("shard-*.bin"):
-                    old.unlink()
-            store._write_index()
+            store._commit(sweep=overwrite)
         return store
 
     @classmethod
     def open(cls, root: str | Path) -> "ReplayStore":
         """Load an existing store from its index."""
         root = Path(root)
-        index_path = root / INDEX_NAME
-        payload = cls._read_index(index_path)
-        try:
-            meta = StoreMeta(**payload["meta"])
-            shards = [ShardInfo(**entry) for entry in payload["shards"]]
-        except (KeyError, TypeError) as error:
-            raise StoreError(
-                f"malformed store index at {index_path}: {error}"
-            ) from error
-        return cls(
-            root,
-            meta,
-            shards,
-            generation=int(payload.get("generation", 0)),
-            tombstones=list(payload.get("tombstones", [])),
-        )
-
-    @staticmethod
-    def _read_index(index_path: Path) -> dict:
-        """Parse the raw index payload (shared by ``open`` and reload)."""
-        if not index_path.exists():
-            raise StoreError(
-                f"no replay store at {index_path.parent} (missing {INDEX_NAME})"
-            )
-        try:
-            payload = json.loads(index_path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise StoreError(f"corrupt store index at {index_path}: {error}") from error
-        if payload.get("version") != INDEX_VERSION:
-            raise StoreError(
-                f"unsupported store index version {payload.get('version')!r}"
-            )
-        return payload
+        return cls(root, *_parse_index(root / INDEX_NAME))
 
     def _reload(self) -> None:
         """Refresh this handle from the on-disk index.
@@ -319,19 +278,16 @@ class ReplayStore:
         cycles from concurrent handles compose instead of clobbering each
         other (the second writer starts from the first writer's commit).
         """
-        payload = self._read_index(self.root / INDEX_NAME)
-        try:
-            self.meta = StoreMeta(**payload["meta"])
-            self.shards = [ShardInfo(**entry) for entry in payload["shards"]]
-        except (KeyError, TypeError) as error:
-            raise StoreError(
-                f"malformed store index at {self.root / INDEX_NAME}: {error}"
-            ) from error
-        self.generation = int(payload.get("generation", 0))
-        self.tombstones = list(payload.get("tombstones", []))
+        self.meta, self.shards, self.generation = _parse_index(self.root / INDEX_NAME)
 
-    def _write_index(self) -> None:
-        """Atomically replace the index (write-to-temp + rename)."""
+    def _commit(self, sweep: bool) -> None:
+        """Atomically replace the index; then, if ``sweep``, drop dead shards.
+
+        The index rename is the commit point.  Every shard writer holds
+        the index lock, so under it any ``shard-*.bin`` the committed
+        table does not name is garbage: a file the commit superseded, or
+        an orphan of an interrupted mutation.  Caller holds the lock.
+        """
         payload = {
             "version": INDEX_VERSION,
             "generation": self.generation,
@@ -354,12 +310,13 @@ class ReplayStore:
                 }
                 for s in self.shards
             ],
-            "tombstones": [
-                {"file": str(t["file"]), "generation": int(t["generation"])}
-                for t in self.tombstones
-            ],
         }
         atomic_write_json(self.root / INDEX_NAME, payload)
+        if sweep:
+            live = {s.file for s in self.shards}
+            for path in self.root.glob("shard-*.bin"):
+                if path.name not in live:
+                    path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -447,50 +404,36 @@ class ReplayStore:
             raise StoreError(
                 f"{labels.shape} labels incompatible with raster {raster.shape}"
             )
-        with self._locked():
+        with locked(self.root / LOCK_NAME):
             self._reload()
-            new_ids: list[int] = []
+            first = len(self.shards)
             for start in range(0, raster.shape[1], self.meta.shard_samples):
                 chunk = raster[:, start : start + self.meta.shard_samples, :]
                 chunk_labels = labels[start : start + self.meta.shard_samples]
-                new_ids.append(self._write_shard(chunk, chunk_labels))
-            self._commit_and_sweep([])
-        return new_ids
+                self.shards.append(self._write_shard(chunk, chunk_labels, len(self.shards)))
+            self._commit(sweep=False)
+        return list(range(first, len(self.shards)))
 
-    def _shard_name(self, shard_id: int) -> str:
-        """Next free ``shard-NNNNN.bin`` name (never reuses a tombstone).
-
-        Plain sequential naming would collide with a same-numbered file
-        kept alive as a tombstone after a compaction, silently clobbering
-        the snapshot a pinned reader is still gathering from.
-        """
-        used = {s.file for s in self.shards}
-        used.update(str(t["file"]) for t in self.tombstones)
-        while f"shard-{shard_id:05d}.bin" in used:
-            shard_id += 1
-        return f"shard-{shard_id:05d}.bin"
-
-    def _write_shard(self, raster: np.ndarray, labels: np.ndarray) -> int:
-        shard_id = len(self.shards)
-        with obs.span("store.encode_shard", category="store", shard=shard_id) as sp:
+    def _write_shard(
+        self, raster: np.ndarray, labels: np.ndarray, position: int
+    ) -> ShardInfo:
+        """Encode one shard to its never-reused file; returns its row."""
+        with obs.span("store.encode_shard", category="store", shard=position) as sp:
             blob = encode_shard(raster, labels)
             sp.set(bytes=len(blob), samples=int(raster.shape[1]))
         obs.count("store.bytes_encoded", len(blob))
         obs.count("store.shards_encoded")
         header = peek_header(blob)
-        name = self._shard_name(shard_id)
+        name = _shard_name(self.generation, position)
         (self.root / name).write_bytes(blob)
-        self.shards.append(
-            ShardInfo(
-                file=name,
-                num_samples=header.num_samples,
-                codec=header.codec,
-                payload_bytes=header.payload_bytes,
-                payload_offset=len(blob) - header.payload_bytes,
-                labels=[int(v) for v in labels],
-            )
+        return ShardInfo(
+            file=name,
+            num_samples=header.num_samples,
+            codec=header.codec,
+            payload_bytes=header.payload_bytes,
+            payload_offset=len(blob) - header.payload_bytes,
+            labels=[int(v) for v in labels],
         )
-        return shard_id
 
     def read_shard(self, shard_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Decode one shard to its dense ``[T_stored, n, C]`` raster."""
@@ -522,6 +465,34 @@ class ReplayStore:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    def _rewrite(
+        self, parts: Iterator[tuple[np.ndarray, np.ndarray]], target: int
+    ) -> None:
+        """Re-shard ``parts`` at ``target`` samples each as the next generation.
+
+        The staged-rewrite routine behind :meth:`filter` and
+        :meth:`compact`.  ``parts`` yields ``(raster, labels)`` column
+        blocks in storage order (typically decoded lazily from the
+        current shards), so peak memory stays at ~2 shards.  New files
+        carry the new generation, so they never collide with a name the
+        current index references; the caller sets any other changed
+        state and then commits with a sweep.  Caller holds the lock.
+        """
+        self.generation += 1
+        staged: list[ShardInfo] = []
+        frames, channels = self.meta.stored_frames, self.meta.num_channels
+        raster = np.zeros((frames, 0, channels), dtype=np.float32)
+        labels = np.zeros(0, dtype=np.int64)
+        for part_raster, part_labels in parts:
+            raster = np.concatenate([raster, part_raster], axis=1)
+            labels = np.concatenate([labels, part_labels])
+            while labels.size >= target:
+                staged.append(self._write_shard(raster[:, :target], labels[:target], len(staged)))
+                raster, labels = raster[:, target:], labels[target:]
+        if labels.size:
+            staged.append(self._write_shard(raster, labels, len(staged)))
+        self.shards = staged
+
     def filter(self, keep: np.ndarray) -> int:
         """Keep only the samples at global indices ``keep``; returns evictions.
 
@@ -529,15 +500,15 @@ class ReplayStore:
         the order :attr:`labels` uses); kept samples preserve that order.
         This is the eviction primitive of cross-store rebalancing: a
         federation decides *which* samples survive, ``filter`` rewrites
-        the shard set to hold exactly those.  Streams shard-by-shard like
-        :meth:`compact` and shares its crash-safety: new-generation files
-        first, atomic index rename as the commit point, old files removed
-        last.  Filtering to the full index set is a no-op (no rewrite).
+        the shard set to hold exactly those.  Shares :meth:`compact`'s
+        staged rewrite and its crash-safety: new-generation files first,
+        atomic index rename as the commit point, old files removed last.
+        Filtering to the full index set is a no-op (no rewrite).
         """
         keep = np.asarray(keep, dtype=np.int64)
         if keep.ndim != 1:
             raise StoreError(f"keep indices must be 1-D, got shape {keep.shape}")
-        with self._locked():
+        with locked(self.root / LOCK_NAME):
             self._reload()
             total = self.num_samples
             if keep.size:
@@ -550,62 +521,20 @@ class ReplayStore:
                     raise StoreError("keep indices must be strictly increasing")
             if keep.size == total:
                 return 0
-            evicted = total - int(keep.size)
-            target = self.meta.shard_samples
-            old_files = [s.file for s in self.shards]
-            generation = self.generation + 1
 
-            staged: list[ShardInfo] = []
-            pending_raster: list[np.ndarray] = []
-            pending_labels: list[np.ndarray] = []
-            pending = 0
+            def survivors():
+                offset = 0
+                for shard_id, info in enumerate(self.shards):
+                    local = keep[(keep >= offset) & (keep < offset + info.num_samples)]
+                    local -= offset
+                    offset += info.num_samples
+                    if local.size:
+                        raster, labels = self.read_shard(shard_id)
+                        yield raster[:, local, :], labels[local]
 
-            def flush(force: bool) -> None:
-                nonlocal pending
-                while pending >= target or (force and pending > 0):
-                    raster = np.concatenate(pending_raster, axis=1)
-                    labels = np.concatenate(pending_labels)
-                    take = min(target, raster.shape[1])
-                    blob = encode_shard(raster[:, :take, :], labels[:take])
-                    header = peek_header(blob)
-                    name = f"shard-g{generation:03d}-{len(staged):05d}.bin"
-                    (self.root / name).write_bytes(blob)
-                    staged.append(
-                        ShardInfo(
-                            file=name,
-                            num_samples=header.num_samples,
-                            codec=header.codec,
-                            payload_bytes=header.payload_bytes,
-                            payload_offset=len(blob) - header.payload_bytes,
-                            labels=[int(v) for v in labels[:take]],
-                        )
-                    )
-                    pending_raster[:] = (
-                        [raster[:, take:, :]] if take < raster.shape[1] else []
-                    )
-                    pending_labels[:] = (
-                        [labels[take:]] if take < labels.shape[0] else []
-                    )
-                    pending -= take
-
-            offset = 0
-            for shard_id in range(len(self.shards)):
-                count = self.shards[shard_id].num_samples
-                local = keep[(keep >= offset) & (keep < offset + count)] - offset
-                offset += count
-                if local.size == 0:
-                    continue
-                raster, labels = self.read_shard(shard_id)
-                pending_raster.append(raster[:, local, :])
-                pending_labels.append(labels[local])
-                pending += int(local.size)
-                flush(force=False)
-            flush(force=True)
-
-            self.shards = staged
-            self.generation = generation
-            self._commit_and_sweep(old_files)
-        return evicted
+            self._rewrite(survivors(), self.meta.shard_samples)
+            self._commit(sweep=True)
+        return total - int(keep.size)
 
     def compact(self, shard_samples: int | None = None) -> int:
         """Rewrite all shards at uniform occupancy; returns the new count.
@@ -615,72 +544,22 @@ class ReplayStore:
         stays at ~2 shards regardless of store size.
 
         Crash-safe: the new generation's shard files are written under
-        names the current index never references, the atomic index
-        rename is the commit point, and only then are the old
-        generation's files removed.  A crash anywhere leaves a store
-        that opens cleanly (at worst with orphaned files from the
-        interrupted generation).
+        names no committed index has referenced, the atomic index rename
+        is the commit point, and only then are the old generation's
+        files removed.  A crash anywhere leaves a store that opens
+        cleanly; the next rewrite removes the interrupted generation's
+        orphaned files.
         """
         if shard_samples is not None and shard_samples <= 0:
             raise StoreError(f"shard_samples must be positive, got {shard_samples}")
-        with self._locked():
+        with locked(self.root / LOCK_NAME):
             self._reload()
             target = shard_samples or self.meta.shard_samples
-            old_files = [s.file for s in self.shards]
-            generation = self.generation + 1
-
-            staged: list[ShardInfo] = []
-            pending_raster: list[np.ndarray] = []
-            pending_labels: list[np.ndarray] = []
-            pending = 0
-
-            def flush(force: bool) -> None:
-                nonlocal pending
-                while pending >= target or (force and pending > 0):
-                    raster = np.concatenate(pending_raster, axis=1)
-                    labels = np.concatenate(pending_labels)
-                    take = min(target, raster.shape[1])
-                    blob = encode_shard(raster[:, :take, :], labels[:take])
-                    header = peek_header(blob)
-                    name = f"shard-g{generation:03d}-{len(staged):05d}.bin"
-                    (self.root / name).write_bytes(blob)
-                    staged.append(
-                        ShardInfo(
-                            file=name,
-                            num_samples=header.num_samples,
-                            codec=header.codec,
-                            payload_bytes=header.payload_bytes,
-                            payload_offset=len(blob) - header.payload_bytes,
-                            labels=[int(v) for v in labels[:take]],
-                        )
-                    )
-                    pending_raster[:] = (
-                        [raster[:, take:, :]] if take < raster.shape[1] else []
-                    )
-                    pending_labels[:] = (
-                        [labels[take:]] if take < labels.shape[0] else []
-                    )
-                    pending -= take
-
-            for shard_id in range(len(self.shards)):
-                raster, labels = self.read_shard(shard_id)
-                pending_raster.append(raster)
-                pending_labels.append(labels)
-                pending += raster.shape[1]
-                flush(force=False)
-            flush(force=True)
-
-            self.shards = staged
-            self.generation = generation
-            self.meta = StoreMeta(
-                stored_frames=self.meta.stored_frames,
-                num_channels=self.meta.num_channels,
-                generated_timesteps=self.meta.generated_timesteps,
-                insertion_layer=self.meta.insertion_layer,
-                codec_factor=self.meta.codec_factor,
-                shard_samples=target,
+            self._rewrite(
+                (self.read_shard(i) for i in range(len(self.shards))), target
             )
-            self._commit_and_sweep(old_files)
+            self.meta = replace(self.meta, shard_samples=target)
+            self._commit(sweep=True)
         return len(self.shards)
 
     def __repr__(self) -> str:

@@ -78,35 +78,12 @@ class ReplayStream:
         bounds = np.cumsum([n for _, n in self._signature])
         self._bounds = np.concatenate([[0], bounds]).astype(np.int64)
         # Every index commit is an atomic rename, so the index inode
-        # identifies the snapshot exactly: a cross-handle mutation (a
-        # compaction in another thread or process) is one stat away.
+        # identifies the snapshot: a cross-handle mutation (a compaction
+        # in another thread or process) is one stat away.  Should the
+        # filesystem recycle an inode number, never-reused shard names
+        # still keep reads on this snapshot's bytes (or a StoreError).
         stat = os.stat(store.root / INDEX_NAME)
         self._index_id = (stat.st_dev, stat.st_ino)
-        # Crash-safe reader pin: while held, mutations tombstone this
-        # generation's shard files instead of unlinking them, so an
-        # in-flight gather finishes against its snapshot and the *next*
-        # snapshot check reports the mutation cleanly.
-        self._pin = store.pin_reader()
-
-    def close(self) -> None:
-        """Release the reader pin (idempotent; ``__del__`` backstops).
-
-        After closing, mutations may reclaim this snapshot's shard
-        files immediately; the stream itself remains usable until the
-        store actually changes.
-        """
-        pin = getattr(self, "_pin", None)
-        if pin is not None:
-            pin.release()
-
-    def __del__(self):
-        self.close()
-
-    def __enter__(self) -> "ReplayStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _check_not_stale(self) -> None:
         current = [(s.file, s.num_samples) for s in self.store.shards]
@@ -153,7 +130,7 @@ class ReplayStream:
 
     @property
     def labels(self) -> np.ndarray:
-        """Labels of the pinned snapshot (stale-stream checked)."""
+        """Labels of the stream's snapshot (stale-stream checked)."""
         self._check_not_stale()
         return self.store.labels
 

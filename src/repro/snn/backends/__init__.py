@@ -2,18 +2,16 @@
 
 The fused kernels (:mod:`repro.snn.kernels`) define *what* runs as one
 autograd tape node; this package decides *who executes it*.  Mirroring
-tinygrad's ``runtime/ops_clang.py`` / ``ops_torch.py`` split, each
+tinygrad's ``runtime/ops_*.py`` split, each
 backend is a :class:`~repro.snn.backends.base.SequenceExecutor`
 registered by name:
 
 - ``numpy`` (:mod:`~repro.snn.backends.numpy_ref`) — the always-available
   bitwise reference every other backend is pinned to;
 - ``c`` (:mod:`~repro.snn.backends.cffi_c`) — hand-written C kernels
-  compiled lazily via cffi, bitwise-identical to numpy by construction;
-- ``torch`` (:mod:`~repro.snn.backends.torch_backend`) — active only
-  when torch is importable, tolerance-gated.
+  compiled lazily via cffi, bitwise-identical to numpy by construction.
 
-Selection is per-process via ``REPRO_BACKEND=numpy|c|torch|auto``
+Selection is per-process via ``REPRO_BACKEND=numpy|c|auto``
 (default ``auto``: first available backend in speed order).  See
 ``docs/backends.md`` for the executor contract and how to add a
 backend, and ``repro backends`` for the live availability table.
@@ -32,14 +30,12 @@ from repro.snn.backends.base import (
 )
 from repro.snn.backends.cffi_c import CffiExecutor
 from repro.snn.backends.numpy_ref import NumpyExecutor
-from repro.snn.backends.torch_backend import TorchExecutor
 
 __all__ = [
     "SequenceExecutor",
     "SweepSpec",
     "NumpyExecutor",
     "CffiExecutor",
-    "TorchExecutor",
     "register_backend",
     "get_backend",
     "all_backends",

@@ -5,7 +5,7 @@ time loop into single autograd tape nodes.  *What runs inside* those
 nodes is pluggable: a :class:`SequenceExecutor` implements the four
 time-recurrent sweeps (LIF/CuBa forward, LIF/CuBa reverse, leaky-readout
 forward and reverse) and registers itself by name, mirroring tinygrad's
-``runtime/ops_clang.py`` / ``ops_torch.py`` split.
+``runtime/ops_*.py`` split.
 
 **The contract** (see ``docs/backends.md`` for the full guide):
 
@@ -16,15 +16,14 @@ forward and reverse) and registers itself by name, mirroring tinygrad's
   no backend reimplements it.  A backend only executes the per-timestep
   recurrence (elementwise state updates plus, for recurrent layers, the
   per-step recurrent projection).
-- A backend declares its :attr:`~SequenceExecutor.parity` class —
-  ``"bitwise"`` executors must replicate the reference association order
-  documented in :mod:`repro.snn.kernels` exactly; ``"tolerance"``
-  executors (e.g. torch) are pinned to the reference within a numeric
-  tolerance by the parity suite.
+- A backend declares its :attr:`~SequenceExecutor.parity` class, and
+  the only class is ``"bitwise"``: executors must replicate the
+  reference association order documented in :mod:`repro.snn.kernels`
+  exactly, and the parity suite pins them to the reference bitwise.
 - Availability is probed lazily and reported with a human-readable
   reason; probing must never raise.
 - Selection is per-process via the ``REPRO_BACKEND`` environment flag
-  (``numpy | c | torch | auto``, threaded through
+  (``numpy | c | auto``, threaded through
   :func:`repro.config.backend_selection`).  ``auto`` walks the registry
   in ascending :attr:`~SequenceExecutor.priority` (speed) order and
   picks the first available executor; an explicitly requested backend
@@ -91,7 +90,7 @@ class SequenceExecutor(ABC):
     #: Registry name (the value ``REPRO_BACKEND`` selects).
     name: str = "abstract"
     #: ``"bitwise"`` — must replicate the reference association order
-    #: exactly; ``"tolerance"`` — pinned within a numeric tolerance.
+    #: exactly (the only parity class).
     parity: str = "bitwise"
     #: Auto-selection rank; lower is preferred (faster).
     priority: int = 100
@@ -164,10 +163,10 @@ def register_backend(executor: SequenceExecutor) -> SequenceExecutor:
     """
     if not executor.name or executor.name == "abstract":
         raise ConfigError("backend executors must set a concrete `name`")
-    if executor.parity not in ("bitwise", "tolerance"):
+    if executor.parity != "bitwise":
         raise ConfigError(
             f"backend {executor.name!r} declares unknown parity "
-            f"{executor.parity!r}; expected 'bitwise' or 'tolerance'"
+            f"{executor.parity!r}; expected 'bitwise'"
         )
     _REGISTRY[executor.name] = executor
     _invalidate_active()

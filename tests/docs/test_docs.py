@@ -140,17 +140,15 @@ class TestSitePages:
 
     def test_pages_cover_required_topics(self):
         required = {
-            "architecture.md": ["repro.autograd", "repro.snn", "repro.eval"],
+            "architecture.md": [
+                "repro.autograd",
+                "repro.snn",
+                "repro.eval",
+                "never reused",
+                "allow_orphan",
+            ],
             "backends.md": ["SequenceExecutor", "REPRO_BACKEND", "parity"],
             "reproducibility.md": ["bitwise", "associat", "-ffp-contract=off"],
-            "replay_service.md": [
-                "flock",
-                "tombstone",
-                "generation",
-                "ReplayService",
-                "max_open_members",
-                "return_inverse",
-            ],
         }
         for page, needles in required.items():
             text = (DOCS / page).read_text()

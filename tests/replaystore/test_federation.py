@@ -1,16 +1,11 @@
-"""Tests for FederatedReplayStore: budgets, balance, composed views."""
+"""Tests for FederatedReplayStore: lifecycle, budgets, balance, audits."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StoreError
 from repro.hw.memory import audit_federation
-from repro.replaystore import (
-    FederatedReplayStore,
-    FederatedReplayStream,
-    ReplayStore,
-    ReplayStream,
-)
+from repro.replaystore import FederatedReplayStore, ReplayStore
 
 FRAMES, CHANNELS = 8, 12
 
@@ -224,47 +219,6 @@ class TestClassBalance:
             fed.adopt(f"flood-{step}")
             fed.rebalance()
             assert 5 in fed.class_counts()
-
-
-class TestComposedView:
-    def test_stream_matches_dense_concat(self, federation):
-        view = federation.stream()
-        dense = np.concatenate(
-            [
-                ReplayStream(store).materialize()
-                for _, store in federation.members()
-            ],
-            axis=1,
-        )
-        np.testing.assert_array_equal(view.materialize(), dense)
-        indices = np.random.default_rng(4).integers(0, view.num_samples, 25)
-        np.testing.assert_array_equal(view.gather(indices), dense[:, indices, :])
-        np.testing.assert_array_equal(view.labels, federation.labels)
-
-    def test_iteration_spans_members_in_order(self, federation):
-        shards = list(federation.stream())
-        labels = np.concatenate([lab for _, lab in shards])
-        np.testing.assert_array_equal(labels, federation.labels)
-
-    def test_gather_validates_indices(self, federation):
-        view = federation.stream()
-        with pytest.raises(StoreError, match="out of range"):
-            view.gather(np.asarray([view.num_samples]))
-        with pytest.raises(StoreError, match="1-D"):
-            view.gather(np.zeros((2, 2), dtype=np.int64))
-
-    def test_geometry_mismatch_rejected(self, tmp_path):
-        a = make_member(tmp_path / "a", [0, 1], seed=1)
-        b = make_member(tmp_path / "b", [0, 1], seed=2, frames=FRAMES * 2)
-        with pytest.raises(StoreError, match="geometry"):
-            FederatedReplayStream([ReplayStream(a), ReplayStream(b)])
-
-    def test_empty_stream_rejected(self, tmp_path):
-        fed = FederatedReplayStore.create(tmp_path / "fed")
-        with pytest.raises(StoreError, match="no samples"):
-            fed.stream()
-        with pytest.raises(StoreError, match="at least one"):
-            FederatedReplayStream([])
 
 
 class TestAudit:

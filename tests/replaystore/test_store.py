@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.replaystore import ReplayStore
-from repro.replaystore.store import INDEX_NAME, LOCK_NAME
+from repro.replaystore.store import INDEX_NAME, LOCK_NAME, _shard_name
 
 
 @pytest.fixture
@@ -186,6 +186,34 @@ class TestCompact:
     def test_rejects_bad_target(self, store):
         with pytest.raises(StoreError):
             store.compact(shard_samples=0)
+
+
+class TestShardNames:
+    def test_generation_zero_is_unstamped(self):
+        assert _shard_name(0, 7) == "shard-00007.bin"
+        assert _shard_name(3, 7) == "shard-g003-00007.bin"
+
+    def test_names_are_unique_across_generations_and_positions(self):
+        names = [_shard_name(g, i) for g in (0, 1, 9, 10, 999, 1000, 12345) for i in range(3)]
+        assert len(set(names)) == len(names)
+        for name in names:
+            assert name.startswith("shard-") and name.endswith(".bin")
+
+    def test_overwrite_continues_the_generation_count(self, store, raster, labels):
+        # The replaced store's appends wrote unstamped generation-0
+        # names; the replacement's appends must not write them again.
+        old = {s.file for s in store.shards}
+        fresh = ReplayStore.create(
+            store.root,
+            stored_frames=16,
+            num_channels=12,
+            generated_timesteps=16,
+            shard_samples=8,
+            overwrite=True,
+        )
+        assert fresh.generation == store.generation + 1
+        fresh.append(raster, labels)
+        assert not old & {s.file for s in fresh.shards}
 
 
 class TestFilter:

@@ -1,10 +1,7 @@
 """Parity, selection and degradation tests for the kernel backends.
 
-Every registered backend is pinned to the numpy reference executor:
-bitwise (``np.array_equal``) for backends declaring ``parity ==
-"bitwise"``, within a tight tolerance otherwise.  The torch executor is
-exercised through a minimal numpy-backed stand-in module so its sweep
-code runs on machines without torch installed.
+Every registered backend is pinned bitwise (``np.array_equal``) to the
+numpy reference executor.
 """
 
 import sys
@@ -20,7 +17,6 @@ from repro.snn.backends import (
     NumpyExecutor,
     SequenceExecutor,
     SweepSpec,
-    TorchExecutor,
     register_backend,
 )
 from repro.snn.backends import base as backends_base
@@ -44,83 +40,6 @@ def _isolated_registry():
 
 
 # ----------------------------------------------------------------------
-# A minimal numpy-backed torch stand-in (just the surface TorchExecutor
-# touches) so the torch sweeps run in environments without torch.
-# ----------------------------------------------------------------------
-
-
-def _unwrap(value):
-    return value.array if isinstance(value, _FakeTensor) else value
-
-
-class _FakeTensor:
-    def __init__(self, array):
-        self.array = np.asarray(array)
-
-    @property
-    def dtype(self):
-        return self.array.dtype
-
-    def numpy(self):
-        return self.array
-
-    def to(self, dtype):
-        return _FakeTensor(self.array.astype(dtype))
-
-    def __getitem__(self, index):
-        return _FakeTensor(self.array[index])
-
-    def __add__(self, other):
-        return _FakeTensor(self.array + _unwrap(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _FakeTensor(self.array - _unwrap(other))
-
-    def __rsub__(self, other):
-        return _FakeTensor(_unwrap(other) - self.array)
-
-    def __mul__(self, other):
-        return _FakeTensor(self.array * _unwrap(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return _FakeTensor(self.array @ _unwrap(other))
-
-    def __neg__(self):
-        return _FakeTensor(-self.array)
-
-    def __gt__(self, other):
-        return _FakeTensor(self.array > _unwrap(other))
-
-
-class _FakeTorch:
-    __version__ = "0.0-fake"
-
-    @staticmethod
-    def from_numpy(array):
-        return _FakeTensor(array)
-
-    @staticmethod
-    def zeros_like(tensor):
-        return _FakeTensor(np.zeros_like(tensor.array))
-
-    @staticmethod
-    def stack(tensors):
-        return _FakeTensor(np.stack([t.array for t in tensors]))
-
-    @property
-    def T(self):
-        raise AttributeError
-
-
-def _fake_torch_executor() -> TorchExecutor:
-    return TorchExecutor(torch_module=_FakeTorch())
-
-
-# ----------------------------------------------------------------------
 # Parity: every backend pinned to the numpy reference sweeps.
 # ----------------------------------------------------------------------
 
@@ -138,21 +57,14 @@ _SPECS = {
 
 
 def _executors():
-    cases = [pytest.param(_fake_torch_executor(), id="torch-fake")]
-    cases.append(
-        pytest.param(CffiExecutor(), id="c", marks=needs_c)
-        if C_AVAILABLE
-        else pytest.param(None, id="c", marks=needs_c)
-    )
-    return cases
+    return [
+        pytest.param(CffiExecutor() if C_AVAILABLE else None, id="c", marks=needs_c)
+    ]
 
 
 def _assert_parity(executor, got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    if executor.parity == "bitwise":
-        assert np.array_equal(got, want), "bitwise parity violated"
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
+    assert executor.parity == "bitwise"
+    assert np.array_equal(np.asarray(got), np.asarray(want)), "bitwise parity violated"
 
 
 class TestSweepParity:
@@ -195,17 +107,16 @@ class TestSweepParity:
             numpy_ref.readout_backward_sweep(g, 0.8),
         )
 
+    @needs_c
     def test_single_timestep_edge(self):
         """T=1 exercises the no-carry branches of every sweep."""
         spec = _SPECS["lif-hard"]
         ff = np.random.default_rng(3).standard_normal((1, 2, 4)).astype(np.float32)
-        for executor in (
-            [_fake_torch_executor()] + ([CffiExecutor()] if C_AVAILABLE else [])
-        ):
-            m, s = executor.lif_forward(ff, None, spec)
-            want = numpy_ref.lif_forward_sweep(ff, None, spec)
-            _assert_parity(executor, m, want[0])
-            _assert_parity(executor, s, want[1])
+        executor = CffiExecutor()
+        m, s = executor.lif_forward(ff, None, spec)
+        want = numpy_ref.lif_forward_sweep(ff, None, spec)
+        _assert_parity(executor, m, want[0])
+        _assert_parity(executor, s, want[1])
 
 
 @needs_c
@@ -287,7 +198,7 @@ class _StubExecutor(NumpyExecutor):
 class TestRegistry:
     def test_all_backends_priority_order(self):
         names = [b.name for b in backends.all_backends()]
-        assert names == ["c", "torch", "numpy"]
+        assert names == ["c", "numpy"]
 
     def test_reregistration_latest_wins(self):
         stub = _StubExecutor()
@@ -313,6 +224,13 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="registered backends"):
             backends.get_backend("cuda")
 
+    def test_torch_is_not_a_backend(self, monkeypatch):
+        with pytest.raises(ConfigError, match="registered backends"):
+            backends.get_backend("torch")
+        monkeypatch.setenv("REPRO_BACKEND", "torch")
+        with pytest.raises(ConfigError, match="REPRO_BACKEND"):
+            backends.active()
+
     def test_numpy_always_available(self):
         assert NumpyExecutor() in type(NumpyExecutor()).__mro__ or True
         ok, reason = backends.get_backend("numpy").availability()
@@ -329,7 +247,7 @@ class TestSelection:
         first = backends.active()
         assert backends.active() is first
         monkeypatch.setenv("REPRO_BACKEND", "auto")
-        assert backends.active().name in ("c", "numpy", "torch")
+        assert backends.active().name in ("c", "numpy")
 
     def test_unknown_env_value_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cuda")
@@ -346,11 +264,11 @@ class TestSelection:
     def test_selection_report_shape(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "auto")
         rows = backends.selection_report()
-        assert {row["name"] for row in rows} == {"numpy", "c", "torch"}
+        assert {row["name"] for row in rows} == {"numpy", "c"}
         assert sum(row["selected"] for row in rows) == 1
         for row in rows:
             assert row["reason"]
-            assert row["parity"] in ("bitwise", "tolerance")
+            assert row["parity"] == "bitwise"
 
 
 class TestDegradation:
@@ -362,7 +280,6 @@ class TestDegradation:
 
     def test_auto_falls_back_to_numpy(self, monkeypatch):
         self._force_unavailable(monkeypatch, "c", "no C compiler (cc / gcc / clang)")
-        self._force_unavailable(monkeypatch, "torch", "torch not importable")
         monkeypatch.setenv("REPRO_BACKEND", "auto")
         assert backends.active().name == "numpy"
 
@@ -412,13 +329,6 @@ class TestDegradation:
         executor.availability()
         executor.availability()
         assert len(calls) == 1
-
-    def test_torch_absent_reports_package(self):
-        executor = TorchExecutor(torch_module=None)
-        executor._probed = True  # simulate a completed failed import probe
-        ok, reason = executor.availability()
-        assert not ok
-        assert "torch" in reason
 
     def test_kernel_access_when_unavailable_raises(self, monkeypatch):
         monkeypatch.setattr(cffi_c, "_find_compiler", lambda: None)

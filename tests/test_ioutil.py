@@ -147,58 +147,11 @@ class TestFileLock:
             assert ioutil.FileLock(path).acquire(blocking=False) is False
         assert ioutil.FileLock(path).acquire(blocking=False)
 
-
-class TestPins:
-    def test_live_pin_is_reported_not_reaped(self, tmp_path):
-        pin = ioutil.acquire_pin(tmp_path, {"generation": 3})
-        assert pin.active
-        assert ioutil.live_pin_payloads(tmp_path) == [{"generation": 3}]
-        assert pin.path.exists()
-        pin.release()
-
-    def test_released_pin_vanishes(self, tmp_path):
-        pin = ioutil.acquire_pin(tmp_path, {"generation": 1})
-        pin.release()
-        assert not pin.active
-        assert ioutil.live_pin_payloads(tmp_path) == []
-        assert list(tmp_path.glob(f"*{ioutil.PIN_SUFFIX}")) == []
-
-    def test_release_idempotent(self, tmp_path):
-        pin = ioutil.acquire_pin(tmp_path, {})
-        pin.release()
-        pin.release()
-
-    def test_stale_pin_from_dead_process_is_reaped(self, tmp_path):
-        import subprocess
-        import sys
-
-        # A real subprocess registers a pin and dies without releasing:
-        # the kernel drops its flock, so the scanner reaps the file.
-        code = (
-            "import os, sys; sys.path.insert(0, sys.argv[2]); "
-            "from repro import ioutil; "
-            "pin = ioutil.acquire_pin(sys.argv[1], {'generation': 9}); "
-            "os._exit(0)"
-        )
-        src = str(ioutil.Path(__file__).resolve().parents[1] / "src")
-        subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path), src], check=True
-        )
-        assert list(tmp_path.glob(f"*{ioutil.PIN_SUFFIX}"))
-        assert ioutil.live_pin_payloads(tmp_path) == []
-        assert list(tmp_path.glob(f"*{ioutil.PIN_SUFFIX}")) == []
-
-    def test_reap_false_leaves_stale_files(self, tmp_path):
-        (tmp_path / f"reader-0-000000{ioutil.PIN_SUFFIX}").write_text("{}")
-        assert ioutil.live_pin_payloads(tmp_path, reap=False) == []
-        assert list(tmp_path.glob(f"*{ioutil.PIN_SUFFIX}"))
-
-    def test_missing_directory_is_empty(self, tmp_path):
-        assert ioutil.live_pin_payloads(tmp_path / "absent") == []
-
-    def test_many_pins_from_one_process(self, tmp_path):
-        pins = [ioutil.acquire_pin(tmp_path, {"generation": i}) for i in range(4)]
-        payloads = ioutil.live_pin_payloads(tmp_path)
-        assert sorted(p["generation"] for p in payloads) == [0, 1, 2, 3]
-        for pin in pins:
-            pin.release()
+    def test_locked_releases_when_the_block_raises(self, tmp_path):
+        path = tmp_path / "x.lock"
+        with pytest.raises(RuntimeError, match="boom"):
+            with ioutil.locked(path) as lock:
+                assert lock.held
+                raise RuntimeError("boom")
+        assert not lock.held
+        assert ioutil.FileLock(path).acquire(blocking=False)
