@@ -1,16 +1,16 @@
 """CI gate for the micro-kernel benchmarks.
 
 Runs ``bench_micro_kernels.py`` (at ``REPRO_BENCH_SCALE=ci`` unless the
-environment says otherwise) and fails when either
+environment says otherwise) and fails when
 
-1. the fused LIF forward+backward kernel is less than ``--min-speedup``
-   times faster than the per-step reference — this ratio is
-   machine-independent, so it is the primary gate; or
-2. any benchmark's mean time regressed beyond ``--tolerance`` times the
+1. the C backend beats numpy on none of the per-backend kernel rows
+   (skipped where the C backend is unavailable);
+2. the disabled-tracing calls cost more than ``TRACE_OVERHEAD_LIMIT`` of
+   the fused LIF kernel row; or
+3. any benchmark's mean time regressed beyond ``--tolerance`` times the
    committed baseline (``baseline_ci.json``) — absolute wall-clock
    varies across runners, so the margin is deliberately generous and
-   only catches order-of-magnitude regressions (e.g. a kernel silently
-   falling back to the per-step path).
+   only catches order-of-magnitude regressions.
 
 Regenerate the baseline after an intentional performance change::
 
@@ -34,7 +34,6 @@ BASELINE_FILE = BENCH_DIR / "baseline_ci.json"
 RESULTS_JSON = BENCH_DIR / "results" / "micro_kernels.json"
 
 FUSED_BENCH = "test_fused_lif_forward_backward"
-PER_STEP_BENCH = "test_per_step_lif_forward_backward"
 
 TRACE_OVERHEAD_BENCH = "test_trace_disabled_overhead"
 #: Disabled-path tracing calls (per fused fwd+bwd) must cost less than
@@ -87,26 +86,6 @@ def load_means(results_json: Path) -> dict[str, float]:
         print(f"no benchmarks found in {results_json}", file=sys.stderr)
         raise SystemExit(2)
     return means
-
-
-def check_speedup(means: dict[str, float], min_speedup: float) -> list[str]:
-    failures: list[str] = []
-    fused = means.get(FUSED_BENCH)
-    per_step = means.get(PER_STEP_BENCH)
-    if fused is None or per_step is None:
-        failures.append(
-            f"speedup pair missing from results: need {FUSED_BENCH} and {PER_STEP_BENCH}"
-        )
-        return failures
-    speedup = per_step / fused
-    line = (
-        f"fused LIF fwd+bwd: {fused * 1e6:.1f} us, per-step: {per_step * 1e6:.1f} us "
-        f"-> speedup {speedup:.2f}x (required >= {min_speedup:.2f}x)"
-    )
-    print(line)
-    if speedup < min_speedup:
-        failures.append(f"fused kernel speedup regressed: {line}")
-    return failures
 
 
 def check_backend_speedup(means: dict[str, float]) -> list[str]:
@@ -211,12 +190,6 @@ def write_baseline(means: dict[str, float]) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=3.0,
-        help="required fused-vs-per-step LIF speedup (default 3.0)",
-    )
-    parser.add_argument(
         "--tolerance",
         type=float,
         default=4.0,
@@ -249,14 +222,13 @@ def main(argv: list[str] | None = None) -> int:
         write_baseline(means)
         return 0
 
-    failures = check_speedup(means, args.min_speedup)
-    failures += check_backend_speedup(means)
+    failures = check_backend_speedup(means)
     failures += check_trace_overhead(means)
     if BASELINE_FILE.exists():
         baseline = json.loads(BASELINE_FILE.read_text())
         failures += check_baseline(means, baseline, args.tolerance)
     else:
-        print(f"warning: no baseline at {BASELINE_FILE}; speedup gate only")
+        print(f"warning: no baseline at {BASELINE_FILE}; ratio gates only")
 
     if failures:
         print("\nFAIL:", file=sys.stderr)

@@ -9,14 +9,11 @@ rng = np.random.default_rng(0)
 ff = rng.standard_normal((20, 4, 32)).astype(np.float32)
 spec = SweepSpec(beta=0.9, vthr=0.6, hard=True)
 
-reference_membrane, reference_spikes = lif_forward_sweep(ff, None, spec)
+reference_membrane, reference_spikes, _ = lif_forward_sweep(ff, None, spec)
 backend = select_backend("auto")
-membrane, spikes = backend.lif_forward(ff, None, spec)
+membrane, spikes, _ = backend.lif_forward(ff, None, spec)
 
-if backend.parity == "bitwise":
-    # Bitwise backends must match the reference to the last bit.
-    assert np.array_equal(membrane, reference_membrane)
-    assert np.array_equal(spikes, reference_spikes)
-else:
-    np.testing.assert_allclose(membrane, reference_membrane, rtol=1e-6)
+# Every backend is bitwise: it must match the reference to the last bit.
+assert np.array_equal(membrane, reference_membrane)
+assert np.array_equal(spikes, reference_spikes)
 print(f"backend {backend.name!r} ({backend.parity}) matches the reference")

@@ -291,13 +291,6 @@ ENV_FLAGS: tuple[EnvFlag, ...] = (
         "`auto` probes availability in speed order (c, numpy).",
     ),
     EnvFlag(
-        "REPRO_FUSED_KERNELS",
-        "1",
-        "1 | 0",
-        "Kill switch for the fused sequence kernels; 0 forces the "
-        "per-step reference tape everywhere.",
-    ),
-    EnvFlag(
         "REPRO_PREFETCH",
         "1",
         "1 | 0",

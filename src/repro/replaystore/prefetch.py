@@ -40,8 +40,7 @@ def prefetch_enabled() -> bool:
     """Whether async shard prefetch is globally enabled.
 
     Controlled by the ``REPRO_PREFETCH`` environment variable; any of
-    ``0``/``false``/``off`` disables the background decode thread (the
-    kill switch mirrors ``REPRO_FUSED_KERNELS``).
+    ``0``/``false``/``off`` disables the background decode thread.
     """
     return env_switch("REPRO_PREFETCH")
 

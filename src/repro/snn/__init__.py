@@ -7,22 +7,20 @@ layer into a frozen front and a learning tail — the mechanism behind
 latent replay (the frozen part produces latent activations; only the tail
 is trained during the NCL phase).
 
-The simulation hot path has two interchangeable executions: fused
-sequence kernels (:mod:`repro.snn.kernels`) that run the whole time loop
-in one autograd tape node, and the per-step reference the fused path is
-bitwise-validated against (see :mod:`repro.snn.layers` for dispatch).
+The simulation hot path is one execution: fused sequence kernels
+(:mod:`repro.snn.kernels`) that run a layer's whole time loop — dynamic
+thresholds included — in one autograd tape node.
 """
 
 from repro.snn.init import dense_init, recurrent_init
 from repro.snn.kernels import (
     cuba_lif_sequence,
-    fused_enabled,
     leaky_readout_sequence,
     lif_sequence,
 )
 from repro.snn.layers import LeakyReadout, RecurrentLIFLayer
 from repro.snn.network import ForwardResult, SpikingNetwork
-from repro.snn.neurons import LIFParameters, cuba_lif_step, lif_step
+from repro.snn.neurons import LIFParameters
 from repro.snn.state import LayerTraceEntry, SpikeTrace
 from repro.snn.threshold import (
     AdaptiveSpikeTimingThreshold,
@@ -33,12 +31,9 @@ from repro.snn.threshold import (
 
 __all__ = [
     "LIFParameters",
-    "lif_step",
-    "cuba_lif_step",
     "lif_sequence",
     "cuba_lif_sequence",
     "leaky_readout_sequence",
-    "fused_enabled",
     "RecurrentLIFLayer",
     "LeakyReadout",
     "SpikingNetwork",

@@ -9,6 +9,10 @@ forward and reverse) and registers itself by name, mirroring tinygrad's
 
 **The contract** (see ``docs/backends.md`` for the full guide):
 
+- The forward sweep owns the whole time loop, including Alg. 1's
+  dynamic threshold: it calls the
+  :class:`~repro.snn.threshold.ThresholdController` between timesteps
+  and returns the ``[T, N]`` thresholds it used for the reverse sweep.
 - Executors receive *projected currents*: the stacked feedforward GEMM
   (``x @ w_ff``) and the weight-gradient reductions stay on the numpy
   reference path, because BLAS accumulation order is the bitwise anchor
@@ -40,6 +44,7 @@ import numpy as np
 
 from repro.config import backend_selection
 from repro.errors import ConfigError
+from repro.snn.threshold import ThresholdController
 
 __all__ = [
     "SweepSpec",
@@ -56,23 +61,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Static per-sequence neuron constants handed to an executor.
+    """Per-sequence neuron constants handed to an executor.
 
-    One spec describes a whole ``[T, B, N]`` sweep — anything that can
-    change mid-sequence (dynamic thresholds) is outside the fused path
-    by construction.
+    One spec describes a whole ``[T, B, N]`` sweep.  A threshold that
+    changes mid-sequence is not a constant: the forward sweep takes the
+    :class:`~repro.snn.threshold.ThresholdController` itself and returns
+    the thresholds it used, and the reverse sweep receives that record
+    as its spec's ``vthr``.
 
     Attributes:
         beta: Membrane decay per timestep.
         vthr: Effective threshold — a float, or a per-neuron ``[N]``
-            array already cast to the sweep dtype.
+            array already cast to the sweep dtype; for the reverse sweep
+            of a controller-driven forward, the per-step ``[T, N]``
+            record of the thresholds used (``None`` for the forward
+            itself, which starts at ``controller.value``).
         hard: True for hard (reset-to-zero) reset, False for soft
             (subtract-threshold) reset.
         alpha: Synaptic decay of the CuBa variant, or None for plain LIF.
     """
 
     beta: float
-    vthr: float | np.ndarray
+    vthr: float | np.ndarray | None
     hard: bool
     alpha: float | None = None
 
@@ -106,8 +116,12 @@ class SequenceExecutor(ABC):
 
     @abstractmethod
     def lif_forward(
-        self, ff: np.ndarray, w_rec: np.ndarray | None, spec: SweepSpec
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self,
+        ff: np.ndarray,
+        w_rec: np.ndarray | None,
+        spec: SweepSpec,
+        controller: ThresholdController | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """Run the (CuBa-)LIF forward recurrence over a whole sequence.
 
         Args:
@@ -115,9 +129,18 @@ class SequenceExecutor(ABC):
                 ``x @ w_ff`` GEMM, precomputed on the reference path).
             w_rec: Optional recurrent weights ``[N, N]``.
             spec: Neuron constants for the sweep.
+            controller: Optional dynamic threshold (Alg. 1).  The sweep
+                starts at ``controller.value``; after step ``t`` it calls
+                ``controller.step(t, counts, counts * t)`` exactly once,
+                with ``counts`` the step's spikes summed over the batch
+                (per neuron), and the returned value (scalar or ``[N]``)
+                is the threshold of step ``t + 1``.
 
         Returns:
-            ``(membrane, spikes)`` stacks, each ``[T, B, N]``.
+            ``(membrane, spikes, vthr)``: the ``[T, B, N]`` stacks plus
+            the threshold the sweep used — ``spec.vthr`` itself for a
+            static sweep, or the ``[T, N]`` per-step record (sweep dtype)
+            under a controller.
         """
 
     @abstractmethod
@@ -133,7 +156,9 @@ class SequenceExecutor(ABC):
         """Run the reverse BPTT sweep; return ``gI`` ``[T, B, N]``.
 
         ``surrogate`` is the precomputed surrogate derivative at every
-        timestep (reference path).  The returned ``gI`` is the gradient
+        timestep (reference path).  ``spec.vthr`` is the threshold the
+        forward returned; a ``[T, N]`` record means soft reset at step
+        ``t`` subtracts ``vthr[t]``.  The returned ``gI`` is the gradient
         w.r.t. the projected input current, from which the reference
         path derives all weight/input gradients as GEMMs.
         """

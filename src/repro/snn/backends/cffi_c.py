@@ -12,9 +12,10 @@ GEMMs never move to C: BLAS accumulation order is the bitwise anchor
 and is not reproducible by a naive loop (measured, not assumed — see
 ``docs/reproducibility.md``).  Feedforward layers and the leaky readout
 therefore run their whole time loop in one C call, while recurrent
-layers run a hybrid loop: numpy performs each step's recurrent
-projection and C performs the elementwise state update, which still
-removes most of the per-step interpreter overhead.
+layers — and any layer under a dynamic threshold controller — run a
+hybrid loop: Python performs each step's recurrent projection (numpy)
+and controller call, and C performs the elementwise state update, which
+still removes most of the per-step interpreter overhead.
 
 The shared library is built lazily on first use via the system C
 compiler, cached per process and on disk (keyed by a hash of the C
@@ -145,7 +146,7 @@ void lif_backward_{suf}(
     long T, long B, long N,
     const {ctype} *g_spikes, const {ctype} *surrogate,
     const {ctype} *membrane, const {ctype} *spikes,
-    const {ctype} *vthr, double beta, int hard,
+    const {ctype} *vthr, long vthr_stride, double beta, int hard,
     int has_alpha, double alpha,
     {ctype} *gs_reset, {ctype} *gv_carry, {ctype} *gj_carry,
     {ctype} *g_current)
@@ -155,7 +156,8 @@ void lif_backward_{suf}(
         const {ctype} *m_prev = t ? membrane + (t - 1) * BN : 0;
         const {ctype} *s_prev = t ? spikes + (t - 1) * BN : 0;
         lif_backward_step_{suf}(B, N, g_spikes + t * BN, surrogate + t * BN,
-                                0, m_prev, s_prev, vthr, beta, hard,
+                                0, m_prev, s_prev, vthr + t * vthr_stride,
+                                beta, hard,
                                 has_alpha, alpha, (t < T - 1),
                                 gs_reset, gv_carry, gj_carry,
                                 g_current + t * BN);
@@ -199,7 +201,7 @@ void lif_forward_step_{suf}(long, long, const {ctype} *, const {ctype} *,
                             double, {ctype} *, {ctype} *, {ctype} *);
 void lif_backward_{suf}(long, long, long, const {ctype} *, const {ctype} *,
                         const {ctype} *, const {ctype} *, const {ctype} *,
-                        double, int, int, double, {ctype} *, {ctype} *,
+                        long, double, int, int, double, {ctype} *, {ctype} *,
                         {ctype} *, {ctype} *);
 void lif_backward_step_{suf}(long, long, const {ctype} *, const {ctype} *,
                              const {ctype} *, const {ctype} *, const {ctype} *,
@@ -344,8 +346,8 @@ class CffiExecutor(SequenceExecutor):
                     SweepSpec(beta=0.9, vthr=0.7, hard=True, alpha=None),
                     SweepSpec(beta=0.9, vthr=0.7, hard=False, alpha=0.5),
                 ):
-                    want = numpy_ref.lif_forward_sweep(ff, w, spec)
-                    got = self.lif_forward(ff, w, spec)
+                    want = numpy_ref.lif_forward_sweep(ff, w, spec)[:2]
+                    got = self.lif_forward(ff, w, spec)[:2]
                     if not all(np.array_equal(a, b) for a, b in zip(want, got)):
                         raise AssertionError("forward sweep mismatch")
                     g = rng.standard_normal(ff.shape).astype(dtype)
@@ -386,65 +388,84 @@ class CffiExecutor(SequenceExecutor):
         return all(np.dtype(a.dtype) in self._SUFFIXES for a in arrays)
 
     @staticmethod
-    def _vthr_array(spec: SweepSpec, n: int, dtype) -> np.ndarray:
+    def _vthr_array(vthr, n: int, dtype) -> tuple[np.ndarray, int]:
+        """Contiguous thresholds plus their per-step stride (0 if static)."""
         # numpy computes `v - vthr` with a python-float threshold by
         # value-casting it to the array dtype first (NEP 50) — the same
         # cast this broadcast performs, so scalar and per-neuron paths
         # agree bitwise.
-        vthr = np.asarray(spec.vthr, dtype=dtype)
-        return np.ascontiguousarray(np.broadcast_to(vthr, (n,)))
+        vthr = np.asarray(vthr, dtype=dtype)
+        if vthr.ndim == 2:  # per-step [T, N] record of a controller sweep
+            return np.ascontiguousarray(vthr), n
+        return np.ascontiguousarray(np.broadcast_to(vthr, (n,))), 0
 
     # -- contract ------------------------------------------------------
-    def lif_forward(self, ff, w_rec, spec):
+    def lif_forward(self, ff, w_rec, spec, controller=None):
         """C (or hybrid numpy-GEMM + C) forward recurrence."""
         if not self._supported(ff):
-            return numpy_ref.lif_forward_sweep(ff, w_rec, spec)
+            return numpy_ref.lif_forward_sweep(ff, w_rec, spec, controller)
         timesteps, batch, n_out = ff.shape
         dtype = ff.dtype
         ff = np.ascontiguousarray(ff)
         membrane = np.empty_like(ff)
         spikes = np.empty_like(ff)
-        vthr = self._vthr_array(spec, n_out, dtype)
         has_alpha = spec.alpha is not None
         syn = np.zeros((batch, n_out), dtype=dtype)
         alpha = spec.alpha if has_alpha else 0.0
-        if w_rec is None:
-            kernel, ctype = self._kernel("lif_forward", dtype)
-            kernel(
-                timesteps, batch, n_out,
-                self._ptr(ctype, ff), self._ptr(ctype, vthr),
-                float(spec.beta), int(spec.hard), int(has_alpha), float(alpha),
-                self._ptr(ctype, syn),
-                self._ptr(ctype, membrane), self._ptr(ctype, spikes),
-            )
-            return membrane, spikes
-        # Recurrent hybrid: numpy owns the per-step projection (BLAS is
-        # the bitwise anchor), C owns the elementwise state update.
+        beta, hard = float(spec.beta), int(spec.hard)
+        if controller is None:
+            vthr, _ = self._vthr_array(spec.vthr, n_out, dtype)
+            if w_rec is None:
+                kernel, ctype = self._kernel("lif_forward", dtype)
+                kernel(
+                    timesteps, batch, n_out,
+                    self._ptr(ctype, ff), self._ptr(ctype, vthr),
+                    beta, hard, int(has_alpha), float(alpha),
+                    self._ptr(ctype, syn),
+                    self._ptr(ctype, membrane), self._ptr(ctype, spikes),
+                )
+                return membrane, spikes, spec.vthr
+        else:
+            vthr = np.empty((timesteps, n_out), dtype=dtype)
+            value = controller.value
+        # Hybrid loop: numpy owns the per-step recurrent projection (BLAS
+        # is the bitwise anchor) and Python the controller call; C owns
+        # the elementwise state update.
         step, ctype = self._kernel("lif_forward_step", dtype)
         size = batch * n_out
         current = np.empty((batch, n_out), dtype=dtype)
         rec = np.empty((batch, n_out), dtype=dtype)
         s_prev = np.zeros((batch, n_out), dtype=dtype)
+        p_ff = self._ptr(ctype, ff)
         p_cur = self._ptr(ctype, current)
         p_vthr = self._ptr(ctype, vthr)
         p_syn = self._ptr(ctype, syn)
         p_membrane = self._ptr(ctype, membrane)
         p_spikes = self._ptr(ctype, spikes)
         null = self._ffi.NULL
-        beta, hard = float(spec.beta), int(spec.hard)
         for t in range(timesteps):
-            np.matmul(s_prev, w_rec, out=rec)
-            np.add(ff[t], rec, out=current)
             off = t * size
+            p_in = p_ff + off
+            if w_rec is not None:
+                np.matmul(s_prev, w_rec, out=rec)
+                np.add(ff[t], rec, out=current)
+                p_in = p_cur
+            p_thr = p_vthr
+            if controller is not None:
+                vthr[t] = value  # the dtype cast the tape applies
+                p_thr = p_vthr + t * n_out
             step(
-                batch, n_out, p_cur,
+                batch, n_out, p_in,
                 p_membrane + off - size if t else null,
                 p_spikes + off - size if t else null,
-                p_vthr, beta, hard, int(has_alpha), float(alpha), p_syn,
+                p_thr, beta, hard, int(has_alpha), float(alpha), p_syn,
                 p_membrane + off, p_spikes + off,
             )
             s_prev = spikes[t]
-        return membrane, spikes
+            if controller is not None:
+                counts = s_prev.sum(axis=0)
+                value = controller.step(t, counts, counts * t)
+        return membrane, spikes, (spec.vthr if controller is None else vthr)
 
     def lif_backward(self, g_spikes, surrogate, membrane, spikes, w_rec, spec):
         """C (or hybrid) reverse BPTT sweep returning ``gI``."""
@@ -459,7 +480,7 @@ class CffiExecutor(SequenceExecutor):
         membrane = np.ascontiguousarray(membrane)
         spikes = np.ascontiguousarray(spikes)
         g_current = np.empty_like(spikes)
-        vthr = self._vthr_array(spec, n_out, dtype)
+        vthr, vthr_stride = self._vthr_array(spec.vthr, n_out, dtype)
         has_alpha = spec.alpha is not None
         alpha = spec.alpha if has_alpha else 0.0
         scratch = [np.empty((batch, n_out), dtype=dtype) for _ in range(3)]
@@ -469,7 +490,7 @@ class CffiExecutor(SequenceExecutor):
                 timesteps, batch, n_out,
                 self._ptr(ctype, g_spikes), self._ptr(ctype, surrogate),
                 self._ptr(ctype, membrane), self._ptr(ctype, spikes),
-                self._ptr(ctype, vthr),
+                self._ptr(ctype, vthr), vthr_stride,
                 float(spec.beta), int(spec.hard), int(has_alpha), float(alpha),
                 *(self._ptr(ctype, s) for s in scratch),
                 self._ptr(ctype, g_current),
@@ -499,7 +520,7 @@ class CffiExecutor(SequenceExecutor):
                 p["gs_rec"] if have_carry else null,
                 p["m"] + off - size if t else null,
                 p["s"] + off - size if t else null,
-                p["vthr"], beta, hard, int(has_alpha), float(alpha),
+                p["vthr"] + t * vthr_stride, beta, hard, int(has_alpha), float(alpha),
                 int(have_carry), *p_scratch, p["gj"] + off,
             )
             if t > 0:

@@ -2,17 +2,16 @@
 
 This module *is* the semantics of the backend contract: the forward
 recurrence runs the same elementwise operations in the same order as
-``T`` applications of :func:`repro.snn.neurons.lif_step` /
-:func:`~repro.snn.neurons.cuba_lif_step`, and the reverse sweep is the
-hand-derived BPTT documented in :mod:`repro.snn.kernels`.  Every other
-backend is pinned to these trajectories bitwise by the parity suite
+the per-timestep autograd tape (kept readable as the test oracle,
+``tests/snn/oracle.py``), and the reverse sweep is the hand-derived BPTT
+documented in :mod:`repro.snn.kernels`.  Every other backend is pinned
+to these trajectories bitwise by the parity suite
 (``tests/snn/test_backends.py``).
 
-**Bitwise discipline.**  Fused and per-step paths must produce the
-*same training trajectories*, not just close ones: spiking networks are
+**Bitwise discipline.**  The sweeps must produce the *same training
+trajectories* as the oracle, not just close ones: spiking networks are
 chaotic, so a one-ulp gradient difference grows into different spike
-rasters within a few optimizer steps and breaks trajectory
-reproducibility between the two paths.  Every accumulation below
+rasters within a few optimizer steps.  Every accumulation below
 therefore replicates the association order of the per-step tape exactly
 (float addition commutes but does not associate):
 
@@ -27,21 +26,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.snn.backends.base import SequenceExecutor, SweepSpec, register_backend
+from repro.snn.threshold import ThresholdController
 
 __all__ = ["NumpyExecutor"]
 
 
 def lif_forward_sweep(
-    ff: np.ndarray, w_rec: np.ndarray | None, spec: SweepSpec
-) -> tuple[np.ndarray, np.ndarray]:
+    ff: np.ndarray,
+    w_rec: np.ndarray | None,
+    spec: SweepSpec,
+    controller: ThresholdController | None = None,
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Forward recurrence shared by the LIF and CuBa kernels.
 
     Runs the same elementwise operations in the same order as ``T``
-    applications of :func:`repro.snn.neurons.lif_step` /
-    :func:`~repro.snn.neurons.cuba_lif_step` on the already-projected
-    feedforward currents ``ff`` (the stacked GEMM is bitwise-equal to
-    the per-step ``x[t] @ w_ff``).  Returns ``(membrane, spikes)``
-    stacks ``[T, B, N]``.
+    steps of the per-timestep tape on the already-projected feedforward
+    currents ``ff`` (the stacked GEMM is bitwise-equal to the per-step
+    ``x[t] @ w_ff``).  A ``controller`` is consulted between timesteps
+    (:meth:`SequenceExecutor.lif_forward` has the protocol).  Returns
+    ``(membrane, spikes, vthr)``: stacks ``[T, B, N]`` and the threshold
+    used — ``spec.vthr``, or the ``[T, N]`` per-step record.
     """
     timesteps, batch, n_out = ff.shape
     dtype = ff.dtype
@@ -54,7 +58,15 @@ def lif_forward_sweep(
     v = np.zeros((batch, n_out), dtype=dtype)
     s = np.zeros((batch, n_out), dtype=dtype)
     syn = np.zeros((batch, n_out), dtype=dtype) if alpha is not None else None
+    thresholds = None
+    if controller is not None:
+        thresholds = np.empty((timesteps, n_out), dtype=dtype)
+        vthr = controller.value
     for t in range(timesteps):
+        if thresholds is not None:
+            # The dtype cast the tape applies to the controller's value.
+            thresholds[t] = vthr
+            vthr = thresholds[t]
         current = ff[t] if w_rec is None else ff[t] + s @ w_rec
         if alpha is not None:
             syn = syn * alpha + current
@@ -66,7 +78,10 @@ def lif_forward_sweep(
         s = (v - vthr > 0.0).astype(dtype)
         membrane[t] = v
         spikes[t] = s
-    return membrane, spikes
+        if controller is not None:
+            counts = s.sum(axis=0)
+            vthr = controller.step(t, counts, counts * t)
+    return membrane, spikes, (spec.vthr if thresholds is None else thresholds)
 
 
 def lif_reverse_sweep(
@@ -88,6 +103,7 @@ def lif_reverse_sweep(
     timesteps = spikes.shape[0]
     beta = spec.beta
     vthr = spec.vthr
+    per_step = np.ndim(vthr) == 2
     alpha = spec.alpha
     hard = spec.hard
     w_rec_t = None if w_rec is None else w_rec.T
@@ -133,7 +149,7 @@ def lif_reverse_sweep(
                 np.multiply(gv_beta, gv_carry, out=gv_carry)
             else:
                 np.negative(gv, out=gs_reset)
-                np.multiply(gs_reset, vthr, out=gs_reset)
+                np.multiply(gs_reset, vthr[t] if per_step else vthr, out=gs_reset)
                 np.multiply(gv, beta, out=gv_carry)
             if w_rec_t is not None:
                 np.matmul(gj, w_rec_t, out=gs_rec)
@@ -178,9 +194,9 @@ class NumpyExecutor(SequenceExecutor):
         """Always available — numpy is the library's only hard dependency."""
         return True, "reference executor (numpy is always available)"
 
-    def lif_forward(self, ff, w_rec, spec):
+    def lif_forward(self, ff, w_rec, spec, controller=None):
         """Run the reference forward recurrence (module docstring)."""
-        return lif_forward_sweep(ff, w_rec, spec)
+        return lif_forward_sweep(ff, w_rec, spec, controller)
 
     def lif_backward(self, g_spikes, surrogate, membrane, spikes, w_rec, spec):
         """Run the reference reverse BPTT sweep (module docstring)."""

@@ -1,27 +1,29 @@
-"""Fused sequence kernels for the SNN time loop.
+"""Fused sequence kernels: the one execution path of the SNN time loop.
 
-The reference simulation path (:mod:`repro.snn.layers`) advances the
-neuron state one timestep at a time through the autograd tape: every
-decay, reset, matmul and Heaviside records its own node, so a ``T``-step
-pass over a layer costs thousands of Python-level graph objects.  These
-kernels collapse the entire ``[T, B, N]`` time loop into **one** tape
-node each (via :class:`repro.autograd.Function`): the forward runs the
-recurrence over preallocated state arrays, and the backward is
-hand-derived BPTT through the decay/reset/recurrent/surrogate path.
+Each kernel collapses a layer's whole ``[T, B, N]`` time loop into
+**one** autograd tape node (via :class:`repro.autograd.Function`): the
+forward runs the recurrence over preallocated state arrays, and the
+backward is hand-derived BPTT through the decay/reset/recurrent/surrogate
+path.  The readable per-timestep formulation — one tape node per decay,
+reset, matmul and Heaviside — lives on only as the test oracle the
+kernels are pinned to bitwise (``tests/snn/oracle.py``).
+
+Alg. 1's dynamic threshold runs inside the same sweep: given a
+:class:`~repro.snn.threshold.ThresholdController` whose threshold can
+change mid-sequence, the executor calls it between timesteps and
+records the threshold used at each step as a ``[T, N]`` array.  The
+backward consumes that record — the surrogate sees ``V[t] - vthr[t]``,
+soft reset subtracts ``vthr[t]`` — and does not differentiate the
+threshold.  A missing controller or an exact
+:class:`~repro.snn.threshold.StaticThreshold` keeps the static sweep.
 
 *Which executor* runs the recurrence is pluggable: this module computes
 the GEMMs (the stacked feedforward projection and the weight-gradient
 reductions — the bitwise anchor, always numpy) and hands the
 time-recurrent sweeps to the backend selected via ``REPRO_BACKEND``
 (see :mod:`repro.snn.backends`).  The numpy reference executor runs the
-same elementwise operations in the same order as the per-step path, so
-fused and per-step paths are interchangeable; the C executor replicates
-that association order bitwise in compiled code.  The dispatch in :mod:`repro.snn.layers` uses the
-fused kernels whenever the effective threshold is static for the whole
-sequence (``None`` or a :class:`~repro.snn.threshold.StaticThreshold`)
-and falls back to the per-step path for dynamic
-:class:`~repro.snn.threshold.ThresholdController` policies (Alg. 1),
-whose per-timestep feedback genuinely needs the step loop.
+same elementwise operations in the same order as the per-step tape; the
+C executor replicates that association order bitwise in compiled code.
 
 Hand-derived BPTT (hard reset, recurrent; soft reset swaps the two
 reset partials)::
@@ -43,41 +45,28 @@ reset partials)::
 The bitwise-discipline rules the reference sweeps obey (and bitwise
 backends must replicate) live in :mod:`repro.snn.backends.numpy_ref`
 and are documented in ``docs/reproducibility.md``.
-
-Set ``REPRO_FUSED_KERNELS=0`` to force the per-step reference everywhere
-(useful when bisecting a numerical question back to first principles).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from repro import obs
 from repro.autograd import Tensor
 from repro.autograd.function import Function
-from repro.config import env_switch
 from repro.errors import ConfigError, ShapeError
 from repro.snn import backends
 from repro.snn.backends import SweepSpec
 from repro.snn.neurons import LIFParameters, resolve_threshold
+from repro.snn.threshold import StaticThreshold, ThresholdController
 
 __all__ = [
     "lif_sequence",
     "cuba_lif_sequence",
     "leaky_readout_sequence",
-    "fused_enabled",
 ]
-
-
-def fused_enabled() -> bool:
-    """Whether the fused kernels are globally enabled.
-
-    Controlled by the ``REPRO_FUSED_KERNELS`` environment variable;
-    anything other than ``"0"``/``"false"``/``"off"`` (or unset) enables
-    them.  Layers consult this at every forward, so flipping the
-    variable mid-process takes effect immediately.
-    """
-    return env_switch("REPRO_FUSED_KERNELS")
 
 
 def _check_sequence_args(x: np.ndarray, w_ff: np.ndarray, w_rec) -> None:
@@ -135,29 +124,28 @@ def _sequence_weight_grads(ctx, x, w_ff, w_rec, spikes, g_current):
     return gx, gw_ff, gw_rec
 
 
-def _lif_spec(params: LIFParameters, vthr, alpha: float | None) -> SweepSpec:
-    return SweepSpec(
-        beta=params.beta,
-        vthr=vthr,
-        hard=params.reset_mode == "zero",
-        alpha=alpha,
-    )
-
-
 class _LIFSequence(Function):
-    """Single tape node for a full LIF layer pass (module docstring)."""
+    """Single tape node for a full (CuBa-)LIF layer pass (module docstring)."""
 
     @staticmethod
-    def forward(ctx, x, w_ff, w_rec, params, vthr):
+    def forward(ctx, x, w_ff, w_rec, params, alpha, vthr, controller):
         """Run the T-step membrane/spike sweep on the active backend."""
         executor = backends.active()
-        spec = _lif_spec(params, vthr, alpha=None)
-        obs.count("kernel.calls", backend=executor.name, kernel="lif_forward")
-        with obs.span("kernel.lif_forward", category="kernel", backend=executor.name):
-            membrane, spikes = executor.lif_forward(x @ w_ff, w_rec, spec)
+        spec = SweepSpec(
+            beta=params.beta, vthr=vthr, hard=params.reset_mode == "zero", alpha=alpha
+        )
+        kernel = "lif" if alpha is None else "cuba_lif"
+        obs.count("kernel.calls", backend=executor.name, kernel=f"{kernel}_forward")
+        with obs.span(f"kernel.{kernel}_forward", category="kernel", backend=executor.name):
+            membrane, spikes, used = executor.lif_forward(
+                x @ w_ff, w_rec, spec, controller
+            )
+        if controller is not None and np.any(used <= 0.0):
+            raise ConfigError(f"{controller!r} produced a non-positive threshold")
         ctx.save_for_backward(x, w_ff, w_rec, membrane, spikes)
         ctx.params = params
-        ctx.spec = spec
+        ctx.spec = replace(spec, vthr=used)
+        ctx.kernel = kernel
         # The executor is pinned at forward time so backward runs on the
         # same backend even if REPRO_BACKEND flips mid-graph.
         ctx.executor = executor
@@ -167,52 +155,19 @@ class _LIFSequence(Function):
     def backward(ctx, g_spikes):
         """Hand-derived BPTT, bitwise-identical to the per-step tape."""
         x, w_ff, w_rec, membrane, spikes = ctx.saved
-        surrogate = ctx.params.surrogate.derivative(membrane - ctx.spec.vthr)
-        obs.count("kernel.calls", backend=ctx.executor.name, kernel="lif_backward")
-        with obs.span("kernel.lif_backward", category="kernel", backend=ctx.executor.name):
+        vthr = ctx.spec.vthr
+        if np.ndim(vthr) == 2:  # per-step [T, N] record -> [T, 1, N]
+            vthr = vthr[:, None, :]
+        surrogate = ctx.params.surrogate.derivative(membrane - vthr)
+        name = f"{ctx.kernel}_backward"
+        obs.count("kernel.calls", backend=ctx.executor.name, kernel=name)
+        with obs.span(f"kernel.{name}", category="kernel", backend=ctx.executor.name):
             g_current = ctx.executor.lif_backward(
                 g_spikes, surrogate, membrane, spikes, w_rec, ctx.spec
             )
         return _sequence_weight_grads(ctx, x, w_ff, w_rec, spikes, g_current) + (
             None,
-            None,
-        )
-
-
-class _CubaLIFSequence(Function):
-    """LIF sequence with a synaptic low-pass current state (CuBa)."""
-
-    @staticmethod
-    def forward(ctx, x, w_ff, w_rec, params, alpha, vthr):
-        """Run the CuBa sweep (synaptic filter + membrane) on the backend."""
-        executor = backends.active()
-        spec = _lif_spec(params, vthr, alpha=alpha)
-        obs.count("kernel.calls", backend=executor.name, kernel="cuba_lif_forward")
-        with obs.span("kernel.cuba_lif_forward", category="kernel", backend=executor.name):
-            membrane, spikes = executor.lif_forward(x @ w_ff, w_rec, spec)
-        ctx.save_for_backward(x, w_ff, w_rec, membrane, spikes)
-        ctx.params = params
-        ctx.spec = spec
-        ctx.executor = executor
-        return spikes
-
-    @staticmethod
-    def backward(ctx, g_spikes):
-        """BPTT through the CuBa recurrences, bitwise vs the per-step tape."""
-        x, w_ff, w_rec, membrane, spikes = ctx.saved
-        surrogate = ctx.params.surrogate.derivative(membrane - ctx.spec.vthr)
-        obs.count("kernel.calls", backend=ctx.executor.name, kernel="cuba_lif_backward")
-        with obs.span(
-            "kernel.cuba_lif_backward", category="kernel", backend=ctx.executor.name
-        ):
-            g_current = ctx.executor.lif_backward(
-                g_spikes, surrogate, membrane, spikes, w_rec, ctx.spec
-            )
-        return _sequence_weight_grads(ctx, x, w_ff, w_rec, spikes, g_current) + (
-            None,
-            None,
-            None,
-        )
+        ) * 4
 
 
 class _LeakyReadoutSequence(Function):
@@ -251,6 +206,30 @@ class _LeakyReadoutSequence(Function):
         return gx, gw_ff, None
 
 
+def _split_threshold(params: LIFParameters, threshold, dtype):
+    """``(static Vthr, None)``, or ``(None, controller)`` when dynamic.
+
+    Only a missing threshold or an exact :class:`StaticThreshold` is
+    provably constant over the sequence; any other controller (including
+    a subclass, which may override ``step``) drives the sweep per step.
+    """
+    if isinstance(threshold, ThresholdController):
+        if type(threshold) is not StaticThreshold:
+            return None, threshold
+        threshold = threshold.value
+    return resolve_threshold(params, threshold, dtype=dtype), None
+
+
+def _lif_apply(x, w_ff, params, alpha, w_rec, threshold) -> Tensor:
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    w_ff = w_ff if isinstance(w_ff, Tensor) else Tensor(w_ff)
+    if w_rec is not None and not isinstance(w_rec, Tensor):
+        w_rec = Tensor(w_rec)
+    _check_sequence_args(x.data, w_ff.data, None if w_rec is None else w_rec.data)
+    vthr, controller = _split_threshold(params, threshold, x.data.dtype)
+    return _LIFSequence.apply(x, w_ff, w_rec, params, alpha, vthr, controller)
+
+
 def lif_sequence(
     x: Tensor | np.ndarray,
     w_ff: Tensor | np.ndarray,
@@ -265,23 +244,16 @@ def lif_sequence(
         w_ff: Feedforward weights ``[n_in, n_out]``.
         params: Neuron constants (decay, reset mode, surrogate family).
         w_rec: Optional recurrent weights ``[n_out, n_out]``.
-        threshold: Static effective ``Vthr`` — scalar or per-neuron
-            ``[n_out]`` array; defaults to ``params.threshold``.
-            Dynamic thresholds (Alg. 1 controllers) are *not*
-            representable here — callers must use the per-step path for
-            those.
+        threshold: Effective ``Vthr`` — scalar, per-neuron ``[n_out]``
+            array, or a :class:`~repro.snn.threshold.ThresholdController`
+            that sets it per timestep from the spike activity (Alg. 1);
+            defaults to ``params.threshold``.
 
     Returns:
         The output spike raster ``[T, B, n_out]``, numerically identical
-        to ``T`` applications of :func:`repro.snn.neurons.lif_step`.
+        to ``T`` steps of the per-timestep LIF update (Eq. 1-2).
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    w_ff = w_ff if isinstance(w_ff, Tensor) else Tensor(w_ff)
-    if w_rec is not None and not isinstance(w_rec, Tensor):
-        w_rec = Tensor(w_rec)
-    _check_sequence_args(x.data, w_ff.data, None if w_rec is None else w_rec.data)
-    vthr = resolve_threshold(params, threshold, dtype=x.data.dtype)
-    return _LIFSequence.apply(x, w_ff, w_rec, params, vthr)
+    return _lif_apply(x, w_ff, params, None, w_rec, threshold)
 
 
 def cuba_lif_sequence(
@@ -295,18 +267,11 @@ def cuba_lif_sequence(
     """Fused current-based (CuBa) LIF sequence.
 
     Same contract as :func:`lif_sequence` with the synaptic low-pass
-    state ``J[t] = alpha * J[t-1] + I[t]`` of
-    :func:`repro.snn.neurons.cuba_lif_step` inserted before integration.
+    state ``J[t] = alpha * J[t-1] + I[t]`` inserted before integration.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"synaptic alpha must lie in (0, 1), got {alpha}")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    w_ff = w_ff if isinstance(w_ff, Tensor) else Tensor(w_ff)
-    if w_rec is not None and not isinstance(w_rec, Tensor):
-        w_rec = Tensor(w_rec)
-    _check_sequence_args(x.data, w_ff.data, None if w_rec is None else w_rec.data)
-    vthr = resolve_threshold(params, threshold, dtype=x.data.dtype)
-    return _CubaLIFSequence.apply(x, w_ff, w_rec, params, float(alpha), vthr)
+    return _lif_apply(x, w_ff, params, float(alpha), w_rec, threshold)
 
 
 def leaky_readout_sequence(

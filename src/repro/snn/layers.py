@@ -3,33 +3,25 @@
 Layout convention: spike/current sequences are **time-major** numpy
 arrays or Tensors of shape ``[T, B, N]`` (timesteps, batch, neurons).
 
-Each layer has two numerically identical execution paths:
-
-- the **fused** path (:mod:`repro.snn.kernels`) runs the whole time loop
-  inside a single autograd tape node — the fast default whenever the
-  effective threshold is static over the sequence;
-- the **per-step** path advances one timestep at a time through the
-  tape, which is required when a dynamic
-  :class:`~repro.snn.threshold.ThresholdController` (Alg. 1) feeds spike
-  activity back into the threshold every step.
-
-Dispatch is automatic; ``layer.last_forward_path`` records which path
-the most recent forward took (``"fused"`` or ``"steps"``).
+Every layer pass runs as one fused sequence kernel
+(:mod:`repro.snn.kernels`), including passes under a dynamic
+:class:`~repro.snn.threshold.ThresholdController` (Alg. 1), which the
+kernel consults between timesteps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, stack, zeros
+from repro.autograd import Tensor
 from repro.autograd.tensor import no_grad
 from repro.errors import ShapeError
 from repro.errors import ConfigError
 from repro.snn import kernels
 from repro.seeding import default_rng
 from repro.snn.init import dense_init, recurrent_init
-from repro.snn.neurons import LIFParameters, cuba_lif_step, lif_step
-from repro.snn.threshold import StaticThreshold, ThresholdController
+from repro.snn.neurons import LIFParameters
+from repro.snn.threshold import ThresholdController
 
 __all__ = ["RecurrentLIFLayer", "LeakyReadout", "MASKED_LOGIT"]
 
@@ -40,36 +32,23 @@ __all__ = ["RecurrentLIFLayer", "LeakyReadout", "MASKED_LOGIT"]
 MASKED_LOGIT = -1.0e9
 
 
-def _static_threshold(controller: "ThresholdController | None", default: float):
-    """Effective static ``Vthr`` for a sequence, or None when dynamic.
-
-    Only a missing controller or an exact :class:`StaticThreshold`
-    guarantees the threshold cannot change mid-sequence — anything else
-    (including subclasses, which may override ``step``) must run
-    per-step so the controller observes every timestep's activity.
-    """
-    if controller is None:
-        return default
-    if type(controller) is StaticThreshold:
-        return controller.value
-    return None
-
-
 class RecurrentLIFLayer:
     """A dense feedforward projection into recurrent LIF neurons (Fig. 6a).
 
     Each timestep computes
 
         I[t]   = X[t] @ W_ff + S[t-1] @ W_rec
-        V, S   = lif_step(V, S, I[t])
+        V[t]   = beta * V[t-1] * (1 - S[t-1]) + I[t]     (Eq. 1-2)
+        S[t]   = H(V[t] - Vthr)
 
+    with hard reset (soft reset subtracts ``S[t-1] * Vthr`` instead),
     where ``W_rec`` is present only when ``recurrent=True`` (the SHD
     architecture of the paper uses recurrent hidden layers).
 
     With ``synapse_alpha`` set, the neurons follow the current-based
     (CuBa) dynamics instead: the projected input is low-pass filtered
-    through a synaptic current state with decay ``alpha`` before
-    integration (see :func:`repro.snn.neurons.cuba_lif_step`).
+    through a synaptic current state ``J[t] = alpha * J[t-1] + I[t]``
+    before integration.
     """
 
     #: Default feedforward init gain.  Plain 1/sqrt(fan_in) leaves deep
@@ -78,6 +57,10 @@ class RecurrentLIFLayer:
     #: spiking activity propagates through all hidden layers from epoch 0
     #: (fluctuation-driven initialisation).
     FF_GAIN = 3.0
+
+    #: Which execution path the last forward took.  There is one path;
+    #: the constant stays for tooling that still reads it.
+    last_forward_path = "fused"
 
     def __init__(
         self,
@@ -101,8 +84,6 @@ class RecurrentLIFLayer:
         self.recurrent = bool(recurrent)
         self.name = name
         self.synapse_alpha = synapse_alpha
-        self.use_fused = True
-        self.last_forward_path: str | None = None
         self.w_ff = dense_init(rng, n_in, n_out, gain=ff_gain or self.FF_GAIN)
         self.w_rec = recurrent_init(rng, n_out) if recurrent else None
 
@@ -163,56 +144,19 @@ class RecurrentLIFLayer:
             )
         needs_graph = self.trainable or x.requires_grad
         if needs_graph:
-            return self._dispatch(x, controller)
+            return self._sweep(x, controller)
         with no_grad():
-            return self._dispatch(x, controller)
+            return self._sweep(x, controller)
 
-    def _dispatch(self, x: Tensor, controller: ThresholdController | None) -> Tensor:
-        """Route to the fused kernel when the threshold is static."""
-        vthr = _static_threshold(controller, self.params.threshold)
-        if vthr is not None and self.use_fused and kernels.fused_enabled():
-            self.last_forward_path = "fused"
-            return self._forward_fused(x, vthr)
-        self.last_forward_path = "steps"
-        return self._forward_steps(x, controller)
-
-    def _forward_fused(self, x: Tensor, vthr) -> Tensor:
+    def _sweep(self, x: Tensor, controller: ThresholdController | None) -> Tensor:
         if self.synapse_alpha is not None:
             return kernels.cuba_lif_sequence(
                 x, self.w_ff, self.params, self.synapse_alpha,
-                w_rec=self.w_rec, threshold=vthr,
+                w_rec=self.w_rec, threshold=controller,
             )
         return kernels.lif_sequence(
-            x, self.w_ff, self.params, w_rec=self.w_rec, threshold=vthr
+            x, self.w_ff, self.params, w_rec=self.w_rec, threshold=controller
         )
-
-    def _forward_steps(
-        self, x: Tensor, controller: ThresholdController | None
-    ) -> Tensor:
-        timesteps, batch = x.shape[0], x.shape[1]
-        controller = controller or StaticThreshold(self.params.threshold)
-        membrane = zeros((batch, self.n_out))
-        spikes = zeros((batch, self.n_out))
-        syn = zeros((batch, self.n_out)) if self.synapse_alpha is not None else None
-        threshold = controller.value
-        outputs: list[Tensor] = []
-        for t in range(timesteps):
-            current = x[t] @ self.w_ff
-            if self.w_rec is not None:
-                current = current + spikes @ self.w_rec
-            if syn is not None:
-                membrane, syn, spikes = cuba_lif_step(
-                    membrane, syn, spikes, current, self.params,
-                    self.synapse_alpha, threshold,
-                )
-            else:
-                membrane, spikes = lif_step(
-                    membrane, spikes, current, self.params, threshold
-                )
-            outputs.append(spikes)
-            counts = spikes.data.sum(axis=0)  # per-neuron, batch-summed
-            threshold = controller.step(t, counts, counts * t)
-        return stack(outputs, axis=0)
 
 
 class LeakyReadout:
@@ -243,6 +187,8 @@ class LeakyReadout:
         readout_mode: str = "mean",
     ):
         rng = rng or default_rng()
+        if not 0.0 < beta < 1.0:
+            raise ConfigError(f"readout beta must lie in (0, 1), got {beta}")
         if readout_mode not in self.READOUT_MODES:
             raise ShapeError(
                 f"readout_mode must be one of {self.READOUT_MODES}, got {readout_mode!r}"
@@ -252,8 +198,6 @@ class LeakyReadout:
         self.beta = float(beta)
         self.name = name
         self.readout_mode = readout_mode
-        self.use_fused = True
-        self.last_forward_path: str | None = None
         self.w_ff = dense_init(rng, n_in, n_out)
 
     def parameters(self) -> list[Tensor]:
@@ -293,9 +237,7 @@ class LeakyReadout:
         the classes the readout may answer with (task-incremental
         inference: the task id restricts the label space).  Classes
         outside the mask receive an additive :data:`MASKED_LOGIT` penalty
-        after integration, so both the fused and the per-step path
-        support masking identically and gradients still flow to every
-        logit.  A full mask is skipped entirely — the output is
+        after integration, so gradients still flow to every logit.  A full mask is skipped entirely — the output is
         bitwise-identical to passing ``None``.
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
@@ -334,20 +276,7 @@ class LeakyReadout:
         return logits + Tensor(np.where(mask, 0.0, MASKED_LOGIT))
 
     def _integrate(self, x: Tensor) -> Tensor:
-        if self.use_fused and 0.0 < self.beta < 1.0 and kernels.fused_enabled():
-            self.last_forward_path = "fused"
-            stacked = kernels.leaky_readout_sequence(x, self.w_ff, self.beta)
-            return self._reduce(stacked)
-        self.last_forward_path = "steps"
-        timesteps, batch = x.shape[0], x.shape[1]
-        membrane = zeros((batch, self.n_out))
-        trajectory: list[Tensor] = []
-        for t in range(timesteps):
-            membrane = membrane * self.beta + x[t] @ self.w_ff
-            trajectory.append(membrane)
-        if self.readout_mode == "last":
-            return trajectory[-1]
-        return self._reduce(stack(trajectory, axis=0))
+        return self._reduce(kernels.leaky_readout_sequence(x, self.w_ff, self.beta))
 
     def _reduce(self, stacked: Tensor) -> Tensor:
         """Collapse a membrane trajectory ``[T, B, C]`` into logits."""

@@ -149,19 +149,6 @@ class SpikingNetwork:
             layer.set_trainable(flag)
         self.readout.set_trainable(flag)
 
-    def set_fused(self, flag: bool) -> None:
-        """Enable/disable the fused sequence kernels for every layer.
-
-        The fused path (:mod:`repro.snn.kernels`) is the default and is
-        numerically identical to the per-step reference; disabling it
-        forces the per-step tape everywhere (diagnostics, parity tests).
-        Layers under a dynamic threshold controller fall back to the
-        per-step path automatically regardless of this flag.
-        """
-        for layer in self.hidden_layers:
-            layer.use_fused = bool(flag)
-        self.readout.use_fused = bool(flag)
-
     def freeze_below(self, insertion_layer: int) -> None:
         """Freeze weight layers ``0 .. insertion_layer-1`` (paper Fig. 6).
 

@@ -13,6 +13,8 @@ surrogate-gradient literature (and by the SpikingLR comparator):
 
 with ``beta = exp(-dt / tau)`` and ``Vrst = 0``.  The Heaviside backward
 pass uses a surrogate gradient (see :mod:`repro.autograd.surrogate`).
+The fused sequence kernels (:mod:`repro.snn.kernels`) run these
+dynamics; this module holds their constants.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.autograd import Tensor
-from repro.autograd.surrogate import SurrogateSpec, fast_sigmoid_surrogate, spike
+from repro.autograd.surrogate import SurrogateSpec, fast_sigmoid_surrogate
 from repro.errors import ConfigError
 
-__all__ = ["LIFParameters", "lif_step", "cuba_lif_step", "resolve_threshold"]
+__all__ = ["LIFParameters", "resolve_threshold"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class LIFParameters:
 
 
 def resolve_threshold(params: LIFParameters, threshold, dtype=None):
-    """Resolve the effective ``Vthr`` for a step or sequence kernel.
+    """Resolve a static effective ``Vthr`` for a sequence kernel.
 
     Returns ``params.threshold`` when ``threshold`` is None, a float for
     scalar overrides, or an ndarray (cast to ``dtype`` when given) for
@@ -76,66 +77,3 @@ def resolve_threshold(params: LIFParameters, threshold, dtype=None):
     if np.any(np.asarray(vthr) <= 0.0):
         raise ConfigError(f"effective threshold must be positive, got {vthr}")
     return vthr
-
-
-def lif_step(
-    membrane: Tensor,
-    prev_spikes: Tensor,
-    current: Tensor,
-    params: LIFParameters,
-    threshold=None,
-) -> tuple[Tensor, Tensor]:
-    """Advance one LIF timestep.
-
-    Args:
-        membrane: ``V[t-1]``, shape ``[B, N]``.
-        prev_spikes: ``S[t-1]``, shape ``[B, N]`` (binary).
-        current: Input current ``I[t]`` (already projected through the
-            weights).
-        params: Neuron constants.
-        threshold: Effective ``Vthr`` for this step: scalar, or a
-            per-neuron array ``[N]`` broadcast against the batch.
-            Defaults to ``params.threshold``.  This is the hook the
-            adaptive threshold controllers (Alg. 1 lines 10-17 / 25-30)
-            use to modulate excitability per timestep.
-
-    Returns:
-        ``(membrane, spikes)`` — ``V[t]`` and ``S[t]``.
-    """
-    vthr = resolve_threshold(params, threshold, dtype=membrane.data.dtype)
-
-    if params.reset_mode == "zero":
-        decayed = membrane * (1.0 - prev_spikes) * params.beta
-    else:
-        decayed = membrane * params.beta - prev_spikes * vthr
-    new_membrane = decayed + current
-    new_spikes = spike(new_membrane - vthr, params.surrogate)
-    return new_membrane, new_spikes
-
-
-def cuba_lif_step(
-    membrane: Tensor,
-    syn_current: Tensor,
-    prev_spikes: Tensor,
-    input_current: Tensor,
-    params: LIFParameters,
-    alpha: float,
-    threshold=None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Advance one current-based (CuBa) LIF timestep.
-
-    The CuBa variant low-pass filters the input through a synaptic
-    current state before it reaches the membrane:
-
-        I[t] = alpha * I[t-1] + X[t] @ W
-        V[t] = beta * V[t-1] * reset(S[t-1]) + I[t]
-        S[t] = Heaviside(V[t] - Vthr)
-
-    ``alpha = exp(-dt/tau_syn)`` is the synaptic decay.  Returns
-    ``(membrane, syn_current, spikes)``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"synaptic alpha must lie in (0, 1), got {alpha}")
-    new_syn = syn_current * alpha + input_current
-    membrane, spikes = lif_step(membrane, prev_spikes, new_syn, params, threshold)
-    return membrane, new_syn, spikes

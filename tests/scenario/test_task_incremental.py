@@ -16,6 +16,7 @@ The defining properties under test, each across >= 3 seeds at ci scale:
 import numpy as np
 import pytest
 
+import oracle
 from repro.core import ReplaySpec
 from repro.core.pipeline import pretrain
 from repro.data.synthetic_shd import SyntheticSHD
@@ -116,7 +117,7 @@ class TestSeedSweepParity:
     def test_full_mask_logits_bitwise_equal_unmasked(self, sweep, seed):
         # Mask equivalence on the *trained* network of each seed: the
         # full mask must be skipped entirely, leaving logits bitwise
-        # untouched on both readout dispatch paths.
+        # untouched on the fused path and on the per-step tape oracle.
         dense, _, _ = sweep[seed]
         network = dense.final_network
         num_classes = network.readout.n_out
@@ -125,12 +126,13 @@ class TestSeedSweepParity:
         channels = network.config.layer_sizes[0]
         inputs = (rng.random((timesteps, 6, channels)) < 0.2).astype(np.float32)
         full = np.ones(num_classes, dtype=bool)
-        for fused in (True, False):
-            network.set_fused(fused)
-            unmasked = network.forward(inputs).logits.data
-            masked = network.forward(inputs, class_mask=full).logits.data
+        for forward in (
+            lambda **kw: network.forward(inputs, **kw).logits,
+            lambda **kw: oracle.network_forward(network, inputs, **kw),
+        ):
+            unmasked = forward().data
+            masked = forward(class_mask=full).data
             np.testing.assert_array_equal(unmasked, masked)
-        network.set_fused(True)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_training_identical_to_class_incremental(self, sweep, seed):

@@ -1,0 +1,118 @@
+"""Per-timestep autograd-tape oracle for the fused SNN kernels.
+
+The library runs every layer pass as one fused tape node
+(:mod:`repro.snn.kernels`).  This module keeps the readable formulation
+those kernels are pinned to: each timestep is a handful of primitive
+tape ops (decay, reset, matmul, surrogate Heaviside), so autograd
+derives BPTT by itself and a threshold controller is consulted between
+steps in plain Python.  Fused and oracle must agree bitwise — forward
+spikes and every weight gradient — with and without dynamic thresholds.
+"""
+
+from __future__ import annotations
+
+from repro.autograd import Tensor, stack, zeros
+from repro.autograd.surrogate import spike
+from repro.errors import ConfigError
+from repro.snn.network import _layer_controller
+from repro.snn.neurons import LIFParameters, resolve_threshold
+from repro.snn.threshold import StaticThreshold
+
+
+def lif_step(
+    membrane: Tensor,
+    prev_spikes: Tensor,
+    current: Tensor,
+    params: LIFParameters,
+    threshold=None,
+) -> tuple[Tensor, Tensor]:
+    """Advance one LIF timestep (paper Eq. 1-2); return ``(V[t], S[t])``.
+
+    ``threshold`` is this step's effective ``Vthr``: scalar, or a
+    per-neuron array ``[N]``; defaults to ``params.threshold``.
+    """
+    vthr = resolve_threshold(params, threshold, dtype=membrane.data.dtype)
+    if params.reset_mode == "zero":
+        decayed = membrane * (1.0 - prev_spikes) * params.beta
+    else:
+        decayed = membrane * params.beta - prev_spikes * vthr
+    new_membrane = decayed + current
+    return new_membrane, spike(new_membrane - vthr, params.surrogate)
+
+
+def cuba_lif_step(
+    membrane: Tensor,
+    syn_current: Tensor,
+    prev_spikes: Tensor,
+    input_current: Tensor,
+    params: LIFParameters,
+    alpha: float,
+    threshold=None,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Advance one current-based LIF timestep.
+
+    ``J[t] = alpha * J[t-1] + I[t]`` filters the input before it reaches
+    the membrane.  Returns ``(membrane, syn_current, spikes)``.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"synaptic alpha must lie in (0, 1), got {alpha}")
+    new_syn = syn_current * alpha + input_current
+    membrane, spikes = lif_step(membrane, prev_spikes, new_syn, params, threshold)
+    return membrane, new_syn, spikes
+
+
+def layer_forward(layer, inputs, controller=None) -> Tensor:
+    """:meth:`RecurrentLIFLayer.forward`, one tape node per op per step."""
+    x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
+    timesteps, batch = x.shape[0], x.shape[1]
+    controller = controller or StaticThreshold(layer.params.threshold)
+    membrane = zeros((batch, layer.n_out))
+    spikes = zeros((batch, layer.n_out))
+    syn = zeros((batch, layer.n_out)) if layer.synapse_alpha is not None else None
+    threshold = controller.value
+    outputs: list[Tensor] = []
+    for t in range(timesteps):
+        current = x[t] @ layer.w_ff
+        if layer.w_rec is not None:
+            current = current + spikes @ layer.w_rec
+        if syn is not None:
+            membrane, syn, spikes = cuba_lif_step(
+                membrane, syn, spikes, current, layer.params,
+                layer.synapse_alpha, threshold,
+            )
+        else:
+            membrane, spikes = lif_step(membrane, spikes, current, layer.params, threshold)
+        outputs.append(spikes)
+        counts = spikes.data.sum(axis=0)  # per-neuron, batch-summed
+        threshold = controller.step(t, counts, counts * t)
+    return stack(outputs, axis=0)
+
+
+def readout_forward(readout, inputs, class_mask=None) -> Tensor:
+    """:meth:`LeakyReadout.forward`, one tape node per op per step."""
+    x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
+    membrane = zeros((x.shape[1], readout.n_out))
+    trajectory: list[Tensor] = []
+    for t in range(x.shape[0]):
+        membrane = membrane * readout.beta + x[t] @ readout.w_ff
+        trajectory.append(membrane)
+    if readout.readout_mode == "last":
+        logits = trajectory[-1]
+    else:
+        logits = readout._reduce(stack(trajectory, axis=0))
+    return readout._mask(logits, readout._resolve_mask(class_mask))
+
+
+def network_forward(
+    network, inputs, start_layer=0, controller=None, class_mask=None
+) -> Tensor:
+    """Logits of :meth:`SpikingNetwork.forward` from the oracle layers.
+
+    The controller applies to every executed hidden layer.
+    """
+    activations = inputs
+    for layer in network.hidden_layers[start_layer:]:
+        activations = layer_forward(
+            layer, activations, _layer_controller(controller, layer)
+        )
+    return readout_forward(network.readout, activations, class_mask)

@@ -5,10 +5,12 @@ numpy reference executor.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracle
 from repro.autograd import Tensor
 from repro.errors import ConfigError
 from repro.snn import backends
@@ -22,7 +24,9 @@ from repro.snn.backends import (
 from repro.snn.backends import base as backends_base
 from repro.snn.backends import cffi_c, numpy_ref
 from repro.snn.kernels import cuba_lif_sequence, leaky_readout_sequence, lif_sequence
+from repro.snn.layers import RecurrentLIFLayer
 from repro.snn.neurons import LIFParameters
+from repro.snn.threshold import AdaptiveSpikeTimingThreshold, PerNeuronAdaptiveThreshold
 
 C_AVAILABLE, C_REASON = backends.get_backend("c").availability()
 needs_c = pytest.mark.skipif(not C_AVAILABLE, reason=f"C backend: {C_REASON}")
@@ -79,10 +83,11 @@ class TestSweepParity:
         w_rec = (
             (rng.standard_normal((6, 6)) * 0.4).astype(dtype) if recurrent else None
         )
-        want_m, want_s = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
-        got_m, got_s = executor.lif_forward(ff, w_rec, spec)
+        want_m, want_s, want_vthr = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
+        got_m, got_s, got_vthr = executor.lif_forward(ff, w_rec, spec)
         _assert_parity(executor, got_m, want_m)
         _assert_parity(executor, got_s, want_s)
+        assert got_vthr is spec.vthr and want_vthr is spec.vthr
 
         g = rng.standard_normal(ff.shape).astype(dtype)
         surrogate = rng.random(ff.shape).astype(dtype)
@@ -107,13 +112,50 @@ class TestSweepParity:
             numpy_ref.readout_backward_sweep(g, 0.8),
         )
 
+    @pytest.mark.parametrize("executor", _executors())
+    @pytest.mark.parametrize("spec_name", ["lif-hard", "lif-soft", "cuba-hard"])
+    @pytest.mark.parametrize("recurrent", [False, True])
+    @pytest.mark.parametrize("per_neuron", [True, False], ids=["per-neuron", "scalar"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_controller_sweeps_match_reference(
+        self, executor, spec_name, recurrent, per_neuron, dtype
+    ):
+        """A dynamic threshold drives both executors' sweeps identically."""
+        spec = replace(_SPECS[spec_name], vthr=None)
+        rng = np.random.default_rng(13)
+        ff = (rng.standard_normal((8, 3, 6)) * 0.8).astype(dtype)
+        w_rec = (
+            (rng.standard_normal((6, 6)) * 0.4).astype(dtype) if recurrent else None
+        )
+
+        def controller():
+            if per_neuron:
+                return PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=8, adjust_interval=2)
+            return AdaptiveSpikeTimingThreshold(timesteps=8, adjust_interval=2)
+
+        want = numpy_ref.lif_forward_sweep(ff, w_rec, spec, controller())
+        got = executor.lif_forward(ff, w_rec, spec, controller())
+        assert want[2].shape == (8, 6) and want[2].dtype == dtype
+        assert len(np.unique(want[2])) > 1  # the threshold really moved
+        for g, w in zip(got, want):
+            _assert_parity(executor, g, w)
+
+        per_step = replace(spec, vthr=want[2])
+        g = rng.standard_normal(ff.shape).astype(dtype)
+        surrogate = rng.random(ff.shape).astype(dtype)
+        _assert_parity(
+            executor,
+            executor.lif_backward(g, surrogate, got[0], got[1], w_rec, per_step),
+            numpy_ref.lif_reverse_sweep(g, surrogate, want[0], want[1], w_rec, per_step),
+        )
+
     @needs_c
     def test_single_timestep_edge(self):
         """T=1 exercises the no-carry branches of every sweep."""
         spec = _SPECS["lif-hard"]
         ff = np.random.default_rng(3).standard_normal((1, 2, 4)).astype(np.float32)
         executor = CffiExecutor()
-        m, s = executor.lif_forward(ff, None, spec)
+        m, s, _ = executor.lif_forward(ff, None, spec)
         want = numpy_ref.lif_forward_sweep(ff, None, spec)
         _assert_parity(executor, m, want[0])
         _assert_parity(executor, s, want[1])
@@ -173,6 +215,36 @@ class TestCBackendThroughKernels:
             out.sum().backward()
             results[name] = out.data.copy()
         assert np.array_equal(results["numpy"], results["c"])
+
+    @pytest.mark.parametrize("reset_mode", ["zero", "subtract"])
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_controller_layer_bitwise_across_backends(
+        self, monkeypatch, reset_mode, recurrent
+    ):
+        """A layer under a per-neuron controller: c == numpy == oracle."""
+        rng = np.random.default_rng(9)
+        x = (rng.random((12, 3, 5)) < 0.4).astype(np.float32)
+        g_up = rng.standard_normal((12, 3, 6)).astype(np.float32)
+        layer = RecurrentLIFLayer(
+            5, 6, LIFParameters(beta=0.9, reset_mode=reset_mode),
+            recurrent=recurrent, rng=np.random.default_rng(4),
+        )
+        runs = {}
+        for name in ("numpy", "c", "oracle"):
+            monkeypatch.setenv("REPRO_BACKEND", "numpy" if name == "oracle" else name)
+            backends_base._invalidate_active()
+            controller = PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=12)
+            if name == "oracle":
+                out = oracle.layer_forward(layer, x, controller)
+            else:
+                out = layer.forward(x, controller)
+            out.backward(g_up)
+            runs[name] = [out.data.copy()] + [p.grad.copy() for p in layer.parameters()]
+            for p in layer.parameters():
+                p.zero_grad()
+        for name in ("c", "oracle"):
+            for got, want in zip(runs[name], runs["numpy"]):
+                assert np.array_equal(got, want), f"{name} diverged bitwise"
 
     def test_unsupported_dtype_falls_back_to_reference(self):
         executor = CffiExecutor()

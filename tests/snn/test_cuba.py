@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from oracle import cuba_lif_step
 from repro.autograd import tensor, zeros
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
-from repro.snn import LIFParameters, RecurrentLIFLayer, SpikingNetwork, cuba_lif_step
+from repro.snn import LIFParameters, RecurrentLIFLayer, SpikingNetwork
 
 
 def params(**kwargs):

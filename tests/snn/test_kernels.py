@@ -1,16 +1,18 @@
-"""Fused sequence kernels: parity with the per-step reference, gradient
-checks, and dispatch/fallback behavior.
+"""Fused sequence kernels: parity with the per-step tape oracle, gradient
+checks, and the threshold-controller sweep.
 
 The fused kernels promise *bitwise* forward parity and *bitwise*
-gradient parity with the per-step tape (see the bitwise-discipline note
-in :mod:`repro.snn.kernels`) — the tests below assert exact equality in
-float32 and gradcheck-level agreement (<= 1e-5) in float64.
+gradient parity with the per-step tape (:mod:`oracle`; see the
+bitwise-discipline note in :mod:`repro.snn.kernels`) — the tests below
+assert exact equality in float32 and gradcheck-level agreement
+(<= 1e-5) in float64.
 """
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, gradcheck
+import oracle
+from repro.autograd import Tensor, cross_entropy, gradcheck
 from repro.snn import (
     AdaptiveSpikeTimingThreshold,
     LeakyReadout,
@@ -20,12 +22,12 @@ from repro.snn import (
     SpikingNetwork,
     StaticThreshold,
     cuba_lif_sequence,
-    fused_enabled,
     leaky_readout_sequence,
     lif_sequence,
 )
 from repro.config import NetworkConfig
 from repro.errors import ConfigError, ShapeError
+from repro.training.optimizers import Adam
 
 
 @pytest.fixture
@@ -45,12 +47,14 @@ def make_layer(reset_mode="zero", recurrent=True, synapse_alpha=None, n_in=10, n
     )
 
 
-def run_both_paths(layer, x, g_up):
-    """Forward+backward on each path; return (out, grads) per path."""
+def run_both_paths(layer, x, g_up, make_controller=lambda: None):
+    """Forward+backward fused, then on the oracle; (out, grads) per path.
+
+    ``make_controller`` builds a fresh threshold controller per path.
+    """
     results = []
-    for fused in (True, False):
-        layer.use_fused = fused
-        out = layer.forward(x)
+    for forward in (layer.forward, lambda x, c: oracle.layer_forward(layer, x, c)):
+        out = forward(x, make_controller())
         out.backward(g_up)
         grads = [p.grad.copy() for p in layer.parameters()]
         for p in layer.parameters():
@@ -84,12 +88,12 @@ class TestLIFParity:
 @pytest.mark.parametrize("reset_mode", ["zero", "subtract"])
 @pytest.mark.parametrize("recurrent", [True, False])
 class TestGradientParityFloat64:
-    """Fused gradients vs. the per-step reference at gradcheck tolerance.
+    """Fused gradients vs. the per-step oracle at gradcheck tolerance.
 
     Finite differences cannot probe through the Heaviside forward, so
     the per-step tape (the gradcheck-certified composition of primitive
-    ops) is the reference; in float64 both paths agree to ~1e-12,
-    comfortably within the 1e-5 budget.
+    ops) is the reference; in float64 both agree to ~1e-12, comfortably
+    within the 1e-5 budget.
     """
 
     ATOL = 1e-5
@@ -117,9 +121,8 @@ class TestReadoutParity:
         )
         x = (rng.random((16, 3, 8)) < 0.4).astype(np.float32)
         outputs, grads = [], []
-        for fused in (True, False):
-            readout.use_fused = fused
-            out = readout.forward(x)
+        for forward in (readout.forward, lambda x: oracle.readout_forward(readout, x)):
+            out = forward(x)
             g = np.ones(out.shape, dtype=np.float32)
             out.backward(g)
             outputs.append(out.data.copy())
@@ -203,80 +206,104 @@ class TestKernelAPI:
         assert w.grad is None
 
 
-class TestDispatch:
-    def test_static_controller_uses_fused(self, rng):
-        layer = make_layer()
-        x = (rng.random((6, 2, 10)) < 0.3).astype(np.float32)
-        layer.forward(x)
-        assert layer.last_forward_path == "fused"
-        layer.forward(x, StaticThreshold(1.2))
-        assert layer.last_forward_path == "fused"
+class TestControllerSweep:
+    """Dynamic thresholds (Alg. 1) run inside the fused sweep."""
 
-    def test_dynamic_controller_falls_back(self, rng):
+    @pytest.mark.parametrize("reset_mode", ["zero", "subtract"])
+    @pytest.mark.parametrize("recurrent", [True, False])
+    @pytest.mark.parametrize("alpha", [None, 0.7], ids=["lif", "cuba"])
+    @pytest.mark.parametrize("per_neuron", [True, False], ids=["per-neuron", "scalar"])
+    def test_forward_and_gradient_bitwise(
+        self, rng, reset_mode, recurrent, alpha, per_neuron
+    ):
+        layer = make_layer(reset_mode=reset_mode, recurrent=recurrent, synapse_alpha=alpha)
+        x = (rng.random((18, 3, 10)) < 0.35).astype(np.float32)
+        g_up = rng.standard_normal((18, 3, 7)).astype(np.float32)
+
+        def make_controller():
+            if per_neuron:
+                return PerNeuronAdaptiveThreshold(num_neurons=7, timesteps=18, adjust_interval=3)
+            return AdaptiveSpikeTimingThreshold(timesteps=18, adjust_interval=3)
+
+        (out_f, grads_f), (out_s, grads_s) = run_both_paths(layer, x, g_up, make_controller)
+        assert np.array_equal(out_f, out_s)
+        for gf, gs in zip(grads_f, grads_s):
+            assert np.array_equal(gf, gs)
+
+    def test_static_controller_takes_static_sweep(self, rng, monkeypatch):
+        # Only an exact StaticThreshold skips the callback (a subclass
+        # takes it: tests/snn/test_layers.py counts its calls).
+        calls = []
+        monkeypatch.setattr(
+            StaticThreshold, "step", lambda self, t, *_: calls.append(t) or self.value
+        )
         layer = make_layer()
         x = (rng.random((6, 2, 10)) < 0.3).astype(np.float32)
-        layer.forward(x, AdaptiveSpikeTimingThreshold(timesteps=6))
-        assert layer.last_forward_path == "steps"
-        layer.forward(
-            x, PerNeuronAdaptiveThreshold(num_neurons=7, timesteps=6)
+        static = layer.forward(x, StaticThreshold(1.2)).data
+        assert calls == []
+        assert np.array_equal(
+            static, lif_sequence(x, layer.w_ff, layer.params, layer.w_rec, 1.2).data
         )
-        assert layer.last_forward_path == "steps"
 
     def test_dynamic_controller_state_advances(self, rng):
-        # The fallback must actually feed the controller every timestep.
         layer = make_layer()
         x = (rng.random((9, 2, 10)) < 0.5).astype(np.float32)
         controller = AdaptiveSpikeTimingThreshold(timesteps=9)
         layer.forward(x, controller)
         assert controller.mean_spike_time is not None
 
-    def test_static_subclass_falls_back(self, rng):
-        # Subclasses may override step(); only an exact StaticThreshold
-        # is provably static over the sequence.
-        class Probe(StaticThreshold):
-            pass
+    def test_nonpositive_controller_threshold_rejected(self, rng):
+        class Broken(AdaptiveSpikeTimingThreshold):
+            def step(self, t, spike_counts, spike_time_sums):
+                return -1.0
 
         layer = make_layer()
-        x = (rng.random((5, 2, 10)) < 0.3).astype(np.float32)
-        layer.forward(x, Probe(1.0))
-        assert layer.last_forward_path == "steps"
+        x = (rng.random((4, 2, 10)) < 0.5).astype(np.float32)
+        with pytest.raises(ConfigError, match="non-positive"):
+            layer.forward(x, Broken(timesteps=4))
 
-    def test_use_fused_flag(self, rng):
-        layer = make_layer()
-        x = (rng.random((5, 2, 10)) < 0.3).astype(np.float32)
-        layer.use_fused = False
-        layer.forward(x)
-        assert layer.last_forward_path == "steps"
+    def test_insertion_layer_2_training_trajectory_bitwise(self, rng):
+        """NCL at insertion layer 2: hidden layer 2 trains under the
+        per-neuron controller; three Adam steps stay bitwise on the oracle."""
+        config = NetworkConfig(layer_sizes=(12, 10, 8, 6, 4), recurrent=True)
+        x = (rng.random((10, 5, 12)) < 0.3).astype(np.float32)
+        labels = np.array([0, 1, 2, 3, 1])
 
-    def test_env_kill_switch(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_KERNELS", "0")
-        assert not fused_enabled()
-        layer = make_layer()
-        x = (rng.random((5, 2, 10)) < 0.3).astype(np.float32)
-        layer.forward(x)
-        assert layer.last_forward_path == "steps"
-        monkeypatch.setenv("REPRO_FUSED_KERNELS", "1")
-        assert fused_enabled()
+        def factory(layer):
+            return PerNeuronAdaptiveThreshold(
+                num_neurons=layer.n_out, timesteps=10, adjust_interval=1
+            )
 
-    def test_network_set_fused(self, rng):
-        net = SpikingNetwork(NetworkConfig(layer_sizes=(12, 8, 6, 4)), seed=0)
-        x = (rng.random((6, 2, 12)) < 0.3).astype(np.float32)
-        net.set_fused(False)
-        net.forward(x)
-        assert all(layer.last_forward_path == "steps" for layer in net.hidden_layers)
-        assert net.readout.last_forward_path == "steps"
-        net.set_fused(True)
-        net.forward(x)
-        assert all(layer.last_forward_path == "fused" for layer in net.hidden_layers)
-        assert net.readout.last_forward_path == "fused"
+        networks = []
+        for forward in (
+            lambda net, acts: net.forward(
+                acts, start_layer=2, controller=factory, controller_from_layer=2
+            ).logits,
+            lambda net, acts: oracle.network_forward(
+                net, acts, start_layer=2, controller=factory
+            ),
+        ):
+            net = SpikingNetwork(config, seed=3)
+            net.freeze_below(2)
+            acts = net.activations_at(2, x)
+            optimizer = Adam(net.trainable_parameters(), learning_rate=0.01)
+            for _ in range(3):
+                optimizer.zero_grad()
+                cross_entropy(forward(net, acts), labels).backward()
+                optimizer.step()
+            networks.append(net)
+        fused, tape = networks
+        assert fused.hidden_layers[2].trainable and not fused.hidden_layers[1].trainable
+        initial = SpikingNetwork(config, seed=3).hidden_layers[2].w_ff.data
+        assert not np.array_equal(fused.hidden_layers[2].w_ff.data, initial)
+        for p, q in zip(fused.parameters(), tape.parameters()):
+            assert np.array_equal(p.data, q.data)
 
-    def test_network_forward_bitwise_parity(self, rng):
-        net = SpikingNetwork(
-            NetworkConfig(layer_sizes=(12, 8, 6, 4), recurrent=True), seed=1
-        )
-        x = (rng.random((10, 3, 12)) < 0.3).astype(np.float32)
-        net.set_fused(True)
-        fused_logits = net.forward(x).logits.data.copy()
-        net.set_fused(False)
-        steps_logits = net.forward(x).logits.data.copy()
-        assert np.array_equal(fused_logits, steps_logits)
+
+def test_network_forward_bitwise_parity(rng):
+    net = SpikingNetwork(
+        NetworkConfig(layer_sizes=(12, 8, 6, 4), recurrent=True), seed=1
+    )
+    x = (rng.random((10, 3, 12)) < 0.3).astype(np.float32)
+    fused_logits = net.forward(x).logits.data
+    assert np.array_equal(fused_logits, oracle.network_forward(net, x).data)

@@ -94,7 +94,8 @@ class TestRecurrentLIFLayer:
         state["w_ff"][0, 0] = 99.0
         assert layer.w_ff.data[0, 0] != 99.0
 
-    def test_controller_receives_every_timestep(self, rng):
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_controller_receives_every_timestep(self, rng, recurrent):
         class CountingController(StaticThreshold):
             def __init__(self):
                 super().__init__(1.0)
@@ -105,7 +106,7 @@ class TestRecurrentLIFLayer:
                 return super().step(t, spike_count, spike_time_sum)
 
         ctrl = CountingController()
-        layer = make_layer()
+        layer = make_layer(recurrent=recurrent)
         x = (rng.random((7, 2, 10)) < 0.3).astype(np.float32)
         layer.forward(x, ctrl)
         assert ctrl.calls == list(range(7))
@@ -165,6 +166,13 @@ class TestLeakyReadout:
 
         with pytest.raises(ShapeError):
             LeakyReadout(3, 2, readout_mode="median")
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
+    def test_rejects_beta_outside_unit_interval(self, beta):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="beta"):
+            LeakyReadout(3, 2, beta=beta)
 
     def test_rejects_wrong_rank(self, rng):
         readout = LeakyReadout(6, 4, rng=rng)

