@@ -150,9 +150,12 @@ def iter_sequential_splits(
     Step k's datasets materialise only when the iterator reaches it
     (:meth:`~repro.data.synthetic_shd.SyntheticSHD.generate_dataset`
     derives every sample from ``(seed, class, sample)`` alone, so lazy
-    and eager construction are bitwise-identical) — long streams never
-    hold all their data at once.  Parameters are validated eagerly, at
-    call time.
+    and eager construction are bitwise-identical).  The generator's
+    memo keeps every recording it has drawn, so step k re-uses the
+    seen classes' recordings instead of re-synthesizing them; what it
+    holds is bounded by the ``(class, sample)`` pool of the final step,
+    whose split references all of it anyway.  Parameters are validated
+    eagerly, at call time.
     """
     num_classes = generator.config.num_classes
     needed = base_classes + steps * classes_per_step

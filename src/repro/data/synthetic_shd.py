@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.data.datasets import SpikeDataset
 from repro.data.events import EventStream
 from repro.errors import ConfigError, DataError
@@ -128,15 +129,27 @@ class _Trajectory:
 class SyntheticSHD:
     """Deterministic generator of SHD-like spike recordings.
 
+    Recordings are memoized per instance on ``(class_id, sample_id)``:
+    every split, step, resume and shared-pretraining run that uses this
+    generator reuses the stream drawn first instead of re-synthesizing
+    it.  The memo is bounded by the finite ``(class, sample)`` pool the
+    callers draw from and holds only what their splits reference
+    anyway.  Memoized streams are read-only (their arrays are not
+    writeable), so no caller can corrupt a recording another split
+    shares.
+
     >>> gen = SyntheticSHD(SyntheticSHDConfig(num_channels=64, num_classes=4), seed=0)
     >>> stream = gen.generate(class_id=1, sample_id=0)
     >>> stream.num_channels
     64
+    >>> gen.generate(class_id=1, sample_id=0) is stream
+    True
     """
 
     def __init__(self, config: SyntheticSHDConfig, seed: int = 0):
         self.config = config
         self.seed = int(seed)
+        self._memo: dict[tuple[int, int], EventStream] = {}
         # Shared anchor pool: evenly spread channel positions with a
         # seeded perturbation.  All class prototypes draw endpoints from
         # this pool, which overlaps their channel occupancy (see
@@ -243,7 +256,27 @@ class SyntheticSHD:
         return field
 
     def generate(self, class_id: int, sample_id: int) -> EventStream:
-        """Draw one recording of ``class_id`` (deterministic per sample_id)."""
+        """One recording of ``class_id`` (deterministic per sample_id).
+
+        Drawn on the first request, then returned from the instance's
+        memo: repeated requests give the *same* read-only stream.  The
+        ``data.recordings`` counter tags each request ``source="drawn"``
+        or ``source="memo"``.
+        """
+        key = (class_id, sample_id)
+        stream = self._memo.get(key)
+        if stream is not None:
+            obs.count("data.recordings", source="memo")
+            return stream
+        stream = self._draw(class_id, sample_id)
+        stream.times.flags.writeable = False
+        stream.channels.flags.writeable = False
+        self._memo[key] = stream
+        obs.count("data.recordings", source="drawn")
+        return stream
+
+    def _draw(self, class_id: int, sample_id: int) -> EventStream:
+        """Synthesize one recording from its own ``(seed, class, sample)`` RNG."""
         self._check_class(class_id)
         cfg = self.config
         rng = spawn(self.seed, f"sample:{class_id}:{sample_id}")

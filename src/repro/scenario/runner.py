@@ -564,6 +564,10 @@ def run_scenario(
                         )
             if on_step is not None:
                 on_step(step.index, result)
+            if max_steps is not None and len(results) >= max_steps:
+                # Stop before advancing: the next step's split would be
+                # materialized only to be discarded.
+                break
             step = next(step_iter, None)
 
         sessions = len(results) + 1

@@ -17,6 +17,7 @@ from repro.eval.scale import get_scale
 from repro.replaystore import FederatedReplayStore
 from repro.scenario import (
     ScenarioResult,
+    SequentialScenario,
     average_accuracy,
     backward_transfer,
     forgetting,
@@ -230,6 +231,28 @@ class TestRunScenarioAPI:
             pretrained=dense.steps[-1].network,
         )
         assert 0.0 <= result.pretrain_accuracy <= 1.0
+
+    def test_max_steps_stops_before_building_the_next_step(self, env, monkeypatch):
+        # Stopping after step 0 builds step 0's split (4 datasets) and
+        # never materializes step 1's.
+        _, experiment = env
+        generator = SyntheticSHD(get_scale("ci").shd, seed=experiment.seed)
+        built = []
+        generate_dataset = generator.generate_dataset
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("split"))
+            return generate_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "generate_dataset", counting)
+        result = run_scenario(
+            SequentialScenario(steps_count=3),
+            generator=generator,
+            experiment=experiment,
+            max_steps=1,
+        )
+        assert len(result.steps) == 1
+        assert len(built) == 4
 
 
 class TestExperimentsWiring:
