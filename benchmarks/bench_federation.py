@@ -1,28 +1,13 @@
-"""Federated replay with async shard prefetch: on-vs-off step time.
+"""Federated replay: store-backed sequential step time and rebalance.
 
-Two layers of measurement:
-
-- ``test_sequential_step_prefetch_{on,off}`` — the real thing: a full
-  store-backed ``run_sequential`` (2 continual steps, ci experiment
-  scale, replay persisted into a per-step federation) timed end to end
-  with the background shard-decode worker enabled vs disabled.
-- ``test_replay_epoch_prefetch_{on,off}`` — the storage layer in
-  isolation: a shuffled ``DataLoader`` epoch over a
-  ``ConcatReplaySource`` whose replay half streams from a federation
-  member, with a fixed matmul standing in for the SNN step, sized by
+- ``test_sequential_step`` — a full store-backed ``run_sequential`` (2
+  continual steps, ci experiment scale, replay persisted into a per-step
+  federation) timed end to end.  Each step reads its member store back
+  once, so the row's ``extra_info`` records one shard decode per stored
+  shard per step.
+- ``test_federated_rebalance`` times the between-steps budget-eviction
+  pass (policy sweep + cross-member shard rewrite), sized by
   ``REPRO_BENCH_SCALE`` like the other storage benches.
-
-Reading the pair honestly: prefetch moves shard decode onto a second
-core.  On a multi-core host the decode hides behind training compute
-and ``on`` should not exceed ``off`` by more than queue-handoff noise;
-on a single-core runner there is no second core to hide work on, so
-``on`` pays a few percent of switching overhead instead — which is
-exactly what ``REPRO_PREFETCH=0`` is for.  Correctness never depends on
-the mode (``test_prefetch_parity_guard`` and the bitwise tests in
-``tests/core/test_sequential_store.py``).
-
-``test_federated_rebalance`` times the between-steps budget-eviction
-pass (policy sweep + cross-member shard rewrite).
 """
 
 import itertools
@@ -33,20 +18,13 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.data.loaders import DataLoader
-from repro.replaystore import (
-    ConcatReplaySource,
-    FederatedReplayStore,
-    PrefetchingStream,
-    ReplayStore,
-    ReplayStream,
-)
+from repro.replaystore import FederatedReplayStore, ReplayStore
 
-#: (stored_frames, samples per member, channels, shard_samples, compute_dim)
+#: (stored_frames, samples per member, channels, shard_samples)
 _SCALE_SIZES = {
-    "ci": (16, 48, 48, 8, 64),
-    "bench": (40, 192, 128, 16, 192),
-    "paper": (40, 768, 256, 32, 384),
+    "ci": (16, 48, 48, 8),
+    "bench": (40, 192, 128, 16),
+    "paper": (40, 768, 256, 32),
 }
 
 
@@ -61,14 +39,14 @@ def _sizes():
 
 
 # ----------------------------------------------------------------------
-# The real thing: store-backed sequential NCL, prefetch on vs off
+# Store-backed sequential NCL, end to end
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def sequential_scenario():
     """Pre-trained network + 2-step splits at the ci experiment scale.
 
     The experiment scale stays ``ci`` regardless of REPRO_BENCH_SCALE:
-    the pair isolates the storage path's contribution to step time, and
+    the row isolates the storage path's contribution to step time, and
     larger simulator workloads only drown it in SNN compute.
     """
     from repro.core.pipeline import pretrain
@@ -97,7 +75,7 @@ def sequential_scenario():
     return exp, pretrained.network, splits
 
 
-def _bench_sequential(benchmark, sequential_scenario, tmp_path, prefetch):
+def test_sequential_step(benchmark, sequential_scenario, tmp_path):
     from repro.core import Replay4NCL, ReplaySpec
     from repro.core.sequential import run_sequential
 
@@ -110,27 +88,29 @@ def _bench_sequential(benchmark, sequential_scenario, tmp_path, prefetch):
             lambda k: Replay4NCL(exp),
             network,
             splits,
-            replay=ReplaySpec(store_dir=root, shard_samples=8, prefetch=prefetch),
+            replay=ReplaySpec(store_dir=root, shard_samples=8),
         )
 
     result = benchmark(step)
     assert result.store_root is not None
-
-
-def test_sequential_step_prefetch_on(benchmark, sequential_scenario, tmp_path):
-    _bench_sequential(benchmark, sequential_scenario, tmp_path, prefetch=True)
-
-
-def test_sequential_step_prefetch_off(benchmark, sequential_scenario, tmp_path):
-    _bench_sequential(benchmark, sequential_scenario, tmp_path, prefetch=False)
+    # One untimed traced run: every step decodes each of its shards once.
+    recorder = obs.Recorder()
+    with obs.use_recorder(recorder):
+        traced = step()
+    decoded = sum(e.total for e in recorder.metrics() if e.name == "store.shards_decoded")
+    federation = FederatedReplayStore.open(traced.store_root)
+    shards = sum(store.num_shards for _name, store in federation.members())
+    benchmark.extra_info["shards_decoded"] = decoded
+    benchmark.extra_info["shards_stored"] = shards
+    assert decoded == shards
 
 
 # ----------------------------------------------------------------------
-# Storage layer in isolation: federated replay epoch
+# Between-steps maintenance: budgeted cross-member eviction
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def federation(tmp_path_factory):
-    frames, samples, channels, shard_samples, _ = _sizes()
+    frames, samples, channels, shard_samples = _sizes()
     rng = np.random.default_rng(0)
     root = tmp_path_factory.mktemp("bench-federation") / "fed"
     fed = FederatedReplayStore.create(root, seed=0)
@@ -150,105 +130,6 @@ def federation(tmp_path_factory):
     return fed
 
 
-@pytest.fixture(scope="module")
-def workload(federation):
-    """Dense new-task half, labels, and the compute stand-in."""
-    frames, samples, channels, shard_samples, compute_dim = _sizes()
-    rng = np.random.default_rng(1)
-    dense = (rng.random((frames, samples // 2, channels)) < 0.1).astype(
-        np.float32
-    )
-    member = federation.member("task-0")
-    total = dense.shape[1] + member.num_samples
-    labels = np.arange(total) % 10
-    weights = rng.standard_normal((channels, compute_dim)).astype(np.float32)
-
-    def compute(batch):
-        return float(np.tanh(batch @ weights).sum())
-
-    return dense, member, labels, compute
-
-
-def _epoch(source, labels, compute, *, batch_size=16, seed=2):
-    loader = DataLoader(
-        source,
-        labels,
-        batch_size=batch_size,
-        shuffle=True,
-        rng=np.random.default_rng(seed),
-    )
-    total = 0.0
-    for inputs, _ in loader:
-        total += compute(inputs)
-    return total
-
-
-def _bench_epoch(benchmark, workload, prefetch):
-    # One stream serves every round (matching NCLMethod.run): the
-    # per-epoch timing must not re-pay worker start-up each round.
-    # Recording runs under an explicit obs recorder so the result rows
-    # carry the queue-depth / cache-hit numbers the prefetch tuning
-    # item needs (aggregated across every timed round).
-    dense, member, labels, compute = workload
-    recorder = obs.Recorder()
-    with obs.use_recorder(recorder):
-        replay = PrefetchingStream(
-            ReplayStream(member, cache_shards=2), enabled=prefetch
-        )
-        try:
-            source = ConcatReplaySource(dense, replay)
-            benchmark(lambda: _epoch(source, labels, compute))
-        finally:
-            replay.close()
-    hits = misses = 0.0
-    for metric in recorder.metrics():
-        if metric.name == "prefetch.queue_depth":
-            benchmark.extra_info["queue_depth_max"] = metric.high
-            benchmark.extra_info["queue_depth_mean"] = round(metric.mean, 3)
-        elif metric.name == "prefetch.wait_seconds":
-            benchmark.extra_info["prefetch_wait_mean_s"] = round(metric.mean, 6)
-        elif metric.name == "prefetch.queued":
-            benchmark.extra_info["prefetch_queued"] = metric.total
-        elif metric.name == "prefetch.dropped":
-            benchmark.extra_info["prefetch_dropped"] = metric.total
-        elif metric.name == "store.cache_hits":
-            hits = metric.total
-        elif metric.name == "store.cache_misses":
-            misses = metric.total
-    benchmark.extra_info["cache_hits"] = hits
-    benchmark.extra_info["cache_misses"] = misses
-    if hits + misses:
-        benchmark.extra_info["cache_hit_rate"] = round(hits / (hits + misses), 4)
-
-
-def test_replay_epoch_prefetch_on(benchmark, workload):
-    _bench_epoch(benchmark, workload, prefetch=True)
-
-
-def test_replay_epoch_prefetch_off(benchmark, workload):
-    _bench_epoch(benchmark, workload, prefetch=False)
-
-
-def test_prefetch_parity_guard(workload):
-    """Not a timing: the two modes must reduce to the same numbers."""
-    dense, member, labels, compute = workload
-    totals = {}
-    for mode in (True, False):
-        replay = PrefetchingStream(
-            ReplayStream(member, cache_shards=2), enabled=mode
-        )
-        try:
-            totals[mode] = _epoch(
-                ConcatReplaySource(dense, replay), labels, compute
-            )
-        finally:
-            replay.close()
-    assert totals[True] == totals[False]
-
-
-# ----------------------------------------------------------------------
-# Between-steps maintenance: budgeted cross-member eviction
-# ----------------------------------------------------------------------
 def test_federated_rebalance(benchmark, federation, tmp_path):
     """Budget-eviction pass between steps: policy sweep + member rewrite."""
     source = federation

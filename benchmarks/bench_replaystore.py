@@ -1,12 +1,14 @@
-"""Replay-store throughput: shard encode, decode, and streamed gather.
+"""Replay-store throughput: shard encode, decode, materialize and gather.
 
 Wall-clock benchmarks of the storage engine's hot paths, sized by
 ``REPRO_BENCH_SCALE`` like the other micro benches:
 
-- ``encode``/``decode`` — the per-shard codec round-trip (the cost a
-  store-backed epoch pays per cache miss);
-- ``stream_gather`` — shuffled minibatch gathers through the LRU'd
-  :class:`ReplayStream`, i.e. the actual replay path;
+- ``encode``/``decode`` — the per-shard codec round-trip (a store-backed
+  NCL run pays one decode per shard);
+- ``stream_materialize`` — reading the whole store back once, i.e. what
+  a store-backed NCL run does before training;
+- ``stream_gather`` — shuffled minibatch gathers through
+  :class:`ReplayStream`, each decoding the shards it touches;
 - ``dense_gather`` — the same access pattern on the resident array, the
   price-of-admission comparison for going disk-backed.
 """
@@ -76,9 +78,15 @@ def test_shard_decode(benchmark, workload):
     benchmark(decode_shard, blob)
 
 
+def test_stream_materialize(benchmark, store, workload):
+    raster, _, _ = workload
+    result = benchmark(ReplayStream(store).materialize)
+    np.testing.assert_array_equal(result, raster)
+
+
 def test_stream_gather(benchmark, store, workload):
     raster, _, _ = workload
-    stream = ReplayStream(store, cache_shards=2)
+    stream = ReplayStream(store)
     rng = np.random.default_rng(1)
     batches = [
         rng.choice(raster.shape[1], size=16, replace=False) for _ in range(8)

@@ -98,7 +98,7 @@ def store_backed_ncl(workdir: Path) -> None:
         and [r.loss for r in in_memory.history]
         == [r.loss for r in store_backed.history]
     )
-    print(f"  bitwise-identical trajectory via lazy ReplayStream: {identical}")
+    print(f"  bitwise-identical trajectory via read-once ReplayStream: {identical}")
     print(f"  store at {store_backed.replay_store_path}")
 
 

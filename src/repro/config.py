@@ -24,7 +24,6 @@ __all__ = [
     "ENV_FLAGS",
     "env_flag",
     "env_value",
-    "env_switch",
     "BACKEND_CHOICES",
     "backend_selection",
     "trace_selection",
@@ -291,13 +290,6 @@ ENV_FLAGS: tuple[EnvFlag, ...] = (
         "`auto` probes availability in speed order (c, numpy).",
     ),
     EnvFlag(
-        "REPRO_PREFETCH",
-        "1",
-        "1 | 0",
-        "Kill switch for the background shard-prefetch worker on "
-        "store-backed replay streams.",
-    ),
-    EnvFlag(
         "REPRO_BENCH_SCALE",
         "bench",
         "ci | bench | paper",
@@ -349,18 +341,6 @@ def env_value(name: str) -> str:
     """
     flag = env_flag(name)
     return os.environ.get(flag.name, flag.default)
-
-
-def env_switch(name: str) -> bool:
-    """Read a declared boolean on/off environment flag.
-
-    Anything other than ``"0"``/``"false"``/``"off"`` (case-insensitive)
-    counts as on; an unset variable takes the flag's declared default.
-    Consulted at every use site, so flipping the variable mid-process
-    takes effect immediately.
-    """
-    raw = os.environ.get(name, env_flag(name).default)
-    return raw.lower() not in ("0", "false", "off")
 
 
 def backend_selection() -> str:

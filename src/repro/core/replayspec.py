@@ -50,9 +50,10 @@ class ReplaySpec:
         Replace an existing store/federation at ``store_dir`` instead of
         refusing to clobber it (the re-run switch).
     prefetch:
-        Async shard prefetch on the store-backed path: ``True``/``False``
-        force it, ``None`` defers to the ``REPRO_PREFETCH`` environment
-        switch.  Output is bitwise-identical either way.
+        Accepted for compatibility and has no effect: the store-backed
+        path reads each replay shard once per run, so there is no decode
+        latency left to prefetch.  Like the other store options it
+        requires ``store_dir``.
     federation_budget_bytes:
         Optional global byte budget enforced across all steps' member
         stores by cross-member eviction (multi-step runs only).

@@ -13,14 +13,16 @@ agents face a *stream* of new classes; this module chains NCL steps:
 This is the natural extension of Alg. 1 and the stress test for the
 paper's parameter adjustments: forgetting can now compound across steps.
 
-Long sequences should not hold replay densely: pass
+Long sequences should not keep every step's replay in memory: pass
 ``replay=ReplaySpec(store_dir=...)`` to persist every step's latent
 data as a member of a
-:class:`~repro.replaystore.federation.FederatedReplayStore` — each step
-trains through a lazy (optionally prefetching) shard stream, so peak
-resident replay memory stays bounded by the shard size no matter how
-many tasks the stream brings, and an optional global byte budget is
-enforced across all steps' stores by cross-member eviction.
+:class:`~repro.replaystore.federation.FederatedReplayStore`.  Each step
+reads its own member back once, decoding every shard once, and trains
+on that raster exactly as the dense path would; only the current step's
+replay set is ever resident.  An optional global byte budget caps the
+archive: after a step trains, cross-member eviction brings the
+federation back under budget, so the budget never shrinks the replay
+set the current step trains on.
 """
 
 from __future__ import annotations
@@ -236,12 +238,11 @@ def run_sequential(
     bare federation root path).  With ``store_dir`` set, step k persists
     its latent replay data as member store ``store_dir/step-<k>`` of a
     :class:`~repro.replaystore.federation.FederatedReplayStore` instead
-    of holding a dense per-task buffer, and trains through a lazy shard
-    stream — peak resident replay memory is bounded by the stream's
-    two-shard decode cache (``2 * spec.shard_samples`` dense samples)
-    for *every* step of an arbitrary-length task stream, while training
-    trajectories stay bitwise-identical to the dense path at the same
-    seed.  ``spec.overwrite`` replaces an existing federation (the
+    of holding every step's buffer in memory; the step reads that member
+    back once (each shard decoded once) and trains on it, so only the
+    current step's replay set is resident however long the task stream
+    runs, and training trajectories stay bitwise-identical to the dense
+    path at the same seed.  ``spec.overwrite`` replaces an existing federation (the
     re-run switch); ``spec.federation_budget_bytes`` caps the persistent
     archive across *all* steps' stores together — after each step the
     federation rebalances through ``spec.federation_policy`` (seeded by

@@ -84,9 +84,9 @@ class NCLResult:
     #: Directory of the on-disk replay store when the run used the
     #: store-backed path (``ReplaySpec.store_dir``); None for in-memory runs.
     replay_store_path: str | None = None
-    #: Measured high-water mark of decoded replay bytes resident during
-    #: store-backed training (the stream's LRU residency); 0 for
-    #: in-memory runs, where the whole buffer is always resident.
+    #: Bytes of the decoded replay raster a store-backed run reads back
+    #: once and trains on; 0 for in-memory runs, where the whole buffer
+    #: is always resident.
     replay_peak_resident_bytes: int = 0
     #: Spans + metrics this run recorded (see :mod:`repro.obs`); None
     #: unless tracing was enabled (``REPRO_TRACE``/``obs.use_recorder``).
@@ -165,22 +165,17 @@ class NCLMethod:
         persisted as a sharded
         :class:`~repro.replaystore.store.ReplayStore` at that directory
         (streamed chunk-by-chunk when no generation controller is
-        active, so not even generation holds the dense buffer), and
-        training pulls replay minibatches through a lazy
-        :class:`~repro.replaystore.stream.ReplayStream` (shard-at-a-time
-        decode).  The training trajectory is bitwise-identical to the
-        in-memory path at the same seed — shard codecs are lossless and
-        the minibatch order is unchanged — while peak resident replay
-        memory stays bounded by the stream's decode cache: two decoded
-        shards, i.e. ``2 * spec.shard_samples`` dense samples (measured
-        into ``NCLResult.replay_peak_resident_bytes``).
-
-        ``spec.prefetch`` controls async shard prefetch on that path: a
-        background thread decodes the next minibatch's shards while the
-        current batch trains (see
-        :class:`~repro.replaystore.prefetch.PrefetchingStream` — output
-        is bitwise-identical either way).  ``None`` defers to the
-        ``REPRO_PREFETCH`` environment switch.
+        active, so not even generation holds the dense buffer), then
+        read back once through a
+        :class:`~repro.replaystore.stream.ReplayStream` — each shard
+        read, checked against the index and decoded once per run — and
+        concatenated with the new-task activations exactly as the dense
+        path does.  The training trajectory is therefore bitwise-
+        identical to the in-memory path at the same seed (shard codecs
+        are lossless and the minibatch order is unchanged), and the
+        decoded replay raster's size is reported as
+        ``NCLResult.replay_peak_resident_bytes``.  ``spec.prefetch`` is
+        accepted for compatibility and has no effect.
         """
         replay = resolve_replay_spec(replay)
         if replay is None:
@@ -250,7 +245,7 @@ class NCLMethod:
         latent_frames = 0
         decompressed_cells = 0
         store_path: str | None = None
-        replay_view = None
+        replay_raster = None
         if buffer is not None:
             latent_bytes = buffer.storage_bytes()
             latent_frames = buffer.stored_frames
@@ -260,12 +255,10 @@ class NCLMethod:
             replay_raster = buffer.materialize(
                 decompress=self.decompress_for_replay()
             )
-            train_inputs = np.concatenate([new_activations, replay_raster], axis=1)
-            train_labels = np.concatenate([new_labels, buffer.labels])
+            replay_labels = buffer.labels
         elif store is not None:
             from repro.hw.memory import latent_memory_bytes
-            from repro.replaystore.prefetch import PrefetchingStream
-            from repro.replaystore.stream import ConcatReplaySource, ReplayStream
+            from repro.replaystore.stream import ReplayStream
 
             # Path-independent accounting: same storage model the dense
             # buffer would have reported (asserted in the parity tests).
@@ -273,97 +266,86 @@ class NCLMethod:
                 store.meta.stored_frames, store.num_samples, store.meta.num_channels
             )
             latent_frames = store.meta.stored_frames
+            replay_raster = ReplayStream(
+                store, decompress=self.decompress_for_replay()
+            ).materialize()
             if self.decompress_for_replay():
-                decompressed_cells = int(
-                    store.meta.generated_timesteps
-                    * store.num_samples
-                    * store.meta.num_channels
-                )
-            stream = ReplayStream(store, decompress=self.decompress_for_replay())
-            replay_view = PrefetchingStream(stream, enabled=replay.prefetch)
-            train_inputs = ConcatReplaySource(new_activations, replay_view)
-            train_labels = np.concatenate([new_labels, store.labels])
+                decompressed_cells = int(replay_raster.size)
+            replay_labels = store.labels
             store_path = str(store.root)
-        else:
+        if replay_raster is None:
             train_inputs = new_activations
             train_labels = new_labels
+        else:
+            train_inputs = np.concatenate([new_activations, replay_raster], axis=1)
+            train_labels = np.concatenate([new_labels, replay_labels])
 
         # ---- NCL training (Alg. 1 lines 21-33) ------------------------
-        # The try covers everything from here to the end of training:
-        # replay_view owns a live worker thread, so any failure before
-        # fit() must still join it (not just failures inside fit).
-        try:
-            controller = self.make_controller()
-            optimizer = Adam(
-                network.trainable_parameters(), self.learning_rate()
-            )
-            trainer = Trainer(
-                network,
-                optimizer,
-                TrainerConfig(
-                    epochs=config.ncl.epochs,
-                    batch_size=config.ncl.batch_size,
-                    start_layer=insertion,
-                ),
-                rng=rng,
-                controller=controller,
-            )
-
-            # Deployment semantics of Alg. 1: the frozen front keeps its
-            # static threshold and never changes during NCL, so each test
-            # set crosses it once per run, in predict's chunks (each chunk
-            # matches a full predict); epochs run only the learning layers.
-            def front(dense: np.ndarray) -> np.ndarray:
-                cuts = range(PREDICT_BATCH, dense.shape[1], PREDICT_BATCH)
-                chunks = np.split(dense, cuts, axis=1)
-                return np.concatenate([network.activations_at(insertion, c) for c in chunks], 1)
-
-            old_test = front(split.pretrain_test.to_dense(timesteps))
-            new_test = front(split.new_test.to_dense(timesteps))
-            old_labels = split.pretrain_test.labels
-            new_test_labels = split.new_test.labels
-            preds: dict[str, np.ndarray] = {}
-
-            def predict(key: str, inputs: np.ndarray) -> np.ndarray:
-                preds[key] = network.predict(
-                    inputs,
-                    start_layer=insertion,
-                    controller=self.make_controller(),
-                    controller_from_layer=insertion,
-                )
-                return preds[key]
-
-            def eval_old() -> float:
-                return top1_accuracy(predict("old", old_test), old_labels)
-
-            def eval_new() -> float:
-                return top1_accuracy(predict("new", new_test), new_test_labels)
-
-            def eval_overall() -> float:
-                # This epoch's old/new predictions (evaluators run in order).
-                both = np.concatenate([preds.pop("old"), preds.pop("new")])
-                labels = np.concatenate([old_labels, new_test_labels])
-                return top1_accuracy(both, labels)
-
-            with obs.span(
-                "ncl.train",
-                category="scenario",
-                method=self.name,
+        controller = self.make_controller()
+        optimizer = Adam(network.trainable_parameters(), self.learning_rate())
+        trainer = Trainer(
+            network,
+            optimizer,
+            TrainerConfig(
                 epochs=config.ncl.epochs,
-            ):
-                history = trainer.fit(
-                    train_inputs,
-                    train_labels,
-                    evaluators={
-                        "old_task_accuracy": eval_old,
-                        "new_task_accuracy": eval_new,
-                        "overall_accuracy": eval_overall,
-                    },
-                )
-        finally:
-            if replay_view is not None:
-                replay_view.close()
-        peak_resident = replay_view.peak_cache_bytes if replay_view else 0
+                batch_size=config.ncl.batch_size,
+                start_layer=insertion,
+            ),
+            rng=rng,
+            controller=controller,
+        )
+
+        # Deployment semantics of Alg. 1: the frozen front keeps its
+        # static threshold and never changes during NCL, so each test
+        # set crosses it once per run, in predict's chunks (each chunk
+        # matches a full predict); epochs run only the learning layers.
+        def front(dense: np.ndarray) -> np.ndarray:
+            cuts = range(PREDICT_BATCH, dense.shape[1], PREDICT_BATCH)
+            chunks = np.split(dense, cuts, axis=1)
+            return np.concatenate([network.activations_at(insertion, c) for c in chunks], 1)
+
+        old_test = front(split.pretrain_test.to_dense(timesteps))
+        new_test = front(split.new_test.to_dense(timesteps))
+        old_labels = split.pretrain_test.labels
+        new_test_labels = split.new_test.labels
+        preds: dict[str, np.ndarray] = {}
+
+        def predict(key: str, inputs: np.ndarray) -> np.ndarray:
+            preds[key] = network.predict(
+                inputs,
+                start_layer=insertion,
+                controller=self.make_controller(),
+                controller_from_layer=insertion,
+            )
+            return preds[key]
+
+        def eval_old() -> float:
+            return top1_accuracy(predict("old", old_test), old_labels)
+
+        def eval_new() -> float:
+            return top1_accuracy(predict("new", new_test), new_test_labels)
+
+        def eval_overall() -> float:
+            # This epoch's old/new predictions (evaluators run in order).
+            both = np.concatenate([preds.pop("old"), preds.pop("new")])
+            labels = np.concatenate([old_labels, new_test_labels])
+            return top1_accuracy(both, labels)
+
+        with obs.span(
+            "ncl.train",
+            category="scenario",
+            method=self.name,
+            epochs=config.ncl.epochs,
+        ):
+            history = trainer.fit(
+                train_inputs,
+                train_labels,
+                evaluators={
+                    "old_task_accuracy": eval_old,
+                    "new_task_accuracy": eval_new,
+                    "overall_accuracy": eval_overall,
+                },
+            )
 
         epoch_costs = self._collect_epoch_costs(
             trainer, network, insertion, new_inputs, decompressed_cells, timesteps
@@ -386,7 +368,7 @@ class NCLMethod:
             prepare_cost=prepare_cost,
             network=network,
             replay_store_path=store_path,
-            replay_peak_resident_bytes=peak_resident,
+            replay_peak_resident_bytes=replay_raster.nbytes if store is not None else 0,
             trace=trace,
         )
 

@@ -1,4 +1,4 @@
-"""Minibatch iteration over dense spike rasters and lazy batch sources."""
+"""Minibatch iteration over dense spike rasters."""
 
 from __future__ import annotations
 
@@ -18,12 +18,7 @@ class DataLoader:
     ----------
     inputs:
         ``[T, N, C]`` dense rasters (or ``[T, N, C_latent]`` latent
-        activations — the loader is agnostic), **or** a lazy batch
-        source: any object with a 3-tuple ``.shape`` and a
-        ``.gather(indices) -> [T, k, C]`` method (e.g.
-        :class:`~repro.replaystore.stream.ConcatReplaySource`).  Lazy
-        sources let replay data stay on disk; the loader materialises
-        only one minibatch at a time.
+        activations — the loader is agnostic).
     labels:
         ``[N]`` integer labels.
     batch_size:
@@ -34,16 +29,14 @@ class DataLoader:
 
     def __init__(
         self,
-        inputs,
+        inputs: np.ndarray,
         labels: np.ndarray,
         batch_size: int,
         shuffle: bool = True,
         rng: np.random.Generator | None = None,
     ):
-        self._lazy = not isinstance(inputs, np.ndarray) and hasattr(inputs, "gather")
-        if not self._lazy:
-            inputs = np.asarray(inputs)
-        shape = tuple(inputs.shape)
+        inputs = np.asarray(inputs)
+        shape = inputs.shape
         labels = np.asarray(labels)
         if len(shape) != 3:
             raise DataError(f"inputs must be [T, N, C], got shape {shape}")
@@ -73,22 +66,6 @@ class DataLoader:
         order = np.arange(self.num_samples)
         if self.shuffle:
             self.rng.shuffle(order)
-        starts = range(0, self.num_samples, self.batch_size)
-        batches = [order[start : start + self.batch_size] for start in starts]
-        # Lazy sources that can warm themselves (PrefetchingStream via
-        # ConcatReplaySource) are told the *next* batch's indices after
-        # the current batch is materialised but before it is served: its
-        # shards then decode on the background thread while the consumer
-        # trains on this batch.  Advising after the gather matters — the
-        # other order would have the warm-up evict shards the current
-        # gather is about to touch.  Purely advisory: batch content and
-        # order are unaffected.
-        advise = getattr(self.inputs, "prefetch", None) if self._lazy else None
-        for i, batch in enumerate(batches):
-            if self._lazy:
-                data = self.inputs.gather(batch)
-            else:
-                data = self.inputs[:, batch, :]
-            if advise is not None and i + 1 < len(batches):
-                advise(batches[i + 1])
-            yield data, self.labels[batch]
+        for start in range(0, self.num_samples, self.batch_size):
+            batch = order[start : start + self.batch_size]
+            yield self.inputs[:, batch, :], self.labels[batch]

@@ -188,7 +188,7 @@ class EnvAccessRule(Rule):
                     node,
                     f"direct environment access {full}()",
                     "declare the flag in repro.config.ENV_FLAGS and read "
-                    "it via env_value()/env_switch()",
+                    "it via env_value()",
                 )
             return
         # Name covers `from os import environ`; Attribute covers
@@ -200,7 +200,7 @@ class EnvAccessRule(Rule):
                 node,
                 "direct os.environ access",
                 "declare the flag in repro.config.ENV_FLAGS and read it "
-                "via env_value()/env_switch()",
+                "via env_value()",
             )
 
 

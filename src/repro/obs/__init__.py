@@ -4,11 +4,10 @@
 way to account for where time and bytes go:
 
 - **Spans** — hierarchical context-manager timings with attributes,
-  nested per thread (the prefetch worker's decode spans root their own
-  tree), driven by an injectable monotonic :class:`~repro.obs.clock.Clock`.
+  nested per thread (a worker thread's spans root their own tree),
+  driven by an injectable monotonic :class:`~repro.obs.clock.Clock`.
 - **Metrics** — counters (bytes encoded/decoded, kernel calls per
-  backend), gauges (prefetch queue depth) and histograms (prefetch
-  wait time) on the same recorder.
+  backend), gauges and histograms on the same recorder.
 - **Recorder selection** — ``REPRO_TRACE=0|1|<path>`` via
   :func:`repro.config.trace_selection`, memoized like the kernel
   backend registry; the disabled path is a shared no-op recorder whose

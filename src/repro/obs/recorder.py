@@ -2,10 +2,9 @@
 
 The heart of :mod:`repro.obs`.  A :class:`Recorder` collects
 hierarchical :class:`SpanRecord` timings (context-manager spans, nested
-per *thread* so the prefetch worker's decode spans form their own tree
-root) and counter/gauge/histogram metrics, all under one lock so the
-background decode worker and the training thread can record
-concurrently.
+per *thread* so a worker thread's spans form their own tree root) and
+counter/gauge/histogram metrics, all under one lock so several threads
+can record concurrently.
 
 Selection mirrors the kernel-backend registry
 (:mod:`repro.snn.backends`): the process-wide recorder is memoized on
@@ -61,8 +60,7 @@ class SpanRecord:
         name: Hierarchical span name, e.g. ``"kernel.lif_forward"``.
         category: Coarse grouping (``"kernel"``, ``"store"``, ...) used
             as the Chrome trace-event category.
-        thread: Name of the recording thread (``"replay-prefetch"`` for
-            worker-side decodes).
+        thread: Name of the recording thread.
         start: Clock reading at entry, seconds.
         end: Clock reading at exit, seconds.
         attrs: JSON-serializable key/value annotations.

@@ -3,10 +3,10 @@
 The paper's latent replay buffer, grown into a storage system: shards of
 codec-compressed binary rasters on disk (``format``/``store``), hard
 byte budgets with pluggable admission/eviction (``policies``/
-``builder``), lazy shard-at-a-time replay into training (``stream``),
-async shard prefetch overlapping decode with the SNN step
-(``prefetch``), and multi-store federation for long task sequences
-under one global budget (``federation``).
+``builder``), shard-granular reads that decode each touched shard once
+per call (``stream``), and multi-store federation for long task
+sequences, whose global budget caps the archive between steps
+(``federation``).
 ``LatentReplayBuffer.to_store()`` and the run entry points with a
 store-backed spec — ``NCLMethod.run(...,
 replay=ReplaySpec(store_dir=...))``, ``run_sequential`` /
@@ -46,8 +46,7 @@ from repro.replaystore.store import (
     StoreMeta,
     StoreStats,
 )
-from repro.replaystore.prefetch import PrefetchingStream, prefetch_enabled
-from repro.replaystore.stream import ConcatReplaySource, ReplayStream
+from repro.replaystore.stream import ReplayStream
 
 __all__ = [
     "CODEC_AER",
@@ -69,10 +68,7 @@ __all__ = [
     "ShardInfo",
     "StoreMeta",
     "StoreStats",
-    "ConcatReplaySource",
     "ReplayStream",
-    "PrefetchingStream",
-    "prefetch_enabled",
     "FederatedReplayStore",
     "FederationStats",
 ]

@@ -62,8 +62,8 @@ INDEX_NAME = "index.json"
 LOCK_NAME = "index.json.lock"
 INDEX_VERSION = 1
 
-#: Default samples per shard; also the replay-time decode granularity
-#: (peak resident replay memory is ~``shard_samples`` dense samples).
+#: Default samples per shard: the unit of encoding, decoding and
+#: eviction-driven rewrites.
 DEFAULT_SHARD_SAMPLES = 64
 
 _Parsed = TypeVar("_Parsed")

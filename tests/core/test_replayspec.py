@@ -7,6 +7,7 @@ shims and are now gone: passing them is a ``TypeError``, and the specs
 below are the only spelling.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import NaiveFinetune, Replay4NCL, ReplaySpec, run_method
@@ -59,6 +60,34 @@ class TestReplaySpecValidation:
         # Federation-level fields are stripped: the runner owns them.
         assert member.federation_budget_bytes is None
         assert member.federation_seed == 0
+
+    def test_prefetch_has_no_effect(
+        self, ci_pretrained, ci_split, ci_preset, tmp_path, monkeypatch
+    ):
+        from repro.replaystore.prefetch import PrefetchingStream
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the library must not build PrefetchingStream")
+
+        monkeypatch.setattr(PrefetchingStream, "__init__", refuse)
+        runs = [
+            run_method(
+                Replay4NCL(ci_preset.experiment),
+                ci_pretrained,
+                ci_split,
+                replay=ReplaySpec(
+                    store_dir=tmp_path / f"store-{mode}", prefetch=mode
+                ),
+            )
+            for mode in (None, True, False)
+        ]
+        reference = runs[0]
+        for other in runs[1:]:
+            assert other.history == reference.history
+            for p_ref, p_other in zip(
+                reference.network.parameters(), other.network.parameters()
+            ):
+                np.testing.assert_array_equal(p_ref.data, p_other.data)
 
     def test_member_requires_store(self):
         with pytest.raises(ConfigError, match="store-backed"):

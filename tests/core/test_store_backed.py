@@ -4,14 +4,16 @@ The acceptance bar for the replaystore subsystem: running a full NCL
 phase with the replay buffer on disk (``ReplaySpec(store_dir=...)``) must
 reproduce the in-memory path **exactly** — same losses, same accuracy
 curve, same final weights — because the shard codecs are lossless and
-the minibatch schedule is unchanged.  Peak resident replay memory is
-bounded by the shard size (asserted via the stream's decode cache).
+the minibatch schedule is unchanged.  The run reads its store back once:
+every shard is decoded exactly once, however many epochs train on it.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import Replay4NCL, ReplaySpec, SpikingLR, run_method
+from repro.core.raw_replay import RawInputReplay
 from repro.core.latent_replay import LatentReplayBuffer
 from repro.hw.memory import audit_store
 from repro.replaystore import ReplayStore, ReplayStream
@@ -61,6 +63,19 @@ class TestBitwiseParity:
             ci_pretrained,
             ci_split,
             replay=ReplaySpec(store_dir=tmp_path / "store"),
+        )
+        _assert_identical(in_memory, store_backed)
+
+    def test_raw_input_replay(self, ci_pretrained, ci_split, ci_preset, tmp_path):
+        # Insertion layer 0: the store holds raw input rasters.
+        in_memory = run_method(
+            RawInputReplay(ci_preset.experiment), ci_pretrained, ci_split
+        )
+        store_backed = run_method(
+            RawInputReplay(ci_preset.experiment),
+            ci_pretrained,
+            ci_split,
+            replay=ReplaySpec(store_dir=tmp_path / "store", shard_samples=4),
         )
         _assert_identical(in_memory, store_backed)
 
@@ -119,10 +134,60 @@ class TestStoreArtifacts:
         store_view = ReplayStream(store).materialize()
         np.testing.assert_array_equal(buffer.compressed, store_view)
 
-    def test_resident_memory_bounded_by_shard(self, store_run):
-        _, store = store_run
-        stream = ReplayStream(store, cache_shards=1)
-        stream.materialize()
-        # One decoded shard resident at a time, every shard visited.
-        assert len(stream._cache) == 1
-        assert stream.shard_decodes == store.num_shards
+
+class TestReadOnce:
+    """One traced store-backed run per method, at least two epochs each."""
+
+    @pytest.fixture(
+        scope="class", params=[Replay4NCL, SpikingLR, RawInputReplay],
+        ids=lambda cls: cls.__name__,
+    )
+    def traced_run(self, request, ci_pretrained, ci_split, ci_preset, tmp_path_factory):
+        assert ci_preset.experiment.ncl.epochs >= 2
+        root = tmp_path_factory.mktemp("read-once") / "store"
+        method = request.param(ci_preset.experiment)
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            result = run_method(
+                method,
+                ci_pretrained,
+                ci_split,
+                replay=ReplaySpec(store_dir=root, shard_samples=4),
+            )
+        store = ReplayStore.open(root)
+        assert store.num_shards > 1
+        return method, result, store, recorder
+
+    def test_each_shard_decodes_once_per_run(self, traced_run):
+        _, _, store, recorder = traced_run
+        counters = {e.name: e.total for e in recorder.metrics()}
+        assert counters["store.shards_decoded"] == store.num_shards
+
+    def test_one_gather_serves_every_epoch(self, traced_run):
+        _, _, store, recorder = traced_run
+        gathers = [s for s in recorder.spans() if s.name == "store.gather"]
+        assert [(s.attrs["samples"], s.attrs["shards"]) for s in gathers] == [
+            (store.num_samples, store.num_shards)
+        ]
+
+    def test_resident_bytes_are_the_replay_raster(self, traced_run):
+        # The replay raster training held: decompressed frames when the
+        # method zero-stuffs on replay, stored frames otherwise.
+        method, result, store, _ = traced_run
+        meta = store.meta
+        frames = (
+            meta.generated_timesteps
+            if method.decompress_for_replay()
+            else meta.stored_frames
+        )
+        assert result.replay_peak_resident_bytes == (
+            4 * frames * store.num_samples * meta.num_channels
+        )
+
+    def test_replay_raster_matches_the_dense_buffer(self, traced_run):
+        method, _, store, _ = traced_run
+        decompress = method.decompress_for_replay()
+        expected = LatentReplayBuffer.from_store(store.root).materialize(decompress)
+        streamed = ReplayStream(store, decompress=decompress).materialize()
+        assert streamed.dtype == np.float32
+        np.testing.assert_array_equal(streamed, expected)

@@ -58,6 +58,29 @@ class TestDataLoader:
         np.testing.assert_array_equal(batch_inputs, inputs)
         np.testing.assert_array_equal(batch_labels, labels)
 
+    def test_batches_follow_one_shuffled_order(self, data):
+        # The minibatch schedule store-backed replay relies on: batch k is
+        # columns [k*B, (k+1)*B) of one rng permutation, fancy-indexed.
+        inputs, labels = data
+        loader = DataLoader(inputs, labels, batch_size=5, shuffle=True,
+                            rng=np.random.default_rng(4))
+        order = np.arange(23)
+        np.random.default_rng(4).shuffle(order)
+        for k, (batch_inputs, batch_labels) in enumerate(loader):
+            cols = order[5 * k : 5 * (k + 1)]
+            np.testing.assert_array_equal(batch_inputs, inputs[:, cols, :])
+            np.testing.assert_array_equal(batch_labels, labels[cols])
+
+    def test_objects_with_a_gather_method_are_not_sources(self, data):
+        class Lazy:
+            shape = (10, 23, 6)
+
+            def gather(self, indices):
+                raise AssertionError("the loader must not call gather")
+
+        with pytest.raises(DataError, match=r"\[T, N, C\]"):
+            DataLoader(Lazy(), data[1], batch_size=4)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

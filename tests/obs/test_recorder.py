@@ -227,32 +227,34 @@ class TestWorkerThreadSpans:
         )
         return store
 
-    def test_prefetch_decode_spans_root_on_worker_thread(self, store):
-        import time
-
-        from repro.replaystore import PrefetchingStream, ReplayStream
+    def test_decode_spans_root_on_worker_thread(self, store):
+        from repro.replaystore import ReplayStream
 
         recorder = Recorder()
         with use_recorder(recorder):
-            with PrefetchingStream(ReplayStream(store), enabled=True) as view:
-                with obs.span("train.epoch", category="train"):
-                    view.prefetch(np.arange(store.num_samples))
-                    deadline = time.monotonic() + 5.0
-                    while (
-                        view.prefetched_shards == 0
-                        and time.monotonic() < deadline
-                    ):
-                        time.sleep(0.005)
-                    view.gather(np.arange(store.num_samples))
-        decodes = [
-            s for s in recorder.spans() if s.name == "prefetch.decode"
-        ]
-        assert decodes, "worker never recorded a decode span"
+            with obs.span("train.epoch", category="train"):
+                # Library spans emitted through the module-level helpers
+                # from a plain thread while the main thread holds a span.
+                worker = threading.Thread(
+                    target=ReplayStream(store).materialize, name="replay-reader"
+                )
+                worker.start()
+                worker.join(timeout=30)
+        assert not worker.is_alive()
+        by_name = {}
+        for span in recorder.spans():
+            by_name.setdefault(span.name, []).append(span)
+        (gather,) = by_name["store.gather"]
+        decodes = by_name["store.decode_shard"]
+        assert len(decodes) == store.num_shards
+        # The worker's spans root their own per-thread tree; the main
+        # thread's open train.epoch span must NOT become the parent.
+        assert gather.thread == "replay-reader"
+        assert gather.parent_id is None
         for span in decodes:
-            assert span.thread == "replay-prefetch"
-            # Worker spans root their own per-thread tree; the training
-            # thread's open train.epoch span must NOT become the parent.
-            assert span.parent_id is None
-        metric_names = {e.name for e in recorder.metrics()}
-        assert "prefetch.wait_seconds" in metric_names
-        assert "prefetch.queue_depth" in metric_names
+            assert span.thread == "replay-reader"
+            assert span.parent_id == gather.span_id
+        (epoch,) = by_name["train.epoch"]
+        assert epoch.parent_id is None
+        counters = {e.name: e for e in recorder.metrics()}
+        assert counters["store.shards_decoded"].total == store.num_shards

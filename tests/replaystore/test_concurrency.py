@@ -11,6 +11,7 @@ commit without any reader registry.
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from repro.errors import StoreError
 from repro.ioutil import FileLock
 from repro.replaystore import (
     FederatedReplayStore,
-    PrefetchingStream,
     ReplayStore,
     ReplayStream,
 )
@@ -93,7 +93,7 @@ class TestNeverReusedNames:
             rng_read = np.random.default_rng(seed)
             while not done.is_set():
                 try:
-                    stream = ReplayStream(ReplayStore.open(root), cache_shards=1)
+                    stream = ReplayStream(ReplayStore.open(root))
                 except StoreError:
                     continue
                 key = tuple((s.file, s.num_samples) for s in stream.store.shards)
@@ -233,11 +233,11 @@ class TestEachMutation:
     def test_stale_stream_raises_store_error(self, tmp_path, mutation):
         root = tmp_path / "s"
         make_store(root, np.arange(12) % 3)
-        stream = ReplayStream(ReplayStore.open(root), cache_shards=1)
+        stream = ReplayStream(ReplayStore.open(root))
         stream.materialize()
         MUTATIONS[mutation][0](ReplayStore.open(root))
-        # The first shard was evicted from the one-slot cache, so this
-        # gather must decode and thus notice the new index.
+        # Every gather decodes what it touches, so this one notices the
+        # new index.
         with pytest.raises(StoreError, match="mutated"):
             stream.gather(np.arange(4))
 
@@ -517,29 +517,37 @@ class TestAdoptCrashWindow:
         assert FederatedReplayStore.open(root).pending_removal == []
 
 
-class TestPrefetchUnderRebalance:
-    def test_parity_then_clean_error(self, tmp_path):
+class TestStreamUnderRebalance:
+    def test_concurrent_rebalance_serves_own_bytes_then_clean_error(self, tmp_path):
         fed = make_federation(tmp_path / "fed", members=3, samples=8)
-        views = []
-        for _name, store in fed.members():
-            dense = dense_of(store)
-            view = PrefetchingStream(ReplayStream(store), enabled=True)
-            indices = np.arange(0, dense.shape[1], 3)
-            view.prefetch(indices)
-            np.testing.assert_array_equal(view.gather(indices), dense[:, indices, :])
-            views.append(view)
-
+        streams = [
+            (ReplayStream(store), dense_of(store)) for _name, store in fed.members()
+        ]
         writer = FederatedReplayStore.open(tmp_path / "fed")
         writer.configure(budget_bytes=(writer.num_samples // 2) * writer.sample_bytes)
-        assert writer.rebalance() > 0
-
-        for view in views:
-            # Every member lost samples, so every member view is stale.
+        evicted = []
+        rebalancer = threading.Thread(target=lambda: evicted.append(writer.rebalance()))
+        rebalancer.start()
+        mismatches = 0
+        deadline = time.monotonic() + 60
+        while rebalancer.is_alive() and time.monotonic() < deadline:
+            for stream, dense in streams:
+                indices = np.arange(0, dense.shape[1], 3)
+                try:
+                    data = stream.gather(indices)
+                except StoreError:
+                    continue  # mutated under us: clean, expected
+                mismatches += not np.array_equal(data, dense[:, indices, :])
+        rebalancer.join(timeout=1)
+        assert not rebalancer.is_alive()
+        assert evicted and evicted[0] > 0
+        assert mismatches == 0
+        for stream, _dense in streams:
+            # Every member lost samples, so every member stream is stale.
             with pytest.raises(StoreError, match="mutated"):
-                view.gather(np.arange(view.num_samples))
-            view.close()
+                stream.gather(np.arange(stream.num_samples))
 
-    def test_fresh_view_after_rebalance_is_bitwise(self, tmp_path):
+    def test_fresh_stream_after_rebalance_is_bitwise(self, tmp_path):
         make_federation(tmp_path / "fed", members=3, samples=8)
         writer = FederatedReplayStore.open(tmp_path / "fed")
         writer.configure(
@@ -549,10 +557,9 @@ class TestPrefetchUnderRebalance:
 
         fresh = FederatedReplayStore.open(tmp_path / "fed")
         for _name, store in fresh.members():
-            dense = dense_of(store)
-            view = PrefetchingStream(ReplayStream(store), enabled=True)
-            view.prefetch(np.arange(dense.shape[1]))
+            stream = ReplayStream(store)
+            dense = np.concatenate([raster for raster, _ in stream], axis=1)
+            np.testing.assert_array_equal(stream.materialize(), dense)
             np.testing.assert_array_equal(
-                view.gather(np.arange(dense.shape[1])), dense
+                stream.gather(np.arange(dense.shape[1])), dense
             )
-            view.close()

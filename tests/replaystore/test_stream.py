@@ -1,11 +1,20 @@
-"""Tests for ReplayStream, ConcatReplaySource, and lazy DataLoader use."""
+"""Tests for ReplayStream: gather, materialize, iteration, staleness."""
 
 import numpy as np
 import pytest
 
-from repro.data.loaders import DataLoader
-from repro.errors import DataError, StoreError
-from repro.replaystore import ConcatReplaySource, ReplayStore, ReplayStream
+from repro import obs
+from repro.errors import StoreError
+from repro.replaystore import ReplayStore, ReplayStream
+
+
+def decoded_shards(call) -> float:
+    """``store.shards_decoded`` recorded while running ``call()``."""
+    recorder = obs.Recorder()
+    with obs.use_recorder(recorder):
+        call()
+    counters = {e.name: e.total for e in recorder.metrics()}
+    return counters.get("store.shards_decoded", 0.0)
 
 
 @pytest.fixture
@@ -63,16 +72,89 @@ class TestReplayStream:
             np.concatenate([r for r, _ in chunks], axis=1), raster
         )
 
-    def test_cache_bounds_decodes(self, store):
-        stream = ReplayStream(store, cache_shards=2)
-        # Repeatedly hit the same two shards: decoded once each.
-        for _ in range(5):
-            stream.gather(np.arange(14))
-        assert stream.shard_decodes == 2
-        # Touch a third shard: one more decode, cache evicts LRU.
-        stream.gather(np.array([15]))
-        assert stream.shard_decodes == 3
-        assert len(stream._cache) == 2
+    @pytest.mark.parametrize(
+        "indices,touched",
+        [
+            (np.arange(14), 2),  # shards 0-1, every column
+            (np.array([29, 0, 13, 13, 6]), 3),  # shards 4, 0, 1 with repeats
+            (np.array([15]), 1),
+            (np.array([], dtype=np.int64), 0),
+        ],
+    )
+    def test_each_touched_shard_decodes_once_per_gather(self, store, indices, touched):
+        stream = ReplayStream(store)
+        # Repeating a gather repeats its decodes: nothing is cached.
+        for calls in (1, 3):
+            assert decoded_shards(
+                lambda: [stream.gather(indices) for _ in range(calls)]
+            ) == calls * touched
+
+    def test_materialize_and_iteration_decode_each_shard_once(self, store):
+        stream = ReplayStream(store)
+        assert decoded_shards(stream.materialize) == store.num_shards
+        assert decoded_shards(lambda: list(stream)) == store.num_shards
+
+    def test_decompressed_reads_decode_each_shard_once(self, subsampled_store):
+        stream = ReplayStream(subsampled_store, decompress=True)
+        assert decoded_shards(stream.materialize) == subsampled_store.num_shards
+        assert decoded_shards(lambda: stream.gather(np.array([3, 8, 3]))) == 2
+
+    def test_results_are_independent_arrays(self, store, raster):
+        stream = ReplayStream(store)
+        first = stream.materialize()
+        first[:] = 1.0
+        np.testing.assert_array_equal(stream.materialize(), raster)
+
+    def test_decompressed_gather_matches_dense_indexing(self, subsampled_store, raster):
+        from repro.compression import TemporalSubsampleCodec
+
+        expected = TemporalSubsampleCodec(2).decompress(raster, 24)
+        idx = np.array([29, 0, 13, 13, 6])
+        stream = ReplayStream(subsampled_store, decompress=True)
+        np.testing.assert_array_equal(stream.gather(idx), expected[:, idx, :])
+
+    def test_iteration_labels_follow_storage_order(self, store):
+        stream = ReplayStream(store)
+        labels = [shard_labels for _, shard_labels in stream]
+        assert all(chunk.dtype == np.int64 for chunk in labels)
+        np.testing.assert_array_equal(np.concatenate(labels), stream.labels)
+
+    def test_empty_store_reads_nothing(self, tmp_path):
+        store = ReplayStore.create(
+            tmp_path / "empty", stored_frames=12, num_channels=9,
+            generated_timesteps=12,
+        )
+        stream = ReplayStream(store)
+        assert decoded_shards(stream.materialize) == 0
+        assert stream.materialize().shape == (12, 0, 9)
+        assert list(stream) == []
+
+    def test_materialize_goes_through_gather(self, store, raster, monkeypatch):
+        # Instrumentation that wraps ``ReplayStream.gather`` must see the
+        # read-once materialization the store-backed NCL path performs.
+        calls = []
+        gather = ReplayStream.gather
+
+        def counting_gather(self, indices):
+            calls.append(np.asarray(indices).copy())
+            return gather(self, indices)
+
+        monkeypatch.setattr(ReplayStream, "gather", counting_gather)
+        np.testing.assert_array_equal(ReplayStream(store).materialize(), raster)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.arange(30))
+
+    def test_each_gather_is_one_span(self, store):
+        stream = ReplayStream(store)
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            stream.gather(np.array([29, 0, 13, 13, 6]))
+            stream.materialize()
+        spans = [s for s in recorder.spans() if s.name == "store.gather"]
+        assert [(s.attrs["samples"], s.attrs["shards"]) for s in spans] == [
+            (5, 3),
+            (30, store.num_shards),
+        ]
 
     def test_decompress_zero_stuffs(self, subsampled_store, raster):
         from repro.compression import TemporalSubsampleCodec
@@ -93,10 +175,6 @@ class TestReplayStream:
         with pytest.raises(StoreError, match="1-D"):
             stream.gather(np.zeros((2, 2), dtype=np.int64))
 
-    def test_cache_shards_validated(self, store):
-        with pytest.raises(StoreError):
-            ReplayStream(store, cache_shards=0)
-
     def test_stale_after_compact(self, store, raster):
         stream = ReplayStream(store)
         stream.gather(np.arange(5))
@@ -105,6 +183,23 @@ class TestReplayStream:
             stream.gather(np.arange(5))
         # A fresh stream over the compacted store serves correctly.
         np.testing.assert_array_equal(ReplayStream(store).materialize(), raster)
+
+    def test_mutation_between_shard_reads_raises(self, store, raster, monkeypatch):
+        # Nothing is cached, so each shard read re-checks the snapshot: a
+        # mutation landing mid-gather fails the next read, never mixes
+        # two snapshots' bytes into one result.
+        stream = ReplayStream(store)
+        read_shard = store.read_shard
+
+        def read_then_mutate(shard_id):
+            result = read_shard(shard_id)
+            if shard_id == 0:
+                ReplayStore.open(store.root).append(raster[:, :2, :], np.zeros(2))
+            return result
+
+        monkeypatch.setattr(store, "read_shard", read_then_mutate)
+        with pytest.raises(StoreError, match="mutated"):
+            stream.gather(np.array([0, 8]))
 
     def test_stale_after_append(self, store, raster):
         stream = ReplayStream(store)
@@ -117,64 +212,32 @@ class TestReplayStream:
             list(stream)
 
 
-class TestConcatReplaySource:
-    def test_parity_with_concatenate(self, store, raster):
-        rng = np.random.default_rng(3)
-        dense = (rng.random((12, 11, 9)) < 0.2).astype(np.float32)
-        source = ConcatReplaySource(dense, ReplayStream(store))
-        reference = np.concatenate([dense, raster], axis=1)
-        assert source.shape == reference.shape
-        order = rng.permutation(41)
+class TestPrefetchingStreamName:
+    """The retired prefetch wrapper survives only as an importable name."""
+
+    def test_is_a_plain_stream_outside_the_public_api(self, store, raster):
+        import repro.replaystore as replaystore
+        from repro.replaystore.prefetch import PrefetchingStream
+
+        assert issubclass(PrefetchingStream, ReplayStream)
+        assert "PrefetchingStream" not in replaystore.__all__
+        assert not hasattr(replaystore, "prefetch_enabled")
+        idx = np.array([29, 0, 13, 13, 6])
         np.testing.assert_array_equal(
-            source.gather(order), reference[:, order, :]
+            PrefetchingStream(store).gather(idx), raster[:, idx, :]
         )
 
-    def test_rejects_out_of_range_indices(self, store):
-        # Negative indices must NOT silently wrap into the dense half —
-        # that would break the np.concatenate fancy-indexing identity.
-        source = ConcatReplaySource(np.zeros((12, 10, 9)), ReplayStream(store))
-        with pytest.raises(StoreError, match="out of range"):
-            source.gather(np.array([-1]))
-        with pytest.raises(StoreError, match="out of range"):
-            source.gather(np.array([40]))
+    @pytest.mark.parametrize("decompress", [False, True])
+    def test_reads_match_a_plain_stream(self, store, subsampled_store, decompress):
+        from repro.replaystore.prefetch import PrefetchingStream
 
-    def test_geometry_validated(self, store):
-        with pytest.raises(StoreError, match="frames"):
-            ConcatReplaySource(np.zeros((5, 3, 9)), ReplayStream(store))
-        with pytest.raises(StoreError, match="channels"):
-            ConcatReplaySource(np.zeros((12, 3, 4)), ReplayStream(store))
-        with pytest.raises(StoreError):
-            ConcatReplaySource(np.zeros((12, 3)), ReplayStream(store))
-
-
-class TestLazyDataLoader:
-    def test_batches_identical_to_dense(self, store, raster):
-        rng = np.random.default_rng(5)
-        dense = (rng.random((12, 11, 9)) < 0.2).astype(np.float32)
-        labels = np.arange(41)
-        reference = np.concatenate([dense, raster], axis=1)
-
-        lazy = DataLoader(
-            ConcatReplaySource(dense, ReplayStream(store)),
-            labels,
-            batch_size=8,
-            shuffle=True,
-            rng=np.random.default_rng(99),
-        )
-        dense_loader = DataLoader(
-            reference, labels, batch_size=8, shuffle=True,
-            rng=np.random.default_rng(99),
-        )
-        lazy_batches = list(lazy)
-        dense_batches = list(dense_loader)
-        assert len(lazy_batches) == len(dense_batches) == len(lazy)
-        for (li, ll), (di, dl) in zip(lazy_batches, dense_batches):
-            np.testing.assert_array_equal(li, di)
-            np.testing.assert_array_equal(ll, dl)
-
-    def test_lazy_source_validation(self, store):
-        source = ConcatReplaySource(np.zeros((12, 1, 9)), ReplayStream(store))
-        with pytest.raises(DataError, match="labels"):
-            DataLoader(source, np.zeros(7), batch_size=4)
-        with pytest.raises(DataError, match="batch_size"):
-            DataLoader(source, np.zeros(31), batch_size=0)
+        source = subsampled_store if decompress else store
+        plain = ReplayStream(source, decompress=decompress)
+        named = PrefetchingStream(source, decompress=decompress)
+        assert named.shape == plain.shape
+        np.testing.assert_array_equal(named.materialize(), plain.materialize())
+        for (r_named, l_named), (r_plain, l_plain) in zip(named, plain, strict=True):
+            np.testing.assert_array_equal(r_named, r_plain)
+            np.testing.assert_array_equal(l_named, l_plain)
+        # No cache came back with the name: one decode per shard per call.
+        assert decoded_shards(named.materialize) == source.num_shards

@@ -12,7 +12,7 @@ from repro.config import (
     PretrainConfig,
     backend_selection,
     env_flag,
-    env_switch,
+    env_value,
     trace_selection,
 )
 from repro.errors import ConfigError
@@ -131,7 +131,6 @@ class TestEnvFlags:
         names = [flag.name for flag in ENV_FLAGS]
         assert names == [
             "REPRO_BACKEND",
-            "REPRO_PREFETCH",
             "REPRO_BENCH_SCALE",
             "REPRO_CACHE",
             "REPRO_TRACE",
@@ -148,17 +147,19 @@ class TestEnvFlags:
         with pytest.raises(ConfigError, match="declared flags"):
             env_flag("REPRO_TURBO")
 
-    @pytest.mark.parametrize("raw,expected", [
-        ("1", True), ("yes", True), ("on", True),
-        ("0", False), ("false", False), ("OFF", False),
-    ])
-    def test_env_switch_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_PREFETCH", raw)
-        assert env_switch("REPRO_PREFETCH") is expected
+    @pytest.mark.parametrize("name", [flag.name for flag in ENV_FLAGS])
+    def test_env_value_defaults_when_unset(self, monkeypatch, name):
+        monkeypatch.delenv(name, raising=False)
+        assert env_value(name) == env_flag(name).default
 
-    def test_env_switch_defaults_on_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
-        assert env_switch("REPRO_PREFETCH") is True
+    def test_env_value_reads_the_environment_raw(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "  ./cache dir ")
+        assert env_value("REPRO_CACHE") == "  ./cache dir "
+
+    def test_env_value_rejects_undeclared_flags(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PREFETCH", "0")
+        with pytest.raises(ConfigError, match="declared flags"):
+            env_value("REPRO_PREFETCH")
 
     def test_backend_selection_default_and_validation(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
