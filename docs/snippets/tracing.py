@@ -18,7 +18,7 @@ recorder = obs.Recorder()
 with obs.use_recorder(recorder):
     with obs.span("example.sweep", category="docs", batches=1):
         layer.forward(x)
-    obs.gauge("example.queue_depth", 2)
+    obs.count("example.batches", 1)
 
 # The library's own spans (the fused kernel sweep) nest under ours.
 report = obs.TraceReport.capture(recorder)

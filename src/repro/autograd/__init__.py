@@ -3,48 +3,39 @@
 This package is the training substrate for the whole library: the paper
 trains recurrent spiking networks with surrogate-gradient BPTT on PyTorch;
 this environment has no PyTorch, so we implement the same math from
-scratch.  The engine is tape-based: every operation on a
-:class:`~repro.autograd.tensor.Tensor` records its parents and a
-vector-Jacobian product, and :meth:`Tensor.backward` replays the tape in
-reverse topological order.
+scratch.  The engine is tape-based with one kind of tape node: every
+differentiable op is a :class:`Function` whose ``forward`` and
+``backward`` share one instance, recorded as the output's context, and
+:meth:`Tensor.backward` calls each node's ``backward`` once in reverse
+topological order.
 
 Public surface
 --------------
-- :class:`Tensor` — the differentiable array type.
-- :func:`tensor` / :func:`zeros` / :func:`ones` / :func:`randn` — creation.
-- :mod:`repro.autograd.functional` — softmax, cross-entropy, sigmoid, ...
+- :class:`Tensor` — the differentiable array type, with the primitive
+  ops ``+``, ``-``, ``*``, 2-D ``@``, ``sum``/``mean``, ``max`` and
+  indexing.
+- :func:`tensor` / :func:`zeros` / :func:`stack` — creation.
+- :func:`cross_entropy` (:mod:`repro.autograd.functional`) — the
+  readout loss.
 - :mod:`repro.autograd.surrogate` — the Heaviside spike op whose backward
   pass is a surrogate gradient (fast-sigmoid by default, as in the paper).
-- :class:`Function` — raw-kernel hook: run a whole numpy computation
-  (e.g. a fused SNN time loop) as a single multi-output tape node.
+- :class:`Function` — the tape node: run a whole numpy computation
+  (e.g. a fused SNN time loop) as one differentiable op.
 - :func:`gradcheck` — numerical verification used by the test-suite.
 - :func:`no_grad` — context manager disabling tape recording.
 """
 
 from repro.autograd.tensor import (
+    Function,
     Tensor,
-    concat,
     is_grad_enabled,
-    maximum,
     no_grad,
-    ones,
-    randn,
     stack,
     tensor,
-    where,
     zeros,
 )
 from repro.autograd import functional
-from repro.autograd.functional import (
-    cross_entropy,
-    log_softmax,
-    mse_loss,
-    one_hot,
-    relu,
-    sigmoid,
-    softmax,
-    tanh,
-)
+from repro.autograd.functional import cross_entropy
 from repro.autograd.surrogate import (
     SurrogateSpec,
     atan_surrogate,
@@ -53,30 +44,17 @@ from repro.autograd.surrogate import (
     spike,
     straight_through_surrogate,
 )
-from repro.autograd.function import Function, FunctionContext
 from repro.autograd.gradcheck import gradcheck
 
 __all__ = [
     "Tensor",
     "tensor",
     "zeros",
-    "ones",
-    "randn",
     "stack",
-    "concat",
-    "where",
-    "maximum",
     "no_grad",
     "is_grad_enabled",
     "functional",
-    "sigmoid",
-    "tanh",
-    "relu",
-    "softmax",
-    "log_softmax",
     "cross_entropy",
-    "mse_loss",
-    "one_hot",
     "SurrogateSpec",
     "spike",
     "fast_sigmoid_surrogate",
@@ -85,5 +63,4 @@ __all__ = [
     "straight_through_surrogate",
     "gradcheck",
     "Function",
-    "FunctionContext",
 ]

@@ -1,82 +1,35 @@
-"""Differentiable functions built on the :class:`Tensor` primitives.
+"""The readout loss: cross-entropy fused with log-softmax.
 
-These cover the needs of surrogate-gradient BPTT training: stable
-sigmoid/tanh, softmax / log-softmax, the fused cross-entropy used by the
-readout layer, and small utilities (one-hot, mse).
+Surrogate-gradient BPTT training in this library needs one loss, the
+softmax cross-entropy over the readout logits; it is a single
+:class:`~repro.autograd.tensor.Function` so that its gradient is the
+classic ``(softmax - onehot) / N`` rather than a chain of primitives.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Function, Tensor
 from repro.errors import ShapeError
 
-__all__ = [
-    "sigmoid",
-    "tanh",
-    "relu",
-    "softmax",
-    "log_softmax",
-    "cross_entropy",
-    "mse_loss",
-    "one_hot",
-    "dropout_mask",
-]
+__all__ = ["cross_entropy"]
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically-stable logistic sigmoid."""
-    data = _stable_sigmoid(x.data)
-    return Tensor._make_from_op(data, (x,), (lambda g, d=data: g * d * (1.0 - d),))
+class _CrossEntropy(Function):
+    def forward(self, logits, targets):
+        n = logits.shape[0]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_sum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        self.log_probs, self.targets = shifted - log_sum, targets
+        loss = -self.log_probs[np.arange(n), targets].mean()
+        return np.asarray(loss, dtype=logits.dtype)
 
-
-def _stable_sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    positive = a >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-a[positive]))
-    exp_a = np.exp(a[~positive])
-    out[~positive] = exp_a / (1.0 + exp_a)
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent."""
-    data = np.tanh(x.data)
-    return Tensor._make_from_op(data, (x,), (lambda g, d=data: g * (1.0 - d * d),))
-
-
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit: ``max(x, 0)``."""
-    data = np.maximum(x.data, 0.0)
-    mask = (x.data > 0).astype(x.data.dtype)
-    return Tensor._make_from_op(data, (x,), (lambda g, m=mask: g * m,))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` (shift-stabilized)."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    data = exp / exp.sum(axis=axis, keepdims=True)
-
-    def vjp(g, s=data, axis=axis):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return s * (g - inner)
-
-    return Tensor._make_from_op(data, (x,), (vjp,))
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Log of softmax along ``axis`` (fused for stability)."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - log_sum
-    soft = np.exp(data)
-
-    def vjp(g, s=soft, axis=axis):
-        return g - s * g.sum(axis=axis, keepdims=True)
-
-    return Tensor._make_from_op(data, (x,), (vjp,))
+    def backward(self, g):
+        n = self.log_probs.shape[0]
+        grad = np.exp(self.log_probs)
+        grad[np.arange(n), self.targets] -= 1.0
+        return grad * (g / n)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -92,47 +45,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(
             f"targets shape {targets.shape} incompatible with logits {logits.shape}"
         )
-    n, c = logits.shape
+    c = logits.shape[1]
     if targets.min() < 0 or targets.max() >= c:
         raise ShapeError(f"target labels must lie in [0, {c}), got range "
                          f"[{targets.min()}, {targets.max()}]")
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_sum
-    loss = -log_probs[np.arange(n), targets].mean()
-
-    def vjp(g, probs=np.exp(log_probs), targets=targets, n=n):
-        grad = probs.copy()
-        grad[np.arange(n), targets] -= 1.0
-        return grad * (g / n)
-
-    return Tensor._make_from_op(np.asarray(loss, dtype=logits.dtype), (logits,), (vjp,))
-
-
-def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean squared error."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target.detach()
-    return (diff * diff).mean()
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Return a float32 one-hot matrix ``[N, num_classes]``."""
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ShapeError(
-            f"labels must lie in [0, {num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
-def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability ``p``, else ``1/(1-p)``."""
-    if not 0.0 <= p < 1.0:
-        raise ShapeError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(shape) >= p).astype(np.float32)
-    return keep / (1.0 - p)
+    return _CrossEntropy.apply(logits, targets=targets)

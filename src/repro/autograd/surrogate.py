@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Function, Tensor
 from repro.errors import ConfigError
 
 __all__ = [
@@ -97,6 +97,15 @@ def straight_through_surrogate() -> SurrogateSpec:
     return SurrogateSpec(name="straight_through", derivative=derivative)
 
 
+class _Spike(Function):
+    def forward(self, x, derivative):
+        self.x, self.derivative = x, derivative
+        return (x > 0.0).astype(x.dtype)
+
+    def backward(self, g):
+        return g * self.derivative(self.x)
+
+
 def spike(membrane_minus_threshold: Tensor, surrogate: SurrogateSpec) -> Tensor:
     """Heaviside forward / surrogate backward (paper Fig. 5).
 
@@ -107,10 +116,4 @@ def spike(membrane_minus_threshold: Tensor, surrogate: SurrogateSpec) -> Tensor:
     surrogate:
         The pseudo-derivative family to use in the backward pass.
     """
-    x = membrane_minus_threshold
-    data = (x.data > 0.0).astype(x.data.dtype)
-
-    def vjp(g, a=x.data, deriv=surrogate.derivative):
-        return g * deriv(a)
-
-    return Tensor._make_from_op(data, (x,), (vjp,))
+    return _Spike.apply(membrane_minus_threshold, derivative=surrogate.derivative)

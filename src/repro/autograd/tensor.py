@@ -1,13 +1,14 @@
-"""The :class:`Tensor` type: a numpy array with a reverse-mode tape.
+"""The :class:`Tensor` type, its reverse-mode tape, and the primitive ops.
 
 Design notes
 ------------
 The engine is deliberately small and explicit.  A ``Tensor`` wraps an
-``np.ndarray`` (float32 by default).  Operations that participate in
-differentiation construct their result via :func:`_make_from_op`, passing
-the parent tensors and one vector-Jacobian-product (VJP) callable per
-parent.  ``backward()`` topologically sorts the recorded graph and
-accumulates gradients.
+``np.ndarray`` (float32 by default).  Every differentiable operation is
+a :class:`Function`: ``Function.apply`` runs its ``forward`` on raw
+arrays and, when any input requires grad, stores the ``Function``
+instance as the output's ``_ctx`` — the single kind of tape node.
+``backward()`` topologically sorts the recorded graph and calls each
+node's ``backward`` once, accumulating one gradient per input.
 
 Broadcasting follows numpy semantics; gradients of broadcast operands are
 reduced back to the operand's shape by :func:`_unbroadcast`.
@@ -20,23 +21,18 @@ layers never build a tape.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro import seeding
 from repro.errors import GradientError, ShapeError
 
 __all__ = [
     "Tensor",
+    "Function",
     "tensor",
     "zeros",
-    "ones",
-    "randn",
     "stack",
-    "concat",
-    "where",
-    "maximum",
     "no_grad",
     "is_grad_enabled",
 ]
@@ -70,12 +66,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def _as_array(value, dtype=None) -> np.ndarray:
-    if isinstance(value, Tensor):
-        raise TypeError("expected raw array-like, got Tensor")
-    return np.asarray(value, dtype=dtype or DEFAULT_DTYPE)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so its shape matches the pre-broadcast ``shape``."""
     if grad.shape == shape:
@@ -91,6 +81,80 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class Function:
+    """A differentiable op and, once applied, its tape node.
+
+    A subclass implements
+
+    - ``forward(self, *args, **kwargs)`` — receives **raw numpy arrays**
+      (every positional ``Tensor`` argument is unwrapped) and returns one
+      ndarray.  Anything the backward pass needs is kept on ``self``.
+    - ``backward(self, grad)`` — receives the upstream gradient of the
+      output and returns one gradient (or ``None``) per *positional
+      forward argument*, in order; a single-argument op may return the
+      bare array.  ``None`` is allowed only where
+      ``self.needs_input_grad`` is False.
+
+    ``apply`` runs the forward immediately and records one tape node,
+    however many numpy operations the forward used internally: the fused
+    SNN kernels (:mod:`repro.snn.kernels`) run a whole ``[T, B, N]`` time
+    loop inside one node.
+    """
+
+    #: Per-positional-argument flags, set before ``forward`` runs:
+    #: True where the argument is a Tensor that requires grad.
+    needs_input_grad: tuple[bool, ...] = ()
+    #: The Tensors whose flag is True, in argument order.
+    parents: tuple["Tensor", ...] = ()
+
+    def forward(self, *args, **kwargs) -> np.ndarray:
+        """Compute the output from raw inputs; subclasses must override."""
+        raise NotImplementedError
+
+    def backward(self, grad: np.ndarray):
+        """Map the output gradient to input gradients; subclasses must override."""
+        raise NotImplementedError
+
+    @classmethod
+    def apply(cls, *args, **kwargs) -> "Tensor":
+        """Run the forward; record this node when an input requires grad."""
+        ctx = cls()
+        ctx.needs_input_grad = tuple(
+            isinstance(a, Tensor) and a.requires_grad and _GRAD_ENABLED for a in args
+        )
+        out = Tensor(
+            ctx.forward(*(a.data if isinstance(a, Tensor) else a for a in args), **kwargs)
+        )
+        if any(ctx.needs_input_grad):
+            ctx.parents = tuple(a for a, need in zip(args, ctx.needs_input_grad) if need)
+            out.requires_grad = True
+            out._ctx = ctx
+        return out
+
+    def _input_grads(self, grad: np.ndarray) -> list[np.ndarray]:
+        """Run ``backward`` once; return the gradients of ``parents``, in order."""
+        result = self.backward(grad)
+        if not isinstance(result, tuple):
+            result = (result,)
+        name = type(self).__name__
+        if len(result) != len(self.needs_input_grad):
+            raise GradientError(
+                f"{name}.backward returned {len(result)} gradients "
+                f"for {len(self.needs_input_grad)} forward arguments"
+            )
+        grads = []
+        for position, (g, need) in enumerate(zip(result, self.needs_input_grad)):
+            if not need:
+                continue
+            if g is None:
+                raise GradientError(
+                    f"{name}.backward returned None for differentiable "
+                    f"argument {position}"
+                )
+            grads.append(np.asarray(g))
+        return grads
+
+
 class Tensor:
     """A differentiable array.
 
@@ -104,7 +168,7 @@ class Tensor:
         as False) inside a :func:`no_grad` block.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_ctx")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -115,8 +179,9 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        #: The Function that produced this tensor; None for leaves and
+        #: for results recorded without a tape.
+        self._ctx: Function | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -141,11 +206,6 @@ class Tensor:
         """Dtype of the wrapped array."""
         return self.data.dtype
 
-    @property
-    def T(self) -> "Tensor":
-        """Transposed view (reversed axes), differentiable."""
-        return self.transpose()
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -159,43 +219,21 @@ class Tensor:
 
     def item(self) -> float:
         """The single scalar value of a one-element tensor."""
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_error()
-
-    @staticmethod
-    def _item_error():
-        raise ShapeError("item() requires a tensor with exactly one element")
+        if self.data.size != 1:
+            raise ShapeError("item() requires a tensor with exactly one element")
+        return float(self.data.reshape(-1)[0])
 
     def detach(self) -> "Tensor":
         """Return a view of the data cut off from the tape."""
         return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        """Return a leaf tensor with copied data and the same grad flag."""
-        out = Tensor(self.data.copy())
-        out.requires_grad = self.requires_grad
-        return out
 
     def zero_grad(self) -> None:
         """Drop the accumulated gradient."""
         self.grad = None
 
     # ------------------------------------------------------------------
-    # Tape plumbing
+    # Backward
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make_from_op(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        vjps: Sequence[Callable[[np.ndarray], np.ndarray]],
-    ) -> "Tensor":
-        out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            kept = [(p, v) for p, v in zip(parents, vjps) if p.requires_grad]
-            out._parents = tuple(p for p, _ in kept)
-            out._vjps = tuple(v for _, v in kept)
-        return out
-
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode accumulation from this tensor.
 
@@ -224,8 +262,11 @@ class Tensor:
                 node.grad = node_grad.copy()
             else:
                 node.grad = node.grad + node_grad
-            for parent, vjp in zip(node._parents, node._vjps):
-                contribution = vjp(node_grad)
+            if node._ctx is None:
+                continue
+            for parent, contribution in zip(
+                node._ctx.parents, node._ctx._input_grads(node_grad)
+            ):
                 existing = grads.get(id(parent))
                 grads[id(parent)] = (
                     contribution if existing is None else existing + contribution
@@ -245,9 +286,10 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+            if node._ctx is not None:
+                for parent in node._ctx.parents:
+                    if id(parent) not in visited:
+                        stack.append((parent, False))
         order.reverse()
         return order
 
@@ -255,113 +297,26 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def _coerce(self, other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
+        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, self.dtype))
 
     def __add__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        data = self.data + other.data
-        return Tensor._make_from_op(
-            data,
-            (self, other),
-            (
-                lambda g, s=self.shape: _unbroadcast(g, s),
-                lambda g, s=other.shape: _unbroadcast(g, s),
-            ),
-        )
+        return _Add.apply(self, self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        data = self.data - other.data
-        return Tensor._make_from_op(
-            data,
-            (self, other),
-            (
-                lambda g, s=self.shape: _unbroadcast(g, s),
-                lambda g, s=other.shape: _unbroadcast(-g, s),
-            ),
-        )
+        return _Sub.apply(self, self._coerce(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other).__sub__(self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        data = self.data * other.data
-        return Tensor._make_from_op(
-            data,
-            (self, other),
-            (
-                lambda g, o=other.data, s=self.shape: _unbroadcast(g * o, s),
-                lambda g, o=self.data, s=other.shape: _unbroadcast(g * o, s),
-            ),
-        )
+        return _Mul.apply(self, self._coerce(other))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        data = self.data / other.data
-        return Tensor._make_from_op(
-            data,
-            (self, other),
-            (
-                lambda g, o=other.data, s=self.shape: _unbroadcast(g / o, s),
-                lambda g, a=self.data, o=other.data, s=other.shape: _unbroadcast(
-                    -g * a / (o * o), s
-                ),
-            ),
-        )
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._coerce(other).__truediv__(self)
-
-    def __neg__(self) -> "Tensor":
-        return Tensor._make_from_op(-self.data, (self,), (lambda g: -g,))
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use exp/log composition")
-        exponent = float(exponent)
-        data = self.data**exponent
-        return Tensor._make_from_op(
-            data,
-            (self,),
-            (lambda g, a=self.data, e=exponent: g * e * a ** (e - 1.0),),
-        )
-
     def __matmul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        data = self.data @ other.data
-        a, b = self.data, other.data
-
-        def vjp_a(g, a=a, b=b, s=self.shape):
-            if b.ndim == 1:
-                # (..., n) @ (n,) -> (...); grad_a = outer(g, b)
-                return _unbroadcast(np.expand_dims(g, -1) * b, s)
-            grad = g @ np.swapaxes(b, -1, -2)
-            if a.ndim == 1:
-                grad = grad.reshape(a.shape) if grad.ndim == 1 else grad.sum(axis=tuple(range(grad.ndim - 1)))
-            return _unbroadcast(grad, s)
-
-        def vjp_b(g, a=a, b=b, s=other.shape):
-            if a.ndim == 1:
-                if b.ndim == 1:
-                    return _unbroadcast(g * a, s)
-                return _unbroadcast(np.outer(a, g), s)
-            if b.ndim == 1:
-                grad = np.swapaxes(a, -1, -2) @ np.expand_dims(g, -1)
-                grad = grad[..., 0]
-                if grad.ndim > 1:
-                    grad = grad.sum(axis=tuple(range(grad.ndim - 1)))
-                return _unbroadcast(grad, s)
-            return _unbroadcast(np.swapaxes(a, -1, -2) @ g, s)
-
-        return Tensor._make_from_op(data, (self, other), (vjp_a, vjp_b))
-
-    def __rmatmul__(self, other) -> "Tensor":
-        return self._coerce(other).__matmul__(self)
+        return _MatMul.apply(self, self._coerce(other))
 
     # ------------------------------------------------------------------
     # Comparisons (non-differentiable; return plain bool arrays)
@@ -383,49 +338,11 @@ class Tensor:
         return self.data <= other
 
     # ------------------------------------------------------------------
-    # Unary math
-    # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        """Element-wise ``e**x`` with gradient ``g * exp(x)``."""
-        data = np.exp(self.data)
-        return Tensor._make_from_op(data, (self,), (lambda g, d=data: g * d,))
-
-    def log(self) -> "Tensor":
-        """Element-wise natural log with gradient ``g / x``."""
-        data = np.log(self.data)
-        return Tensor._make_from_op(data, (self,), (lambda g, a=self.data: g / a,))
-
-    def sqrt(self) -> "Tensor":
-        """Element-wise square root with gradient ``g / (2*sqrt(x))``."""
-        data = np.sqrt(self.data)
-        return Tensor._make_from_op(data, (self,), (lambda g, d=data: g / (2.0 * d),))
-
-    def abs(self) -> "Tensor":
-        """Element-wise absolute value with sign-routed gradient."""
-        data = np.abs(self.data)
-        return Tensor._make_from_op(
-            data, (self,), (lambda g, a=self.data: g * np.sign(a),)
-        )
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values; gradient is passed through inside the window."""
-        data = np.clip(self.data, low, high)
-        inside = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
-        return Tensor._make_from_op(data, (self,), (lambda g, m=inside: g * m,))
-
-    # ------------------------------------------------------------------
-    # Reductions
+    # Reductions and indexing
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (or all), gradient broadcast back."""
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def vjp(g, shape=self.shape, axis=axis, keepdims=keepdims):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, shape).copy()
-
-        return Tensor._make_from_op(np.asarray(data), (self,), (vjp,))
+        return _Sum.apply(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Mean over ``axis`` (or all), gradient scaled by 1/count."""
@@ -440,55 +357,114 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum reduction; ties share the gradient equally."""
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def vjp(g, a=self.data, axis=axis, keepdims=keepdims):
-            expanded = data if keepdims or axis is None else np.expand_dims(data, axis)
-            mask = (a == expanded).astype(a.dtype)
-            counts = mask.sum(axis=axis, keepdims=True)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return mask * (g / counts)
-
-        return Tensor._make_from_op(np.asarray(data), (self,), (vjp,))
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Minimum over ``axis`` via ``-max(-x)``."""
-        return -((-self).max(axis=axis, keepdims=keepdims))
-
-    # ------------------------------------------------------------------
-    # Shape manipulation
-    # ------------------------------------------------------------------
-    def reshape(self, *shape) -> "Tensor":
-        """Reshaped view; gradient reshaped back to the input shape."""
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-        return Tensor._make_from_op(
-            data, (self,), (lambda g, s=self.shape: g.reshape(s),)
-        )
-
-    def transpose(self, *axes) -> "Tensor":
-        """Permute axes (reversed by default); gradient permuted back."""
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inverse = tuple(np.argsort(axes))
-        data = self.data.transpose(axes)
-        return Tensor._make_from_op(
-            data, (self,), (lambda g, inv=inverse: g.transpose(inv),)
-        )
+        return _Max.apply(self, axis=axis, keepdims=keepdims)
 
     def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
+        return _GetItem.apply(self, index=index)
 
-        def vjp(g, shape=self.shape, index=index, dtype=self.data.dtype):
-            full = np.zeros(shape, dtype=dtype)
-            np.add.at(full, index, g)
-            return full
 
-        return Tensor._make_from_op(np.asarray(data), (self,), (vjp,))
+# ----------------------------------------------------------------------
+# Primitive ops
+# ----------------------------------------------------------------------
+
+class _Add(Function):
+    def forward(self, a, b):
+        self.shapes = a.shape, b.shape
+        return a + b
+
+    def backward(self, g):
+        return _unbroadcast(g, self.shapes[0]), _unbroadcast(g, self.shapes[1])
+
+
+class _Sub(Function):
+    def forward(self, a, b):
+        self.shapes = a.shape, b.shape
+        return a - b
+
+    def backward(self, g):
+        return _unbroadcast(g, self.shapes[0]), _unbroadcast(-g, self.shapes[1])
+
+
+class _Mul(Function):
+    def forward(self, a, b):
+        self.a, self.b = a, b
+        return a * b
+
+    def backward(self, g):
+        need_a, need_b = self.needs_input_grad
+        return (
+            _unbroadcast(g * self.b, self.a.shape) if need_a else None,
+            _unbroadcast(g * self.a, self.b.shape) if need_b else None,
+        )
+
+
+class _MatMul(Function):
+    """2-D matrix product ``[m, k] @ [k, n]``."""
+
+    def forward(self, a, b):
+        if a.ndim != 2 or b.ndim != 2:
+            raise ShapeError(
+                f"matmul supports 2-D operands only, got {a.shape} @ {b.shape}"
+            )
+        self.a, self.b = a, b
+        return a @ b
+
+    def backward(self, g):
+        need_a, need_b = self.needs_input_grad
+        return (
+            g @ self.b.T if need_a else None,
+            self.a.T @ g if need_b else None,
+        )
+
+
+class _Sum(Function):
+    def forward(self, a, axis, keepdims):
+        self.shape, self.axis, self.keepdims = a.shape, axis, keepdims
+        return np.asarray(a.sum(axis=axis, keepdims=keepdims))
+
+    def backward(self, g):
+        if self.axis is not None and not self.keepdims:
+            g = np.expand_dims(g, self.axis)
+        return np.broadcast_to(g, self.shape).copy()
+
+
+class _Max(Function):
+    def forward(self, a, axis, keepdims):
+        self.a, self.axis, self.keepdims = a, axis, keepdims
+        self.out = np.asarray(a.max(axis=axis, keepdims=keepdims))
+        return self.out
+
+    def backward(self, g):
+        axis, keepdims = self.axis, self.keepdims
+        expanded = self.out if keepdims or axis is None else np.expand_dims(self.out, axis)
+        mask = (self.a == expanded).astype(self.a.dtype)
+        counts = mask.sum(axis=axis, keepdims=True)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return mask * (g / counts)
+
+
+class _GetItem(Function):
+    def forward(self, a, index):
+        self.shape, self.dtype, self.index = a.shape, a.dtype, index
+        return np.asarray(a[index])
+
+    def backward(self, g):
+        full = np.zeros(self.shape, dtype=self.dtype)
+        np.add.at(full, self.index, g)
+        return full
+
+
+class _Stack(Function):
+    def forward(self, *arrays, axis):
+        self.axis = axis
+        return np.stack(arrays, axis=axis)
+
+    def backward(self, g):
+        return tuple(
+            np.take(g, i, axis=self.axis) if need else None
+            for i, need in enumerate(self.needs_input_grad)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -505,89 +481,9 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    """All-ones tensor of ``shape``."""
-    return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def randn(shape, rng: np.random.Generator | None = None, requires_grad: bool = False) -> Tensor:
-    """Standard-normal tensor of ``shape`` drawn from ``rng``."""
-    rng = rng or seeding.default_rng()
-    return Tensor(
-        rng.standard_normal(shape).astype(DEFAULT_DTYPE), requires_grad=requires_grad
-    )
-
-
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis (differentiable)."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("stack() requires at least one tensor")
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def make_vjp(i):
-        def vjp(g, i=i, axis=axis):
-            return np.take(g, i, axis=axis)
-
-        return vjp
-
-    return Tensor._make_from_op(
-        data, tuple(tensors), tuple(make_vjp(i) for i in range(len(tensors)))
-    )
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis (differentiable)."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat() requires at least one tensor")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-
-    def make_vjp(i):
-        def vjp(g, i=i, axis=axis, offsets=offsets):
-            slicer = [slice(None)] * g.ndim
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            return g[tuple(slicer)]
-
-        return vjp
-
-    return Tensor._make_from_op(
-        data, tuple(tensors), tuple(make_vjp(i) for i in range(len(tensors)))
-    )
-
-
-def where(condition, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select; gradient routes to the selected operand."""
-    cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    cond = cond.astype(bool)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    data = np.where(cond, a.data, b.data)
-    return Tensor._make_from_op(
-        data,
-        (a, b),
-        (
-            lambda g, c=cond, s=a.shape: _unbroadcast(np.where(c, g, 0.0), s),
-            lambda g, c=cond, s=b.shape: _unbroadcast(np.where(c, 0.0, g), s),
-        ),
-    )
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise maximum; ties split the gradient equally."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    data = np.maximum(a.data, b.data)
-    a_wins = (a.data > b.data).astype(data.dtype)
-    ties = (a.data == b.data).astype(data.dtype) * 0.5
-    weight_a = a_wins + ties
-    weight_b = 1.0 - weight_a
-    return Tensor._make_from_op(
-        data,
-        (a, b),
-        (
-            lambda g, m=weight_a, s=a.shape: _unbroadcast(g * m, s),
-            lambda g, m=weight_b, s=b.shape: _unbroadcast(g * m, s),
-        ),
-    )
+    return _Stack.apply(*tensors, axis=axis)

@@ -7,7 +7,7 @@ way to account for where time and bytes go:
   nested per thread (a worker thread's spans root their own tree),
   driven by an injectable monotonic :class:`~repro.obs.clock.Clock`.
 - **Metrics** — counters (bytes encoded/decoded, kernel calls per
-  backend), gauges and histograms on the same recorder.
+  backend) on the same recorder.
 - **Recorder selection** — ``REPRO_TRACE=0|1|<path>`` via
   :func:`repro.config.trace_selection`, memoized like the kernel
   backend registry; the disabled path is a shared no-op recorder whose
@@ -40,9 +40,7 @@ from repro.obs.recorder import (
     count,
     current,
     enabled,
-    gauge,
     now,
-    observe,
     span,
     use_recorder,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "use_recorder",
     "span",
     "count",
-    "gauge",
-    "observe",
     "now",
     "enabled",
     "write_jsonl",

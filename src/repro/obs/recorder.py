@@ -3,8 +3,8 @@
 The heart of :mod:`repro.obs`.  A :class:`Recorder` collects
 hierarchical :class:`SpanRecord` timings (context-manager spans, nested
 per *thread* so a worker thread's spans form their own tree root) and
-counter/gauge/histogram metrics, all under one lock so several threads
-can record concurrently.
+counter metrics, all under one lock so several threads can record
+concurrently.
 
 Selection mirrors the kernel-backend registry
 (:mod:`repro.snn.backends`): the process-wide recorder is memoized on
@@ -42,8 +42,6 @@ __all__ = [
     "use_recorder",
     "span",
     "count",
-    "gauge",
-    "observe",
     "now",
     "enabled",
 ]
@@ -85,12 +83,12 @@ class SpanRecord:
 class MetricEntry:
     """Aggregated state of one metric series (a name + tag set).
 
-    One shape serves all three instrument kinds: counters read
-    ``total``/``events``, gauges read ``last`` (with ``low``/``high``
-    extremes), histograms read ``events``/``total``/``low``/``high``.
+    Counters are the one instrument kind: a series reads
+    ``total``/``events``, with the ``last``/``low``/``high`` increments
+    kept alongside.
 
     Attributes:
-        kind: ``"counter"``, ``"gauge"`` or ``"histogram"``.
+        kind: Always ``"counter"`` (kept in exports for readers).
         name: Metric name, e.g. ``"store.bytes_decoded"``.
         tags: Sorted ``(key, value)`` pairs identifying the series.
         events: Number of recorded updates.
@@ -249,9 +247,9 @@ class Recorder:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _update(self, kind: str, name: str, value: float, tags: dict) -> None:
-        """Fold one observation into the named series."""
-        key = (kind, name, tuple(sorted((k, str(v)) for k, v in tags.items())))
+    def count(self, name: str, value: float = 1.0, **tags) -> None:
+        """Increment the counter ``name`` (tagged) by ``value``."""
+        key = ("counter", name, tuple(sorted((k, str(v)) for k, v in tags.items())))
         value = float(value)
         with self._lock:
             slot = self._metrics.get(key)
@@ -265,18 +263,6 @@ class Recorder:
                     slot[3] = value
                 if value > slot[4]:
                     slot[4] = value
-
-    def count(self, name: str, value: float = 1.0, **tags) -> None:
-        """Increment the counter ``name`` (tagged) by ``value``."""
-        self._update("counter", name, value, tags)
-
-    def gauge(self, name: str, value: float, **tags) -> None:
-        """Record the gauge ``name`` (tagged) at ``value``."""
-        self._update("gauge", name, value, tags)
-
-    def observe(self, name: str, value: float, **tags) -> None:
-        """Add one observation to the histogram ``name`` (tagged)."""
-        self._update("histogram", name, value, tags)
 
     def metrics(self) -> tuple[MetricEntry, ...]:
         """Snapshot of every metric series, sorted by (kind, name, tags)."""
@@ -326,12 +312,6 @@ class NullRecorder:
 
     def count(self, name: str, value: float = 1.0, **tags) -> None:
         """Discard the counter update."""
-
-    def gauge(self, name: str, value: float, **tags) -> None:
-        """Discard the gauge update."""
-
-    def observe(self, name: str, value: float, **tags) -> None:
-        """Discard the histogram observation."""
 
     def mark(self) -> int:
         """Always ``0`` (nothing is ever recorded)."""
@@ -396,16 +376,6 @@ def span(name: str, category: str = "", **attrs) -> Span | NullSpan:
 def count(name: str, value: float = 1.0, **tags) -> None:
     """Increment a counter on the current recorder."""
     current().count(name, value, **tags)
-
-
-def gauge(name: str, value: float, **tags) -> None:
-    """Record a gauge value on the current recorder."""
-    current().gauge(name, value, **tags)
-
-
-def observe(name: str, value: float, **tags) -> None:
-    """Add a histogram observation on the current recorder."""
-    current().observe(name, value, **tags)
 
 
 def now() -> float:

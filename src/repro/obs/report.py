@@ -122,8 +122,7 @@ class TraceReport:
             for m in self.metrics:
                 tags = ",".join(f"{k}={v}" for k, v in m.tags)
                 label = f"{m.name}{{{tags}}}" if tags else m.name
-                value = m.last if m.kind == "gauge" else m.total
-                lines.append(f"{label:<44} {m.kind:<10} {m.events:>7} {value:>14.6g}")
+                lines.append(f"{label:<44} {m.kind:<10} {m.events:>7} {m.total:>14.6g}")
         return "\n".join(lines)
 
     def tree(self, max_depth: int = 6) -> str:

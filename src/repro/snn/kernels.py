@@ -1,7 +1,8 @@
 """Fused sequence kernels: the one execution path of the SNN time loop.
 
 Each kernel collapses a layer's whole ``[T, B, N]`` time loop into
-**one** autograd tape node (via :class:`repro.autograd.Function`): the
+**one** :class:`repro.autograd.Function` — the autograd tape's only
+kind of node, so ``Tensor.backward`` calls it exactly once: the
 forward runs the recurrence over preallocated state arrays, and the
 backward is hand-derived BPTT through the decay/reset/recurrent/surrogate
 path.  The readable per-timestep formulation — one tape node per decay,
@@ -54,8 +55,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro import obs
-from repro.autograd import Tensor
-from repro.autograd.function import Function
+from repro.autograd import Function, Tensor
 from repro.errors import ConfigError, ShapeError
 from repro.snn import backends
 from repro.snn.backends import SweepSpec
@@ -83,7 +83,7 @@ def _check_sequence_args(x: np.ndarray, w_ff: np.ndarray, w_rec) -> None:
         )
 
 
-def _sequence_weight_grads(ctx, x, w_ff, w_rec, spikes, g_current):
+def _sequence_weight_grads(node, x, w_ff, w_rec, spikes, g_current):
     """Input/weight gradients from ``gI``, in the tape's summation order.
 
     The per-step tape accumulates the feedforward weight gradient
@@ -91,11 +91,11 @@ def _sequence_weight_grads(ctx, x, w_ff, w_rec, spikes, g_current):
     a recurrent weight is present (the recurrent edge changes the
     reverse topological order) — replicated here for bitwise parity.
     These are pure GEMM reductions, so they stay on the numpy anchor for
-    every backend.  Gradients whose ``ctx.needs_input_grad`` flag is
+    every backend.  Gradients whose ``node.needs_input_grad`` flag is
     False are skipped.
     """
     timesteps = spikes.shape[0]
-    needs = ctx.needs_input_grad
+    needs = node.needs_input_grad
     gx = g_current @ w_ff.T if needs[0] else None
     gw_ff = None
     if needs[1]:
@@ -127,8 +127,7 @@ def _sequence_weight_grads(ctx, x, w_ff, w_rec, spikes, g_current):
 class _LIFSequence(Function):
     """Single tape node for a full (CuBa-)LIF layer pass (module docstring)."""
 
-    @staticmethod
-    def forward(ctx, x, w_ff, w_rec, params, alpha, vthr, controller):
+    def forward(self, x, w_ff, w_rec, params, alpha, vthr, controller):
         """Run the T-step membrane/spike sweep on the active backend."""
         executor = backends.active()
         spec = SweepSpec(
@@ -142,30 +141,29 @@ class _LIFSequence(Function):
             )
         if controller is not None and np.any(used <= 0.0):
             raise ConfigError(f"{controller!r} produced a non-positive threshold")
-        ctx.save_for_backward(x, w_ff, w_rec, membrane, spikes)
-        ctx.params = params
-        ctx.spec = replace(spec, vthr=used)
-        ctx.kernel = kernel
+        self.saved = x, w_ff, w_rec, membrane, spikes
+        self.params = params
+        self.spec = replace(spec, vthr=used)
+        self.kernel = kernel
         # The executor is pinned at forward time so backward runs on the
         # same backend even if REPRO_BACKEND flips mid-graph.
-        ctx.executor = executor
+        self.executor = executor
         return spikes
 
-    @staticmethod
-    def backward(ctx, g_spikes):
+    def backward(self, g_spikes):
         """Hand-derived BPTT, bitwise-identical to the per-step tape."""
-        x, w_ff, w_rec, membrane, spikes = ctx.saved
-        vthr = ctx.spec.vthr
+        x, w_ff, w_rec, membrane, spikes = self.saved
+        vthr = self.spec.vthr
         if np.ndim(vthr) == 2:  # per-step [T, N] record -> [T, 1, N]
             vthr = vthr[:, None, :]
-        surrogate = ctx.params.surrogate.derivative(membrane - vthr)
-        name = f"{ctx.kernel}_backward"
-        obs.count("kernel.calls", backend=ctx.executor.name, kernel=name)
-        with obs.span(f"kernel.{name}", category="kernel", backend=ctx.executor.name):
-            g_current = ctx.executor.lif_backward(
-                g_spikes, surrogate, membrane, spikes, w_rec, ctx.spec
+        surrogate = self.params.surrogate.derivative(membrane - vthr)
+        name = f"{self.kernel}_backward"
+        obs.count("kernel.calls", backend=self.executor.name, kernel=name)
+        with obs.span(f"kernel.{name}", category="kernel", backend=self.executor.name):
+            g_current = self.executor.lif_backward(
+                g_spikes, surrogate, membrane, spikes, w_rec, self.spec
             )
-        return _sequence_weight_grads(ctx, x, w_ff, w_rec, spikes, g_current) + (
+        return _sequence_weight_grads(self, x, w_ff, w_rec, spikes, g_current) + (
             None,
         ) * 4
 
@@ -173,31 +171,29 @@ class _LIFSequence(Function):
 class _LeakyReadoutSequence(Function):
     """Fused non-spiking leaky integrator: returns the full trajectory."""
 
-    @staticmethod
-    def forward(ctx, x, w_ff, beta):
+    def forward(self, x, w_ff, beta):
         """Run the leaky-integrator sweep on the active backend."""
         executor = backends.active()
         obs.count("kernel.calls", backend=executor.name, kernel="readout_forward")
         with obs.span("kernel.readout_forward", category="kernel", backend=executor.name):
             trajectory = executor.readout_forward(x @ w_ff, beta)
-        ctx.save_for_backward(x, w_ff)
-        ctx.beta = beta
-        ctx.executor = executor
+        self.saved = x, w_ff
+        self.beta = beta
+        self.executor = executor
         return trajectory
 
-    @staticmethod
-    def backward(ctx, g_trajectory):
+    def backward(self, g_trajectory):
         """Reverse-accumulate the decay chain, then the weight GEMMs."""
-        x, w_ff = ctx.saved
+        x, w_ff = self.saved
         timesteps = g_trajectory.shape[0]
-        obs.count("kernel.calls", backend=ctx.executor.name, kernel="readout_backward")
+        obs.count("kernel.calls", backend=self.executor.name, kernel="readout_backward")
         with obs.span(
-            "kernel.readout_backward", category="kernel", backend=ctx.executor.name
+            "kernel.readout_backward", category="kernel", backend=self.executor.name
         ):
-            g_membrane = ctx.executor.readout_backward(g_trajectory, ctx.beta)
-        gx = g_membrane @ w_ff.T if ctx.needs_input_grad[0] else None
+            g_membrane = self.executor.readout_backward(g_trajectory, self.beta)
+        gx = g_membrane @ w_ff.T if self.needs_input_grad[0] else None
         gw_ff = None
-        if ctx.needs_input_grad[1]:
+        if self.needs_input_grad[1]:
             # The feedforward weight gradient accumulates forward-in-time
             # (feedforward-only graph) — same order as the per-step tape.
             for t in range(timesteps):

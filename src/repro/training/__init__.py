@@ -7,7 +7,7 @@ The :class:`Trainer` here is phase-agnostic: methods in
 :mod:`repro.core` compose it.
 """
 
-from repro.training.losses import spike_count_regularizer, readout_cross_entropy
+from repro.training.losses import readout_cross_entropy
 from repro.training.metrics import (
     EpochRecord,
     TrainingHistory,
@@ -24,7 +24,6 @@ __all__ = [
     "Adam",
     "SGD",
     "readout_cross_entropy",
-    "spike_count_regularizer",
     "Trainer",
     "TrainerConfig",
     "TrainingHistory",

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor, cross_entropy
-from repro.errors import ConfigError
 
-__all__ = ["readout_cross_entropy", "spike_count_regularizer"]
+__all__ = ["readout_cross_entropy"]
 
 
 def readout_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -19,24 +18,3 @@ def readout_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """
     return cross_entropy(logits, labels)
 
-
-def spike_count_regularizer(
-    hidden_spikes: list[Tensor], target_rate: float, weight: float = 1.0
-) -> Tensor:
-    """Quadratic penalty pulling mean firing rates toward ``target_rate``.
-
-    Optional activity regulariser (common in SHD training recipes) that
-    keeps hidden layers in the sparse regime the energy model assumes.
-    """
-    if not hidden_spikes:
-        raise ConfigError("need at least one hidden spike raster")
-    if not 0.0 <= target_rate <= 1.0:
-        raise ConfigError(f"target_rate must lie in [0, 1], got {target_rate}")
-    if weight < 0:
-        raise ConfigError(f"weight must be >= 0, got {weight}")
-    penalty: Tensor | None = None
-    for spikes in hidden_spikes:
-        rate = spikes.mean()
-        term = (rate - target_rate) * (rate - target_rate)
-        penalty = term if penalty is None else penalty + term
-    return penalty * (weight / len(hidden_spikes))

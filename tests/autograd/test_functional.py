@@ -1,73 +1,15 @@
-"""Tests for repro.autograd.functional."""
+"""Tests for repro.autograd.functional: the fused readout cross-entropy."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import (
-    cross_entropy,
-    gradcheck,
-    log_softmax,
-    mse_loss,
-    one_hot,
-    relu,
-    sigmoid,
-    softmax,
-    tanh,
-    tensor,
-)
-from repro.autograd.functional import dropout_mask
+from repro.autograd import cross_entropy, gradcheck, tensor
 from repro.errors import ShapeError
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(99)
-
-
-class TestActivations:
-    def test_sigmoid_grad(self, rng):
-        assert gradcheck(lambda a: sigmoid(a), [rng.standard_normal((3, 4))])
-
-    def test_sigmoid_stable_at_extremes(self):
-        out = sigmoid(tensor([-1e4, 0.0, 1e4]))
-        np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-6)
-        assert np.all(np.isfinite(out.data))
-
-    def test_tanh_grad(self, rng):
-        assert gradcheck(lambda a: tanh(a), [rng.standard_normal((3, 4))])
-
-    def test_relu_grad(self, rng):
-        a = rng.standard_normal((3, 4))
-        a = np.sign(a) * (np.abs(a) + 0.2)  # avoid the kink at 0
-        assert gradcheck(lambda a: relu(a), [a])
-
-    def test_relu_values(self):
-        out = relu(tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_allclose(out.data, [0.0, 0.0, 2.0])
-
-
-class TestSoftmax:
-    def test_softmax_rows_sum_to_one(self, rng):
-        out = softmax(tensor(rng.standard_normal((5, 7))), axis=1)
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), rtol=1e-5)
-
-    def test_softmax_grad(self, rng):
-        assert gradcheck(lambda a: softmax(a, axis=1), [rng.standard_normal((3, 4))])
-
-    def test_softmax_shift_invariance(self, rng):
-        a = rng.standard_normal((2, 5))
-        np.testing.assert_allclose(
-            softmax(tensor(a)).data, softmax(tensor(a + 1000.0)).data, atol=1e-6
-        )
-
-    def test_log_softmax_grad(self, rng):
-        assert gradcheck(lambda a: log_softmax(a, axis=1), [rng.standard_normal((3, 4))])
-
-    def test_log_softmax_matches_log_of_softmax(self, rng):
-        a = tensor(rng.standard_normal((4, 6)))
-        np.testing.assert_allclose(
-            log_softmax(a).data, np.log(softmax(a).data), atol=1e-5
-        )
 
 
 class TestCrossEntropy:
@@ -103,36 +45,17 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError):
             cross_entropy(tensor(np.zeros((2, 3))), np.array([0, 3]))
 
+    def test_loss_keeps_logit_dtype(self):
+        logits32 = tensor(np.zeros((2, 3), dtype=np.float32))
+        assert cross_entropy(logits32, np.array([0, 1])).dtype == np.float32
+        logits64 = tensor(np.zeros((2, 3), dtype=np.float64))
+        assert cross_entropy(logits64, np.array([0, 1])).dtype == np.float64
 
-class TestMse:
-    def test_value(self):
-        loss = mse_loss(tensor([1.0, 2.0]), tensor([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
+    def test_repeated_backward_accumulates(self, rng):
+        logits = tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        loss = cross_entropy(logits, np.array([0, 1, 3]))
+        loss.backward()
+        first = logits.grad.copy()
+        loss.backward()
+        np.testing.assert_allclose(logits.grad, 2 * first, rtol=1e-6)
 
-    def test_grad(self, rng):
-        target = rng.standard_normal((3, 4))
-        assert gradcheck(lambda a: mse_loss(a, target), [rng.standard_normal((3, 4))])
-
-
-class TestOneHot:
-    def test_shape_and_values(self):
-        out = one_hot(np.array([0, 2]), 3)
-        np.testing.assert_array_equal(out, [[1, 0, 0], [0, 0, 1]])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ShapeError):
-            one_hot(np.array([3]), 3)
-
-
-class TestDropoutMask:
-    def test_scaling_preserves_expectation(self, rng):
-        mask = dropout_mask((10000,), p=0.3, rng=rng)
-        assert mask.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_zero_p_is_identity(self, rng):
-        mask = dropout_mask((100,), p=0.0, rng=rng)
-        np.testing.assert_array_equal(mask, np.ones(100, dtype=np.float32))
-
-    def test_rejects_p_one(self, rng):
-        with pytest.raises(ShapeError):
-            dropout_mask((10,), p=1.0, rng=rng)

@@ -29,8 +29,8 @@ def recorder():
             clock.advance(0.25)
             span.set(loss=1.25)
     recorder.count("kernel.calls", backend="numpy", kernel="lif_forward")
-    recorder.gauge("prefetch.queue_depth", 2.0)
-    recorder.observe("prefetch.wait_seconds", 0.001)
+    recorder.count("store.decode_seconds", 0.25)
+    recorder.count("store.decode_seconds", 0.001)
     return recorder
 
 

@@ -112,22 +112,13 @@ class TestMetrics:
         assert entry.kind == "counter"
         assert (entry.events, entry.total, entry.last) == (2, 3.0, 2.0)
 
-    def test_gauge_tracks_extremes(self):
+    def test_counter_tracks_increment_extremes(self):
         recorder = Recorder()
         for value in (3.0, 1.0, 2.0):
-            recorder.gauge("depth", value)
+            recorder.count("bytes", value)
         (entry,) = recorder.metrics()
-        assert entry.kind == "gauge"
         assert (entry.last, entry.low, entry.high) == (2.0, 1.0, 3.0)
-
-    def test_histogram_mean(self):
-        recorder = Recorder()
-        for value in (0.1, 0.2, 0.3):
-            recorder.observe("wait", value)
-        (entry,) = recorder.metrics()
-        assert entry.kind == "histogram"
-        assert entry.events == 3
-        assert entry.mean == pytest.approx(0.2)
+        assert entry.mean == pytest.approx(2.0)
 
     def test_tags_split_series(self):
         recorder = Recorder()
@@ -182,14 +173,13 @@ class TestSelection:
         recorder = Recorder(clock=ManualClock())
         with use_recorder(recorder):
             obs.count("c", backend="numpy")
-            obs.gauge("g", 4.0)
-            obs.observe("h", 0.5)
+            obs.count("d", 4.0)
             with obs.span("s", category="kernel"):
                 recorder.clock.advance(0.25)
             assert obs.now() == recorder.clock.now()
         (span,) = recorder.spans()
         assert span.name == "s" and span.duration == 0.25
-        assert {e.name for e in recorder.metrics()} == {"c", "g", "h"}
+        assert {e.name for e in recorder.metrics()} == {"c", "d"}
 
 
 class TestNullRecorder:
@@ -199,8 +189,6 @@ class TestNullRecorder:
         with recorder.span("x") as span:
             assert span.set(a=1) is span
         recorder.count("c")
-        recorder.gauge("g", 1.0)
-        recorder.observe("h", 1.0)
         assert recorder.mark() == 0
         assert recorder.spans() == ()
         assert recorder.metrics() == ()

@@ -17,7 +17,7 @@ def recorder():
                 clock.advance(0.040)
         clock.advance(0.100)
     recorder.count("kernel.calls", backend="numpy")
-    recorder.gauge("prefetch.queue_depth", 2.0)
+    recorder.count("store.bytes_decoded", 2.0)
     return recorder
 
 
@@ -87,7 +87,7 @@ class TestRendering:
         assert "5 spans, 2 metric series" in text
         assert "scenario.run" in text
         assert "kernel.calls{backend=numpy}" in text
-        assert "prefetch.queue_depth" in text
+        assert "store.bytes_decoded" in text
 
     def test_tree_indents_by_depth(self, recorder):
         tree = TraceReport.capture(recorder).tree()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.autograd import Tensor
 from repro.errors import ShapeError
 from repro.snn import LeakyReadout, LIFParameters, RecurrentLIFLayer, StaticThreshold
 
@@ -58,7 +60,16 @@ class TestRecurrentLIFLayer:
         x = (rng.random((5, 2, 10)) < 0.3).astype(np.float32)
         out = layer.forward(x)
         assert not out.requires_grad
-        assert out._parents == ()
+        # A loss downstream of the frozen output trains only its own
+        # weight: no gradient and no backward kernel reach the layer.
+        w = Tensor(np.ones(6, dtype=np.float32), requires_grad=True)
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            (out * w).sum().backward()
+        np.testing.assert_array_equal(w.grad, out.data.sum(axis=(0, 1)))
+        assert layer.w_ff.grad is None and layer.w_rec.grad is None
+        kernels_run = {m.tag_dict().get("kernel") for m in recorder.metrics()}
+        assert "lif_backward" not in kernels_run
 
     def test_trainable_layer_builds_tape(self, rng):
         layer = make_layer()

@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.autograd import tensor
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
 from repro.snn import SpikingNetwork
 from repro.training import Adam, Trainer, TrainerConfig, top1_accuracy
-from repro.training.losses import spike_count_regularizer
 
 
 @pytest.fixture
@@ -139,23 +137,3 @@ class TestFit:
         history = trainer.fit(inputs, labels)
         assert history.final().learning_rate == 5e-4
 
-
-class TestRegularizer:
-    def test_penalty_zero_at_target(self):
-        spikes = tensor(np.full((4, 2, 3), 0.25, dtype=np.float32))
-        loss = spike_count_regularizer([spikes], target_rate=0.25)
-        assert loss.item() == pytest.approx(0.0, abs=1e-9)
-
-    def test_penalty_positive_off_target(self):
-        spikes = tensor(np.ones((4, 2, 3), dtype=np.float32))
-        loss = spike_count_regularizer([spikes], target_rate=0.1)
-        assert loss.item() > 0
-
-    def test_validation(self):
-        spikes = tensor(np.ones((2, 2, 2), dtype=np.float32))
-        with pytest.raises(ConfigError):
-            spike_count_regularizer([], target_rate=0.1)
-        with pytest.raises(ConfigError):
-            spike_count_regularizer([spikes], target_rate=1.5)
-        with pytest.raises(ConfigError):
-            spike_count_regularizer([spikes], target_rate=0.1, weight=-1.0)
