@@ -61,7 +61,12 @@ def fast_sigmoid_surrogate(scale: float = 25.0) -> SurrogateSpec:
         raise ConfigError(f"surrogate scale must be positive, got {scale}")
 
     def derivative(x: np.ndarray, scale=float(scale)) -> np.ndarray:
-        return 1.0 / (scale * np.abs(x) + 1.0) ** 2
+        # In place, op for op the rounding of 1.0 / (scale*|x| + 1.0) ** 2.
+        out = np.abs(x, out=np.empty(np.shape(x), np.result_type(x, scale)))
+        out *= scale
+        out += 1.0
+        np.square(out, out=out)
+        return np.divide(1.0, out, out=out)
 
     return SurrogateSpec(name=f"fast_sigmoid(scale={scale:g})", derivative=derivative)
 

@@ -68,4 +68,6 @@ class DataLoader:
             self.rng.shuffle(order)
         for start in range(0, self.num_samples, self.batch_size):
             batch = order[start : start + self.batch_size]
-            yield self.inputs[:, batch, :], self.labels[batch]
+            # np.take keeps the [T, B, C] batch C-contiguous, as the
+            # stacked GEMMs read it (fancy indexing comes out batch-major).
+            yield np.take(self.inputs, batch, axis=1), self.labels[batch]

@@ -6,7 +6,9 @@ compiled C.  The C kernels replicate the reference association order
 documented in :mod:`repro.snn.backends.numpy_ref` **exactly** and are
 compiled with ``-fno-fast-math -ffp-contract=off`` so the compiler can
 neither reassociate nor fuse multiplies and adds — the backend declares
-(and the parity suite enforces) *bitwise* parity with numpy.
+(and the parity suite enforces) *bitwise* parity with numpy.  ``-O3``
+vectorizes the branch-free elementwise loops; each lane evaluates the
+same scalar expression on its own element, so nothing reassociates.
 
 GEMMs never move to C: BLAS accumulation order is the bitwise anchor
 and is not reproducible by a naive loop (measured, not assumed — see
@@ -109,36 +111,41 @@ void lif_backward_step_{suf}(
     int has_alpha, double alpha, int have_carry,
     {ctype} *gs_reset, {ctype} *gv_carry, {ctype} *gj_carry, {ctype} *gj_out)
 {{
+    /* One branch-free loop per case; gj_out holds gV until read. */
     const {ctype} beta_c = ({ctype})beta;
     const {ctype} alpha_c = ({ctype})alpha;
-    long i = 0;
-    for (long b = 0; b < B; b++) {{
-        for (long n = 0; n < N; n++, i++) {{
-            {ctype} gv;
-            if (have_carry) {{
-                gv = g_spikes_t[i] + gs_reset[i];
-                if (gs_rec) gv = gv + gs_rec[i];
-                gv = gv * surrogate_t[i] + gv_carry[i];
-            }} else {{
-                gv = g_spikes_t[i] * surrogate_t[i];
-            }}
-            {ctype} gj = gv;
-            if (has_alpha) {{
-                if (have_carry) gj = gv + gj_carry[i];
-                gj_carry[i] = gj * alpha_c;
-            }}
-            gj_out[i] = gj;
-            if (membrane_prev) {{
-                if (hard) {{
-                    {ctype} gv_beta = gv * beta_c;
-                    gs_reset[i] = -(gv_beta * membrane_prev[i]);
-                    gv_carry[i] = gv_beta * (({ctype})1.0 - spikes_prev[i]);
-                }} else {{
-                    gs_reset[i] = (-gv) * vthr[n];
-                    gv_carry[i] = gv * beta_c;
-                }}
+    const long BN = B * N;
+    {ctype} *gv = gj_out;
+    if (!have_carry) {{
+        for (long i = 0; i < BN; i++) gv[i] = g_spikes_t[i] * surrogate_t[i];
+    }} else if (gs_rec) {{
+        for (long i = 0; i < BN; i++)
+            gv[i] = ((g_spikes_t[i] + gs_reset[i]) + gs_rec[i]) * surrogate_t[i]
+                    + gv_carry[i];
+    }} else {{
+        for (long i = 0; i < BN; i++)
+            gv[i] = (g_spikes_t[i] + gs_reset[i]) * surrogate_t[i] + gv_carry[i];
+    }}
+    if (membrane_prev && hard) {{
+        for (long i = 0; i < BN; i++) {{
+            {ctype} gv_beta = gv[i] * beta_c;
+            gs_reset[i] = -(gv_beta * membrane_prev[i]);
+            gv_carry[i] = gv_beta * (({ctype})1.0 - spikes_prev[i]);
+        }}
+    }} else if (membrane_prev) {{
+        for (long b = 0; b < B; b++) {{
+            const long o = b * N;
+            for (long n = 0; n < N; n++) {{
+                gs_reset[o + n] = (-gv[o + n]) * vthr[n];
+                gv_carry[o + n] = gv[o + n] * beta_c;
             }}
         }}
+    }}
+    if (has_alpha) {{
+        /* J[t] feeds V[t] directly and J[t+1] through the alpha decay. */
+        if (have_carry)
+            for (long i = 0; i < BN; i++) gj_out[i] = gv[i] + gj_carry[i];
+        for (long i = 0; i < BN; i++) gj_carry[i] = gj_out[i] * alpha_c;
     }}
 }}
 
@@ -216,7 +223,7 @@ _DTYPES = {"f32": "float", "f64": "double"}
 #: Compiler flags that make the C arithmetic IEEE-exact: no value
 #: reassociation, no contraction of a*b+c into fma(a, b, c) — either
 #: would change rounding and break bitwise parity with numpy.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 
 
 def kernel_source() -> str:
@@ -498,7 +505,7 @@ class CffiExecutor(SequenceExecutor):
             return g_current
         step, ctype = self._kernel("lif_backward_step", dtype)
         size = batch * n_out
-        w_rec_t = w_rec.T
+        w_rec_t = np.ascontiguousarray(w_rec.T)  # the reference sweep's copy
         gs_rec = np.empty((batch, n_out), dtype=dtype)
         p = {
             "g": self._ptr(ctype, g_spikes),

@@ -8,17 +8,21 @@ documented in :mod:`repro.snn.kernels`.  Every other backend is pinned
 to these trajectories bitwise by the parity suite
 (``tests/snn/test_backends.py``).
 
-**Bitwise discipline.**  The sweeps must produce the *same training
-trajectories* as the oracle, not just close ones: spiking networks are
+**Bitwise discipline.**  Every backend must produce the *same training
+trajectories* as this one, not just close ones: spiking networks are
 chaotic, so a one-ulp gradient difference grows into different spike
-rasters within a few optimizer steps.  Every accumulation below
-therefore replicates the association order of the per-step tape exactly
-(float addition commutes but does not associate):
+rasters within a few optimizer steps.  Every elementwise accumulation
+below therefore replicates the association order of the per-step tape
+exactly (float addition commutes but does not associate):
 
 - ``gS[t] = (upstream + reset-path) + recurrent-path``,
 - ``gV[t] = surrogate-path + decay-path``,
 - partial products mirror the tape, e.g. hard reset uses
   ``(gV * beta) * V[t-1]`` — never ``gV * (beta * V[t-1])``.
+
+Products stay on BLAS, whose summation order is not the tape's: the
+weight gradients are one GEMM each (:mod:`repro.snn.kernels`), so they
+match the oracle to a stated tolerance while forward spikes stay bitwise.
 """
 
 from __future__ import annotations
@@ -106,7 +110,8 @@ def lif_reverse_sweep(
     per_step = np.ndim(vthr) == 2
     alpha = spec.alpha
     hard = spec.hard
-    w_rec_t = None if w_rec is None else w_rec.T
+    # One contiguous copy (BLAS's no-trans path); the C executor's too.
+    w_rec_t = None if w_rec is None else np.ascontiguousarray(w_rec.T)
     g_current = np.empty_like(spikes)
     state_shape = spikes.shape[1:]
     dtype = spikes.dtype

@@ -6,8 +6,10 @@ kind of node, so ``Tensor.backward`` calls it exactly once: the
 forward runs the recurrence over preallocated state arrays, and the
 backward is hand-derived BPTT through the decay/reset/recurrent/surrogate
 path.  The readable per-timestep formulation — one tape node per decay,
-reset, matmul and Heaviside — lives on only as the test oracle the
-kernels are pinned to bitwise (``tests/snn/oracle.py``).
+reset, matmul and Heaviside — lives on only as the test oracle
+(``tests/snn/oracle.py``): forward spikes match it bitwise, weight
+gradients to a stated tolerance (they are one GEMM over ``T·B`` here,
+``T`` per-step products summed on the tape).
 
 Alg. 1's dynamic threshold runs inside the same sweep: given a
 :class:`~repro.snn.threshold.ThresholdController` whose threshold can
@@ -19,8 +21,8 @@ threshold.  A missing controller or an exact
 :class:`~repro.snn.threshold.StaticThreshold` keeps the static sweep.
 
 *Which executor* runs the recurrence is pluggable: this module computes
-the GEMMs (the stacked feedforward projection and the weight-gradient
-reductions — the bitwise anchor, always numpy) and hands the
+the GEMMs (the stacked feedforward projection and one weight-gradient
+GEMM per weight — the bitwise anchor, always numpy) and hands the
 time-recurrent sweeps to the backend selected via ``REPRO_BACKEND``
 (see :mod:`repro.snn.backends`).  The numpy reference executor runs the
 same elementwise operations in the same order as the per-step tape; the
@@ -40,8 +42,8 @@ reset partials)::
                                    = -vthr * gV[t]              (soft)
                Wrec^T-path(t-1)    = gI[t] @ Wrec^T
                gX[t]  = gI[t] @ Wff^T
-               gWff   = sum_t x[t]^T @ gI[t]
-               gWrec  = sum_t S[t-1]^T @ gI[t]
+               gWff   = sum_t x[t]^T @ gI[t]      (one GEMM over T*B rows)
+               gWrec  = sum_t S[t-1]^T @ gI[t]    (one GEMM over (T-1)*B rows)
 
 The bitwise-discipline rules the reference sweeps obey (and bitwise
 backends must replicate) live in :mod:`repro.snn.backends.numpy_ref`
@@ -83,44 +85,26 @@ def _check_sequence_args(x: np.ndarray, w_ff: np.ndarray, w_rec) -> None:
         )
 
 
-def _sequence_weight_grads(node, x, w_ff, w_rec, spikes, g_current):
-    """Input/weight gradients from ``gI``, in the tape's summation order.
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``[T, B, n]`` as ``[T*B, n]``: one GEMM then reduces over time and batch."""
+    return a.reshape(-1, a.shape[-1])
 
-    The per-step tape accumulates the feedforward weight gradient
-    forward-in-time for feedforward-only graphs but reverse-in-time when
-    a recurrent weight is present (the recurrent edge changes the
-    reverse topological order) — replicated here for bitwise parity.
-    These are pure GEMM reductions, so they stay on the numpy anchor for
-    every backend.  Gradients whose ``node.needs_input_grad`` flag is
-    False are skipped.
+
+def _sequence_weight_grads(node, x, w_ff, w_rec, spikes, g_current):
+    """Input/weight gradients from ``gI``, one GEMM each over ``T·B``.
+
+    BLAS, not the per-step tape, picks the summation order (see the
+    oracle tolerance in ``docs/reproducibility.md``).  Gradients whose
+    ``node.needs_input_grad`` flag is False are skipped.
     """
-    timesteps = spikes.shape[0]
     needs = node.needs_input_grad
     gx = g_current @ w_ff.T if needs[0] else None
-    gw_ff = None
-    if needs[1]:
-        scratch = np.empty(w_ff.shape, dtype=g_current.dtype)
-        order = range(timesteps - 1, -1, -1) if w_rec is not None else range(timesteps)
-        for t in order:
-            if gw_ff is None:
-                gw_ff = x[t].T @ g_current[t]
-            else:
-                np.matmul(x[t].T, g_current[t], out=scratch)
-                np.add(gw_ff, scratch, out=gw_ff)
+    gw_ff = _flat(x).T @ _flat(g_current) if needs[1] else None
     gw_rec = None
     if w_rec is not None and needs[2]:
-        scratch = np.empty(w_rec.shape, dtype=g_current.dtype)
-        for t in range(timesteps - 1, 0, -1):
-            if gw_rec is None:
-                gw_rec = spikes[t - 1].T @ g_current[t]
-            else:
-                np.matmul(spikes[t - 1].T, g_current[t], out=scratch)
-                np.add(gw_rec, scratch, out=gw_rec)
-        if gw_rec is None:
-            # T == 1: the recurrent weight never fired (S[-1] = 0), but
-            # it is still a differentiable input — its gradient is zero,
-            # not absent.
-            gw_rec = np.zeros(w_rec.shape, dtype=g_current.dtype)
+        # S[-1] = 0: gI[0] never reaches Wrec, and at T == 1 the empty
+        # product is its zero gradient (not an absent one).
+        gw_rec = _flat(spikes[:-1]).T @ _flat(g_current[1:])
     return gx, gw_ff, gw_rec
 
 
@@ -151,7 +135,7 @@ class _LIFSequence(Function):
         return spikes
 
     def backward(self, g_spikes):
-        """Hand-derived BPTT, bitwise-identical to the per-step tape."""
+        """Hand-derived BPTT: the tape's elementwise order, one GEMM per weight."""
         x, w_ff, w_rec, membrane, spikes = self.saved
         vthr = self.spec.vthr
         if np.ndim(vthr) == 2:  # per-step [T, N] record -> [T, 1, N]
@@ -185,20 +169,13 @@ class _LeakyReadoutSequence(Function):
     def backward(self, g_trajectory):
         """Reverse-accumulate the decay chain, then the weight GEMMs."""
         x, w_ff = self.saved
-        timesteps = g_trajectory.shape[0]
         obs.count("kernel.calls", backend=self.executor.name, kernel="readout_backward")
         with obs.span(
             "kernel.readout_backward", category="kernel", backend=self.executor.name
         ):
             g_membrane = self.executor.readout_backward(g_trajectory, self.beta)
         gx = g_membrane @ w_ff.T if self.needs_input_grad[0] else None
-        gw_ff = None
-        if self.needs_input_grad[1]:
-            # The feedforward weight gradient accumulates forward-in-time
-            # (feedforward-only graph) — same order as the per-step tape.
-            for t in range(timesteps):
-                contribution = x[t].T @ g_membrane[t]
-                gw_ff = contribution if gw_ff is None else gw_ff + contribution
+        gw_ff = _flat(x).T @ _flat(g_membrane) if self.needs_input_grad[1] else None
         return gx, gw_ff, None
 
 

