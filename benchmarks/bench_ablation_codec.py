@@ -20,7 +20,7 @@ def test_codec_comparison_on_latent_data(benchmark, bench_scale, record_result):
     replay = ctx.split.pretrain_train.sample_fraction(
         exp.ncl.replay_fraction, np.random.default_rng(exp.seed)
     )
-    buffer = LatentReplayBuffer.generate(
+    buffer, _ = LatentReplayBuffer.generate(
         ctx.pretrained.network,
         replay,
         insertion_layer=exp.ncl.insertion_layer,

@@ -46,7 +46,7 @@ def latent_data_comparison() -> None:
         num_pretrain_classes=experiment.num_pretrain_classes,
     )
     pretrained = pretrain(experiment, split)
-    buffer = LatentReplayBuffer.generate(
+    buffer, _ = LatentReplayBuffer.generate(
         pretrained.network,
         split.pretrain_train.sample_fraction(0.3, np.random.default_rng(0)),
         insertion_layer=experiment.ncl.insertion_layer,

@@ -17,6 +17,7 @@ long the stream runs.  Two acts:
    set a step trains on, so the trajectory is unchanged.
 
 Run:  python examples/long_task_sequence.py
+(exits 1 when the budget changes the trajectory).
 """
 
 import tempfile
@@ -86,7 +87,7 @@ def federated_run(exp, network, splits, workdir: Path):
     return result
 
 
-def budgeted_run(exp, network, splits, workdir: Path, reference):
+def budgeted_run(exp, network, splits, workdir: Path, reference) -> bool:
     print("\n=== act 2: the same stream under a global byte budget ===")
     probe = FederatedReplayStore.open(reference.store_root)
     budget = 12 * probe.sample_bytes
@@ -117,6 +118,7 @@ def budgeted_run(exp, network, splits, workdir: Path, reference):
         for p, q in zip(a.network.parameters(), b.network.parameters())
     )
     print(f"trajectory unchanged by archival budget: {identical}")
+    return identical
 
 
 def main() -> None:
@@ -124,7 +126,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         reference = federated_run(exp, network, splits, workdir)
-        budgeted_run(exp, network, splits, workdir, reference)
+        identical = budgeted_run(exp, network, splits, workdir, reference)
+    raise SystemExit(0 if identical else 1)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ Three acts:
    resident on disk, verified bit-for-bit against the in-memory path.
 
 Run:  python examples/replay_store_streaming.py
+(exits 1 when the store-backed run is not bitwise-identical).
 """
 
 import tempfile
@@ -70,8 +71,8 @@ def accounting_demo(workdir: Path) -> None:
           f"(format overhead {audit.format_overhead_bytes} B)\n")
 
 
-def store_backed_ncl(workdir: Path) -> None:
-    """Full NCL run with replay resident on disk — exact parity."""
+def store_backed_ncl(workdir: Path) -> bool:
+    """Full NCL run with replay resident on disk; True on exact parity."""
     preset = get_scale("ci")
     experiment = preset.experiment
     generator = SyntheticSHD(preset.shd, seed=experiment.seed)
@@ -100,6 +101,7 @@ def store_backed_ncl(workdir: Path) -> None:
     )
     print(f"  bitwise-identical trajectory via read-once ReplayStream: {identical}")
     print(f"  store at {store_backed.replay_store_path}")
+    return identical
 
 
 if __name__ == "__main__":
@@ -107,4 +109,5 @@ if __name__ == "__main__":
         workdir = Path(tmp)
         streaming_budget_demo(workdir)
         accounting_demo(workdir)
-        store_backed_ncl(workdir)
+        identical = store_backed_ncl(workdir)
+    raise SystemExit(0 if identical else 1)

@@ -28,7 +28,9 @@ from repro.compression.subsample import TemporalSubsampleCodec
 from repro.data.datasets import SpikeDataset
 from repro.errors import CodecError, ConfigError
 from repro.replaystore.builder import SAMPLE_HEADER_BYTES
+from repro.replaystore.store import DEFAULT_SHARD_SAMPLES, ReplayStore
 from repro.snn.network import SpikingNetwork
+from repro.snn.state import SpikeTrace
 from repro.snn.threshold import ThresholdController
 
 __all__ = [
@@ -38,75 +40,21 @@ __all__ = [
 ]
 
 
-def _frozen_front_pass(
-    network: SpikingNetwork,
-    insertion_layer: int,
-    inputs: np.ndarray,
-    controller: ThresholdController | None = None,
-):
-    """Run the frozen front once; return ``(trace, final_activations)``.
-
-    Layers are forced non-trainable for the pass so no tape is built.
-    The shared engine of :func:`frozen_front_trace` (dense accounting)
-    and the chunked generation loop in
-    :meth:`LatentReplayBuffer.generate_into_store` — one implementation,
-    so the op accounting the hw models consume can never diverge
-    between the dense and streaming paths.
-    """
-    from repro.snn.network import _layer_controller
-    from repro.snn.state import LayerTraceEntry, SpikeTrace
-
-    network._check_layer_index(insertion_layer)
-    trace = SpikeTrace()
-    inputs = np.asarray(inputs)
-    timesteps = int(inputs.shape[0])
-    batch = int(inputs.shape[1])
-    activations = inputs
-    flags = [
-        (layer, layer.trainable)
-        for layer in network.hidden_layers[:insertion_layer]
-    ]
-    try:
-        for layer, _ in flags:
-            layer.set_trainable(False)
-        for layer, _ in flags:
-            out = layer.forward(activations, _layer_controller(controller, layer))
-            trace.add(
-                LayerTraceEntry(
-                    name=layer.name,
-                    n_in=layer.n_in,
-                    n_out=layer.n_out,
-                    recurrent=layer.recurrent,
-                    input_spike_count=float(np.asarray(activations).sum()),
-                    output_spike_count=float(out.data.sum()),
-                    timesteps=timesteps,
-                    batch=batch,
-                )
-            )
-            activations = out.data
-    finally:
-        for layer, flag in flags:
-            layer.set_trainable(flag)
-    return trace, activations
-
-
 def frozen_front_trace(
     network: SpikingNetwork,
     insertion_layer: int,
     inputs: np.ndarray,
     controller: ThresholdController | None = None,
-):
-    """Forward-only trace of the frozen front over ``inputs``.
+) -> SpikeTrace:
+    """Spike trace of one frozen-front pass over ``inputs``.
 
-    Runs layers ``0 .. insertion_layer-1`` purely for op accounting
-    (spike counts per layer feed the hardware latency/energy models).
-    ``controller`` must match whatever the accounted pass used (e.g. the
-    generation controller for the latent-buffer trace) so the spike
-    counts are faithful.  Returns an empty trace for
-    ``insertion_layer=0`` (raw-input insertion has no frozen front).
+    The trace half of :meth:`SpikingNetwork.activations_at` (spike counts
+    per layer feed the hardware latency/energy models); empty for
+    ``insertion_layer=0``.  The NCL run takes its traces from the passes
+    it already makes, so this is a recomputation for checks and tools.
     """
-    trace, _ = _frozen_front_pass(network, insertion_layer, inputs, controller)
-    return trace
+    return network.activations_at(insertion_layer, inputs, controller)[1]
+
 
 #: Bytes of per-sample metadata (label id, sample length) charged by the
 #: storage model on top of the packed payload.  Shared with the
@@ -151,7 +99,7 @@ class LatentReplayBuffer:
         timesteps: int,
         compression_factor: int = 1,
         controller: ThresholdController | None = None,
-    ) -> "LatentReplayBuffer":
+    ) -> tuple["LatentReplayBuffer", SpikeTrace]:
         """Run the frozen front on the replay subset and store the result.
 
         Parameters
@@ -169,21 +117,26 @@ class LatentReplayBuffer:
         controller:
             Optional adaptive threshold controller active while the
             frozen part generates activations (Alg. 1 lines 8-19).
+
+        The result is ``(buffer, trace)``: the buffer and the
+        :class:`~repro.snn.state.SpikeTrace` of the one frozen-front
+        pass that made it (the op-accounting input; empty for
+        ``insertion_layer=0``).
         """
         if len(replay_data) == 0:
             raise ConfigError("replay dataset is empty")
-        inputs = replay_data.to_dense(timesteps)
-        activations = network.activations_at(
-            insertion_layer, inputs, controller=controller
+        activations, trace = network.activations_at(
+            insertion_layer, replay_data.to_dense(timesteps), controller=controller
         )
         codec = TemporalSubsampleCodec(compression_factor)
-        return cls(
+        buffer = cls(
             compressed=codec.compress(activations),
             labels=replay_data.labels.copy(),
             insertion_layer=insertion_layer,
             generated_timesteps=timesteps,
             codec=codec,
         )
+        return buffer, trace
 
     @classmethod
     def generate_into_store(
@@ -198,105 +151,22 @@ class LatentReplayBuffer:
         controller: ThresholdController | None = None,
         shard_samples: int | None = None,
         overwrite: bool = False,
-    ):
-        """Generate latent data directly into an on-disk replay store.
+    ) -> tuple[ReplayStore, SpikeTrace]:
+        """Generate latent data into an on-disk replay store at ``root``.
 
-        The streaming twin of :meth:`generate` + :meth:`to_store`: the
-        replay subset is pushed through the frozen front in
-        shard-samples-sized chunks, each chunk encoded and appended to
-        the store immediately — so generation's peak resident latent
-        memory is one shard, not the whole buffer, which is what lets a
-        long task sequence persist every step without ever holding a
-        dense per-task buffer (results are bitwise-identical to the
-        dense path: per-sample dynamics are batch-independent).
-
-        When ``controller`` is not None the adaptive threshold observes
-        *batch-aggregated* spike statistics, so chunked generation would
-        change the thresholds Alg. 1 lines 8-19 produce; generation then
-        falls back to one dense pass (still released right after the
-        store append).
-
-        Returns ``(store, trace)`` where ``trace`` is the frozen-front
-        :class:`~repro.snn.state.SpikeTrace` of the generation pass (the
-        op-accounting input; empty for ``insertion_layer=0``).
+        :meth:`generate`, then :meth:`to_store`.  Returns
+        ``(store, trace)`` with the trace of the generation pass; nothing
+        is written when generation fails.
         """
-        from repro.replaystore.store import DEFAULT_SHARD_SAMPLES
-        from repro.snn.state import LayerTraceEntry, SpikeTrace
-
-        if len(replay_data) == 0:
-            raise ConfigError("replay dataset is empty")
-        network._check_layer_index(insertion_layer)
-        chunk_samples = shard_samples or DEFAULT_SHARD_SAMPLES
-
-        if controller is not None:
-            buffer = cls.generate(
-                network,
-                replay_data,
-                insertion_layer=insertion_layer,
-                timesteps=timesteps,
-                compression_factor=compression_factor,
-                controller=controller,
-            )
-            store = buffer.to_store(
-                root, shard_samples=chunk_samples, overwrite=overwrite
-            )
-            trace = frozen_front_trace(
-                network,
-                insertion_layer,
-                replay_data.to_dense(timesteps),
-                controller=controller,
-            )
-            return store, trace
-
-        codec = TemporalSubsampleCodec(compression_factor)
-        store = None
-        chunk_traces = []
-        for start in range(0, len(replay_data), chunk_samples):
-            chunk = replay_data.subset(
-                np.arange(start, min(start + chunk_samples, len(replay_data)))
-            )
-            chunk_trace, activations = _frozen_front_pass(
-                network, insertion_layer, chunk.to_dense(timesteps)
-            )
-            chunk_traces.append(chunk_trace)
-            compressed = codec.compress(
-                np.asarray(activations, dtype=np.float32)
-            )
-            if store is None:
-                from repro.replaystore.store import ReplayStore
-
-                store = ReplayStore.create(
-                    root,
-                    stored_frames=compressed.shape[0],
-                    num_channels=compressed.shape[2],
-                    generated_timesteps=timesteps,
-                    insertion_layer=insertion_layer,
-                    codec_factor=compression_factor,
-                    shard_samples=chunk_samples,
-                    overwrite=overwrite,
-                )
-            store.append(compressed, chunk.labels)
-
-        # Merge the per-chunk traces: spike counts sum across chunks,
-        # the batch extent is the whole subset.
-        trace = SpikeTrace()
-        for i, first in enumerate(chunk_traces[0].entries):
-            trace.add(
-                LayerTraceEntry(
-                    name=first.name,
-                    n_in=first.n_in,
-                    n_out=first.n_out,
-                    recurrent=first.recurrent,
-                    input_spike_count=sum(
-                        t.entries[i].input_spike_count for t in chunk_traces
-                    ),
-                    output_spike_count=sum(
-                        t.entries[i].output_spike_count for t in chunk_traces
-                    ),
-                    timesteps=timesteps,
-                    batch=len(replay_data),
-                )
-            )
+        buffer, trace = cls.generate(
+            network,
+            replay_data,
+            insertion_layer=insertion_layer,
+            timesteps=timesteps,
+            compression_factor=compression_factor,
+            controller=controller,
+        )
+        store = buffer.to_store(root, shard_samples=shard_samples, overwrite=overwrite)
         return store, trace
 
     def __post_init__(self):
@@ -346,16 +216,16 @@ class LatentReplayBuffer:
         root,
         shard_samples: int | None = None,
         overwrite: bool = False,
-    ) -> "ReplayStore":
+    ) -> ReplayStore:
         """Persist this buffer as a sharded on-disk replay store.
 
         The dense raster is chunked into shards of ``shard_samples``
         columns (``replaystore`` default when None), each encoded with
         the smaller of the bitpack/address-event codecs for its density.
-        The returned store round-trips exactly: see :meth:`from_store`.
+        The codecs are lossless: reading the store back with
+        :class:`~repro.replaystore.stream.ReplayStream` gives
+        :meth:`materialize`'s raster exactly.
         """
-        from repro.replaystore.store import DEFAULT_SHARD_SAMPLES, ReplayStore
-
         store = ReplayStore.create(
             root,
             stored_frames=self.stored_frames,
@@ -368,31 +238,6 @@ class LatentReplayBuffer:
         )
         store.append(self.compressed, self.labels)
         return store
-
-    @classmethod
-    def from_store(cls, root) -> "LatentReplayBuffer":
-        """Rebuild the dense buffer from a store.
-
-        The exact inverse of :meth:`to_store` — shard codecs are
-        lossless.
-        """
-        from repro.replaystore.store import ReplayStore
-
-        store = root if isinstance(root, ReplayStore) else ReplayStore.open(root)
-        if store.num_samples == 0:
-            raise ConfigError(f"store at {store.root} holds no samples")
-        rasters, labels = [], []
-        for shard_id in range(store.num_shards):
-            raster, shard_labels = store.read_shard(shard_id)
-            rasters.append(raster)
-            labels.append(shard_labels)
-        return cls(
-            compressed=np.concatenate(rasters, axis=1),
-            labels=np.concatenate(labels),
-            insertion_layer=store.meta.insertion_layer,
-            generated_timesteps=store.meta.generated_timesteps,
-            codec=TemporalSubsampleCodec(store.meta.codec_factor),
-        )
 
     # ------------------------------------------------------------------
     # Replay

@@ -25,6 +25,7 @@ from repro.core.latent_replay import LatentReplayBuffer
 from repro.core.replayspec import ReplaySpec, resolve_replay_spec
 from repro.data.tasks import ClassIncrementalSplit
 from repro.errors import ConfigError
+from repro.replaystore.stream import ReplayStream
 from repro.seeding import spawn
 from repro.snn.network import PREDICT_BATCH, SpikingNetwork
 from repro.snn.state import SpikeTrace
@@ -160,20 +161,18 @@ class NCLMethod:
 
         ``replay`` is a :class:`~repro.core.replayspec.ReplaySpec` (or a
         bare store path promoted to one); ``None`` keeps replay dense in
-        memory.  A spec with ``store_dir`` set switches the replay
-        buffer to the store-backed path: the generated latent data is
-        persisted as a sharded
+        memory.  The replay subset crosses the frozen front once: that
+        pass makes the latent buffer and the trace charged to
+        ``prepare_cost``.  A spec with ``store_dir`` set additionally
+        persists the buffer as a sharded
         :class:`~repro.replaystore.store.ReplayStore` at that directory
-        (streamed chunk-by-chunk when no generation controller is
-        active, so not even generation holds the dense buffer), then
-        read back once through a
+        and trains on the raster read back once through a
         :class:`~repro.replaystore.stream.ReplayStream` — each shard
-        read, checked against the index and decoded once per run — and
-        concatenated with the new-task activations exactly as the dense
-        path does.  The training trajectory is therefore bitwise-
-        identical to the in-memory path at the same seed (shard codecs
-        are lossless and the minibatch order is unchanged), and the
-        decoded replay raster's size is reported as
+        read, checked against the index and decoded once per run.  The
+        training trajectory is therefore bitwise-identical to the
+        in-memory path at the same seed (shard codecs are lossless and
+        the minibatch order is unchanged), and the decoded replay
+        raster's size is reported as
         ``NCLResult.replay_peak_resident_bytes``.  ``spec.prefetch`` is
         accepted for compatibility and has no effect.
         """
@@ -200,85 +199,43 @@ class NCLMethod:
         # ---- prepare: latent replay buffer (Alg. 1 lines 6-20) --------
         buffer: LatentReplayBuffer | None = None
         store = None
+        decompress = self.decompress_for_replay()
         if self.uses_replay():
             with obs.span("ncl.prepare", category="scenario", method=self.name):
                 replay_subset = split.pretrain_train.sample_fraction(
                     config.ncl.replay_fraction, spawn(config.seed, "replay-subset")
                 )
+                buffer, generation_trace = LatentReplayBuffer.generate(
+                    network,
+                    replay_subset,
+                    insertion_layer=insertion,
+                    timesteps=timesteps,
+                    compression_factor=self.compression_factor(),
+                    controller=self.make_generation_controller(),
+                )
+                prepare_cost.frozen_traces.append(generation_trace)
                 if replay.store_backed:
-                    store, generation_trace = LatentReplayBuffer.generate_into_store(
-                        network,
-                        replay_subset,
+                    store = buffer.to_store(
                         replay.store_dir,
-                        insertion_layer=insertion,
-                        timesteps=timesteps,
-                        compression_factor=self.compression_factor(),
-                        controller=self.make_generation_controller(),
                         shard_samples=replay.shard_samples,
                         overwrite=replay.overwrite,
                     )
-                    prepare_cost.frozen_traces.append(generation_trace)
-                else:
-                    buffer = LatentReplayBuffer.generate(
-                        network,
-                        replay_subset,
-                        insertion_layer=insertion,
-                        timesteps=timesteps,
-                        compression_factor=self.compression_factor(),
-                        controller=self.make_generation_controller(),
-                    )
-                    prepare_cost.frozen_traces.append(
-                        self._frozen_trace(
-                            network,
-                            insertion,
-                            replay_subset.to_dense(timesteps),
-                            controller=self.make_generation_controller(),
-                        )
-                    )
+            if store is None:
+                replay_raster = buffer.materialize(decompress=decompress)
+            else:
+                replay_raster = ReplayStream(store, decompress=decompress).materialize()
 
         # ---- current-task activations (Alg. 1 line 23) ----------------
-        new_inputs = split.new_train.to_dense(timesteps)
-        new_activations = network.activations_at(insertion, new_inputs)
+        new_activations, new_trace = network.activations_at(
+            insertion, split.new_train.to_dense(timesteps)
+        )
         new_labels = split.new_train.labels
-
-        latent_bytes = 0
-        latent_frames = 0
-        decompressed_cells = 0
-        store_path: str | None = None
-        replay_raster = None
-        if buffer is not None:
-            latent_bytes = buffer.storage_bytes()
-            latent_frames = buffer.stored_frames
-            decompressed_cells = buffer.decompressed_cells_per_replay(
-                self.decompress_for_replay()
-            )
-            replay_raster = buffer.materialize(
-                decompress=self.decompress_for_replay()
-            )
-            replay_labels = buffer.labels
-        elif store is not None:
-            from repro.hw.memory import latent_memory_bytes
-            from repro.replaystore.stream import ReplayStream
-
-            # Path-independent accounting: same storage model the dense
-            # buffer would have reported (asserted in the parity tests).
-            latent_bytes = latent_memory_bytes(
-                store.meta.stored_frames, store.num_samples, store.meta.num_channels
-            )
-            latent_frames = store.meta.stored_frames
-            replay_raster = ReplayStream(
-                store, decompress=self.decompress_for_replay()
-            ).materialize()
-            if self.decompress_for_replay():
-                decompressed_cells = int(replay_raster.size)
-            replay_labels = store.labels
-            store_path = str(store.root)
-        if replay_raster is None:
+        if buffer is None:
             train_inputs = new_activations
             train_labels = new_labels
         else:
             train_inputs = np.concatenate([new_activations, replay_raster], axis=1)
-            train_labels = np.concatenate([new_labels, replay_labels])
+            train_labels = np.concatenate([new_labels, buffer.labels])
 
         # ---- NCL training (Alg. 1 lines 21-33) ------------------------
         controller = self.make_controller()
@@ -302,7 +259,9 @@ class NCLMethod:
         def front(dense: np.ndarray) -> np.ndarray:
             cuts = range(PREDICT_BATCH, dense.shape[1], PREDICT_BATCH)
             chunks = np.split(dense, cuts, axis=1)
-            return np.concatenate([network.activations_at(insertion, c) for c in chunks], 1)
+            return np.concatenate(
+                [network.activations_at(insertion, c)[0] for c in chunks], 1
+            )
 
         old_test = front(split.pretrain_test.to_dense(timesteps))
         new_test = front(split.new_test.to_dense(timesteps))
@@ -347,9 +306,10 @@ class NCLMethod:
                 },
             )
 
-        epoch_costs = self._collect_epoch_costs(
-            trainer, network, insertion, new_inputs, decompressed_cells, timesteps
+        cells = (
+            0 if buffer is None else buffer.decompressed_cells_per_replay(decompress)
         )
+        epoch_costs = self._collect_epoch_costs(trainer, new_trace, cells, timesteps)
 
         trace = obs.TraceReport.capture(recorder, trace_mark)
         obs.maybe_export()
@@ -362,40 +322,21 @@ class NCLMethod:
             final_old_accuracy=final.old_task_accuracy,
             final_new_accuracy=final.new_task_accuracy,
             final_overall_accuracy=final.overall_accuracy,
-            latent_storage_bytes=latent_bytes,
-            latent_stored_frames=latent_frames,
+            latent_storage_bytes=0 if buffer is None else buffer.storage_bytes(),
+            latent_stored_frames=0 if buffer is None else buffer.stored_frames,
             epoch_costs=epoch_costs,
             prepare_cost=prepare_cost,
             network=network,
-            replay_store_path=store_path,
-            replay_peak_resident_bytes=replay_raster.nbytes if store is not None else 0,
+            replay_store_path=None if store is None else str(store.root),
+            replay_peak_resident_bytes=0 if store is None else replay_raster.nbytes,
             trace=trace,
         )
 
     # ------------------------------------------------------------------
-    def _frozen_trace(
-        self,
-        network: SpikingNetwork,
-        insertion: int,
-        inputs: np.ndarray,
-        controller=None,
-    ) -> SpikeTrace:
-        """Trace of running the frozen front once over ``inputs``.
-
-        Forward-only re-run used purely for op accounting; see
-        :func:`~repro.core.latent_replay.frozen_front_trace` (the shared
-        authority, also used by store-streamed generation).
-        """
-        from repro.core.latent_replay import frozen_front_trace
-
-        return frozen_front_trace(network, insertion, inputs, controller)
-
     def _collect_epoch_costs(
         self,
         trainer: Trainer,
-        network: SpikingNetwork,
-        insertion: int,
-        new_inputs: np.ndarray,
+        frozen: SpikeTrace,
         cells: int,
         timesteps: int,
     ) -> list[EpochCost]:
@@ -403,14 +344,13 @@ class NCLMethod:
 
         Alg. 1 recomputes the frozen part on current data every epoch
         (line 23) and SpikingLR decompresses the latent buffer per epoch;
-        both are charged here even though the implementation caches the
-        results (the values are identical every epoch).  ``cells`` is the
-        per-replay decompression volume, captured before a store-backed
-        run releases its dense buffer.  Per-epoch evaluation is not
-        charged to the cost model, though it follows the same deployment
-        semantics.
+        both are charged here even though the implementation computes
+        them once (the values are identical every epoch).  ``frozen`` is
+        the trace of the run's one frozen-front pass over the new-task
+        inputs; ``cells`` is the per-replay decompression volume.
+        Per-epoch evaluation is not charged to the cost model, though it
+        follows the same deployment semantics.
         """
-        frozen = self._frozen_trace(network, insertion, new_inputs)
         costs = []
         for traces in trainer.epoch_traces:
             costs.append(

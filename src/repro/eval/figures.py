@@ -429,11 +429,11 @@ def fig12(ctx: ExperimentContext) -> ExperimentResult:
 
     sota_bytes, ours_bytes = [], []
     for lins in layers:
-        sota_buffer = LatentReplayBuffer.generate(
+        sota_buffer, _ = LatentReplayBuffer.generate(
             network, replay, insertion_layer=lins,
             timesteps=exp.pretrain.timesteps, compression_factor=2,
         )
-        ours_buffer = LatentReplayBuffer.generate(
+        ours_buffer, _ = LatentReplayBuffer.generate(
             network, replay, insertion_layer=lins,
             timesteps=exp.ncl.timesteps, compression_factor=1,
         )

@@ -8,9 +8,9 @@ layers followed by a :class:`LeakyReadout`.  Weight layers are indexed
 Latent replay needs two partial passes, both provided here:
 
 - :meth:`activations_at` — run layers ``0 .. k-1`` (the *frozen* part)
-  and return the spike raster that feeds weight layer ``k``.  With
-  ``k = 0`` this is the raw input (Fig. 6: "LR insertion layer 0" inserts
-  input spikes directly).
+  once and return the spike raster that feeds weight layer ``k`` with
+  the pass's spike trace.  With ``k = 0`` this is the raw input (Fig. 6:
+  "LR insertion layer 0" inserts input spikes directly).
 - :meth:`forward` with ``start_layer=k`` — run the *learning* part only,
   taking pre-computed layer-``k`` input activations.
 """
@@ -65,13 +65,10 @@ class ForwardResult:
     Attributes:
         logits: ``[B, num_classes]`` readout maxima (differentiable).
         trace: Per-layer spike counts, for the hardware cost models.
-        hidden_spikes: Output spike Tensors per executed hidden layer
-            (time-major), present only when ``record_spikes=True``.
     """
 
     logits: Tensor
     trace: SpikeTrace
-    hidden_spikes: list[Tensor] | None = None
 
 
 class SpikingNetwork:
@@ -182,59 +179,42 @@ class SpikingNetwork:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def forward(
+    def _run_hidden(
         self,
         inputs: Tensor | np.ndarray,
-        start_layer: int = 0,
-        controller=None,
-        record_spikes: bool = False,
-        controller_from_layer: int = 0,
-        class_mask: np.ndarray | None = None,
-    ) -> ForwardResult:
-        """Run weight layers ``start_layer .. L-1``.
+        start: int,
+        stop: int,
+        controller,
+        controller_from_layer: int,
+    ) -> tuple[Tensor, SpikeTrace, float]:
+        """Run hidden layers ``start .. stop-1``, tracing each one.
 
-        Args:
-            inputs: ``[T, B, layer_input_size(start_layer)]`` spike
-                raster — the dataset encoding for ``start_layer=0``, or
-                latent activations when replaying into a later layer.
-            controller: :data:`ControllerLike` — a shared controller
-                (reset per layer), a per-layer factory, or None for the
-                static threshold.
-            record_spikes: Keep per-layer output rasters (needed when
-                generating latent replay data).
-            controller_from_layer: First weight-layer index the
-                controller applies to; earlier layers run at their
-                static threshold.  NCL evaluation uses this to confine
-                adaptive thresholds to the *learning* layers (Alg. 1
-                adapts ``netl``, not the frozen front).
-            class_mask: Optional boolean ``[num_classes]`` readout mask
-                restricting the logits to the active task's classes
-                (task-incremental inference).  ``None`` or a full mask
-                leaves the logits bitwise-unchanged; see
-                :meth:`LeakyReadout.forward`.
+        The one hidden-layer loop: :meth:`forward` and
+        :meth:`activations_at` both call it.  ``inputs`` must be
+        ``[T, B, layer_input_size(start)]``.  Returns the output raster,
+        the per-layer trace and the output's spike count (which the next
+        layer, e.g. the readout, takes as its input count).
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        self._check_layer_index(start_layer)
-        expected = self.layer_input_size(start_layer)
+        self._check_layer_index(start)
+        expected = self.layer_input_size(start)
         if x.ndim != 3 or x.shape[2] != expected:
             raise ShapeError(
-                f"start_layer={start_layer} expects [T, B, {expected}] input, "
+                f"weight layer {start} expects [T, B, {expected}] input, "
                 f"got shape {tuple(x.shape)}"
             )
 
         timesteps, batch = x.shape[0], x.shape[1]
         trace = SpikeTrace()
-        recorded: list[Tensor] = []
-        activations = x
         count = float(x.data.sum())  # each layer's output count feeds the next
-        for i in range(start_layer, len(self.hidden_layers)):
+        for i in range(start, stop):
             layer = self.hidden_layers[i]
             layer_ctrl = (
                 _layer_controller(controller, layer)
                 if i >= controller_from_layer
                 else None
             )
-            out = layer.forward(activations, layer_ctrl)
+            out = layer.forward(x, layer_ctrl)
             out_count = float(out.data.sum())
             trace.add(
                 LayerTraceEntry(
@@ -249,10 +229,44 @@ class SpikingNetwork:
                 )
             )
             count = out_count
-            if record_spikes:
-                recorded.append(out)
-            activations = out
+            x = out
+        return x, trace, count
 
+    def forward(
+        self,
+        inputs: Tensor | np.ndarray,
+        start_layer: int = 0,
+        controller=None,
+        controller_from_layer: int = 0,
+        class_mask: np.ndarray | None = None,
+    ) -> ForwardResult:
+        """Run weight layers ``start_layer .. L-1``.
+
+        Args:
+            inputs: ``[T, B, layer_input_size(start_layer)]`` spike
+                raster — the dataset encoding for ``start_layer=0``, or
+                latent activations when replaying into a later layer.
+            controller: :data:`ControllerLike` — a shared controller
+                (reset per layer), a per-layer factory, or None for the
+                static threshold.
+            controller_from_layer: First weight-layer index the
+                controller applies to; earlier layers run at their
+                static threshold.  NCL evaluation uses this to confine
+                adaptive thresholds to the *learning* layers (Alg. 1
+                adapts ``netl``, not the frozen front).
+            class_mask: Optional boolean ``[num_classes]`` readout mask
+                restricting the logits to the active task's classes
+                (task-incremental inference).  ``None`` or a full mask
+                leaves the logits bitwise-unchanged; see
+                :meth:`LeakyReadout.forward`.
+        """
+        activations, trace, count = self._run_hidden(
+            inputs,
+            start_layer,
+            len(self.hidden_layers),
+            controller,
+            controller_from_layer,
+        )
         logits = self.readout.forward(activations, class_mask=class_mask)
         trace.add(
             LayerTraceEntry(
@@ -262,48 +276,44 @@ class SpikingNetwork:
                 recurrent=False,
                 input_spike_count=count,
                 output_spike_count=0.0,
-                timesteps=timesteps,
-                batch=batch,
+                timesteps=activations.shape[0],
+                batch=activations.shape[1],
             )
         )
-        return ForwardResult(
-            logits=logits,
-            trace=trace,
-            hidden_spikes=recorded if record_spikes else None,
-        )
+        return ForwardResult(logits=logits, trace=trace)
 
     def activations_at(
         self,
         insertion_layer: int,
         inputs: Tensor | np.ndarray,
         controller=None,
-    ) -> np.ndarray:
-        """Spike raster feeding weight layer ``insertion_layer``.
+    ) -> tuple[np.ndarray, SpikeTrace]:
+        """Spike raster feeding weight layer ``insertion_layer``, and its trace.
 
-        Runs the frozen front (layers ``0 .. insertion_layer-1``) in
-        inference mode.  ``insertion_layer=0`` returns the raw input —
-        inserting LR data "at layer 0" replays input spikes themselves.
+        Runs the frozen front (layers ``0 .. insertion_layer-1``) once,
+        in inference mode.  ``insertion_layer=0`` returns the raw input —
+        inserting LR data "at layer 0" replays input spikes themselves —
+        with an empty trace.
 
-        Returns a detached binary array ``[T, B, layer_input_size]`` —
-        latent replay data is stored, not differentiated through.
+        Returns ``(raster, trace)``: a detached binary array
+        ``[T, B, layer_input_size]`` (latent replay data is stored, not
+        differentiated through) and the frozen front's per-layer
+        :class:`~repro.snn.state.SpikeTrace`, the op-accounting input
+        of the hardware models.
         """
         self._check_layer_index(insertion_layer)
-        x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        if insertion_layer == 0:
-            return x.data.astype(np.float32, copy=True)
-
-        activations = x
-        for i in range(insertion_layer):
-            layer = self.hidden_layers[i]
-            was_trainable = layer.trainable
+        front = self.hidden_layers[:insertion_layer]
+        flags = [layer.trainable for layer in front]
+        for layer in front:
             layer.set_trainable(False)
-            try:
-                activations = layer.forward(
-                    activations, _layer_controller(controller, layer)
-                )
-            finally:
-                layer.set_trainable(was_trainable)
-        return activations.data.astype(np.float32, copy=True)
+        try:
+            out, trace, _ = self._run_hidden(
+                inputs, 0, insertion_layer, controller, 0
+            )
+        finally:
+            for layer, flag in zip(front, flags):
+                layer.set_trainable(flag)
+        return out.data.astype(np.float32, copy=True), trace
 
     def predict(
         self,

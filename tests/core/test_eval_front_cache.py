@@ -17,10 +17,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import Replay4NCL, SpikingLR
+from repro.core import Replay4NCL, ReplaySpec, SpikingLR
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import make_class_incremental
 from repro.snn.layers import RecurrentLIFLayer
+from repro.seeding import spawn
 from repro.snn.network import PREDICT_BATCH, SpikingNetwork
 from repro.training.metrics import top1_accuracy
 from repro.training.trainer import Trainer
@@ -135,7 +136,7 @@ def test_history_bitwise_equals_full_predict_oracle(
             np.testing.assert_array_equal(value, oracle_state[layer][name])
 
 
-def _frozen_work(method, network, split, monkeypatch):
+def _frozen_work(method, network, split, monkeypatch, replay=None):
     """(predict start layers, batch sizes each frozen layer ran) for one run."""
     insertion = method.insertion_layer()
     frozen = {layer.name: [] for layer in network.hidden_layers[:insertion]}
@@ -149,19 +150,25 @@ def _frozen_work(method, network, split, monkeypatch):
     with monkeypatch.context() as m:
         calls = _recording_predict(m)
         m.setattr(RecurrentLIFLayer, "forward", forward)
-        method.run(network, split)
+        method.run(network, split, replay=replay)
     return [start for start, _ in calls], frozen
 
 
+@pytest.mark.parametrize("store_backed", [False, True], ids=["dense", "store"])
+@pytest.mark.parametrize("method_cls", [Replay4NCL, SpikingLR])
 @pytest.mark.parametrize("insertion", [1, 3])
 def test_frozen_front_runs_once_per_run(
-    insertion, ci_preset, ci_pretrained, big_split, monkeypatch
+    insertion, method_cls, store_backed, ci_preset, ci_pretrained, big_split,
+    monkeypatch, tmp_path,
 ):
     network = ci_pretrained.network
     runs = {}
     for epochs in (1, EPOCHS):
-        method = Replay4NCL(_config(ci_preset, insertion, epochs=epochs))
-        runs[epochs] = _frozen_work(method, network, big_split, monkeypatch)
+        method = method_cls(_config(ci_preset, insertion, epochs=epochs))
+        replay = (
+            ReplaySpec(store_dir=tmp_path / f"store-{epochs}") if store_backed else None
+        )
+        runs[epochs] = _frozen_work(method, network, big_split, monkeypatch, replay)
 
     for epochs, (starts, _) in runs.items():
         # One predict per test set per epoch, each skipping the front.
@@ -170,8 +177,23 @@ def test_frozen_front_runs_once_per_run(
     once, many = runs[1][1], runs[EPOCHS][1]
     assert len(once) == insertion
     assert many == once
-    test_samples = len(big_split.pretrain_test) + len(big_split.new_test)
+    # Every input set crosses each frozen layer exactly once: the replay
+    # subset (generation and its op accounting share one pass), the
+    # new-task training set (its activations and trace likewise) and
+    # both test sets.
+    exp = ci_preset.experiment
+    replay_subset = big_split.pretrain_train.sample_fraction(
+        exp.ncl.replay_fraction, spawn(exp.seed, "replay-subset")
+    )
+    inputs = (
+        len(replay_subset)
+        + len(big_split.new_train)
+        + len(big_split.pretrain_test)
+        + len(big_split.new_test)
+    )
     for batches in once.values():
-        assert sum(batches) >= test_samples
+        assert sum(batches) == inputs
         # The old-task test set crosses the front in predict-sized chunks.
-        assert max(batches) == PREDICT_BATCH
+        assert max(batches) == max(
+            PREDICT_BATCH, len(replay_subset), len(big_split.new_train)
+        )

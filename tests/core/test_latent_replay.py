@@ -3,9 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.core.latent_replay import HEADER_BYTES_PER_SAMPLE, LatentReplayBuffer
+from repro.core.latent_replay import (
+    HEADER_BYTES_PER_SAMPLE,
+    LatentReplayBuffer,
+    frozen_front_trace,
+)
 from repro.compression import TemporalSubsampleCodec
 from repro.errors import CodecError, ConfigError
+from repro.replaystore import ReplayStream
+from repro.snn.threshold import PerNeuronAdaptiveThreshold
+
+
+def _generation_controller(timesteps):
+    def factory(layer):
+        return PerNeuronAdaptiveThreshold(
+            num_neurons=layer.n_out, timesteps=timesteps, adjust_interval=5
+        )
+
+    return factory
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +29,7 @@ def buffer_and_inputs(ci_pretrained, ci_split, ci_preset):
     replay = ci_split.pretrain_train.sample_fraction(
         0.5, np.random.default_rng(0)
     )
-    buffer = LatentReplayBuffer.generate(
+    buffer, _ = LatentReplayBuffer.generate(
         ci_pretrained.network,
         replay,
         insertion_layer=2,
@@ -43,13 +58,14 @@ class TestGeneration:
     def test_layer0_stores_raw_input(self, ci_pretrained, ci_split, ci_preset):
         replay = ci_split.pretrain_train.subset([0, 1])
         t = ci_preset.experiment.pretrain.timesteps
-        buffer = LatentReplayBuffer.generate(
+        buffer, trace = LatentReplayBuffer.generate(
             ci_pretrained.network, replay, insertion_layer=0,
             timesteps=t, compression_factor=1,
         )
         np.testing.assert_array_equal(
             buffer.compressed, replay.to_dense(t)
         )
+        assert trace.entries == []  # no frozen front to charge
 
     def test_empty_replay_rejected(self, ci_pretrained, ci_split):
         empty = ci_split.pretrain_train.subset([])
@@ -61,9 +77,29 @@ class TestGeneration:
     def test_deterministic(self, ci_pretrained, ci_split, ci_preset):
         replay = ci_split.pretrain_train.subset([0, 1, 2])
         kwargs = dict(insertion_layer=1, timesteps=20, compression_factor=2)
-        a = LatentReplayBuffer.generate(ci_pretrained.network, replay, **kwargs)
-        b = LatentReplayBuffer.generate(ci_pretrained.network, replay, **kwargs)
+        a, _ = LatentReplayBuffer.generate(ci_pretrained.network, replay, **kwargs)
+        b, _ = LatentReplayBuffer.generate(ci_pretrained.network, replay, **kwargs)
         np.testing.assert_array_equal(a.compressed, b.compressed)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_trace_is_the_generation_pass(
+        self, ci_pretrained, ci_split, adaptive
+    ):
+        # The trace comes from the pass that made the buffer: it equals
+        # a recomputation under the same generation controller.
+        replay = ci_split.pretrain_train.subset([0, 1, 2])
+        controller = _generation_controller(12) if adaptive else None
+        buffer, trace = LatentReplayBuffer.generate(
+            ci_pretrained.network, replay, insertion_layer=2, timesteps=12,
+            controller=controller,
+        )
+        dense = replay.to_dense(12)
+        assert trace == frozen_front_trace(
+            ci_pretrained.network, 2, dense, controller
+        )
+        assert [e.name for e in trace.entries] == ["hidden0", "hidden1"]
+        assert all(e.batch == 3 and e.timesteps == 12 for e in trace.entries)
+        assert trace.entries[-1].output_spike_count == float(buffer.compressed.sum())
 
 
 class TestGenerateIntoStore:
@@ -71,7 +107,7 @@ class TestGenerateIntoStore:
         replay = ci_split.pretrain_train.sample_fraction(
             0.5, np.random.default_rng(0)
         )
-        dense = LatentReplayBuffer.generate(
+        dense, dense_trace = LatentReplayBuffer.generate(
             ci_pretrained.network, replay, insertion_layer=2, timesteps=12
         )
         store, trace = LatentReplayBuffer.generate_into_store(
@@ -82,18 +118,18 @@ class TestGenerateIntoStore:
             timesteps=12,
             shard_samples=3,
         )
-        streamed = LatentReplayBuffer.from_store(store)
-        np.testing.assert_array_equal(streamed.compressed, dense.compressed)
-        np.testing.assert_array_equal(streamed.labels, dense.labels)
-        # Per-chunk trace accumulation covers the whole subset.
-        assert len(trace.entries) == 2
+        assert store.num_shards > 1
+        streamed = ReplayStream(store).materialize()
+        np.testing.assert_array_equal(streamed, dense.compressed)
+        np.testing.assert_array_equal(store.labels, dense.labels)
+        # One pass over the whole subset, traced like the dense one.
+        assert trace == dense_trace
         assert all(e.batch == len(replay) for e in trace.entries)
 
     def test_out_of_range_insertion_rejected(
         self, ci_pretrained, ci_split, tmp_path
     ):
-        # Regression: the streaming branch must validate insertion_layer
-        # like the dense path instead of silently truncating the slice.
+        # insertion_layer is validated before anything is written.
         from repro.errors import SplitError
 
         replay = ci_split.pretrain_train.sample_fraction(
@@ -140,7 +176,7 @@ class TestMaterialize:
 
     def test_native_replay_returns_copy(self, ci_pretrained, ci_split):
         replay = ci_split.pretrain_train.subset([0])
-        buffer = LatentReplayBuffer.generate(
+        buffer, _ = LatentReplayBuffer.generate(
             ci_pretrained.network, replay, insertion_layer=1,
             timesteps=12, compression_factor=1,
         )
@@ -158,11 +194,11 @@ class TestStorage:
 
     def test_reduced_timestep_saves_memory(self, ci_pretrained, ci_split):
         replay = ci_split.pretrain_train.subset([0, 1, 2, 3])
-        sota = LatentReplayBuffer.generate(
+        sota, _ = LatentReplayBuffer.generate(
             ci_pretrained.network, replay, insertion_layer=1,
             timesteps=30, compression_factor=2,  # stores 15 frames
         )
-        ours = LatentReplayBuffer.generate(
+        ours, _ = LatentReplayBuffer.generate(
             ci_pretrained.network, replay, insertion_layer=1,
             timesteps=12, compression_factor=1,  # stores 12 frames
         )

@@ -14,9 +14,30 @@ import pytest
 from repro import obs
 from repro.core import Replay4NCL, ReplaySpec, SpikingLR, run_method
 from repro.core.raw_replay import RawInputReplay
-from repro.core.latent_replay import LatentReplayBuffer
+from repro.core.latent_replay import LatentReplayBuffer, frozen_front_trace
 from repro.hw.memory import audit_store
 from repro.replaystore import ReplayStore, ReplayStream
+from repro.seeding import spawn
+
+
+def _replay_subset(method, split):
+    config = method.config
+    return split.pretrain_train.sample_fraction(
+        config.ncl.replay_fraction, spawn(config.seed, "replay-subset")
+    )
+
+
+def _dense_buffer(method, pretrained, split):
+    """The in-memory buffer ``method.run`` generates on ``split``."""
+    buffer, _ = LatentReplayBuffer.generate(
+        pretrained.network,
+        _replay_subset(method, split),
+        insertion_layer=method.insertion_layer(),
+        timesteps=method.ncl_timesteps(),
+        compression_factor=method.compression_factor(),
+        controller=method.make_generation_controller(),
+    )
+    return buffer
 
 
 def _assert_identical(in_memory, store_backed):
@@ -79,18 +100,38 @@ class TestBitwiseParity:
         )
         _assert_identical(in_memory, store_backed)
 
+    @pytest.mark.parametrize("method_cls", [Replay4NCL, SpikingLR])
     def test_epoch_costs_preserved(
-        self, ci_pretrained, ci_split, ci_preset, tmp_path
+        self, method_cls, ci_pretrained, ci_split, ci_preset, tmp_path
     ):
-        # The cost model must charge the same decompression work whether
-        # the buffer is resident or store-backed.
-        mem = run_method(SpikingLR(ci_preset.experiment), ci_pretrained, ci_split)
+        # The cost model must charge the same work whether the buffer is
+        # resident or store-backed, and the traces the run takes from
+        # its own frozen-front passes must equal a direct recomputation.
+        method = method_cls(ci_preset.experiment)
+        mem = run_method(method, ci_pretrained, ci_split)
         disk = run_method(
-            SpikingLR(ci_preset.experiment),
+            method,
             ci_pretrained,
             ci_split,
             replay=ReplaySpec(store_dir=tmp_path / "store"),
         )
+        insertion, timesteps = method.insertion_layer(), method.ncl_timesteps()
+        network = ci_pretrained.network
+        generation = frozen_front_trace(
+            network,
+            insertion,
+            _replay_subset(method, ci_split).to_dense(timesteps),
+            method.make_generation_controller(),
+        )
+        new_task = frozen_front_trace(
+            network, insertion, ci_split.new_train.to_dense(timesteps)
+        )
+        assert generation.entries and new_task.entries
+        for result in (mem, disk):
+            assert result.prepare_cost.frozen_traces == [generation]
+            assert len(result.epoch_costs) == ci_preset.experiment.ncl.epochs
+            for cost in result.epoch_costs:
+                assert cost.frozen_traces == [new_task]
         assert [c.decompressed_cells for c in mem.epoch_costs] == [
             c.decompressed_cells for c in disk.epoch_costs
         ]
@@ -126,13 +167,18 @@ class TestStoreArtifacts:
         assert audit.disk_bytes > audit.payload_bytes
         assert audit.modelled_bytes == result.latent_storage_bytes
 
-    def test_buffer_roundtrips_through_store(self, store_run):
+    def test_store_holds_the_dense_buffer(
+        self, store_run, ci_pretrained, ci_split, ci_preset
+    ):
         _, store = store_run
-        buffer = LatentReplayBuffer.from_store(store)
-        assert buffer.num_samples == store.num_samples
-        np.testing.assert_array_equal(buffer.labels, store.labels)
-        store_view = ReplayStream(store).materialize()
-        np.testing.assert_array_equal(buffer.compressed, store_view)
+        buffer = _dense_buffer(
+            Replay4NCL(ci_preset.experiment), ci_pretrained, ci_split
+        )
+        assert store.num_samples == buffer.num_samples
+        np.testing.assert_array_equal(store.labels, buffer.labels)
+        np.testing.assert_array_equal(
+            ReplayStream(store).materialize(), buffer.compressed
+        )
 
 
 class TestReadOnce:
@@ -184,10 +230,13 @@ class TestReadOnce:
             4 * frames * store.num_samples * meta.num_channels
         )
 
-    def test_replay_raster_matches_the_dense_buffer(self, traced_run):
+    def test_replay_raster_matches_the_dense_buffer(
+        self, traced_run, ci_pretrained, ci_split
+    ):
         method, _, store, _ = traced_run
         decompress = method.decompress_for_replay()
-        expected = LatentReplayBuffer.from_store(store.root).materialize(decompress)
+        buffer = _dense_buffer(method, ci_pretrained, ci_split)
+        expected = buffer.materialize(decompress)
         streamed = ReplayStream(store, decompress=decompress).materialize()
         assert streamed.dtype == np.float32
         np.testing.assert_array_equal(streamed, expected)

@@ -318,7 +318,7 @@ class TestControllerSweep:
 
         net = SpikingNetwork(config, seed=3)
         net.freeze_below(2)
-        acts = net.activations_at(2, x)
+        acts, _ = net.activations_at(2, x)
         optimizer = Adam(net.trainable_parameters(), learning_rate=0.01)
         for _ in range(3):
             runs = []

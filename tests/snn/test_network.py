@@ -79,20 +79,22 @@ class TestForward:
     def test_trace_counts_are_each_rasters_sum(self, net, x, start_layer):
         # Each raster is summed once and shared by the two entries it
         # feeds; the values are those of summing every raster per entry.
-        inputs = net.activations_at(start_layer, x)
-        result = net.forward(inputs, start_layer=start_layer, record_spikes=True)
-        rasters = [inputs] + [s.data for s in result.hidden_spikes]
-        entries = result.trace.entries
+        rasters = [
+            net.activations_at(k, x)[0]
+            for k in range(start_layer, net.num_weight_layers)
+        ]
+        entries = net.forward(rasters[0], start_layer=start_layer).trace.entries
         assert len(entries) == len(rasters)
         for i, entry in enumerate(entries):
             assert entry.input_spike_count == float(rasters[i].sum())
             want_out = float(rasters[i + 1].sum()) if i + 1 < len(rasters) else 0.0
             assert entry.output_spike_count == want_out
 
-    def test_record_spikes(self, net, x):
-        result = net.forward(x, record_spikes=True)
-        assert len(result.hidden_spikes) == 3
-        assert result.hidden_spikes[0].shape == (12, 4, 16)
+    @pytest.mark.parametrize("insertion", [1, 2, 3])
+    def test_activations_at_trace_is_forwards_front(self, net, x, insertion):
+        acts, trace = net.activations_at(insertion, x)
+        assert trace.entries == net.forward(x).trace.entries[:insertion]
+        assert acts.shape == (12, 4, net.layer_input_size(insertion))
 
     def test_shape_validation(self, net):
         with pytest.raises(ShapeError):
@@ -132,18 +134,26 @@ class TestSplit:
         assert len(net.trainable_parameters()) == 3
 
     def test_activations_at_layer0_is_input(self, net, x):
-        acts = net.activations_at(0, x)
+        acts, trace = net.activations_at(0, x)
         np.testing.assert_array_equal(acts, x)
+        assert trace.entries == []
+
+    @pytest.mark.parametrize("insertion", [0, 2])
+    @pytest.mark.parametrize("shape", [(12, 20), (12, 4, 21)])
+    def test_activations_at_validates_input_shape(self, net, insertion, shape):
+        # Layer 0 included: the raw input must be [T, B, fan-in] too.
+        with pytest.raises(ShapeError):
+            net.activations_at(insertion, np.zeros(shape, dtype=np.float32))
 
     def test_activations_at_shape(self, net, x):
-        acts = net.activations_at(2, x)
+        acts, _ = net.activations_at(2, x)
         assert acts.shape == (12, 4, 12)
         assert set(np.unique(acts)).issubset({0.0, 1.0})
 
     def test_partial_forward_consistent_with_full(self, net, x):
         # Running frozen part then learning part must equal the full pass.
         full = net.forward(x).logits.data
-        acts = net.activations_at(2, x)
+        acts, _ = net.activations_at(2, x)
         partial = net.forward(acts, start_layer=2).logits.data
         np.testing.assert_allclose(full, partial, rtol=1e-5)
 

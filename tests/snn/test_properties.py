@@ -115,7 +115,7 @@ class TestNetworkInvariants:
         rng = np.random.default_rng(insertion)
         x = (rng.random((10, 3, 12)) < 0.3).astype(np.float32)
         full = net.forward(x).logits.data
-        acts = net.activations_at(insertion, x)
+        acts, _ = net.activations_at(insertion, x)
         partial = net.forward(acts, start_layer=insertion).logits.data
         np.testing.assert_allclose(full, partial, rtol=1e-5, atol=1e-6)
 

@@ -63,7 +63,7 @@ class TestTrainEpoch:
         net, inputs, labels = setup
         net.freeze_below(1)
         frozen_before = net.hidden_layers[0].w_ff.data.copy()
-        acts = net.activations_at(1, inputs)
+        acts, _ = net.activations_at(1, inputs)
         opt = Adam(net.trainable_parameters(), learning_rate=1e-3)
         trainer = Trainer(net, opt, TrainerConfig(epochs=1, batch_size=12, start_layer=1))
         trainer.train_epoch(acts, labels)
