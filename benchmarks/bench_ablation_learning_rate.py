@@ -6,7 +6,7 @@ spikes; too high a rate disturbs old knowledge, too low never learns the
 new task.
 """
 
-from repro.core import Replay4NCL, run_method
+from repro.core import Replay4NCL
 from repro.eval import experiments
 from repro.eval.results import ExperimentResult, Series
 
@@ -22,7 +22,7 @@ def test_learning_rate_divisor_sweep(benchmark, bench_scale, record_result):
             config = exp.replace(
                 ncl=exp.ncl.replace(learning_rate_divisor=divisor)
             )
-            rows[divisor] = run_method(Replay4NCL(config), ctx.pretrained, ctx.split)
+            rows[divisor] = Replay4NCL(config).run(ctx.pretrained.network, ctx.split)
         return rows
 
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)

@@ -5,7 +5,7 @@ data.  Old-task retention should grow with the budget, while the latent
 memory bill grows linearly — the trade embedded deployments must pick.
 """
 
-from repro.core import Replay4NCL, run_method
+from repro.core import Replay4NCL
 from repro.eval import experiments
 from repro.eval.results import ExperimentResult, Series
 
@@ -19,7 +19,7 @@ def test_replay_budget_sweep(benchmark, bench_scale, record_result):
         rows = {}
         for fraction in fractions:
             config = exp.replace(ncl=exp.ncl.replace(replay_fraction=fraction))
-            rows[fraction] = run_method(Replay4NCL(config), ctx.pretrained, ctx.split)
+            rows[fraction] = Replay4NCL(config).run(ctx.pretrained.network, ctx.split)
         return rows
 
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)

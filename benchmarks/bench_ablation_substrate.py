@@ -18,7 +18,7 @@ from repro.autograd.surrogate import (
     fast_sigmoid_surrogate,
     straight_through_surrogate,
 )
-from repro.core import RawInputReplay, Replay4NCL, run_method
+from repro.core import RawInputReplay, Replay4NCL
 from repro.core.pipeline import pretrain
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import make_class_incremental
@@ -130,8 +130,8 @@ def test_raw_vs_latent_replay_memory(benchmark, bench_scale, record_result):
     exp = ctx.preset.experiment
 
     def run_pair():
-        raw = run_method(RawInputReplay(exp), ctx.pretrained, ctx.split)
-        latent = run_method(Replay4NCL(exp), ctx.pretrained, ctx.split)
+        raw = RawInputReplay(exp).run(ctx.pretrained.network, ctx.split)
+        latent = Replay4NCL(exp).run(ctx.pretrained.network, ctx.split)
         return raw, latent
 
     raw, latent = benchmark.pedantic(run_pair, rounds=1, iterations=1)

@@ -8,7 +8,7 @@ concentrates at aggressive timesteps, where silence is common.
 
 import pytest
 
-from repro.core import Replay4NCL, run_method
+from repro.core import Replay4NCL
 from repro.eval import experiments
 from repro.eval.results import ExperimentResult, Series
 
@@ -24,8 +24,8 @@ def test_adaptive_threshold_ablation(benchmark, bench_scale, record_result):
         for timesteps in (t_star, t_aggr):
             for adaptive in (True, False):
                 method = Replay4NCL(exp, timesteps=timesteps, adaptive_threshold=adaptive)
-                rows[(timesteps, adaptive)] = run_method(
-                    method, ctx.pretrained, ctx.split
+                rows[(timesteps, adaptive)] = method.run(
+                    ctx.pretrained.network, ctx.split
                 )
         return rows
 

@@ -6,12 +6,13 @@ adjustments.  Runs at ci scale regardless of REPRO_BENCH_SCALE (two full
 NCL runs plus a dedicated pre-training).
 """
 
-from repro.core import Replay4NCL, make_sequential_splits, run_sequential
+from repro.core import Replay4NCL
 from repro.core.pipeline import pretrain
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import make_class_incremental
 from repro.eval.results import ExperimentResult, Series
 from repro.eval.scale import get_scale
+from repro.scenario import SequentialScenario, run_scenario
 
 
 def test_sequential_two_steps(benchmark, record_result):
@@ -25,17 +26,14 @@ def test_sequential_two_steps(benchmark, record_result):
         num_pretrain_classes=3,
     )
     pretrained = pretrain(experiment, base_split)
-    splits = make_sequential_splits(
-        generator,
-        experiment.samples_per_class,
-        experiment.test_samples_per_class,
-        base_classes=3,
-        steps=2,
-    )
 
     result = benchmark.pedantic(
-        lambda: run_sequential(
-            lambda k: Replay4NCL(experiment), pretrained.network, splits
+        lambda: run_scenario(
+            SequentialScenario(steps_count=2, base_classes=3),
+            Replay4NCL,
+            generator=generator,
+            experiment=experiment,
+            pretrained=pretrained,
         ),
         rounds=1,
         iterations=1,

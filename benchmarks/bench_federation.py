@@ -1,6 +1,6 @@
 """Federated replay: store-backed sequential step time and rebalance.
 
-- ``test_sequential_step`` — a full store-backed ``run_sequential`` (2
+- ``test_sequential_step`` — a full store-backed ``run_scenario`` (2
   continual steps, ci experiment scale, replay persisted into a per-step
   federation) timed end to end.  Each step reads its member store back
   once, so the row's ``extra_info`` records one shard decode per stored
@@ -43,14 +43,13 @@ def _sizes():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def sequential_scenario():
-    """Pre-trained network + 2-step splits at the ci experiment scale.
+    """Generator, experiment and pre-trained network at the ci experiment scale.
 
     The experiment scale stays ``ci`` regardless of REPRO_BENCH_SCALE:
     the row isolates the storage path's contribution to step time, and
     larger simulator workloads only drown it in SNN compute.
     """
     from repro.core.pipeline import pretrain
-    from repro.core.sequential import make_sequential_splits
     from repro.data.synthetic_shd import SyntheticSHD
     from repro.data.tasks import make_class_incremental
     from repro.eval.scale import get_scale
@@ -65,29 +64,24 @@ def sequential_scenario():
         num_pretrain_classes=3,
     )
     pretrained = pretrain(exp, base_split)
-    splits = make_sequential_splits(
-        generator,
-        exp.samples_per_class,
-        exp.test_samples_per_class,
-        base_classes=3,
-        steps=2,
-    )
-    return exp, pretrained.network, splits
+    return generator, exp, pretrained
 
 
 def test_sequential_step(benchmark, sequential_scenario, tmp_path):
     from repro.core import Replay4NCL, ReplaySpec
-    from repro.core.sequential import run_sequential
+    from repro.scenario import SequentialScenario, run_scenario
 
-    exp, network, splits = sequential_scenario
+    generator, exp, pretrained = sequential_scenario
     counter = itertools.count()
 
     def step():
         root = tmp_path / f"fed-{next(counter)}"
-        return run_sequential(
-            lambda k: Replay4NCL(exp),
-            network,
-            splits,
+        return run_scenario(
+            SequentialScenario(steps_count=2, base_classes=3),
+            Replay4NCL,
+            generator=generator,
+            experiment=exp,
+            pretrained=pretrained,
             replay=ReplaySpec(store_dir=root, shard_samples=8),
         )
 

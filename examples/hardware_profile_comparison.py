@@ -10,7 +10,7 @@ Run:  python examples/hardware_profile_comparison.py [--scale ci|bench]
 
 import argparse
 
-from repro.core import Replay4NCL, SpikingLR, run_method
+from repro.core import Replay4NCL, SpikingLR
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
@@ -38,8 +38,8 @@ def main() -> None:
         num_pretrain_classes=experiment.num_pretrain_classes,
     )
     pretrained = pretrain(experiment, split)
-    sota = run_method(SpikingLR(experiment), pretrained, split)
-    ours = run_method(Replay4NCL(experiment), pretrained, split)
+    sota = SpikingLR(experiment).run(pretrained.network, split)
+    ours = Replay4NCL(experiment).run(pretrained.network, split)
 
     print(f"{'profile':24s} {'method':12s} {'latency [s]':>12s} {'energy [J]':>12s} "
           f"{'speedup':>8s} {'saving':>8s}")

@@ -25,12 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import Replay4NCL, ReplaySpec, make_sequential_splits, run_sequential
+from repro.core import Replay4NCL, ReplaySpec
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
 from repro.hw.memory import audit_federation
 from repro.replaystore import FederatedReplayStore
+from repro.scenario import SequentialScenario, run_scenario
+
+STREAM = SequentialScenario(steps_count=3, base_classes=2)
 
 
 def build_scenario():
@@ -45,23 +48,27 @@ def build_scenario():
     )
     print("pre-training the base network (2 classes)...")
     pretrained = pretrain(exp, base_split)
-    splits = make_sequential_splits(
-        generator,
-        exp.samples_per_class,
-        exp.test_samples_per_class,
-        base_classes=2,
-        steps=3,
+    return exp, generator, pretrained
+
+
+def run_stream(exp, generator, pretrained, replay: ReplaySpec):
+    return run_scenario(
+        STREAM,
+        Replay4NCL,
+        generator=generator,
+        experiment=exp,
+        pretrained=pretrained,
+        replay=replay,
     )
-    return exp, pretrained.network, splits
 
 
-def federated_run(exp, network, splits, workdir: Path):
+def federated_run(exp, generator, pretrained, workdir: Path):
     print("\n=== act 1: store-federated 3-step stream ===")
-    result = run_sequential(
-        lambda k: Replay4NCL(exp),
-        network,
-        splits,
-        replay=ReplaySpec(store_dir=workdir / "federation", shard_samples=4),
+    result = run_stream(
+        exp,
+        generator,
+        pretrained,
+        ReplaySpec(store_dir=workdir / "federation", shard_samples=4),
     )
     print(result.describe())
     federation = FederatedReplayStore.open(result.store_root)
@@ -87,16 +94,16 @@ def federated_run(exp, network, splits, workdir: Path):
     return result
 
 
-def budgeted_run(exp, network, splits, workdir: Path, reference) -> bool:
+def budgeted_run(exp, generator, pretrained, workdir: Path, reference) -> bool:
     print("\n=== act 2: the same stream under a global byte budget ===")
     probe = FederatedReplayStore.open(reference.store_root)
     budget = 12 * probe.sample_bytes
     print(f"budget: {budget} B (~12 samples across the whole stream)")
-    result = run_sequential(
-        lambda k: Replay4NCL(exp),
-        network,
-        splits,
-        replay=ReplaySpec(
+    result = run_stream(
+        exp,
+        generator,
+        pretrained,
+        ReplaySpec(
             store_dir=workdir / "budgeted",
             shard_samples=4,
             federation_budget_bytes=budget,
@@ -122,11 +129,11 @@ def budgeted_run(exp, network, splits, workdir: Path, reference) -> bool:
 
 
 def main() -> None:
-    exp, network, splits = build_scenario()
+    exp, generator, pretrained = build_scenario()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        reference = federated_run(exp, network, splits, workdir)
-        identical = budgeted_run(exp, network, splits, workdir, reference)
+        reference = federated_run(exp, generator, pretrained, workdir)
+        identical = budgeted_run(exp, generator, pretrained, workdir, reference)
     raise SystemExit(0 if identical else 1)
 
 

@@ -14,7 +14,7 @@ Run:  python examples/mobile_agent_ncl.py [--scale ci|bench]
 
 import argparse
 
-from repro.core import NaiveFinetune, Replay4NCL, SpikingLR, run_method
+from repro.core import NaiveFinetune, Replay4NCL, SpikingLR
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
@@ -48,7 +48,7 @@ def main() -> None:
         ("spikinglr", SpikingLR(experiment)),
         ("replay4ncl", Replay4NCL(experiment)),
     ]
-    results = [(name, run_method(method, pretrained, split))
+    results = [(name, method.run(pretrained.network, split))
                for name, method in strategies]
 
     for name, result in results:

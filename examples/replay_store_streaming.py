@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import Replay4NCL, ReplaySpec, pretrain, run_method
+from repro.core import Replay4NCL, ReplaySpec, pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
 from repro.hw.memory import audit_store
@@ -84,10 +84,9 @@ def store_backed_ncl(workdir: Path) -> bool:
     )
     pretrained = pretrain(experiment, split)
 
-    in_memory = run_method(Replay4NCL(experiment), pretrained, split)
-    store_backed = run_method(
-        Replay4NCL(experiment),
-        pretrained,
+    in_memory = Replay4NCL(experiment).run(pretrained.network, split)
+    store_backed = Replay4NCL(experiment).run(
+        pretrained.network,
         split,
         replay=ReplaySpec(store_dir=workdir / "ncl-store", shard_samples=4),
     )

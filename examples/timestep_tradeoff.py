@@ -9,7 +9,7 @@ Run:  python examples/timestep_tradeoff.py [--scale ci|bench]
 
 import argparse
 
-from repro.core import Replay4NCL, run_method
+from repro.core import Replay4NCL
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.ascii_plot import ascii_bars
@@ -42,8 +42,8 @@ def main() -> None:
     print(f"{'T*':>5s} {'old acc':>8s} {'new acc':>8s} {'epoch lat':>10s} {'latent B':>9s}")
     for fraction in fractions:
         timesteps = max(int(round(t_pre * fraction)), 2)
-        result = run_method(
-            Replay4NCL(experiment, timesteps=timesteps), pretrained, split
+        result = Replay4NCL(experiment, timesteps=timesteps).run(
+            pretrained.network, split
         )
         latency = latency_model.epoch_latency(result.epoch_costs[0])
         rows[f"T{timesteps}"] = result.final_old_accuracy

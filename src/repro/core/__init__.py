@@ -13,29 +13,24 @@ split:
   potential, and a strongly reduced NCL learning rate (Alg. 1).
 
 Entry points: :func:`~repro.core.pipeline.pretrain` builds the shared
-pre-trained network; ``method.run(...)`` executes the NCL phase and
-returns an :class:`NCLResult` carrying accuracy curves, latent-memory
-stats and the op-count cost profile the hardware models consume.
+pre-trained network; ``method.run(network, split, replay=...)`` runs
+one NCL step and returns an :class:`NCLResult` carrying accuracy
+curves, latent-memory stats and the op-count cost profile the hardware
+models consume.  :func:`repro.scenario.run_scenario` chains steps.
 Replay persistence is configured through one validated
 :class:`~repro.core.replayspec.ReplaySpec` passed as ``replay=`` to
-every entry point, and methods are addressable by registry name
-(``naive`` / ``raw`` / ``spikinglr`` / ``replay4ncl`` — see
-:mod:`repro.core.registry`) so scenario-level drivers like
-:func:`repro.scenario.run_scenario` never hardcode class references.
+both, and methods are addressable by registry name (``naive`` /
+``raw`` / ``spikinglr`` / ``replay4ncl`` — see
+:mod:`repro.core.registry`) so :func:`~repro.scenario.run_scenario`
+never hardcodes class references.
 """
 
 from repro.core.latent_replay import LatentReplayBuffer
-from repro.core.pipeline import pretrain, run_method
+from repro.core.pipeline import pretrain
 from repro.core.raw_replay import RawInputReplay
 from repro.core.registry import available_methods, get_method, register_method
 from repro.core.replay4ncl import Replay4NCL
 from repro.core.replayspec import ReplaySpec
-from repro.core.sequential import (
-    SequentialResult,
-    iter_sequential_splits,
-    make_sequential_splits,
-    run_sequential,
-)
 from repro.core.spikinglr import SpikingLR
 from repro.core.strategies import EpochCost, NCLMethod, NCLResult, NaiveFinetune
 
@@ -49,12 +44,7 @@ __all__ = [
     "SpikingLR",
     "Replay4NCL",
     "ReplaySpec",
-    "SequentialResult",
-    "iter_sequential_splits",
-    "make_sequential_splits",
-    "run_sequential",
     "pretrain",
-    "run_method",
     "register_method",
     "get_method",
     "available_methods",

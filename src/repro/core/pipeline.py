@@ -1,12 +1,10 @@
-"""End-to-end Alg. 1: pre-training + NCL phase orchestration."""
+"""Alg. 1 lines 1-5: pre-train the network every NCL method starts from."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.config import ExperimentConfig
-from repro.core.replayspec import ReplaySpec, resolve_replay_spec
-from repro.core.strategies import NCLMethod, NCLResult
 from repro.data.tasks import ClassIncrementalSplit
 from repro.seeding import spawn
 from repro.snn.network import SpikingNetwork
@@ -15,7 +13,7 @@ from repro.training.metrics import TrainingHistory, top1_accuracy
 from repro.training.optimizers import Adam
 from repro.training.trainer import Trainer, TrainerConfig
 
-__all__ = ["PretrainResult", "pretrain", "run_method"]
+__all__ = ["PretrainResult", "pretrain"]
 
 
 @dataclass
@@ -61,23 +59,3 @@ def pretrain(
         test_accuracy=accuracy,
         epoch_traces=trainer.epoch_traces,
     )
-
-
-def run_method(
-    method: NCLMethod,
-    pretrained: PretrainResult | SpikingNetwork,
-    split: ClassIncrementalSplit,
-    replay: ReplaySpec | None = None,
-) -> NCLResult:
-    """Run one NCL method from a shared pre-trained model.
-
-    ``replay`` is a :class:`~repro.core.replayspec.ReplaySpec` (or a
-    bare store path): with ``store_dir`` set it routes replay through an
-    on-disk :class:`~repro.replaystore.store.ReplayStore` instead of the
-    dense in-memory buffer (see :meth:`NCLMethod.run`).
-    """
-    replay = resolve_replay_spec(replay)
-    network = (
-        pretrained.network if isinstance(pretrained, PretrainResult) else pretrained
-    )
-    return method.run(network, split, replay=replay)

@@ -1,23 +1,15 @@
 """`ReplaySpec`: one validated object for all replay/store configuration.
 
-Before this module existed, replay persistence was configured through a
-sprawl of keyword arguments copy-pasted across :meth:`NCLMethod.run`,
-:func:`run_method`, and :func:`run_sequential`.  Every new entry point
-had to forward all seven knobs, and every new knob meant touching three
-signatures.
-
-:class:`ReplaySpec` consolidates them: one frozen, validated dataclass
-passed as ``replay=`` to every run entry point.  ``ReplaySpec()`` (all
-defaults) means *dense in-memory replay* — identical to passing nothing.
-A spec with ``store_dir`` set routes replay through the on-disk
-:mod:`repro.replaystore` machinery; the federation fields only apply to
-multi-step runs (:func:`~repro.core.sequential.run_sequential`,
-:func:`~repro.scenario.run_scenario`), where ``store_dir`` names the
-federation root and each step persists into a member store beneath it.
-
-The legacy kwargs shipped one deprecation cycle as warning shims and
-are gone: every entry point takes ``replay=`` only, normalized through
-:func:`resolve_replay_spec`.
+:class:`ReplaySpec` is one frozen, validated dataclass passed as
+``replay=`` to both run entry points: :meth:`NCLMethod.run` (one step)
+and :func:`~repro.scenario.run_scenario` (a chain of steps), each
+normalizing it through :func:`resolve_replay_spec`.  ``ReplaySpec()``
+(all defaults) means *dense in-memory replay* — identical to passing
+nothing.  A spec with ``store_dir`` set routes replay through the
+on-disk :mod:`repro.replaystore` machinery; the federation fields only
+apply to :func:`~repro.scenario.run_scenario`, where ``store_dir``
+names the federation root and each step persists into a member store
+beneath it.
 """
 
 from __future__ import annotations

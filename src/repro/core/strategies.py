@@ -25,6 +25,7 @@ from repro.core.latent_replay import LatentReplayBuffer
 from repro.core.replayspec import ReplaySpec, resolve_replay_spec
 from repro.data.tasks import ClassIncrementalSplit
 from repro.errors import ConfigError
+from repro.replaystore.store import ReplayStore
 from repro.replaystore.stream import ReplayStream
 from repro.seeding import spawn
 from repro.snn.network import PREDICT_BATCH, SpikingNetwork
@@ -182,8 +183,8 @@ class NCLMethod:
         if replay.has_federation_options:
             raise ConfigError(
                 "federation options only apply to multi-step runs "
-                "(run_sequential / run_scenario); a single NCL run has "
-                "no federation to configure"
+                "(run_scenario); a single NCL run has no federation to "
+                "configure"
             )
         config = self.config
         recorder = obs.current()
@@ -220,22 +221,11 @@ class NCLMethod:
                         shard_samples=replay.shard_samples,
                         overwrite=replay.overwrite,
                     )
-            if store is None:
-                replay_raster = buffer.materialize(decompress=decompress)
-            else:
-                replay_raster = ReplayStream(store, decompress=decompress).materialize()
 
-        # ---- current-task activations (Alg. 1 line 23) ----------------
-        new_activations, new_trace = network.activations_at(
-            insertion, split.new_train.to_dense(timesteps)
+        # ---- current-task activations (Alg. 1 line 23) + replay -------
+        train_inputs, train_labels, new_trace, resident_bytes = _training_set(
+            network, insertion, split, timesteps, buffer, store, decompress
         )
-        new_labels = split.new_train.labels
-        if buffer is None:
-            train_inputs = new_activations
-            train_labels = new_labels
-        else:
-            train_inputs = np.concatenate([new_activations, replay_raster], axis=1)
-            train_labels = np.concatenate([new_labels, buffer.labels])
 
         # ---- NCL training (Alg. 1 lines 21-33) ------------------------
         controller = self.make_controller()
@@ -328,7 +318,7 @@ class NCLMethod:
             prepare_cost=prepare_cost,
             network=network,
             replay_store_path=None if store is None else str(store.root),
-            replay_peak_resident_bytes=0 if store is None else replay_raster.nbytes,
+            replay_peak_resident_bytes=resident_bytes,
             trace=trace,
         )
 
@@ -362,6 +352,40 @@ class NCLMethod:
                 )
             )
         return costs
+
+
+def _training_set(
+    network: SpikingNetwork,
+    insertion: int,
+    split: ClassIncrementalSplit,
+    timesteps: int,
+    buffer: LatentReplayBuffer | None,
+    store: ReplayStore | None,
+    decompress: bool,
+) -> tuple[np.ndarray, np.ndarray, SpikeTrace, int]:
+    """NCL training inputs: new-task activations followed by the replay raster.
+
+    Returns ``(inputs, labels, new_trace, resident_bytes)``: ``new_trace``
+    is the frozen-front trace of the new-task pass and ``resident_bytes``
+    the size of the raster read back from ``store`` (0 when dense).  The
+    activations and the replay raster live only in this frame, so once
+    they are concatenated training holds the concatenation alone.
+    """
+    if buffer is None:
+        replay_raster = None
+    elif store is None:
+        replay_raster = buffer.materialize(decompress=decompress)
+    else:
+        replay_raster = ReplayStream(store, decompress=decompress).materialize()
+    new_activations, new_trace = network.activations_at(
+        insertion, split.new_train.to_dense(timesteps)
+    )
+    new_labels = split.new_train.labels
+    if replay_raster is None:
+        return new_activations, new_labels, new_trace, 0
+    inputs = np.concatenate([new_activations, replay_raster], axis=1)
+    labels = np.concatenate([new_labels, buffer.labels])
+    return inputs, labels, new_trace, 0 if store is None else replay_raster.nbytes
 
 
 class NaiveFinetune(NCLMethod):

@@ -9,9 +9,8 @@ sequences, whose global budget caps the archive between steps
 (``federation``).
 ``LatentReplayBuffer.to_store()`` and the run entry points with a
 store-backed spec — ``NCLMethod.run(...,
-replay=ReplaySpec(store_dir=...))``, ``run_sequential`` /
-``run_scenario`` likewise — are the high-level faces; ``repro store``
-is the CLI one.
+replay=ReplaySpec(store_dir=...))`` and ``run_scenario`` likewise — are
+the high-level faces; ``repro store`` is the CLI one.
 
 Concurrency: mutations (append, filter, compact, adopt, rebalance) are
 file-locked read-modify-writes committed by an atomic index rename, and

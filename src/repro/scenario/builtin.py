@@ -6,8 +6,8 @@ changes* between steps; each built-in maps one onto the shared
 
 - ``single-step`` — the paper's 19+1 class-incremental evaluation: one
   step, one new class set.
-- ``sequential`` — a stream of class-incremental steps (wraps
-  :func:`~repro.core.sequential.iter_sequential_splits`).
+- ``sequential`` — a stream of class-incremental steps, each replaying
+  every class seen so far.
 - ``task-incremental`` — the same class stream, but every step carries
   its task membership (:attr:`ContinualStep.task_classes`), so
   evaluation runs with the task id known and the readout masked to the
@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.config import ExperimentConfig
-from repro.core.sequential import iter_sequential_splits
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import ClassIncrementalSplit, make_class_incremental
 from repro.errors import ConfigError, DataError
@@ -135,10 +134,12 @@ def _default_base_classes(
 class SequentialScenario:
     """A stream of class-incremental steps (the multi-step stress test).
 
-    Wraps :func:`~repro.core.sequential.make_sequential_splits`: step k
-    adds ``classes_per_step`` new classes, and its replay pool covers
-    everything seen so far.  ``base_classes`` defaults to every class
-    not consumed by the stream.
+    Step k adds ``classes_per_step`` new classes, and its replay pool
+    covers everything seen so far: the base classes plus the classes
+    learned in steps ``< k``, whose latent data is regenerated from
+    their training recordings through the frozen front (the frozen
+    layers never change, so regeneration is exact).  ``base_classes``
+    defaults to every class not consumed by the stream.
     """
 
     steps_count: int = 2
@@ -161,29 +162,49 @@ class SequentialScenario:
             f"{self.classes_per_step} new class(es) each"
         )
 
-    def _resolved_base(self, generator: SyntheticSHD) -> int:
-        return (
-            self.base_classes
-            if self.base_classes is not None
-            else _default_base_classes(
-                generator, self.steps_count, self.classes_per_step
-            )
-        )
-
     def steps(
         self, generator: SyntheticSHD, experiment: ExperimentConfig
     ) -> Iterator[ContinualStep]:
-        """Yield the class-incremental steps lazily, in stream order."""
-        base = self._resolved_base(generator)
-        splits = iter_sequential_splits(
-            generator,
-            experiment.samples_per_class,
-            experiment.test_samples_per_class,
-            base_classes=base,
-            steps=self.steps_count,
-            classes_per_step=self.classes_per_step,
-        )
-        for k, split in enumerate(splits):
+        """Yield the class-incremental steps lazily, in stream order.
+
+        Step k's datasets materialise only when the iterator reaches it;
+        the generator's memo keeps every recording it has drawn, so step
+        k re-uses the seen classes' recordings instead of
+        re-synthesizing them.
+        """
+        per_step = self.classes_per_step
+        base = self.base_classes
+        if base is None:
+            base = _default_base_classes(generator, self.steps_count, per_step)
+        if base <= 0 or per_step <= 0:
+            raise DataError("base_classes and classes_per_step must be positive")
+        needed = base + self.steps_count * per_step
+        if needed > generator.config.num_classes:
+            raise DataError(
+                f"scenario needs {needed} classes but the generator has "
+                f"{generator.config.num_classes}"
+            )
+        samples = experiment.samples_per_class
+        test_samples = experiment.test_samples_per_class
+        for k in range(self.steps_count):
+            seen = list(range(base + k * per_step))
+            new = list(range(base + k * per_step, base + (k + 1) * per_step))
+            split = ClassIncrementalSplit(
+                pretrain_train=generator.generate_dataset(
+                    samples, split="train", classes=seen
+                ),
+                pretrain_test=generator.generate_dataset(
+                    test_samples, split="test", classes=seen
+                ),
+                new_train=generator.generate_dataset(
+                    samples, split="train", classes=new
+                ),
+                new_test=generator.generate_dataset(
+                    test_samples, split="test", classes=new
+                ),
+                old_classes=tuple(seen),
+                new_classes=tuple(new),
+            )
             yield ContinualStep(
                 index=k,
                 split=split,

@@ -34,15 +34,11 @@ from repro.config import ExperimentConfig
 from repro.core.pipeline import PretrainResult, pretrain
 from repro.core.registry import get_method
 from repro.core.replayspec import ReplaySpec, resolve_replay_spec
-from repro.core.sequential import (
-    SequentialResult,
-    create_federation,
-    run_chained_step,
-)
 from repro.core.strategies import NCLMethod, NCLResult
 from repro.data.datasets import SpikeDataset
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.errors import ConfigError, DataError
+from repro.replaystore.federation import FederatedReplayStore
 from repro.scenario.base import ContinualStep, Scenario
 from repro.scenario.checkpoint import (
     CheckpointState,
@@ -64,7 +60,7 @@ __all__ = ["ScenarioResult", "run_scenario"]
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """Outcome of a full scenario run; generalizes `SequentialResult`.
+    """Outcome of a full scenario run.
 
     Attributes:
         scenario: The scenario's registry name.
@@ -128,7 +124,7 @@ class ScenarioResult:
         """Mean (final - just-learned) accuracy over non-final tasks."""
         return backward_transfer(self.accuracy_matrix)
 
-    # -- SequentialResult-compatible views -----------------------------
+    # -- per-step views -------------------------------------------------
     @property
     def final_network(self) -> SpikingNetwork:
         """Network state after the last step (raises when not retained)."""
@@ -146,10 +142,6 @@ class ScenarioResult:
     def new_accuracy_trajectory(self) -> tuple[float, ...]:
         """New-task accuracy after each step (plasticity trajectory)."""
         return tuple(step.final_new_accuracy for step in self.steps)
-
-    def as_sequential(self) -> SequentialResult:
-        """The plain multi-step view (drops the matrix and metrics)."""
-        return SequentialResult(steps=self.steps, store_root=self.store_root)
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the run."""
@@ -246,8 +238,6 @@ def _reopen_federation(replay: ReplaySpec, recorded: dict | None):
     continued bitwise and is rejected with a clear error instead of
     silently producing a forked trajectory.
     """
-    from repro.replaystore.federation import FederatedReplayStore
-
     federation = FederatedReplayStore.open(Path(replay.store_dir))
     recorded = recorded or {}
     members = [str(name) for name in recorded.get("members", [])]
@@ -311,9 +301,11 @@ def run_scenario(
         replay: A :class:`~repro.core.replayspec.ReplaySpec` (or bare
             path, promoted to one).  Store-backed runs persist each
             step's latent data as federation member ``step-<k>`` under
-            ``replay.store_dir`` — identical plumbing (and
-            bitwise-identical trajectories) to
-            :func:`~repro.core.sequential.run_sequential`.
+            ``replay.store_dir``, adopted and then rebalanced under
+            the federation budget *after* the step trained: the
+            budget caps the archive, never the current step's replay
+            set, so trajectories stay bitwise-identical to the dense
+            run.
         checkpoint: Checkpoint directory (or a ready
             :class:`~repro.scenario.checkpoint.ScenarioCheckpoint`).
             When given, the run commits its state after pre-training
@@ -453,7 +445,15 @@ def run_scenario(
                     probe,
                     mask=pretrain_mask,
                 )
-            federation = create_federation(replay)
+            federation = None
+            if replay is not None and replay.store_backed:
+                federation = FederatedReplayStore.create(
+                    Path(replay.store_dir),
+                    budget_bytes=replay.federation_budget_bytes,
+                    policy=replay.federation_policy,
+                    seed=replay.federation_seed,
+                    overwrite=replay.overwrite,
+                )
             if store is not None:
                 # Commit session 0 so a kill during the first step never
                 # pays for pre-training twice.
@@ -515,18 +515,22 @@ def run_scenario(
                 "scenario.step", category="scenario", index=step.index, step=step.name
             ):
                 ncl_method = method_factory(experiment)
-                step_replay = replay
-                if reentry:
-                    step_replay = dataclasses.replace(replay, overwrite=True)
-                    reentry = False
-                result = run_chained_step(
-                    ncl_method,
-                    network,
-                    step.split,
-                    index=step.index,
-                    replay=step_replay,
-                    federation=federation,
-                )
+                if federation is None:
+                    result = ncl_method.run(network, step.split)
+                else:
+                    step_replay = replay
+                    if reentry:
+                        step_replay = dataclasses.replace(replay, overwrite=True)
+                        reentry = False
+                    member = f"step-{step.index:03d}"
+                    result = ncl_method.run(
+                        network, step.split, replay=step_replay.member(member)
+                    )
+                    if result.replay_store_path is not None:
+                        federation.adopt(member)
+                        federation.rebalance()
+                if result.network is None:
+                    raise DataError("method did not return its trained network")
                 network = result.network
                 results.append(result)
                 step_names.append(step.name)

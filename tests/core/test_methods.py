@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import NaiveFinetune, Replay4NCL, SpikingLR, run_method
+from repro.core import NaiveFinetune, Replay4NCL, SpikingLR
 from repro.core.pipeline import pretrain
 from repro.core.spikinglr import SPIKINGLR_COMPRESSION_FACTOR
 from repro.data.synthetic_shd import SyntheticSHD
@@ -32,22 +32,22 @@ def _spikinglr_new_accuracy(preset, seed):
         num_pretrain_classes=experiment.num_pretrain_classes,
     )
     pretrained = pretrain(experiment, split)
-    return run_method(SpikingLR(experiment), pretrained, split).final_new_accuracy
+    return SpikingLR(experiment).run(pretrained.network, split).final_new_accuracy
 
 
 @pytest.fixture(scope="module")
 def naive_result(ci_preset, ci_pretrained, ci_split):
-    return run_method(NaiveFinetune(ci_preset.experiment), ci_pretrained, ci_split)
+    return NaiveFinetune(ci_preset.experiment).run(ci_pretrained.network, ci_split)
 
 
 @pytest.fixture(scope="module")
 def sota_result(ci_preset, ci_pretrained, ci_split):
-    return run_method(SpikingLR(ci_preset.experiment), ci_pretrained, ci_split)
+    return SpikingLR(ci_preset.experiment).run(ci_pretrained.network, ci_split)
 
 
 @pytest.fixture(scope="module")
 def ours_result(ci_preset, ci_pretrained, ci_split):
-    return run_method(Replay4NCL(ci_preset.experiment), ci_pretrained, ci_split)
+    return Replay4NCL(ci_preset.experiment).run(ci_pretrained.network, ci_split)
 
 
 class TestPretraining:
@@ -135,14 +135,14 @@ class TestReplay4NCL:
 
     def test_timestep_override(self, ci_preset, ci_pretrained, ci_split):
         method = Replay4NCL(ci_preset.experiment, timesteps=6)
-        result = run_method(method, ci_pretrained, ci_split)
+        result = method.run(ci_pretrained.network, ci_split)
         assert result.timesteps == 6
 
     def test_adaptive_flag_changes_training(self, ci_preset, ci_pretrained, ci_split):
         on = Replay4NCL(ci_preset.experiment, adaptive_threshold=True)
         off = Replay4NCL(ci_preset.experiment, adaptive_threshold=False)
-        r_on = run_method(on, ci_pretrained, ci_split)
-        r_off = run_method(off, ci_pretrained, ci_split)
+        r_on = on.run(ci_pretrained.network, ci_split)
+        r_off = off.run(ci_pretrained.network, ci_split)
         # Latent buffers are generated under different thresholds, so the
         # stored activations must differ in spike counts.
         on_spikes = sum(
@@ -169,7 +169,7 @@ class TestResultContracts:
             name: {k: v.copy() for k, v in params.items()}
             for name, params in ci_pretrained.network.state_dict().items()
         }
-        run_method(SpikingLR(ci_preset.experiment), ci_pretrained, ci_split)
+        SpikingLR(ci_preset.experiment).run(ci_pretrained.network, ci_split)
         after = ci_pretrained.network.state_dict()
         for name in before:
             for key in before[name]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SpikingLR, run_method
+from repro.core import SpikingLR
 from repro.core.pipeline import PretrainResult, pretrain
 
 
@@ -28,19 +28,16 @@ class TestPretrain:
             np.testing.assert_array_equal(a.data, b.data)
 
 
-class TestRunMethod:
-    def test_accepts_pretrain_result(self, ci_preset, ci_pretrained, ci_split):
-        result = run_method(SpikingLR(ci_preset.experiment), ci_pretrained, ci_split)
+class TestMethodRun:
+    def test_runs_from_the_pretrained_network(
+        self, ci_preset, ci_pretrained, ci_split
+    ):
+        result = SpikingLR(ci_preset.experiment).run(ci_pretrained.network, ci_split)
         assert result.method == "spikinglr"
-
-    def test_accepts_bare_network(self, ci_preset, ci_pretrained, ci_split):
-        result = run_method(
-            SpikingLR(ci_preset.experiment), ci_pretrained.network, ci_split
-        )
-        assert result.method == "spikinglr"
+        assert result.network is not ci_pretrained.network
 
     def test_repeatable(self, ci_preset, ci_pretrained, ci_split):
-        a = run_method(SpikingLR(ci_preset.experiment), ci_pretrained, ci_split)
-        b = run_method(SpikingLR(ci_preset.experiment), ci_pretrained, ci_split)
+        a = SpikingLR(ci_preset.experiment).run(ci_pretrained.network, ci_split)
+        b = SpikingLR(ci_preset.experiment).run(ci_pretrained.network, ci_split)
         assert a.final_old_accuracy == pytest.approx(b.final_old_accuracy)
         assert a.final_new_accuracy == pytest.approx(b.final_new_accuracy)

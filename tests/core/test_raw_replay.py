@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import RawInputReplay, Replay4NCL, run_method
+from repro.core import RawInputReplay, Replay4NCL
 
 
 @pytest.fixture(scope="module")
 def raw_result(ci_preset, ci_pretrained, ci_split):
-    return run_method(RawInputReplay(ci_preset.experiment), ci_pretrained, ci_split)
+    return RawInputReplay(ci_preset.experiment).run(ci_pretrained.network, ci_split)
 
 
 class TestRawInputReplay:
@@ -27,7 +27,7 @@ class TestRawInputReplay:
         # The memory motivation for *latent* replay: raw inputs at the
         # full channel count and timestep dwarf layer-3 activations at
         # the reduced timestep.
-        latent = run_method(Replay4NCL(ci_preset.experiment), ci_pretrained, ci_split)
+        latent = Replay4NCL(ci_preset.experiment).run(ci_pretrained.network, ci_split)
         assert raw_result.latent_storage_bytes > latent.latent_storage_bytes
 
     def test_no_decompression(self, raw_result):

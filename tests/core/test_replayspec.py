@@ -10,7 +10,7 @@ below are the only spelling.
 import numpy as np
 import pytest
 
-from repro.core import NaiveFinetune, Replay4NCL, ReplaySpec, run_method
+from repro.core import NaiveFinetune, Replay4NCL, ReplaySpec
 from repro.errors import ConfigError
 
 
@@ -71,9 +71,8 @@ class TestReplaySpecValidation:
 
         monkeypatch.setattr(PrefetchingStream, "__init__", refuse)
         runs = [
-            run_method(
-                Replay4NCL(ci_preset.experiment),
-                ci_pretrained,
+            Replay4NCL(ci_preset.experiment).run(
+                ci_pretrained.network,
                 ci_split,
                 replay=ReplaySpec(
                     store_dir=tmp_path / f"store-{mode}", prefetch=mode
@@ -104,9 +103,8 @@ class TestReplaySpecValidation:
     def test_bare_path_promoted_to_spec(
         self, ci_pretrained, ci_split, ci_preset, tmp_path
     ):
-        result = run_method(
-            Replay4NCL(ci_preset.experiment),
-            ci_pretrained,
+        result = Replay4NCL(ci_preset.experiment).run(
+            ci_pretrained.network,
             ci_split,
             replay=tmp_path / "store",
         )
@@ -127,13 +125,12 @@ class TestLegacyKwargsRemoved:
                 replay_store_dir=tmp_path / "store",
             )
 
-    def test_run_method_rejects_non_spec_replay(
+    def test_method_run_rejects_non_spec_replay(
         self, ci_pretrained, ci_split, ci_preset
     ):
         with pytest.raises(ConfigError, match="ReplaySpec or a store path"):
-            run_method(
-                Replay4NCL(ci_preset.experiment),
-                ci_pretrained,
+            Replay4NCL(ci_preset.experiment).run(
+                ci_pretrained.network,
                 ci_split,
                 replay=42,
             )

@@ -8,16 +8,19 @@ the minibatch schedule is unchanged.  The run reads its store back once:
 every shard is decoded exactly once, however many epochs train on it.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import Replay4NCL, ReplaySpec, SpikingLR, run_method
+from repro.core import Replay4NCL, ReplaySpec, SpikingLR
 from repro.core.raw_replay import RawInputReplay
 from repro.core.latent_replay import LatentReplayBuffer, frozen_front_trace
 from repro.hw.memory import audit_store
 from repro.replaystore import ReplayStore, ReplayStream
 from repro.seeding import spawn
+from repro.training.trainer import Trainer
 
 
 def _replay_subset(method, split):
@@ -57,10 +60,9 @@ def _assert_identical(in_memory, store_backed):
 class TestBitwiseParity:
     def test_replay4ncl(self, ci_pretrained, ci_split, ci_preset, tmp_path):
         method = Replay4NCL(ci_preset.experiment)
-        in_memory = run_method(method, ci_pretrained, ci_split)
-        store_backed = run_method(
-            Replay4NCL(ci_preset.experiment),
-            ci_pretrained,
+        in_memory = method.run(ci_pretrained.network, ci_split)
+        store_backed = Replay4NCL(ci_preset.experiment).run(
+            ci_pretrained.network,
             ci_split,
             replay=ReplaySpec(store_dir=tmp_path / "store", shard_samples=4),
         )
@@ -76,12 +78,11 @@ class TestBitwiseParity:
     ):
         # SpikingLR stores factor-2 subsampled frames and zero-stuffs on
         # replay — the stream must reproduce that cycle exactly too.
-        in_memory = run_method(
-            SpikingLR(ci_preset.experiment), ci_pretrained, ci_split
+        in_memory = SpikingLR(ci_preset.experiment).run(
+            ci_pretrained.network, ci_split
         )
-        store_backed = run_method(
-            SpikingLR(ci_preset.experiment),
-            ci_pretrained,
+        store_backed = SpikingLR(ci_preset.experiment).run(
+            ci_pretrained.network,
             ci_split,
             replay=ReplaySpec(store_dir=tmp_path / "store"),
         )
@@ -89,12 +90,11 @@ class TestBitwiseParity:
 
     def test_raw_input_replay(self, ci_pretrained, ci_split, ci_preset, tmp_path):
         # Insertion layer 0: the store holds raw input rasters.
-        in_memory = run_method(
-            RawInputReplay(ci_preset.experiment), ci_pretrained, ci_split
+        in_memory = RawInputReplay(ci_preset.experiment).run(
+            ci_pretrained.network, ci_split
         )
-        store_backed = run_method(
-            RawInputReplay(ci_preset.experiment),
-            ci_pretrained,
+        store_backed = RawInputReplay(ci_preset.experiment).run(
+            ci_pretrained.network,
             ci_split,
             replay=ReplaySpec(store_dir=tmp_path / "store", shard_samples=4),
         )
@@ -108,10 +108,9 @@ class TestBitwiseParity:
         # resident or store-backed, and the traces the run takes from
         # its own frozen-front passes must equal a direct recomputation.
         method = method_cls(ci_preset.experiment)
-        mem = run_method(method, ci_pretrained, ci_split)
-        disk = run_method(
-            method,
-            ci_pretrained,
+        mem = method.run(ci_pretrained.network, ci_split)
+        disk = method.run(
+            ci_pretrained.network,
             ci_split,
             replay=ReplaySpec(store_dir=tmp_path / "store"),
         )
@@ -141,9 +140,8 @@ class TestStoreArtifacts:
     @pytest.fixture(scope="class")
     def store_run(self, ci_pretrained, ci_split, ci_preset, tmp_path_factory):
         root = tmp_path_factory.mktemp("ncl-store") / "store"
-        result = run_method(
-            Replay4NCL(ci_preset.experiment),
-            ci_pretrained,
+        result = Replay4NCL(ci_preset.experiment).run(
+            ci_pretrained.network,
             ci_split,
             replay=ReplaySpec(store_dir=root, shard_samples=4),
         )
@@ -194,9 +192,8 @@ class TestReadOnce:
         method = request.param(ci_preset.experiment)
         recorder = obs.Recorder()
         with obs.use_recorder(recorder):
-            result = run_method(
-                method,
-                ci_pretrained,
+            result = method.run(
+                ci_pretrained.network,
                 ci_split,
                 replay=ReplaySpec(store_dir=root, shard_samples=4),
             )
@@ -240,3 +237,52 @@ class TestReadOnce:
         streamed = ReplayStream(store, decompress=decompress).materialize()
         assert streamed.dtype == np.float32
         np.testing.assert_array_equal(streamed, expected)
+
+
+class TestTrainingHoldsOneCopy:
+    """Training keeps the concatenated inputs, not the parts they came from."""
+
+    @pytest.mark.parametrize("method_cls", [Replay4NCL, SpikingLR])
+    @pytest.mark.parametrize("store_backed", [False, True], ids=["dense", "store"])
+    def test_replay_raster_released_before_fit(
+        self,
+        ci_pretrained,
+        ci_split,
+        ci_preset,
+        tmp_path,
+        monkeypatch,
+        method_cls,
+        store_backed,
+    ):
+        rasters = []
+
+        def recording(original):
+            def materialize(self, *args, **kwargs):
+                raster = original(self, *args, **kwargs)
+                rasters.append(weakref.ref(raster))
+                return raster
+
+            return materialize
+
+        monkeypatch.setattr(
+            LatentReplayBuffer,
+            "materialize",
+            recording(LatentReplayBuffer.materialize),
+        )
+        monkeypatch.setattr(
+            ReplayStream, "materialize", recording(ReplayStream.materialize)
+        )
+        alive_at_fit = []
+        fit = Trainer.fit
+
+        def checking_fit(trainer, *args, **kwargs):
+            alive_at_fit.extend(ref() is not None for ref in rasters)
+            return fit(trainer, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "fit", checking_fit)
+        replay = ReplaySpec(store_dir=tmp_path / "store") if store_backed else None
+        result = method_cls(ci_preset.experiment).run(
+            ci_pretrained.network, ci_split, replay=replay
+        )
+        assert alive_at_fit == [False]
+        assert (result.replay_peak_resident_bytes > 0) == store_backed

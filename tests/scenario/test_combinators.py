@@ -4,9 +4,11 @@ The ``blurry``, ``domain-incremental`` and ``task-incremental``
 built-ins are now thin aliases over combinator chains.  Their bitwise
 contract — same steps, same names, same data at the same seed as the
 pre-combinator implementations — is pinned here against *inline legacy
-reimplementations* (transcribed from the original built-ins, not
-imported from the package), so a regression in either the combinators
-or the alias wiring cannot hide behind "both sides changed together".
+reimplementations* of what the combinators add (transcribed from the
+original built-ins, not imported from the package; only the plain class
+stream they decorate comes from ``SequentialScenario``), so a regression
+in either the combinators or the alias wiring cannot hide behind "both
+sides changed together".
 
 The second half covers behavior the aliases don't exercise: combinator
 nesting, class repetition, label noise, and argument validation.
@@ -18,7 +20,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.sequential import iter_sequential_splits
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import ClassIncrementalSplit
 from repro.data.transforms import drift_dataset
@@ -82,16 +83,11 @@ def assert_steps_identical(actual, expected):
 def legacy_blurry_steps(
     generator, experiment, *, steps_count=2, classes_per_step=1, blur_fraction=0.25
 ):
-    base = generator.config.num_classes - steps_count * classes_per_step
-    splits = iter_sequential_splits(
-        generator,
-        experiment.samples_per_class,
-        experiment.test_samples_per_class,
-        base_classes=base,
-        steps=steps_count,
-        classes_per_step=classes_per_step,
+    stream = SequentialScenario(
+        steps_count=steps_count, classes_per_step=classes_per_step
     )
-    for k, split in enumerate(splits):
+    for k, step in enumerate(stream.steps(generator, experiment)):
+        split = step.split
         rng = spawn(experiment.seed, f"scenario:blurry:{k}")
         minority = split.pretrain_train.sample_fraction(blur_fraction, rng)
         blurred = dataclasses.replace(
@@ -149,17 +145,12 @@ def legacy_domain_steps(
 def legacy_task_incremental_steps(
     generator, experiment, *, steps_count=2, classes_per_step=1
 ):
-    base = generator.config.num_classes - steps_count * classes_per_step
-    splits = iter_sequential_splits(
-        generator,
-        experiment.samples_per_class,
-        experiment.test_samples_per_class,
-        base_classes=base,
-        steps=steps_count,
-        classes_per_step=classes_per_step,
+    stream = SequentialScenario(
+        steps_count=steps_count, classes_per_step=classes_per_step
     )
     groups = []
-    for k, split in enumerate(splits):
+    for k, step in enumerate(stream.steps(generator, experiment)):
+        split = step.split
         if not groups:
             groups.append(split.old_classes)
         groups.append(split.new_classes)

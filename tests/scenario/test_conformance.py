@@ -16,8 +16,8 @@ inherits the same invariant coverage for free:
   ``disjoint_eval = True`` attribute (``domain-incremental``
   intentionally does not — its "new" task is the same label space
   under drift);
-- ``as_sequential()`` interop of the scenario's
-  :class:`~repro.scenario.runner.ScenarioResult`.
+- the per-step views (trajectories, final network, store root) of the
+  scenario's :class:`~repro.scenario.runner.ScenarioResult`.
 
 The same invariants are then re-applied to the full **(base scenario ×
 combinator)** product (``TestCombinatorProductConformance``): every
@@ -279,16 +279,18 @@ def tiny_runs(env):
     return run
 
 
-class TestAsSequentialInterop:
+class TestPerStepViews:
     @pytest.mark.parametrize("name", NAMES)
-    def test_as_sequential(self, name, tiny_runs):
+    def test_per_step_views(self, name, tiny_runs):
         result = tiny_runs(name)
-        seq = result.as_sequential()
-        assert seq.steps == result.steps
-        assert seq.store_root == result.store_root
-        assert seq.final_network is result.steps[-1].network
-        assert seq.old_accuracy_trajectory == result.old_accuracy_trajectory
-        assert seq.new_accuracy_trajectory == result.new_accuracy_trajectory
+        assert result.store_root is None
+        assert result.final_network is result.steps[-1].network
+        assert result.old_accuracy_trajectory == tuple(
+            step.final_old_accuracy for step in result.steps
+        )
+        assert result.new_accuracy_trajectory == tuple(
+            step.final_new_accuracy for step in result.steps
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class TestSequential:
         steps = SequentialScenario(steps_count=2).steps(generator, experiment)
         assert iter(steps) is steps  # a generator, not a list
 
-    def test_layout_matches_make_sequential_splits(self, context):
+    def test_step_class_layout(self, context):
         generator, experiment = context
         steps = list(SequentialScenario(steps_count=2).steps(generator, experiment))
         assert [s.split.new_classes for s in steps] == [(3,), (4,)]

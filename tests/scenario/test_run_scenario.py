@@ -154,11 +154,11 @@ class TestAllScenariosEndToEnd:
         assert dense.pretrain_accuracy == expected
 
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_sequential_result_views(self, runs, name):
+    def test_per_step_views(self, runs, name):
         dense, _, _ = runs[name]
-        seq = dense.as_sequential()
-        assert seq.steps == dense.steps
-        assert seq.old_accuracy_trajectory == dense.old_accuracy_trajectory
+        assert dense.old_accuracy_trajectory == tuple(
+            step.final_old_accuracy for step in dense.steps
+        )
         assert dense.final_network is dense.steps[-1].network
         text = dense.describe()
         assert name in text and "forgetting" in text

@@ -1,7 +1,8 @@
 """Store-federated sequential runs: the long-task-sequence harness.
 
-Scenario-level acceptance tests for `run_sequential(..., replay=ReplaySpec(...))`:
-a 3-step class-incremental stream whose replay memory lives in a
+Scenario-level acceptance tests for
+`run_scenario(SequentialScenario(...), replay=ReplaySpec(...))`: a
+3-step class-incremental stream whose replay memory lives in a
 per-step federation of on-disk stores must
 
 - reproduce the dense in-memory trajectory **bitwise** at the same seed,
@@ -18,67 +19,64 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import (
-    Replay4NCL,
-    ReplaySpec,
-    make_sequential_splits,
-    run_sequential,
-)
+from repro.core import Replay4NCL, ReplaySpec
 from repro.core.pipeline import pretrain
 from repro.data.synthetic_shd import SyntheticSHD
+from repro.data.tasks import make_class_incremental
 from repro.eval.scale import get_scale
 from repro.hw.memory import audit_federation
 from repro.replaystore import FederatedReplayStore
+from repro.scenario import SequentialScenario, run_scenario
 
 SHARD_SAMPLES = 4
 FLOAT32_BYTES = 4  # one decoded replay cell
+#: ci has 5 classes: pre-train on 2, learn classes 2, 3, 4 in three steps.
+STREAM = SequentialScenario(steps_count=3, base_classes=2)
 
 
 @pytest.fixture(scope="module")
 def scenario():
     preset = get_scale("ci")
     generator = SyntheticSHD(preset.shd, seed=preset.experiment.seed)
-    # ci has 5 classes: pre-train on 2, learn classes 2, 3, 4 in three steps.
     exp = preset.experiment.replace(num_pretrain_classes=2)
-    from repro.data.tasks import make_class_incremental
-
     base_split = make_class_incremental(
         generator,
         exp.samples_per_class,
         exp.test_samples_per_class,
         num_pretrain_classes=2,
     )
-    pretrained = pretrain(exp, base_split)
-    splits = make_sequential_splits(
-        generator,
-        exp.samples_per_class,
-        exp.test_samples_per_class,
-        base_classes=2,
-        steps=3,
+    return exp, generator, pretrain(exp, base_split)
+
+
+def run_stream(scenario, replay=None, stream=STREAM):
+    exp, generator, pretrained = scenario
+    return run_scenario(
+        stream,
+        Replay4NCL,
+        generator=generator,
+        experiment=exp,
+        pretrained=pretrained,
+        replay=replay,
     )
-    return exp, pretrained, splits
 
 
 @pytest.fixture(scope="module")
 def dense_result(scenario):
-    exp, pretrained, splits = scenario
-    return run_sequential(lambda k: Replay4NCL(exp), pretrained.network, splits)
+    return run_stream(scenario)
 
 
 @pytest.fixture(scope="module")
 def store_result(scenario, tmp_path_factory):
     """Store-backed run with the spec the end-to-end benchmark passes."""
-    exp, pretrained, splits = scenario
     root = tmp_path_factory.mktemp("seq-fed") / "store"
-    return run_sequential(
-        lambda k: Replay4NCL(exp),
-        pretrained.network,
-        splits,
-        replay=ReplaySpec(store_dir=root, shard_samples=SHARD_SAMPLES, prefetch=True),
+    return run_stream(
+        scenario,
+        ReplaySpec(store_dir=root, shard_samples=SHARD_SAMPLES, prefetch=True),
     )
 
 
 def assert_trajectory_identical(dense, stored):
+    np.testing.assert_array_equal(dense.accuracy_matrix, stored.accuracy_matrix)
     assert len(dense.steps) == len(stored.steps)
     for mem, disk in zip(dense.steps, stored.steps):
         assert len(mem.history) == len(disk.history)
@@ -129,14 +127,11 @@ class TestResidentReplay:
 
 class TestReadOnce:
     def test_each_step_decodes_its_member_once(self, scenario, dense_result, tmp_path):
-        exp, pretrained, splits = scenario
         recorder = obs.Recorder()
         with obs.use_recorder(recorder):
-            result = run_sequential(
-                lambda k: Replay4NCL(exp),
-                pretrained.network,
-                splits,
-                replay=ReplaySpec(store_dir=tmp_path / "fed", shard_samples=SHARD_SAMPLES),
+            result = run_stream(
+                scenario,
+                ReplaySpec(store_dir=tmp_path / "fed", shard_samples=SHARD_SAMPLES),
             )
         assert_trajectory_identical(dense_result, result)
         federation = FederatedReplayStore.open(result.store_root)
@@ -179,28 +174,23 @@ class TestFederationArtifacts:
 
 class TestRerun:
     def test_existing_root_refused_without_overwrite(self, scenario, tmp_path):
-        exp, pretrained, splits = scenario
         from repro.errors import StoreError
 
+        one_step = SequentialScenario(steps_count=1, base_classes=2)
         spec = ReplaySpec(
             store_dir=tmp_path / "fed", shard_samples=SHARD_SAMPLES
         )
-        first = run_sequential(
-            lambda k: Replay4NCL(exp), pretrained.network, splits[:1], replay=spec
-        )
+        first = run_stream(scenario, spec, one_step)
         with pytest.raises(StoreError, match="already exists"):
-            run_sequential(
-                lambda k: Replay4NCL(exp), pretrained.network, splits[:1], replay=spec
-            )
-        rerun = run_sequential(
-            lambda k: Replay4NCL(exp),
-            pretrained.network,
-            splits[:1],
-            replay=ReplaySpec(
+            run_stream(scenario, spec, one_step)
+        rerun = run_stream(
+            scenario,
+            ReplaySpec(
                 store_dir=tmp_path / "fed",
                 shard_samples=SHARD_SAMPLES,
                 overwrite=True,
             ),
+            one_step,
         )
         assert_trajectory_identical(first, rerun)
         federation = FederatedReplayStore.open(rerun.store_root)
@@ -209,25 +199,18 @@ class TestRerun:
 
 class TestGlobalBudget:
     def test_budget_holds_across_the_stream(self, scenario, tmp_path):
-        exp, pretrained, splits = scenario
         # Tight budget: roughly one step's worth of replay for a
         # three-step stream, so rebalancing must evict across members.
         probe = FederatedReplayStore.open
-        result = run_sequential(
-            lambda k: Replay4NCL(exp),
-            pretrained.network,
-            splits,
-            replay=ReplaySpec(
-                store_dir=tmp_path / "budgeted", shard_samples=SHARD_SAMPLES
-            ),
+        result = run_stream(
+            scenario,
+            ReplaySpec(store_dir=tmp_path / "budgeted", shard_samples=SHARD_SAMPLES),
         )
         unbudgeted = probe(result.store_root).num_samples
         budget = 10 * probe(result.store_root).sample_bytes
-        budgeted = run_sequential(
-            lambda k: Replay4NCL(exp),
-            pretrained.network,
-            splits,
-            replay=ReplaySpec(
+        budgeted = run_stream(
+            scenario,
+            ReplaySpec(
                 store_dir=tmp_path / "budgeted-tight",
                 shard_samples=SHARD_SAMPLES,
                 federation_budget_bytes=budget,
