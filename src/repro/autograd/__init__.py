@@ -21,20 +21,17 @@ Public surface
   pass is a surrogate gradient (fast-sigmoid by default, as in the paper).
 - :class:`Function` — the tape node: run a whole numpy computation
   (e.g. a fused SNN time loop) as one differentiable op.
-- :func:`gradcheck` — numerical verification used by the test-suite.
 - :func:`no_grad` — context manager disabling tape recording.
 """
 
 from repro.autograd.tensor import (
     Function,
     Tensor,
-    is_grad_enabled,
     no_grad,
     stack,
     tensor,
     zeros,
 )
-from repro.autograd import functional
 from repro.autograd.functional import cross_entropy
 from repro.autograd.surrogate import (
     SurrogateSpec,
@@ -44,7 +41,6 @@ from repro.autograd.surrogate import (
     spike,
     straight_through_surrogate,
 )
-from repro.autograd.gradcheck import gradcheck
 
 __all__ = [
     "Tensor",
@@ -52,8 +48,6 @@ __all__ = [
     "zeros",
     "stack",
     "no_grad",
-    "is_grad_enabled",
-    "functional",
     "cross_entropy",
     "SurrogateSpec",
     "spike",
@@ -61,6 +55,5 @@ __all__ = [
     "atan_surrogate",
     "boxcar_surrogate",
     "straight_through_surrogate",
-    "gradcheck",
     "Function",
 ]

@@ -34,17 +34,11 @@ __all__ = [
     "zeros",
     "stack",
     "no_grad",
-    "is_grad_enabled",
 ]
 
 DEFAULT_DTYPE = np.float32
 
 _GRAD_ENABLED = True
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record the backward tape."""
-    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager

@@ -248,7 +248,8 @@ class LatentReplayBuffer:
         ``decompress=True`` zero-stuffs back to ``generated_timesteps``
         (the SpikingLR cycle); ``decompress=False`` replays the stored
         frames directly (Replay4NCL — only valid when the codec factor is
-        1, i.e. the stored frames already *are* the training resolution).
+        1, i.e. the stored frames already *are* the training resolution)
+        as a read-only float32 view, so no copy of the buffer is made.
         """
         if decompress:
             return self.codec.decompress(self.compressed, self.generated_timesteps)
@@ -257,7 +258,9 @@ class LatentReplayBuffer:
                 "cannot replay subsampled frames without decompression: "
                 f"codec factor is {self.codec.factor}"
             )
-        return self.compressed.astype(np.float32, copy=True)
+        frames = self.compressed.astype(np.float32, copy=False).view()
+        frames.flags.writeable = False
+        return frames
 
     def decompressed_cells_per_replay(self, decompress: bool) -> int:
         """Raster cells written by one decompression pass (cost model)."""

@@ -14,15 +14,17 @@ continually learn the 20th) lives in :mod:`repro.data.tasks`.
 
 from repro.data.datasets import SpikeDataset
 from repro.data.events import EventStream
-from repro.data.io import load_dataset, save_dataset
 from repro.data.loaders import DataLoader
 from repro.data.stats import RasterStats, class_confusability, dataset_stats, raster_stats
 from repro.data.synthetic_shd import SyntheticSHD, SyntheticSHDConfig
-from repro.data.tasks import ClassIncrementalSplit, make_class_incremental
+from repro.data.tasks import (
+    ClassIncrementalSplit,
+    class_incremental_split,
+    make_class_incremental,
+)
 from repro.data.transforms import (
     channel_dropout,
     drift_dataset,
-    merge_rasters,
     rebin_raster,
     time_jitter,
 )
@@ -33,17 +35,15 @@ __all__ = [
     "SyntheticSHD",
     "SyntheticSHDConfig",
     "ClassIncrementalSplit",
+    "class_incremental_split",
     "make_class_incremental",
     "DataLoader",
     "rebin_raster",
     "time_jitter",
     "channel_dropout",
     "drift_dataset",
-    "merge_rasters",
     "RasterStats",
     "raster_stats",
     "dataset_stats",
     "class_confusability",
-    "save_dataset",
-    "load_dataset",
 ]

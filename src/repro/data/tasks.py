@@ -14,12 +14,13 @@ plus the combined ``test_all`` used for overall Top-1 accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.data.datasets import SpikeDataset
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.errors import DataError
 
-__all__ = ["ClassIncrementalSplit", "make_class_incremental"]
+__all__ = ["ClassIncrementalSplit", "class_incremental_split", "make_class_incremental"]
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,29 @@ def make_class_incremental(
             f"num_pretrain_classes must lie in (0, {num_classes}), "
             f"got {num_pretrain_classes}"
         )
-    old = list(range(num_pretrain_classes))
-    new = list(range(num_pretrain_classes, num_classes))
+    return class_incremental_split(
+        generator,
+        range(num_pretrain_classes),
+        range(num_pretrain_classes, num_classes),
+        samples_per_class,
+        test_samples_per_class,
+    )
 
+
+def class_incremental_split(
+    generator: SyntheticSHD,
+    old_classes: Sequence[int],
+    new_classes: Sequence[int],
+    samples_per_class: int,
+    test_samples_per_class: int,
+) -> ClassIncrementalSplit:
+    """Draw the four datasets of one old/new class split.
+
+    The draws run in a fixed order — old train, old test, new train,
+    new test — so a generator sees the same call sequence from every
+    scenario that builds a split.
+    """
+    old, new = list(old_classes), list(new_classes)
     return ClassIncrementalSplit(
         pretrain_train=generator.generate_dataset(
             samples_per_class, split="train", classes=old

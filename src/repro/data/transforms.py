@@ -15,7 +15,6 @@ __all__ = [
     "rebin_raster",
     "time_jitter",
     "channel_dropout",
-    "merge_rasters",
     "drift_dataset",
 ]
 
@@ -128,20 +127,3 @@ def drift_dataset(
         labels=dataset.labels.copy(),
         num_classes=dataset.num_classes,
     )
-
-
-def merge_rasters(a: np.ndarray, b: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Concatenate two ``[T, N, C]`` raster batches along the sample axis.
-
-    Used to form the NCL minibatch pool ``A_new ∪ A_LR`` (Alg. 1 line
-    31).  Time and channel dims must agree.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise DataError("merge_rasters expects [T, N, C] arrays")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
-        raise DataError(
-            f"incompatible raster shapes {a.shape} and {b.shape}: time and "
-            "channel dims must match"
-        )
-    return np.concatenate([a, b], axis=axis)

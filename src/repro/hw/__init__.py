@@ -42,12 +42,8 @@ from repro.hw.profiles import (
     loihi_like,
 )
 from repro.hw.report import CostReport, MethodCost, build_cost_report
-from repro.hw.wallclock import WallClockSample, measure, measure_ratio
 
 __all__ = [
-    "WallClockSample",
-    "measure",
-    "measure_ratio",
     "HardwareProfile",
     "embedded_neuromorphic",
     "loihi_like",

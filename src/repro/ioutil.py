@@ -56,7 +56,6 @@ from repro.errors import ConfigError
 __all__ = [
     "TMP_SUFFIX",
     "atomic_open",
-    "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
     "FileLock",
@@ -97,12 +96,6 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     handle.flush()
     handle.close()
     os.replace(staging, path)
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Atomically replace ``path`` with ``data`` (write-then-rename)."""
-    with atomic_open(path, "wb") as handle:
-        handle.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -31,9 +31,7 @@ from repro.lint.framework import (
     Finding,
     Rule,
     all_rules,
-    get_rule,
     lint_source,
-    rule_ids,
 )
 from repro.lint.runner import format_json, format_text, lint_file, lint_paths
 from repro.lint import rules  # noqa: F401  (importing registers the built-in rules)
@@ -42,8 +40,6 @@ __all__ = [
     "Finding",
     "Rule",
     "all_rules",
-    "get_rule",
-    "rule_ids",
     "lint_source",
     "lint_file",
     "lint_paths",

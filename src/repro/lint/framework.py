@@ -39,11 +39,9 @@ __all__ = [
     "Rule",
     "Suppression",
     "all_rules",
-    "get_rule",
     "lint_source",
     "module_relpath",
     "register",
-    "rule_ids",
 ]
 
 #: Rule id reserved for the linter's own diagnostics (malformed
@@ -159,25 +157,6 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
 def all_rules() -> tuple[Rule, ...]:
     """Every registered rule, sorted by id."""
     return tuple(_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY))
-
-
-def rule_ids() -> tuple[str, ...]:
-    """Sorted ids of every registered rule."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Look up one registered rule by id.
-
-    Raises:
-        ConfigError: If ``rule_id`` is not registered.
-    """
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise ConfigError(
-            f"unknown lint rule {rule_id!r}; registered: {', '.join(sorted(_REGISTRY))}"
-        ) from None
 
 
 def module_relpath(path: str) -> str:

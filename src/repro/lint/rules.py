@@ -126,10 +126,10 @@ class WallClockRule(Rule):
         "and records that differ run to run, which breaks deterministic "
         "trace tests and smuggles time-dependence into results.  Timing "
         "belongs to the injectable Clock protocol (repro.obs.clock — "
-        "ManualClock makes tests deterministic) and to the one module "
-        "whose whole point is wall time, repro.hw.wallclock."
+        "ManualClock makes tests deterministic), whose MonotonicClock is "
+        "the one place that reads it."
     )
-    exclude = ("repro/obs/clock.py", "repro/hw/wallclock.py")
+    exclude = ("repro/obs/clock.py",)
     node_types = (ast.Call,)
 
     _BANNED = frozenset(

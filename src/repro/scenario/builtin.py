@@ -51,12 +51,16 @@ same label space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.config import ExperimentConfig
 from repro.data.synthetic_shd import SyntheticSHD
-from repro.data.tasks import ClassIncrementalSplit, make_class_incremental
+from repro.data.tasks import (
+    ClassIncrementalSplit,
+    class_incremental_split,
+    make_class_incremental,
+)
 from repro.errors import ConfigError, DataError
 from repro.scenario.base import ContinualStep
 from repro.scenario.combinators import with_blur, with_drift, with_task_masks
@@ -184,26 +188,13 @@ class SequentialScenario:
                 f"scenario needs {needed} classes but the generator has "
                 f"{generator.config.num_classes}"
             )
-        samples = experiment.samples_per_class
-        test_samples = experiment.test_samples_per_class
         for k in range(self.steps_count):
-            seen = list(range(base + k * per_step))
-            new = list(range(base + k * per_step, base + (k + 1) * per_step))
-            split = ClassIncrementalSplit(
-                pretrain_train=generator.generate_dataset(
-                    samples, split="train", classes=seen
-                ),
-                pretrain_test=generator.generate_dataset(
-                    test_samples, split="test", classes=seen
-                ),
-                new_train=generator.generate_dataset(
-                    samples, split="train", classes=new
-                ),
-                new_test=generator.generate_dataset(
-                    test_samples, split="test", classes=new
-                ),
-                old_classes=tuple(seen),
-                new_classes=tuple(new),
+            split = class_incremental_split(
+                generator,
+                range(base + k * per_step),
+                range(base + k * per_step, base + (k + 1) * per_step),
+                experiment.samples_per_class,
+                experiment.test_samples_per_class,
             )
             yield ContinualStep(
                 index=k,
@@ -522,53 +513,34 @@ class StreamingScenario:
             )
         index = 0
         for t in range(self.tasks):
-            seen = list(range(base + t * self.classes_per_task))
-            new = list(
-                range(
-                    base + t * self.classes_per_task,
-                    base + (t + 1) * self.classes_per_task,
-                )
-            )
-            seen_train = generator.generate_dataset(
-                experiment.samples_per_class, split="train", classes=seen
-            )
-            seen_test = generator.generate_dataset(
-                experiment.test_samples_per_class, split="test", classes=seen
-            )
-            task_train = generator.generate_dataset(
-                experiment.samples_per_class, split="train", classes=new
-            )
-            task_test = generator.generate_dataset(
-                experiment.test_samples_per_class, split="test", classes=new
+            task = class_incremental_split(
+                generator,
+                range(base + t * self.classes_per_task),
+                range(base + t * self.classes_per_task, base + (t + 1) * self.classes_per_task),
+                experiment.samples_per_class,
+                experiment.test_samples_per_class,
             )
             # Single pass: contiguous arrival-order slices, every sample
             # in exactly one chunk.
             bounds = [
-                round(c * len(task_train) / self.chunks_per_task)
+                round(c * len(task.new_train) / self.chunks_per_task)
                 for c in range(self.chunks_per_task + 1)
             ]
             for c in range(self.chunks_per_task):
-                chunk = task_train.subset(range(bounds[c], bounds[c + 1]))
+                chunk = task.new_train.subset(range(bounds[c], bounds[c + 1]))
                 yield ContinualStep(
                     index=index,
-                    split=ClassIncrementalSplit(
-                        pretrain_train=seen_train,
-                        pretrain_test=seen_test,
-                        new_train=chunk,
-                        new_test=task_test,
-                        old_classes=tuple(seen),
-                        new_classes=tuple(new),
-                    ),
+                    split=replace(task, new_train=chunk),
                     name=(
                         f"step-{index}: task {t} chunk {c + 1}/"
-                        f"{self.chunks_per_task} +classes {new}"
+                        f"{self.chunks_per_task} +classes {list(task.new_classes)}"
                     ),
                     info={
                         "task": t,
                         "chunk": c,
                         "chunk_samples": len(chunk),
                         "task_boundary": c == 0,
-                        "new_classes": tuple(new),
+                        "new_classes": task.new_classes,
                     },
                 )
                 index += 1

@@ -15,12 +15,9 @@ clone — nothing carries across steps except (a) the trained network and
 (b) the on-disk replay federation (whose rebalance counter keys its own
 rng stream and already persists in the federation index).  Snapshot
 those two and the stream's future is a pure function of
-``(seed, scenario, step index)``.  Finer-grained (mid-epoch)
-checkpointing would additionally need live optimizer and rng state —
-:meth:`repro.training.optimizers.Optimizer.state_dict` and
-:func:`repro.seeding.capture_rng` provide exactly those snapshots, and
-are bitwise round-trip tested, but the step-boundary checkpoint does
-not require them.
+``(seed, scenario, step index)``.  No optimizer moments or rng
+positions need saving: finer-grained (mid-epoch) checkpoints would, and
+this module deliberately does not offer them.
 
 Layout under the checkpoint directory::
 

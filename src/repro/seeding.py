@@ -15,9 +15,8 @@ import hashlib
 
 import numpy as np
 
-from repro.errors import DataError
 
-__all__ = ["derive_seed", "spawn", "default_rng", "capture_rng", "restore_rng"]
+__all__ = ["derive_seed", "spawn", "default_rng"]
 
 _MAX_SEED = 2**63 - 1
 
@@ -46,34 +45,3 @@ def spawn(root_seed: int, key: str) -> np.random.Generator:
 def default_rng(seed: int | None = None) -> np.random.Generator:
     """Return a generator; seeded when ``seed`` is given, fresh otherwise."""
     return np.random.default_rng(seed)
-
-
-def capture_rng(rng: np.random.Generator) -> dict:
-    """Snapshot a generator's exact position in its stream.
-
-    The snapshot is a plain JSON-able dict (numpy's bit-generator state:
-    algorithm name plus Python integers), so it can ride inside a
-    checkpoint manifest.  :func:`restore_rng` rebuilds a generator that
-    continues the stream bitwise from the captured position — the
-    primitive a mid-step (finer than scenario-step-boundary) checkpoint
-    would need; step-boundary checkpoints don't, because every step
-    spawns its rngs fresh from the experiment seed (see
-    :mod:`repro.scenario.checkpoint`).
-    """
-    return dict(rng.bit_generator.state)
-
-
-def restore_rng(state: dict) -> np.random.Generator:
-    """Rebuild a generator from a :func:`capture_rng` snapshot.
-
-    Raises:
-        DataError: If the snapshot names an unknown bit-generator
-            algorithm.
-    """
-    name = state.get("bit_generator")
-    algorithm = getattr(np.random, str(name), None)
-    if algorithm is None or not isinstance(algorithm, type):
-        raise DataError(f"unknown bit generator in rng snapshot: {name!r}")
-    bit_generator = algorithm()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)

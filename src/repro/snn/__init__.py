@@ -23,7 +23,6 @@ from repro.snn.network import ForwardResult, SpikingNetwork
 from repro.snn.neurons import LIFParameters
 from repro.snn.state import LayerTraceEntry, SpikeTrace
 from repro.snn.threshold import (
-    AdaptiveSpikeTimingThreshold,
     PerNeuronAdaptiveThreshold,
     StaticThreshold,
     ThresholdController,
@@ -42,7 +41,6 @@ __all__ = [
     "LayerTraceEntry",
     "ThresholdController",
     "StaticThreshold",
-    "AdaptiveSpikeTimingThreshold",
     "PerNeuronAdaptiveThreshold",
     "dense_init",
     "recurrent_init",

@@ -22,7 +22,6 @@ from repro.snn.backends.base import (
     SweepSpec,
     active,
     all_backends,
-    available_backends,
     get_backend,
     register_backend,
     select_backend,
@@ -39,7 +38,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "all_backends",
-    "available_backends",
     "select_backend",
     "active",
     "selection_report",

@@ -52,7 +52,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "all_backends",
-    "available_backends",
     "select_backend",
     "active",
     "selection_report",
@@ -216,11 +215,6 @@ def get_backend(name: str) -> SequenceExecutor:
         raise ConfigError(
             f"unknown kernel backend {name!r}; registered backends: {known}"
         ) from None
-
-
-def available_backends() -> list[SequenceExecutor]:
-    """The registered executors whose availability probe passes."""
-    return [b for b in all_backends() if b.availability()[0]]
 
 
 def select_backend(name: str | None = None) -> SequenceExecutor:

@@ -31,20 +31,14 @@ from repro.snn.state import LayerTraceEntry, SpikeTrace
 from repro.snn.threshold import ThresholdController
 from repro.autograd.surrogate import fast_sigmoid_surrogate
 
-__all__ = ["SpikingNetwork", "ForwardResult", "ControllerLike"]
-
-#: A threshold controller shared across layers, or a factory
-#: ``layer -> ThresholdController`` building one controller per layer
-#: (required by per-neuron controllers, whose state is sized to the
-#: layer).  ``None`` means the static configured threshold.
-ControllerLike = "ThresholdController | callable | None"
+__all__ = ["SpikingNetwork", "ForwardResult"]
 
 #: Samples per :meth:`SpikingNetwork.predict` forward chunk.
 PREDICT_BATCH = 64
 
 
 def _layer_controller(controller, layer) -> ThresholdController | None:
-    """Resolve a ControllerLike for one layer (resetting shared ones)."""
+    """Resolve a ``forward`` controller argument for one layer (resetting shared ones)."""
     if controller is None:
         return None
     if isinstance(controller, ThresholdController):
@@ -246,9 +240,11 @@ class SpikingNetwork:
             inputs: ``[T, B, layer_input_size(start_layer)]`` spike
                 raster — the dataset encoding for ``start_layer=0``, or
                 latent activations when replaying into a later layer.
-            controller: :data:`ControllerLike` — a shared controller
-                (reset per layer), a per-layer factory, or None for the
-                static threshold.
+            controller: A :class:`ThresholdController` shared across
+                layers (reset per layer), a factory ``layer ->
+                ThresholdController`` building one per layer (required
+                by per-neuron controllers, whose state is sized to the
+                layer), or None for the static configured threshold.
             controller_from_layer: First weight-layer index the
                 controller applies to; earlier layers run at their
                 static threshold.  NCL evaluation uses this to confine

@@ -28,7 +28,6 @@ from repro.errors import ConfigError
 __all__ = [
     "ThresholdController",
     "StaticThreshold",
-    "AdaptiveSpikeTimingThreshold",
     "PerNeuronAdaptiveThreshold",
 ]
 
@@ -88,92 +87,8 @@ class StaticThreshold(ThresholdController):
         return f"StaticThreshold({self._value:g})"
 
 
-class AdaptiveSpikeTimingThreshold(ThresholdController):
-    """Alg. 1's dynamic threshold policy.
-
-    Attributes:
-        timesteps: ``Tstep`` of the NCL phase — enters the spike-timing
-            formula.
-        adjust_interval: Spike-timing updates happen when
-            ``t % adjust_interval == 0`` (Alg. 1 line 10); other steps
-            use the sigmoidal decay.  Pass 1 to update on every step
-            (the NCL-training variant, lines 25-30).
-        gain: The 0.01 coefficient of the spike-timing term.
-        decay_rate: The 0.001 coefficient inside the sigmoidal decay.
-        floor: Lower safety clamp on ``Vthr``.
-        ceil: Upper safety clamp on ``Vthr``.  The paper's formulas
-            already stay inside the band for T <= 100; the clamp guards
-            pathological configurations.
-    """
-
-    def __init__(
-        self,
-        timesteps: int,
-        adjust_interval: int = 5,
-        gain: float = 0.01,
-        decay_rate: float = 0.001,
-        floor: float = 0.05,
-        ceil: float = 4.0,
-        initial: float = 1.0,
-    ):
-        if timesteps <= 0:
-            raise ConfigError(f"timesteps must be positive, got {timesteps}")
-        if adjust_interval <= 0:
-            raise ConfigError(f"adjust_interval must be positive, got {adjust_interval}")
-        if not 0.0 < floor < ceil:
-            raise ConfigError(f"need 0 < floor < ceil, got {floor}, {ceil}")
-        self.timesteps = int(timesteps)
-        self.adjust_interval = int(adjust_interval)
-        self.gain = float(gain)
-        self.decay_rate = float(decay_rate)
-        self.floor = float(floor)
-        self.ceil = float(ceil)
-        self.initial = float(initial)
-        self.reset()
-
-    def reset(self) -> None:
-        """Restore the initial threshold and clear spike statistics."""
-        self._value = self.initial
-        self._spike_count = 0.0
-        self._spike_time_sum = 0.0
-
-    def step(self, t: int, spike_counts, spike_time_sums) -> float:
-        """Apply Alg. 1 lines 10-17 (interval > 1) or 25-30 (interval == 1)."""
-        self._spike_count += float(np.sum(spike_counts))
-        self._spike_time_sum += float(np.sum(spike_time_sums))
-
-        on_boundary = (t % self.adjust_interval) == 0
-        if on_boundary and self._spike_count > 0:
-            avg_spike_time = self._spike_time_sum / self._spike_count
-            self._value = 1.0 + self.gain * (self.timesteps - avg_spike_time)
-        elif not on_boundary or self._spike_count == 0:
-            # Sigmoidal decay toward ~0.5 lowers the barrier on silent
-            # intervals so fewer input spikes still reach threshold.
-            self._value = 1.0 / (1.0 + np.exp(-self.decay_rate * t))
-        self._value = float(np.clip(self._value, self.floor, self.ceil))
-        return self._value
-
-    @property
-    def value(self) -> float:
-        """Current scalar threshold."""
-        return self._value
-
-    @property
-    def mean_spike_time(self) -> float | None:
-        """Running mean spike time, or None before any spike was seen."""
-        if self._spike_count == 0:
-            return None
-        return self._spike_time_sum / self._spike_count
-
-    def __repr__(self) -> str:
-        return (
-            f"AdaptiveSpikeTimingThreshold(T={self.timesteps}, "
-            f"interval={self.adjust_interval}, value={self._value:.3f})"
-        )
-
-
 class PerNeuronAdaptiveThreshold(ThresholdController):
-    """Per-neuron variant of the Alg. 1 policy (the deployed form).
+    """Alg. 1's dynamic threshold policy, applied per neuron.
 
     Alg. 1 states the two rules — the spike-timing formula where spikes
     occur and the sigmoidal decay where they do not — without fixing
@@ -187,8 +102,23 @@ class PerNeuronAdaptiveThreshold(ThresholdController):
     spike-timing rule around the baseline.  This homeostatic reading is
     what :class:`~repro.core.replay4ncl.Replay4NCL` deploys.
 
-    Parameters match :class:`AdaptiveSpikeTimingThreshold`, plus
-    ``num_neurons``.
+    Attributes:
+        num_neurons: Layer width; ``step`` takes per-neuron counts of
+            this length.
+        timesteps: ``Tstep`` of the NCL phase — enters the spike-timing
+            formula.
+        adjust_interval: Spike-timing updates happen when
+            ``t % adjust_interval == 0`` (Alg. 1 line 10); between
+            boundaries a neuron that has spiked holds its value and a
+            silent one keeps decaying.  Pass 1 to update on every step
+            (the NCL-training variant, lines 25-30).
+        gain: The 0.01 coefficient of the spike-timing term.
+        decay_rate: The 0.001 coefficient inside the sigmoidal decay.
+        floor: Lower safety clamp on ``Vthr``.
+        ceil: Upper safety clamp on ``Vthr``.  The paper's formulas
+            already stay inside the band for T <= 100; the clamp guards
+            pathological configurations.
+        initial: Every neuron's threshold before the first step.
     """
 
     def __init__(

@@ -12,26 +12,19 @@ from repro.training.metrics import (
     EpochRecord,
     TrainingHistory,
     forgetting,
-    per_class_accuracy,
     top1_accuracy,
 )
-from repro.training.optimizers import SGD, Adam, Optimizer
-from repro.training.schedules import ConstantSchedule, ExponentialDecaySchedule, StepSchedule
+from repro.training.optimizers import Adam, Optimizer
 from repro.training.trainer import Trainer, TrainerConfig
 
 __all__ = [
     "Optimizer",
     "Adam",
-    "SGD",
     "readout_cross_entropy",
     "Trainer",
     "TrainerConfig",
     "TrainingHistory",
     "EpochRecord",
     "top1_accuracy",
-    "per_class_accuracy",
     "forgetting",
-    "ConstantSchedule",
-    "ExponentialDecaySchedule",
-    "StepSchedule",
 ]

@@ -10,7 +10,6 @@ from repro.errors import ShapeError
 
 __all__ = [
     "top1_accuracy",
-    "per_class_accuracy",
     "forgetting",
     "EpochRecord",
     "TrainingHistory",
@@ -28,23 +27,6 @@ def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if predictions.size == 0:
         return 0.0
     return float((predictions == labels).mean())
-
-
-def per_class_accuracy(
-    predictions: np.ndarray, labels: np.ndarray
-) -> dict[int, float]:
-    """Top-1 accuracy for every class present in ``labels``."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ShapeError(
-            f"predictions {predictions.shape} and labels {labels.shape} must align"
-        )
-    result: dict[int, float] = {}
-    for class_id in np.unique(labels):
-        mask = labels == class_id
-        result[int(class_id)] = float((predictions[mask] == class_id).mean())
-    return result
 
 
 def forgetting(accuracy_before: float, accuracy_after: float) -> float:

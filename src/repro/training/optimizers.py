@@ -15,7 +15,7 @@ import numpy as np
 from repro.autograd import Tensor
 from repro.errors import ConfigError, TrainingError
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -37,99 +37,6 @@ class Optimizer:
     def step(self) -> None:
         """Apply one update from the current gradients (subclasses)."""
         raise NotImplementedError
-
-    def set_learning_rate(self, learning_rate: float) -> None:
-        """Update the learning rate (used by schedules and eta policies)."""
-        if learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-        self.learning_rate = float(learning_rate)
-
-    # -- state snapshot/restore -----------------------------------------
-    # Internal slots are keyed by parameter *identity* (``id``), which is
-    # meaningless across processes; snapshots re-key them by parameter
-    # *position*, which is stable for the same network architecture.
-    def _slot_index(self) -> dict[int, int]:
-        return {id(p): i for i, p in enumerate(self.parameters)}
-
-    def _export_slots(self, slots: dict) -> dict[int, object]:
-        index_of = self._slot_index()
-        return {
-            index_of[key]: (
-                value.copy() if isinstance(value, np.ndarray) else value
-            )
-            for key, value in slots.items()
-            if key in index_of
-        }
-
-    def _import_slots(self, exported: dict) -> dict[int, object]:
-        slots: dict[int, object] = {}
-        for index, value in exported.items():
-            index = int(index)
-            if not 0 <= index < len(self.parameters):
-                raise ConfigError(
-                    f"optimizer snapshot indexes parameter {index} but this "
-                    f"optimizer holds {len(self.parameters)}"
-                )
-            key = id(self.parameters[index])
-            slots[key] = value.copy() if isinstance(value, np.ndarray) else value
-        return slots
-
-    def state_dict(self) -> dict:
-        """Copy of the optimizer's state, keyed by parameter position.
-
-        Restoring it via :meth:`load_state_dict` into an optimizer over
-        the same parameter list continues training bitwise from the
-        snapshot point (the mid-step complement of the network's
-        ``state_dict`` — see :mod:`repro.scenario.checkpoint` for why
-        step-boundary checkpoints don't need it).
-        """
-        return {"learning_rate": self.learning_rate}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot, in place."""
-        self.set_learning_rate(float(state["learning_rate"]))
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        learning_rate: float,
-        momentum: float = 0.0,
-    ):
-        super().__init__(parameters, learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        """One (momentum-)SGD update over parameters with gradients."""
-        for p in self.parameters:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.momentum > 0.0:
-                velocity = self._velocity.get(id(p))
-                if velocity is None:
-                    velocity = np.zeros_like(p.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(p)] = velocity
-                grad = velocity
-            p.data = p.data - self.learning_rate * grad
-
-    def state_dict(self) -> dict:
-        """Learning rate plus per-parameter momentum velocities."""
-        state = super().state_dict()
-        state["velocity"] = self._export_slots(self._velocity)
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot, in place."""
-        super().load_state_dict(state)
-        self._velocity = self._import_slots(state["velocity"])
 
 
 class Adam(Optimizer):
@@ -180,18 +87,3 @@ class Adam(Optimizer):
             m_hat = m / (1.0 - self.beta1**t)
             v_hat = v / (1.0 - self.beta2**t)
             p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> dict:
-        """Learning rate plus per-parameter Adam moments and step counts."""
-        state = super().state_dict()
-        state["m"] = self._export_slots(self._m)
-        state["v"] = self._export_slots(self._v)
-        state["t"] = self._export_slots(self._t)
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot, in place."""
-        super().load_state_dict(state)
-        self._m = self._import_slots(state["m"])
-        self._v = self._import_slots(state["v"])
-        self._t = {k: int(v) for k, v in self._import_slots(state["t"]).items()}

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Function, Tensor, gradcheck, no_grad
+from gradcheck import gradcheck
+from repro.autograd import Function, Tensor, no_grad
 from repro.errors import GradientError
 from repro.snn import LIFParameters, kernels
 

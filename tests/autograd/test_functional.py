@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import cross_entropy, gradcheck, tensor
+from gradcheck import gradcheck
+from repro.autograd import cross_entropy, tensor
 from repro.errors import ShapeError
 
 

@@ -174,15 +174,20 @@ class TestMaterialize:
         with pytest.raises(CodecError):
             buffer.materialize(decompress=False)
 
-    def test_native_replay_returns_copy(self, ci_pretrained, ci_split):
+    def test_native_replay_is_a_read_only_view(self, ci_pretrained, ci_split):
+        # The frames feed one np.concatenate; a copy would hold the
+        # buffer twice at the concatenation peak.
         replay = ci_split.pretrain_train.subset([0])
         buffer, _ = LatentReplayBuffer.generate(
             ci_pretrained.network, replay, insertion_layer=1,
             timesteps=12, compression_factor=1,
         )
         raster = buffer.materialize(decompress=False)
-        raster[0, 0, 0] = 99.0
-        assert buffer.compressed[0, 0, 0] != 99.0
+        assert raster.dtype == np.float32
+        assert np.shares_memory(raster, buffer.compressed)
+        with pytest.raises(ValueError, match="read-only"):
+            raster[0, 0, 0] = 99.0
+        assert buffer.compressed.flags.writeable
 
 
 class TestStorage:

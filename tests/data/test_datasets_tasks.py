@@ -122,3 +122,64 @@ class TestClassIncremental:
         split = make_class_incremental(generator, 4, 2)
         text = split.describe()
         assert "3 old classes" in text and "12 train" in text
+
+
+def assert_same_dataset(got, want):
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert len(got.streams) == len(want.streams)
+    for a, b in zip(got.streams, want.streams):
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.channels, b.channels)
+
+
+def entry_point_splits(entry, generator):
+    """The splits one builder of class-incremental splits yields."""
+    from repro.config import ExperimentConfig
+    from repro.scenario import SequentialScenario, StreamingScenario
+
+    if entry == "make_class_incremental":
+        return [make_class_incremental(generator, 4, 2, num_pretrain_classes=2)]
+    experiment = ExperimentConfig(samples_per_class=4, test_samples_per_class=2)
+    scenario = (
+        SequentialScenario(steps_count=2)
+        if entry == "sequential"
+        else StreamingScenario(tasks=2, chunks_per_task=2)
+    )
+    return [step.split for step in scenario.steps(generator, experiment)]
+
+
+@pytest.mark.parametrize("entry", ["make_class_incremental", "sequential", "streaming"])
+def test_splits_equal_direct_generation(entry):
+    """Every split builder draws exactly what generate_dataset draws."""
+    config = SyntheticSHDConfig(num_channels=16, num_classes=4, grid_steps=20)
+    splits = entry_point_splits(entry, SyntheticSHD(config, seed=5))
+    reference = SyntheticSHD(config, seed=5)
+    expected_classes = {
+        "make_class_incremental": [((0, 1), (2, 3))],
+        "sequential": [((0, 1), (2,)), ((0, 1, 2), (3,))],
+        "streaming": [((0, 1), (2,))] * 2 + [((0, 1, 2), (3,))] * 2,
+    }[entry]
+    assert [(s.old_classes, s.new_classes) for s in splits] == expected_classes
+
+    new_train_seen = {}
+    for split in splits:
+        old, new = list(split.old_classes), list(split.new_classes)
+        assert_same_dataset(
+            split.pretrain_train, reference.generate_dataset(4, split="train", classes=old)
+        )
+        assert_same_dataset(
+            split.pretrain_test, reference.generate_dataset(2, split="test", classes=old)
+        )
+        assert_same_dataset(
+            split.new_test, reference.generate_dataset(2, split="test", classes=new)
+        )
+        # A streaming task arrives in chunks; its chunks concatenate to
+        # the task's whole training set.
+        seen = new_train_seen.get(split.new_classes)
+        new_train_seen[split.new_classes] = (
+            split.new_train if seen is None else seen.concat(split.new_train)
+        )
+    for new, new_train in new_train_seen.items():
+        assert_same_dataset(
+            new_train, reference.generate_dataset(4, split="train", classes=list(new))
+        )

@@ -9,7 +9,6 @@ from repro.data import (
     DataLoader,
     channel_dropout,
     drift_dataset,
-    merge_rasters,
     rebin_raster,
     time_jitter,
 )
@@ -193,21 +192,6 @@ class TestAugmentations:
     def test_channel_dropout_validation(self):
         with pytest.raises(DataError):
             channel_dropout(np.zeros((4, 2)), 1.0, np.random.default_rng(0))
-
-    def test_merge_rasters(self):
-        a = np.zeros((5, 3, 4), dtype=np.float32)
-        b = np.ones((5, 2, 4), dtype=np.float32)
-        merged = merge_rasters(a, b)
-        assert merged.shape == (5, 5, 4)
-        np.testing.assert_array_equal(merged[:, 3:], b)
-
-    def test_merge_rasters_validation(self):
-        with pytest.raises(DataError):
-            merge_rasters(np.zeros((5, 3, 4)), np.zeros((6, 3, 4)))
-        with pytest.raises(DataError):
-            merge_rasters(np.zeros((5, 3, 4)), np.zeros((5, 3, 5)))
-        with pytest.raises(DataError):
-            merge_rasters(np.zeros((5, 3)), np.zeros((5, 3)))
 
 
 class TestDriftDataset:

@@ -113,11 +113,11 @@ class TestLintReference:
             )
 
     def test_catalog_table_matches_registry(self):
-        from repro.lint import rule_ids
+        from repro.lint import all_rules
 
         lint_md = (DOCS / "lint.md").read_text()
         table_ids = re.findall(r"^\| `(RPL\d{3})` \|", lint_md, flags=re.MULTILINE)
-        assert table_ids == list(rule_ids()), (
+        assert table_ids == [rule.id for rule in all_rules()], (
             "docs/lint.md rule table out of sync with the registry"
         )
 

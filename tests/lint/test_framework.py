@@ -2,14 +2,16 @@
 
 from textwrap import dedent
 
-import pytest
-
-from repro.lint import Finding, all_rules, get_rule, lint_source, rule_ids
+from repro.lint import Finding, all_rules, lint_source
 from repro.lint.framework import META_RULE_ID, module_relpath
 
 
 def lint(source, relpath):
     return lint_source(dedent(source), relpath=relpath)
+
+
+def get_rule(rule_id):
+    return {rule.id: rule for rule in all_rules()}[rule_id]
 
 
 class TestRegistry:
@@ -19,7 +21,7 @@ class TestRegistry:
         assert len(ids) == len(set(ids))
 
     def test_expected_catalog(self):
-        assert list(rule_ids()) == [
+        assert [rule.id for rule in all_rules()] == [
             "RPL000",
             "RPL001",
             "RPL002",
@@ -36,13 +38,6 @@ class TestRegistry:
         for rule in all_rules():
             assert rule.name, rule.id
             assert rule.rationale, rule.id
-
-    def test_get_rule(self):
-        assert get_rule("RPL001").name == "no-global-rng"
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="unknown lint rule"):
-            get_rule("RPL999")
 
 
 class TestScoping:

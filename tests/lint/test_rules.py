@@ -122,7 +122,6 @@ class TestWallClockRule:
             return time.monotonic()
         """
         assert rule_ids_of(src, "repro/obs/clock.py") == []
-        assert rule_ids_of(src, "repro/hw/wallclock.py") == []
 
 
 class TestEnvAccessRule:

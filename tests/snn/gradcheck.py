@@ -1,6 +1,6 @@
 """Numerical gradient verification for the autograd engine.
 
-Used by the test-suite to certify every primitive op: the analytic
+The test-suite certifies every primitive op with it: the analytic
 gradient from :meth:`Tensor.backward` is compared to central finite
 differences computed in float64.
 """

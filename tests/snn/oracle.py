@@ -21,7 +21,7 @@ from repro.autograd.surrogate import spike
 from repro.errors import ConfigError
 from repro.snn.network import _layer_controller
 from repro.snn.neurons import LIFParameters, resolve_threshold
-from repro.snn.threshold import StaticThreshold
+from repro.snn.threshold import StaticThreshold, ThresholdController
 
 
 #: Fused-vs-oracle gradient tolerance, relative to ``max|oracle grad|``.
@@ -134,3 +134,37 @@ def network_forward(
             layer, activations, _layer_controller(controller, layer)
         )
     return readout_forward(network.readout, activations, class_mask)
+
+
+class ScalarAdaptiveThreshold(ThresholdController):
+    """Alg. 1's threshold rules applied layer-wide: one scalar ``Vthr``.
+
+    The library deploys only the per-neuron controller; this one keeps
+    the executors' scalar-controller path (a controller whose ``step``
+    returns a float) under test.  On a boundary step
+    (``t % adjust_interval == 0``) after any spike, ``Vthr = 1 + gain *
+    (timesteps - mean spike time)``; every other step takes the
+    sigmoidal decay ``1 / (1 + exp(-decay_rate * t))``.
+    """
+
+    def __init__(self, timesteps, adjust_interval=5, gain=0.01, decay_rate=0.001):
+        self.timesteps, self.adjust_interval = timesteps, adjust_interval
+        self.gain, self.decay_rate = gain, decay_rate
+        self.reset()
+
+    def reset(self) -> None:
+        self._value, self.spike_count, self._spike_time_sum = 1.0, 0.0, 0.0
+
+    def step(self, t, spike_counts, spike_time_sums) -> float:
+        self.spike_count += float(np.sum(spike_counts))
+        self._spike_time_sum += float(np.sum(spike_time_sums))
+        if t % self.adjust_interval == 0 and self.spike_count > 0:
+            mean_time = self._spike_time_sum / self.spike_count
+            self._value = 1.0 + self.gain * (self.timesteps - mean_time)
+        else:
+            self._value = float(1.0 / (1.0 + np.exp(-self.decay_rate * t)))
+        return self._value
+
+    @property
+    def value(self) -> float:
+        return self._value

@@ -26,7 +26,7 @@ from repro.snn.backends import cffi_c, numpy_ref
 from repro.snn.kernels import cuba_lif_sequence, leaky_readout_sequence, lif_sequence
 from repro.snn.layers import RecurrentLIFLayer
 from repro.snn.neurons import LIFParameters
-from repro.snn.threshold import AdaptiveSpikeTimingThreshold, PerNeuronAdaptiveThreshold
+from repro.snn.threshold import PerNeuronAdaptiveThreshold
 
 C_AVAILABLE, C_REASON = backends.get_backend("c").availability()
 needs_c = pytest.mark.skipif(not C_AVAILABLE, reason=f"C backend: {C_REASON}")
@@ -131,7 +131,7 @@ class TestSweepParity:
         def controller():
             if per_neuron:
                 return PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=8, adjust_interval=2)
-            return AdaptiveSpikeTimingThreshold(timesteps=8, adjust_interval=2)
+            return oracle.ScalarAdaptiveThreshold(timesteps=8, adjust_interval=2)
 
         want = numpy_ref.lif_forward_sweep(ff, w_rec, spec, controller())
         got = executor.lif_forward(ff, w_rec, spec, controller())

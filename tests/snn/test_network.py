@@ -7,7 +7,7 @@ import oracle
 from repro.autograd import cross_entropy
 from repro.config import NetworkConfig
 from repro.errors import ShapeError, SplitError
-from repro.snn import AdaptiveSpikeTimingThreshold, SpikingNetwork
+from repro.snn import SpikingNetwork
 
 
 @pytest.fixture
@@ -204,7 +204,7 @@ class TestPredictAndController:
 
     def test_adaptive_controller_changes_output(self, net, x):
         static = net.forward(x).logits.data
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=12, adjust_interval=1)
+        ctrl = oracle.ScalarAdaptiveThreshold(timesteps=12, adjust_interval=1)
         adaptive = net.forward(x, controller=ctrl).logits.data
         # The controller halves thresholds on silent steps, so spiking
         # activity — and thus logits — must differ.

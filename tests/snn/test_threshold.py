@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.snn import AdaptiveSpikeTimingThreshold, StaticThreshold
+from repro.snn import PerNeuronAdaptiveThreshold, StaticThreshold
 
 
 class TestStaticThreshold:
@@ -22,80 +22,63 @@ class TestStaticThreshold:
         assert "1.5" in repr(StaticThreshold(1.5))
 
 
-class TestAdaptiveThreshold:
+def decay(t):
+    """Alg. 1 line 16: Vthr = 1 / (1 + exp(-0.001 t))."""
+    return 1.0 / (1.0 + np.exp(-0.001 * t))
+
+
+class TestPerNeuronAdaptiveThreshold:
     def test_spike_timing_formula_on_boundary(self):
-        # Alg. 1 line 13: Vthr = 1 + 0.01 * (Tstep - avg_spike_time)
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=40, adjust_interval=5)
-        # 10 spikes all at t=0 -> avg_spike_time=0 -> Vthr = 1 + 0.01*40 = 1.4
-        value = ctrl.step(0, 10.0, 0.0)
-        assert value == pytest.approx(1.4)
+        # Alg. 1 line 13: Vthr = 1 + 0.01 * (Tstep - avg_spike_time); a
+        # neuron with 10 spikes at t=0 gets 1 + 0.01*40 = 1.4, a silent
+        # one decays.
+        ctrl = PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=40, adjust_interval=5)
+        value = ctrl.step(0, np.array([10.0, 0.0]), np.zeros(2))
+        np.testing.assert_allclose(value, [1.4, decay(0)], rtol=1e-6)
 
     def test_late_spikes_lower_threshold(self):
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=40, adjust_interval=1)
-        early = ctrl.step(0, 5.0, 0.0)
-        ctrl2 = AdaptiveSpikeTimingThreshold(timesteps=40, adjust_interval=1)
-        ctrl2.step(0, 0.0, 0.0)
-        for t in range(1, 36):
-            ctrl2.step(t, 0.0, 0.0)
-        late = ctrl2.step(36, 5.0, 5 * 36.0)
-        assert late < early
+        ctrl = PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=40, adjust_interval=1)
+        ctrl.step(0, np.array([5.0, 0.0]), np.zeros(2))
+        value = ctrl.step(35, np.array([0.0, 5.0]), np.array([0.0, 5.0 * 35]))
+        assert value[1] < value[0]
 
-    def test_sigmoidal_decay_when_silent(self):
-        # Alg. 1 line 16: Vthr = 1 / (1 + exp(-0.001 t))
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=40, adjust_interval=5)
-        value = ctrl.step(3, 0.0, 0.0)  # off-boundary, no spikes yet
-        assert value == pytest.approx(1.0 / (1.0 + np.exp(-0.001 * 3)))
-        assert value < 0.6  # the decay roughly halves the threshold
-
-    def test_off_boundary_decays_even_with_spikes(self):
-        # Alg. 1's preparation variant only applies the timing rule on
-        # t % adjust_interval == 0; other steps take the decay branch.
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=40, adjust_interval=5)
-        value = ctrl.step(2, 50.0, 100.0)
-        assert value == pytest.approx(1.0 / (1.0 + np.exp(-0.001 * 2)))
-
-    def test_interval_one_updates_every_step(self):
-        # NCL-phase variant (lines 25-30): every step with spikes uses the
-        # timing formula.
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=20, adjust_interval=1)
-        v0 = ctrl.step(0, 4.0, 0.0)
-        v1 = ctrl.step(1, 4.0, 4.0)
-        assert v0 == pytest.approx(1.2)       # avg=0 -> 1 + 0.01*20
-        assert v1 == pytest.approx(1.0 + 0.01 * (20 - 0.5))  # running avg 0.5
-
-    def test_running_mean_tracks_all_spikes(self):
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=10, adjust_interval=1)
-        ctrl.step(0, 2.0, 0.0)
-        ctrl.step(1, 2.0, 2.0)
-        assert ctrl.mean_spike_time == pytest.approx(0.5)
-
-    def test_mean_spike_time_none_before_spikes(self):
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=10)
-        assert ctrl.mean_spike_time is None
+    def test_off_boundary_active_neurons_hold(self):
+        # Between boundaries a neuron that has spiked keeps its last
+        # timing-rule value; a silent one keeps decaying.
+        ctrl = PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=40, adjust_interval=5)
+        ctrl.step(0, np.array([1.0, 0.0]), np.zeros(2))
+        value = ctrl.step(2, np.array([50.0, 0.0]), np.array([100.0, 0.0]))
+        np.testing.assert_allclose(value, [1.4, decay(2)], rtol=1e-6)
 
     def test_reset_restores_initial(self):
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=40, adjust_interval=1, initial=1.0)
-        ctrl.step(0, 10.0, 0.0)
-        assert ctrl.value != 1.0
+        ctrl = PerNeuronAdaptiveThreshold(num_neurons=3, timesteps=40, adjust_interval=1)
+        ctrl.step(0, np.full(3, 10.0), np.zeros(3))
+        assert np.all(ctrl.value != 1.0)
         ctrl.reset()
-        assert ctrl.value == 1.0
-        assert ctrl.mean_spike_time is None
+        np.testing.assert_array_equal(ctrl.value, np.ones(3, dtype=np.float32))
 
     def test_clamping(self):
-        ctrl = AdaptiveSpikeTimingThreshold(
-            timesteps=10_000, adjust_interval=1, floor=0.05, ceil=2.0
+        ctrl = PerNeuronAdaptiveThreshold(
+            num_neurons=1, timesteps=10_000, adjust_interval=1, floor=0.05, ceil=2.0
         )
-        value = ctrl.step(0, 1.0, 0.0)  # formula would give 1 + 0.01*10000 = 101
-        assert value == 2.0
+        value = ctrl.step(0, np.ones(1), np.zeros(1))  # formula gives 101
+        assert value[0] == 2.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            AdaptiveSpikeTimingThreshold(timesteps=0)
+            PerNeuronAdaptiveThreshold(num_neurons=0, timesteps=10)
         with pytest.raises(ConfigError):
-            AdaptiveSpikeTimingThreshold(timesteps=10, adjust_interval=0)
+            PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=0)
         with pytest.raises(ConfigError):
-            AdaptiveSpikeTimingThreshold(timesteps=10, floor=2.0, ceil=1.0)
+            PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=10, adjust_interval=0)
+        with pytest.raises(ConfigError):
+            PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=10, floor=2.0, ceil=1.0)
+
+    def test_rejects_counts_of_the_wrong_width(self):
+        ctrl = PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=10)
+        with pytest.raises(ConfigError, match="per-neuron counts"):
+            ctrl.step(0, np.zeros(3), np.zeros(3))
 
     def test_repr_mentions_state(self):
-        ctrl = AdaptiveSpikeTimingThreshold(timesteps=40)
-        assert "T=40" in repr(ctrl)
+        ctrl = PerNeuronAdaptiveThreshold(num_neurons=4, timesteps=40)
+        assert "n=4" in repr(ctrl) and "T=40" in repr(ctrl)

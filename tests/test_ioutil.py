@@ -9,7 +9,6 @@ from repro.errors import ConfigError
 from repro.ioutil import (
     TMP_SUFFIX,
     atomic_open,
-    atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
 )
@@ -89,11 +88,6 @@ class TestAtomicOpen:
 
 
 class TestWriteHelpers:
-    def test_atomic_write_bytes(self, tmp_path):
-        target = tmp_path / "blob"
-        atomic_write_bytes(target, b"abc")
-        assert target.read_bytes() == b"abc"
-
     def test_atomic_write_json_format(self, tmp_path):
         """indent=1 + trailing newline — the shared on-disk JSON format."""
         target = tmp_path / "index.json"

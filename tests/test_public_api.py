@@ -1,13 +1,18 @@
-"""Public-API surface checks: __all__ consistency and doc coverage.
+"""Public-API surface checks: __all__ consistency, doc coverage, callers.
 
 These keep the library honest as it grows: everything exported must
-exist, and every public item must carry a docstring (deliverable (e) of
-the reproduction: doc comments on every public item).
+exist, every public item must carry a docstring (deliverable (e) of
+the reproduction: doc comments on every public item), and every export
+must have a caller outside the tests, so library code no run uses does
+not accumulate.
 """
 
+import ast
+import functools
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +34,21 @@ PACKAGES = [
     "repro.obs",
     "repro.lint",
 ]
+
+
+REPO = Path(repro.__file__).resolve().parents[2]
+
+#: Directories whose ``.py`` files count as callers of the library.
+CALLER_DIRS = ("examples", "benchmarks", "e2ebench", "docs")
+
+#: Exports with no caller outside the tests, each kept for a reason.
+UNCALLED_EXPORTS = {
+    "spike": "per-step reference op of tests/snn/oracle.py and the test suite",
+    "tensor": "the leaf constructor the test suite builds its inputs with",
+    "ManualClock": "the deterministic clock the trace tests drive",
+    "from_chrome": "round-trip inverse that checks to_chrome",
+    "frozen_front_trace": "e2ebench patches it by name, a string the census cannot see",
+}
 
 
 def iter_modules():
@@ -86,3 +106,72 @@ def test_error_hierarchy_rooted():
         if inspect.isclass(item) and issubclass(item, Exception):
             if item is not errors.ReproError:
                 assert issubclass(item, errors.ReproError), name
+
+
+def _references(tree, imports=True):
+    """``(name, line)`` of every loaded Name/Attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2], node.lineno
+
+
+@functools.cache
+def _callers():
+    """Names referenced by the caller dirs, and per-file references in src/repro."""
+    external = set()
+    for directory in CALLER_DIRS:
+        for path in (REPO / directory).rglob("*.py"):
+            external.update(name for name, _ in _references(ast.parse(path.read_text())))
+    library = {
+        # A package __init__'s imports are re-exports, not uses.
+        path: list(_references(ast.parse(path.read_text()), imports=path.name != "__init__.py"))
+        for path in (REPO / "src" / "repro").rglob("*.py")
+    }
+    return external, library
+
+
+@pytest.mark.parametrize("module_name", iter_modules())
+def test_every_export_has_a_caller(module_name):
+    """Each ``__all__`` name is used as code outside the tests.
+
+    A use is a reference from another library module, from its own
+    module outside its definition, or from a caller directory; a class
+    registered by decorator is used by its registry.
+    """
+    if not (REPO / "src" / "repro").is_dir():
+        pytest.skip("source tree layout not available")
+    module = importlib.import_module(module_name)
+    path = Path(module.__file__).resolve()
+    definitions, registered = {}, set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            definitions[node.name] = (first, node.end_lineno)
+            if isinstance(node, ast.ClassDef) and any(
+                "register" in ast.unparse(d) for d in node.decorator_list
+            ):
+                registered.add(node.name)
+    external, library = _callers()
+
+    def used(name):
+        first, last = definitions.get(name, (0, -1))
+        return any(
+            ref == name and not (file == path and first <= line <= last)
+            for file, refs in library.items()
+            for ref, line in refs
+        )
+
+    uncalled = [
+        name
+        for name in getattr(module, "__all__", [])
+        if name not in UNCALLED_EXPORTS
+        and name not in registered
+        and name not in external
+        and not used(name)
+    ]
+    assert not uncalled, f"{module_name} exports names no run calls: {uncalled}"

@@ -43,48 +43,3 @@ class TestDefaultRng:
     def test_unseeded_distinct(self):
         assert not np.allclose(default_rng().random(4), default_rng().random(4))
 
-
-class TestRngCapture:
-    def test_round_trip_continues_bitwise(self):
-        from repro.seeding import capture_rng, restore_rng
-
-        rng = spawn(11, "stream")
-        rng.random(100)  # advance mid-stream
-        snapshot = capture_rng(rng)
-        expected = rng.random(32)
-        restored = restore_rng(snapshot)
-        np.testing.assert_array_equal(restored.random(32), expected)
-
-    def test_snapshot_is_a_copy(self):
-        # Advancing the original after capture must not corrupt the
-        # snapshot (it is plain data, not a live reference).
-        from repro.seeding import capture_rng, restore_rng
-
-        rng = spawn(3, "s")
-        snapshot = capture_rng(rng)
-        expected = rng.random(8)
-        rng.random(1000)
-        np.testing.assert_array_equal(restore_rng(snapshot).random(8), expected)
-
-    def test_snapshot_is_json_serializable_after_int_coercion(self):
-        # The state dict holds plain ints/strings — it survives a JSON
-        # round trip, which is what checkpoint manifests need.
-        import json
-
-        from repro.seeding import capture_rng, restore_rng
-
-        snapshot = capture_rng(spawn(5, "x"))
-        round_tripped = json.loads(json.dumps(snapshot))
-        np.testing.assert_array_equal(
-            restore_rng(round_tripped).random(8),
-            restore_rng(capture_rng(spawn(5, "x"))).random(8),
-        )
-
-    def test_unknown_bit_generator_rejected(self):
-        import pytest
-
-        from repro.errors import DataError
-        from repro.seeding import restore_rng
-
-        with pytest.raises(DataError, match="bit generator"):
-            restore_rng({"bit_generator": "NoSuchGenerator", "state": {}})

@@ -1,11 +1,11 @@
-"""Tests for SGD and Adam."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import tensor
 from repro.errors import ConfigError, TrainingError
-from repro.training import SGD, Adam
+from repro.training import Adam
 
 
 def quadratic_param(value=5.0):
@@ -18,50 +18,6 @@ def quadratic_step(p, optimizer):
     loss.backward()
     optimizer.step()
     return float(loss.data)
-
-
-class TestSGD:
-    def test_descends_quadratic(self):
-        p = quadratic_param()
-        opt = SGD([p], learning_rate=0.1)
-        losses = [quadratic_step(p, opt) for _ in range(20)]
-        assert losses[-1] < losses[0] * 0.05
-
-    def test_manual_update_rule(self):
-        p = quadratic_param(2.0)
-        opt = SGD([p], learning_rate=0.5)
-        quadratic_step(p, opt)  # grad = 2*2 = 4; p <- 2 - 0.5*4 = 0
-        assert p.data[0] == pytest.approx(0.0)
-
-    def test_momentum_accelerates(self):
-        p_plain, p_momentum = quadratic_param(), quadratic_param()
-        plain = SGD([p_plain], learning_rate=0.01)
-        momentum = SGD([p_momentum], learning_rate=0.01, momentum=0.9)
-        for _ in range(30):
-            quadratic_step(p_plain, plain)
-            quadratic_step(p_momentum, momentum)
-        assert abs(p_momentum.data[0]) < abs(p_plain.data[0])
-
-    def test_skips_gradless_parameters(self):
-        p, q = quadratic_param(), quadratic_param(3.0)
-        opt = SGD([p, q], learning_rate=0.1)
-        quadratic_step(p, opt)  # q never touched by the loss
-        assert q.data[0] == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            SGD([], learning_rate=0.1)
-        with pytest.raises(ConfigError):
-            SGD([quadratic_param()], learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            SGD([quadratic_param()], learning_rate=0.1, momentum=1.0)
-
-    def test_set_learning_rate(self):
-        opt = SGD([quadratic_param()], learning_rate=0.1)
-        opt.set_learning_rate(0.01)
-        assert opt.learning_rate == 0.01
-        with pytest.raises(ConfigError):
-            opt.set_learning_rate(-1.0)
 
 
 class TestAdam:
@@ -96,7 +52,18 @@ class TestAdam:
         with pytest.raises(TrainingError):
             opt.step()
 
+    def test_skips_gradless_parameters(self):
+        p, q = quadratic_param(), quadratic_param(3.0)
+        opt = Adam([p, q], learning_rate=0.1)
+        quadratic_step(p, opt)  # q never touched by the loss
+        assert q.data[0] == 3.0
+        assert id(q) not in opt._t
+
     def test_validation(self):
+        with pytest.raises(ConfigError):
+            Adam([], learning_rate=0.1)
+        with pytest.raises(ConfigError):
+            Adam([quadratic_param()], learning_rate=0.0)
         with pytest.raises(ConfigError):
             Adam([quadratic_param()], learning_rate=0.1, beta1=1.0)
         with pytest.raises(ConfigError):
@@ -112,88 +79,3 @@ class TestAdam:
         opt.zero_grad()
         assert p.grad is None
 
-
-def two_params():
-    return [quadratic_param(5.0), quadratic_param(-3.0)]
-
-
-def assert_same_trajectory(make_optimizer, steps_before=3, steps_after=4):
-    """Snapshot/restore mid-training must continue bitwise.
-
-    Trains one optimizer straight through, and a second one that is
-    snapshotted at ``steps_before`` and restored into a *fresh*
-    optimizer over equal (position-matched) parameters — the
-    cross-process restore path of :mod:`repro.scenario.checkpoint`.
-    """
-    reference_params = two_params()
-    reference = make_optimizer(reference_params)
-    for _ in range(steps_before + steps_after):
-        for p in reference_params:
-            quadratic_step(p, reference)
-
-    first_params = two_params()
-    first = make_optimizer(first_params)
-    for _ in range(steps_before):
-        for p in first_params:
-            quadratic_step(p, first)
-    snapshot = first.state_dict()
-
-    resumed_params = [
-        quadratic_param(float(p.data[0])) for p in first_params
-    ]
-    resumed = make_optimizer(resumed_params)
-    resumed.load_state_dict(snapshot)
-    for _ in range(steps_after):
-        for p in resumed_params:
-            quadratic_step(p, resumed)
-
-    for a, b in zip(resumed_params, reference_params):
-        np.testing.assert_array_equal(a.data, b.data)
-
-
-class TestStateSnapshots:
-    def test_sgd_momentum_round_trip(self):
-        assert_same_trajectory(
-            lambda ps: SGD(ps, learning_rate=0.05, momentum=0.9)
-        )
-
-    def test_adam_round_trip(self):
-        assert_same_trajectory(lambda ps: Adam(ps, learning_rate=0.05))
-
-    def test_snapshot_is_positional_not_identity_keyed(self):
-        # id() means nothing across processes; the exported slots must
-        # be integer *positions*.
-        params = two_params()
-        opt = Adam(params, learning_rate=0.1)
-        for p in params:
-            quadratic_step(p, opt)
-        state = opt.state_dict()
-        assert set(state["m"]) == {0, 1}
-        assert set(state["t"].values()) == {1}
-
-    def test_snapshot_is_a_copy(self):
-        p = quadratic_param()
-        opt = Adam([p], learning_rate=0.1)
-        quadratic_step(p, opt)
-        state = opt.state_dict()
-        frozen = state["m"][0].copy()
-        quadratic_step(p, opt)  # keeps mutating internal moments
-        np.testing.assert_array_equal(state["m"][0], frozen)
-
-    def test_restore_rejects_out_of_range_parameter_index(self):
-        p = quadratic_param()
-        opt = Adam([p], learning_rate=0.1)
-        quadratic_step(p, opt)
-        state = opt.state_dict()
-        state["m"][7] = state["m"].pop(0)
-        fresh = Adam([quadratic_param()], learning_rate=0.1)
-        with pytest.raises(ConfigError, match="snapshot indexes parameter"):
-            fresh.load_state_dict(state)
-
-    def test_learning_rate_restored(self):
-        p = quadratic_param()
-        opt = SGD([p], learning_rate=0.05)
-        opt.set_learning_rate(0.002)
-        fresh = SGD([quadratic_param()], learning_rate=0.5)
-        fresh.load_state_dict(opt.state_dict())
-        assert fresh.learning_rate == 0.002

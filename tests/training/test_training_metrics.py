@@ -1,17 +1,13 @@
-"""Tests for metrics, history, and LR schedules."""
+"""Tests for metrics and training history."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ShapeError
 from repro.training import (
-    ConstantSchedule,
     EpochRecord,
-    ExponentialDecaySchedule,
-    StepSchedule,
     TrainingHistory,
     forgetting,
-    per_class_accuracy,
     top1_accuracy,
 )
 
@@ -26,16 +22,6 @@ class TestAccuracy:
     def test_top1_shape_mismatch(self):
         with pytest.raises(ShapeError):
             top1_accuracy(np.array([1]), np.array([1, 2]))
-
-    def test_per_class(self):
-        preds = np.array([0, 0, 1, 1])
-        labels = np.array([0, 1, 1, 1])
-        result = per_class_accuracy(preds, labels)
-        assert result == {0: 1.0, 1: pytest.approx(2 / 3)}
-
-    def test_per_class_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            per_class_accuracy(np.array([1]), np.array([1, 2]))
 
     def test_forgetting(self):
         assert forgetting(0.9, 0.6) == pytest.approx(0.3)
@@ -78,34 +64,3 @@ class TestHistory:
     def test_iteration(self):
         assert [r.epoch for r in self.make_history()] == [0, 1, 2]
 
-
-class TestSchedules:
-    def test_constant(self):
-        s = ConstantSchedule(1e-3)
-        assert s(0) == s(100) == 1e-3
-
-    def test_exponential(self):
-        s = ExponentialDecaySchedule(1.0, 0.5)
-        assert s(0) == 1.0
-        assert s(2) == 0.25
-
-    def test_step(self):
-        s = StepSchedule(1.0, step_every=10, factor=10.0)
-        assert s(0) == 1.0
-        assert s(9) == 1.0
-        assert s(10) == pytest.approx(0.1)
-        assert s(25) == pytest.approx(0.01)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: ConstantSchedule(0.0),
-            lambda: ExponentialDecaySchedule(1.0, 0.0),
-            lambda: ExponentialDecaySchedule(0.0, 0.5),
-            lambda: StepSchedule(1.0, 0),
-            lambda: StepSchedule(1.0, 5, factor=1.0),
-        ],
-    )
-    def test_validation(self, make):
-        with pytest.raises(ConfigError):
-            make()
