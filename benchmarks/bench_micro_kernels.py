@@ -160,6 +160,34 @@ def test_backend_lif_forward_backward(
 
 
 @pytest.mark.parametrize("backend_name", _BACKEND_NAMES)
+def test_backend_recurrent_sweep(backend_name, benchmark, monkeypatch):
+    """One recurrent LIF forward + reverse sweep at the e2e bench shape.
+
+    Fixed at every scale (T=100, batch 36, 140->64 recurrent): the
+    executor's own sweeps, without the feedforward and weight GEMMs the
+    layer rows also time.
+    """
+    from repro.snn import backends
+    from repro.snn.backends import SweepSpec
+
+    _require_backend(backend_name, monkeypatch)
+    executor = backends.get_backend(backend_name)
+    rng = np.random.default_rng(3)
+    x = _raster(rng, 100, 36)
+    ff = x @ (rng.standard_normal((140, 64)) * 0.3).astype(np.float32)
+    w_rec = (rng.standard_normal((64, 64)) * 0.1).astype(np.float32)
+    g_spikes = rng.standard_normal(ff.shape).astype(np.float32)
+    surrogate = rng.random(ff.shape).astype(np.float32)
+    spec = SweepSpec(beta=0.95, vthr=1.0, hard=False)
+
+    def sweeps():
+        membrane, spikes, _ = executor.lif_forward(ff, w_rec, spec)
+        executor.lif_backward(g_spikes, surrogate, membrane, spikes, w_rec, spec)
+
+    benchmark(sweeps)
+
+
+@pytest.mark.parametrize("backend_name", _BACKEND_NAMES)
 def test_backend_readout_forward_backward(benchmark, rng, backend_name, monkeypatch):
     from repro.autograd import Tensor
     from repro.snn.kernels import leaky_readout_sequence

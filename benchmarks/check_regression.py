@@ -44,7 +44,7 @@ TRACE_OVERHEAD_LIMIT = 0.02
 #: unavailable on a runner, so they are optional in baseline checks.
 BACKEND_ROW_PREFIX = "test_backend_"
 #: Kernels with per-backend rows; the C gate needs a win on >= 1 of them.
-BACKEND_KERNELS = ("lif_forward_backward", "readout_forward_backward")
+BACKEND_KERNELS = ("lif_forward_backward", "recurrent_sweep", "readout_forward_backward")
 
 
 def run_benchmarks(results_json: Path) -> None:

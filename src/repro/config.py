@@ -326,6 +326,12 @@ def env_flag(name: str) -> EnvFlag:
     )
 
 
+#: Each flag's key as ``os.environ`` stores it, and its default.
+_ENV_KEYS = {
+    flag.name: (os.environ.encodekey(flag.name), flag.default) for flag in ENV_FLAGS
+}
+
+
 def env_value(name: str) -> str:
     """Read a declared environment flag's raw string value.
 
@@ -339,8 +345,15 @@ def env_value(name: str) -> str:
     Raises:
         ConfigError: If ``name`` is not a declared ``REPRO_*`` flag.
     """
-    flag = env_flag(name)
-    return os.environ.get(flag.name, flag.default)
+    if name not in _ENV_KEYS:
+        env_flag(name)  # raises, naming the declared flags
+    key, default = _ENV_KEYS[name]
+    # os.environ's backing dict, which every os.environ write updates:
+    # os.environ.get raises and catches two KeyErrors for an unset
+    # variable (~1.5 us), and tracing and backend selection read a flag
+    # on every kernel call.
+    raw = os.environ._data.get(key)
+    return default if raw is None else os.environ.decodevalue(raw)
 
 
 def backend_selection() -> str:
@@ -351,7 +364,7 @@ def backend_selection() -> str:
     Raises:
         ConfigError: If the environment names an unknown backend.
     """
-    raw = os.environ.get("REPRO_BACKEND", "auto").strip().lower()
+    raw = env_value("REPRO_BACKEND").strip().lower()
     if raw not in BACKEND_CHOICES:
         raise ConfigError(
             f"REPRO_BACKEND must be one of {' | '.join(BACKEND_CHOICES)}, "

@@ -11,7 +11,7 @@ new runtime dependencies) dispatches every node to the registered
 match, and emits structured :class:`~repro.lint.framework.Finding`
 records (``path:line``, rule id, message, suggestion).
 
-Rules ship in :mod:`repro.lint.rules` (``RPL001``–``RPL008``; see
+Rules ship in :mod:`repro.lint.rules` (``RPL000``–``RPL009``; see
 ``docs/lint.md`` for the catalog and the rationale behind each).
 Intentional violations carry an inline suppression **with a reason**::
 

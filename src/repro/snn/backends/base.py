@@ -19,7 +19,9 @@ forward and reverse) and registers itself by name, mirroring tinygrad's
   of the whole reproduction — it is not reproducible by naive loops, so
   no backend reimplements it.  A backend only executes the per-timestep
   recurrence (elementwise state updates plus, for recurrent layers, the
-  per-step recurrent projection).
+  per-step recurrent projection, which must be the call numpy's
+  ``matmul`` makes into the same BLAS library — the C executor makes it
+  from C).
 - A backend declares its :attr:`~SequenceExecutor.parity` class, and
   the only class is ``"bitwise"``: executors must replicate the
   reference association order documented in :mod:`repro.snn.kernels`

@@ -10,26 +10,28 @@ neither reassociate nor fuse multiplies and adds — the backend declares
 vectorizes the branch-free elementwise loops; each lane evaluates the
 same scalar expression on its own element, so nothing reassociates.
 
-GEMMs never move to C: BLAS accumulation order is the bitwise anchor
-and is not reproducible by a naive loop (measured, not assumed — see
-``docs/reproducibility.md``).  Feedforward layers and the leaky readout
-therefore run their whole time loop in one C call, while recurrent
-layers — and any layer under a dynamic threshold controller — run a
-hybrid loop: Python performs each step's recurrent projection (numpy)
-and controller call, and C performs the elementwise state update, which
-still removes most of the per-step interpreter overhead.
+BLAS accumulation order is the bitwise anchor and is not reproducible
+by a naive loop (measured, not assumed — see ``docs/reproducibility.md``),
+so the kernels never reimplement a GEMM: the per-step recurrent
+product calls the gemm/gemv of the OpenBLAS library numpy itself links,
+with exactly the arguments numpy's ``matmul`` passes.  Every sweep —
+feedforward or recurrent, forward or reverse, and the leaky readout —
+is therefore one C call.  Only a forward sweep under a dynamic
+threshold controller (Alg. 1) loops in Python, calling the same C step
+once per timestep around ``controller.step``.
 
 The shared library is built lazily on first use via the system C
 compiler, cached per process and on disk (keyed by a hash of the C
-source, under ``$REPRO_CACHE/ckernels``).  When cffi or a compiler is
-missing, or the compiled kernels fail their bitwise self-check, the
-backend reports itself unavailable with the reason — ``auto`` selection
+source, under ``$REPRO_CACHE/ckernels``).  When cffi, a compiler or
+numpy's BLAS symbols are missing, or the compiled kernels fail their
+bitwise self-check, the backend reports itself unavailable with the reason — ``auto`` selection
 then falls back to numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import subprocess
 import tempfile
@@ -43,11 +45,45 @@ from repro.snn.backends.base import SequenceExecutor, SweepSpec, register_backen
 
 __all__ = ["CffiExecutor", "kernel_source"]
 
+_PRELUDE = r"""
+#include <string.h>
+typedef long long blasint;  /* numpy's OpenBLAS is the ILP64 build */
+enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
+"""
+
 # One macro-generated body per dtype: float ("f32") and double ("f64").
 # Arithmetic mirrors numpy_ref line for line; every expression relies on
 # C's left-to-right association for + and - so the accumulation order
 # matches the documented tape order.
 _TEMPLATE = r"""
+/* numpy's own CBLAS gemm/gemv, resolved once by set_blas_{suf}. */
+typedef void (*gemm_{suf}_t)(int, int, int, blasint, blasint, blasint, {ctype},
+                             const {ctype} *, blasint, const {ctype} *, blasint,
+                             {ctype}, {ctype} *, blasint);
+typedef void (*gemv_{suf}_t)(int, int, blasint, blasint, {ctype},
+                             const {ctype} *, blasint, const {ctype} *, blasint,
+                             {ctype}, {ctype} *, blasint);
+static gemm_{suf}_t gemm_{suf};
+static gemv_{suf}_t gemv_{suf};
+
+void set_blas_{suf}(void *gemm, void *gemv)
+{{
+    gemm_{suf} = (gemm_{suf}_t)gemm;
+    gemv_{suf} = (gemv_{suf}_t)gemv;
+}}
+
+/* out = s @ w for C-contiguous [B, N] s and [N, N] w: exactly the BLAS
+   call numpy's matmul makes (gemv for a single row), so the bits match. */
+static void rec_gemm_{suf}(long B, long N, const {ctype} *s, const {ctype} *w,
+                           {ctype} *out)
+{{
+    if (B == 1)
+        gemv_{suf}(ROW_MAJOR, TRANS, N, N, 1.0, w, N, s, 1, 0.0, out, 1);
+    else
+        gemm_{suf}(ROW_MAJOR, NO_TRANS, NO_TRANS, B, N, N, 1.0, s, N, w, N,
+                   0.0, out, N);
+}}
+
 static void lif_step_{suf}(
     long B, long N,
     const {ctype} *current, const {ctype} *v_prev, const {ctype} *s_prev,
@@ -76,34 +112,42 @@ static void lif_step_{suf}(
     }}
 }}
 
-void lif_forward_{suf}(
-    long T, long B, long N,
-    const {ctype} *ff, const {ctype} *vthr, double beta, int hard,
-    int has_alpha, double alpha, {ctype} *syn,
-    {ctype} *membrane, {ctype} *spikes)
+/* Step t of the forward sweep; rec is [B, N] scratch. */
+void lif_forward_step_{suf}(
+    long t, long B, long N,
+    const {ctype} *ff, const {ctype} *w_rec, const {ctype} *vthr,
+    double beta, int hard, int has_alpha, double alpha,
+    {ctype} *syn, {ctype} *rec, {ctype} *membrane, {ctype} *spikes)
 {{
     const long BN = B * N;
-    for (long t = 0; t < T; t++) {{
-        const {ctype} *v_prev = t ? membrane + (t - 1) * BN : 0;
-        const {ctype} *s_prev = t ? spikes + (t - 1) * BN : 0;
-        lif_step_{suf}(B, N, ff + t * BN, v_prev, s_prev, vthr, beta, hard,
-                       has_alpha, alpha, syn,
-                       membrane + t * BN, spikes + t * BN);
+    const {ctype} *current = ff + t * BN;
+    if (w_rec) {{
+        /* The reference's t = 0 GEMM runs on the zero state; spikes[0]
+           holds it until this step writes the step's spikes there. */
+        if (!t) memset(spikes, 0, BN * sizeof({ctype}));
+        rec_gemm_{suf}(B, N, t ? spikes + (t - 1) * BN : spikes, w_rec, rec);
+        for (long i = 0; i < BN; i++) rec[i] = current[i] + rec[i];
+        current = rec;
     }}
+    lif_step_{suf}(B, N, current,
+                   t ? membrane + (t - 1) * BN : 0,
+                   t ? spikes + (t - 1) * BN : 0,
+                   vthr, beta, hard, has_alpha, alpha, syn,
+                   membrane + t * BN, spikes + t * BN);
 }}
 
-void lif_forward_step_{suf}(
-    long B, long N,
-    const {ctype} *current, const {ctype} *v_prev, const {ctype} *s_prev,
-    const {ctype} *vthr, double beta, int hard,
-    int has_alpha, double alpha, {ctype} *syn,
-    {ctype} *v_out, {ctype} *s_out)
+void lif_forward_{suf}(
+    long T, long B, long N,
+    const {ctype} *ff, const {ctype} *w_rec, const {ctype} *vthr,
+    double beta, int hard, int has_alpha, double alpha,
+    {ctype} *syn, {ctype} *rec, {ctype} *membrane, {ctype} *spikes)
 {{
-    lif_step_{suf}(B, N, current, v_prev, s_prev, vthr, beta, hard,
-                   has_alpha, alpha, syn, v_out, s_out);
+    for (long t = 0; t < T; t++)
+        lif_forward_step_{suf}(t, B, N, ff, w_rec, vthr, beta, hard,
+                               has_alpha, alpha, syn, rec, membrane, spikes);
 }}
 
-void lif_backward_step_{suf}(
+static void lif_backward_step_{suf}(
     long B, long N,
     const {ctype} *g_spikes_t, const {ctype} *surrogate_t,
     const {ctype} *gs_rec, const {ctype} *membrane_prev,
@@ -149,25 +193,29 @@ void lif_backward_step_{suf}(
     }}
 }}
 
+/* w_rec_t is the C-contiguous W_rec^T, or NULL for a feedforward layer. */
 void lif_backward_{suf}(
     long T, long B, long N,
     const {ctype} *g_spikes, const {ctype} *surrogate,
-    const {ctype} *membrane, const {ctype} *spikes,
+    const {ctype} *membrane, const {ctype} *spikes, const {ctype} *w_rec_t,
     const {ctype} *vthr, long vthr_stride, double beta, int hard,
     int has_alpha, double alpha,
-    {ctype} *gs_reset, {ctype} *gv_carry, {ctype} *gj_carry,
+    {ctype} *gs_reset, {ctype} *gv_carry, {ctype} *gj_carry, {ctype} *gs_rec,
     {ctype} *g_current)
 {{
     const long BN = B * N;
     for (long t = T - 1; t >= 0; t--) {{
         const {ctype} *m_prev = t ? membrane + (t - 1) * BN : 0;
         const {ctype} *s_prev = t ? spikes + (t - 1) * BN : 0;
+        const int have_carry = t < T - 1;
         lif_backward_step_{suf}(B, N, g_spikes + t * BN, surrogate + t * BN,
-                                0, m_prev, s_prev, vthr + t * vthr_stride,
-                                beta, hard,
-                                has_alpha, alpha, (t < T - 1),
+                                (w_rec_t && have_carry) ? gs_rec : 0,
+                                m_prev, s_prev, vthr + t * vthr_stride,
+                                beta, hard, has_alpha, alpha, have_carry,
                                 gs_reset, gv_carry, gj_carry,
                                 g_current + t * BN);
+        if (w_rec_t && t > 0)
+            rec_gemm_{suf}(B, N, g_current + t * BN, w_rec_t, gs_rec);
     }}
 }}
 
@@ -201,19 +249,17 @@ void readout_backward_{suf}(
 """
 
 _CDEF_TEMPLATE = """
+void set_blas_{suf}(void *, void *);
 void lif_forward_{suf}(long, long, long, const {ctype} *, const {ctype} *,
-                       double, int, int, double, {ctype} *, {ctype} *, {ctype} *);
-void lif_forward_step_{suf}(long, long, const {ctype} *, const {ctype} *,
-                            const {ctype} *, const {ctype} *, double, int, int,
-                            double, {ctype} *, {ctype} *, {ctype} *);
+                       const {ctype} *, double, int, int, double, {ctype} *,
+                       {ctype} *, {ctype} *, {ctype} *);
+void lif_forward_step_{suf}(long, long, long, const {ctype} *, const {ctype} *,
+                            const {ctype} *, double, int, int, double,
+                            {ctype} *, {ctype} *, {ctype} *, {ctype} *);
 void lif_backward_{suf}(long, long, long, const {ctype} *, const {ctype} *,
                         const {ctype} *, const {ctype} *, const {ctype} *,
-                        long, double, int, int, double, {ctype} *, {ctype} *,
-                        {ctype} *, {ctype} *);
-void lif_backward_step_{suf}(long, long, const {ctype} *, const {ctype} *,
-                             const {ctype} *, const {ctype} *, const {ctype} *,
-                             const {ctype} *, double, int, int, double, int,
-                             {ctype} *, {ctype} *, {ctype} *, {ctype} *);
+                        const {ctype} *, long, double, int, int, double,
+                        {ctype} *, {ctype} *, {ctype} *, {ctype} *, {ctype} *);
 void readout_forward_{suf}(long, long, const {ctype} *, double, {ctype} *);
 void readout_backward_{suf}(long, long, const {ctype} *, double, {ctype} *);
 """
@@ -225,10 +271,17 @@ _DTYPES = {"f32": "float", "f64": "double"}
 #: would change rounding and break bitwise parity with numpy.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 
+#: The ILP64 CBLAS entry points numpy's bundled OpenBLAS
+#: (scipy-openblas64) exports, as (gemm, gemv) per dtype suffix.
+_BLAS_SYMBOLS = {
+    "f32": ("scipy_cblas_sgemm64_", "scipy_cblas_sgemv64_"),
+    "f64": ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_"),
+}
+
 
 def kernel_source() -> str:
     """The complete C source of the kernels (both dtype variants)."""
-    return "\n".join(
+    return _PRELUDE + "\n".join(
         _TEMPLATE.format(suf=suf, ctype=ctype) for suf, ctype in _DTYPES.items()
     )
 
@@ -281,6 +334,26 @@ def _compile(compiler: str, source: str) -> str:
     return lib_path
 
 
+def _bind_numpy_blas(ffi, lib) -> None:
+    """Hand the kernels the gemm/gemv of the BLAS numpy's matmul calls.
+
+    ``dlsym`` on numpy's core extension module also searches that
+    module's dependencies, so this finds the BLAS library numpy links
+    (already mapped in this process, thread settings included) without
+    knowing its hashed file name.
+    """
+    from numpy._core import _multiarray_umath
+
+    # Declared only to take their addresses.
+    names = [name for pair in _BLAS_SYMBOLS.values() for name in pair]
+    ffi.cdef("".join(f"void {name}(void);\n" for name in names))
+    blas = ffi.dlopen(_multiarray_umath.__file__)
+    for suf, names in _BLAS_SYMBOLS.items():
+        getattr(lib, f"set_blas_{suf}")(
+            *(ffi.cast("void *", getattr(blas, name)) for name in names)
+        )
+
+
 class CffiExecutor(SequenceExecutor):
     """Compiled-C executor (module docstring has the full story)."""
 
@@ -299,8 +372,9 @@ class CffiExecutor(SequenceExecutor):
 
         The probe runs once per process; its result (and reason) is
         cached.  Any failure — missing cffi, no compiler on PATH, a
-        compile error, or a bitwise self-check mismatch — makes the
-        backend unavailable with that reason.
+        compile error, numpy's BLAS symbols not found, or a bitwise
+        self-check mismatch — makes the backend unavailable with that
+        reason.
         """
         if self._probe is None:
             self._probe = self._probe_once()
@@ -315,24 +389,27 @@ class CffiExecutor(SequenceExecutor):
         if compiler is None:
             return False, "no C compiler (cc / gcc / clang) on PATH"
         try:
-            self._build(compiler)
+            ffi, lib = self._build(compiler)
         except Exception as error:  # build failures become reasons, not crashes
             return False, f"kernel compilation failed: {error}"
+        try:
+            _bind_numpy_blas(ffi, lib)
+        except Exception as error:
+            return False, f"numpy's BLAS (cblas gemm/gemv) is not resolvable: {error}"
+        self._ffi, self._lib = ffi, lib
         try:
             self._self_check()
         except Exception as error:
             return False, f"compiled kernels failed their bitwise self-check: {error}"
-        return True, f"compiled C kernels via {compiler} (bitwise vs numpy)"
+        return True, f"compiled C kernels via {compiler} on numpy's BLAS (bitwise vs numpy)"
 
-    def _build(self, compiler: str) -> None:
+    def _build(self, compiler: str) -> tuple:
         import cffi
 
         ffi = cffi.FFI()
         for suf, ctype in _DTYPES.items():
             ffi.cdef(_CDEF_TEMPLATE.format(suf=suf, ctype=ctype))
-        lib_path = _compile(compiler, kernel_source())
-        self._lib = ffi.dlopen(lib_path)
-        self._ffi = ffi
+        return ffi, ffi.dlopen(_compile(compiler, kernel_source()))
 
     def _self_check(self) -> None:
         """Assert bitwise parity with numpy on a canonical tiny workload.
@@ -345,8 +422,9 @@ class CffiExecutor(SequenceExecutor):
         # must be diagnosed before this backend touches any repro module,
         # and the fixed seed carries no experiment state.
         rng = np.random.default_rng(0)  # repro-lint: disable=RPL001 -- fixed-seed toolchain probe, independent of experiment seeding
-        for dtype in (np.float32, np.float64):
-            ff = rng.standard_normal((5, 3, 4)).astype(dtype)
+        # B = 1 takes BLAS's gemv, B >= 2 its gemm.
+        for dtype, batch in itertools.product((np.float32, np.float64), (1, 3)):
+            ff = rng.standard_normal((5, batch, 4)).astype(dtype)
             w_rec = rng.standard_normal((4, 4)).astype(dtype) * dtype(0.3)
             for w in (None, w_rec):
                 for spec in (
@@ -391,8 +469,13 @@ class CffiExecutor(SequenceExecutor):
     def _ptr(self, ctype: str, array: np.ndarray):
         return self._ffi.cast(ctype, array.ctypes.data)
 
-    def _supported(self, *arrays: np.ndarray) -> bool:
-        return all(np.dtype(a.dtype) in self._SUFFIXES for a in arrays)
+    def _supported(self, *arrays: np.ndarray, w_rec=None) -> bool:
+        dtype = np.dtype(arrays[-1].dtype)
+        return all(np.dtype(a.dtype) in self._SUFFIXES for a in arrays) and (
+            # The kernels' GEMM is matmul's call for a C-contiguous weight
+            # of the sweep dtype; any other layout takes the reference.
+            w_rec is None or (w_rec.dtype == dtype and w_rec.flags.c_contiguous)
+        )
 
     @staticmethod
     def _vthr_array(vthr, n: int, dtype) -> tuple[np.ndarray, int]:
@@ -408,75 +491,43 @@ class CffiExecutor(SequenceExecutor):
 
     # -- contract ------------------------------------------------------
     def lif_forward(self, ff, w_rec, spec, controller=None):
-        """C (or hybrid numpy-GEMM + C) forward recurrence."""
-        if not self._supported(ff):
+        """Forward recurrence in one C call (per step under a controller)."""
+        if not self._supported(ff, w_rec=w_rec):
             return numpy_ref.lif_forward_sweep(ff, w_rec, spec, controller)
         timesteps, batch, n_out = ff.shape
         dtype = ff.dtype
         ff = np.ascontiguousarray(ff)
         membrane = np.empty_like(ff)
         spikes = np.empty_like(ff)
-        has_alpha = spec.alpha is not None
         syn = np.zeros((batch, n_out), dtype=dtype)
-        alpha = spec.alpha if has_alpha else 0.0
-        beta, hard = float(spec.beta), int(spec.hard)
+        rec = np.empty((batch, n_out), dtype=dtype)
+        alpha = 0.0 if spec.alpha is None else float(spec.alpha)
+        consts = (float(spec.beta), int(spec.hard), int(spec.alpha is not None), alpha)
         if controller is None:
             vthr, _ = self._vthr_array(spec.vthr, n_out, dtype)
-            if w_rec is None:
-                kernel, ctype = self._kernel("lif_forward", dtype)
-                kernel(
-                    timesteps, batch, n_out,
-                    self._ptr(ctype, ff), self._ptr(ctype, vthr),
-                    beta, hard, int(has_alpha), float(alpha),
-                    self._ptr(ctype, syn),
-                    self._ptr(ctype, membrane), self._ptr(ctype, spikes),
-                )
-                return membrane, spikes, spec.vthr
         else:
             vthr = np.empty((timesteps, n_out), dtype=dtype)
-            value = controller.value
-        # Hybrid loop: numpy owns the per-step recurrent projection (BLAS
-        # is the bitwise anchor) and Python the controller call; C owns
-        # the elementwise state update.
-        step, ctype = self._kernel("lif_forward_step", dtype)
-        size = batch * n_out
-        current = np.empty((batch, n_out), dtype=dtype)
-        rec = np.empty((batch, n_out), dtype=dtype)
-        s_prev = np.zeros((batch, n_out), dtype=dtype)
-        p_ff = self._ptr(ctype, ff)
-        p_cur = self._ptr(ctype, current)
-        p_vthr = self._ptr(ctype, vthr)
-        p_syn = self._ptr(ctype, syn)
-        p_membrane = self._ptr(ctype, membrane)
-        p_spikes = self._ptr(ctype, spikes)
-        null = self._ffi.NULL
+        kernel, ctype = self._kernel(
+            "lif_forward" if controller is None else "lif_forward_step", dtype
+        )
+        p_ff, p_vthr, *p_state = (
+            self._ptr(ctype, a) for a in (ff, vthr, syn, rec, membrane, spikes)
+        )
+        p_w = self._ffi.NULL if w_rec is None else self._ptr(ctype, w_rec)
+        if controller is None:
+            kernel(timesteps, batch, n_out, p_ff, p_w, p_vthr, *consts, *p_state)
+            return membrane, spikes, spec.vthr
+        value = controller.value
         for t in range(timesteps):
-            off = t * size
-            p_in = p_ff + off
-            if w_rec is not None:
-                np.matmul(s_prev, w_rec, out=rec)
-                np.add(ff[t], rec, out=current)
-                p_in = p_cur
-            p_thr = p_vthr
-            if controller is not None:
-                vthr[t] = value  # the dtype cast the tape applies
-                p_thr = p_vthr + t * n_out
-            step(
-                batch, n_out, p_in,
-                p_membrane + off - size if t else null,
-                p_spikes + off - size if t else null,
-                p_thr, beta, hard, int(has_alpha), float(alpha), p_syn,
-                p_membrane + off, p_spikes + off,
-            )
-            s_prev = spikes[t]
-            if controller is not None:
-                counts = s_prev.sum(axis=0)
-                value = controller.step(t, counts, counts * t)
-        return membrane, spikes, (spec.vthr if controller is None else vthr)
+            vthr[t] = value  # the dtype cast the tape applies
+            kernel(t, batch, n_out, p_ff, p_w, p_vthr + t * n_out, *consts, *p_state)
+            counts = spikes[t].sum(axis=0)
+            value = controller.step(t, counts, counts * t)
+        return membrane, spikes, vthr
 
     def lif_backward(self, g_spikes, surrogate, membrane, spikes, w_rec, spec):
-        """C (or hybrid) reverse BPTT sweep returning ``gI``."""
-        if not self._supported(g_spikes, surrogate, membrane, spikes):
+        """Reverse BPTT sweep returning ``gI``, in one C call."""
+        if not self._supported(g_spikes, surrogate, membrane, spikes, w_rec=w_rec):
             return numpy_ref.lif_reverse_sweep(
                 g_spikes, surrogate, membrane, spikes, w_rec, spec
             )
@@ -488,50 +539,23 @@ class CffiExecutor(SequenceExecutor):
         spikes = np.ascontiguousarray(spikes)
         g_current = np.empty_like(spikes)
         vthr, vthr_stride = self._vthr_array(spec.vthr, n_out, dtype)
-        has_alpha = spec.alpha is not None
-        alpha = spec.alpha if has_alpha else 0.0
-        scratch = [np.empty((batch, n_out), dtype=dtype) for _ in range(3)]
+        alpha = 0.0 if spec.alpha is None else float(spec.alpha)
+        scratch = [np.empty((batch, n_out), dtype=dtype) for _ in range(4)]
+        kernel, ctype = self._kernel("lif_backward", dtype)
         if w_rec is None:
-            kernel, ctype = self._kernel("lif_backward", dtype)
-            kernel(
-                timesteps, batch, n_out,
-                self._ptr(ctype, g_spikes), self._ptr(ctype, surrogate),
-                self._ptr(ctype, membrane), self._ptr(ctype, spikes),
-                self._ptr(ctype, vthr), vthr_stride,
-                float(spec.beta), int(spec.hard), int(has_alpha), float(alpha),
-                *(self._ptr(ctype, s) for s in scratch),
-                self._ptr(ctype, g_current),
-            )
-            return g_current
-        step, ctype = self._kernel("lif_backward_step", dtype)
-        size = batch * n_out
-        w_rec_t = np.ascontiguousarray(w_rec.T)  # the reference sweep's copy
-        gs_rec = np.empty((batch, n_out), dtype=dtype)
-        p = {
-            "g": self._ptr(ctype, g_spikes),
-            "surr": self._ptr(ctype, surrogate),
-            "m": self._ptr(ctype, membrane),
-            "s": self._ptr(ctype, spikes),
-            "gj": self._ptr(ctype, g_current),
-            "gs_rec": self._ptr(ctype, gs_rec),
-            "vthr": self._ptr(ctype, vthr),
-        }
-        p_scratch = [self._ptr(ctype, s) for s in scratch]
-        null = self._ffi.NULL
-        beta, hard = float(spec.beta), int(spec.hard)
-        for t in range(timesteps - 1, -1, -1):
-            off = t * size
-            have_carry = t < timesteps - 1
-            step(
-                batch, n_out, p["g"] + off, p["surr"] + off,
-                p["gs_rec"] if have_carry else null,
-                p["m"] + off - size if t else null,
-                p["s"] + off - size if t else null,
-                p["vthr"] + t * vthr_stride, beta, hard, int(has_alpha), float(alpha),
-                int(have_carry), *p_scratch, p["gj"] + off,
-            )
-            if t > 0:
-                np.matmul(g_current[t], w_rec_t, out=gs_rec)
+            p_w_t = self._ffi.NULL
+        else:
+            w_rec_t = np.ascontiguousarray(w_rec.T)  # the reference sweep's copy
+            p_w_t = self._ptr(ctype, w_rec_t)
+        kernel(
+            timesteps, batch, n_out,
+            self._ptr(ctype, g_spikes), self._ptr(ctype, surrogate),
+            self._ptr(ctype, membrane), self._ptr(ctype, spikes), p_w_t,
+            self._ptr(ctype, vthr), vthr_stride,
+            float(spec.beta), int(spec.hard), int(spec.alpha is not None), alpha,
+            *(self._ptr(ctype, s) for s in scratch),
+            self._ptr(ctype, g_current),
+        )
         return g_current
 
     def readout_forward(self, projected, beta):

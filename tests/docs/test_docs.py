@@ -1,6 +1,6 @@
 """Docs-vs-code conformance: the documentation cannot drift silently.
 
-Three guarantees:
+Four guarantees:
 
 1. the environment-variable table in ``docs/env.md`` matches the
    authoritative registry ``repro.config.ENV_FLAGS`` field for field;
@@ -9,7 +9,8 @@ Three guarantees:
 3. every page the ``mkdocs.yml`` nav references exists, and every
    declared flag is mentioned in both the docs reference and README;
 4. every registered lint rule (id and name) is documented in
-   ``docs/lint.md``, so the rule catalog cannot drift from the code.
+   ``docs/lint.md``, and README's rule count and id range match the
+   registry, so the rule catalog cannot drift from the code.
 """
 
 import os
@@ -120,6 +121,19 @@ class TestLintReference:
         assert table_ids == [rule.id for rule in all_rules()], (
             "docs/lint.md rule table out of sync with the registry"
         )
+
+    def test_readme_rule_count_and_range_match_registry(self):
+        from repro.lint import all_rules
+
+        readme = (REPO / "README.md").read_text()
+        match = re.search(r"(\w+) rules \(`(RPL\d{3})`–`(RPL\d{3})`\)", readme)
+        assert match, "README.md no longer states the lint rule count and range"
+        count, first, last = match.groups()
+        ids = sorted(rule.id for rule in all_rules())
+        numbers = ["zero", "one", "two", "three", "four", "five", "six", "seven",
+                   "eight", "nine", "ten", "eleven", "twelve"]
+        assert numbers.index(count.lower()) == len(ids), "README rule count is stale"
+        assert (first, last) == (ids[0], ids[-1]), "README rule range is stale"
 
     def test_readme_mentions_linter(self):
         readme = (REPO / "README.md").read_text()

@@ -28,7 +28,21 @@ from repro.snn.layers import RecurrentLIFLayer
 from repro.snn.neurons import LIFParameters
 from repro.snn.threshold import PerNeuronAdaptiveThreshold
 
-C_AVAILABLE, C_REASON = backends.get_backend("c").availability()
+
+def _unchecked_c():
+    """A C executor probed without its self-check.
+
+    The parity tests below are that check at full strength: a kernel
+    that breaks bitwise parity fails them here, where a self-checked
+    executor would turn unavailable and skip them.
+    """
+    executor = CffiExecutor()
+    executor._self_check = lambda: None
+    return executor
+
+
+C_EXECUTOR = _unchecked_c()
+C_AVAILABLE, C_REASON = C_EXECUTOR.availability()
 needs_c = pytest.mark.skipif(not C_AVAILABLE, reason=f"C backend: {C_REASON}")
 
 
@@ -60,9 +74,22 @@ _SPECS = {
 }
 
 
+#: (B, N) sweep shapes: B = 1 takes BLAS's gemv, and B = 36, N = 64 (the
+#: bench shape) reaches the blocked gemm kernels a toy shape never does.
+_SHAPES = [pytest.param(b, n, id=f"B{b}-N{n}") for b in (1, 2, 36) for n in (6, 64)]
+
+
+def _spec(name, n_out):
+    """``_SPECS[name]`` with any per-neuron threshold sized to ``n_out``."""
+    spec = _SPECS[name]
+    if np.ndim(spec.vthr):
+        return replace(spec, vthr=np.linspace(0.4, 0.9, n_out, dtype=np.float32))
+    return spec
+
+
 def _executors():
     return [
-        pytest.param(CffiExecutor() if C_AVAILABLE else None, id="c", marks=needs_c)
+        pytest.param(C_EXECUTOR if C_AVAILABLE else None, id="c", marks=needs_c)
     ]
 
 
@@ -76,12 +103,17 @@ class TestSweepParity:
     @pytest.mark.parametrize("spec_name", sorted(_SPECS))
     @pytest.mark.parametrize("recurrent", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_lif_sweeps_match_reference(self, executor, spec_name, recurrent, dtype):
-        spec = _SPECS[spec_name]
+    @pytest.mark.parametrize("batch,n_out", _SHAPES)
+    def test_lif_sweeps_match_reference(
+        self, executor, spec_name, recurrent, dtype, batch, n_out
+    ):
+        spec = _spec(spec_name, n_out)
         rng = np.random.default_rng(7)
-        ff = rng.standard_normal((6, 3, 6)).astype(dtype)
+        ff = rng.standard_normal((6, batch, n_out)).astype(dtype)
         w_rec = (
-            (rng.standard_normal((6, 6)) * 0.4).astype(dtype) if recurrent else None
+            (rng.standard_normal((n_out, n_out)) * 0.4).astype(dtype)
+            if recurrent
+            else None
         )
         want_m, want_s, want_vthr = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
         got_m, got_s, got_vthr = executor.lif_forward(ff, w_rec, spec)
@@ -117,25 +149,30 @@ class TestSweepParity:
     @pytest.mark.parametrize("recurrent", [False, True])
     @pytest.mark.parametrize("per_neuron", [True, False], ids=["per-neuron", "scalar"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch,n_out", _SHAPES)
     def test_controller_sweeps_match_reference(
-        self, executor, spec_name, recurrent, per_neuron, dtype
+        self, executor, spec_name, recurrent, per_neuron, dtype, batch, n_out
     ):
         """A dynamic threshold drives both executors' sweeps identically."""
         spec = replace(_SPECS[spec_name], vthr=None)
         rng = np.random.default_rng(13)
-        ff = (rng.standard_normal((8, 3, 6)) * 0.8).astype(dtype)
+        ff = (rng.standard_normal((8, batch, n_out)) * 0.8).astype(dtype)
         w_rec = (
-            (rng.standard_normal((6, 6)) * 0.4).astype(dtype) if recurrent else None
+            (rng.standard_normal((n_out, n_out)) * 0.4).astype(dtype)
+            if recurrent
+            else None
         )
 
         def controller():
             if per_neuron:
-                return PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=8, adjust_interval=2)
+                return PerNeuronAdaptiveThreshold(
+                    num_neurons=n_out, timesteps=8, adjust_interval=2
+                )
             return oracle.ScalarAdaptiveThreshold(timesteps=8, adjust_interval=2)
 
         want = numpy_ref.lif_forward_sweep(ff, w_rec, spec, controller())
         got = executor.lif_forward(ff, w_rec, spec, controller())
-        assert want[2].shape == (8, 6) and want[2].dtype == dtype
+        assert want[2].shape == (8, n_out) and want[2].dtype == dtype
         assert len(np.unique(want[2])) > 1  # the threshold really moved
         for g, w in zip(got, want):
             _assert_parity(executor, g, w)
@@ -247,6 +284,36 @@ class TestCBackendThroughKernels:
             assert np.array_equal(got, want), "c diverged bitwise"
         assert np.array_equal(runs["oracle"][0], runs["numpy"][0])
         oracle.assert_grads_close(runs["numpy"][1:], runs["oracle"][1:])
+
+    @pytest.mark.parametrize("spec_name", sorted(_SPECS))
+    def test_static_recurrent_sweep_is_one_kernel_call(self, monkeypatch, spec_name):
+        """No per-timestep Python loop: one C call per direction."""
+        executor = CffiExecutor()
+        assert executor.availability()[0]
+        calls = []
+
+        class CountingLib:
+            def __init__(self, lib):
+                self._lib = lib
+
+            def __getattr__(self, name):
+                kernel = getattr(self._lib, name)
+
+                def counted(*args):
+                    calls.append(name)
+                    return kernel(*args)
+
+                return counted
+
+        monkeypatch.setattr(executor, "_lib", CountingLib(executor._lib))
+        spec = _spec(spec_name, 64)
+        rng = np.random.default_rng(2)
+        ff = rng.standard_normal((20, 36, 64)).astype(np.float32)
+        w_rec = (rng.standard_normal((64, 64)) * 0.2).astype(np.float32)
+        membrane, spikes, _ = executor.lif_forward(ff, w_rec, spec)
+        assert calls == ["lif_forward_f32"]
+        executor.lif_backward(ff, np.ones_like(ff), membrane, spikes, w_rec, spec)
+        assert calls == ["lif_forward_f32", "lif_backward_f32"]
 
     def test_unsupported_dtype_falls_back_to_reference(self):
         executor = CffiExecutor()
@@ -377,6 +444,18 @@ class TestDegradation:
         ok, reason = executor.availability()
         assert not ok
         assert "compiler" in reason
+
+    def test_missing_blas_symbols_degrade(self, monkeypatch):
+        if not C_AVAILABLE:
+            pytest.skip(C_REASON)
+        monkeypatch.setitem(
+            cffi_c._BLAS_SYMBOLS, "f32", ("no_such_sgemm", "no_such_sgemv")
+        )
+        executor = register_backend(CffiExecutor())
+        ok, reason = executor.availability()
+        assert not ok
+        assert "BLAS" in reason
+        assert backends.select_backend("auto").name == "numpy"
 
     def test_failing_self_check_degrades(self, monkeypatch):
         if not C_AVAILABLE:

@@ -156,6 +156,14 @@ class TestEnvFlags:
         monkeypatch.setenv("REPRO_CACHE", "  ./cache dir ")
         assert env_value("REPRO_CACHE") == "  ./cache dir "
 
+    def test_env_value_follows_every_environment_write(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "ci")
+        assert env_value("REPRO_BENCH_SCALE") == "ci"
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "paper")
+        assert env_value("REPRO_BENCH_SCALE") == "paper"
+        monkeypatch.delenv("REPRO_BENCH_SCALE")
+        assert env_value("REPRO_BENCH_SCALE") == "bench"
+
     def test_env_value_rejects_undeclared_flags(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREFETCH", "0")
         with pytest.raises(ConfigError, match="declared flags"):
