@@ -135,7 +135,7 @@ def test_federated_rebalance(benchmark, federation, tmp_path):
             shutil.rmtree(root)
         shutil.copytree(source.root, root)
         fed = FederatedReplayStore.open(root)
-        fed.configure(budget_bytes=(fed.num_samples // 2) * fed.sample_bytes)
+        fed.configure(budget_bytes=fed.bytes_for(fed.num_samples // 2))
         return fed.rebalance()
 
     result = benchmark(rebalance)

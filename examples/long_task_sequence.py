@@ -29,7 +29,6 @@ from repro.core import Replay4NCL, ReplaySpec
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
-from repro.hw.memory import audit_federation
 from repro.replaystore import FederatedReplayStore
 from repro.scenario import SequentialScenario, run_scenario
 
@@ -86,19 +85,18 @@ def federated_run(exp, generator, pretrained, workdir: Path):
             f"vs {archive_bytes} B for the whole archive densified "
             f"({step.replay_peak_resident_bytes / archive_bytes:.0%})"
         )
-    audit = audit_federation(federation)
+    stats = federation.stats()
     print(
-        f"archive: {audit.num_samples} samples in {audit.num_members} members, "
-        f"{audit.disk_bytes} B on disk (model {audit.modelled_bytes} B)"
+        f"archive: {stats.num_samples} samples in {stats.num_members} members, "
+        f"{stats.disk_bytes} B on disk (model {stats.modelled_bytes} B)"
     )
     return result
 
 
 def budgeted_run(exp, generator, pretrained, workdir: Path, reference) -> bool:
     print("\n=== act 2: the same stream under a global byte budget ===")
-    probe = FederatedReplayStore.open(reference.store_root)
-    budget = 12 * probe.sample_bytes
-    print(f"budget: {budget} B (~12 samples across the whole stream)")
+    budget = FederatedReplayStore.open(reference.store_root).bytes_for(12)
+    print(f"budget: {budget} B (12 samples across the whole stream)")
     result = run_stream(
         exp,
         generator,
@@ -114,10 +112,11 @@ def budgeted_run(exp, generator, pretrained, workdir: Path, reference) -> bool:
     stats = federation.stats()
     print(
         f"archive after 3 steps: {stats.num_samples} samples, "
-        f"{stats.model_bytes} / {budget} B "
+        f"{stats.modelled_bytes} / {budget} B "
         f"({stats.budget_utilization:.0%} of budget)"
     )
-    print(f"per-member survivors: {stats.member_samples}")
+    survivors = {name: row.num_samples for name, row in stats.members.items()}
+    print(f"per-member survivors: {survivors}")
     print(f"class counts stay balanced: {stats.class_counts}")
     identical = all(
         np.array_equal(p.data, q.data)

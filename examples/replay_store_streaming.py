@@ -2,11 +2,11 @@
 
 Three acts:
 
-1. **Streaming build** — latent task arrivals flow through a hard byte
-   budget under each eviction policy (FIFO / reservoir / class-balanced)
-   and land in a sharded on-disk store.
-2. **Accounting** — the Fig. 12 latent-memory model is cross-checked
-   against the actual shard bytes the store wrote.
+1. **Budgeted federation** — latent task arrivals land as member stores
+   of a federation whose global byte budget each eviction policy
+   (FIFO / reservoir / class-balanced) enforces after every arrival.
+2. **Accounting** — the federation's one stats report sets the Fig. 12
+   latent-memory model beside the actual codec payload and disk bytes.
 3. **Store-backed NCL** — a full Replay4NCL run with the replay buffer
    resident on disk, verified bit-for-bit against the in-memory path.
 
@@ -22,53 +22,51 @@ import numpy as np
 from repro.core import Replay4NCL, ReplaySpec, pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
-from repro.hw.memory import audit_store
-from repro.replaystore import StreamingStoreBuilder, get_policy
+from repro.replaystore import FederatedReplayStore, ReplayStore
 
 
 def streaming_budget_demo(workdir: Path) -> None:
-    """Stream 600 skewed task arrivals through a 12 KiB budget."""
+    """Stream 600 skewed task arrivals into a 12 KiB federation budget."""
     frames, channels = 40, 48
     print(f"streaming 600 arrivals of [{frames} x {channels}] latent rasters")
     print("class skew 10:3:1, budget 12 KiB\n")
-    print(f"{'policy':16s} {'kept':>5s} {'evicted':>8s} {'rejected':>9s}  class counts")
+    print(f"{'policy':16s} {'kept':>5s} {'evicted':>8s}  class counts")
     for name in ("fifo", "reservoir", "class-balanced"):
-        builder = StreamingStoreBuilder(
-            12 * 1024,
-            get_policy(name),
-            stored_frames=frames,
-            num_channels=channels,
-            generated_timesteps=frames,
-            rng=np.random.default_rng(7),
+        federation = FederatedReplayStore.create(
+            workdir / f"stream-{name}", budget_bytes=12 * 1024, policy=name, seed=7
         )
         arrival_rng = np.random.default_rng(1)
-        for _ in range(20):  # 20 chunks x 30 samples
+        evicted = 0
+        for chunk in range(20):  # 20 arrivals x 30 samples
             raster = (arrival_rng.random((frames, 30, channels)) < 0.1).astype(
                 np.float32
             )
             labels = arrival_rng.choice([0, 1, 2], size=30, p=[10 / 14, 3 / 14, 1 / 14])
-            builder.offer(raster, labels)
-        store = builder.finalize(workdir / f"stream-{name}", shard_samples=16)
-        counts = store.stats().class_counts
-        print(
-            f"{name:16s} {store.num_samples:5d} {builder.evicted:8d} "
-            f"{builder.rejected:9d}  {counts}"
-        )
+            member = f"arrival-{chunk:02d}"
+            ReplayStore.create(
+                federation.root / member,
+                stored_frames=frames,
+                num_channels=channels,
+                generated_timesteps=frames,
+                shard_samples=16,
+            ).append(raster, labels)
+            federation.adopt(member)
+            evicted += federation.rebalance()
+        stats = federation.stats()
+        print(f"{name:16s} {stats.num_samples:5d} {evicted:8d}  {stats.class_counts}")
     print()
 
 
 def accounting_demo(workdir: Path) -> None:
-    """Model-vs-disk audit of one of the streamed stores."""
-    from repro.replaystore import ReplayStore
-
-    store = ReplayStore.open(workdir / "stream-class-balanced")
-    audit = audit_store(store)
-    print("latent-memory accounting (class-balanced store):")
-    print(f"  analytic model: {audit.modelled_bytes} B (bitmap + headers)")
-    print(f"  codec payload:  {audit.payload_bytes} B "
-          f"(saving {audit.payload_saving:.1%})")
-    print(f"  on disk:        {audit.disk_bytes} B "
-          f"(format overhead {audit.format_overhead_bytes} B)\n")
+    """Model, payload and disk bytes of one budgeted federation."""
+    stats = FederatedReplayStore.open(workdir / "stream-class-balanced").stats()
+    print("latent-memory accounting (class-balanced federation):")
+    print(f"  analytic model: {stats.modelled_bytes} B (bitmap + headers, "
+          f"{stats.budget_utilization:.0%} of budget)")
+    print(f"  codec payload:  {stats.payload_bytes} B "
+          f"(saving {stats.payload_saving:.1%})")
+    print(f"  on disk:        {stats.disk_bytes} B "
+          f"(format overhead {stats.format_overhead_bytes} B)\n")
 
 
 def store_backed_ncl(workdir: Path) -> bool:

@@ -217,10 +217,6 @@ class Tensor:
             raise ShapeError("item() requires a tensor with exactly one element")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """Return a view of the data cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         """Drop the accumulated gradient."""
         self.grad = None

@@ -377,7 +377,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_store_federate(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.hw.memory import audit_federation
     from repro.replaystore import FederatedReplayStore
     from repro.replaystore.federation import FEDERATION_INDEX_NAME
     from repro.replaystore.store import INDEX_NAME
@@ -418,25 +417,29 @@ def _cmd_store_federate(args: argparse.Namespace) -> int:
         print(f"adopted {name} ({federation.member(name).num_samples} samples)")
     evicted = federation.rebalance()
     stats = federation.stats()
+    member_samples = {name: row.num_samples for name, row in stats.members.items()}
     print(f"{federation!r}")
-    print(f"members:        {stats.member_samples}")
-    print(f"samples:        {stats.num_samples} "
-          f"({stats.sample_bytes} B/sample modelled)")
+    print(f"members:        {member_samples}")
+    print(f"samples:        {stats.num_samples}")
     print(f"class counts:   {stats.class_counts}")
+    _print_bytes(stats)
     if stats.budget_bytes is not None:
-        print(f"budget:         {stats.model_bytes} / {stats.budget_bytes} B "
+        print(f"budget:         {stats.modelled_bytes} / {stats.budget_bytes} B "
               f"({stats.budget_utilization:.1%} used, "
               f"{evicted} evicted this pass)")
-    if federation.num_samples:
-        audit = audit_federation(federation)
-        print(f"payload bytes:  {audit.payload_bytes}")
-        print(f"disk bytes:     {audit.disk_bytes} "
-              f"(model {audit.modelled_bytes} B)")
     return 0
 
 
+def _print_bytes(stats) -> None:
+    """The byte lines every store report shares (model, payload, disk)."""
+    print(f"model bytes:    {stats.modelled_bytes} "
+          f"(payload saving {stats.payload_saving:.1%})")
+    print(f"payload bytes:  {stats.payload_bytes}")
+    print(f"disk bytes:     {stats.disk_bytes} "
+          f"(format overhead {stats.format_overhead_bytes} B)")
+
+
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.hw.memory import audit_store
     from repro.replaystore import ReplayStore
 
     if args.store_command == "federate":
@@ -454,17 +457,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
     if args.store_command == "stats":
         stats = store.stats()
-        audit = audit_store(store)
         print(f"samples:        {stats.num_samples} in {stats.num_shards} shards")
         print(f"geometry:       T={stats.stored_frames} C={stats.num_channels}")
         print(f"codec shards:   {stats.codec_shards}")
         print(f"class counts:   {stats.class_counts}")
-        print(f"payload bytes:  {stats.payload_bytes} "
-              f"({stats.bytes_per_sample:.1f} B/sample)")
-        print(f"disk bytes:     {stats.disk_bytes} "
-              f"(format overhead {audit.format_overhead_bytes} B)")
-        print(f"model bytes:    {audit.modelled_bytes} "
-              f"(payload saving {audit.payload_saving:.1%})")
+        _print_bytes(stats)
+        print(f"payload/sample: {stats.bytes_per_sample:.1f} B")
         return 0
     before = store.num_shards
     after = store.compact(args.shard_samples)

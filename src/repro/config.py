@@ -102,16 +102,8 @@ class NetworkConfig:
         return len(self.layer_sizes) - 1
 
     @property
-    def num_hidden_layers(self) -> int:
-        return len(self.layer_sizes) - 2
-
-    @property
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
-
-    @property
-    def num_inputs(self) -> int:
-        return self.layer_sizes[0]
 
     def replace(self, **kwargs) -> "NetworkConfig":
         return dataclasses.replace(self, **kwargs)

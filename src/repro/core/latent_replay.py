@@ -10,7 +10,8 @@ Storage model
 -------------
 Stored rasters are binary, so the storage authority is the bit-packed
 size (1 bit/cell) plus a fixed per-sample header (label + shape
-metadata) — see :meth:`LatentReplayBuffer.storage_bytes`.  The Fig. 7
+metadata): :func:`~repro.replaystore.format.latent_bytes`, read by
+:meth:`LatentReplayBuffer.storage_bytes`.  The Fig. 7
 subsampling codec optionally reduces the stored frame count by its
 factor; SpikingLR stores ``ceil(T/2)`` frames and zero-stuffs back to
 ``T`` for replay, Replay4NCL stores its reduced-timestep activations
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.bitpack import BitpackCodec
 from repro.compression.subsample import TemporalSubsampleCodec
 from repro.data.datasets import SpikeDataset
 from repro.errors import CodecError, ConfigError
-from repro.replaystore.builder import SAMPLE_HEADER_BYTES
+from repro.replaystore.format import latent_bytes
 from repro.replaystore.store import DEFAULT_SHARD_SAMPLES, ReplayStore
 from repro.snn.network import SpikingNetwork
 from repro.snn.state import SpikeTrace
@@ -35,7 +35,6 @@ from repro.snn.threshold import ThresholdController
 
 __all__ = [
     "LatentReplayBuffer",
-    "HEADER_BYTES_PER_SAMPLE",
     "frozen_front_trace",
 ]
 
@@ -54,13 +53,6 @@ def frozen_front_trace(
     it already makes, so this is a recomputation for checks and tools.
     """
     return network.activations_at(insertion_layer, inputs, controller)[1]
-
-
-#: Bytes of per-sample metadata (label id, sample length) charged by the
-#: storage model on top of the packed payload.  Shared with the
-#: replay-store budget accounting (the single authority lives in
-#: :mod:`repro.replaystore.builder`).
-HEADER_BYTES_PER_SAMPLE = SAMPLE_HEADER_BYTES
 
 
 @dataclass
@@ -205,8 +197,7 @@ class LatentReplayBuffer:
         Replay4NCL stores ``T* = 40`` — a 20% saving, slightly more once
         the fixed headers are amortised over fewer frames.
         """
-        payload = BitpackCodec().packed_bytes(self.compressed.shape)
-        return payload + HEADER_BYTES_PER_SAMPLE * self.num_samples
+        return latent_bytes(self.stored_frames, self.num_samples, self.num_channels)
 
     # ------------------------------------------------------------------
     # Persistence (repro.replaystore)
@@ -268,54 +259,4 @@ class LatentReplayBuffer:
             return 0
         return int(
             self.generated_timesteps * self.num_samples * self.num_channels
-        )
-
-    # ------------------------------------------------------------------
-    # Budgeting
-    # ------------------------------------------------------------------
-    def fit_budget(
-        self, max_bytes: int, rng: np.random.Generator
-    ) -> "LatentReplayBuffer":
-        """Return a copy whose storage fits ``max_bytes``.
-
-        Embedded deployments cap latent memory; this drops whole samples
-        — class-stratified, so every old class keeps at least one
-        exemplar — until the bit-packed payload plus headers fits.
-        Raises :class:`ConfigError` when even one sample per class
-        exceeds the budget.
-        """
-        if max_bytes <= 0:
-            raise ConfigError(f"max_bytes must be positive, got {max_bytes}")
-        if self.storage_bytes() <= max_bytes:
-            return self
-
-        bytes_per_sample = (
-            BitpackCodec().packed_bytes((self.stored_frames, 1, self.num_channels))
-            + HEADER_BYTES_PER_SAMPLE
-        )
-        keep_total = max_bytes // bytes_per_sample
-        classes = sorted(set(self.labels.tolist()))
-        if keep_total < len(classes):
-            raise ConfigError(
-                f"budget of {max_bytes} B cannot hold one sample per class "
-                f"({len(classes)} classes x {bytes_per_sample} B)"
-            )
-
-        # Round-robin over classes so the kept set stays balanced.
-        per_class = {
-            c: rng.permutation(np.flatnonzero(self.labels == c)).tolist()
-            for c in classes
-        }
-        chosen: list[int] = []
-        while len(chosen) < keep_total and any(per_class.values()):
-            for c in classes:
-                if per_class[c] and len(chosen) < keep_total:
-                    chosen.append(per_class[c].pop())
-        chosen.sort()
-        return LatentReplayBuffer(
-            compressed=self.compressed[:, chosen, :].copy(),
-            labels=self.labels[chosen].copy(),
-            insertion_layer=self.insertion_layer,
-            generated_timesteps=self.generated_timesteps,
-            codec=self.codec,
         )

@@ -86,17 +86,6 @@ class EventStream:
         """Average events per channel per second."""
         return self.num_events / (self.num_channels * self.duration)
 
-    def time_scaled(self, factor: float) -> "EventStream":
-        """Return a copy with time stretched by ``factor`` (speaker speed)."""
-        if factor <= 0:
-            raise DataError(f"scale factor must be positive, got {factor}")
-        return EventStream(
-            times=self.times * factor,
-            channels=self.channels.copy(),
-            num_channels=self.num_channels,
-            duration=self.duration * factor,
-        )
-
     @staticmethod
     def from_dense(raster: np.ndarray, duration: float = 1.0) -> "EventStream":
         """Inverse of :meth:`to_dense`: bin centres become event times."""

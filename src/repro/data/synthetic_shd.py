@@ -162,11 +162,6 @@ class SyntheticSHD:
             self._make_prototype(c) for c in range(config.num_classes)
         ]
 
-    @property
-    def anchors(self) -> np.ndarray:
-        """The shared channel-anchor pool (fractions of the array)."""
-        return self._anchors.copy()
-
     # ------------------------------------------------------------------
     # Prototypes
     # ------------------------------------------------------------------
@@ -199,11 +194,6 @@ class SyntheticSHD:
                 )
             )
         return trajectories
-
-    def class_prototype(self, class_id: int) -> list[_Trajectory]:
-        """Expose the prototype (tests verify determinism/separation)."""
-        self._check_class(class_id)
-        return self._prototypes[class_id]
 
     def _check_class(self, class_id: int) -> None:
         if not 0 <= class_id < self.config.num_classes:

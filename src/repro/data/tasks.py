@@ -6,9 +6,7 @@ replaying latent activations of the old ones.  :func:`make_class_incremental`
 builds the four datasets every experiment needs:
 
 - ``pretrain_train`` / ``pretrain_test`` — the 19 old classes,
-- ``new_train`` / ``new_test`` — the held-out new class,
-
-plus the combined ``test_all`` used for overall Top-1 accuracy.
+- ``new_train`` / ``new_test`` — the held-out new class.
 """
 
 from __future__ import annotations
@@ -33,11 +31,6 @@ class ClassIncrementalSplit:
     new_test: SpikeDataset
     old_classes: tuple[int, ...]
     new_classes: tuple[int, ...]
-
-    @property
-    def test_all(self) -> SpikeDataset:
-        """Old + new test sets combined."""
-        return self.pretrain_test.concat(self.new_test)
 
     def describe(self) -> str:
         """One-line human summary of the old/new class split."""

@@ -20,7 +20,6 @@ from repro.eval.experiments import ExperimentContext
 from repro.eval.results import ExperimentResult, Series
 from repro.hw.energy import EnergyModel
 from repro.hw.latency import LatencyModel
-from repro.hw.memory import LatentMemoryModel
 from repro.hw.profiles import embedded_neuromorphic
 
 __all__ = [
@@ -421,7 +420,6 @@ def fig12(ctx: ExperimentContext) -> ExperimentResult:
     )
     exp = ctx.preset.experiment
     network = ctx.pretrained.network
-    memory_model = LatentMemoryModel()
     replay = ctx.split.pretrain_train.sample_fraction(
         exp.ncl.replay_fraction, seeding.default_rng(exp.seed)
     )
@@ -437,8 +435,8 @@ def fig12(ctx: ExperimentContext) -> ExperimentResult:
             network, replay, insertion_layer=lins,
             timesteps=exp.ncl.timesteps, compression_factor=1,
         )
-        sota_bytes.append(memory_model.buffer_bytes(sota_buffer))
-        ours_bytes.append(memory_model.buffer_bytes(ours_buffer))
+        sota_bytes.append(sota_buffer.storage_bytes())
+        ours_bytes.append(ours_buffer.storage_bytes())
 
     reference = sota_bytes[0]
     result.add_series(Series(
@@ -529,7 +527,6 @@ def headline(ctx: ExperimentContext) -> ExperimentResult:
     profile = embedded_neuromorphic()
     latency_model = LatencyModel(profile)
     energy_model = EnergyModel(profile)
-    memory_model = LatentMemoryModel()
 
     sota = _run_spikinglr(ctx, insertion)
     ours = _run_replay4ncl(ctx, insertion)
@@ -541,8 +538,8 @@ def headline(ctx: ExperimentContext) -> ExperimentResult:
     result.scalars["latency_speedup"] = latency_model.run_latency(
         sota, include_prepare=False
     ) / latency_model.run_latency(ours, include_prepare=False)
-    result.scalars["memory_saving"] = memory_model.saving(
-        sota.latent_storage_bytes, ours.latent_storage_bytes
+    result.scalars["memory_saving"] = (
+        1.0 - ours.latent_storage_bytes / sota.latent_storage_bytes
     )
     result.scalars["energy_saving"] = 1.0 - (
         energy_model.run_energy(ours, include_prepare=False)

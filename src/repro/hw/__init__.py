@@ -1,4 +1,4 @@
-"""Analytic hardware cost models: latency, energy, latent memory.
+"""Analytic hardware cost models: latency and energy.
 
 The paper reports processing time and energy measured on an RTX 4090 Ti
 while motivating *embedded neuromorphic* deployment.  Neither target is
@@ -18,22 +18,15 @@ Models
   :class:`OpCounts` (SOPs, MACs, neuron updates, weight-memory traffic).
 - :class:`LatencyModel` / :class:`EnergyModel` — per-epoch and per-run
   costs from :class:`~repro.core.strategies.EpochCost` ledgers.
-- :func:`latent_memory_bytes` — the storage model behind Fig. 12.
-- :func:`audit_store` — cross-check of that model against the actual
-  shard bytes of an on-disk :mod:`repro.replaystore` store.
 - :class:`CostReport` — normalized method-vs-method tables.
+
+Latent memory (Fig. 12) is not modelled here: it is counted by
+:func:`repro.replaystore.format.latent_bytes`, the one byte formula the
+replay buffers, stores and federation budget share.
 """
 
 from repro.hw.energy import EnergyModel
 from repro.hw.latency import LatencyModel
-from repro.hw.memory import (
-    latent_memory_bytes,
-    audit_federation,
-    audit_store,
-    FederationAudit,
-    LatentMemoryModel,
-    StoreAudit,
-)
 from repro.hw.ops_counter import OpCounts, OpsCounter
 from repro.hw.profiles import (
     HardwareProfile,
@@ -52,12 +45,6 @@ __all__ = [
     "OpsCounter",
     "LatencyModel",
     "EnergyModel",
-    "latent_memory_bytes",
-    "LatentMemoryModel",
-    "StoreAudit",
-    "audit_store",
-    "FederationAudit",
-    "audit_federation",
     "CostReport",
     "MethodCost",
     "build_cost_report",

@@ -136,11 +136,6 @@ class FileLock:
         self.path = Path(path)
         self._handle: IO | None = None
 
-    @property
-    def held(self) -> bool:
-        """Whether this instance currently holds the lock."""
-        return self._handle is not None
-
     def acquire(self, blocking: bool = True) -> bool:
         """Take the lock; returns False when non-blocking and contended.
 

@@ -370,12 +370,17 @@ def use_recorder(recorder: Recorder | NullRecorder):
 
 def span(name: str, category: str = "", **attrs) -> Span | NullSpan:
     """A span on the current recorder (no-op when tracing is disabled)."""
-    return current().span(name, category, **attrs)
+    recorder = current()
+    if not recorder.enabled:
+        return NULL_SPAN  # before re-packing ``attrs`` for the callee
+    return recorder.span(name, category, **attrs)
 
 
 def count(name: str, value: float = 1.0, **tags) -> None:
     """Increment a counter on the current recorder."""
-    current().count(name, value, **tags)
+    recorder = current()
+    if recorder.enabled:
+        recorder.count(name, value, **tags)
 
 
 def now() -> float:

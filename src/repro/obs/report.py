@@ -67,19 +67,6 @@ class TraceReport:
         """Number of spans in the report."""
         return len(self.spans)
 
-    def roots(self) -> tuple[SpanRecord, ...]:
-        """Spans with no parent in this report (per-thread tree roots)."""
-        ids = {s.span_id for s in self.spans}
-        return tuple(
-            s for s in self.spans if s.parent_id is None or s.parent_id not in ids
-        )
-
-    def children(self, span_id: int) -> tuple[SpanRecord, ...]:
-        """Direct children of the span ``span_id``, in start order."""
-        kids = [s for s in self.spans if s.parent_id == span_id]
-        kids.sort(key=lambda s: s.start)
-        return tuple(kids)
-
     def aggregate(self) -> tuple[SpanAggregate, ...]:
         """Per-name rollups, sorted by total duration (descending)."""
         rollup: dict[str, list] = {}

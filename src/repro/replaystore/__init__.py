@@ -1,12 +1,18 @@
 """Persistent, budgeted, streaming replay-memory engine.
 
 The paper's latent replay buffer, grown into a storage system: shards of
-codec-compressed binary rasters on disk (``format``/``store``), hard
-byte budgets with pluggable admission/eviction (``policies``/
-``builder``), shard-granular reads that decode each touched shard once
-per call (``stream``), and multi-store federation for long task
-sequences, whose global budget caps the archive between steps
-(``federation``).
+codec-compressed binary rasters on disk (``format``/``store``),
+shard-granular reads that decode each touched shard once per call
+(``stream``), and multi-store federation for long task sequences, whose
+global byte budget caps the archive between steps under a pluggable
+admission/eviction policy (``federation``/``policies``).
+
+Bytes are counted one way: :func:`~repro.replaystore.format.latent_bytes`
+(the paper's Fig. 12 model, one bit per stored cell plus 8 B per sample)
+is what a buffer's ``storage_bytes``, a store's or federation's
+``stats()`` and the federation budget all read.  Each store kind has one
+report: :meth:`ReplayStore.stats` and :meth:`FederatedReplayStore.stats`
+give modelled, codec-payload and on-disk bytes side by side.
 ``LatentReplayBuffer.to_store()`` and the run entry points with a
 store-backed spec — ``NCLMethod.run(...,
 replay=ReplaySpec(store_dir=...))`` and ``run_scenario`` likewise — are
@@ -20,7 +26,6 @@ either reads that snapshot's bytes or gets a
 another snapshot's bytes.  Readers take no locks and leave no files.
 """
 
-from repro.replaystore.builder import SAMPLE_HEADER_BYTES, StreamingStoreBuilder
 from repro.replaystore.federation import FederatedReplayStore, FederationStats
 from repro.replaystore.format import (
     CODEC_AER,
@@ -30,6 +35,7 @@ from repro.replaystore.format import (
     codec_payload_bytes,
     decode_shard,
     encode_shard,
+    latent_bytes,
     peek_header,
 )
 from repro.replaystore.policies import (
@@ -50,10 +56,10 @@ from repro.replaystore.stream import ReplayStream
 __all__ = [
     "CODEC_AER",
     "CODEC_BITPACK",
-    "SAMPLE_HEADER_BYTES",
     "ShardHeader",
     "choose_codec",
     "codec_payload_bytes",
+    "latent_bytes",
     "encode_shard",
     "decode_shard",
     "peek_header",
@@ -62,7 +68,6 @@ __all__ = [
     "ReservoirPolicy",
     "ClassBalancedPolicy",
     "get_policy",
-    "StreamingStoreBuilder",
     "ReplayStore",
     "ShardInfo",
     "StoreMeta",

@@ -27,10 +27,10 @@ root/step-000`` keeps working, and training replays a member through an
 ordinary :class:`~repro.replaystore.stream.ReplayStream` — the
 federation only adds the budget ledger on top.
 
-Byte accounting uses the same per-sample model as the
-:class:`~repro.replaystore.builder.StreamingStoreBuilder` (bit-packed
-payload + :data:`~repro.replaystore.builder.SAMPLE_HEADER_BYTES`), so a
-federation budget and a builder budget mean the same thing.
+The ledger is the Fig. 12 storage model,
+:func:`~repro.replaystore.format.latent_bytes` over every stored sample
+(one bit per cell, bit-packed across the whole archive, plus a fixed
+header per sample), the same count buffers and store reports give.
 """
 
 from __future__ import annotations
@@ -44,12 +44,17 @@ from typing import Iterator
 import numpy as np
 
 from repro import obs
-from repro.compression.bitpack import BitpackCodec
 from repro.errors import StoreError
 from repro.ioutil import atomic_write_json, locked
-from repro.replaystore.builder import SAMPLE_HEADER_BYTES
+from repro.replaystore.format import latent_bytes
 from repro.replaystore.policies import get_policy
-from repro.replaystore.store import INDEX_NAME, ReplayStore, read_index
+from repro.replaystore.store import (
+    INDEX_NAME,
+    ByteReport,
+    ReplayStore,
+    StoreStats,
+    read_index,
+)
 from repro.seeding import spawn
 
 __all__ = [
@@ -84,16 +89,26 @@ def _names(value) -> list[str]:
 
 
 @dataclass(frozen=True)
-class FederationStats:
-    """Aggregate view of a federation (the ``repro store federate`` payload)."""
+class FederationStats(ByteReport):
+    """The one report on a federation (the ``repro store federate`` payload).
+
+    ``modelled_bytes`` is the budget ledger
+    (:meth:`FederatedReplayStore.model_bytes`): the Fig. 12 model over
+    all samples at once, so the members' own ``modelled_bytes`` can sum
+    to a few bytes more (each member pads its own last byte).
+    ``members`` holds every member's
+    :class:`~repro.replaystore.store.StoreStats` in arrival order, empty
+    (fully evicted) members included.
+    """
 
     num_members: int
     num_samples: int
-    sample_bytes: int
-    model_bytes: int
+    modelled_bytes: int
+    payload_bytes: int
+    disk_bytes: int
     budget_bytes: int | None
     policy: str
-    member_samples: dict[str, int]
+    members: dict[str, StoreStats]
     class_counts: dict[int, int]
 
     @property
@@ -101,7 +116,7 @@ class FederationStats:
         """Modelled bytes over budget (None when unbudgeted)."""
         if self.budget_bytes is None:
             return None
-        return self.model_bytes / self.budget_bytes
+        return self.modelled_bytes / self.budget_bytes
 
 
 class FederatedReplayStore:
@@ -131,8 +146,8 @@ class FederatedReplayStore:
         #: stale dir is never silently re-registered as fresh latents.
         self.pending_removal = list(pending_removal or [])
         #: Latent geometry shared by every member (persisted at first
-        #: adopt); lets :meth:`adopt` validate and :attr:`sample_bytes`
-        #: model without opening a reference member.
+        #: adopt); lets :meth:`adopt` validate and :meth:`model_bytes`
+        #: model without opening a member.
         self.geometry = dict(geometry) if geometry else None
         self._members: dict[str, ReplayStore] = {}
 
@@ -205,18 +220,24 @@ class FederatedReplayStore:
         """Load an existing federation from its index.
 
         The one parser of ``federation.json``.  Fields this version no
-        longer uses (e.g. ``member_samples``) are ignored.
+        longer uses (e.g. ``member_samples``) are ignored; an index that
+        lists members without their shared ``geometry`` is damaged.
         """
         root = Path(root)
 
         def parse(payload: dict) -> "FederatedReplayStore":
             budget = payload["budget_bytes"]
             geometry = payload.get("geometry")
+            members = _names(payload["members"])
             if not isinstance(payload["policy"], str):
                 raise StoreError(f"policy must be a string, got {payload['policy']!r}")
+            if members and geometry is None:
+                raise StoreError(
+                    f"federation index lists members {members} but no geometry"
+                )
             return cls(
                 root,
-                _names(payload["members"]),
+                members,
                 None if budget is None else operator.index(budget),
                 payload["policy"],
                 operator.index(payload["seed"]),
@@ -338,9 +359,6 @@ class FederatedReplayStore:
             store = ReplayStore.open(path)
             geometry = self._geometry_of(store)
             reference = self.geometry
-            if reference is None and self.member_names:
-                # Pre-ledger federation index: fall back to a member open.
-                reference = self._geometry_of(self.member(self.member_names[0]))
             if reference is not None and geometry != reference:
                 # Insertion layer and generation timesteps are part of
                 # the geometry: stores from different insertion points
@@ -391,56 +409,36 @@ class FederatedReplayStore:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(parts)
 
-    @property
-    def sample_bytes(self) -> int:
-        """Modelled bytes per stored sample (builder's budget model)."""
-        if not self.member_names:
+    def bytes_for(self, samples: int) -> int:
+        """``latent_bytes`` of ``samples`` samples at the members' geometry."""
+        if self.geometry is None:
             raise StoreError("an empty federation has no sample geometry")
-        geometry = self.geometry
-        if geometry is None:  # pre-ledger index: open the first member
-            geometry = self._geometry_of(self.member(self.member_names[0]))
-        packed = BitpackCodec().packed_bytes(
-            (geometry["stored_frames"], geometry["num_channels"])
+        return latent_bytes(
+            self.geometry["stored_frames"], samples, self.geometry["num_channels"]
         )
-        return packed + SAMPLE_HEADER_BYTES
 
     def model_bytes(self) -> int:
-        """Modelled federation footprint: ``num_samples * sample_bytes``."""
-        if not self.member_names:
-            return 0
-        return self.num_samples * self.sample_bytes
-
-    def payload_bytes(self) -> int:
-        """Actual codec payload bytes across all members."""
-        return sum(store.payload_bytes() for _, store in self.members())
-
-    def disk_bytes(self) -> int:
-        """On-disk total: member stores plus the federation index."""
-        total = (self.root / FEDERATION_INDEX_NAME).stat().st_size
-        for _, store in self.members():
-            total += store.disk_bytes()
-        return total
-
-    def class_counts(self) -> dict[int, int]:
-        """Per-class sample counts aggregated over all members."""
-        counts: dict[int, int] = {}
-        for label in self.labels:
-            counts[int(label)] = counts.get(int(label), 0) + 1
-        return dict(sorted(counts.items()))
+        """The budget ledger: modelled bytes of every stored sample."""
+        return 0 if self.geometry is None else self.bytes_for(self.num_samples)
 
     def stats(self) -> FederationStats:
-        """Aggregate :class:`FederationStats` for reporting."""
+        """The federation's :class:`FederationStats` report."""
+        members = {name: store.stats() for name, store in self.members()}
+        class_counts: dict[int, int] = {}
+        for row in members.values():
+            for label, count in row.class_counts.items():
+                class_counts[label] = class_counts.get(label, 0) + count
         return FederationStats(
             num_members=self.num_members,
-            num_samples=self.num_samples,
-            sample_bytes=self.sample_bytes if self.member_names else 0,
-            model_bytes=self.model_bytes(),
+            num_samples=sum(row.num_samples for row in members.values()),
+            modelled_bytes=self.model_bytes(),
+            payload_bytes=sum(row.payload_bytes for row in members.values()),
+            disk_bytes=(self.root / FEDERATION_INDEX_NAME).stat().st_size
+            + sum(row.disk_bytes for row in members.values()),
             budget_bytes=self.budget_bytes,
             policy=self.policy,
-            member_samples={
-                name: store.num_samples for name, store in self.members()
-            },
-            class_counts=self.class_counts(),
+            members=members,
+            class_counts=dict(sorted(class_counts.items())),
         )
 
     # ------------------------------------------------------------------
@@ -485,11 +483,14 @@ class FederatedReplayStore:
         rebalance serializes against direct appends to individual
         members without holding every member lock at once.
         """
-        capacity = self.budget_bytes // self.sample_bytes
+        # Eight samples fill whole bytes, so bytes_for(8) is exactly 8x
+        # the marginal sample cost: the capacity is the largest n with
+        # bytes_for(n) <= budget.
+        capacity = 8 * self.budget_bytes // self.bytes_for(8)
         if capacity < 1:
             raise StoreError(
                 f"budget of {self.budget_bytes} B holds no sample "
-                f"({self.sample_bytes} B each)"
+                f"({self.bytes_for(1)} B for one)"
             )
         policy = get_policy(self.policy)
         policy.reset()

@@ -23,6 +23,11 @@ The codec is chosen **per shard** by density: sparse shards store
 1-bit/cell bitmap — whichever is smaller for the actual spike count.
 Both are lossless, so a decode always reproduces the float32 raster
 bit-for-bit (the store-backed training path depends on this).
+
+The latent-memory ledger (paper Fig. 12) is defined here too, once:
+:func:`latent_bytes` charges one bit per stored cell plus a fixed
+header per sample.  Buffers, store and federation reports and the
+federation's byte budget all read it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "ShardHeader",
     "choose_codec",
     "codec_payload_bytes",
+    "latent_bytes",
     "encode_shard",
     "decode_shard",
     "peek_header",
@@ -94,6 +100,21 @@ def codec_payload_bytes(raster: np.ndarray) -> dict[str, int]:
     bitmap = _BITPACK.packed_bytes(raster.shape)
     events = _AER.compressed_bytes(int(raster.sum()))
     return {CODEC_BITPACK: bitmap, CODEC_AER: events}
+
+
+#: Per-sample metadata charge (label + shape bookkeeping) of the Fig. 12
+#: storage model.
+SAMPLE_HEADER_BYTES = 8
+
+
+def latent_bytes(frames: int, samples: int, channels: int) -> int:
+    """Modelled bytes of ``samples`` latent rasters of ``frames x channels``.
+
+    The Fig. 12 storage model: the whole ``[frames, samples, channels]``
+    raster bit-packed, ``ceil(frames*samples*channels / 8)`` bytes, plus
+    an 8-byte header per sample.
+    """
+    return (frames * samples * channels + 7) // 8 + SAMPLE_HEADER_BYTES * samples
 
 
 def choose_codec(raster: np.ndarray) -> str:

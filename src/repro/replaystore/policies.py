@@ -36,7 +36,7 @@ class EvictionPolicy:
     name = "base"
 
     def reset(self) -> None:
-        """Clear streaming state (a builder calls this once at start)."""
+        """Clear streaming state (a rebalance calls this once at start)."""
 
     def admit(
         self,

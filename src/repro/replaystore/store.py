@@ -44,7 +44,7 @@ import numpy as np
 from repro import obs
 from repro.errors import StoreError
 from repro.ioutil import atomic_write_json, locked
-from repro.replaystore.format import decode_shard, encode_shard, peek_header
+from repro.replaystore.format import decode_shard, encode_shard, latent_bytes, peek_header
 
 __all__ = [
     "StoreMeta",
@@ -139,15 +139,39 @@ class ShardInfo:
     labels: list[int] = field(default_factory=list)
 
 
+class ByteReport:
+    """Model-vs-disk byte accounting shared by the store and federation reports.
+
+    Subclasses carry ``modelled_bytes`` (the Fig. 12 ledger,
+    :func:`~repro.replaystore.format.latent_bytes`), ``payload_bytes``
+    (what the per-shard codecs encoded; the denser codec is chosen per
+    shard, so it undercuts the bitmap model up to padding) and
+    ``disk_bytes`` (shard files and indexes on disk).
+    """
+
+    @property
+    def payload_saving(self) -> float:
+        """Fractional saving of the codec payload vs the modelled bytes."""
+        if not self.modelled_bytes:
+            return 0.0
+        return 1.0 - self.payload_bytes / self.modelled_bytes
+
+    @property
+    def format_overhead_bytes(self) -> int:
+        """Index + shard-header bytes on top of the raw codec payload."""
+        return self.disk_bytes - self.payload_bytes
+
+
 @dataclass(frozen=True)
-class StoreStats:
-    """Aggregate view of a store (the ``repro store stats`` payload)."""
+class StoreStats(ByteReport):
+    """The one report on a store (the ``repro store stats`` payload)."""
 
     num_shards: int
     num_samples: int
     stored_frames: int
     num_channels: int
     codec_shards: dict[str, int]
+    modelled_bytes: int
     payload_bytes: int
     disk_bytes: int
     class_counts: dict[int, int]
@@ -371,6 +395,9 @@ class ReplayStore:
             stored_frames=self.meta.stored_frames,
             num_channels=self.meta.num_channels,
             codec_shards=codec_shards,
+            modelled_bytes=latent_bytes(
+                self.meta.stored_frames, self.num_samples, self.meta.num_channels
+            ),
             payload_bytes=self.payload_bytes(),
             disk_bytes=self.disk_bytes(),
             class_counts=dict(sorted(class_counts.items())),

@@ -126,14 +126,6 @@ class ScenarioResult:
 
     # -- per-step views -------------------------------------------------
     @property
-    def final_network(self) -> SpikingNetwork:
-        """Network state after the last step (raises when not retained)."""
-        network = self.steps[-1].network
-        if network is None:
-            raise DataError("final step carries no network")
-        return network
-
-    @property
     def old_accuracy_trajectory(self) -> tuple[float, ...]:
         """Old-task accuracy after each step (forgetting accumulation)."""
         return tuple(step.final_old_accuracy for step in self.steps)

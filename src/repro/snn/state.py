@@ -53,10 +53,6 @@ class SpikeTrace:
         self.entries.append(entry)
 
     @property
-    def total_spikes(self) -> float:
-        """All spikes emitted by hidden layers during the pass."""
-        return sum(e.output_spike_count for e in self.entries)
-
     @property
     def timesteps(self) -> int:
         """Temporal extent of the traced pass (0 when empty)."""
@@ -67,8 +63,3 @@ class SpikeTrace:
         """Batch extent of the traced pass (0 when empty)."""
         return self.entries[0].batch if self.entries else 0
 
-    def merge(self, other: "SpikeTrace") -> "SpikeTrace":
-        """Concatenate two traces (e.g. frozen-part + learning-part passes)."""
-        merged = SpikeTrace()
-        merged.entries = list(self.entries) + list(other.entries)
-        return merged

@@ -88,11 +88,6 @@ class TrainingHistory:
             raise IndexError("history is empty")
         return self.records[-1]
 
-    def best_old_task_accuracy(self) -> float:
-        """Highest old-task accuracy seen (0.0 when never measured)."""
-        curve = self.old_task_curve
-        return max(curve) if curve else 0.0
-
     def epochs_to_reach(self, accuracy: float, task: str = "old") -> int | None:
         """First epoch whose old/new-task accuracy meets ``accuracy``.
 

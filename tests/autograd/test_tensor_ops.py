@@ -201,11 +201,6 @@ class TestBackwardSemantics:
         x.zero_grad()
         assert x.grad is None
 
-    def test_detach_cuts_graph(self):
-        x = tensor([1.0], requires_grad=True)
-        y = (x * 2.0).detach()
-        assert not y.requires_grad
-
     def test_untracked_operands_build_no_tape(self):
         y = tensor([1.0]) * tensor([2.0]) + 1.0
         assert not y.requires_grad

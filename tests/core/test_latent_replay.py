@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.latent_replay import (
-    HEADER_BYTES_PER_SAMPLE,
-    LatentReplayBuffer,
-    frozen_front_trace,
-)
+from repro.core.latent_replay import LatentReplayBuffer, frozen_front_trace
 from repro.compression import TemporalSubsampleCodec
 from repro.errors import CodecError, ConfigError
 from repro.replaystore import ReplayStream
@@ -194,7 +190,7 @@ class TestStorage:
     def test_storage_bytes_formula(self, buffer_and_inputs):
         buffer, _ = buffer_and_inputs
         cells = buffer.stored_frames * buffer.num_samples * buffer.num_channels
-        expected = (cells + 7) // 8 + HEADER_BYTES_PER_SAMPLE * buffer.num_samples
+        expected = (cells + 7) // 8 + 8 * buffer.num_samples
         assert buffer.storage_bytes() == expected
 
     def test_reduced_timestep_saves_memory(self, ci_pretrained, ci_split):

@@ -17,7 +17,6 @@ from repro import obs
 from repro.core import Replay4NCL, ReplaySpec, SpikingLR
 from repro.core.raw_replay import RawInputReplay
 from repro.core.latent_replay import LatentReplayBuffer, frozen_front_trace
-from repro.hw.memory import audit_store
 from repro.replaystore import ReplayStore, ReplayStream
 from repro.seeding import spawn
 from repro.training.trainer import Trainer
@@ -155,15 +154,15 @@ class TestStoreArtifacts:
 
     def test_memory_model_crosschecks_disk(self, store_run):
         result, store = store_run
-        audit = audit_store(store)
+        stats = store.stats()
         # Per-shard codec choice can only undercut the bitmap model;
         # per-shard bit padding costs at most one byte per shard.
-        assert audit.payload_bytes <= (
-            result.latent_storage_bytes + audit.num_shards
+        assert stats.payload_bytes <= (
+            result.latent_storage_bytes + stats.num_shards
         )
-        assert audit.payload_saving >= 0.0
-        assert audit.disk_bytes > audit.payload_bytes
-        assert audit.modelled_bytes == result.latent_storage_bytes
+        assert stats.payload_saving >= 0.0
+        assert stats.disk_bytes > stats.payload_bytes
+        assert stats.modelled_bytes == result.latent_storage_bytes
 
     def test_store_holds_the_dense_buffer(
         self, store_run, ci_pretrained, ci_split, ci_preset

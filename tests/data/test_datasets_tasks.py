@@ -96,11 +96,6 @@ class TestClassIncremental:
         assert len(split.new_train) == 4
         assert len(split.new_test) == 2
 
-    def test_test_all_combines(self, generator):
-        split = make_class_incremental(generator, 4, 2)
-        assert len(split.test_all) == 8
-        assert split.test_all.present_classes == [0, 1, 2, 3]
-
     def test_custom_pretrain_count(self, generator):
         split = make_class_incremental(generator, 2, 1, num_pretrain_classes=2)
         assert split.old_classes == (0, 1)

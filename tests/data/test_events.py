@@ -103,12 +103,3 @@ class TestRoundTrip:
         with pytest.raises(DataError):
             EventStream.from_dense(np.zeros(5))
 
-    def test_time_scaled(self):
-        s = make_stream([0.2, 0.4], [0, 1])
-        scaled = s.time_scaled(2.0)
-        np.testing.assert_allclose(scaled.times, [0.4, 0.8])
-        assert scaled.duration == 2.0
-
-    def test_time_scaled_rejects_nonpositive(self):
-        with pytest.raises(DataError):
-            make_stream([0.1], [0]).time_scaled(0.0)

@@ -57,16 +57,6 @@ class TestDeterminism:
         b = other.generate(0, 0)
         assert not np.array_equal(a.times, b.times)
 
-    def test_prototypes_deterministic(self, generator):
-        other = SyntheticSHD(generator.config, seed=7)
-        assert generator.class_prototype(2) == other.class_prototype(2)
-
-    def test_anchors_shared_across_classes(self, generator):
-        anchors = set(np.round(generator.anchors, 6))
-        for c in range(generator.config.num_classes):
-            for traj in generator.class_prototype(c):
-                assert round(traj.start_channel, 6) in anchors
-                assert round(traj.end_channel, 6) in anchors
 
 
 class TestStatistics:

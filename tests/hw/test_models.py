@@ -1,4 +1,4 @@
-"""Tests for the latency, energy, and memory models."""
+"""Tests for the latency and energy models."""
 
 import pytest
 
@@ -7,11 +7,9 @@ from repro.errors import ConfigError
 from repro.hw import (
     EnergyModel,
     LatencyModel,
-    LatentMemoryModel,
     OpCounts,
     edge_gpu_like,
     embedded_neuromorphic,
-    latent_memory_bytes,
     loihi_like,
 )
 from repro.hw.profiles import HardwareProfile
@@ -140,30 +138,3 @@ class TestEnergyModel:
         quiet = EpochCost(train_traces=[make_trace(40, spikes_per_step=1.0)], timesteps=40)
         busy = EpochCost(train_traces=[make_trace(40, spikes_per_step=50.0)], timesteps=40)
         assert model.epoch_energy(busy) > model.epoch_energy(quiet)
-
-
-class TestMemoryModel:
-    def test_paper_headline_geometry(self):
-        # SpikingLR: 50 stored frames; Replay4NCL: 40 -> ~20% saving.
-        sota = latent_memory_bytes(50, 64, 32, header_bytes=0)
-        ours = latent_memory_bytes(40, 64, 32, header_bytes=0)
-        assert 1.0 - ours / sota == pytest.approx(0.20, abs=0.01)
-
-    def test_headers_increase_saving_slightly(self):
-        model = LatentMemoryModel(header_bytes=8)
-        sota = model.geometry_bytes(50, 64, 32)
-        ours = model.geometry_bytes(40, 64, 32)
-        saving = model.saving(sota, ours)
-        assert 0.19 < saving < 0.22
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            latent_memory_bytes(0, 1, 1)
-        with pytest.raises(ConfigError):
-            latent_memory_bytes(1, 1, 1, header_bytes=-1)
-        with pytest.raises(ConfigError):
-            LatentMemoryModel().saving(0, 10)
-
-    def test_bitpacked_payload(self):
-        # 16 frames x 1 sample x 8 channels = 128 bits = 16 bytes (+header)
-        assert latent_memory_bytes(16, 1, 8, header_bytes=0) == 16

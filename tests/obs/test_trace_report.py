@@ -40,16 +40,6 @@ class TestCapture:
 
 
 class TestTreeNavigation:
-    def test_roots_and_children(self, recorder):
-        report = TraceReport.capture(recorder)
-        (root,) = report.roots()
-        assert root.name == "scenario.run"
-        epochs = report.children(root.span_id)
-        assert [s.name for s in epochs] == ["train.epoch", "train.epoch"]
-        assert [s.attrs["epoch"] for s in epochs] == [0, 1]  # start order
-        (kernel,) = report.children(epochs[0].span_id)
-        assert kernel.name == "kernel.lif_forward"
-
     def test_orphans_promote_to_roots(self, recorder):
         # A mark-bounded capture can exclude a span's parent; the child
         # must then surface as a root, not vanish.
@@ -58,7 +48,8 @@ class TestTreeNavigation:
             spans=tuple(s for s in report.spans if s.name != "scenario.run"),
             metrics=(),
         )
-        assert {s.name for s in no_root.roots()} == {"train.epoch"}
+        roots = [line for line in no_root.tree().splitlines() if not line.startswith(" ")]
+        assert [line.split()[0] for line in roots] == ["train.epoch", "train.epoch"]
 
 
 class TestAggregates:

@@ -524,7 +524,7 @@ class TestStreamUnderRebalance:
             (ReplayStream(store), dense_of(store)) for _name, store in fed.members()
         ]
         writer = FederatedReplayStore.open(tmp_path / "fed")
-        writer.configure(budget_bytes=(writer.num_samples // 2) * writer.sample_bytes)
+        writer.configure(budget_bytes=writer.bytes_for(writer.num_samples // 2))
         evicted = []
         rebalancer = threading.Thread(target=lambda: evicted.append(writer.rebalance()))
         rebalancer.start()
@@ -550,9 +550,7 @@ class TestStreamUnderRebalance:
     def test_fresh_stream_after_rebalance_is_bitwise(self, tmp_path):
         make_federation(tmp_path / "fed", members=3, samples=8)
         writer = FederatedReplayStore.open(tmp_path / "fed")
-        writer.configure(
-            budget_bytes=(writer.num_samples // 2) * writer.sample_bytes
-        )
+        writer.configure(budget_bytes=writer.bytes_for(writer.num_samples // 2))
         writer.rebalance()
 
         fresh = FederatedReplayStore.open(tmp_path / "fed")

@@ -1,11 +1,10 @@
-"""Tests for FederatedReplayStore: lifecycle, budgets, balance, audits."""
+"""Tests for FederatedReplayStore: lifecycle, budgets, balance, stats."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StoreError
-from repro.hw.memory import audit_federation
-from repro.replaystore import FederatedReplayStore, ReplayStore
+from repro.replaystore import FederatedReplayStore, ReplayStore, latent_bytes
 
 FRAMES, CHANNELS = 8, 12
 
@@ -141,7 +140,7 @@ class TestGlobalBudget:
             )
             fed.adopt(f"task-{step}")
             if budget is None:  # budget admits 10 samples total
-                budget = 10 * fed.sample_bytes
+                budget = fed.bytes_for(10)
                 fed.configure(budget_bytes=budget)
             fed.rebalance()
             assert fed.model_bytes() <= budget
@@ -160,7 +159,7 @@ class TestGlobalBudget:
             make_member(fed.root / "b", [1] * 8, seed=2)
             fed.adopt("a")
             fed.adopt("b")
-            fed.configure(budget_bytes=12 * fed.sample_bytes)
+            fed.configure(budget_bytes=fed.bytes_for(12))
             fed.rebalance()
             kept.append(fed.labels.tolist())
         assert kept[0] == kept[1]
@@ -169,7 +168,7 @@ class TestGlobalBudget:
         fed = FederatedReplayStore.create(tmp_path / "fed", seed=0)
         make_member(fed.root / "a", [0] * 20, seed=1)
         fed.adopt("a")
-        fed.configure(budget_bytes=4 * fed.sample_bytes)
+        fed.configure(budget_bytes=fed.bytes_for(4))
         fed.rebalance()
         assert FederatedReplayStore.open(fed.root).rebalances == 1
 
@@ -179,11 +178,11 @@ class TestGlobalBudget:
         fed = FederatedReplayStore.create(tmp_path / "fed", seed=7)
         make_member(fed.root / "old", [0] * 16, seed=1)
         fed.adopt("old")
-        fed.configure(budget_bytes=16 * fed.sample_bytes)
+        fed.configure(budget_bytes=fed.bytes_for(16))
         make_member(fed.root / "new", [1] * 16, seed=2)
         fed.adopt("new")
         fed.rebalance()
-        samples = fed.stats().member_samples
+        samples = {name: row.num_samples for name, row in fed.stats().members.items()}
         assert samples["old"] < 16
         assert samples["new"] > 0
         assert fed.num_samples == 16
@@ -200,9 +199,9 @@ class TestClassBalance:
         fed.adopt("t1")
         make_member(fed.root / "t2", [2] * 6, seed=3)
         fed.adopt("t2")
-        fed.configure(budget_bytes=12 * fed.sample_bytes)
+        fed.configure(budget_bytes=fed.bytes_for(12))
         fed.rebalance()
-        counts = fed.class_counts()
+        counts = fed.stats().class_counts
         assert set(counts) == {0, 1, 2}  # no class extinct
         assert max(counts.values()) - min(counts.values()) <= 2
         assert fed.num_samples == 12
@@ -213,40 +212,61 @@ class TestClassBalance:
         )
         make_member(fed.root / "rare", [5] * 2, seed=1)
         fed.adopt("rare")
-        fed.configure(budget_bytes=8 * fed.sample_bytes)
+        fed.configure(budget_bytes=fed.bytes_for(8))
         for step in range(3):
             make_member(fed.root / f"flood-{step}", [0] * 20, seed=2 + step)
             fed.adopt(f"flood-{step}")
             fed.rebalance()
-            assert 5 in fed.class_counts()
+            assert 5 in fed.stats().class_counts
 
 
-class TestAudit:
-    def test_audit_aggregates_members(self, federation):
-        audit = audit_federation(federation)
-        assert audit.num_members == 2
-        assert audit.num_samples == 18
-        assert set(audit.member_audits) == {"task-0", "task-1"}
-        assert audit.modelled_bytes == sum(
-            a.modelled_bytes for a in audit.member_audits.values()
-        )
-        assert audit.payload_bytes <= audit.modelled_bytes + audit.num_members * 3
-        assert audit.disk_bytes > audit.payload_bytes
-        assert audit.budget_utilization is None
-        assert audit.within_budget
+class TestStats:
+    def test_stats_aggregate_members(self, federation):
+        stats = federation.stats()
+        assert stats.num_members == 2
+        assert stats.num_samples == 18
+        assert list(stats.members) == ["task-0", "task-1"]
+        assert stats.modelled_bytes == federation.bytes_for(18)
+        assert stats.payload_bytes == sum(r.payload_bytes for r in stats.members.values())
+        assert stats.payload_bytes <= stats.modelled_bytes + stats.num_members * 3
+        assert stats.disk_bytes > stats.payload_bytes
+        assert stats.format_overhead_bytes == stats.disk_bytes - stats.payload_bytes
+        assert stats.class_counts == {0: 6, 1: 6, 2: 6}
+        assert stats.budget_utilization is None
 
-    def test_audit_tracks_budget(self, tmp_path):
+    def test_stats_track_budget(self, tmp_path):
         fed = FederatedReplayStore.create(tmp_path / "fed", seed=1)
         make_member(fed.root / "a", [0] * 10, seed=1)
         fed.adopt("a")
-        fed.configure(budget_bytes=20 * fed.sample_bytes)
-        audit = audit_federation(fed)
-        assert audit.within_budget
-        assert audit.budget_utilization == pytest.approx(0.5)
+        fed.configure(budget_bytes=fed.bytes_for(20))
+        assert fed.stats().budget_utilization == pytest.approx(0.5)
 
-    def test_empty_federation_rejected(self, tmp_path):
-        from repro.errors import ConfigError
-
+    def test_empty_federation_reports_zero(self, tmp_path):
         fed = FederatedReplayStore.create(tmp_path / "fed")
-        with pytest.raises(ConfigError, match="no members"):
-            audit_federation(fed)
+        stats = fed.stats()
+        assert (stats.num_members, stats.num_samples, stats.modelled_bytes) == (0, 0, 0)
+        assert stats.payload_saving == 0.0
+        with pytest.raises(StoreError, match="no sample geometry"):
+            fed.bytes_for(1)
+
+
+class TestOneLedger:
+    """Budget, capacity and report all read ``latent_bytes``.
+
+    At 15 frames x 12 channels a sample is 180 bits, not a whole number
+    of bytes: a per-sample ledger (23 B + 8 B each) would keep 64 samples
+    under 2,000 B and report 1,984 B beside a 1,952 B bitmap model.
+    """
+
+    def test_odd_bit_geometry_fills_the_budget(self, tmp_path):
+        fed = FederatedReplayStore.create(tmp_path / "fed", budget_bytes=2000)
+        make_member(fed.root / "a", [0, 1] * 50, seed=1, frames=15)
+        fed.adopt("a")
+        fed.rebalance()
+        stats = fed.stats()
+        assert stats.num_samples == 65
+        assert stats.modelled_bytes == latent_bytes(15, 65, CHANNELS) == 1983
+        assert stats.modelled_bytes <= 2000 < latent_bytes(15, 66, CHANNELS)
+        assert stats.budget_utilization == pytest.approx(1983 / 2000)
+        # The member row models the same samples with the same formula.
+        assert stats.members["a"].modelled_bytes == 1983

@@ -1,4 +1,5 @@
-"""Tests for the binary shard format (encode/decode/codec choice)."""
+"""Tests for the binary shard format (encode/decode/codec choice) and the
+latent-memory byte formula."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.replaystore import (
     codec_payload_bytes,
     decode_shard,
     encode_shard,
+    latent_bytes,
     peek_header,
 )
 from repro.replaystore.format import SHARD_MAGIC, payload_offset
@@ -122,3 +124,21 @@ class TestValidation:
     def test_rejects_short_header(self):
         with pytest.raises(StoreError):
             peek_header(b"RS")
+
+
+class TestLatentBytes:
+    def test_paper_headline_geometry(self):
+        # SpikingLR: 50 stored frames; Replay4NCL: 40 -> ~20% saving,
+        # slightly less once the per-sample headers are charged.
+        saving = 1.0 - latent_bytes(40, 64, 32) / latent_bytes(50, 64, 32)
+        assert 0.19 < saving < 0.20
+
+    def test_bitpacked_payload_plus_header(self):
+        # 16 frames x 1 sample x 8 channels = 128 bits = 16 bytes.
+        assert latent_bytes(16, 1, 8) == 16 + 8
+        assert latent_bytes(40, 36, 32) == 6048  # 168 B per sample
+
+    def test_packs_the_whole_raster(self):
+        # 15 x 12 = 180 bits per sample: the raster pads once, not per sample.
+        assert latent_bytes(15, 65, 12) == (15 * 65 * 12 + 7) // 8 + 8 * 65 == 1983
+        assert latent_bytes(15, 0, 12) == 0

@@ -122,6 +122,10 @@ CASES = [
     pytest.param("federation", field("members", "task-0"), id="federation-members-str"),
     pytest.param("federation", field("members", [0]), id="federation-members-int-entry"),
     pytest.param("federation", field("pending_removal", "x"), id="federation-pending-str"),
+    # Members listed without the geometry they share: no member is
+    # opened to recover it.
+    pytest.param("federation", without("geometry"), id="federation-geometry-missing"),
+    pytest.param("federation", field("geometry", None), id="federation-geometry-null"),
     pytest.param(
         "federation",
         nested_without("geometry", "num_channels"),
@@ -197,6 +201,6 @@ def test_legacy_federation_index_with_member_samples_opens(federation):
 
     fed = FederatedReplayStore.open(federation.root)
     assert fed.member_names == ["task-0"]
-    assert fed.stats().member_samples == {"task-0": 5}
+    assert fed.stats().num_samples == 5
     fed.configure(seed=4)
     assert "member_samples" not in json.loads(path.read_text())

@@ -1,11 +1,9 @@
-"""Tests for the latent-memory model vs. on-disk store cross-check."""
+"""Tests for the store report: the Fig. 12 model beside the shard bytes."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
-from repro.hw.memory import LatentMemoryModel, audit_store, latent_memory_bytes
-from repro.replaystore import ReplayStore
+from repro.replaystore import ReplayStore, latent_bytes
 
 
 @pytest.fixture
@@ -23,26 +21,26 @@ def store(tmp_path):
     return store
 
 
-class TestAuditStore:
+class TestStoreStats:
     def test_model_matches_geometry(self, store):
-        audit = audit_store(store)
-        assert audit.modelled_bytes == latent_memory_bytes(24, 19, 16)
-        assert audit.num_samples == 19
-        assert audit.num_shards == 4
+        stats = store.stats()
+        assert stats.modelled_bytes == latent_bytes(24, 19, 16)
+        assert stats.num_samples == 19
+        assert stats.num_shards == 4
 
     def test_payload_never_beats_model_by_less_than_padding(self, store):
         # Per-shard codecs pick the smaller encoding, so the payload can
         # only undercut the bitmap model (modulo 1 B/shard bit padding
         # and the headers the model charges but the payload omits).
-        audit = audit_store(store)
-        assert audit.payload_bytes <= audit.modelled_bytes + audit.num_shards
-        assert audit.payload_saving >= 0.0
+        stats = store.stats()
+        assert stats.payload_bytes <= stats.modelled_bytes + stats.num_shards
+        assert stats.payload_saving >= 0.0
 
     def test_disk_includes_format_overhead(self, store):
-        audit = audit_store(store)
-        assert audit.disk_bytes == store.disk_bytes()
-        assert audit.format_overhead_bytes > 0
-        assert audit.disk_bytes == audit.payload_bytes + audit.format_overhead_bytes
+        stats = store.stats()
+        assert stats.disk_bytes == store.disk_bytes()
+        assert stats.format_overhead_bytes > 0
+        assert stats.disk_bytes == stats.payload_bytes + stats.format_overhead_bytes
 
     def test_sparse_store_shows_saving(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -54,22 +52,16 @@ class TestAuditStore:
             generated_timesteps=24,
         )
         store.append(raster, np.zeros(10))
-        audit = audit_store(store)
         # AER shards on near-empty rasters beat the bitmap model.
-        assert audit.payload_saving > 0.5
+        assert store.stats().payload_saving > 0.5
 
-    def test_model_method(self, store):
-        assert (
-            LatentMemoryModel().audit_store(store).modelled_bytes
-            == audit_store(store).modelled_bytes
-        )
-
-    def test_empty_store_rejected(self, tmp_path):
+    def test_empty_store_reports_zero(self, tmp_path):
         empty = ReplayStore.create(
             tmp_path / "empty",
             stored_frames=4,
             num_channels=4,
             generated_timesteps=4,
         )
-        with pytest.raises(ConfigError, match="no samples"):
-            audit_store(empty)
+        stats = empty.stats()
+        assert (stats.num_samples, stats.modelled_bytes, stats.payload_bytes) == (0, 0, 0)
+        assert stats.payload_saving == 0.0

@@ -284,7 +284,6 @@ class TestPerStepViews:
     def test_per_step_views(self, name, tiny_runs):
         result = tiny_runs(name)
         assert result.store_root is None
-        assert result.final_network is result.steps[-1].network
         assert result.old_accuracy_trajectory == tuple(
             step.final_old_accuracy for step in result.steps
         )

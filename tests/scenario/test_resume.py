@@ -116,8 +116,8 @@ def assert_results_identical(resumed, reference):
         assert a.final_new_accuracy == b.final_new_accuracy
         assert a.final_overall_accuracy == b.final_overall_accuracy
         assert a.history.records == b.history.records
-    state_a = resumed.final_network.state_dict()
-    state_b = reference.final_network.state_dict()
+    state_a = resumed.steps[-1].network.state_dict()
+    state_b = reference.steps[-1].network.state_dict()
     assert state_a.keys() == state_b.keys()
     for layer in state_a:
         assert state_a[layer].keys() == state_b[layer].keys()
@@ -385,8 +385,8 @@ class TestStoreBackedResume:
         np.testing.assert_array_equal(
             resumed.accuracy_matrix, reference.accuracy_matrix
         )
-        state_a = resumed.final_network.state_dict()
-        state_b = reference.final_network.state_dict()
+        state_a = resumed.steps[-1].network.state_dict()
+        state_b = reference.steps[-1].network.state_dict()
         for layer in state_a:
             for param in state_a[layer]:
                 np.testing.assert_array_equal(

@@ -159,7 +159,6 @@ class TestAllScenariosEndToEnd:
         assert dense.old_accuracy_trajectory == tuple(
             step.final_old_accuracy for step in dense.steps
         )
-        assert dense.final_network is dense.steps[-1].network
         text = dense.describe()
         assert name in text and "forgetting" in text
 

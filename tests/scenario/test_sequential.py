@@ -170,20 +170,12 @@ class TestChainedRun:
         result = _run(stream, Recorder)
         assert received == [stream[2].network, result.steps[0].network]
 
-    def test_final_network_exposed(self, result):
-        assert result.final_network is result.steps[-1].network
-
     def test_describe(self, result):
         text = result.describe()
         assert "2 step(s)" in text and "step-1" in text
 
 
 class TestErrorPaths:
-    def test_final_network_raises_when_network_missing(self):
-        result = _scenario_result(_result_without_network())
-        with pytest.raises(DataError, match="carries no network"):
-            result.final_network
-
     def test_rejects_networkless_method(self, stream):
         class NetworklessMethod(Replay4NCL):
             def run(self, network, split, replay=None):
@@ -210,7 +202,7 @@ class TestErrorPaths:
 
     def test_trajectories_still_exposed_without_network(self):
         # The accuracy trajectories are index-only: they survive a
-        # networkless step even though final_network raises.
+        # networkless step.
         result = _scenario_result(_result_without_network())
         assert result.old_accuracy_trajectory == (0.0,)
         assert result.new_accuracy_trajectory == (0.0,)

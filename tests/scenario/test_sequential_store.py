@@ -24,7 +24,6 @@ from repro.core.pipeline import pretrain
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import make_class_incremental
 from repro.eval.scale import get_scale
-from repro.hw.memory import audit_federation
 from repro.replaystore import FederatedReplayStore
 from repro.scenario import SequentialScenario, run_scenario
 
@@ -159,13 +158,12 @@ class TestFederationArtifacts:
         ]
         assert per_step[0] < per_step[1] < per_step[2]
 
-    def test_federated_audit_crosschecks(self, store_result):
-        federation = FederatedReplayStore.open(store_result.store_root)
-        audit = audit_federation(federation)
-        assert audit.num_members == 3
-        assert audit.within_budget  # unbudgeted: vacuously true
-        assert audit.payload_bytes <= audit.modelled_bytes
-        assert audit.disk_bytes > audit.payload_bytes
+    def test_federated_stats_crosscheck(self, store_result):
+        stats = FederatedReplayStore.open(store_result.store_root).stats()
+        assert stats.num_members == 3
+        assert stats.budget_utilization is None  # unbudgeted
+        assert stats.payload_bytes <= stats.modelled_bytes
+        assert stats.disk_bytes > stats.payload_bytes
 
     def test_dense_result_has_no_store(self, dense_result):
         assert dense_result.store_root is None
@@ -207,7 +205,7 @@ class TestGlobalBudget:
             ReplaySpec(store_dir=tmp_path / "budgeted", shard_samples=SHARD_SAMPLES),
         )
         unbudgeted = probe(result.store_root).num_samples
-        budget = 10 * probe(result.store_root).sample_bytes
+        budget = probe(result.store_root).bytes_for(10)
         budgeted = run_stream(
             scenario,
             ReplaySpec(
@@ -220,7 +218,7 @@ class TestGlobalBudget:
         assert federation.model_bytes() <= budget
         assert not federation.over_budget()
         assert federation.num_samples == 10 < unbudgeted
-        assert audit_federation(federation).within_budget
+        assert federation.stats().modelled_bytes <= budget
         # The budget caps the archive *after* training: trajectories are
         # still the dense ones (training replay is the step's own set).
         assert_trajectory_identical(result, budgeted)

@@ -119,7 +119,7 @@ class TestSeedSweepParity:
         # full mask must be skipped entirely, leaving logits bitwise
         # untouched on the fused path and on the per-step tape oracle.
         dense, _, _ = sweep[seed]
-        network = dense.final_network
+        network = dense.steps[-1].network
         num_classes = network.readout.n_out
         timesteps = dense.steps[-1].timesteps
         rng = np.random.default_rng(seed)

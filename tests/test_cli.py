@@ -284,6 +284,27 @@ class TestStoreFederate:
         out = capsys.readouterr().out
         assert "budget:" in out and "evicted this pass" in out
 
+    def test_federate_reports_one_modelled_byte_count(self, capsys, tmp_path):
+        # 15 frames x 12 channels is 180 bits a sample: the budget and
+        # the report must agree on one latent_bytes count (65 samples,
+        # 1,983 B), not print a per-sample ledger beside a bitmap model.
+        from repro.replaystore import ReplayStore
+
+        rng = np.random.default_rng(0)
+        ReplayStore.create(
+            tmp_path / "fed" / "task-0",
+            stored_frames=15,
+            num_channels=12,
+            generated_timesteps=15,
+        ).append((rng.random((15, 100, 12)) < 0.2).astype(np.float32), np.arange(100) % 4)
+        root = str(tmp_path / "fed")
+        assert main(["store", "federate", root, "--budget-bytes", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert "samples:        65" in out
+        assert "model bytes:    1983 " in out
+        assert "budget:         1983 / 2000 B" in out
+        assert "1984" not in out and "1952" not in out
+
     def test_federate_is_rerunnable(self, capsys, federation_root):
         assert main(["store", "federate", federation_root]) == 0
         capsys.readouterr()

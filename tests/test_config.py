@@ -23,9 +23,7 @@ class TestNetworkConfig:
         cfg = NetworkConfig()
         assert cfg.layer_sizes == PAPER_LAYER_SIZES == (700, 200, 100, 50, 20)
         assert cfg.num_weight_layers == 4  # L=4 as in the paper
-        assert cfg.num_hidden_layers == 3
         assert cfg.num_classes == 20
-        assert cfg.num_inputs == 700
 
     @pytest.mark.parametrize(
         "kwargs",

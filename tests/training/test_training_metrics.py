@@ -51,10 +51,6 @@ class TestHistory:
         with pytest.raises(IndexError):
             TrainingHistory().final()
 
-    def test_best_old_task(self):
-        assert self.make_history().best_old_task_accuracy() == 0.8
-        assert TrainingHistory().best_old_task_accuracy() == 0.0
-
     def test_epochs_to_reach(self):
         h = self.make_history()
         assert h.epochs_to_reach(0.5, task="old") == 1
