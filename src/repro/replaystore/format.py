@@ -114,7 +114,10 @@ def latent_bytes(frames: int, samples: int, channels: int) -> int:
     raster bit-packed, ``ceil(frames*samples*channels / 8)`` bytes, plus
     an 8-byte header per sample.
     """
-    return (frames * samples * channels + 7) // 8 + SAMPLE_HEADER_BYTES * samples
+    if samples == 0:
+        return 0
+    payload = _BITPACK.packed_bytes((frames, samples, channels))
+    return payload + SAMPLE_HEADER_BYTES * samples
 
 
 def choose_codec(raster: np.ndarray) -> str:

@@ -53,7 +53,6 @@ class SpikeTrace:
         self.entries.append(entry)
 
     @property
-    @property
     def timesteps(self) -> int:
         """Temporal extent of the traced pass (0 when empty)."""
         return self.entries[0].timesteps if self.entries else 0

@@ -57,6 +57,17 @@ class TestDeterminism:
         b = other.generate(0, 0)
         assert not np.array_equal(a.times, b.times)
 
+    def test_prototypes_deterministic(self, generator):
+        other = SyntheticSHD(generator.config, seed=7)
+        assert generator._prototypes == other._prototypes
+
+    def test_anchors_shared_across_classes(self, generator):
+        # Every trajectory starts and ends on the shared channel-anchor pool.
+        anchors = set(np.round(generator._anchors, 6))
+        for prototype in generator._prototypes:
+            for traj in prototype:
+                assert round(traj.start_channel, 6) in anchors
+                assert round(traj.end_channel, 6) in anchors
 
 
 class TestStatistics:

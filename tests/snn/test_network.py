@@ -7,7 +7,7 @@ import oracle
 from repro.autograd import cross_entropy
 from repro.config import NetworkConfig
 from repro.errors import ShapeError, SplitError
-from repro.snn import SpikingNetwork
+from repro.snn import SpikeTrace, SpikingNetwork
 
 
 @pytest.fixture
@@ -74,6 +74,12 @@ class TestForward:
         assert (entries[0].n_in, entries[0].n_out) == (20, 16)
         assert entries[0].timesteps == 12 and entries[0].batch == 4
         assert entries[-1].output_spike_count == 0.0  # readout never spikes
+
+    def test_trace_reports_pass_extent(self, net, x):
+        assert SpikeTrace().timesteps == 0 and SpikeTrace().batch == 0
+        trace = net.forward(x).trace
+        assert (trace.timesteps, trace.batch) == (12, 4)
+        assert all((e.timesteps, e.batch) == (12, 4) for e in trace.entries)
 
     @pytest.mark.parametrize("start_layer", [0, 2, 3])
     def test_trace_counts_are_each_rasters_sum(self, net, x, start_layer):
