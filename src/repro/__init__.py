@@ -17,7 +17,7 @@ scratch on numpy:
 - :mod:`repro.core` — the NCL methods: naive fine-tuning, the SpikingLR
   state-of-the-art comparator, and Replay4NCL itself; replay
   persistence is configured through one validated ``ReplaySpec``.
-- :mod:`repro.scenario` — scenario-first continual learning: a registry
+- :mod:`repro.scenario` — scenario-first continual learning: a table
   of lazily-materialised scenarios (single-step, sequential,
   domain-incremental, blurry) and the ``run_scenario`` entry point with
   standard CL metrics.

@@ -5,7 +5,7 @@ Usage::
     python -m repro list                      # figures, scales, scenarios, methods
     python -m repro run fig11 --scale bench   # reproduce one figure
     python -m repro run all --scale ci        # everything, quickly
-    python -m repro scenario list             # registered scenarios/methods
+    python -m repro scenario list             # scenarios and methods
     python -m repro scenario run sequential --scale ci   # CL metrics for one run
     python -m repro scenario run task-incremental --steps 2   # task-IL (masked readout)
     python -m repro info                      # version + inventory
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario", help="scenario-first continual-learning runs"
     )
     scenario_sub = scenario.add_subparsers(dest="scenario_command", required=True)
-    scenario_sub.add_parser("list", help="registered scenarios and methods")
+    scenario_sub.add_parser("list", help="built-in scenarios and methods")
     scenario_run = scenario_sub.add_parser(
         "run", help="run one scenario end-to-end and print its CL metrics"
     )
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_registries() -> None:
-    """Scenario + method registry listing shared by `list` and `scenario list`."""
+    """Scenario + method name listing shared by `list` and `scenario list`."""
     from repro.core import available_methods
     from repro.scenario import available as available_scenarios
     from repro.scenario import get as get_scenario
@@ -330,10 +330,7 @@ def _cmd_backends() -> int:
     for row in rows:
         marker = "*" if row["selected"] else " "
         status = "available" if row["available"] else "unavailable"
-        print(
-            f"{marker} {row['name']:{name_w}s}  {row['parity']:9s} "
-            f"{status:11s}  {row['reason']}"
-        )
+        print(f"{marker} {row['name']:{name_w}s}  {status:11s}  {row['reason']}")
     print("(* = selected; set REPRO_BACKEND=numpy|c|auto to override)")
     if not any(row["selected"] for row in rows):
         print(

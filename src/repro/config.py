@@ -159,12 +159,6 @@ class NCLConfig:
         Alg. 1's ``adjust_interval`` for the adaptive threshold (=5).
     adaptive_threshold:
         Replay4NCL's dynamic Vthr policy; off for SpikingLR.
-    compression_factor:
-        Temporal subsampling factor of the Fig. 7 codec applied to stored
-        LR data (SpikingLR: 2; Replay4NCL stores natively: 1).
-    decompress_for_replay:
-        Whether stored LR data is zero-stuffed back to the training
-        timestep count before replay (SpikingLR: True).
     """
 
     timesteps: int = 40
@@ -174,8 +168,6 @@ class NCLConfig:
     replay_fraction: float = 0.25
     adjust_interval: int = 5
     adaptive_threshold: bool = True
-    compression_factor: int = 1
-    decompress_for_replay: bool = False
     epochs: int = 50
     batch_size: int = 32
 
@@ -198,10 +190,6 @@ class NCLConfig:
             )
         if self.adjust_interval <= 0:
             raise ConfigError(f"adjust_interval must be positive, got {self.adjust_interval}")
-        if self.compression_factor < 1:
-            raise ConfigError(
-                f"compression_factor must be >= 1, got {self.compression_factor}"
-            )
         if self.epochs <= 0:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size <= 0:

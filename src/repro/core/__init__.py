@@ -19,16 +19,15 @@ curves, latent-memory stats and the op-count cost profile the hardware
 models consume.  :func:`repro.scenario.run_scenario` chains steps.
 Replay persistence is configured through one validated
 :class:`~repro.core.replayspec.ReplaySpec` passed as ``replay=`` to
-both, and methods are addressable by registry name (``naive`` /
-``raw`` / ``spikinglr`` / ``replay4ncl`` — see
-:mod:`repro.core.registry`) so :func:`~repro.scenario.run_scenario`
-never hardcodes class references.
+both, and methods are addressable by name (``naive`` / ``raw`` /
+``spikinglr`` / ``replay4ncl`` — see :mod:`repro.core.registry`) so
+:func:`~repro.scenario.run_scenario` never hardcodes class references.
 """
 
 from repro.core.latent_replay import LatentReplayBuffer
 from repro.core.pipeline import pretrain
 from repro.core.raw_replay import RawInputReplay
-from repro.core.registry import available_methods, get_method, register_method
+from repro.core.registry import available_methods, get_method
 from repro.core.replay4ncl import Replay4NCL
 from repro.core.replayspec import ReplaySpec
 from repro.core.spikinglr import SpikingLR
@@ -45,7 +44,6 @@ __all__ = [
     "Replay4NCL",
     "ReplaySpec",
     "pretrain",
-    "register_method",
     "get_method",
     "available_methods",
 ]

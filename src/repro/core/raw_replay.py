@@ -12,7 +12,6 @@ the whole network kept trainable, as classic rehearsal does.
 
 from __future__ import annotations
 
-from repro.config import ExperimentConfig
 from repro.core.strategies import NCLMethod
 
 __all__ = ["RawInputReplay"]
@@ -23,17 +22,13 @@ class RawInputReplay(NCLMethod):
 
     name = "raw-input-replay"
 
-    def __init__(self, config: ExperimentConfig, timesteps: int | None = None):
-        super().__init__(config)
-        self._timesteps = timesteps or config.pretrain.timesteps
-
     def insertion_layer(self) -> int:
         """Replay raw inputs: Lins = 0, nothing frozen."""
         return 0
 
     def ncl_timesteps(self) -> int:
         """Full pre-training resolution (no temporal reduction)."""
-        return self._timesteps
+        return self.config.pretrain.timesteps
 
     def learning_rate(self) -> float:
         """The pre-training rate, continued."""
@@ -42,11 +37,3 @@ class RawInputReplay(NCLMethod):
         # NCLConfig.base_learning_rate is calibrated for split-network
         # readout updates and does not transfer to full-network training.
         return self.config.pretrain.learning_rate
-
-    def compression_factor(self) -> int:
-        """No compression: raw binary rasters, stored bit-packed."""
-        return 1
-
-    def decompress_for_replay(self) -> bool:
-        """Raw rasters train as stored; nothing to decompress."""
-        return False

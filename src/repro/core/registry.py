@@ -1,57 +1,40 @@
-"""Name registry for NCL methods.
+"""The closed table of NCL methods, by name.
 
 The scenario-first run API (:func:`repro.scenario.run_scenario`, the
 ``repro scenario run`` CLI) refers to methods by name instead of
-hardcoding class references.  A *method factory* is any callable taking
-an :class:`~repro.config.ExperimentConfig` and returning a fresh
-:class:`~repro.core.strategies.NCLMethod`; the classes themselves
-qualify.
-
-Built-ins registered at import time:
+hardcoding class references.  Each entry is the method class itself,
+called with an :class:`~repro.config.ExperimentConfig`:
 
 - ``naive`` — :class:`~repro.core.strategies.NaiveFinetune`
 - ``raw`` — :class:`~repro.core.raw_replay.RawInputReplay`
 - ``spikinglr`` — :class:`~repro.core.spikinglr.SpikingLR`
 - ``replay4ncl`` — :class:`~repro.core.replay4ncl.Replay4NCL`
+
+A method outside the table is passed to ``run_scenario`` as a factory.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.config import ExperimentConfig
 from repro.core.raw_replay import RawInputReplay
 from repro.core.replay4ncl import Replay4NCL
 from repro.core.spikinglr import SpikingLR
 from repro.core.strategies import NaiveFinetune, NCLMethod
 from repro.errors import ConfigError
 
-__all__ = ["register_method", "get_method", "available_methods"]
+__all__ = ["get_method", "available_methods"]
 
-MethodFactory = Callable[[ExperimentConfig], NCLMethod]
-
-_METHODS: dict[str, MethodFactory] = {}
-
-
-def register_method(name: str, factory: MethodFactory) -> MethodFactory:
-    """Register ``factory`` under ``name`` (re-registration replaces).
-
-    Returns the factory so the call composes with class definitions::
-
-        register_method("my-method", MyMethod)
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(f"method name must be a non-empty string, got {name!r}")
-    if not callable(factory):
-        raise ConfigError(f"method factory for {name!r} must be callable")
-    _METHODS[name] = factory
-    return factory
+METHODS: dict[str, type[NCLMethod]] = {
+    "naive": NaiveFinetune,
+    "raw": RawInputReplay,
+    "spikinglr": SpikingLR,
+    "replay4ncl": Replay4NCL,
+}
 
 
-def get_method(name: str) -> MethodFactory:
-    """Look up a method factory by registry name."""
+def get_method(name: str) -> type[NCLMethod]:
+    """The method class named ``name``."""
     try:
-        return _METHODS[name]
+        return METHODS[name]
     except KeyError:
         raise ConfigError(
             f"unknown method {name!r}; available: {available_methods()}"
@@ -59,11 +42,5 @@ def get_method(name: str) -> MethodFactory:
 
 
 def available_methods() -> list[str]:
-    """Sorted names of every registered method."""
-    return sorted(_METHODS)
-
-
-register_method("naive", NaiveFinetune)
-register_method("raw", RawInputReplay)
-register_method("spikinglr", SpikingLR)
-register_method("replay4ncl", Replay4NCL)
+    """Sorted names of every method."""
+    return sorted(METHODS)

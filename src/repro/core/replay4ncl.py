@@ -56,18 +56,6 @@ class Replay4NCL(NCLMethod):
         """Alg. 1 line 6/21: eta_cl = eta_pre / 100."""
         return self.base_eta() / self.config.ncl.learning_rate_divisor
 
-    def compression_factor(self) -> int:
-        """Latent data is stored natively at T*.
-
-        The reduced timestep *is* the compression
-        (``config.ncl.compression_factor`` defaults to 1).
-        """
-        return self.config.ncl.compression_factor
-
-    def decompress_for_replay(self) -> bool:
-        """Whether replay decompresses latent data each epoch."""
-        return self.config.ncl.decompress_for_replay
-
     def make_generation_controller(self):
         """Alg. 1 lines 8-19: interval-gated adaptive threshold.
 

@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repro.core.pipeline import PretrainResult, pretrain
 from repro.core.strategies import NCLResult
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import ClassIncrementalSplit, make_class_incremental
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.eval.results import ExperimentResult
 from repro.eval.scale import ScalePreset, get_scale
 from repro.ioutil import atomic_open
@@ -43,9 +44,6 @@ __all__ = [
 
 _CONTEXTS: dict[str, "ExperimentContext"] = {}
 _RUNS: dict[tuple, NCLResult] = {}
-#: Scenario-level run cache (see :func:`run_scenario`): full
-#: ScenarioResults keyed on (scenario, method, scale, seed, ReplaySpec).
-_SCENARIO_RUNS: dict[tuple, object] = {}
 
 
 def cache_dir() -> Path:
@@ -91,29 +89,31 @@ def _config_digest(preset: ScalePreset) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _load_pretrained(preset: ScalePreset, split) -> PretrainResult | None:
+def _load_pretrained(preset: ScalePreset) -> PretrainResult | None:
+    """The disk-cached pre-trained network, or None on a cache miss.
+
+    A missing or unreadable archive is a miss — truncated or bit-flipped
+    (a bad zip or a CRC error), a missing member, or weights that do not
+    fit the configured network — so :func:`context` pre-trains again and
+    rewrites the file.
+    """
     path = cache_dir() / f"pretrain-{_config_digest(preset)}.npz"
-    if not path.exists():
-        return None
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError):
-        return None
-    network = SpikingNetwork(preset.experiment.network, seed=preset.experiment.seed)
-    state: dict[str, dict[str, np.ndarray]] = {}
-    for key in archive.files:
-        if key == "__test_accuracy__":
-            continue
-        layer, param = key.split("/", 1)
-        state.setdefault(layer, {})[param] = archive[key]
-    try:
+        with np.load(path, allow_pickle=False) as archive:
+            state: dict[str, dict[str, np.ndarray]] = {}
+            for key in archive.files:
+                if key != "__test_accuracy__":
+                    layer, param = key.split("/", 1)
+                    state.setdefault(layer, {})[param] = archive[key]
+            test_accuracy = float(archive["__test_accuracy__"])
+        network = SpikingNetwork(preset.experiment.network, seed=preset.experiment.seed)
         network.load_state_dict(state)
-    except Exception:
+    except (OSError, EOFError, ValueError, KeyError, BadZipFile, ReproError):
         return None
     return PretrainResult(
         network=network,
         history=TrainingHistory(),
-        test_accuracy=float(archive["__test_accuracy__"]),
+        test_accuracy=test_accuracy,
         epoch_traces=[],
     )
 
@@ -141,7 +141,7 @@ def context(scale: str = "bench") -> ExperimentContext:
             preset.experiment.test_samples_per_class,
             num_pretrain_classes=preset.experiment.num_pretrain_classes,
         )
-        pretrained = _load_pretrained(preset, split)
+        pretrained = _load_pretrained(preset)
         if pretrained is None:
             pretrained = pretrain(preset.experiment, split)
             _store_pretrained(preset, pretrained)
@@ -172,44 +172,8 @@ def run(experiment_id: str, scale: str = "bench", **kwargs) -> ExperimentResult:
     return fn(context(scale), **kwargs)
 
 
-def _scenario_cache_key(name, method, scale: str, kwargs: dict) -> tuple | None:
-    """Cache key of a scenario run, or None when the call is uncacheable.
-
-    Only fully *name-addressed* calls cache: a :class:`Scenario`
-    instance or a method factory may carry arbitrary state, and any
-    explicit override (``pretrained``/``generator``/``experiment``)
-    changes the run in ways the key cannot see.  ``replay`` participates
-    as the (frozen, hashable) :class:`~repro.core.ReplaySpec` itself —
-    two runs with different specs are different artefacts on disk.  The
-    *registered factories* behind both names participate too, so
-    re-registering a name (``register`` explicitly replaces) invalidates
-    its cached runs instead of silently serving the old implementation.
-    """
-    from repro.core import ReplaySpec
-    from repro.core.registry import _METHODS
-    from repro.scenario.registry import _SCENARIOS
-
-    if not (isinstance(name, str) and isinstance(method, str)):
-        return None
-    if set(kwargs) - {"replay"}:
-        return None
-    replay = kwargs.get("replay")
-    if replay is not None and not isinstance(replay, ReplaySpec):
-        return None
-    if replay is not None and replay.overwrite:
-        # overwrite=True is an explicit "rebuild the store" request; a
-        # cache hit would silently skip the rewrite.
-        return None
-    scenario_factory = _SCENARIOS.get(name)
-    method_factory = _METHODS.get(method)
-    if scenario_factory is None or method_factory is None:
-        return None  # unknown names error downstream; nothing to cache
-    seed = get_scale(scale).experiment.seed
-    return (name, method, scale, seed, replay, scenario_factory, method_factory)
-
-
 def run_scenario(name: str, method: str = "replay4ncl", scale: str = "bench", **kwargs):
-    """Run a registered continual-learning scenario at a scale preset.
+    """Run a built-in continual-learning scenario at a scale preset.
 
     Thin wiring into :func:`repro.scenario.run_scenario` that reuses
     this module's shared context where possible: the default
@@ -217,31 +181,8 @@ def run_scenario(name: str, method: str = "replay4ncl", scale: str = "bench", **
     (disk-cached) pre-trained network and generator are shared with the
     figure experiments instead of re-training.  ``kwargs`` are forwarded
     (e.g. ``replay=ReplaySpec(...)``).
-
-    Whole runs are cached in-process, keyed on
-    ``(scenario, method, scale, seed, ReplaySpec)``: a repeat call with
-    the same addressing returns the previous
-    :class:`~repro.scenario.runner.ScenarioResult` without re-running —
-    scenario sweeps that revisit a configuration (benchmark suites,
-    figure scripts comparing regimes) pay for each run once, like the
-    per-figure NCL run cache above.  Passing a scenario instance, a
-    method factory, or any explicit override bypasses the cache, and any
-    key component changing (including the replay spec) is a miss.
-    Store-backed runs re-run when their on-disk federation has been
-    deleted since, and ``overwrite=True`` specs never cache (they are an
-    explicit rebuild request).
     """
     from repro import scenario as scenario_pkg
-
-    cache_key = _scenario_cache_key(name, method, scale, kwargs)
-    if cache_key is not None and cache_key in _SCENARIO_RUNS:
-        cached = _SCENARIO_RUNS[cache_key]
-        # A store-backed result references an on-disk artefact; if the
-        # caller deleted it since, re-run instead of handing back a
-        # result whose store_root no longer exists.
-        if cached.store_root is None or Path(cached.store_root).exists():
-            return cached
-        del _SCENARIO_RUNS[cache_key]
 
     # Reuse the cached context only when the caller overrode nothing it
     # depends on: a custom generator/experiment changes the base split,
@@ -253,7 +194,4 @@ def run_scenario(name: str, method: str = "replay4ncl", scale: str = "bench", **
         kwargs["generator"] = ctx.generator
         kwargs["experiment"] = ctx.preset.experiment
         kwargs["pretrained"] = ctx.pretrained
-    result = scenario_pkg.run_scenario(name, method, scale=scale, **kwargs)
-    if cache_key is not None:
-        _SCENARIO_RUNS[cache_key] = result
-    return result
+    return scenario_pkg.run_scenario(name, method, scale=scale, **kwargs)

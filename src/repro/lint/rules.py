@@ -364,11 +364,10 @@ class FrozenSpecRule(Rule):
     name = "frozen-specs"
     rationale = (
         "Run identity is computed from spec reprs (checkpoint "
-        "fingerprints, scenario cache keys, backend SweepSpecs pinned at "
-        "forward time); a mutable spec can change after it has been "
-        "fingerprinted, silently invalidating resume compatibility and "
-        "cache correctness.  Dataclasses in the spec-carrying modules "
-        "must declare frozen=True."
+        "fingerprints, backend SweepSpecs pinned at forward time); a "
+        "mutable spec can change after it has been fingerprinted, "
+        "silently invalidating resume compatibility.  Dataclasses in the "
+        "spec-carrying modules must declare frozen=True."
     )
     include = (
         "repro/core/replayspec.py",

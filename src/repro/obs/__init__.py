@@ -10,7 +10,7 @@ way to account for where time and bytes go:
   backend) on the same recorder.
 - **Recorder selection** — ``REPRO_TRACE=0|1|<path>`` via
   :func:`repro.config.trace_selection`, memoized like the kernel
-  backend registry; the disabled path is a shared no-op recorder whose
+  backend selection; the disabled path is a shared no-op recorder whose
   overhead is perf-gated below 2% of the fused-kernel micro-bench.
 - **Exporters** — lossless JSONL and Chrome ``trace_event`` JSON
   (Perfetto-loadable), plus a :class:`~repro.obs.report.TraceReport`

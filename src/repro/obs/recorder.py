@@ -6,7 +6,7 @@ per *thread* so a worker thread's spans form their own tree root) and
 counter metrics, all under one lock so several threads can record
 concurrently.
 
-Selection mirrors the kernel-backend registry
+Selection mirrors the kernel-backend selection
 (:mod:`repro.snn.backends`): the process-wide recorder is memoized on
 the raw ``REPRO_TRACE`` environment string, so flipping the variable
 mid-process swaps recorders immediately, and the disabled path is a

@@ -7,8 +7,9 @@ together never exceed ``budget_bytes``.  When a new member pushes the total over
 :meth:`FederatedReplayStore.rebalance` re-admits every stored sample —
 in global arrival order — through one of the existing
 :mod:`~repro.replaystore.policies` and rewrites each member to hold only
-its survivors (:meth:`~repro.replaystore.store.ReplayStore.filter`), so
-eviction pressure flows *across* stores: a class-balanced policy will
+its survivors (:meth:`~repro.replaystore.store.ReplayStore.filter`),
+deleting a member left with none, so eviction pressure flows *across*
+stores: a class-balanced policy will
 evict over-represented classes from old members to make room for a new
 task's samples.
 
@@ -97,8 +98,8 @@ class FederationStats(ByteReport):
     all samples at once, so the members' own ``modelled_bytes`` can sum
     to a few bytes more (each member pads its own last byte).
     ``members`` holds every member's
-    :class:`~repro.replaystore.store.StoreStats` in arrival order, empty
-    (fully evicted) members included.
+    :class:`~repro.replaystore.store.StoreStats` in arrival order; a
+    member the budget empties has left the federation.
     """
 
     num_members: int
@@ -458,7 +459,9 @@ class FederatedReplayStore:
         :class:`~repro.replaystore.policies.EvictionPolicy` at the
         budget's capacity; survivors keep their member and storage
         order, losers are evicted via
-        :meth:`~repro.replaystore.store.ReplayStore.filter`.  The pass
+        :meth:`~repro.replaystore.store.ReplayStore.filter`, and a
+        member left with no survivors leaves the federation in the same
+        index commit, after which its directory is deleted.  The pass
         is index-only until the per-member rewrites, so decision cost
         never touches shard payloads.  Deterministic: the RNG derives
         from the federation seed and the rebalance counter.  A no-op
@@ -511,16 +514,28 @@ class FederatedReplayStore:
                     kept_labels[slot] = int(label)
                     kept_sources[slot] = (name, local)
 
-        # Rewrite each member with its survivors (storage order kept).
+        # Rewrite each member with its survivors (storage order kept); a
+        # member left with none leaves the federation.  An empty member
+        # would admit nothing to a later pass, and the pass RNG is keyed
+        # on the counter, so dropping it changes no later decision.
         evicted = 0
+        emptied = []
         for name, store in self.members():
             survivors = np.asarray(
                 sorted(local for member, local in kept_sources if member == name),
                 dtype=np.int64,
             )
-            evicted += store.filter(survivors)
+            if survivors.size:
+                evicted += store.filter(survivors)
+            else:
+                evicted += store.num_samples
+                emptied.append(name)
+        self.member_names = [n for n in self.member_names if n not in emptied]
         self.rebalances += 1
         self._write_index()
+        for name in emptied:
+            del self._members[name]
+            shutil.rmtree(self.root / name)
         _span.set(evicted=evicted)
         return evicted
 

@@ -1,4 +1,4 @@
-"""Scenario-first continual learning: registry, built-ins, one run API.
+"""Scenario-first continual learning: built-ins by name, one run API.
 
 The paper evaluates a single continual step (19 classes -> +1), but the
 same replay machinery serves every continual setting — class-, domain-,
@@ -9,8 +9,8 @@ and task-incremental, online/blurry streams.  This package makes the
   yields :class:`~repro.scenario.base.ContinualStep` s (a
   :class:`~repro.data.tasks.ClassIncrementalSplit` plus per-step
   metadata).
-- a name registry (:func:`register` / :func:`get` / :func:`available`)
-  with built-ins: ``single-step`` (the paper's protocol), ``sequential``
+- a closed name table (:func:`get` / :func:`available`) of seven
+  built-ins: ``single-step`` (the paper's protocol), ``sequential``
   (a stream of new classes), ``task-incremental`` (the same stream with
   the task id known at inference — per-task readout masks),
   ``stationary`` (the degenerate combinator substrate),
@@ -39,7 +39,7 @@ Quickstart
 """
 
 from repro.scenario.base import ContinualStep, Scenario
-from repro.scenario.builtin import (  # importing registers the built-ins
+from repro.scenario.builtin import (
     BlurryScenario,
     DomainIncrementalScenario,
     SequentialScenario,
@@ -66,13 +66,12 @@ from repro.scenario.metrics import (
     class_mask,
     forgetting,
 )
-from repro.scenario.registry import available, get, register
+from repro.scenario.registry import available, get
 from repro.scenario.runner import ScenarioResult, run_scenario
 
 __all__ = [
     "ContinualStep",
     "Scenario",
-    "register",
     "get",
     "available",
     "SingleStepScenario",

@@ -44,7 +44,7 @@ iterator reaches it.  Everything is deterministic given
 Each built-in also declares ``disjoint_eval``: ``True`` promises that
 every step's ``new_test`` covers only that step's new classes, disjoint
 from the old pool (the conformance suite checks the promise for every
-registered scenario that makes it); ``stationary`` and
+built-in that makes it); ``stationary`` and
 ``domain-incremental`` set it to ``False`` — their "new" task is the
 same label space.
 """
@@ -64,7 +64,6 @@ from repro.data.tasks import (
 from repro.errors import ConfigError, DataError
 from repro.scenario.base import ContinualStep
 from repro.scenario.combinators import with_blur, with_drift, with_task_masks
-from repro.scenario.registry import register
 
 __all__ = [
     "SingleStepScenario",
@@ -545,11 +544,3 @@ class StreamingScenario:
                 )
                 index += 1
 
-
-register("single-step", SingleStepScenario)
-register("sequential", SequentialScenario)
-register("task-incremental", TaskIncrementalScenario)
-register("stationary", StationaryScenario)
-register("domain-incremental", DomainIncrementalScenario)
-register("blurry", BlurryScenario)
-register("streaming", StreamingScenario)

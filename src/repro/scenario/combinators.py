@@ -5,7 +5,7 @@ blurry boundaries, class repetition, label noise, task-aware
 evaluation — as *orthogonal modifiers* of an underlying class stream,
 yet the first cut of this package hard-coded one built-in scenario per
 regime.  This module replaces that pattern with five combinators, each
-a lazy wrapper applicable to **any** registered base scenario:
+a lazy wrapper applicable to **any** base scenario:
 
 - :func:`with_drift` — drift the arriving data's input statistics with
   step-increasing severity (the domain-incremental regime);
@@ -22,8 +22,8 @@ Combinators nest: ``with_task_masks(with_blur(get("sequential")))`` is
 a blurry stream evaluated with per-task masks.  Every wrapper satisfies
 the :class:`~repro.scenario.base.Scenario` protocol structurally, so a
 wrapped scenario runs through
-:func:`~repro.scenario.runner.run_scenario` and — once registered —
-inherits the registry-wide conformance suite.
+:func:`~repro.scenario.runner.run_scenario` and passes the same
+conformance checks as the built-ins.
 
 Laziness and determinism are preserved by construction: each wrapper's
 ``steps()`` is a generator function that only touches the base

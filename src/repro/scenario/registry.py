@@ -1,63 +1,57 @@
-"""Name registry mapping scenario names to scenario factories.
+"""The closed table of built-in scenarios, by name.
 
-Mirrors the method registry in :mod:`repro.core.registry`: a *scenario
-factory* is any callable returning a :class:`~repro.scenario.base.Scenario`
-(typically the scenario class itself); :func:`get` instantiates one,
-forwarding keyword arguments, and verifies the result structurally
-satisfies the protocol.  The five built-ins register on import of
-:mod:`repro.scenario`.
+Mirrors the method table in :mod:`repro.core.registry`: each entry is a
+scenario class from :mod:`repro.scenario.builtin`, and :func:`get`
+instantiates one, forwarding keyword arguments.  A scenario outside the
+table is passed to :func:`~repro.scenario.run_scenario` as an instance.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import ConfigError
 from repro.scenario.base import Scenario
+from repro.scenario.builtin import (
+    BlurryScenario,
+    DomainIncrementalScenario,
+    SequentialScenario,
+    SingleStepScenario,
+    StationaryScenario,
+    StreamingScenario,
+    TaskIncrementalScenario,
+)
 
-__all__ = ["register", "get", "available"]
+__all__ = ["get", "available"]
 
-_SCENARIOS: dict[str, Callable[..., Scenario]] = {}
-
-
-def register(name: str, factory: Callable[..., Scenario]) -> Callable[..., Scenario]:
-    """Register ``factory`` under ``name`` (re-registration replaces).
-
-    Returns the factory, so the call composes with class definitions::
-
-        register("my-scenario", MyScenario)
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(f"scenario name must be a non-empty string, got {name!r}")
-    if not callable(factory):
-        raise ConfigError(f"scenario factory for {name!r} must be callable")
-    _SCENARIOS[name] = factory
-    return factory
+SCENARIOS: dict[str, type] = {
+    scenario.name: scenario
+    for scenario in (
+        SingleStepScenario,
+        SequentialScenario,
+        TaskIncrementalScenario,
+        StationaryScenario,
+        DomainIncrementalScenario,
+        BlurryScenario,
+        StreamingScenario,
+    )
+}
 
 
 def get(name: str, **kwargs) -> Scenario:
-    """Instantiate the scenario registered under ``name``.
+    """Instantiate the scenario named ``name``.
 
-    ``kwargs`` are forwarded to the factory (e.g. ``get("sequential",
-    steps_count=3)``).  Raises :class:`~repro.errors.ConfigError` for unknown
-    names and for factories whose product does not satisfy the
-    :class:`~repro.scenario.base.Scenario` protocol.
+    ``kwargs`` are forwarded to its class (e.g. ``get("sequential",
+    steps_count=3)``).  Raises :class:`~repro.errors.ConfigError` for
+    unknown names.
     """
     try:
-        factory = _SCENARIOS[name]
+        cls = SCENARIOS[name]
     except KeyError:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {available()}"
         ) from None
-    scenario = factory(**kwargs)
-    if not isinstance(scenario, Scenario):
-        raise ConfigError(
-            f"factory for {name!r} produced {type(scenario).__name__}, which "
-            "does not satisfy the Scenario protocol (name/describe/steps)"
-        )
-    return scenario
+    return cls(**kwargs)
 
 
 def available() -> list[str]:
-    """Sorted names of every registered scenario."""
-    return sorted(_SCENARIOS)
+    """Sorted names of every scenario."""
+    return sorted(SCENARIOS)

@@ -271,14 +271,13 @@ def run_scenario(
     """Run a whole scenario end-to-end and return its CL metrics.
 
     Args:
-        scenario: A registry name (``"single-step"``, ``"sequential"``,
-            ``"domain-incremental"``, ``"blurry"``, or anything
-            registered via :func:`repro.scenario.register`) or a ready
-            :class:`~repro.scenario.base.Scenario` instance (for
-            non-default parameters, build one via
+        scenario: A built-in's name (``"single-step"``,
+            ``"sequential"``, ... — see :func:`repro.scenario.available`)
+            or a ready :class:`~repro.scenario.base.Scenario` instance
+            (for non-default parameters, build one via
             :func:`repro.scenario.get`).
-        method: A method-registry name (see :mod:`repro.core.registry`)
-            or a factory ``config -> NCLMethod``, called once per step.
+        method: A method name (see :mod:`repro.core.registry`) or a
+            factory ``config -> NCLMethod``, called once per step.
         scale: Scale preset supplying ``generator``/``experiment`` when
             those are not given explicitly (see
             :mod:`repro.eval.scale`).

@@ -1,11 +1,11 @@
-"""The kernel-backend contract: sequence executors and their registry.
+"""The kernel-backend contract: sequence executors.
 
 The fused sequence kernels (:mod:`repro.snn.kernels`) collapse the SNN
 time loop into single autograd tape nodes.  *What runs inside* those
 nodes is pluggable: a :class:`SequenceExecutor` implements the four
 time-recurrent sweeps (LIF/CuBa forward, LIF/CuBa reverse, leaky-readout
-forward and reverse) and registers itself by name, mirroring tinygrad's
-``runtime/ops_*.py`` split.
+forward and reverse), mirroring tinygrad's ``runtime/ops_*.py`` split.
+The executors and their selection live in :mod:`repro.snn.backends`.
 
 **The contract** (see ``docs/backends.md`` for the full guide):
 
@@ -22,19 +22,11 @@ forward and reverse) and registers itself by name, mirroring tinygrad's
   per-step recurrent projection, which must be the call numpy's
   ``matmul`` makes into the same BLAS library — the C executor makes it
   from C).
-- A backend declares its :attr:`~SequenceExecutor.parity` class, and
-  the only class is ``"bitwise"``: executors must replicate the
-  reference association order documented in :mod:`repro.snn.kernels`
-  exactly, and the parity suite pins them to the reference bitwise.
+- Every executor is bitwise-identical to the reference: it replicates
+  the association order documented in :mod:`repro.snn.kernels`
+  exactly, and the parity suite pins it to the reference bitwise.
 - Availability is probed lazily and reported with a human-readable
   reason; probing must never raise.
-- Selection is per-process via the ``REPRO_BACKEND`` environment flag
-  (``numpy | c | auto``, threaded through
-  :func:`repro.config.backend_selection`).  ``auto`` walks the registry
-  in ascending :attr:`~SequenceExecutor.priority` (speed) order and
-  picks the first available executor; an explicitly requested backend
-  that is unavailable raises :class:`~repro.errors.ConfigError` naming
-  the missing dependency.
 """
 
 from __future__ import annotations
@@ -44,20 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import backend_selection
-from repro.errors import ConfigError
 from repro.snn.threshold import ThresholdController
 
-__all__ = [
-    "SweepSpec",
-    "SequenceExecutor",
-    "register_backend",
-    "get_backend",
-    "all_backends",
-    "select_backend",
-    "active",
-    "selection_report",
-]
+__all__ = ["SweepSpec", "SequenceExecutor"]
 
 
 @dataclass(frozen=True)
@@ -91,20 +72,15 @@ class SweepSpec:
 class SequenceExecutor(ABC):
     """One executor of the fused sequence sweeps (the backend contract).
 
-    Subclasses set :attr:`name`, :attr:`parity` and :attr:`priority`,
-    implement :meth:`availability` plus the four sweeps, and register an
-    instance with :func:`register_backend`.  All array arguments and
-    results are numpy ``[T, B, N]`` stacks; executors that compute on
-    another substrate convert at the boundary.
+    Subclasses set :attr:`name` and implement :meth:`availability` plus
+    the four sweeps; an instance joins the table in
+    :mod:`repro.snn.backends`.  All array arguments and results are
+    numpy ``[T, B, N]`` stacks; executors that compute on another
+    substrate convert at the boundary.
     """
 
-    #: Registry name (the value ``REPRO_BACKEND`` selects).
-    name: str = "abstract"
-    #: ``"bitwise"`` — must replicate the reference association order
-    #: exactly (the only parity class).
-    parity: str = "bitwise"
-    #: Auto-selection rank; lower is preferred (faster).
-    priority: int = 100
+    #: The value ``REPRO_BACKEND`` selects.
+    name: str
 
     @abstractmethod
     def availability(self) -> tuple[bool, str]:
@@ -176,128 +152,3 @@ class SequenceExecutor(ABC):
     def readout_backward(self, g_trajectory: np.ndarray, beta: float) -> np.ndarray:
         """Reverse sweep of the readout; return ``g_membrane`` ``[T, B, C]``."""
 
-
-_REGISTRY: dict[str, SequenceExecutor] = {}
-
-
-def register_backend(executor: SequenceExecutor) -> SequenceExecutor:
-    """Register an executor under its :attr:`~SequenceExecutor.name`.
-
-    Re-registering a name replaces the previous executor (latest wins),
-    so tests and downstream packages can shadow a built-in.  Returns the
-    executor for decorator-style use.
-    """
-    if not executor.name or executor.name == "abstract":
-        raise ConfigError("backend executors must set a concrete `name`")
-    if executor.parity != "bitwise":
-        raise ConfigError(
-            f"backend {executor.name!r} declares unknown parity "
-            f"{executor.parity!r}; expected 'bitwise'"
-        )
-    _REGISTRY[executor.name] = executor
-    _invalidate_active()
-    return executor
-
-
-def all_backends() -> list[SequenceExecutor]:
-    """Every registered executor, in auto-selection (priority) order."""
-    return sorted(_REGISTRY.values(), key=lambda b: (b.priority, b.name))
-
-
-def get_backend(name: str) -> SequenceExecutor:
-    """Look up a registered executor by name.
-
-    Raises:
-        ConfigError: If no executor is registered under ``name``.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "none"
-        raise ConfigError(
-            f"unknown kernel backend {name!r}; registered backends: {known}"
-        ) from None
-
-
-def select_backend(name: str | None = None) -> SequenceExecutor:
-    """Resolve a selection to one available executor.
-
-    Args:
-        name: A backend name, ``"auto"``, or None to read the
-            ``REPRO_BACKEND`` environment flag.
-
-    Returns:
-        The selected executor.  ``auto`` probes the registry in priority
-        order and always succeeds (the numpy reference is unconditionally
-        available).
-
-    Raises:
-        ConfigError: When an explicitly named backend is unknown or its
-            availability probe fails — the message names the missing
-            dependency so the fix is actionable.
-    """
-    selection = backend_selection() if name is None else name.strip().lower()
-    if selection == "auto":
-        for backend in all_backends():
-            if backend.availability()[0]:
-                return backend
-        raise ConfigError(
-            "no kernel backend is available (the numpy reference should "
-            "always be; is the registry empty?)"
-        )
-    backend = get_backend(selection)
-    ok, reason = backend.availability()
-    if not ok:
-        raise ConfigError(
-            f"kernel backend {selection!r} was requested via REPRO_BACKEND "
-            f"but is unavailable: {reason}"
-        )
-    return backend
-
-
-# The active executor is memoised per environment selection so the hot
-# path (one lookup per fused tape node) costs a string compare, while
-# flipping REPRO_BACKEND mid-process still takes effect immediately.
-_ACTIVE: dict[str, SequenceExecutor | None] = {"selection": None, "backend": None}
-
-
-def _invalidate_active() -> None:
-    _ACTIVE["selection"] = None
-    _ACTIVE["backend"] = None
-
-
-def active() -> SequenceExecutor:
-    """The executor the current ``REPRO_BACKEND`` selection resolves to."""
-    selection = backend_selection()
-    if _ACTIVE["selection"] != selection:
-        _ACTIVE["backend"] = select_backend(selection)
-        _ACTIVE["selection"] = selection
-    return _ACTIVE["backend"]
-
-
-def selection_report() -> list[dict[str, str | bool]]:
-    """Availability/selection table behind ``repro backends``.
-
-    One row per registered executor: name, declared parity class,
-    availability, the probe's reason string, and whether the current
-    selection resolves to it.  Diagnostic by design: an unsatisfiable
-    explicit selection marks no row selected instead of raising, so the
-    table still prints when the user is debugging exactly that.
-    """
-    try:
-        selected = active()
-    except ConfigError:
-        selected = None
-    rows: list[dict[str, str | bool]] = []
-    for backend in all_backends():
-        ok, reason = backend.availability()
-        rows.append(
-            {
-                "name": backend.name,
-                "parity": backend.parity,
-                "available": ok,
-                "reason": reason,
-                "selected": backend is selected,
-            }
-        )
-    return rows

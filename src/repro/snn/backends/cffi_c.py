@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.config import env_value
 from repro.snn.backends import numpy_ref
-from repro.snn.backends.base import SequenceExecutor, SweepSpec, register_backend
+from repro.snn.backends.base import SequenceExecutor, SweepSpec
 
 __all__ = ["CffiExecutor", "kernel_source"]
 
@@ -358,8 +358,6 @@ class CffiExecutor(SequenceExecutor):
     """Compiled-C executor (module docstring has the full story)."""
 
     name = "c"
-    parity = "bitwise"
-    priority = 10
 
     def __init__(self):
         self._ffi = None
@@ -588,5 +586,3 @@ class CffiExecutor(SequenceExecutor):
         )
         return g_membrane
 
-
-register_backend(CffiExecutor())

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.snn.backends.base import SequenceExecutor, SweepSpec, register_backend
+from repro.snn.backends.base import SequenceExecutor, SweepSpec
 from repro.snn.threshold import ThresholdController
 
 __all__ = ["NumpyExecutor"]
@@ -192,8 +192,6 @@ class NumpyExecutor(SequenceExecutor):
     """The always-available reference executor (raw numpy)."""
 
     name = "numpy"
-    parity = "bitwise"
-    priority = 30
 
     def availability(self) -> tuple[bool, str]:
         """Always available — numpy is the library's only hard dependency."""
@@ -215,5 +213,3 @@ class NumpyExecutor(SequenceExecutor):
         """Run the reference readout reverse sweep."""
         return readout_backward_sweep(g_trajectory, beta)
 
-
-register_backend(NumpyExecutor())

@@ -10,7 +10,9 @@ Four guarantees:
    declared flag is mentioned in both the docs reference and README;
 4. every registered lint rule (id and name) is documented in
    ``docs/lint.md``, and README's rule count and id range match the
-   registry, so the rule catalog cannot drift from the code.
+   registry, so the rule catalog cannot drift from the code;
+5. the scenario and kernel-backend tables in README and the docs list
+   exactly the names in the code's scenario and backend tables.
 """
 
 import os
@@ -50,6 +52,25 @@ def _env_table_rows():
             }
         )
     return rows
+
+
+def _table_names(path: Path, header: str) -> list[str]:
+    """First-column names of the markdown table whose first header is ``header``.
+
+    Body rows must start with a backticked name (``| `name` | ...``).
+    """
+    names, in_table = [], False
+    for line in path.read_text().splitlines():
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        first = _CELL_SPLIT.split(line)[1].strip()
+        if first == header:
+            in_table = True
+        elif in_table and not set(first) <= set("-: "):
+            names.append(first.strip("`"))
+    assert names, f"{path.name} has no table headed {header!r}"
+    return names
 
 
 class TestEnvReference:
@@ -139,6 +160,22 @@ class TestLintReference:
         readme = (REPO / "README.md").read_text()
         assert "repro lint" in readme
         assert "docs/lint.md" in readme
+
+
+class TestNameTables:
+    @pytest.mark.parametrize(
+        "path, header", [(DOCS / "scenarios.md", "name"), (REPO / "README.md", "scenario")]
+    )
+    def test_scenario_tables_match_code(self, path, header):
+        from repro.scenario import available
+
+        assert sorted(_table_names(path, header)) == available()
+
+    @pytest.mark.parametrize("path", [REPO / "README.md", DOCS / "index.md"])
+    def test_backend_tables_match_code(self, path):
+        from repro.snn.backends import BACKENDS
+
+        assert _table_names(path, "backend") == list(BACKENDS)
 
 
 class TestSitePages:

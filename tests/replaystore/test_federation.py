@@ -188,6 +188,26 @@ class TestGlobalBudget:
         assert fed.num_samples == 16
 
 
+    def test_emptied_members_leave_the_federation(self, tmp_path):
+        fed = FederatedReplayStore.create(tmp_path / "fed", seed=5, policy="reservoir")
+        rng = np.random.default_rng(0)
+        for step in range(6):
+            make_member(fed.root / f"task-{step}", rng.integers(0, step + 2, 8), seed=step)
+            fed.adopt(f"task-{step}")
+            if step == 0:
+                fed.configure(budget_bytes=fed.bytes_for(9))
+            fed.rebalance()
+        # The same survivors as when emptied members stayed on as
+        # zero-sample stores: dropping them changes no later decision.
+        kept = {name: store.labels.tolist() for name, store in fed.members()}
+        assert kept == {
+            "task-2": [1], "task-3": [3], "task-4": [0, 3], "task-5": [2, 0, 0, 0, 3]
+        }
+        assert sorted(p.name for p in fed.root.iterdir() if p.is_dir()) == list(kept)
+        assert list(fed.stats().members) == list(kept)
+        assert FederatedReplayStore.open(fed.root).member_names == list(kept)
+
+
 class TestClassBalance:
     def test_balanced_across_skewed_members(self, tmp_path):
         fed = FederatedReplayStore.create(

@@ -1,13 +1,11 @@
-"""Registry-wide scenario conformance suite.
+"""Scenario conformance suite over the closed scenario table.
 
-Parametrized over :func:`repro.scenario.available` **at collection
-time**, so every registered scenario — the five built-ins and any
-third-party scenario ``register()``'d before this module is collected —
-inherits the same invariant coverage for free:
+Parametrized over :func:`repro.scenario.available`, so every built-in
+scenario is held to the same invariants:
 
 - protocol conformance (``name``/``describe()``/``steps()`` as the
   :class:`~repro.scenario.base.Scenario` protocol specifies, with the
-  registry name round-tripping);
+  table name round-tripping);
 - lazy step construction (``steps()`` returns a lazy iterator and does
   not touch the generator before iteration);
 - same-seed determinism (two materialisations from fresh same-seed
@@ -21,7 +19,7 @@ inherits the same invariant coverage for free:
 
 The same invariants are then re-applied to the full **(base scenario ×
 combinator)** product (``TestCombinatorProductConformance``): every
-registered base wrapped in every combinator from
+built-in base wrapped in every combinator from
 :mod:`repro.scenario.combinators` must stay protocol-conformant, lazy,
 and same-seed deterministic — combinators may transform steps but never
 weaken the contract.
@@ -45,7 +43,6 @@ from repro.scenario import (
     Scenario,
     available,
     get,
-    register,
     run_scenario,
     with_blur,
     with_class_repetition,
@@ -53,14 +50,12 @@ from repro.scenario import (
     with_label_noise,
     with_task_masks,
 )
-from repro.scenario import registry as registry_module
 
-#: Snapshot at collection time: one parametrization per registered
-#: scenario.  Register before import/collection to join the suite.
+#: One parametrization per built-in scenario.
 NAMES = available()
 
 #: Every combinator, by the tag it appends to the base scenario's name.
-#: The product suite wraps each registered base in each of these.
+#: The product suite wraps each built-in base in each of these.
 COMBINATORS = {
     "blur": with_blur,
     "class-repetition": with_class_repetition,
@@ -69,13 +64,12 @@ COMBINATORS = {
     "task-masks": with_task_masks,
 }
 
-#: The full (base × combinator) product, computed at collection time so
-#: third-party registrations join it exactly like the plain suite.
+#: The full (base × combinator) product.
 PRODUCT = [
     (base, tag) for base in NAMES for tag in sorted(COMBINATORS)
 ]
 
-#: Safety cap for the conformance walks — a registered scenario may
+#: Safety cap for the conformance walks — a scenario may
 #: describe an arbitrarily long stream; conformance only needs a prefix.
 MAX_STEPS = 16
 
@@ -109,13 +103,13 @@ class _ForbiddenGenerator:
         )
 
 
-def check_protocol(scenario, registered_name: str) -> None:
-    """Structural Scenario conformance + registry-name round-trip."""
+def check_protocol(scenario, table_name: str) -> None:
+    """Structural Scenario conformance + table-name round-trip."""
     assert isinstance(scenario, Scenario), (
         f"{type(scenario).__name__} does not satisfy the Scenario protocol"
     )
-    assert scenario.name == registered_name, (
-        f"scenario.name {scenario.name!r} != registry name {registered_name!r}"
+    assert scenario.name == table_name, (
+        f"scenario.name {scenario.name!r} != table name {table_name!r}"
     )
     description = scenario.describe()
     assert isinstance(description, str) and description.strip(), (
@@ -180,7 +174,7 @@ def check_disjoint_eval(scenario, preset, experiment) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The registry-wide suite
+# The table-wide suite
 # ---------------------------------------------------------------------------
 
 
@@ -219,7 +213,7 @@ def _product_id(pair) -> str:
 
 
 class TestCombinatorProductConformance:
-    """Every combinator over every registered base keeps the contract."""
+    """Every combinator over every built-in base keeps the contract."""
 
     @pytest.mark.parametrize("pair", PRODUCT, ids=_product_id)
     def test_protocol(self, pair):
@@ -378,7 +372,7 @@ class TestConformanceCatchesViolations:
             check_lazy_steps(_EagerScenario(), experiment)
 
     def test_rejects_eager_combinator(self, env):
-        # The wrapped base is a perfectly lazy registered scenario; only
+        # The wrapped base is a perfectly lazy built-in scenario; only
         # the combinator is at fault, and the probe still catches it.
         _, experiment = env
         with pytest.raises(AssertionError, match="touched generator"):
@@ -394,10 +388,10 @@ class TestConformanceCatchesViolations:
         with pytest.raises(AssertionError, match="differs across same-seed"):
             check_deterministic(_FlakyScenario(), preset, experiment)
 
-    def test_checks_cover_third_party_registrations(self, env):
-        # A well-formed third-party scenario passes the exact same check
-        # functions the registry-wide suite applies — registering before
-        # collection is all it takes to inherit them as tests.
+    def test_checks_cover_third_party_scenarios(self, env):
+        # A well-formed third-party scenario, passed to run_scenario as
+        # an instance, passes the exact same check functions the suite
+        # applies to the built-ins.
         preset, experiment = env
 
         class ThirdParty:
@@ -417,12 +411,8 @@ class TestConformanceCatchesViolations:
 
                 yield ContinualStep(index=0, split=split, name="step-0")
 
-        register("third-party-ok", ThirdParty)
-        try:
-            scenario = get("third-party-ok")
-            check_protocol(scenario, "third-party-ok")
-            check_lazy_steps(scenario, experiment)
-            check_deterministic(scenario, preset, experiment)
-            check_disjoint_eval(scenario, preset, experiment)
-        finally:
-            registry_module._SCENARIOS.pop("third-party-ok", None)
+        scenario = ThirdParty()
+        check_protocol(scenario, "third-party-ok")
+        check_lazy_steps(scenario, experiment)
+        check_deterministic(scenario, preset, experiment)
+        check_disjoint_eval(scenario, preset, experiment)

@@ -15,8 +15,8 @@ from repro.scenario import (
     SingleStepScenario,
     available,
     get,
-    register,
 )
+from repro.scenario.registry import SCENARIOS
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,19 @@ class TestRegistry:
             assert scenario.name == name
             assert scenario.describe()
 
+    def test_table_keys_are_class_names(self):
+        assert len(SCENARIOS) == 7
+        for name, cls in SCENARIOS.items():
+            assert cls.name == name
+        assert available() == sorted(SCENARIOS)
+
+    def test_get_returns_fresh_instances(self):
+        first = get("sequential", steps_count=3)
+        second = get("sequential")
+        assert first is not second
+        assert first.steps_count == 3
+        assert second.steps_count != 3
+
     def test_get_forwards_kwargs(self):
         scenario = get("sequential", steps_count=3, classes_per_step=1)
         assert scenario.steps_count == 3
@@ -51,40 +64,6 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             get("task-free")
-
-    def test_register_custom_and_replace(self):
-        class Custom:
-            name = "custom-test"
-
-            def describe(self):
-                return "a test scenario"
-
-            def steps(self, generator, experiment):
-                return iter(())
-
-        register("custom-test", Custom)
-        try:
-            assert isinstance(get("custom-test"), Scenario)
-        finally:
-            from repro.scenario import registry
-
-            registry._SCENARIOS.pop("custom-test", None)
-
-    def test_register_rejects_bad_factory(self):
-        with pytest.raises(ConfigError, match="callable"):
-            register("bad", None)
-        with pytest.raises(ConfigError, match="non-empty string"):
-            register("", lambda: None)
-
-    def test_get_rejects_non_conforming_product(self):
-        register("broken-test", lambda: object())
-        try:
-            with pytest.raises(ConfigError, match="Scenario protocol"):
-                get("broken-test")
-        finally:
-            from repro.scenario import registry
-
-            registry._SCENARIOS.pop("broken-test", None)
 
 
 class TestSingleStep:

@@ -1,6 +1,6 @@
 """Parity, selection and degradation tests for the kernel backends.
 
-Every registered backend is pinned bitwise (``np.array_equal``) to the
+Every backend is pinned bitwise (``np.array_equal``) to the
 numpy reference executor.
 """
 
@@ -14,14 +14,7 @@ import oracle
 from repro.autograd import Tensor
 from repro.errors import ConfigError
 from repro.snn import backends
-from repro.snn.backends import (
-    CffiExecutor,
-    NumpyExecutor,
-    SequenceExecutor,
-    SweepSpec,
-    register_backend,
-)
-from repro.snn.backends import base as backends_base
+from repro.snn.backends import CffiExecutor, SequenceExecutor, SweepSpec
 from repro.snn.backends import cffi_c, numpy_ref
 from repro.snn.kernels import cuba_lif_sequence, leaky_readout_sequence, lif_sequence
 from repro.snn.layers import RecurrentLIFLayer
@@ -47,14 +40,9 @@ needs_c = pytest.mark.skipif(not C_AVAILABLE, reason=f"C backend: {C_REASON}")
 
 
 @pytest.fixture(autouse=True)
-def _isolated_registry():
-    """Snapshot the registry + active memo around every test."""
-    snapshot = dict(backends_base._REGISTRY)
-    backends_base._invalidate_active()
-    yield
-    backends_base._REGISTRY.clear()
-    backends_base._REGISTRY.update(snapshot)
-    backends_base._invalidate_active()
+def _fresh_active_memo(monkeypatch):
+    """Every test resolves the active executor afresh."""
+    monkeypatch.setattr(backends, "_ACTIVE", {"selection": None, "backend": None})
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +82,6 @@ def _executors():
 
 
 def _assert_parity(executor, got, want):
-    assert executor.parity == "bitwise"
     assert np.array_equal(np.asarray(got), np.asarray(want)), "bitwise parity violated"
 
 
@@ -205,7 +192,6 @@ class TestCBackendThroughKernels:
 
     def _grads(self, monkeypatch, backend_name):
         monkeypatch.setenv("REPRO_BACKEND", backend_name)
-        backends_base._invalidate_active()
         params = LIFParameters(beta=0.9, threshold=0.6, reset_mode="zero")
         rng = np.random.default_rng(0)
         x = Tensor((rng.random((7, 3, 5)) < 0.3).astype(np.float32))
@@ -245,7 +231,6 @@ class TestCBackendThroughKernels:
         results = {}
         for name in ("numpy", "c"):
             monkeypatch.setenv("REPRO_BACKEND", name)
-            backends_base._invalidate_active()
             out = cuba_lif_sequence(
                 Tensor(x), Tensor(w_ff, requires_grad=True), params, alpha=0.45
             )
@@ -270,7 +255,6 @@ class TestCBackendThroughKernels:
         runs = {}
         for name in ("numpy", "c", "oracle"):
             monkeypatch.setenv("REPRO_BACKEND", "numpy" if name == "oracle" else name)
-            backends_base._invalidate_active()
             controller = PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=12)
             if name == "oracle":
                 out = oracle.layer_forward(layer, x, controller)
@@ -325,41 +309,19 @@ class TestCBackendThroughKernels:
 
 
 # ----------------------------------------------------------------------
-# Registry + selection semantics.
+# Backend table + selection semantics.
 # ----------------------------------------------------------------------
 
 
-class _StubExecutor(NumpyExecutor):
-    name = "numpy"
-
-    def availability(self):
-        return True, "stub shadowing the reference"
-
-
 class TestRegistry:
-    def test_all_backends_priority_order(self):
-        names = [b.name for b in backends.all_backends()]
-        assert names == ["c", "numpy"]
+    def test_speed_order(self):
+        assert list(backends.BACKENDS) == ["c", "numpy"]
 
-    def test_reregistration_latest_wins(self):
-        stub = _StubExecutor()
-        register_backend(stub)
-        assert backends.get_backend("numpy") is stub
-
-    def test_register_rejects_abstract_name(self):
-        class Nameless(NumpyExecutor):
-            name = "abstract"
-
-        with pytest.raises(ConfigError, match="concrete"):
-            register_backend(Nameless())
-
-    def test_register_rejects_unknown_parity(self):
-        class BadParity(NumpyExecutor):
-            name = "bad"
-            parity = "vibes"
-
-        with pytest.raises(ConfigError, match="parity"):
-            register_backend(BadParity())
+    def test_table_keys_are_executor_names(self):
+        for name, executor in backends.BACKENDS.items():
+            assert isinstance(executor, SequenceExecutor)
+            assert executor.name == name
+            assert backends.get_backend(name) is executor
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ConfigError, match="registered backends"):
@@ -373,7 +335,6 @@ class TestRegistry:
             backends.active()
 
     def test_numpy_always_available(self):
-        assert NumpyExecutor() in type(NumpyExecutor()).__mro__ or True
         ok, reason = backends.get_backend("numpy").availability()
         assert ok and "numpy" in reason
 
@@ -382,6 +343,9 @@ class TestSelection:
     def test_explicit_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         assert backends.active().name == "numpy"
+
+    def test_explicit_name_is_normalised(self):
+        assert backends.select_backend("  NumPy ") is backends.get_backend("numpy")
 
     def test_active_memoised_until_env_changes(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
@@ -397,7 +361,7 @@ class TestSelection:
 
     def test_auto_prefers_fastest_available(self):
         selected = backends.select_backend("auto")
-        for candidate in backends.all_backends():
+        for candidate in backends.BACKENDS.values():
             if candidate.availability()[0]:
                 assert selected is candidate
                 break
@@ -409,7 +373,6 @@ class TestSelection:
         assert sum(row["selected"] for row in rows) == 1
         for row in rows:
             assert row["reason"]
-            assert row["parity"] == "bitwise"
 
 
 class TestDegradation:
@@ -451,7 +414,8 @@ class TestDegradation:
         monkeypatch.setitem(
             cffi_c._BLAS_SYMBOLS, "f32", ("no_such_sgemm", "no_such_sgemv")
         )
-        executor = register_backend(CffiExecutor())
+        executor = CffiExecutor()
+        monkeypatch.setitem(backends.BACKENDS, "c", executor)
         ok, reason = executor.availability()
         assert not ok
         assert "BLAS" in reason
