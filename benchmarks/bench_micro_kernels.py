@@ -231,6 +231,22 @@ def test_trace_disabled_overhead(benchmark, monkeypatch):
     benchmark(disabled_calls)
 
 
+def test_synthesize_class_recordings(benchmark):
+    """One class's training recordings at the scale preset's
+    ``SyntheticSHDConfig`` (the data-synthesis share of every run's
+    set-up); a fresh generator per round, so its memo never hits."""
+    from repro.data import SyntheticSHD
+    from repro.eval.scale import get_scale
+
+    preset = get_scale(os.environ.get("REPRO_BENCH_SCALE", "bench"))
+    samples = preset.experiment.samples_per_class
+
+    def synthesize():
+        return SyntheticSHD(preset.shd, seed=0).generate_dataset(samples, classes=[0])
+
+    benchmark(synthesize)
+
+
 def test_subsample_codec_roundtrip(benchmark, rng):
     raster = (rng.random((100, 64, 64)) < 0.1).astype(np.float32)
     codec = TemporalSubsampleCodec(2)

@@ -212,6 +212,13 @@ class SyntheticSHD:
         With ``rng`` given, per-sample speaker variability (time warp and
         channel jitter) is applied; without it, the clean class field is
         returned.
+
+        Each ridge is evaluated only over its active window, the
+        contiguous grid rows where its phase lies in ``[0, 1]``.  This is
+        exact: outside the window the envelope is exactly 0, so the
+        full-grid sum would add ``c * 0.0 * gauss`` there, a +0.0 (the
+        Gaussian is finite and non-negative) that leaves ``field``
+        bit-for-bit unchanged.  The Gaussian still spans every channel.
         """
         self._check_class(class_id)
         cfg = self.config
@@ -225,24 +232,28 @@ class SyntheticSHD:
             onset, offset = traj.onset, traj.offset
             if rng is not None:
                 shift = rng.normal(0.0, cfg.channel_jitter_std)
-                start = float(np.clip(start + shift, 0.02, 0.98))
-                end = float(np.clip(end + shift, 0.02, 0.98))
-                warp = float(np.clip(rng.normal(1.0, cfg.time_warp_std), 0.7, 1.3))
+                start = min(max(start + shift, 0.02), 0.98)
+                end = min(max(end + shift, 0.02), 0.98)
+                warp = min(max(rng.normal(1.0, cfg.time_warp_std), 0.7), 1.3)
                 onset = onset * warp
                 offset = min(offset * warp, 1.0)
-            # Active window envelope (smooth rise/fall).
+            # Active window envelope (smooth rise/fall).  Phase grows
+            # with time, so the active rows are one contiguous run.
             span = max(offset - onset, 1e-3)
             phase = (grid_t - onset) / span
-            envelope = np.where(
-                (phase >= 0) & (phase <= 1), np.sin(np.pi * np.clip(phase, 0, 1)), 0.0
-            )
+            active = (phase >= 0) & (phase <= 1)
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                continue
+            window = slice(rows[0], rows[-1] + 1)
+            envelope = np.where(active, np.sin(np.pi * np.clip(phase, 0, 1)), 0.0)
             # Channel centre sweeps from start to end with quadratic bend.
             centre = start + (end - start) * phase + curve * phase * (1 - phase)
             gauss = np.exp(
                 -0.5
-                * ((channels[None, :] - centre[:, None]) / cfg.channel_bandwidth) ** 2
+                * ((channels[None, :] - centre[window, None]) / cfg.channel_bandwidth) ** 2
             )
-            field += cfg.peak_rate * traj.intensity * envelope[:, None] * gauss
+            field[window] += cfg.peak_rate * traj.intensity * envelope[window, None] * gauss
         return field
 
     def generate(self, class_id: int, sample_id: int) -> EventStream:
@@ -276,7 +287,7 @@ class SyntheticSHD:
         dt = cfg.duration / cfg.grid_steps
         counts = rng.poisson(field * dt)
         # Binarize per cell: SHD-style binary rasters at grid resolution.
-        t_idx, c_idx = np.nonzero(counts)
+        t_idx, c_idx = np.nonzero(counts > 0)
         jitter = rng.random(t_idx.size)
         times = (t_idx + jitter) * dt
         return EventStream(

@@ -21,8 +21,12 @@ threshold controller (Alg. 1) loops in Python, calling the same C step
 once per timestep around ``controller.step``.
 
 The shared library is built lazily on first use via the system C
-compiler, cached per process and on disk (keyed by a hash of the C
-source, under ``$REPRO_CACHE/ckernels``).  When cffi, a compiler or
+compiler, cached per process and on disk under ``$REPRO_CACHE/ckernels``.
+Beside it sits cffi's out-of-line ABI module of the C declarations, so
+only the first process parses them (with pycparser); later ones execute
+that module.  One digest of the C source, the declarations, the flags
+and the compiler names both files.  The bitwise self-check runs on
+every probe, cached files or not.  When cffi, a compiler or
 numpy's BLAS symbols are missing, or the compiled kernels fail their
 bitwise self-check, the backend reports itself unavailable with the reason — ``auto`` selection
 then falls back to numpy.
@@ -35,7 +39,7 @@ import itertools
 import os
 import subprocess
 import tempfile
-from shutil import which
+from shutil import rmtree, which
 
 import numpy as np
 
@@ -299,23 +303,41 @@ def _find_compiler() -> str | None:
     return None
 
 
-def _compile(compiler: str, source: str) -> str:
-    """Compile ``source`` into a cached shared library; return its path.
+def _cdef() -> str:
+    """Every C declaration the executor binds: kernels and numpy's BLAS.
 
-    The library name embeds a hash of the source and flags, so editing
-    the kernels naturally invalidates the on-disk cache.
+    The BLAS entry points are declared ``void f(void)`` only to take
+    their addresses.
+    """
+    kernels = "".join(
+        _CDEF_TEMPLATE.format(suf=suf, ctype=ctype) for suf, ctype in _DTYPES.items()
+    )
+    names = [name for pair in _BLAS_SYMBOLS.values() for name in pair]
+    return kernels + "".join(f"void {name}(void);\n" for name in names)
+
+
+def _build_paths(compiler: str) -> tuple[str, str]:
+    """Cache paths of the shared library and its FFI module.
+
+    Both names embed one digest of the C source, the declarations, the
+    flags and the compiler, so editing any of them invalidates both.
     """
     digest = hashlib.sha256(
-        (source + " ".join(_CFLAGS) + compiler).encode()
+        (kernel_source() + _cdef() + " ".join(_CFLAGS) + compiler).encode()
     ).hexdigest()[:16]
-    cache = _cache_dir()
-    lib_path = os.path.join(cache, f"reprokernels-{digest}.so")
+    stem = os.path.join(_cache_dir(), f"reprokernels-{digest}")
+    return stem + ".so", stem + "-ffi.py"
+
+
+def _compile(compiler: str, lib_path: str) -> None:
+    """Compile the kernels into ``lib_path`` unless it is already there."""
     if os.path.exists(lib_path):
-        return lib_path
+        return
+    cache = os.path.dirname(lib_path)
     os.makedirs(cache, exist_ok=True)
-    src_path = os.path.join(cache, f"reprokernels-{digest}.c")
+    src_path = lib_path[: -len(".so")] + ".c"
     with open(src_path, "w") as handle:
-        handle.write(source)
+        handle.write(kernel_source())
     # Build into a temp name then rename: concurrent processes racing on
     # the same cache see either nothing or a complete library.
     fd, tmp_path = tempfile.mkstemp(suffix=".so", dir=cache)
@@ -331,7 +353,36 @@ def _compile(compiler: str, source: str) -> str:
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
-    return lib_path
+
+
+def _write_ffi(ffi_path: str) -> None:
+    """Parse the declarations once into cffi's out-of-line ABI module.
+
+    This is the only step that needs cffi's C parser (pycparser); later
+    processes execute the written module instead.
+    """
+    import cffi
+
+    ffi = cffi.FFI()
+    ffi.cdef(_cdef())
+    ffi.set_source("_reprokernels_ffi", None)
+    cache = os.path.dirname(ffi_path)
+    os.makedirs(cache, exist_ok=True)
+    # Generate in a private directory then rename, as for the library.
+    tmp_dir = tempfile.mkdtemp(dir=cache)
+    try:
+        os.replace(ffi.compile(tmpdir=tmp_dir, verbose=False), ffi_path)
+    finally:
+        rmtree(tmp_dir)
+
+
+def _load_ffi(ffi_path: str):
+    """The ``ffi`` object of a written FFI module."""
+    with open(ffi_path) as handle:
+        code = compile(handle.read(), ffi_path, "exec")
+    namespace: dict = {}
+    exec(code, namespace)  # our own generated module, trusted as the .so is
+    return namespace["ffi"]
 
 
 def _bind_numpy_blas(ffi, lib) -> None:
@@ -344,9 +395,6 @@ def _bind_numpy_blas(ffi, lib) -> None:
     """
     from numpy._core import _multiarray_umath
 
-    # Declared only to take their addresses.
-    names = [name for pair in _BLAS_SYMBOLS.values() for name in pair]
-    ffi.cdef("".join(f"void {name}(void);\n" for name in names))
     blas = ffi.dlopen(_multiarray_umath.__file__)
     for suf, names in _BLAS_SYMBOLS.items():
         getattr(lib, f"set_blas_{suf}")(
@@ -389,7 +437,7 @@ class CffiExecutor(SequenceExecutor):
         try:
             ffi, lib = self._build(compiler)
         except Exception as error:  # build failures become reasons, not crashes
-            return False, f"kernel compilation failed: {error}"
+            return False, f"kernel build (compile or FFI module) failed: {error}"
         try:
             _bind_numpy_blas(ffi, lib)
         except Exception as error:
@@ -402,12 +450,14 @@ class CffiExecutor(SequenceExecutor):
         return True, f"compiled C kernels via {compiler} on numpy's BLAS (bitwise vs numpy)"
 
     def _build(self, compiler: str) -> tuple:
-        import cffi
-
-        ffi = cffi.FFI()
-        for suf, ctype in _DTYPES.items():
-            ffi.cdef(_CDEF_TEMPLATE.format(suf=suf, ctype=ctype))
-        return ffi, ffi.dlopen(_compile(compiler, kernel_source()))
+        lib_path, ffi_path = _build_paths(compiler)
+        _compile(compiler, lib_path)
+        try:
+            ffi = _load_ffi(ffi_path)
+        except Exception:  # missing, truncated or garbage: write it afresh
+            _write_ffi(ffi_path)
+            ffi = _load_ffi(ffi_path)
+        return ffi, ffi.dlopen(lib_path)
 
     def _self_check(self) -> None:
         """Assert bitwise parity with numpy on a canonical tiny workload.
@@ -461,11 +511,13 @@ class CffiExecutor(SequenceExecutor):
 
                 raise ConfigError(f"C kernel backend unavailable: {reason}")
         suf = self._SUFFIXES[np.dtype(dtype)]
-        ctype = "float *" if suf == "f32" else "double *"
+        ctype = "float[]" if suf == "f32" else "double[]"
         return getattr(self._lib, f"{name}_{suf}"), ctype
 
     def _ptr(self, ctype: str, array: np.ndarray):
-        return self._ffi.cast(ctype, array.ctypes.data)
+        # A view of the C-contiguous buffer (read-only ones too), which
+        # decays to a pointer and supports ``p + offset``.
+        return self._ffi.from_buffer(ctype, array)
 
     def _supported(self, *arrays: np.ndarray, w_rec=None) -> bool:
         dtype = np.dtype(arrays[-1].dtype)

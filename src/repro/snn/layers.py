@@ -15,8 +15,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd.tensor import no_grad
-from repro.errors import ShapeError
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DataError, ShapeError
 from repro.snn import kernels
 from repro.seeding import default_rng
 from repro.snn.init import dense_init, recurrent_init
@@ -30,6 +29,21 @@ __all__ = ["RecurrentLIFLayer", "LeakyReadout", "MASKED_LOGIT"]
 #: yet far below any reachable membrane value, so a masked class can
 #: never win an argmax.
 MASKED_LOGIT = -1.0e9
+
+
+def _load_weights(state: dict[str, np.ndarray], weights: list[tuple[str, Tensor]]) -> None:
+    """Copy ``state[name]`` into each ``(name, weight)``, all checked first.
+
+    Nothing is written unless every entry is present with its weight's
+    shape, so a bad state leaves the layer as it was.
+    """
+    for name, weight in weights:
+        if name not in state:
+            raise DataError(f"state dict has no {name!r} entry")
+        if state[name].shape != weight.data.shape:
+            raise ShapeError(f"{name} shape {state[name].shape} != {weight.data.shape}")
+    for name, weight in weights:
+        weight.data = state[name].copy()
 
 
 class RecurrentLIFLayer:
@@ -113,14 +127,16 @@ class RecurrentLIFLayer:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore weights from a :meth:`state_dict` copy, in place."""
-        if state["w_ff"].shape != self.w_ff.data.shape:
-            raise ShapeError(
-                f"w_ff shape {state['w_ff'].shape} != {self.w_ff.data.shape}"
-            )
-        self.w_ff.data = state["w_ff"].copy()
+        """Restore weights from a :meth:`state_dict` copy, in place.
+
+        Raises:
+            DataError: If ``state`` lacks a weight this layer has.
+            ShapeError: If a weight's shape differs from this layer's.
+        """
+        weights = [("w_ff", self.w_ff)]
         if self.w_rec is not None:
-            self.w_rec.data = state["w_rec"].copy()
+            weights.append(("w_rec", self.w_rec))
+        _load_weights(state, weights)
 
     # ------------------------------------------------------------------
     def forward(
@@ -219,12 +235,13 @@ class LeakyReadout:
         return {"w_ff": self.w_ff.data.copy()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore weights from a :meth:`state_dict` copy, in place."""
-        if state["w_ff"].shape != self.w_ff.data.shape:
-            raise ShapeError(
-                f"w_ff shape {state['w_ff'].shape} != {self.w_ff.data.shape}"
-            )
-        self.w_ff.data = state["w_ff"].copy()
+        """Restore weights from a :meth:`state_dict` copy, in place.
+
+        Raises:
+            DataError: If ``state`` has no ``w_ff``.
+            ShapeError: If its shape differs from this readout's.
+        """
+        _load_weights(state, [("w_ff", self.w_ff)])
 
     def forward(
         self,

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.config import NetworkConfig
-from repro.errors import ShapeError, SplitError
+from repro.errors import DataError, ShapeError, SplitError
 from repro.seeding import spawn
 from repro.snn.layers import LeakyReadout, RecurrentLIFLayer
 from repro.snn.neurons import LIFParameters
@@ -159,10 +159,16 @@ class SpikingNetwork:
         return state
 
     def load_state_dict(self, state: dict[str, dict[str, np.ndarray]]) -> None:
-        """Restore weights from a :meth:`state_dict` copy, in place."""
-        for layer in self.hidden_layers:
+        """Restore weights from a :meth:`state_dict` copy, in place.
+
+        Raises:
+            DataError: If ``state`` lacks a layer or a weight.
+            ShapeError: If a weight's shape differs from this network's.
+        """
+        for layer in [*self.hidden_layers, self.readout]:
+            if layer.name not in state:
+                raise DataError(f"state dict has no {layer.name!r} layer")
             layer.load_state_dict(state[layer.name])
-        self.readout.load_state_dict(state["readout"])
 
     def clone(self) -> "SpikingNetwork":
         """Deep copy with identical weights (used to snapshot pre-training)."""

@@ -1,5 +1,6 @@
 """Tests for scale presets and the experiment registry."""
 
+import io
 import struct
 import zipfile
 
@@ -70,7 +71,7 @@ class TestExperimentRegistry:
         assert len(ctx2.pretrained.history) == 0
         experiments._CONTEXTS.clear()
 
-    @pytest.mark.parametrize("damage", ["truncate", "flip-byte"])
+    @pytest.mark.parametrize("damage", ["truncate", "flip-byte", "wrong-w_rec-shape"])
     def test_damaged_disk_cache_is_a_miss(self, tmp_path, monkeypatch, damage):
         # A damaged archive re-pretrains and rewrites the file instead of
         # crashing every figure run with a raw zipfile error.
@@ -81,6 +82,15 @@ class TestExperimentRegistry:
         raw = bytearray(path.read_bytes())
         if damage == "truncate":
             del raw[len(raw) // 2 :]
+        elif damage == "wrong-w_rec-shape":
+            # A whole, readable archive whose hidden0/w_rec does not fit
+            # the 24-neuron layer.
+            with np.load(path) as archive:
+                members = {key: archive[key] for key in archive.files}
+            members["hidden0/w_rec"] = np.zeros((3, 3), dtype=np.float32)
+            buffer = io.BytesIO()
+            np.savez(buffer, **members)
+            raw = bytearray(buffer.getvalue())
         else:
             # One byte inside the stored w_ff payload: past the zip local
             # header (30 bytes + name + extra) and the 128-byte .npy header.

@@ -4,13 +4,19 @@ Every backend is pinned bitwise (``np.array_equal``) to the
 numpy reference executor.
 """
 
+import json
+import os
+import shutil
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
+import repro
 from repro.autograd import Tensor
 from repro.errors import ConfigError
 from repro.snn import backends
@@ -469,6 +475,137 @@ class TestKernelSource:
     def test_no_unprotected_fma_flags(self):
         assert "-ffp-contract=off" in cffi_c._CFLAGS
         assert "-fno-fast-math" in cffi_c._CFLAGS
+
+
+# ----------------------------------------------------------------------
+# Build cache: the shared library and its FFI module live side by side
+# under one digest; a warm probe parses no C and still self-checks.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def built_cache(tmp_path_factory):
+    """A ``REPRO_CACHE`` holding one cold build (library + FFI module)."""
+    if not C_AVAILABLE:
+        pytest.skip(C_REASON)
+    root = tmp_path_factory.mktemp("repro-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE", str(root))
+        ok, reason = CffiExecutor().availability()
+    assert ok, reason
+    return root
+
+
+def _cache_copy(built_cache, tmp_path, monkeypatch):
+    shutil.copytree(built_cache, tmp_path / "cache")
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
+    return cffi_c._build_paths(cffi_c._find_compiler())
+
+
+def _counting_self_check(monkeypatch) -> list:
+    calls = []
+    original = CffiExecutor._self_check
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(CffiExecutor, "_self_check", counted)
+    return calls
+
+
+class TestBuildCache:
+    def test_cold_probe_writes_library_and_ffi_module(self, built_cache, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(built_cache))
+        lib_path, ffi_path = cffi_c._build_paths(cffi_c._find_compiler())
+        assert os.path.isfile(lib_path) and os.path.isfile(ffi_path)
+        # One digest names both, next to each other.
+        assert ffi_path == lib_path[: -len(".so")] + "-ffi.py"
+        leftovers = set(os.listdir(os.path.dirname(lib_path))) - {
+            os.path.basename(p) for p in (lib_path, ffi_path, lib_path[:-3] + ".c")
+        }
+        assert not leftovers  # no temp files or directories stay behind
+
+    def test_digest_covers_the_declarations(self, monkeypatch):
+        compiler = cffi_c._find_compiler() or "cc"
+        before = cffi_c._build_paths(compiler)
+        monkeypatch.setitem(cffi_c._BLAS_SYMBOLS, "f32", ("other_sgemm", "other_sgemv"))
+        after = cffi_c._build_paths(compiler)
+        assert before[0] != after[0] and before[1] != after[1]
+
+    def test_warm_probe_in_a_new_process_parses_no_c(self, built_cache):
+        script = (
+            "import json, sys\n"
+            "from repro.snn.backends.cffi_c import CffiExecutor\n"
+            "checks = []\n"
+            "original = CffiExecutor._self_check\n"
+            "CffiExecutor._self_check = lambda self: (checks.append(1), original(self))\n"
+            "ok, reason = CffiExecutor().availability()\n"
+            "print(json.dumps({'ok': ok, 'reason': reason, 'checks': len(checks),\n"
+            "                  'pycparser': 'pycparser' in sys.modules}))\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "REPRO_CACHE": str(built_cache), "PYTHONPATH": str(src)}
+        before = sorted(os.listdir(built_cache / "ckernels"))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        report = json.loads(out.stdout.strip().splitlines()[-1])
+        assert report["ok"], report["reason"]
+        assert report["checks"] == 1
+        assert not report["pycparser"]
+        assert sorted(os.listdir(built_cache / "ckernels")) == before  # nothing rebuilt
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "empty", "no-ffi"])
+    def test_damaged_ffi_module_is_rebuilt(self, built_cache, tmp_path, monkeypatch, damage):
+        _, ffi_path = _cache_copy(built_cache, tmp_path, monkeypatch)
+        with open(ffi_path, "rb") as handle:
+            pristine = handle.read()
+        damaged = {
+            "truncate": pristine[: len(pristine) // 2],
+            "garbage": bytes(range(256)) * 4,
+            "empty": b"",
+            "no-ffi": b"import _cffi_backend\nx = 1\n",
+        }[damage]
+        with open(ffi_path, "wb") as handle:
+            handle.write(damaged)
+        checks = _counting_self_check(monkeypatch)
+        ok, reason = CffiExecutor().availability()
+        assert ok, reason
+        assert checks == [1]
+        with open(ffi_path, "rb") as handle:
+            assert handle.read() == pristine
+
+    def test_unwritable_ffi_module_makes_backend_unavailable(
+        self, built_cache, tmp_path, monkeypatch
+    ):
+        _, ffi_path = _cache_copy(built_cache, tmp_path, monkeypatch)
+        with open(ffi_path, "w") as handle:
+            handle.write("ffi = (")
+
+        def refuse(path):
+            raise OSError("read-only cache")
+
+        monkeypatch.setattr(cffi_c, "_write_ffi", refuse)
+        ok, reason = CffiExecutor().availability()
+        assert not ok
+        assert "FFI module" in reason and "read-only cache" in reason
+
+
+@needs_c
+def test_read_only_inputs_take_the_kernels():
+    # Memoized recordings and cached rasters are read-only; the kernels
+    # take their buffers as they are, with the same bits.
+    rng = np.random.default_rng(4)
+    ff = rng.standard_normal((6, 2, 5)).astype(np.float32)
+    w_rec = (rng.standard_normal((5, 5)) * 0.3).astype(np.float32)
+    ff.flags.writeable = False
+    w_rec.flags.writeable = False
+    spec = _SPECS["lif-soft"]
+    want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
+    got = C_EXECUTOR.lif_forward(ff, w_rec, spec)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestExecutorContract:

@@ -5,7 +5,7 @@ import pytest
 
 from repro import obs
 from repro.autograd import Tensor
-from repro.errors import ShapeError
+from repro.errors import DataError, ReproError, ShapeError
 from repro.snn import LeakyReadout, LIFParameters, RecurrentLIFLayer, StaticThreshold
 
 
@@ -99,6 +99,25 @@ class TestRecurrentLIFLayer:
         with pytest.raises(ShapeError):
             a.load_state_dict(b.state_dict())
 
+    def test_wrong_w_rec_shape_raises_and_leaves_layer(self):
+        layer = make_layer(n_out=6)
+        before = layer.state_dict()
+        state = make_layer(rng=np.random.default_rng(5)).state_dict()
+        state["w_rec"] = np.zeros((3, 3), dtype=np.float32)
+        with pytest.raises(ShapeError, match="w_rec"):
+            layer.load_state_dict(state)
+        np.testing.assert_array_equal(layer.w_ff.data, before["w_ff"])
+        np.testing.assert_array_equal(layer.w_rec.data, before["w_rec"])
+
+    @pytest.mark.parametrize("missing", ["w_ff", "w_rec"])
+    def test_missing_weight_raises_repro_error(self, missing):
+        layer = make_layer()
+        state = layer.state_dict()
+        del state[missing]
+        with pytest.raises(DataError, match=missing):
+            layer.load_state_dict(state)
+        assert issubclass(DataError, ReproError)
+
     def test_state_dict_is_copy(self):
         layer = make_layer()
         state = layer.state_dict()
@@ -173,7 +192,7 @@ class TestLeakyReadout:
         )
 
     def test_invalid_readout_mode(self):
-        from repro.errors import ShapeError
+        from repro.errors import DataError, ReproError, ShapeError
 
         with pytest.raises(ShapeError):
             LeakyReadout(3, 2, readout_mode="median")

@@ -6,7 +6,7 @@ import pytest
 import oracle
 from repro.autograd import cross_entropy
 from repro.config import NetworkConfig
-from repro.errors import ShapeError, SplitError
+from repro.errors import DataError, ShapeError, SplitError
 from repro.snn import SpikeTrace, SpikingNetwork
 
 
@@ -189,6 +189,24 @@ class TestCloneAndState:
         np.testing.assert_allclose(
             net.forward(x).logits.data, other.forward(x).logits.data
         )
+
+    def test_wrong_w_rec_shape_is_rejected(self, net, config):
+        state = net.state_dict()
+        state["hidden0"]["w_rec"] = np.zeros((3, 3), dtype=np.float32)
+        with pytest.raises(ShapeError, match="w_rec"):
+            SpikingNetwork(config, seed=99).load_state_dict(state)
+
+    @pytest.mark.parametrize(
+        "layer, key", [("hidden1", "w_rec"), ("readout", "w_ff"), ("hidden0", None)]
+    )
+    def test_missing_entry_is_a_data_error(self, net, config, layer, key):
+        state = net.state_dict()
+        if key is None:
+            del state[layer]
+        else:
+            del state[layer][key]
+        with pytest.raises(DataError, match=key or layer):
+            SpikingNetwork(config, seed=99).load_state_dict(state)
 
 
 class TestPredictAndController:
