@@ -1,4 +1,4 @@
-"""Ablations of substrate design choices DESIGN.md calls out.
+"""Ablations of the substrate's design choices.
 
 1. Surrogate-gradient family (fast-sigmoid vs atan vs boxcar vs STE) —
    pre-training quality under each pseudo-derivative.

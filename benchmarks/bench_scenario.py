@@ -1,10 +1,10 @@
 """Extension bench: the scenario-first run API (beyond the paper).
 
-Runs the new workload families opened by `repro.scenario` —
+Runs the named built-in scenarios beyond the paper's single step —
 ``domain-incremental`` (fixed classes, drifting input statistics),
-``blurry`` (overlapping class boundaries), and the task-IL/class-IL
-regime pair (``task-incremental`` vs ``sequential`` on the same seed) —
-end-to-end through ``run_scenario`` and records their
+``blurry`` (overlapping class boundaries, store-backed replay), and the
+task-IL/class-IL regime pair (``task-incremental`` vs ``sequential`` on
+the same seed) — end-to-end through ``run_scenario`` and records their
 continual-learning metrics.  Runs at ci scale regardless of
 REPRO_BENCH_SCALE (each is a full pre-train plus a 2-step NCL stream).
 """

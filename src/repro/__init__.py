@@ -19,8 +19,8 @@ scratch on numpy:
   persistence is configured through one validated ``ReplaySpec``.
 - :mod:`repro.scenario` — scenario-first continual learning: a table
   of lazily-materialised scenarios (single-step, sequential,
-  domain-incremental, blurry) and the ``run_scenario`` entry point with
-  standard CL metrics.
+  task-incremental, domain-incremental, blurry, streaming) and the
+  ``run_scenario`` entry point with standard CL metrics.
 - :mod:`repro.hw` — analytic latency/energy/latent-memory models for
   embedded neuromorphic targets.
 - :mod:`repro.eval` — one experiment per paper figure/table.

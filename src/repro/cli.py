@@ -85,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="global federation byte budget across all steps' stores",
     )
     scenario_run.add_argument(
-        "--with", dest="combinators", action="append", default=None,
-        metavar="COMBINATOR",
-        help="wrap the scenario in a combinator (drift | blur | "
-        "task-masks | class-repetition | label-noise); repeatable, "
-        "applied inside-out in the order given",
-    )
-    scenario_run.add_argument(
         "--checkpoint-dir", default=None,
         help="persist a resumable checkpoint here after every step",
     )
@@ -106,10 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
         "pair with --checkpoint-dir, then --resume to finish)",
     )
 
+    from repro.lint import all_rules
+
+    rule_ids = [rule.id for rule in all_rules()]
     lint = sub.add_parser(
         "lint",
-        help="run the invariant linter (AST rules RPL001-RPL008; exit 2 "
-        "on findings)",
+        help=f"run the invariant linter (AST rules {rule_ids[0]}-"
+        f"{rule_ids[-1]}; exit 2 on findings)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src/repro"],
@@ -250,30 +246,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             )
             return 2
 
-    if args.combinators:
-        from repro import scenario as scenario_pkg
-        from repro.scenario import get as get_scenario
-
-        wrappers = {
-            "drift": scenario_pkg.with_drift,
-            "blur": scenario_pkg.with_blur,
-            "task-masks": scenario_pkg.with_task_masks,
-            "class-repetition": scenario_pkg.with_class_repetition,
-            "label-noise": scenario_pkg.with_label_noise,
-        }
-        unknown = [name for name in args.combinators if name not in wrappers]
-        if unknown:
-            print(
-                f"error: unknown combinator(s) {unknown}; "
-                f"available: {sorted(wrappers)}",
-                file=sys.stderr,
-            )
-            return 2
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
-        for name in args.combinators:
-            scenario = wrappers[name](scenario)
-
     if args.resume and args.checkpoint_dir is None:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -350,7 +322,7 @@ def _cmd_info() -> int:
         "packages: autograd, snn, data, compression, replaystore, training, "
         "core, scenario, hw, eval, obs, lint"
     )
-    print("see DESIGN.md for the system inventory and EXPERIMENTS.md for results")
+    print("see docs/index.md for the documentation and README.md for the quickstart")
     return 0
 
 

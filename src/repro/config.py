@@ -148,7 +148,7 @@ class NCLConfig:
         The ``eta_pre`` entering the divisor rule.  None (default) uses
         the actual pre-training rate; the small-scale presets set it
         higher because far fewer optimizer steps per epoch are available
-        than at paper scale (see DESIGN.md §7).
+        than at paper scale (see :mod:`repro.eval.scale`).
     insertion_layer:
         Index of the LR insertion layer ``Lins`` in ``0..L-1`` weight
         layers (hidden layers only; the readout cannot host LR data).

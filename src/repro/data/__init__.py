@@ -4,7 +4,7 @@ The paper evaluates on the Spiking Heidelberg Digits (SHD) dataset —
 audio-derived spike trains over 700 cochlear channels, 20 classes.  The
 real files cannot be downloaded in this offline environment, so
 :mod:`repro.data.synthetic_shd` provides a generative stand-in that
-preserves the properties the method exercises (see DESIGN.md §2):
+preserves the properties the method exercises:
 temporally-structured sparse events whose class information degrades as
 timesteps are reduced.
 

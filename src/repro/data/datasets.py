@@ -85,12 +85,6 @@ class SpikeDataset:
             num_classes=self.num_classes,
         )
 
-    def filter_classes(self, classes) -> "SpikeDataset":
-        """Keep only recordings whose label is in ``classes``."""
-        keep = set(int(c) for c in classes)
-        indices = [i for i, label in enumerate(self.labels) if int(label) in keep]
-        return self.subset(indices)
-
     def sample_fraction(
         self, fraction: float, rng: np.random.Generator
     ) -> "SpikeDataset":

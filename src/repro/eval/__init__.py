@@ -9,8 +9,8 @@ Usage::
 Figure ids: ``fig1a``, ``fig2``, ``fig8``, ``fig10``, ``fig11``,
 ``fig12``, ``fig13``, ``headline``.  Scales: ``ci`` (tiny, for tests),
 ``bench`` (default for benchmarks), ``paper`` (the full configuration —
-CPU-hours).  See DESIGN.md §4 for the experiment index and §7 for the
-scale definitions.
+CPU-hours).  See :mod:`repro.eval.figures` for the experiment index and
+:mod:`repro.eval.scale` for the scale definitions.
 """
 
 from repro.eval import experiments

@@ -1,4 +1,4 @@
-"""One reproduction function per paper figure/table (DESIGN.md §4).
+"""One reproduction function per paper figure/table.
 
 Every function takes an :class:`~repro.eval.experiments.ExperimentContext`
 and returns an :class:`~repro.eval.results.ExperimentResult` whose series

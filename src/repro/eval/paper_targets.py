@@ -2,7 +2,7 @@
 
 Single source of truth for what the paper claims, used by the
 ``python -m repro compare`` command to render paper-vs-measured tables
-from saved benchmark results, and by EXPERIMENTS.md.
+from saved benchmark results.
 
 Each target names the figure, the quantity, the paper's value, and how
 to extract the measured value from the corresponding

@@ -1,4 +1,4 @@
-"""Scale presets: ci / bench / paper (DESIGN.md §7).
+"""Scale presets: ci / bench / paper.
 
 CPU-only numpy cannot train the paper's 700-200-100-50-20 network for 50
 epochs in benchmark time, so accuracy experiments run at a reduced scale

@@ -6,8 +6,7 @@ measurable in this environment, so this package substitutes analytic
 models driven by **counted operations from the actual simulation
 traces** (spikes, synaptic events, MACs, memory traffic).  The paper's
 latency/energy results are monotone in timesteps and op counts, so the
-shapes — who wins, by what factor, where the crossovers sit — carry over
-(see DESIGN.md §2).
+shapes — who wins, by what factor, where the crossovers sit — carry over.
 
 Models
 ------

@@ -9,19 +9,13 @@ and task-incremental, online/blurry streams.  This package makes the
   yields :class:`~repro.scenario.base.ContinualStep` s (a
   :class:`~repro.data.tasks.ClassIncrementalSplit` plus per-step
   metadata).
-- a closed name table (:func:`get` / :func:`available`) of seven
+- a closed name table (:func:`get` / :func:`available`) of six
   built-ins: ``single-step`` (the paper's protocol), ``sequential``
   (a stream of new classes), ``task-incremental`` (the same stream with
   the task id known at inference — per-task readout masks),
-  ``stationary`` (the degenerate combinator substrate),
   ``domain-incremental`` (fixed classes, drifting input statistics),
   ``blurry`` (overlapping class boundaries), and ``streaming``
   (single-pass chunked task streams with anytime evaluation).
-- scenario combinators (:mod:`repro.scenario.combinators`) —
-  :func:`with_drift`, :func:`with_blur`, :func:`with_task_masks`,
-  :func:`with_class_repetition`, :func:`with_label_noise`: lazy
-  wrappers that impose a regime on *any* base scenario and nest freely
-  (``domain-incremental`` and ``blurry`` are thin aliases over them).
 - :func:`run_scenario` — one entry point: pre-train, chain one NCL run
   per step (optionally store-backed via a single
   :class:`~repro.core.replayspec.ReplaySpec`), and score the whole
@@ -44,7 +38,6 @@ from repro.scenario.builtin import (
     DomainIncrementalScenario,
     SequentialScenario,
     SingleStepScenario,
-    StationaryScenario,
     StreamingScenario,
     TaskIncrementalScenario,
 )
@@ -52,13 +45,6 @@ from repro.scenario.checkpoint import (
     CheckpointState,
     ScenarioCheckpoint,
     run_fingerprint,
-)
-from repro.scenario.combinators import (
-    with_blur,
-    with_class_repetition,
-    with_drift,
-    with_label_noise,
-    with_task_masks,
 )
 from repro.scenario.metrics import (
     average_accuracy,
@@ -77,15 +63,9 @@ __all__ = [
     "SingleStepScenario",
     "SequentialScenario",
     "TaskIncrementalScenario",
-    "StationaryScenario",
     "DomainIncrementalScenario",
     "BlurryScenario",
     "StreamingScenario",
-    "with_drift",
-    "with_blur",
-    "with_task_masks",
-    "with_class_repetition",
-    "with_label_noise",
     "ScenarioCheckpoint",
     "CheckpointState",
     "run_fingerprint",

@@ -13,11 +13,6 @@ changes* between steps; each built-in maps one onto the shared
   evaluation runs with the task id known and the readout masked to the
   active task's classes (the task-IL regime; training is identical to
   ``sequential`` at the same seed — only inference changes).
-- ``stationary`` — the degenerate base stream: the same classes and the
-  same clean data at every step.  Useless alone, it exists as the
-  canonical substrate for combinators that change the *data* rather
-  than the label space (``domain-incremental`` is ``stationary`` +
-  :func:`~repro.scenario.combinators.with_drift`).
 - ``domain-incremental`` — the label space is fixed; the *input
   statistics* drift step by step (temporal blur, onset jitter, dying
   channels via :func:`~repro.data.transforms.drift_dataset`).
@@ -28,12 +23,12 @@ changes* between steps; each built-in maps one onto the shared
   single pass over each task's data, arriving in small chunks, with the
   task evaluated anytime (after every chunk).
 
-``task-incremental``, ``domain-incremental`` and ``blurry`` are *thin
-aliases*: they keep their registry names and parameter surfaces but
-delegate ``steps()`` to the scenario combinators
-(:mod:`repro.scenario.combinators`) over a plainer base — and stay
-bitwise-identical to their pre-combinator implementations at the same
-seed (asserted in ``tests/scenario/test_combinators.py``).
+``task-incremental`` and ``blurry`` subclass ``sequential`` and decorate
+its steps; ``domain-incremental`` drifts one clean split over all
+classes.  The seed keys (``scenario:blurry:<k>``,
+``scenario:domain:<k>``), step names and ``info`` dicts are part of
+their bitwise contract (pinned against inline reference
+implementations in ``tests/scenario/test_builtin.py``).
 
 All built-ins are lazy: datasets materialise only as ``steps()`` is
 iterated — class streams generate step k's datasets only when the
@@ -44,9 +39,8 @@ iterator reaches it.  Everything is deterministic given
 Each built-in also declares ``disjoint_eval``: ``True`` promises that
 every step's ``new_test`` covers only that step's new classes, disjoint
 from the old pool (the conformance suite checks the promise for every
-built-in that makes it); ``stationary`` and
-``domain-incremental`` set it to ``False`` — their "new" task is the
-same label space.
+built-in that makes it); ``domain-incremental`` sets it to ``False`` —
+its "new" task is the same label space.
 """
 
 from __future__ import annotations
@@ -61,15 +55,15 @@ from repro.data.tasks import (
     class_incremental_split,
     make_class_incremental,
 )
+from repro.data.transforms import drift_dataset
 from repro.errors import ConfigError, DataError
 from repro.scenario.base import ContinualStep
-from repro.scenario.combinators import with_blur, with_drift, with_task_masks
+from repro.seeding import spawn
 
 __all__ = [
     "SingleStepScenario",
     "SequentialScenario",
     "TaskIncrementalScenario",
-    "StationaryScenario",
     "DomainIncrementalScenario",
     "BlurryScenario",
     "StreamingScenario",
@@ -225,9 +219,8 @@ class TaskIncrementalScenario(SequentialScenario):
     readout per evaluated task.  Masking can only help a task whose
     true class is in its own group, so the task-IL accuracy matrix
     dominates the class-IL one entry-wise for the same trained network.
-
-    A thin alias: ``steps()`` is the parent stream through
-    :func:`~repro.scenario.combinators.with_task_masks`.
+    Task 0 is the first step's base pool; task j > 0 holds the classes
+    that arrived at step j-1.
     """
 
     name = "task-incremental"
@@ -245,73 +238,15 @@ class TaskIncrementalScenario(SequentialScenario):
         self, generator: SyntheticSHD, experiment: ExperimentConfig
     ) -> Iterator[ContinualStep]:
         """Yield the parent stream's steps, decorated with task membership."""
-        parent = SequentialScenario(
-            steps_count=self.steps_count,
-            classes_per_step=self.classes_per_step,
-            base_classes=self.base_classes,
-        )
-        yield from with_task_masks(parent).steps(generator, experiment)
-
-
-@dataclass(frozen=True)
-class StationaryScenario:
-    """The same classes and the same clean data at every step.
-
-    The identity element of the scenario algebra: nothing changes
-    between steps, so alone it only measures training stability.  Its
-    purpose is to serve as the substrate for combinators that transform
-    the *data* — ``domain-incremental`` is exactly ``stationary`` under
-    :func:`~repro.scenario.combinators.with_drift`.  Each step's split
-    carries the clean datasets both as the replay source / retention
-    test (``pretrain_*``) and as the arriving task (``new_*``), over
-    the full label space.
-    """
-
-    steps_count: int = 2
-
-    name = "stationary"
-    #: Old and new are the same label space — eval sets intentionally
-    #: share classes.
-    disjoint_eval = False
-
-    def __post_init__(self):
-        if self.steps_count <= 0:
-            raise ConfigError(
-                f"steps_count must be positive, got {self.steps_count}"
-            )
-
-    def describe(self) -> str:
-        """One-line summary for ``repro scenario list``."""
-        return (
-            f"{self.steps_count} steps of the same classes and clean data "
-            "(combinator substrate)"
-        )
-
-    def steps(
-        self, generator: SyntheticSHD, experiment: ExperimentConfig
-    ) -> Iterator[ContinualStep]:
-        """Yield identical clean steps over the full label space."""
-        clean_train = generator.generate_dataset(
-            experiment.samples_per_class, split="train"
-        )
-        clean_test = generator.generate_dataset(
-            experiment.test_samples_per_class, split="test"
-        )
-        all_classes = tuple(range(generator.config.num_classes))
-        for k in range(self.steps_count):
-            split = ClassIncrementalSplit(
-                pretrain_train=clean_train,
-                pretrain_test=clean_test,
-                new_train=clean_train,
-                new_test=clean_test,
-                old_classes=all_classes,
-                new_classes=all_classes,
-            )
-            yield ContinualStep(
-                index=k,
-                split=split,
-                name=f"step-{k}: stationary",
-                info={},
+        groups: list[tuple[int, ...]] = []
+        for step in super().steps(generator, experiment):
+            if not groups:
+                groups.append(step.split.old_classes)
+            groups.append(step.split.new_classes)
+            yield replace(
+                step,
+                name=f"step-{step.index}: +task {list(step.split.new_classes)}",
+                task_classes=tuple(groups),
             )
 
 
@@ -331,10 +266,6 @@ class DomainIncrementalScenario:
     arriving task (``new_*``), so "old accuracy" reads as *retention of
     the original domain* and "new accuracy" as *adaptation to the
     drifted one*.
-
-    A thin alias: ``steps()`` is :class:`StationaryScenario` through
-    :func:`~repro.scenario.combinators.with_drift`, bitwise-identical
-    to the pre-combinator implementation at the same seed.
     """
 
     steps_count: int = 2
@@ -371,17 +302,44 @@ class DomainIncrementalScenario:
         self, generator: SyntheticSHD, experiment: ExperimentConfig
     ) -> Iterator[ContinualStep]:
         """Yield steps of the same classes under increasing drift severity."""
-        chain = with_drift(
-            StationaryScenario(steps_count=self.steps_count),
-            max_shift=self.max_shift,
-            dropout_p=self.dropout_p,
-            blur=self.blur,
+        clean_train = generator.generate_dataset(
+            experiment.samples_per_class, split="train"
         )
-        yield from chain.steps(generator, experiment)
+        clean_test = generator.generate_dataset(
+            experiment.test_samples_per_class, split="test"
+        )
+        all_classes = tuple(range(generator.config.num_classes))
+        grid = generator.config.grid_steps
+        for k in range(self.steps_count):
+            severity = {
+                "max_shift": (k + 1) * self.max_shift,
+                "dropout_p": min((k + 1) * self.dropout_p, 0.45),
+                "blur_steps": max(grid // (k + 2), 8) if self.blur else None,
+            }
+            # One rng per step, consumed train-then-test in that order.
+            rng = spawn(experiment.seed, f"scenario:domain:{k}")
+            split = ClassIncrementalSplit(
+                pretrain_train=clean_train,
+                pretrain_test=clean_test,
+                new_train=drift_dataset(
+                    clean_train, rng, grid_steps=grid, **severity
+                ),
+                new_test=drift_dataset(
+                    clean_test, rng, grid_steps=grid, **severity
+                ),
+                old_classes=all_classes,
+                new_classes=all_classes,
+            )
+            yield ContinualStep(
+                index=k,
+                split=split,
+                name=f"step-{k}: domain drift severity {k + 1}",
+                info={"domain": k + 1, **severity},
+            )
 
 
 @dataclass(frozen=True)
-class BlurryScenario:
+class BlurryScenario(SequentialScenario):
     """Class-incremental steps whose class boundaries overlap.
 
     Online streams rarely partition cleanly: samples of already-seen
@@ -390,15 +348,8 @@ class BlurryScenario:
     ``blur_fraction`` of the seen-class pool into the step's training
     stream (labels kept) — the *blurry* continual setting.  Evaluation
     stays disjoint: ``new_test`` holds only the step's new classes.
-
-    A thin alias: ``steps()`` is :class:`SequentialScenario` through
-    :func:`~repro.scenario.combinators.with_blur`, bitwise-identical to
-    the pre-combinator implementation at the same seed.
     """
 
-    steps_count: int = 2
-    classes_per_step: int = 1
-    base_classes: int | None = None
     blur_fraction: float = 0.25
 
     name = "blurry"
@@ -406,10 +357,7 @@ class BlurryScenario:
     disjoint_eval = True
 
     def __post_init__(self):
-        if self.steps_count <= 0:
-            raise ConfigError(
-                f"steps_count must be positive, got {self.steps_count}"
-            )
+        super().__post_init__()
         if not 0.0 < self.blur_fraction <= 1.0:
             raise ConfigError(
                 f"blur_fraction must lie in (0, 1], got {self.blur_fraction}"
@@ -426,15 +374,24 @@ class BlurryScenario:
         self, generator: SyntheticSHD, experiment: ExperimentConfig
     ) -> Iterator[ContinualStep]:
         """Yield class-incremental steps with seen-class minority blends."""
-        chain = with_blur(
-            SequentialScenario(
-                steps_count=self.steps_count,
-                classes_per_step=self.classes_per_step,
-                base_classes=self.base_classes,
-            ),
-            blur_fraction=self.blur_fraction,
-        )
-        yield from chain.steps(generator, experiment)
+        for step in super().steps(generator, experiment):
+            k = step.index
+            rng = spawn(experiment.seed, f"scenario:blurry:{k}")
+            minority = step.split.pretrain_train.sample_fraction(
+                self.blur_fraction, rng
+            )
+            yield replace(
+                step,
+                split=replace(
+                    step.split, new_train=step.split.new_train.concat(minority)
+                ),
+                name=f"{step.name} (+{len(minority)} seen-class samples)",
+                info={
+                    **step.info,
+                    "minority_samples": len(minority),
+                    "blur_fraction": self.blur_fraction,
+                },
+            )
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def run_fingerprint(
 
     Two invocations may share a checkpoint directory only when they
     would compute the same stream: same scenario (parameters included —
-    frozen-dataclass ``repr`` covers combinator chains), same method,
+    the frozen-dataclass ``repr``), same method,
     same experiment configuration (seed included), same replay spec.
     """
     payload = json.dumps(

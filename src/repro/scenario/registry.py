@@ -15,7 +15,6 @@ from repro.scenario.builtin import (
     DomainIncrementalScenario,
     SequentialScenario,
     SingleStepScenario,
-    StationaryScenario,
     StreamingScenario,
     TaskIncrementalScenario,
 )
@@ -28,7 +27,6 @@ SCENARIOS: dict[str, type] = {
         SingleStepScenario,
         SequentialScenario,
         TaskIncrementalScenario,
-        StationaryScenario,
         DomainIncrementalScenario,
         BlurryScenario,
         StreamingScenario,

@@ -52,11 +52,6 @@ class TestSpikeDataset:
         assert len(sub) == 3
         np.testing.assert_array_equal(sub.labels, dataset.labels[[0, 5, 10]])
 
-    def test_filter_classes(self, dataset):
-        sub = dataset.filter_classes([1, 2])
-        assert sub.present_classes == [1, 2]
-        assert len(sub) == 10
-
     def test_sample_fraction_stratified(self, dataset):
         rng = np.random.default_rng(0)
         sub = dataset.sample_fraction(0.4, rng)

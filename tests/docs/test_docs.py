@@ -12,7 +12,8 @@ Four guarantees:
    ``docs/lint.md``, and README's rule count and id range match the
    registry, so the rule catalog cannot drift from the code;
 5. the scenario and kernel-backend tables in README and the docs list
-   exactly the names in the code's scenario and backend tables.
+   exactly the names in the code's scenario and backend tables;
+6. every ``*.md`` path the library source names exists in the repo.
 """
 
 import os
@@ -176,6 +177,16 @@ class TestNameTables:
         from repro.snn.backends import BACKENDS
 
         assert _table_names(path, "backend") == list(BACKENDS)
+
+
+class TestSourceReferences:
+    def test_markdown_paths_named_in_source_exist(self):
+        missing = []
+        for source in sorted((REPO / "src" / "repro").rglob("*.py")):
+            for path in re.findall(r"[\w./-]+\.md\b", source.read_text()):
+                if not (REPO / path).is_file():
+                    missing.append(f"{source.relative_to(REPO)}: {path}")
+        assert not missing, f"source names missing documents: {missing}"
 
 
 class TestSitePages:

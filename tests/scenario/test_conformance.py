@@ -17,18 +17,17 @@ scenario is held to the same invariants:
 - the per-step views (trajectories, final network, store root) of the
   scenario's :class:`~repro.scenario.runner.ScenarioResult`.
 
-The same invariants are then re-applied to the full **(base scenario ×
-combinator)** product (``TestCombinatorProductConformance``): every
-built-in base wrapped in every combinator from
-:mod:`repro.scenario.combinators` must stay protocol-conformant, lazy,
-and same-seed deterministic — combinators may transform steps but never
-weaken the contract.
+The table-wide suite builds each scenario with its default fields.  The
+parameter grid (``TestParameterGridConformance``) holds every built-in
+to the same contract under non-default fields — step counts, class
+widths, base pools, blend fractions, drift severities, chunkings — and
+also checks that the scenario yields exactly the steps its fields
+declare, indexed ``0..n-1``.
 
 The check functions are module-level so they can also be aimed at
 deliberately broken scenarios: the suite must *fail* for a non-lazy or
 non-deterministic implementation, and those failures are demonstrated
-below (``TestConformanceCatchesViolations``) — including a combinator
-that eagerly materialises its base's stream.
+below (``TestConformanceCatchesViolations``).
 """
 
 import itertools
@@ -39,34 +38,65 @@ import pytest
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import make_class_incremental
 from repro.eval.scale import get_scale
-from repro.scenario import (
-    Scenario,
-    available,
-    get,
-    run_scenario,
-    with_blur,
-    with_class_repetition,
-    with_drift,
-    with_label_noise,
-    with_task_masks,
-)
+from repro.scenario import Scenario, available, get, run_scenario
+from repro.scenario.builtin import StreamingScenario
 
 #: One parametrization per built-in scenario.
 NAMES = available()
 
-#: Every combinator, by the tag it appends to the base scenario's name.
-#: The product suite wraps each built-in base in each of these.
-COMBINATORS = {
-    "blur": with_blur,
-    "class-repetition": with_class_repetition,
-    "drift": with_drift,
-    "label-noise": with_label_noise,
-    "task-masks": with_task_masks,
-}
+#: Non-default fields per built-in, all valid at ci scale (5 classes).
+#: Each entry is ``(table name, fields)``; the grid suite builds it with
+#: ``get(name, **fields)``.
+GRID = [
+    ("single-step", {"num_pretrain_classes": 1}),
+    ("single-step", {"num_pretrain_classes": 2}),
+    ("single-step", {"num_pretrain_classes": 3}),
+    ("single-step", {"num_pretrain_classes": 4}),
+    ("sequential", {"steps_count": 1}),
+    ("sequential", {"steps_count": 3}),
+    ("sequential", {"steps_count": 4}),
+    ("sequential", {"steps_count": 1, "classes_per_step": 2}),
+    ("sequential", {"steps_count": 2, "classes_per_step": 2}),
+    ("sequential", {"steps_count": 1, "classes_per_step": 4}),
+    ("sequential", {"steps_count": 2, "base_classes": 1}),
+    ("sequential", {"steps_count": 1, "base_classes": 3}),
+    ("task-incremental", {"steps_count": 1}),
+    ("task-incremental", {"steps_count": 3}),
+    ("task-incremental", {"steps_count": 4}),
+    ("task-incremental", {"steps_count": 2, "classes_per_step": 2}),
+    ("task-incremental", {"steps_count": 2, "base_classes": 1}),
+    ("task-incremental", {"steps_count": 1, "classes_per_step": 3, "base_classes": 2}),
+    ("blurry", {"steps_count": 1, "blur_fraction": 1.0}),
+    ("blurry", {"steps_count": 3}),
+    ("blurry", {"steps_count": 4, "blur_fraction": 0.5}),
+    ("blurry", {"steps_count": 2, "classes_per_step": 2, "blur_fraction": 0.1}),
+    ("blurry", {"steps_count": 2, "base_classes": 1, "blur_fraction": 1.0}),
+    ("blurry", {"steps_count": 1, "classes_per_step": 3, "base_classes": 2}),
+    ("domain-incremental", {"steps_count": 1, "max_shift": 0, "dropout_p": 0.0, "blur": False}),
+    ("domain-incremental", {"steps_count": 3}),
+    ("domain-incremental", {"steps_count": 2, "max_shift": 3, "dropout_p": 0.2, "blur": False}),
+    ("domain-incremental", {"steps_count": 1, "max_shift": 1, "dropout_p": 0.3}),
+    ("domain-incremental", {"steps_count": 4, "max_shift": 1, "dropout_p": 0.15}),
+    ("domain-incremental", {"steps_count": 2, "max_shift": 0, "dropout_p": 0.0}),
+    ("streaming", {"tasks": 1, "chunks_per_task": 1}),
+    ("streaming", {"tasks": 1, "chunks_per_task": 4}),
+    ("streaming", {"tasks": 3}),
+    ("streaming", {"tasks": 2, "classes_per_task": 2}),
+    ("streaming", {"tasks": 2, "chunks_per_task": 3, "base_classes": 1}),
+    ("streaming", {"tasks": 1, "classes_per_task": 2, "chunks_per_task": 8, "base_classes": 2}),
+]
 
-#: The full (base × combinator) product.
-PRODUCT = [
-    (base, tag) for base in NAMES for tag in sorted(COMBINATORS)
+
+def _grid_id(entry) -> str:
+    name, fields = entry
+    return name + "(" + ",".join(f"{k}={v}" for k, v in fields.items()) + ")"
+
+
+GRID_IDS = [_grid_id(entry) for entry in GRID]
+
+#: The grid entries whose scenario promises disjoint eval sets.
+DISJOINT_GRID = [
+    entry for entry in GRID if getattr(get(entry[0]), "disjoint_eval", False)
 ]
 
 #: Safety cap for the conformance walks — a scenario may
@@ -173,6 +203,24 @@ def check_disjoint_eval(scenario, preset, experiment) -> None:
         )
 
 
+def declared_steps(scenario) -> int:
+    """How many steps ``scenario``'s fields say it yields."""
+    if isinstance(scenario, StreamingScenario):
+        return scenario.tasks * scenario.chunks_per_task
+    return getattr(scenario, "steps_count", 1)
+
+
+def check_step_count(scenario, preset, experiment) -> None:
+    """The scenario yields exactly its declared steps, indexed ``0..n-1``."""
+    expected = declared_steps(scenario)
+    assert expected <= MAX_STEPS
+    steps = _materialise(scenario, preset, experiment)
+    assert [step.index for step in steps] == list(range(expected)), (
+        f"scenario {scenario.name!r} declares {expected} step(s) but "
+        f"yielded indices {[step.index for step in steps]}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # The table-wide suite
 # ---------------------------------------------------------------------------
@@ -202,54 +250,37 @@ class TestRegisteredScenarioConformance:
         check_disjoint_eval(scenario, preset, experiment)
 
 
-# ---------------------------------------------------------------------------
-# The (base × combinator) product inherits the same invariants
-# ---------------------------------------------------------------------------
+class TestParameterGridConformance:
+    @pytest.mark.parametrize("entry", GRID, ids=GRID_IDS)
+    def test_protocol(self, entry):
+        name, fields = entry
+        check_protocol(get(name, **fields), name)
 
-
-def _product_id(pair) -> str:
-    base, tag = pair
-    return f"{base}+{tag}"
-
-
-class TestCombinatorProductConformance:
-    """Every combinator over every built-in base keeps the contract."""
-
-    @pytest.mark.parametrize("pair", PRODUCT, ids=_product_id)
-    def test_protocol(self, pair):
-        base, tag = pair
-        wrapped = COMBINATORS[tag](get(base))
-        check_protocol(wrapped, f"{base}+{tag}")
-
-    @pytest.mark.parametrize("pair", PRODUCT, ids=_product_id)
-    def test_lazy_step_construction(self, pair, env):
+    @pytest.mark.parametrize("entry", GRID, ids=GRID_IDS)
+    def test_lazy_step_construction(self, entry, env):
         _, experiment = env
-        base, tag = pair
-        check_lazy_steps(COMBINATORS[tag](get(base)), experiment)
+        name, fields = entry
+        check_lazy_steps(get(name, **fields), experiment)
 
-    @pytest.mark.parametrize("pair", PRODUCT, ids=_product_id)
-    def test_same_seed_determinism(self, pair, env):
+    @pytest.mark.parametrize("entry", GRID, ids=GRID_IDS)
+    def test_same_seed_determinism(self, entry, env):
         preset, experiment = env
-        base, tag = pair
-        check_deterministic(COMBINATORS[tag](get(base)), preset, experiment)
+        name, fields = entry
+        check_deterministic(get(name, **fields), preset, experiment)
 
-    @pytest.mark.parametrize("pair", PRODUCT, ids=_product_id)
-    def test_disjoint_eval_where_promised(self, pair, env):
+    @pytest.mark.parametrize("entry", GRID, ids=GRID_IDS)
+    def test_declared_step_count(self, entry, env):
         preset, experiment = env
-        base, tag = pair
-        wrapped = COMBINATORS[tag](get(base))
-        if getattr(wrapped, "disjoint_eval", False) is not True:
-            pytest.skip(f"{base}+{tag} does not promise disjoint eval sets")
-        check_disjoint_eval(wrapped, preset, experiment)
+        name, fields = entry
+        check_step_count(get(name, **fields), preset, experiment)
 
-    def test_nested_chain_keeps_contract(self, env):
-        # Combinators compose: a three-deep chain is still a conforming,
-        # lazy, deterministic scenario.
+    @pytest.mark.parametrize(
+        "entry", DISJOINT_GRID, ids=[_grid_id(e) for e in DISJOINT_GRID]
+    )
+    def test_disjoint_eval(self, entry, env):
         preset, experiment = env
-        chained = with_task_masks(with_label_noise(with_blur(get("sequential"))))
-        check_protocol(chained, "sequential+blur+label-noise+task-masks")
-        check_lazy_steps(chained, experiment)
-        check_deterministic(chained, preset, experiment)
+        name, fields = entry
+        check_disjoint_eval(get(name, **fields), preset, experiment)
 
 
 @pytest.fixture(scope="module")
@@ -345,24 +376,24 @@ class _FlakyScenario:
         )
 
 
-class _EagerCombinator:
-    """A *broken* combinator: drains its base inside ``steps()``.
+class _ShortScenario:
+    """Declares two steps but yields one."""
 
-    Wrapping any real (lazy) base, this materialises the whole stream
-    before returning — exactly the failure mode the laziness probe must
-    catch for combinators, since a lazy base makes eagerness invisible
-    to everything but the generator.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.name = f"{base.name}+eager"
+    name = "bad-short"
+    steps_count = 2
 
     def describe(self):
-        return f"{self.base.describe()} [materialised eagerly]"
+        return "yields fewer steps than steps_count declares"
 
     def steps(self, generator, experiment):
-        return iter(list(self.base.steps(generator, experiment)))
+        split = make_class_incremental(
+            generator,
+            experiment.samples_per_class,
+            experiment.test_samples_per_class,
+        )
+        from repro.scenario import ContinualStep
+
+        yield ContinualStep(index=0, split=split, name="step-0")
 
 
 class TestConformanceCatchesViolations:
@@ -370,13 +401,6 @@ class TestConformanceCatchesViolations:
         _, experiment = env
         with pytest.raises(AssertionError, match="touched generator"):
             check_lazy_steps(_EagerScenario(), experiment)
-
-    def test_rejects_eager_combinator(self, env):
-        # The wrapped base is a perfectly lazy built-in scenario; only
-        # the combinator is at fault, and the probe still catches it.
-        _, experiment = env
-        with pytest.raises(AssertionError, match="touched generator"):
-            check_lazy_steps(_EagerCombinator(get("sequential")), experiment)
 
     def test_rejects_materialised_sequence(self, env):
         _, experiment = env
@@ -387,6 +411,11 @@ class TestConformanceCatchesViolations:
         preset, experiment = env
         with pytest.raises(AssertionError, match="differs across same-seed"):
             check_deterministic(_FlakyScenario(), preset, experiment)
+
+    def test_rejects_short_stream(self, env):
+        preset, experiment = env
+        with pytest.raises(AssertionError, match="declares 2 step"):
+            check_step_count(_ShortScenario(), preset, experiment)
 
     def test_checks_cover_third_party_scenarios(self, env):
         # A well-formed third-party scenario, passed to run_scenario as

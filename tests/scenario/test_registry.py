@@ -45,7 +45,7 @@ class TestRegistry:
             assert scenario.describe()
 
     def test_table_keys_are_class_names(self):
-        assert len(SCENARIOS) == 7
+        assert len(SCENARIOS) == 6
         for name, cls in SCENARIOS.items():
             assert cls.name == name
         assert available() == sorted(SCENARIOS)

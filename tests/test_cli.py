@@ -17,6 +17,16 @@ class TestParser:
         assert args.scale == "bench"
         assert args.save_dir is None
 
+    def test_lint_help_states_the_rule_table_range(self, capsys, monkeypatch):
+        from repro.lint import all_rules
+
+        # Wide enough that argparse never wraps inside the range.
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        ids = [rule.id for rule in all_rules()]
+        assert f"AST rules {ids[0]}-{ids[-1]};" in capsys.readouterr().out
+
 
 class TestCommands:
     def test_list(self, capsys):
