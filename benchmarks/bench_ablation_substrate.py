@@ -59,7 +59,6 @@ def test_surrogate_family_ablation(benchmark, record_result):
             params = LIFParameters(
                 beta=preset.experiment.network.beta,
                 threshold=preset.experiment.network.threshold,
-                reset_mode=preset.experiment.network.reset_mode,
                 surrogate=family,
             )
             net = SpikingNetwork(preset.experiment.network, seed=0)

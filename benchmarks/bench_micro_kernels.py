@@ -102,8 +102,7 @@ def test_bptt_training_step_t40(benchmark, network, rng):
 
 def _lif_layer():
     return RecurrentLIFLayer(
-        140, 64, LIFParameters(beta=0.95), recurrent=True,
-        rng=np.random.default_rng(0),
+        140, 64, LIFParameters(beta=0.95), rng=np.random.default_rng(0),
     )
 
 
@@ -178,7 +177,7 @@ def test_backend_recurrent_sweep(backend_name, benchmark, monkeypatch):
     w_rec = (rng.standard_normal((64, 64)) * 0.1).astype(np.float32)
     g_spikes = rng.standard_normal(ff.shape).astype(np.float32)
     surrogate = rng.random(ff.shape).astype(np.float32)
-    spec = SweepSpec(beta=0.95, vthr=1.0, hard=False)
+    spec = SweepSpec(beta=0.95, vthr=1.0)
 
     def sweeps():
         membrane, spikes, _ = executor.lif_forward(ff, w_rec, spec)

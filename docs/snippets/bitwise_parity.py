@@ -7,11 +7,12 @@ from repro.snn.backends.numpy_ref import lif_forward_sweep
 
 rng = np.random.default_rng(0)
 ff = rng.standard_normal((20, 4, 32)).astype(np.float32)
-spec = SweepSpec(beta=0.9, vthr=0.6, hard=True)
+w_rec = (rng.standard_normal((32, 32)) * 0.2).astype(np.float32)
+spec = SweepSpec(beta=0.9, vthr=0.6)
 
-reference_membrane, reference_spikes, _ = lif_forward_sweep(ff, None, spec)
+reference_membrane, reference_spikes, _ = lif_forward_sweep(ff, w_rec, spec)
 backend = select_backend("auto")
-membrane, spikes, _ = backend.lif_forward(ff, None, spec)
+membrane, spikes, _ = backend.lif_forward(ff, w_rec, spec)
 
 # Every backend is bitwise: it must match the reference to the last bit.
 assert np.array_equal(membrane, reference_membrane)

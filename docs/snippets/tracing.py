@@ -8,10 +8,7 @@ from repro.snn import LIFParameters, RecurrentLIFLayer
 # Instrumentation routes through the process-wide recorder.  With
 # REPRO_TRACE unset every call is a no-op; installing a Recorder
 # explicitly (tests, notebooks) captures without touching the env.
-layer = RecurrentLIFLayer(
-    16, 8, LIFParameters(beta=0.9), recurrent=True,
-    rng=np.random.default_rng(0),
-)
+layer = RecurrentLIFLayer(16, 8, LIFParameters(beta=0.9), rng=np.random.default_rng(0))
 x = (np.random.default_rng(1).random((20, 4, 16)) < 0.2).astype(np.float32)
 
 recorder = obs.Recorder()

@@ -12,8 +12,7 @@ topological order.
 Public surface
 --------------
 - :class:`Tensor` — the differentiable array type, with the primitive
-  ops ``+``, ``-``, ``*``, 2-D ``@``, ``sum``/``mean``, ``max`` and
-  indexing.
+  ops ``+``, ``-``, ``*``, 2-D ``@``, ``sum``/``mean`` and indexing.
 - :func:`tensor` / :func:`zeros` / :func:`stack` — creation.
 - :func:`cross_entropy` (:mod:`repro.autograd.functional`) — the
   readout loss.

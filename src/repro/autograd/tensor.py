@@ -345,10 +345,6 @@ class Tensor:
                 count *= self.shape[ax]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Maximum reduction; ties share the gradient equally."""
-        return _Max.apply(self, axis=axis, keepdims=keepdims)
-
     def __getitem__(self, index) -> "Tensor":
         return _GetItem.apply(self, index=index)
 
@@ -416,22 +412,6 @@ class _Sum(Function):
         if self.axis is not None and not self.keepdims:
             g = np.expand_dims(g, self.axis)
         return np.broadcast_to(g, self.shape).copy()
-
-
-class _Max(Function):
-    def forward(self, a, axis, keepdims):
-        self.a, self.axis, self.keepdims = a, axis, keepdims
-        self.out = np.asarray(a.max(axis=axis, keepdims=keepdims))
-        return self.out
-
-    def backward(self, g):
-        axis, keepdims = self.axis, self.keepdims
-        expanded = self.out if keepdims or axis is None else np.expand_dims(self.out, axis)
-        mask = (self.a == expanded).astype(self.a.dtype)
-        counts = mask.sum(axis=axis, keepdims=True)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return mask * (g / counts)
 
 
 class _GetItem(Function):

@@ -38,6 +38,10 @@ PAPER_LAYER_SIZES: tuple[int, ...] = (700, 200, 100, 50, 20)
 class NetworkConfig:
     """Architecture and neuron parameters for the recurrent SNN.
 
+    The network is the one of Fig. 6a: recurrent LIF hidden layers with
+    Eq. 2's hard reset, and a leaky readout whose logits are the
+    membrane's mean over time.
+
     Attributes
     ----------
     layer_sizes:
@@ -50,15 +54,6 @@ class NetworkConfig:
         Baseline neuron threshold potential ``Vthr`` (Eq. 2).
     surrogate_scale:
         Slope of the fast-sigmoid surrogate (Fig. 5b).
-    recurrent:
-        Whether hidden layers have recurrent weights (Fig. 6a shows they
-        do for the SHD workload).
-    reset_mode:
-        ``"subtract"`` (soft reset, V -= Vthr) or ``"zero"`` (hard reset
-        to Vrst, Eq. 2).  The paper's Eq. 2 is a hard reset.
-    readout_mode:
-        Logit reduction of the readout membrane trajectory over time:
-        ``"mean"`` (default), ``"max"``, or ``"last"``.
     synapse_alpha:
         None (default) — plain LIF (Eq. 1); in (0, 1) — current-based
         (CuBa) LIF with synaptic decay ``alpha`` (neuron-model ablation).
@@ -68,16 +63,9 @@ class NetworkConfig:
     beta: float = 0.95
     threshold: float = 1.0
     surrogate_scale: float = 25.0
-    recurrent: bool = True
-    reset_mode: str = "zero"
-    readout_mode: str = "mean"
     synapse_alpha: float | None = None
 
     def __post_init__(self):
-        if self.readout_mode not in ("mean", "max", "last"):
-            raise ConfigError(
-                f"readout_mode must be 'mean', 'max' or 'last', got {self.readout_mode!r}"
-            )
         if self.synapse_alpha is not None and not 0.0 < self.synapse_alpha < 1.0:
             raise ConfigError(
                 f"synapse_alpha must lie in (0, 1) or be None, got {self.synapse_alpha}"
@@ -93,8 +81,6 @@ class NetworkConfig:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         if self.threshold <= 0:
             raise ConfigError(f"threshold must be positive, got {self.threshold}")
-        if self.reset_mode not in ("subtract", "zero"):
-            raise ConfigError(f"reset_mode must be 'subtract' or 'zero', got {self.reset_mode!r}")
 
     @property
     def num_weight_layers(self) -> int:

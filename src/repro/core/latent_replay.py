@@ -29,9 +29,8 @@ from repro.data.datasets import SpikeDataset
 from repro.errors import CodecError, ConfigError
 from repro.replaystore.format import latent_bytes
 from repro.replaystore.store import DEFAULT_SHARD_SAMPLES, ReplayStore
-from repro.snn.network import SpikingNetwork
+from repro.snn.network import ControllerFactory, SpikingNetwork
 from repro.snn.state import SpikeTrace
-from repro.snn.threshold import ThresholdController
 
 __all__ = [
     "LatentReplayBuffer",
@@ -43,7 +42,7 @@ def frozen_front_trace(
     network: SpikingNetwork,
     insertion_layer: int,
     inputs: np.ndarray,
-    controller: ThresholdController | None = None,
+    controller: ControllerFactory | None = None,
 ) -> SpikeTrace:
     """Spike trace of one frozen-front pass over ``inputs``.
 
@@ -90,7 +89,7 @@ class LatentReplayBuffer:
         insertion_layer: int,
         timesteps: int,
         compression_factor: int = 1,
-        controller: ThresholdController | None = None,
+        controller: ControllerFactory | None = None,
     ) -> tuple["LatentReplayBuffer", SpikeTrace]:
         """Run the frozen front on the replay subset and store the result.
 
@@ -140,7 +139,7 @@ class LatentReplayBuffer:
         insertion_layer: int,
         timesteps: int,
         compression_factor: int = 1,
-        controller: ThresholdController | None = None,
+        controller: ControllerFactory | None = None,
         shard_samples: int | None = None,
         overwrite: bool = False,
     ) -> tuple[ReplayStore, SpikeTrace]:

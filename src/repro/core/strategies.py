@@ -28,9 +28,8 @@ from repro.errors import ConfigError
 from repro.replaystore.store import ReplayStore
 from repro.replaystore.stream import ReplayStream
 from repro.seeding import spawn
-from repro.snn.network import PREDICT_BATCH, SpikingNetwork
+from repro.snn.network import PREDICT_BATCH, ControllerFactory, SpikingNetwork
 from repro.snn.state import SpikeTrace
-from repro.snn.threshold import ThresholdController
 from repro.training.metrics import TrainingHistory, top1_accuracy
 from repro.training.optimizers import Adam
 from repro.training.trainer import Trainer, TrainerConfig
@@ -131,12 +130,12 @@ class NCLMethod:
         base = self.config.ncl.base_learning_rate
         return base if base is not None else self.config.pretrain.learning_rate
 
-    def make_controller(self) -> ThresholdController | None:
-        """Threshold controller for NCL training (None = static)."""
+    def make_controller(self) -> ControllerFactory | None:
+        """Per-layer threshold-controller factory for NCL training (None = static)."""
         return None
 
-    def make_generation_controller(self) -> ThresholdController | None:
-        """Threshold controller for latent-data generation."""
+    def make_generation_controller(self) -> ControllerFactory | None:
+        """Per-layer threshold-controller factory for latent-data generation."""
         return None
 
     def compression_factor(self) -> int:

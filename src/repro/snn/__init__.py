@@ -22,11 +22,7 @@ from repro.snn.layers import LeakyReadout, RecurrentLIFLayer
 from repro.snn.network import ForwardResult, SpikingNetwork
 from repro.snn.neurons import LIFParameters
 from repro.snn.state import LayerTraceEntry, SpikeTrace
-from repro.snn.threshold import (
-    PerNeuronAdaptiveThreshold,
-    StaticThreshold,
-    ThresholdController,
-)
+from repro.snn.threshold import PerNeuronAdaptiveThreshold, ThresholdController
 
 __all__ = [
     "LIFParameters",
@@ -40,7 +36,6 @@ __all__ = [
     "SpikeTrace",
     "LayerTraceEntry",
     "ThresholdController",
-    "StaticThreshold",
     "PerNeuronAdaptiveThreshold",
     "dense_init",
     "recurrent_init",

@@ -18,10 +18,9 @@ The executors and their selection live in :mod:`repro.snn.backends`.
   reference path, because BLAS accumulation order is the bitwise anchor
   of the whole reproduction — it is not reproducible by naive loops, so
   no backend reimplements it.  A backend only executes the per-timestep
-  recurrence (elementwise state updates plus, for recurrent layers, the
-  per-step recurrent projection, which must be the call numpy's
-  ``matmul`` makes into the same BLAS library — the C executor makes it
-  from C).
+  recurrence (elementwise state updates plus the per-step recurrent
+  projection, which must be the call numpy's ``matmul`` makes into the
+  same BLAS library — the C executor makes it from C).
 - Every executor is bitwise-identical to the reference: it replicates
   the association order documented in :mod:`repro.snn.kernels`
   exactly, and the parity suite pins it to the reference bitwise.
@@ -45,27 +44,21 @@ __all__ = ["SweepSpec", "SequenceExecutor"]
 class SweepSpec:
     """Per-sequence neuron constants handed to an executor.
 
-    One spec describes a whole ``[T, B, N]`` sweep.  A threshold that
-    changes mid-sequence is not a constant: the forward sweep takes the
+    One spec describes a whole ``[T, B, N]`` sweep of hard-reset (Eq. 2)
+    neurons.  A threshold that changes mid-sequence is not a constant:
+    the forward sweep takes the
     :class:`~repro.snn.threshold.ThresholdController` itself and returns
-    the thresholds it used, and the reverse sweep receives that record
-    as its spec's ``vthr``.
+    the thresholds it used.  The reverse sweep reads no threshold.
 
     Attributes:
         beta: Membrane decay per timestep.
-        vthr: Effective threshold — a float, or a per-neuron ``[N]``
-            array already cast to the sweep dtype; for the reverse sweep
-            of a controller-driven forward, the per-step ``[T, N]``
-            record of the thresholds used (``None`` for the forward
-            itself, which starts at ``controller.value``).
-        hard: True for hard (reset-to-zero) reset, False for soft
-            (subtract-threshold) reset.
+        vthr: The static threshold ``params.threshold``, or ``None``
+            under a controller, whose ``value`` the sweep starts at.
         alpha: Synaptic decay of the CuBa variant, or None for plain LIF.
     """
 
     beta: float
-    vthr: float | np.ndarray | None
-    hard: bool
+    vthr: float | None
     alpha: float | None = None
 
 
@@ -95,7 +88,7 @@ class SequenceExecutor(ABC):
     def lif_forward(
         self,
         ff: np.ndarray,
-        w_rec: np.ndarray | None,
+        w_rec: np.ndarray,
         spec: SweepSpec,
         controller: ThresholdController | None = None,
     ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
@@ -104,7 +97,7 @@ class SequenceExecutor(ABC):
         Args:
             ff: Projected feedforward currents ``[T, B, N]`` (the
                 ``x @ w_ff`` GEMM, precomputed on the reference path).
-            w_rec: Optional recurrent weights ``[N, N]``.
+            w_rec: Recurrent weights ``[N, N]``.
             spec: Neuron constants for the sweep.
             controller: Optional dynamic threshold (Alg. 1).  The sweep
                 starts at ``controller.value``; after step ``t`` it calls
@@ -127,17 +120,16 @@ class SequenceExecutor(ABC):
         surrogate: np.ndarray,
         membrane: np.ndarray,
         spikes: np.ndarray,
-        w_rec: np.ndarray | None,
+        w_rec: np.ndarray,
         spec: SweepSpec,
     ) -> np.ndarray:
         """Run the reverse BPTT sweep; return ``gI`` ``[T, B, N]``.
 
         ``surrogate`` is the precomputed surrogate derivative at every
-        timestep (reference path).  ``spec.vthr`` is the threshold the
-        forward returned; a ``[T, N]`` record means soft reset at step
-        ``t`` subtracts ``vthr[t]``.  The returned ``gI`` is the gradient
-        w.r.t. the projected input current, from which the reference
-        path derives all weight/input gradients as GEMMs.
+        timestep (reference path), the only place the threshold enters
+        the backward.  The returned ``gI`` is the gradient w.r.t. the
+        projected input current, from which the reference path derives
+        all weight/input gradients as GEMMs.
         """
 
     @abstractmethod

@@ -15,10 +15,14 @@ by a naive loop (measured, not assumed — see ``docs/reproducibility.md``),
 so the kernels never reimplement a GEMM: the per-step recurrent
 product calls the gemm/gemv of the OpenBLAS library numpy itself links,
 with exactly the arguments numpy's ``matmul`` passes.  Every sweep —
-feedforward or recurrent, forward or reverse, and the leaky readout —
-is therefore one C call.  Only a forward sweep under a dynamic
-threshold controller (Alg. 1) loops in Python, calling the same C step
-once per timestep around ``controller.step``.
+forward or reverse, and the leaky readout — is therefore one C call.
+Only a forward sweep under a dynamic threshold controller (Alg. 1)
+loops in Python, calling the same C step once per timestep around
+``controller.step``.
+
+The kernels come in float32 and float64 (see ``_DTYPES`` for why both
+run); arrays of any other dtype, or of mixed dtypes, take the numpy
+reference.
 
 The shared library is built lazily on first use via the system C
 compiler, cached per process and on disk under ``$REPRO_CACHE/ckernels``.
@@ -28,8 +32,8 @@ that module.  One digest of the C source, the declarations, the flags
 and the compiler names both files.  The bitwise self-check runs on
 every probe, cached files or not.  When cffi, a compiler or
 numpy's BLAS symbols are missing, or the compiled kernels fail their
-bitwise self-check, the backend reports itself unavailable with the reason — ``auto`` selection
-then falls back to numpy.
+bitwise self-check, the backend reports itself unavailable with the
+reason — ``auto`` selection then falls back to numpy.
 """
 
 from __future__ import annotations
@@ -91,8 +95,7 @@ static void rec_gemm_{suf}(long B, long N, const {ctype} *s, const {ctype} *w,
 static void lif_step_{suf}(
     long B, long N,
     const {ctype} *current, const {ctype} *v_prev, const {ctype} *s_prev,
-    const {ctype} *vthr, double beta, int hard,
-    int has_alpha, double alpha, {ctype} *syn,
+    const {ctype} *vthr, double beta, int has_alpha, double alpha, {ctype} *syn,
     {ctype} *v_out, {ctype} *s_out)
 {{
     const {ctype} beta_c = ({ctype})beta;
@@ -107,9 +110,7 @@ static void lif_step_{suf}(
                 syn[i] = syn[i] * alpha_c + cur;
                 cur = syn[i];
             }}
-            {ctype} v = hard
-                ? vp * (({ctype})1.0 - sp) * beta_c + cur
-                : vp * beta_c - sp * vthr[n] + cur;
+            {ctype} v = vp * (({ctype})1.0 - sp) * beta_c + cur;
             v_out[i] = v;
             s_out[i] = (v - vthr[n] > ({ctype})0.0) ? ({ctype})1.0 : ({ctype})0.0;
         }}
@@ -120,73 +121,57 @@ static void lif_step_{suf}(
 void lif_forward_step_{suf}(
     long t, long B, long N,
     const {ctype} *ff, const {ctype} *w_rec, const {ctype} *vthr,
-    double beta, int hard, int has_alpha, double alpha,
+    double beta, int has_alpha, double alpha,
     {ctype} *syn, {ctype} *rec, {ctype} *membrane, {ctype} *spikes)
 {{
     const long BN = B * N;
     const {ctype} *current = ff + t * BN;
-    if (w_rec) {{
-        /* The reference's t = 0 GEMM runs on the zero state; spikes[0]
-           holds it until this step writes the step's spikes there. */
-        if (!t) memset(spikes, 0, BN * sizeof({ctype}));
-        rec_gemm_{suf}(B, N, t ? spikes + (t - 1) * BN : spikes, w_rec, rec);
-        for (long i = 0; i < BN; i++) rec[i] = current[i] + rec[i];
-        current = rec;
-    }}
-    lif_step_{suf}(B, N, current,
+    /* The reference's t = 0 GEMM runs on the zero state; spikes[0]
+       holds it until this step writes the step's spikes there. */
+    if (!t) memset(spikes, 0, BN * sizeof({ctype}));
+    rec_gemm_{suf}(B, N, t ? spikes + (t - 1) * BN : spikes, w_rec, rec);
+    for (long i = 0; i < BN; i++) rec[i] = current[i] + rec[i];
+    lif_step_{suf}(B, N, rec,
                    t ? membrane + (t - 1) * BN : 0,
                    t ? spikes + (t - 1) * BN : 0,
-                   vthr, beta, hard, has_alpha, alpha, syn,
+                   vthr, beta, has_alpha, alpha, syn,
                    membrane + t * BN, spikes + t * BN);
 }}
 
 void lif_forward_{suf}(
     long T, long B, long N,
     const {ctype} *ff, const {ctype} *w_rec, const {ctype} *vthr,
-    double beta, int hard, int has_alpha, double alpha,
+    double beta, int has_alpha, double alpha,
     {ctype} *syn, {ctype} *rec, {ctype} *membrane, {ctype} *spikes)
 {{
     for (long t = 0; t < T; t++)
-        lif_forward_step_{suf}(t, B, N, ff, w_rec, vthr, beta, hard,
-                               has_alpha, alpha, syn, rec, membrane, spikes);
+        lif_forward_step_{suf}(t, B, N, ff, w_rec, vthr, beta, has_alpha,
+                               alpha, syn, rec, membrane, spikes);
 }}
 
 static void lif_backward_step_{suf}(
-    long B, long N,
-    const {ctype} *g_spikes_t, const {ctype} *surrogate_t,
-    const {ctype} *gs_rec, const {ctype} *membrane_prev,
-    const {ctype} *spikes_prev, const {ctype} *vthr, double beta, int hard,
-    int has_alpha, double alpha, int have_carry,
+    long BN,
+    const {ctype} *g_spikes_t, const {ctype} *surrogate_t, const {ctype} *gs_rec,
+    const {ctype} *membrane_prev, const {ctype} *spikes_prev,
+    double beta, int has_alpha, double alpha, int have_carry,
     {ctype} *gs_reset, {ctype} *gv_carry, {ctype} *gj_carry, {ctype} *gj_out)
 {{
     /* One branch-free loop per case; gj_out holds gV until read. */
     const {ctype} beta_c = ({ctype})beta;
     const {ctype} alpha_c = ({ctype})alpha;
-    const long BN = B * N;
     {ctype} *gv = gj_out;
     if (!have_carry) {{
         for (long i = 0; i < BN; i++) gv[i] = g_spikes_t[i] * surrogate_t[i];
-    }} else if (gs_rec) {{
+    }} else {{
         for (long i = 0; i < BN; i++)
             gv[i] = ((g_spikes_t[i] + gs_reset[i]) + gs_rec[i]) * surrogate_t[i]
                     + gv_carry[i];
-    }} else {{
-        for (long i = 0; i < BN; i++)
-            gv[i] = (g_spikes_t[i] + gs_reset[i]) * surrogate_t[i] + gv_carry[i];
     }}
-    if (membrane_prev && hard) {{
+    if (membrane_prev) {{
         for (long i = 0; i < BN; i++) {{
             {ctype} gv_beta = gv[i] * beta_c;
             gs_reset[i] = -(gv_beta * membrane_prev[i]);
             gv_carry[i] = gv_beta * (({ctype})1.0 - spikes_prev[i]);
-        }}
-    }} else if (membrane_prev) {{
-        for (long b = 0; b < B; b++) {{
-            const long o = b * N;
-            for (long n = 0; n < N; n++) {{
-                gs_reset[o + n] = (-gv[o + n]) * vthr[n];
-                gv_carry[o + n] = gv[o + n] * beta_c;
-            }}
         }}
     }}
     if (has_alpha) {{
@@ -197,28 +182,24 @@ static void lif_backward_step_{suf}(
     }}
 }}
 
-/* w_rec_t is the C-contiguous W_rec^T, or NULL for a feedforward layer. */
+/* w_rec_t is the C-contiguous W_rec^T. */
 void lif_backward_{suf}(
     long T, long B, long N,
     const {ctype} *g_spikes, const {ctype} *surrogate,
     const {ctype} *membrane, const {ctype} *spikes, const {ctype} *w_rec_t,
-    const {ctype} *vthr, long vthr_stride, double beta, int hard,
-    int has_alpha, double alpha,
+    double beta, int has_alpha, double alpha,
     {ctype} *gs_reset, {ctype} *gv_carry, {ctype} *gj_carry, {ctype} *gs_rec,
     {ctype} *g_current)
 {{
     const long BN = B * N;
     for (long t = T - 1; t >= 0; t--) {{
-        const {ctype} *m_prev = t ? membrane + (t - 1) * BN : 0;
-        const {ctype} *s_prev = t ? spikes + (t - 1) * BN : 0;
-        const int have_carry = t < T - 1;
-        lif_backward_step_{suf}(B, N, g_spikes + t * BN, surrogate + t * BN,
-                                (w_rec_t && have_carry) ? gs_rec : 0,
-                                m_prev, s_prev, vthr + t * vthr_stride,
-                                beta, hard, has_alpha, alpha, have_carry,
-                                gs_reset, gv_carry, gj_carry,
-                                g_current + t * BN);
-        if (w_rec_t && t > 0)
+        lif_backward_step_{suf}(BN, g_spikes + t * BN, surrogate + t * BN,
+                                gs_rec,
+                                t ? membrane + (t - 1) * BN : 0,
+                                t ? spikes + (t - 1) * BN : 0,
+                                beta, has_alpha, alpha, t < T - 1,
+                                gs_reset, gv_carry, gj_carry, g_current + t * BN);
+        if (t > 0)
             rec_gemm_{suf}(B, N, g_current + t * BN, w_rec_t, gs_rec);
     }}
 }}
@@ -255,19 +236,24 @@ void readout_backward_{suf}(
 _CDEF_TEMPLATE = """
 void set_blas_{suf}(void *, void *);
 void lif_forward_{suf}(long, long, long, const {ctype} *, const {ctype} *,
-                       const {ctype} *, double, int, int, double, {ctype} *,
+                       const {ctype} *, double, int, double, {ctype} *,
                        {ctype} *, {ctype} *, {ctype} *);
 void lif_forward_step_{suf}(long, long, long, const {ctype} *, const {ctype} *,
-                            const {ctype} *, double, int, int, double,
-                            {ctype} *, {ctype} *, {ctype} *, {ctype} *);
+                            const {ctype} *, double, int, double, {ctype} *,
+                            {ctype} *, {ctype} *, {ctype} *);
 void lif_backward_{suf}(long, long, long, const {ctype} *, const {ctype} *,
                         const {ctype} *, const {ctype} *, const {ctype} *,
-                        const {ctype} *, long, double, int, int, double,
-                        {ctype} *, {ctype} *, {ctype} *, {ctype} *, {ctype} *);
+                        double, int, double, {ctype} *, {ctype} *, {ctype} *,
+                        {ctype} *, {ctype} *);
 void readout_forward_{suf}(long, long, const {ctype} *, double, {ctype} *);
 void readout_backward_{suf}(long, long, const {ctype} *, double, {ctype} *);
 """
 
+#: The compiled variants.  float32 is the library's dtype; float64 runs
+#: too: the trainer's gradient clip scales float32 gradients by a numpy
+#: float64 scalar, which promotes them (NEP 50), so a clipped layer's
+#: weights train on in float64 — in practice the NCL phase's learning
+#: layers, in every NCL step.
 _DTYPES = {"f32": "float", "f64": "double"}
 
 #: Compiler flags that make the C arithmetic IEEE-exact: no value
@@ -474,21 +460,18 @@ class CffiExecutor(SequenceExecutor):
         for dtype, batch in itertools.product((np.float32, np.float64), (1, 3)):
             ff = rng.standard_normal((5, batch, 4)).astype(dtype)
             w_rec = rng.standard_normal((4, 4)).astype(dtype) * dtype(0.3)
-            for w in (None, w_rec):
-                for spec in (
-                    SweepSpec(beta=0.9, vthr=0.7, hard=True, alpha=None),
-                    SweepSpec(beta=0.9, vthr=0.7, hard=False, alpha=0.5),
-                ):
-                    want = numpy_ref.lif_forward_sweep(ff, w, spec)[:2]
-                    got = self.lif_forward(ff, w, spec)[:2]
-                    if not all(np.array_equal(a, b) for a, b in zip(want, got)):
-                        raise AssertionError("forward sweep mismatch")
-                    g = rng.standard_normal(ff.shape).astype(dtype)
-                    surrogate = rng.random(ff.shape).astype(dtype)
-                    want_g = numpy_ref.lif_reverse_sweep(g, surrogate, *want, w, spec)
-                    got_g = self.lif_backward(g, surrogate, *got, w, spec)
-                    if not np.array_equal(want_g, got_g):
-                        raise AssertionError("reverse sweep mismatch")
+            for alpha in (None, 0.5):
+                spec = SweepSpec(beta=0.9, vthr=0.7, alpha=alpha)
+                want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)[:2]
+                got = self.lif_forward(ff, w_rec, spec)[:2]
+                if not all(np.array_equal(a, b) for a, b in zip(want, got)):
+                    raise AssertionError("forward sweep mismatch")
+                g = rng.standard_normal(ff.shape).astype(dtype)
+                surrogate = rng.random(ff.shape).astype(dtype)
+                want_g = numpy_ref.lif_reverse_sweep(g, surrogate, *want, w_rec, spec)
+                got_g = self.lif_backward(g, surrogate, *got, w_rec, spec)
+                if not np.array_equal(want_g, got_g):
+                    raise AssertionError("reverse sweep mismatch")
             traj = numpy_ref.readout_forward_sweep(ff, 0.8)
             if not np.array_equal(traj, self.readout_forward(ff, 0.8)):
                 raise AssertionError("readout forward mismatch")
@@ -520,24 +503,18 @@ class CffiExecutor(SequenceExecutor):
         return self._ffi.from_buffer(ctype, array)
 
     def _supported(self, *arrays: np.ndarray, w_rec=None) -> bool:
-        dtype = np.dtype(arrays[-1].dtype)
-        return all(np.dtype(a.dtype) in self._SUFFIXES for a in arrays) and (
-            # The kernels' GEMM is matmul's call for a C-contiguous weight
-            # of the sweep dtype; any other layout takes the reference.
-            w_rec is None or (w_rec.dtype == dtype and w_rec.flags.c_contiguous)
-        )
+        """True when the kernels take these arrays; else the reference does.
 
-    @staticmethod
-    def _vthr_array(vthr, n: int, dtype) -> tuple[np.ndarray, int]:
-        """Contiguous thresholds plus their per-step stride (0 if static)."""
-        # numpy computes `v - vthr` with a python-float threshold by
-        # value-casting it to the array dtype first (NEP 50) — the same
-        # cast this broadcast performs, so scalar and per-neuron paths
-        # agree bitwise.
-        vthr = np.asarray(vthr, dtype=dtype)
-        if vthr.ndim == 2:  # per-step [T, N] record of a controller sweep
-            return np.ascontiguousarray(vthr), n
-        return np.ascontiguousarray(np.broadcast_to(vthr, (n,))), 0
+        Every array must share one compiled dtype.  The kernels' GEMM is
+        matmul's call for a C-contiguous weight, so another layout takes
+        the reference too.
+        """
+        if w_rec is not None:
+            if not w_rec.flags.c_contiguous:
+                return False
+            arrays += (w_rec,)
+        dtype = arrays[0].dtype
+        return dtype in self._SUFFIXES and all(a.dtype == dtype for a in arrays)
 
     # -- contract ------------------------------------------------------
     def lif_forward(self, ff, w_rec, spec, controller=None):
@@ -552,18 +529,20 @@ class CffiExecutor(SequenceExecutor):
         syn = np.zeros((batch, n_out), dtype=dtype)
         rec = np.empty((batch, n_out), dtype=dtype)
         alpha = 0.0 if spec.alpha is None else float(spec.alpha)
-        consts = (float(spec.beta), int(spec.hard), int(spec.alpha is not None), alpha)
+        consts = (float(spec.beta), int(spec.alpha is not None), alpha)
         if controller is None:
-            vthr, _ = self._vthr_array(spec.vthr, n_out, dtype)
+            # numpy computes `v - vthr` with a python-float threshold by
+            # value-casting it to the array dtype first (NEP 50) — the
+            # same cast this fill performs.
+            vthr = np.full(n_out, spec.vthr, dtype=dtype)
         else:
             vthr = np.empty((timesteps, n_out), dtype=dtype)
         kernel, ctype = self._kernel(
             "lif_forward" if controller is None else "lif_forward_step", dtype
         )
-        p_ff, p_vthr, *p_state = (
-            self._ptr(ctype, a) for a in (ff, vthr, syn, rec, membrane, spikes)
+        p_ff, p_w, p_vthr, *p_state = (
+            self._ptr(ctype, a) for a in (ff, w_rec, vthr, syn, rec, membrane, spikes)
         )
-        p_w = self._ffi.NULL if w_rec is None else self._ptr(ctype, w_rec)
         if controller is None:
             kernel(timesteps, batch, n_out, p_ff, p_w, p_vthr, *consts, *p_state)
             return membrane, spikes, spec.vthr
@@ -582,27 +561,18 @@ class CffiExecutor(SequenceExecutor):
                 g_spikes, surrogate, membrane, spikes, w_rec, spec
             )
         timesteps, batch, n_out = spikes.shape
-        dtype = spikes.dtype
-        g_spikes = np.ascontiguousarray(g_spikes, dtype=dtype)
-        surrogate = np.ascontiguousarray(surrogate, dtype=dtype)
-        membrane = np.ascontiguousarray(membrane)
-        spikes = np.ascontiguousarray(spikes)
-        g_current = np.empty_like(spikes)
-        vthr, vthr_stride = self._vthr_array(spec.vthr, n_out, dtype)
+        # w_rec_t: the reference sweep's contiguous W_rec^T copy.
+        arrays = [
+            np.ascontiguousarray(a) for a in (g_spikes, surrogate, membrane, spikes, w_rec.T)
+        ]
+        g_current = np.empty_like(arrays[3])
         alpha = 0.0 if spec.alpha is None else float(spec.alpha)
-        scratch = [np.empty((batch, n_out), dtype=dtype) for _ in range(4)]
-        kernel, ctype = self._kernel("lif_backward", dtype)
-        if w_rec is None:
-            p_w_t = self._ffi.NULL
-        else:
-            w_rec_t = np.ascontiguousarray(w_rec.T)  # the reference sweep's copy
-            p_w_t = self._ptr(ctype, w_rec_t)
+        scratch = [np.empty((batch, n_out), dtype=spikes.dtype) for _ in range(4)]
+        kernel, ctype = self._kernel("lif_backward", spikes.dtype)
         kernel(
             timesteps, batch, n_out,
-            self._ptr(ctype, g_spikes), self._ptr(ctype, surrogate),
-            self._ptr(ctype, membrane), self._ptr(ctype, spikes), p_w_t,
-            self._ptr(ctype, vthr), vthr_stride,
-            float(spec.beta), int(spec.hard), int(spec.alpha is not None), alpha,
+            *(self._ptr(ctype, a) for a in arrays),
+            float(spec.beta), int(spec.alpha is not None), alpha,
             *(self._ptr(ctype, s) for s in scratch),
             self._ptr(ctype, g_current),
         )
@@ -637,4 +607,3 @@ class CffiExecutor(SequenceExecutor):
             self._ptr(ctype, g_membrane),
         )
         return g_membrane
-

@@ -17,7 +17,7 @@ exactly (float addition commutes but does not associate):
 
 - ``gS[t] = (upstream + reset-path) + recurrent-path``,
 - ``gV[t] = surrogate-path + decay-path``,
-- partial products mirror the tape, e.g. hard reset uses
+- partial products mirror the tape, e.g. the reset path is
   ``(gV * beta) * V[t-1]`` — never ``gV * (beta * V[t-1])``.
 
 Products stay on BLAS, whose summation order is not the tape's: the
@@ -37,7 +37,7 @@ __all__ = ["NumpyExecutor"]
 
 def lif_forward_sweep(
     ff: np.ndarray,
-    w_rec: np.ndarray | None,
+    w_rec: np.ndarray,
     spec: SweepSpec,
     controller: ThresholdController | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
@@ -56,7 +56,6 @@ def lif_forward_sweep(
     alpha = spec.alpha
     vthr = spec.vthr
     beta = spec.beta
-    hard = spec.hard
     membrane = np.empty((timesteps, batch, n_out), dtype=dtype)
     spikes = np.empty((timesteps, batch, n_out), dtype=dtype)
     v = np.zeros((batch, n_out), dtype=dtype)
@@ -71,14 +70,11 @@ def lif_forward_sweep(
             # The dtype cast the tape applies to the controller's value.
             thresholds[t] = vthr
             vthr = thresholds[t]
-        current = ff[t] if w_rec is None else ff[t] + s @ w_rec
+        current = ff[t] + s @ w_rec
         if alpha is not None:
             syn = syn * alpha + current
             current = syn
-        if hard:
-            v = v * (1.0 - s) * beta + current
-        else:
-            v = v * beta - s * vthr + current
+        v = v * (1.0 - s) * beta + current
         s = (v - vthr > 0.0).astype(dtype)
         membrane[t] = v
         spikes[t] = s
@@ -93,7 +89,7 @@ def lif_reverse_sweep(
     surrogate: np.ndarray,
     membrane: np.ndarray,
     spikes: np.ndarray,
-    w_rec: np.ndarray | None,
+    w_rec: np.ndarray,
     spec: SweepSpec,
 ) -> np.ndarray:
     """Reverse BPTT sweep shared by the LIF and CuBa kernels.
@@ -106,12 +102,9 @@ def lif_reverse_sweep(
     """
     timesteps = spikes.shape[0]
     beta = spec.beta
-    vthr = spec.vthr
-    per_step = np.ndim(vthr) == 2
     alpha = spec.alpha
-    hard = spec.hard
     # One contiguous copy (BLAS's no-trans path); the C executor's too.
-    w_rec_t = None if w_rec is None else np.ascontiguousarray(w_rec.T)
+    w_rec_t = np.ascontiguousarray(w_rec.T)
     g_current = np.empty_like(spikes)
     state_shape = spikes.shape[1:]
     dtype = spikes.dtype
@@ -130,8 +123,7 @@ def lif_reverse_sweep(
         gj = g_current[t]  # written in place below
         if have_carry:
             np.add(g_spikes[t], gs_reset, out=gv)  # gs = upstream + reset path
-            if w_rec_t is not None:
-                np.add(gv, gs_rec, out=gv)  # ... + recurrent path
+            np.add(gv, gs_rec, out=gv)  # ... + recurrent path
             np.multiply(gv, surrogate[t], out=gv)
             np.add(gv, gv_carry, out=gv)
         else:
@@ -146,18 +138,12 @@ def lif_reverse_sweep(
         else:
             gj[...] = gv
         if t > 0:
-            if hard:
-                np.multiply(gv, beta, out=gv_beta)
-                np.multiply(gv_beta, membrane[t - 1], out=gs_reset)
-                np.negative(gs_reset, out=gs_reset)
-                np.subtract(1.0, spikes[t - 1], out=gv_carry)
-                np.multiply(gv_beta, gv_carry, out=gv_carry)
-            else:
-                np.negative(gv, out=gs_reset)
-                np.multiply(gs_reset, vthr[t] if per_step else vthr, out=gs_reset)
-                np.multiply(gv, beta, out=gv_carry)
-            if w_rec_t is not None:
-                np.matmul(gj, w_rec_t, out=gs_rec)
+            np.multiply(gv, beta, out=gv_beta)
+            np.multiply(gv_beta, membrane[t - 1], out=gs_reset)
+            np.negative(gs_reset, out=gs_reset)
+            np.subtract(1.0, spikes[t - 1], out=gv_carry)
+            np.multiply(gv_beta, gv_carry, out=gv_carry)
+            np.matmul(gj, w_rec_t, out=gs_rec)
             have_carry = True
     return g_current
 

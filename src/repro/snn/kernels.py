@@ -11,14 +11,12 @@ reset, matmul and Heaviside — lives on only as the test oracle
 gradients to a stated tolerance (they are one GEMM over ``T·B`` here,
 ``T`` per-step products summed on the tape).
 
-Alg. 1's dynamic threshold runs inside the same sweep: given a
-:class:`~repro.snn.threshold.ThresholdController` whose threshold can
-change mid-sequence, the executor calls it between timesteps and
-records the threshold used at each step as a ``[T, N]`` array.  The
-backward consumes that record — the surrogate sees ``V[t] - vthr[t]``,
-soft reset subtracts ``vthr[t]`` — and does not differentiate the
-threshold.  A missing controller or an exact
-:class:`~repro.snn.threshold.StaticThreshold` keeps the static sweep.
+A sweep's threshold is the layer's ``params.threshold`` or, for Alg. 1's
+dynamic threshold, a :class:`~repro.snn.threshold.ThresholdController`:
+the executor calls it between timesteps and records the threshold used
+at each step as a ``[T, N]`` array.  The backward reads that record only
+in the surrogate, ``V[t] - vthr[t]``, and does not differentiate the
+threshold.
 
 *Which executor* runs the recurrence is pluggable: this module computes
 the GEMMs (the stacked feedforward projection and one weight-gradient
@@ -28,8 +26,7 @@ time-recurrent sweeps to the backend selected via ``REPRO_BACKEND``
 same elementwise operations in the same order as the per-step tape; the
 C executor replicates that association order bitwise in compiled code.
 
-Hand-derived BPTT (hard reset, recurrent; soft reset swaps the two
-reset partials)::
+Hand-derived BPTT (hard reset, Eq. 2; every hidden layer is recurrent)::
 
     forward:   I[t] = x[t] @ Wff + S[t-1] @ Wrec
                V[t] = beta * V[t-1] * (1 - S[t-1]) + I[t]
@@ -38,8 +35,7 @@ reset partials)::
     reverse:   gS[t] = dL/dS[t] + Wrec^T-path + reset-path   (from t+1)
                gV[t] = gS[t] * surrogate'(V[t] - vthr) + beta * (1 - S[t]) * gV[t+1]
                gI[t] = gV[t]
-               reset-path(t-1)     = -beta * V[t-1] * gV[t]     (hard)
-                                   = -vthr * gV[t]              (soft)
+               reset-path(t-1)     = -beta * V[t-1] * gV[t]
                Wrec^T-path(t-1)    = gI[t] @ Wrec^T
                gX[t]  = gI[t] @ Wff^T
                gWff   = sum_t x[t]^T @ gI[t]      (one GEMM over T*B rows)
@@ -52,8 +48,6 @@ and are documented in ``docs/reproducibility.md``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro import obs
@@ -61,8 +55,8 @@ from repro.autograd import Function, Tensor
 from repro.errors import ConfigError, ShapeError
 from repro.snn import backends
 from repro.snn.backends import SweepSpec
-from repro.snn.neurons import LIFParameters, resolve_threshold
-from repro.snn.threshold import StaticThreshold, ThresholdController
+from repro.snn.neurons import LIFParameters
+from repro.snn.threshold import ThresholdController
 
 __all__ = [
     "lif_sequence",
@@ -101,7 +95,7 @@ def _sequence_weight_grads(node, x, w_ff, w_rec, spikes, g_current):
     gx = g_current @ w_ff.T if needs[0] else None
     gw_ff = _flat(x).T @ _flat(g_current) if needs[1] else None
     gw_rec = None
-    if w_rec is not None and needs[2]:
+    if needs[2]:
         # S[-1] = 0: gI[0] never reaches Wrec, and at T == 1 the empty
         # product is its zero gradient (not an absent one).
         gw_rec = _flat(spikes[:-1]).T @ _flat(g_current[1:])
@@ -111,12 +105,11 @@ def _sequence_weight_grads(node, x, w_ff, w_rec, spikes, g_current):
 class _LIFSequence(Function):
     """Single tape node for a full (CuBa-)LIF layer pass (module docstring)."""
 
-    def forward(self, x, w_ff, w_rec, params, alpha, vthr, controller):
+    def forward(self, x, w_ff, w_rec, params, alpha, controller):
         """Run the T-step membrane/spike sweep on the active backend."""
         executor = backends.active()
-        spec = SweepSpec(
-            beta=params.beta, vthr=vthr, hard=params.reset_mode == "zero", alpha=alpha
-        )
+        vthr = None if controller is not None else params.threshold
+        spec = SweepSpec(beta=params.beta, vthr=vthr, alpha=alpha)
         kernel = "lif" if alpha is None else "cuba_lif"
         obs.count("kernel.calls", backend=executor.name, kernel=f"{kernel}_forward")
         with obs.span(f"kernel.{kernel}_forward", category="kernel", backend=executor.name):
@@ -127,7 +120,8 @@ class _LIFSequence(Function):
             raise ConfigError(f"{controller!r} produced a non-positive threshold")
         self.saved = x, w_ff, w_rec, membrane, spikes
         self.params = params
-        self.spec = replace(spec, vthr=used)
+        self.spec = spec
+        self.vthr = used
         self.kernel = kernel
         # The executor is pinned at forward time so backward runs on the
         # same backend even if REPRO_BACKEND flips mid-graph.
@@ -137,10 +131,13 @@ class _LIFSequence(Function):
     def backward(self, g_spikes):
         """Hand-derived BPTT: the tape's elementwise order, one GEMM per weight."""
         x, w_ff, w_rec, membrane, spikes = self.saved
-        vthr = self.spec.vthr
+        vthr = self.vthr
         if np.ndim(vthr) == 2:  # per-step [T, N] record -> [T, 1, N]
             vthr = vthr[:, None, :]
         surrogate = self.params.surrogate.derivative(membrane - vthr)
+        # A masked readout's float64 logits send a wider gradient down;
+        # the sweep runs in its own dtype on every backend.
+        g_spikes = np.asarray(g_spikes, dtype=spikes.dtype)
         name = f"{self.kernel}_backward"
         obs.count("kernel.calls", backend=self.executor.name, kernel=name)
         with obs.span(f"kernel.{name}", category="kernel", backend=self.executor.name):
@@ -149,7 +146,7 @@ class _LIFSequence(Function):
             )
         return _sequence_weight_grads(self, x, w_ff, w_rec, spikes, g_current) + (
             None,
-        ) * 4
+        ) * 3
 
 
 class _LeakyReadoutSequence(Function):
@@ -179,54 +176,35 @@ class _LeakyReadoutSequence(Function):
         return gx, gw_ff, None
 
 
-def _split_threshold(params: LIFParameters, threshold, dtype):
-    """``(static Vthr, None)``, or ``(None, controller)`` when dynamic.
-
-    Only a missing threshold or an exact :class:`StaticThreshold` is
-    provably constant over the sequence; any other controller (including
-    a subclass, which may override ``step``) drives the sweep per step.
-    """
-    if isinstance(threshold, ThresholdController):
-        if type(threshold) is not StaticThreshold:
-            return None, threshold
-        threshold = threshold.value
-    return resolve_threshold(params, threshold, dtype=dtype), None
-
-
-def _lif_apply(x, w_ff, params, alpha, w_rec, threshold) -> Tensor:
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    w_ff = w_ff if isinstance(w_ff, Tensor) else Tensor(w_ff)
-    if w_rec is not None and not isinstance(w_rec, Tensor):
-        w_rec = Tensor(w_rec)
-    _check_sequence_args(x.data, w_ff.data, None if w_rec is None else w_rec.data)
-    vthr, controller = _split_threshold(params, threshold, x.data.dtype)
-    return _LIFSequence.apply(x, w_ff, w_rec, params, alpha, vthr, controller)
+def _lif_apply(x, w_ff, w_rec, params, alpha, controller) -> Tensor:
+    x, w_ff, w_rec = (a if isinstance(a, Tensor) else Tensor(a) for a in (x, w_ff, w_rec))
+    _check_sequence_args(x.data, w_ff.data, w_rec.data)
+    return _LIFSequence.apply(x, w_ff, w_rec, params, alpha, controller)
 
 
 def lif_sequence(
     x: Tensor | np.ndarray,
     w_ff: Tensor | np.ndarray,
     params: LIFParameters,
-    w_rec: Tensor | np.ndarray | None = None,
-    threshold=None,
+    w_rec: Tensor | np.ndarray,
+    controller: ThresholdController | None = None,
 ) -> Tensor:
-    """Run a whole LIF layer sequence as one fused tape node.
+    """Run a whole recurrent LIF layer sequence as one fused tape node.
 
     Args:
         x: Input spikes/activations ``[T, B, n_in]``.
         w_ff: Feedforward weights ``[n_in, n_out]``.
-        params: Neuron constants (decay, reset mode, surrogate family).
-        w_rec: Optional recurrent weights ``[n_out, n_out]``.
-        threshold: Effective ``Vthr`` — scalar, per-neuron ``[n_out]``
-            array, or a :class:`~repro.snn.threshold.ThresholdController`
-            that sets it per timestep from the spike activity (Alg. 1);
-            defaults to ``params.threshold``.
+        params: Neuron constants (decay, threshold, surrogate family).
+        w_rec: Recurrent weights ``[n_out, n_out]``.
+        controller: Optional :class:`~repro.snn.threshold.ThresholdController`
+            that sets ``Vthr`` per timestep from the spike activity
+            (Alg. 1); None means ``params.threshold``.
 
     Returns:
         The output spike raster ``[T, B, n_out]``, numerically identical
         to ``T`` steps of the per-timestep LIF update (Eq. 1-2).
     """
-    return _lif_apply(x, w_ff, params, None, w_rec, threshold)
+    return _lif_apply(x, w_ff, w_rec, params, None, controller)
 
 
 def cuba_lif_sequence(
@@ -234,8 +212,8 @@ def cuba_lif_sequence(
     w_ff: Tensor | np.ndarray,
     params: LIFParameters,
     alpha: float,
-    w_rec: Tensor | np.ndarray | None = None,
-    threshold=None,
+    w_rec: Tensor | np.ndarray,
+    controller: ThresholdController | None = None,
 ) -> Tensor:
     """Fused current-based (CuBa) LIF sequence.
 
@@ -244,7 +222,7 @@ def cuba_lif_sequence(
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"synaptic alpha must lie in (0, 1), got {alpha}")
-    return _lif_apply(x, w_ff, params, float(alpha), w_rec, threshold)
+    return _lif_apply(x, w_ff, w_rec, params, float(alpha), controller)
 
 
 def leaky_readout_sequence(
@@ -254,8 +232,8 @@ def leaky_readout_sequence(
 ) -> Tensor:
     """Fused leaky-integrator readout: membrane trajectory ``[T, B, C]``.
 
-    The caller applies the logit reduction (mean/max/last) on the
-    returned trajectory; those reductions are cheap single tape nodes.
+    The caller reduces the returned trajectory to logits (its mean over
+    time), a cheap single tape node.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     w_ff = w_ff if isinstance(w_ff, Tensor) else Tensor(w_ff)

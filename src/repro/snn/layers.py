@@ -55,9 +55,8 @@ class RecurrentLIFLayer:
         V[t]   = beta * V[t-1] * (1 - S[t-1]) + I[t]     (Eq. 1-2)
         S[t]   = H(V[t] - Vthr)
 
-    with hard reset (soft reset subtracts ``S[t-1] * Vthr`` instead),
-    where ``W_rec`` is present only when ``recurrent=True`` (the SHD
-    architecture of the paper uses recurrent hidden layers).
+    with Eq. 2's hard reset; every hidden layer of the paper's SHD
+    architecture is recurrent.
 
     With ``synapse_alpha`` set, the neurons follow the current-based
     (CuBa) dynamics instead: the projected input is low-pass filtered
@@ -81,7 +80,6 @@ class RecurrentLIFLayer:
         n_in: int,
         n_out: int,
         params: LIFParameters,
-        recurrent: bool = True,
         rng: np.random.Generator | None = None,
         name: str = "lif",
         ff_gain: float | None = None,
@@ -95,19 +93,15 @@ class RecurrentLIFLayer:
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self.params = params
-        self.recurrent = bool(recurrent)
         self.name = name
         self.synapse_alpha = synapse_alpha
         self.w_ff = dense_init(rng, n_in, n_out, gain=ff_gain or self.FF_GAIN)
-        self.w_rec = recurrent_init(rng, n_out) if recurrent else None
+        self.w_rec = recurrent_init(rng, n_out)
 
     # ------------------------------------------------------------------
     def parameters(self) -> list[Tensor]:
-        """Weight Tensors: ``w_ff`` plus ``w_rec`` when recurrent."""
-        params = [self.w_ff]
-        if self.w_rec is not None:
-            params.append(self.w_rec)
-        return params
+        """Weight Tensors: ``w_ff`` then ``w_rec``."""
+        return [self.w_ff, self.w_rec]
 
     def set_trainable(self, flag: bool) -> None:
         """Freeze (False) or unfreeze (True) this layer's weights."""
@@ -121,10 +115,7 @@ class RecurrentLIFLayer:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of this layer's weights, keyed ``w_ff``/``w_rec``."""
-        state = {"w_ff": self.w_ff.data.copy()}
-        if self.w_rec is not None:
-            state["w_rec"] = self.w_rec.data.copy()
-        return state
+        return {"w_ff": self.w_ff.data.copy(), "w_rec": self.w_rec.data.copy()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore weights from a :meth:`state_dict` copy, in place.
@@ -133,10 +124,7 @@ class RecurrentLIFLayer:
             DataError: If ``state`` lacks a weight this layer has.
             ShapeError: If a weight's shape differs from this layer's.
         """
-        weights = [("w_ff", self.w_ff)]
-        if self.w_rec is not None:
-            weights.append(("w_rec", self.w_rec))
-        _load_weights(state, weights)
+        _load_weights(state, [("w_ff", self.w_ff), ("w_rec", self.w_rec)])
 
     # ------------------------------------------------------------------
     def forward(
@@ -167,31 +155,21 @@ class RecurrentLIFLayer:
     def _sweep(self, x: Tensor, controller: ThresholdController | None) -> Tensor:
         if self.synapse_alpha is not None:
             return kernels.cuba_lif_sequence(
-                x, self.w_ff, self.params, self.synapse_alpha,
-                w_rec=self.w_rec, threshold=controller,
+                x, self.w_ff, self.params, self.synapse_alpha, self.w_rec, controller
             )
-        return kernels.lif_sequence(
-            x, self.w_ff, self.params, w_rec=self.w_rec, threshold=controller
-        )
+        return kernels.lif_sequence(x, self.w_ff, self.params, self.w_rec, controller)
 
 
 class LeakyReadout:
     """Non-spiking leaky-integrator output layer (Fig. 6a readout).
 
     Integrates projected input over time without firing.  Classification
-    logits reduce the membrane trajectory per class with ``readout_mode``:
-
-    - ``"mean"`` (default) — time-average of the membrane.  Every
-      timestep contributes gradient, which trains robustly even for
-      classes whose membrane never peaks (a max-over-time readout gives
-      silent classes near-zero gradient because their argmax lands on an
-      early, spike-free step).
-    - ``"max"`` — maximum membrane over time (the snnTorch-style
-      convention); kept for the readout ablation.
-    - ``"last"`` — final membrane value.
+    logits are the time-average of each class's membrane: every timestep
+    contributes gradient, which trains robustly even for classes whose
+    membrane never peaks (a max-over-time readout gives silent classes
+    near-zero gradient because their argmax lands on an early,
+    spike-free step).
     """
-
-    READOUT_MODES = ("mean", "max", "last")
 
     def __init__(
         self,
@@ -200,20 +178,14 @@ class LeakyReadout:
         beta: float = 0.95,
         rng: np.random.Generator | None = None,
         name: str = "readout",
-        readout_mode: str = "mean",
     ):
         rng = rng or default_rng()
         if not 0.0 < beta < 1.0:
             raise ConfigError(f"readout beta must lie in (0, 1), got {beta}")
-        if readout_mode not in self.READOUT_MODES:
-            raise ShapeError(
-                f"readout_mode must be one of {self.READOUT_MODES}, got {readout_mode!r}"
-            )
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self.beta = float(beta)
         self.name = name
-        self.readout_mode = readout_mode
         self.w_ff = dense_init(rng, n_in, n_out)
 
     def parameters(self) -> list[Tensor]:
@@ -293,12 +265,5 @@ class LeakyReadout:
         return logits + Tensor(np.where(mask, 0.0, MASKED_LOGIT))
 
     def _integrate(self, x: Tensor) -> Tensor:
-        return self._reduce(kernels.leaky_readout_sequence(x, self.w_ff, self.beta))
-
-    def _reduce(self, stacked: Tensor) -> Tensor:
-        """Collapse a membrane trajectory ``[T, B, C]`` into logits."""
-        if self.readout_mode == "last":
-            return stacked[-1]
-        if self.readout_mode == "max":
-            return stacked.max(axis=0)
-        return stacked.mean(axis=0)
+        """Logits ``[B, C]``: the membrane trajectory's mean over time."""
+        return kernels.leaky_readout_sequence(x, self.w_ff, self.beta).mean(axis=0)

@@ -18,6 +18,7 @@ Latent replay needs two partial passes, both provided here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,25 +32,13 @@ from repro.snn.state import LayerTraceEntry, SpikeTrace
 from repro.snn.threshold import ThresholdController
 from repro.autograd.surrogate import fast_sigmoid_surrogate
 
+#: A per-layer threshold-controller factory, ``layer -> controller``.
+ControllerFactory = Callable[[RecurrentLIFLayer], ThresholdController]
+
 __all__ = ["SpikingNetwork", "ForwardResult"]
 
 #: Samples per :meth:`SpikingNetwork.predict` forward chunk.
 PREDICT_BATCH = 64
-
-
-def _layer_controller(controller, layer) -> ThresholdController | None:
-    """Resolve a ``forward`` controller argument for one layer (resetting shared ones)."""
-    if controller is None:
-        return None
-    if isinstance(controller, ThresholdController):
-        controller.reset()
-        return controller
-    if callable(controller):
-        return controller(layer)
-    raise TypeError(
-        f"controller must be a ThresholdController, a factory, or None; "
-        f"got {type(controller).__name__}"
-    )
 
 
 @dataclass
@@ -57,7 +46,8 @@ class ForwardResult:
     """Output of a :meth:`SpikingNetwork.forward` pass.
 
     Attributes:
-        logits: ``[B, num_classes]`` readout maxima (differentiable).
+        logits: ``[B, num_classes]`` time-mean readout membranes
+            (differentiable).
         trace: Per-layer spike counts, for the hardware cost models.
     """
 
@@ -75,7 +65,6 @@ class SpikingNetwork:
         params = LIFParameters(
             beta=config.beta,
             threshold=config.threshold,
-            reset_mode=config.reset_mode,
             surrogate=surrogate,
         )
         self.neuron_params = params
@@ -89,7 +78,6 @@ class SpikingNetwork:
                     sizes[i],
                     sizes[i + 1],
                     params,
-                    recurrent=config.recurrent,
                     rng=rng,
                     name=f"hidden{i}",
                     synapse_alpha=config.synapse_alpha,
@@ -100,7 +88,6 @@ class SpikingNetwork:
             sizes[-1],
             beta=config.beta,
             rng=spawn(seed, "readout"),
-            readout_mode=config.readout_mode,
         )
 
     # ------------------------------------------------------------------
@@ -184,7 +171,7 @@ class SpikingNetwork:
         inputs: Tensor | np.ndarray,
         start: int,
         stop: int,
-        controller,
+        controller: ControllerFactory | None,
         controller_from_layer: int,
     ) -> tuple[Tensor, SpikeTrace, float]:
         """Run hidden layers ``start .. stop-1``, tracing each one.
@@ -210,8 +197,8 @@ class SpikingNetwork:
         for i in range(start, stop):
             layer = self.hidden_layers[i]
             layer_ctrl = (
-                _layer_controller(controller, layer)
-                if i >= controller_from_layer
+                controller(layer)
+                if controller is not None and i >= controller_from_layer
                 else None
             )
             out = layer.forward(x, layer_ctrl)
@@ -221,7 +208,7 @@ class SpikingNetwork:
                     name=layer.name,
                     n_in=layer.n_in,
                     n_out=layer.n_out,
-                    recurrent=layer.recurrent,
+                    recurrent=True,
                     input_spike_count=count,
                     output_spike_count=out_count,
                     timesteps=timesteps,
@@ -236,7 +223,7 @@ class SpikingNetwork:
         self,
         inputs: Tensor | np.ndarray,
         start_layer: int = 0,
-        controller=None,
+        controller: ControllerFactory | None = None,
         controller_from_layer: int = 0,
         class_mask: np.ndarray | None = None,
     ) -> ForwardResult:
@@ -246,11 +233,10 @@ class SpikingNetwork:
             inputs: ``[T, B, layer_input_size(start_layer)]`` spike
                 raster — the dataset encoding for ``start_layer=0``, or
                 latent activations when replaying into a later layer.
-            controller: A :class:`ThresholdController` shared across
-                layers (reset per layer), a factory ``layer ->
-                ThresholdController`` building one per layer (required
-                by per-neuron controllers, whose state is sized to the
-                layer), or None for the static configured threshold.
+            controller: A factory ``layer -> ThresholdController``
+                building a fresh controller per layer pass (per-neuron
+                controllers are sized to their layer), or None for the
+                static configured threshold.
             controller_from_layer: First weight-layer index the
                 controller applies to; earlier layers run at their
                 static threshold.  NCL evaluation uses this to confine
@@ -288,7 +274,7 @@ class SpikingNetwork:
         self,
         insertion_layer: int,
         inputs: Tensor | np.ndarray,
-        controller=None,
+        controller: ControllerFactory | None = None,
     ) -> tuple[np.ndarray, SpikeTrace]:
         """Spike raster feeding weight layer ``insertion_layer``, and its trace.
 
@@ -322,7 +308,7 @@ class SpikingNetwork:
         inputs: Tensor | np.ndarray,
         batch_size: int = PREDICT_BATCH,
         start_layer: int = 0,
-        controller=None,
+        controller: ControllerFactory | None = None,
         controller_from_layer: int = 0,
         class_mask: np.ndarray | None = None,
     ) -> np.ndarray:

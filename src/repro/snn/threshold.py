@@ -27,9 +27,18 @@ from repro.errors import ConfigError
 
 __all__ = [
     "ThresholdController",
-    "StaticThreshold",
     "PerNeuronAdaptiveThreshold",
 ]
+
+#: The 0.01 coefficient of Alg. 1's spike-timing term.
+GAIN = 0.01
+#: The 0.001 coefficient inside Alg. 1's sigmoidal decay.
+DECAY_RATE = 0.001
+#: Safety clamp on ``Vthr``.  The paper's formulas already stay inside
+#: the band for T <= 100; the clamp guards pathological configurations.
+FLOOR, CEIL = 0.05, 4.0
+#: Every neuron's threshold before the first step.
+INITIAL = 1.0
 
 
 class ThresholdController:
@@ -37,11 +46,10 @@ class ThresholdController:
 
     ``step`` may return a scalar (one threshold for the whole layer) or a
     per-neuron array ``[n]`` — the LIF step broadcasts either against the
-    membrane.
+    membrane.  A network takes controllers as a per-layer factory
+    ``layer -> ThresholdController``, building a fresh one per layer pass,
+    so a controller sees one sequence from its initial state.
     """
-
-    def reset(self) -> None:
-        """Restore initial state before a new sequence."""
 
     def step(self, t: int, spike_counts, spike_time_sums):
         """Observe timestep ``t`` activity and return ``Vthr`` for the next step.
@@ -63,30 +71,6 @@ class ThresholdController:
         raise NotImplementedError
 
 
-class StaticThreshold(ThresholdController):
-    """Constant ``Vthr`` — what SpikingLR and the pre-training phase use."""
-
-    def __init__(self, value: float = 1.0):
-        if value <= 0.0:
-            raise ConfigError(f"threshold must be positive, got {value}")
-        self._value = float(value)
-
-    def reset(self) -> None:
-        """No state to restore."""
-
-    def step(self, t: int, spike_counts, spike_time_sums) -> float:
-        """Ignore activity; the threshold never moves."""
-        return self._value
-
-    @property
-    def value(self) -> float:
-        """The constant threshold."""
-        return self._value
-
-    def __repr__(self) -> str:
-        return f"StaticThreshold({self._value:g})"
-
-
 class PerNeuronAdaptiveThreshold(ThresholdController):
     """Alg. 1's dynamic threshold policy, applied per neuron.
 
@@ -102,6 +86,15 @@ class PerNeuronAdaptiveThreshold(ThresholdController):
     spike-timing rule around the baseline.  This homeostatic reading is
     what :class:`~repro.core.replay4ncl.Replay4NCL` deploys.
 
+    **Batch coupling.**  ``step`` receives spike counts summed over the
+    batch, so every sample of a batch shares one per-neuron threshold
+    trajectory, and a sample's output spikes depend on its batch-mates
+    (without a controller they do not).  This is the current reading of
+    Alg. 1; ROADMAP's Alg. 1 item decides whether it is intended.
+
+    The rule's constants are the module's :data:`GAIN`,
+    :data:`DECAY_RATE`, :data:`FLOOR`, :data:`CEIL` and :data:`INITIAL`.
+
     Attributes:
         num_neurons: Layer width; ``step`` takes per-neuron counts of
             this length.
@@ -112,47 +105,19 @@ class PerNeuronAdaptiveThreshold(ThresholdController):
             boundaries a neuron that has spiked holds its value and a
             silent one keeps decaying.  Pass 1 to update on every step
             (the NCL-training variant, lines 25-30).
-        gain: The 0.01 coefficient of the spike-timing term.
-        decay_rate: The 0.001 coefficient inside the sigmoidal decay.
-        floor: Lower safety clamp on ``Vthr``.
-        ceil: Upper safety clamp on ``Vthr``.  The paper's formulas
-            already stay inside the band for T <= 100; the clamp guards
-            pathological configurations.
-        initial: Every neuron's threshold before the first step.
     """
 
-    def __init__(
-        self,
-        num_neurons: int,
-        timesteps: int,
-        adjust_interval: int = 5,
-        gain: float = 0.01,
-        decay_rate: float = 0.001,
-        floor: float = 0.05,
-        ceil: float = 4.0,
-        initial: float = 1.0,
-    ):
+    def __init__(self, num_neurons: int, timesteps: int, adjust_interval: int = 5):
         if num_neurons <= 0:
             raise ConfigError(f"num_neurons must be positive, got {num_neurons}")
         if timesteps <= 0:
             raise ConfigError(f"timesteps must be positive, got {timesteps}")
         if adjust_interval <= 0:
             raise ConfigError(f"adjust_interval must be positive, got {adjust_interval}")
-        if not 0.0 < floor < ceil:
-            raise ConfigError(f"need 0 < floor < ceil, got {floor}, {ceil}")
         self.num_neurons = int(num_neurons)
         self.timesteps = int(timesteps)
         self.adjust_interval = int(adjust_interval)
-        self.gain = float(gain)
-        self.decay_rate = float(decay_rate)
-        self.floor = float(floor)
-        self.ceil = float(ceil)
-        self.initial = float(initial)
-        self.reset()
-
-    def reset(self) -> None:
-        """Restore the initial per-neuron thresholds and clear statistics."""
-        self._value = np.full(self.num_neurons, self.initial, dtype=np.float32)
+        self._value = np.full(self.num_neurons, INITIAL, dtype=np.float32)
         self._spike_counts = np.zeros(self.num_neurons, dtype=np.float64)
         self._spike_time_sums = np.zeros(self.num_neurons, dtype=np.float64)
 
@@ -167,7 +132,7 @@ class PerNeuronAdaptiveThreshold(ThresholdController):
         self._spike_counts += spike_counts
         self._spike_time_sums += np.asarray(spike_time_sums, dtype=np.float64)
 
-        decay_value = 1.0 / (1.0 + np.exp(-self.decay_rate * t))
+        decay_value = 1.0 / (1.0 + np.exp(-DECAY_RATE * t))
         on_boundary = (t % self.adjust_interval) == 0
         active = self._spike_counts > 0
         if on_boundary:
@@ -175,13 +140,13 @@ class PerNeuronAdaptiveThreshold(ThresholdController):
                 avg = np.where(
                     active, self._spike_time_sums / np.maximum(self._spike_counts, 1e-12), 0.0
                 )
-            timing_value = 1.0 + self.gain * (self.timesteps - avg)
+            timing_value = 1.0 + GAIN * (self.timesteps - avg)
             self._value = np.where(active, timing_value, decay_value).astype(np.float32)
         else:
             # Off-boundary steps: silent neurons keep decaying; active
             # neurons hold their last timing-rule value.
             self._value = np.where(active, self._value, decay_value).astype(np.float32)
-        self._value = np.clip(self._value, self.floor, self.ceil)
+        self._value = np.clip(self._value, FLOOR, CEIL)
         return self._value
 
     @property
@@ -189,13 +154,8 @@ class PerNeuronAdaptiveThreshold(ThresholdController):
         """Current per-neuron thresholds, shape ``[num_neurons]``."""
         return self._value
 
-    @property
-    def mean_threshold(self) -> float:
-        """Population mean of the per-neuron thresholds."""
-        return float(self._value.mean())
-
     def __repr__(self) -> str:
         return (
             f"PerNeuronAdaptiveThreshold(n={self.num_neurons}, T={self.timesteps}, "
-            f"interval={self.adjust_interval}, mean={self.mean_threshold:.3f})"
+            f"interval={self.adjust_interval}, mean={float(self._value.mean()):.3f})"
         )

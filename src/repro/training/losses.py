@@ -10,11 +10,11 @@ __all__ = ["readout_cross_entropy"]
 
 
 def readout_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Cross-entropy on the max-over-time readout membrane.
+    """Cross-entropy on the readout's logits.
 
     The readout layer already reduces its membrane trajectory to
-    per-class maxima (Fig. 6a output convention), so this is a plain
-    softmax cross-entropy over those maxima.
+    per-class means over time, so this is a plain softmax cross-entropy
+    over those means.
     """
     return cross_entropy(logits, labels)
 

@@ -44,7 +44,6 @@ class EpochRecord:
     new_task_accuracy: float | None = None
     overall_accuracy: float | None = None
     learning_rate: float | None = None
-    threshold: float | None = None
 
 
 @dataclass

@@ -21,9 +21,8 @@ from repro import obs
 from repro.data.loaders import DataLoader
 from repro.errors import ConfigError, TrainingError
 from repro.seeding import default_rng
-from repro.snn.network import SpikingNetwork
+from repro.snn.network import ControllerFactory, SpikingNetwork
 from repro.snn.state import SpikeTrace
-from repro.snn.threshold import ThresholdController
 from repro.training.losses import readout_cross_entropy
 from repro.training.metrics import EpochRecord, TrainingHistory
 from repro.training.optimizers import Optimizer
@@ -70,7 +69,7 @@ class Trainer:
         optimizer: Optimizer,
         config: TrainerConfig,
         rng: np.random.Generator | None = None,
-        controller: ThresholdController | None = None,
+        controller: ControllerFactory | None = None,
     ):
         self.network = network
         self.optimizer = optimizer
@@ -110,13 +109,6 @@ class Trainer:
             traces.append(result.trace)
         self.epoch_traces.append(traces)
         return float(np.mean(losses))
-
-    def _controller_value(self) -> float | None:
-        """Scalar threshold telemetry (mean for per-neuron controllers)."""
-        if not isinstance(self.controller, ThresholdController):
-            return None
-        value = self.controller.value
-        return float(np.mean(value))
 
     def _clip_gradients(self) -> None:
         if self.config.grad_clip is None:
@@ -164,7 +156,6 @@ class Trainer:
                         epoch=epoch,
                         loss=loss,
                         learning_rate=self.optimizer.learning_rate,
-                        threshold=self._controller_value(),
                         **{name: fn() for name, fn in evaluators.items()},
                     )
                 span.set(loss=loss)

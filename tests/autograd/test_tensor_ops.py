@@ -112,17 +112,6 @@ class TestReductions:
     def test_mean_value(self):
         np.testing.assert_allclose(tensor([[1.0, 2.0], [3.0, 6.0]]).mean(axis=0).data, [2.0, 4.0])
 
-    @pytest.mark.parametrize(
-        "kwargs", [{}, {"axis": 0}, {"axis": 1}, {"axis": 1, "keepdims": True}], ids=str
-    )
-    def test_max(self, rng, kwargs):
-        assert gradcheck(lambda a: a.max(**kwargs), [rng.standard_normal((3, 4))])
-
-    def test_max_tie_splits_gradient(self):
-        x = tensor(np.array([[1.0, 1.0, 0.0]]), requires_grad=True)
-        x.max(axis=1).backward(np.array([1.0]))
-        np.testing.assert_allclose(x.grad, [[0.5, 0.5, 0.0]])
-
 
 class TestIndexingAndStack:
     @pytest.mark.parametrize(

@@ -19,9 +19,8 @@ import numpy as np
 from repro.autograd import Tensor, stack, zeros
 from repro.autograd.surrogate import spike
 from repro.errors import ConfigError
-from repro.snn.network import _layer_controller
-from repro.snn.neurons import LIFParameters, resolve_threshold
-from repro.snn.threshold import StaticThreshold, ThresholdController
+from repro.snn.neurons import LIFParameters
+from repro.snn.threshold import DECAY_RATE, GAIN, ThresholdController
 
 
 #: Fused-vs-oracle gradient tolerance, relative to ``max|oracle grad|``.
@@ -44,17 +43,13 @@ def lif_step(
     params: LIFParameters,
     threshold=None,
 ) -> tuple[Tensor, Tensor]:
-    """Advance one LIF timestep (paper Eq. 1-2); return ``(V[t], S[t])``.
+    """Advance one hard-reset LIF timestep (paper Eq. 1-2); return ``(V[t], S[t])``.
 
-    ``threshold`` is this step's effective ``Vthr``: scalar, or a
-    per-neuron array ``[N]``; defaults to ``params.threshold``.
+    ``threshold`` is this step's effective ``Vthr`` — a controller's
+    scalar or per-neuron ``[N]`` value; defaults to ``params.threshold``.
     """
-    vthr = resolve_threshold(params, threshold, dtype=membrane.data.dtype)
-    if params.reset_mode == "zero":
-        decayed = membrane * (1.0 - prev_spikes) * params.beta
-    else:
-        decayed = membrane * params.beta - prev_spikes * vthr
-    new_membrane = decayed + current
+    vthr = params.threshold if threshold is None else threshold
+    new_membrane = membrane * (1.0 - prev_spikes) * params.beta + current
     return new_membrane, spike(new_membrane - vthr, params.surrogate)
 
 
@@ -83,16 +78,13 @@ def layer_forward(layer, inputs, controller=None) -> Tensor:
     """:meth:`RecurrentLIFLayer.forward`, one tape node per op per step."""
     x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
     timesteps, batch = x.shape[0], x.shape[1]
-    controller = controller or StaticThreshold(layer.params.threshold)
     membrane = zeros((batch, layer.n_out))
     spikes = zeros((batch, layer.n_out))
     syn = zeros((batch, layer.n_out)) if layer.synapse_alpha is not None else None
-    threshold = controller.value
+    threshold = None if controller is None else controller.value
     outputs: list[Tensor] = []
     for t in range(timesteps):
-        current = x[t] @ layer.w_ff
-        if layer.w_rec is not None:
-            current = current + spikes @ layer.w_rec
+        current = x[t] @ layer.w_ff + spikes @ layer.w_rec
         if syn is not None:
             membrane, syn, spikes = cuba_lif_step(
                 membrane, syn, spikes, current, layer.params,
@@ -101,8 +93,9 @@ def layer_forward(layer, inputs, controller=None) -> Tensor:
         else:
             membrane, spikes = lif_step(membrane, spikes, current, layer.params, threshold)
         outputs.append(spikes)
-        counts = spikes.data.sum(axis=0)  # per-neuron, batch-summed
-        threshold = controller.step(t, counts, counts * t)
+        if controller is not None:
+            counts = spikes.data.sum(axis=0)  # per-neuron, batch-summed
+            threshold = controller.step(t, counts, counts * t)
     return stack(outputs, axis=0)
 
 
@@ -114,10 +107,7 @@ def readout_forward(readout, inputs, class_mask=None) -> Tensor:
     for t in range(x.shape[0]):
         membrane = membrane * readout.beta + x[t] @ readout.w_ff
         trajectory.append(membrane)
-    if readout.readout_mode == "last":
-        logits = trajectory[-1]
-    else:
-        logits = readout._reduce(stack(trajectory, axis=0))
+    logits = stack(trajectory, axis=0).mean(axis=0)
     return readout._mask(logits, readout._resolve_mask(class_mask))
 
 
@@ -126,12 +116,12 @@ def network_forward(
 ) -> Tensor:
     """Logits of :meth:`SpikingNetwork.forward` from the oracle layers.
 
-    The controller applies to every executed hidden layer.
+    The per-layer controller factory applies to every executed hidden layer.
     """
     activations = inputs
     for layer in network.hidden_layers[start_layer:]:
         activations = layer_forward(
-            layer, activations, _layer_controller(controller, layer)
+            layer, activations, None if controller is None else controller(layer)
         )
     return readout_forward(network.readout, activations, class_mask)
 
@@ -142,17 +132,13 @@ class ScalarAdaptiveThreshold(ThresholdController):
     The library deploys only the per-neuron controller; this one keeps
     the executors' scalar-controller path (a controller whose ``step``
     returns a float) under test.  On a boundary step
-    (``t % adjust_interval == 0``) after any spike, ``Vthr = 1 + gain *
+    (``t % adjust_interval == 0``) after any spike, ``Vthr = 1 + GAIN *
     (timesteps - mean spike time)``; every other step takes the
-    sigmoidal decay ``1 / (1 + exp(-decay_rate * t))``.
+    sigmoidal decay ``1 / (1 + exp(-DECAY_RATE * t))``.
     """
 
-    def __init__(self, timesteps, adjust_interval=5, gain=0.01, decay_rate=0.001):
+    def __init__(self, timesteps, adjust_interval=5):
         self.timesteps, self.adjust_interval = timesteps, adjust_interval
-        self.gain, self.decay_rate = gain, decay_rate
-        self.reset()
-
-    def reset(self) -> None:
         self._value, self.spike_count, self._spike_time_sum = 1.0, 0.0, 0.0
 
     def step(self, t, spike_counts, spike_time_sums) -> float:
@@ -160,9 +146,9 @@ class ScalarAdaptiveThreshold(ThresholdController):
         self._spike_time_sum += float(np.sum(spike_time_sums))
         if t % self.adjust_interval == 0 and self.spike_count > 0:
             mean_time = self._spike_time_sum / self.spike_count
-            self._value = 1.0 + self.gain * (self.timesteps - mean_time)
+            self._value = 1.0 + GAIN * (self.timesteps - mean_time)
         else:
-            self._value = float(1.0 / (1.0 + np.exp(-self.decay_rate * t)))
+            self._value = float(1.0 / (1.0 + np.exp(-DECAY_RATE * t)))
         return self._value
 
     @property

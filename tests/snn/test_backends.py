@@ -56,15 +56,8 @@ def _fresh_active_memo(monkeypatch):
 # ----------------------------------------------------------------------
 
 _SPECS = {
-    "lif-hard": SweepSpec(beta=0.9, vthr=0.65, hard=True, alpha=None),
-    "lif-soft": SweepSpec(beta=0.85, vthr=0.7, hard=False, alpha=None),
-    "cuba-hard": SweepSpec(beta=0.9, vthr=0.6, hard=True, alpha=0.5),
-    "per-neuron-vthr": SweepSpec(
-        beta=0.9,
-        vthr=np.linspace(0.4, 0.9, 6, dtype=np.float32),
-        hard=True,
-        alpha=None,
-    ),
+    "lif": SweepSpec(beta=0.9, vthr=0.65, alpha=None),
+    "cuba": SweepSpec(beta=0.9, vthr=0.6, alpha=0.5),
 }
 
 
@@ -73,12 +66,13 @@ _SPECS = {
 _SHAPES = [pytest.param(b, n, id=f"B{b}-N{n}") for b in (1, 2, 36) for n in (6, 64)]
 
 
-def _spec(name, n_out):
-    """``_SPECS[name]`` with any per-neuron threshold sized to ``n_out``."""
-    spec = _SPECS[name]
-    if np.ndim(spec.vthr):
-        return replace(spec, vthr=np.linspace(0.4, 0.9, n_out, dtype=np.float32))
-    return spec
+#: Sweep lengths: T = 1 runs no carry (and no recurrent product), T = 2
+#: the first carry, longer sweeps the steady state.
+_TIMESTEPS = [1, 2, 6]
+
+
+def _w_rec(rng, n_out, dtype=np.float32):
+    return (rng.standard_normal((n_out, n_out)) * 0.4).astype(dtype)
 
 
 def _executors():
@@ -94,20 +88,16 @@ def _assert_parity(executor, got, want):
 class TestSweepParity:
     @pytest.mark.parametrize("executor", _executors())
     @pytest.mark.parametrize("spec_name", sorted(_SPECS))
-    @pytest.mark.parametrize("recurrent", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("timesteps", _TIMESTEPS, ids=lambda t: f"T{t}")
     @pytest.mark.parametrize("batch,n_out", _SHAPES)
     def test_lif_sweeps_match_reference(
-        self, executor, spec_name, recurrent, dtype, batch, n_out
+        self, executor, spec_name, dtype, timesteps, batch, n_out
     ):
-        spec = _spec(spec_name, n_out)
+        spec = _SPECS[spec_name]
         rng = np.random.default_rng(7)
-        ff = rng.standard_normal((6, batch, n_out)).astype(dtype)
-        w_rec = (
-            (rng.standard_normal((n_out, n_out)) * 0.4).astype(dtype)
-            if recurrent
-            else None
-        )
+        ff = rng.standard_normal((timesteps, batch, n_out)).astype(dtype)
+        w_rec = _w_rec(rng, n_out, dtype)
         want_m, want_s, want_vthr = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
         got_m, got_s, got_vthr = executor.lif_forward(ff, w_rec, spec)
         _assert_parity(executor, got_m, want_m)
@@ -122,9 +112,15 @@ class TestSweepParity:
 
     @pytest.mark.parametrize("executor", _executors())
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_readout_sweeps_match_reference(self, executor, dtype):
+    @pytest.mark.parametrize("timesteps", _TIMESTEPS, ids=lambda t: f"T{t}")
+    @pytest.mark.parametrize(
+        "batch,classes", [(1, 4), (3, 5), (36, 20)], ids=["B1-C4", "B3-C5", "B36-C20"]
+    )
+    def test_readout_sweeps_match_reference(
+        self, executor, dtype, timesteps, batch, classes
+    ):
         rng = np.random.default_rng(11)
-        projected = rng.standard_normal((8, 4, 5)).astype(dtype)
+        projected = rng.standard_normal((timesteps, batch, classes)).astype(dtype)
         _assert_parity(
             executor,
             executor.readout_forward(projected, 0.8),
@@ -138,23 +134,19 @@ class TestSweepParity:
         )
 
     @pytest.mark.parametrize("executor", _executors())
-    @pytest.mark.parametrize("spec_name", ["lif-hard", "lif-soft", "cuba-hard"])
-    @pytest.mark.parametrize("recurrent", [False, True])
+    @pytest.mark.parametrize("spec_name", sorted(_SPECS))
     @pytest.mark.parametrize("per_neuron", [True, False], ids=["per-neuron", "scalar"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("timesteps", [3, 8], ids=lambda t: f"T{t}")
     @pytest.mark.parametrize("batch,n_out", _SHAPES)
     def test_controller_sweeps_match_reference(
-        self, executor, spec_name, recurrent, per_neuron, dtype, batch, n_out
+        self, executor, spec_name, per_neuron, dtype, timesteps, batch, n_out
     ):
         """A dynamic threshold drives both executors' sweeps identically."""
         spec = replace(_SPECS[spec_name], vthr=None)
         rng = np.random.default_rng(13)
-        ff = (rng.standard_normal((8, batch, n_out)) * 0.8).astype(dtype)
-        w_rec = (
-            (rng.standard_normal((n_out, n_out)) * 0.4).astype(dtype)
-            if recurrent
-            else None
-        )
+        ff = (rng.standard_normal((timesteps, batch, n_out)) * 0.8).astype(dtype)
+        w_rec = _w_rec(rng, n_out, dtype)
 
         def controller():
             if per_neuron:
@@ -165,30 +157,58 @@ class TestSweepParity:
 
         want = numpy_ref.lif_forward_sweep(ff, w_rec, spec, controller())
         got = executor.lif_forward(ff, w_rec, spec, controller())
-        assert want[2].shape == (8, n_out) and want[2].dtype == dtype
+        assert want[2].shape == (timesteps, n_out) and want[2].dtype == dtype
         assert len(np.unique(want[2])) > 1  # the threshold really moved
         for g, w in zip(got, want):
             _assert_parity(executor, g, w)
 
-        per_step = replace(spec, vthr=want[2])
         g = rng.standard_normal(ff.shape).astype(dtype)
         surrogate = rng.random(ff.shape).astype(dtype)
         _assert_parity(
             executor,
-            executor.lif_backward(g, surrogate, got[0], got[1], w_rec, per_step),
-            numpy_ref.lif_reverse_sweep(g, surrogate, want[0], want[1], w_rec, per_step),
+            executor.lif_backward(g, surrogate, got[0], got[1], w_rec, spec),
+            numpy_ref.lif_reverse_sweep(g, surrogate, want[0], want[1], w_rec, spec),
         )
 
     @needs_c
     def test_single_timestep_edge(self):
         """T=1 exercises the no-carry branches of every sweep."""
-        spec = _SPECS["lif-hard"]
-        ff = np.random.default_rng(3).standard_normal((1, 2, 4)).astype(np.float32)
+        spec = _SPECS["lif"]
+        rng = np.random.default_rng(3)
+        ff = rng.standard_normal((1, 2, 4)).astype(np.float32)
+        w_rec = _w_rec(rng, 4)
         executor = CffiExecutor()
-        m, s, _ = executor.lif_forward(ff, None, spec)
-        want = numpy_ref.lif_forward_sweep(ff, None, spec)
+        m, s, _ = executor.lif_forward(ff, w_rec, spec)
+        want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
         _assert_parity(executor, m, want[0])
         _assert_parity(executor, s, want[1])
+        g = rng.standard_normal(ff.shape).astype(np.float32)
+        _assert_parity(
+            executor,
+            executor.lif_backward(g, np.ones_like(g), m, s, w_rec, spec),
+            numpy_ref.lif_reverse_sweep(g, np.ones_like(g), *want[:2], w_rec, spec),
+        )
+
+
+def _count_kernel_calls(monkeypatch, executor) -> list:
+    """Record the name of every C kernel ``executor`` calls from now on."""
+    calls = []
+
+    class CountingLib:
+        def __init__(self, lib):
+            self._lib = lib
+
+        def __getattr__(self, name):
+            kernel = getattr(self._lib, name)
+
+            def counted(*args):
+                calls.append(name)
+                return kernel(*args)
+
+            return counted
+
+    monkeypatch.setattr(executor, "_lib", CountingLib(executor._lib))
+    return calls
 
 
 @needs_c
@@ -198,7 +218,7 @@ class TestCBackendThroughKernels:
 
     def _grads(self, monkeypatch, backend_name):
         monkeypatch.setenv("REPRO_BACKEND", backend_name)
-        params = LIFParameters(beta=0.9, threshold=0.6, reset_mode="zero")
+        params = LIFParameters(beta=0.9, threshold=0.6)
         rng = np.random.default_rng(0)
         x = Tensor((rng.random((7, 3, 5)) < 0.3).astype(np.float32))
         w_ff = Tensor(
@@ -230,33 +250,49 @@ class TestCBackendThroughKernels:
             assert np.array_equal(compiled[key], want), f"{key} diverged bitwise"
 
     def test_cuba_sequence_bitwise(self, monkeypatch):
-        params = LIFParameters(beta=0.9, threshold=0.55, reset_mode="subtract")
+        params = LIFParameters(beta=0.9, threshold=0.55)
         rng = np.random.default_rng(5)
         x = (rng.random((6, 2, 4)) < 0.4).astype(np.float32)
         w_ff = rng.standard_normal((4, 5)).astype(np.float32) * 0.6
+        w_rec = _w_rec(rng, 5)
         results = {}
         for name in ("numpy", "c"):
             monkeypatch.setenv("REPRO_BACKEND", name)
-            out = cuba_lif_sequence(
-                Tensor(x), Tensor(w_ff, requires_grad=True), params, alpha=0.45
-            )
+            weight = Tensor(w_ff, requires_grad=True)
+            out = cuba_lif_sequence(Tensor(x), weight, params, 0.45, w_rec)
             out.sum().backward()
-            results[name] = out.data.copy()
-        assert np.array_equal(results["numpy"], results["c"])
+            results[name] = (out.data.copy(), weight.grad.copy())
+        for got, want in zip(results["c"], results["numpy"]):
+            assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("reset_mode", ["zero", "subtract"])
-    @pytest.mark.parametrize("recurrent", [True, False])
-    def test_controller_layer_bitwise_across_backends(
-        self, monkeypatch, reset_mode, recurrent
-    ):
+    def test_masked_readout_gradients_bitwise(self, monkeypatch):
+        """A class mask makes the logits float64; the float64 gradient
+        reaching the last hidden layer is cast to the sweep dtype before
+        the reverse sweep on every backend, so c == numpy still holds."""
+        from repro.autograd import cross_entropy
+        from repro.config import NetworkConfig
+        from repro.snn.network import SpikingNetwork
+
+        x = (np.random.default_rng(0).random((10, 3, 12)) < 0.3).astype(np.float32)
+        grads = {}
+        for name in ("numpy", "c"):
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            net = SpikingNetwork(NetworkConfig(layer_sizes=(12, 8, 6, 4)), seed=1)
+            logits = net.forward(x, class_mask=np.array([1, 1, 0, 0], bool)).logits
+            assert logits.dtype == np.float64
+            cross_entropy(logits, np.array([0, 1, 0])).backward()
+            grads[name] = [p.grad for p in net.parameters()]
+        for got, want in zip(grads["c"], grads["numpy"]):
+            assert np.array_equal(got, want)
+
+    def test_controller_layer_bitwise_across_backends(self, monkeypatch):
         """A layer under a per-neuron controller: c == numpy bitwise; the
         oracle's outputs are bitwise and its gradients within tolerance."""
         rng = np.random.default_rng(9)
         x = (rng.random((12, 3, 5)) < 0.4).astype(np.float32)
         g_up = rng.standard_normal((12, 3, 6)).astype(np.float32)
         layer = RecurrentLIFLayer(
-            5, 6, LIFParameters(beta=0.9, reset_mode=reset_mode),
-            recurrent=recurrent, rng=np.random.default_rng(4),
+            5, 6, LIFParameters(beta=0.9), rng=np.random.default_rng(4)
         )
         runs = {}
         for name in ("numpy", "c", "oracle"):
@@ -280,23 +316,8 @@ class TestCBackendThroughKernels:
         """No per-timestep Python loop: one C call per direction."""
         executor = CffiExecutor()
         assert executor.availability()[0]
-        calls = []
-
-        class CountingLib:
-            def __init__(self, lib):
-                self._lib = lib
-
-            def __getattr__(self, name):
-                kernel = getattr(self._lib, name)
-
-                def counted(*args):
-                    calls.append(name)
-                    return kernel(*args)
-
-                return counted
-
-        monkeypatch.setattr(executor, "_lib", CountingLib(executor._lib))
-        spec = _spec(spec_name, 64)
+        calls = _count_kernel_calls(monkeypatch, executor)
+        spec = _SPECS[spec_name]
         rng = np.random.default_rng(2)
         ff = rng.standard_normal((20, 36, 64)).astype(np.float32)
         w_rec = (rng.standard_normal((64, 64)) * 0.2).astype(np.float32)
@@ -307,11 +328,154 @@ class TestCBackendThroughKernels:
 
     def test_unsupported_dtype_falls_back_to_reference(self):
         executor = CffiExecutor()
-        spec = _SPECS["lif-hard"]
-        ff = np.random.default_rng(1).standard_normal((4, 2, 3)).astype(np.float16)
-        want = numpy_ref.lif_forward_sweep(ff, None, spec)
-        got = executor.lif_forward(ff, None, spec)
+        spec = _SPECS["lif"]
+        rng = np.random.default_rng(1)
+        ff = rng.standard_normal((4, 2, 3)).astype(np.float16)
+        w_rec = _w_rec(rng, 3, np.float16)
+        want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
+        got = executor.lif_forward(ff, w_rec, spec)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _strided(a: np.ndarray) -> np.ndarray:
+    """``a``'s values in a non-contiguous view (every other last-axis slot)."""
+    base = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+    base[..., ::2] = a
+    view = base[..., ::2]
+    assert not view.flags.c_contiguous
+    return view
+
+
+def _layout(a: np.ndarray, case: str) -> np.ndarray:
+    """``a`` cast or re-laid out as a fallback case names it."""
+    if case == "fortran":
+        out = np.asfortranarray(a)
+        assert not out.flags.c_contiguous
+        return out
+    if case == "strided":
+        return _strided(a)
+    return a.astype(case)
+
+
+#: A backward argument is one of these; ``w_rec`` is the recurrent weight.
+_BACKWARD_ARGS = ("g_spikes", "surrogate", "membrane", "spikes", "w_rec")
+
+
+def _forward_cases():
+    """(case id, {arg: change}, dtype, takes the kernel) for ``lif_forward``."""
+    return [
+        ("float16", {"ff": "float16", "w_rec": "float16"}, np.float16, False),
+        ("ff-f64-w_rec-f32", {"ff": "float64"}, np.float32, False),
+        ("ff-f32-w_rec-f64", {"w_rec": "float64"}, np.float32, False),
+        ("w_rec-fortran-f32", {"w_rec": "fortran"}, np.float32, False),
+        ("w_rec-fortran-f64", {"w_rec": "fortran"}, np.float64, False),
+        ("ff-strided-f32", {"ff": "strided"}, np.float32, True),
+        ("ff-strided-f64", {"ff": "strided"}, np.float64, True),
+    ]
+
+
+def _backward_cases():
+    """(case id, {arg: change}, dtype, takes the kernel) for ``lif_backward``."""
+    every = dict.fromkeys(_BACKWARD_ARGS, "float16")
+    cases = [("float16", every, np.float16, False)]
+    for name in _BACKWARD_ARGS:
+        cases.append((f"{name}-f64-in-f32", {name: "float64"}, np.float32, False))
+        cases.append((f"{name}-f32-in-f64", {name: "float32"}, np.float64, False))
+    for dtype, suf in ((np.float32, "f32"), (np.float64, "f64")):
+        cases.append((f"w_rec-fortran-{suf}", {"w_rec": "fortran"}, dtype, False))
+        for name in _BACKWARD_ARGS[:-1]:
+            cases.append((f"{name}-strided-{suf}", {name: "strided"}, dtype, True))
+    return cases
+
+
+def _params(cases):
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+def _suffix(dtype) -> str:
+    """The compiled-kernel name suffix of ``dtype``."""
+    return {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}[np.dtype(dtype)]
+
+
+@needs_c
+class TestReferenceFallback:
+    """The C executor takes only same-dtype float32/float64 inputs with a
+    C-contiguous ``w_rec``; it hands anything else to the numpy reference,
+    and copies a strided stack before its kernel runs.  Either way the
+    result is the reference's, bitwise, and in the reference's dtype."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        for g, w in zip(got, want):
+            assert np.asarray(g).dtype == np.asarray(w).dtype
+            assert np.array_equal(g, w), "the C executor left the reference result"
+
+    @pytest.mark.parametrize("spec_name", sorted(_SPECS))
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "controller"])
+    @pytest.mark.parametrize("changes,dtype,takes_kernel", _params(_forward_cases()))
+    def test_lif_forward(self, monkeypatch, spec_name, dynamic, changes, dtype, takes_kernel):
+        rng = np.random.default_rng(21)
+        ff = rng.standard_normal((7, 3, 5)).astype(dtype)
+        w_rec = _w_rec(rng, 5, dtype)
+        ff, w_rec = (
+            _layout(a, changes[name]) if name in changes else a
+            for name, a in (("ff", ff), ("w_rec", w_rec))
+        )
+        spec = _SPECS[spec_name]
+        if dynamic:
+            spec = replace(spec, vthr=None)
+
+        def controller():
+            if dynamic:
+                return PerNeuronAdaptiveThreshold(num_neurons=5, timesteps=7, adjust_interval=2)
+            return None
+
+        want = numpy_ref.lif_forward_sweep(ff, w_rec, spec, controller())
+        calls = _count_kernel_calls(monkeypatch, C_EXECUTOR)
+        got = C_EXECUTOR.lif_forward(ff, w_rec, spec, controller())
+        assert bool(calls) == takes_kernel
+        self._assert_same(got, want)
+
+    @pytest.mark.parametrize("spec_name", sorted(_SPECS))
+    @pytest.mark.parametrize("changes,dtype,takes_kernel", _params(_backward_cases()))
+    def test_lif_backward(self, monkeypatch, spec_name, changes, dtype, takes_kernel):
+        rng = np.random.default_rng(22)
+        spec = _SPECS[spec_name]
+        ff = rng.standard_normal((7, 3, 5)).astype(dtype)
+        w_rec = _w_rec(rng, 5, dtype)
+        membrane, spikes, _ = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
+        args = {
+            "g_spikes": rng.standard_normal(ff.shape).astype(dtype),
+            "surrogate": rng.random(ff.shape).astype(dtype),
+            "membrane": membrane,
+            "spikes": spikes,
+            "w_rec": w_rec,
+        }
+        args = {k: _layout(a, changes[k]) if k in changes else a for k, a in args.items()}
+        want = numpy_ref.lif_reverse_sweep(**args, spec=spec)
+        calls = _count_kernel_calls(monkeypatch, C_EXECUTOR)
+        got = C_EXECUTOR.lif_backward(**args, spec=spec)
+        assert calls == (["lif_backward_" + _suffix(dtype)] if takes_kernel else [])
+        self._assert_same([got], [want])
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize(
+        "case,dtype,takes_kernel",
+        [
+            pytest.param("float16", np.float16, False, id="float16"),
+            pytest.param("strided", np.float32, True, id="strided-f32"),
+            pytest.param("strided", np.float64, True, id="strided-f64"),
+        ],
+    )
+    def test_readout(self, monkeypatch, direction, case, dtype, takes_kernel):
+        rng = np.random.default_rng(23)
+        stack = _layout(rng.standard_normal((6, 3, 4)).astype(dtype), case)
+        reference = getattr(numpy_ref, f"readout_{direction}_sweep")
+        want = reference(stack, 0.8)
+        calls = _count_kernel_calls(monkeypatch, C_EXECUTOR)
+        got = getattr(C_EXECUTOR, f"readout_{direction}")(stack, 0.8)
+        assert calls == ([f"readout_{direction}_" + _suffix(dtype)] if takes_kernel else [])
+        self._assert_same([got], [want])
 
 
 # ----------------------------------------------------------------------
@@ -602,7 +766,7 @@ def test_read_only_inputs_take_the_kernels():
     w_rec = (rng.standard_normal((5, 5)) * 0.3).astype(np.float32)
     ff.flags.writeable = False
     w_rec.flags.writeable = False
-    spec = _SPECS["lif-soft"]
+    spec = _SPECS["lif"]
     want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
     got = C_EXECUTOR.lif_forward(ff, w_rec, spec)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -623,6 +787,6 @@ class TestExecutorContract:
         }
 
     def test_sweep_spec_frozen(self):
-        spec = SweepSpec(beta=0.9, vthr=0.5, hard=True)
+        spec = SweepSpec(beta=0.9, vthr=0.5)
         with pytest.raises(AttributeError):
             spec.beta = 0.1

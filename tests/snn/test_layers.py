@@ -6,7 +6,7 @@ import pytest
 from repro import obs
 from repro.autograd import Tensor
 from repro.errors import DataError, ReproError, ShapeError
-from repro.snn import LeakyReadout, LIFParameters, RecurrentLIFLayer, StaticThreshold
+from repro.snn import LeakyReadout, LIFParameters, RecurrentLIFLayer, ThresholdController
 
 
 @pytest.fixture
@@ -14,10 +14,9 @@ def rng():
     return np.random.default_rng(11)
 
 
-def make_layer(n_in=10, n_out=6, recurrent=True, rng=None, **neuron_kwargs):
+def make_layer(n_in=10, n_out=6, rng=None, **neuron_kwargs):
     params = LIFParameters(**{**dict(beta=0.9, threshold=1.0), **neuron_kwargs})
-    return RecurrentLIFLayer(n_in, n_out, params, recurrent=recurrent,
-                             rng=rng or np.random.default_rng(0))
+    return RecurrentLIFLayer(n_in, n_out, params, rng=rng or np.random.default_rng(0))
 
 
 class TestRecurrentLIFLayer:
@@ -37,22 +36,6 @@ class TestRecurrentLIFLayer:
         layer = make_layer(n_in=10)
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((5, 2, 7), dtype=np.float32))
-
-    def test_no_recurrent_weights_when_disabled(self):
-        layer = make_layer(recurrent=False)
-        assert layer.w_rec is None
-        assert len(layer.parameters()) == 1
-
-    def test_recurrent_changes_dynamics(self, rng):
-        x = (rng.random((20, 2, 10)) < 0.4).astype(np.float32)
-        ff = make_layer(recurrent=False, rng=np.random.default_rng(1))
-        rec = make_layer(recurrent=True, rng=np.random.default_rng(1))
-        rec.w_ff.data = ff.w_ff.data.copy()
-        out_ff = ff.forward(x)
-        out_rec = rec.forward(x)
-        # Same feedforward weights, recurrent term must alter some spikes
-        # (recurrent init is nonzero by construction).
-        assert not np.array_equal(out_ff.data, out_rec.data)
 
     def test_frozen_layer_builds_no_tape(self, rng):
         layer = make_layer()
@@ -124,19 +107,19 @@ class TestRecurrentLIFLayer:
         state["w_ff"][0, 0] = 99.0
         assert layer.w_ff.data[0, 0] != 99.0
 
-    @pytest.mark.parametrize("recurrent", [True, False])
-    def test_controller_receives_every_timestep(self, rng, recurrent):
-        class CountingController(StaticThreshold):
+    def test_controller_receives_every_timestep(self, rng):
+        class CountingController(ThresholdController):
+            value = 1.0
+
             def __init__(self):
-                super().__init__(1.0)
                 self.calls = []
 
             def step(self, t, spike_count, spike_time_sum):
                 self.calls.append(t)
-                return super().step(t, spike_count, spike_time_sum)
+                return self.value
 
         ctrl = CountingController()
-        layer = make_layer(recurrent=recurrent)
+        layer = make_layer()
         x = (rng.random((7, 2, 10)) < 0.3).astype(np.float32)
         layer.forward(x, ctrl)
         assert ctrl.calls == list(range(7))
@@ -155,47 +138,14 @@ class TestLeakyReadout:
         logits = readout.forward(x)
         assert logits.shape == (3, 4)
 
-    def test_max_over_time_readout(self, rng):
-        # With beta~0 the readout reduces to per-step projection; the
-        # logit must equal the max over steps.
-        readout = LeakyReadout(
-            3, 2, beta=1e-9, rng=np.random.default_rng(0), readout_mode="max"
-        )
-        x = np.zeros((4, 1, 3), dtype=np.float32)
-        x[1, 0, 0] = 1.0
-        x[3, 0, 1] = 1.0
-        logits = readout.forward(x)
-        w = readout.w_ff.data
-        expected = np.maximum.reduce([np.zeros(2), w[0], np.zeros(2), w[1]])
-        np.testing.assert_allclose(logits.data[0], expected, rtol=1e-5)
-
     def test_mean_over_time_readout(self):
-        readout = LeakyReadout(
-            3, 2, beta=1e-9, rng=np.random.default_rng(0), readout_mode="mean"
-        )
+        readout = LeakyReadout(3, 2, beta=1e-9, rng=np.random.default_rng(0))
         x = np.zeros((4, 1, 3), dtype=np.float32)
         x[1, 0, 0] = 1.0
         logits = readout.forward(x)
         np.testing.assert_allclose(
             logits.data[0], readout.w_ff.data[0] / 4.0, rtol=1e-5
         )
-
-    def test_last_readout(self):
-        readout = LeakyReadout(
-            3, 2, beta=0.5, rng=np.random.default_rng(0), readout_mode="last"
-        )
-        x = np.zeros((2, 1, 3), dtype=np.float32)
-        x[0, 0, 0] = 1.0
-        logits = readout.forward(x)
-        np.testing.assert_allclose(
-            logits.data[0], 0.5 * readout.w_ff.data[0], rtol=1e-5
-        )
-
-    def test_invalid_readout_mode(self):
-        from repro.errors import DataError, ReproError, ShapeError
-
-        with pytest.raises(ShapeError):
-            LeakyReadout(3, 2, readout_mode="median")
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
     def test_rejects_beta_outside_unit_interval(self, beta):

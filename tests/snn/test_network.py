@@ -228,8 +228,9 @@ class TestPredictAndController:
 
     def test_adaptive_controller_changes_output(self, net, x):
         static = net.forward(x).logits.data
-        ctrl = oracle.ScalarAdaptiveThreshold(timesteps=12, adjust_interval=1)
-        adaptive = net.forward(x, controller=ctrl).logits.data
+        adaptive = net.forward(
+            x, controller=lambda layer: oracle.ScalarAdaptiveThreshold(12, adjust_interval=1)
+        ).logits.data
         # The controller halves thresholds on silent steps, so spiking
         # activity — and thus logits — must differ.
         assert not np.allclose(static, adaptive)

@@ -10,7 +10,7 @@ from repro.snn import LIFParameters
 
 
 def make_params(**kwargs):
-    defaults = dict(beta=0.9, threshold=1.0, reset_mode="zero")
+    defaults = dict(beta=0.9, threshold=1.0)
     defaults.update(kwargs)
     return LIFParameters(**defaults)
 
@@ -41,17 +41,11 @@ class TestLIFStep:
         assert s.item() == 0.0
 
     def test_hard_reset_zeroes_membrane(self):
-        params = make_params(beta=0.9, reset_mode="zero")
+        params = make_params(beta=0.9)
         prev_spikes = tensor([[1.0]])
         v, s = lif_step(tensor([[2.0]]), prev_spikes, zeros((1, 1)), params)
         # previous spike wipes the carried membrane: V = 0.9 * 2.0 * (1-1) = 0
         assert v.item() == pytest.approx(0.0)
-
-    def test_soft_reset_subtracts_threshold(self):
-        params = make_params(beta=1.0 - 1e-9, reset_mode="subtract") if False else make_params(beta=0.99, reset_mode="subtract")
-        prev_spikes = tensor([[1.0]])
-        v, s = lif_step(tensor([[2.0]]), prev_spikes, zeros((1, 1)), params)
-        assert v.item() == pytest.approx(2.0 * 0.99 - 1.0, rel=1e-5)
 
     def test_threshold_override(self):
         params = make_params(threshold=1.0)
@@ -69,11 +63,6 @@ class TestLIFStep:
         _, s_high = lif_step(zeros((8, 32)), zeros((8, 32)), current, params, threshold=0.9)
         _, s_low = lif_step(zeros((8, 32)), zeros((8, 32)), current, params, threshold=0.3)
         assert s_low.data.sum() >= s_high.data.sum()
-
-    def test_invalid_effective_threshold_rejected(self):
-        params = make_params()
-        with pytest.raises(ConfigError):
-            lif_step(zeros((1, 1)), zeros((1, 1)), zeros((1, 1)), params, threshold=0.0)
 
     def test_gradient_flows_through_step(self):
         params = make_params()
@@ -95,6 +84,3 @@ class TestLIFParameters:
         with pytest.raises(ConfigError):
             make_params(threshold=0.0)
 
-    def test_reset_mode_validated(self):
-        with pytest.raises(ConfigError):
-            make_params(reset_mode="bogus")

@@ -127,10 +127,7 @@ class TestPerNeuronControllerInvariants:
     )
     @settings(max_examples=25, deadline=None)
     def test_thresholds_stay_in_clamp_band(self, timesteps, seed):
-        ctrl = PerNeuronAdaptiveThreshold(
-            num_neurons=6, timesteps=timesteps, adjust_interval=1,
-            floor=0.05, ceil=4.0,
-        )
+        ctrl = PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=timesteps, adjust_interval=1)
         rng = np.random.default_rng(seed)
         for t in range(timesteps):
             counts = rng.poisson(1.0, 6).astype(float)

@@ -4,22 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.snn import PerNeuronAdaptiveThreshold, StaticThreshold
-
-
-class TestStaticThreshold:
-    def test_constant(self):
-        ctrl = StaticThreshold(1.5)
-        assert ctrl.step(0, 100.0, 0.0) == 1.5
-        assert ctrl.step(7, 0.0, 0.0) == 1.5
-        assert ctrl.value == 1.5
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            StaticThreshold(0.0)
-
-    def test_repr(self):
-        assert "1.5" in repr(StaticThreshold(1.5))
+from repro.snn import PerNeuronAdaptiveThreshold
 
 
 def decay(t):
@@ -50,19 +35,10 @@ class TestPerNeuronAdaptiveThreshold:
         value = ctrl.step(2, np.array([50.0, 0.0]), np.array([100.0, 0.0]))
         np.testing.assert_allclose(value, [1.4, decay(2)], rtol=1e-6)
 
-    def test_reset_restores_initial(self):
-        ctrl = PerNeuronAdaptiveThreshold(num_neurons=3, timesteps=40, adjust_interval=1)
-        ctrl.step(0, np.full(3, 10.0), np.zeros(3))
-        assert np.all(ctrl.value != 1.0)
-        ctrl.reset()
-        np.testing.assert_array_equal(ctrl.value, np.ones(3, dtype=np.float32))
-
     def test_clamping(self):
-        ctrl = PerNeuronAdaptiveThreshold(
-            num_neurons=1, timesteps=10_000, adjust_interval=1, floor=0.05, ceil=2.0
-        )
+        ctrl = PerNeuronAdaptiveThreshold(num_neurons=1, timesteps=10_000, adjust_interval=1)
         value = ctrl.step(0, np.ones(1), np.zeros(1))  # formula gives 101
-        assert value[0] == 2.0
+        assert value[0] == 4.0  # the CEIL clamp
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -71,8 +47,6 @@ class TestPerNeuronAdaptiveThreshold:
             PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=0)
         with pytest.raises(ConfigError):
             PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=10, adjust_interval=0)
-        with pytest.raises(ConfigError):
-            PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=10, floor=2.0, ceil=1.0)
 
     def test_rejects_counts_of_the_wrong_width(self):
         ctrl = PerNeuronAdaptiveThreshold(num_neurons=2, timesteps=10)
@@ -82,3 +56,87 @@ class TestPerNeuronAdaptiveThreshold:
     def test_repr_mentions_state(self):
         ctrl = PerNeuronAdaptiveThreshold(num_neurons=4, timesteps=40)
         assert "n=4" in repr(ctrl) and "T=40" in repr(ctrl)
+
+
+def alg1_reference(timesteps, adjust_interval, counts, time_sums):
+    """Alg. 1's per-neuron rule transcribed neuron by neuron, in float64,
+    rounded to the controller's float32 after every step; one row per step."""
+    n = counts.shape[1]
+    value = np.ones(n, dtype=np.float32)
+    total = np.zeros(n)
+    time_total = np.zeros(n)
+    rows = []
+    for t in range(counts.shape[0]):
+        total += counts[t]
+        time_total += time_sums[t]
+        for i in range(n):
+            if total[i] == 0:  # silent so far: line 16's sigmoidal decay
+                value[i] = 1.0 / (1.0 + np.exp(-0.001 * t))
+            elif t % adjust_interval == 0:  # line 13 on a boundary
+                value[i] = 1.0 + 0.01 * (timesteps - time_total[i] / total[i])
+        value = np.clip(value, np.float32(0.05), np.float32(4.0))
+        rows.append(value.copy())
+    return np.stack(rows)
+
+
+class TestAlgorithm1Transcription:
+    """The controller equals a plain transcription of Alg. 1 bitwise over
+    whole sweeps: neurons that start silent, fire, and fall silent again,
+    fed the counts and time sums an executor passes (``counts * t``)."""
+
+    @pytest.mark.parametrize("adjust_interval", [1, 2, 3, 5])
+    @pytest.mark.parametrize("timesteps", [4, 25, 100, 1000])
+    def test_trajectory(self, adjust_interval, timesteps):
+        rng = np.random.default_rng(timesteps + adjust_interval)
+        steps = min(timesteps, 40)
+        counts = rng.poisson(0.6, size=(steps, 9)).astype(np.float64)
+        counts[:, 0] = 0.0  # one neuron never fires
+        counts[: steps // 2, 1] = 0.0  # one wakes up halfway
+        time_sums = counts * np.arange(steps)[:, None]
+        ctrl = PerNeuronAdaptiveThreshold(
+            num_neurons=9, timesteps=timesteps, adjust_interval=adjust_interval
+        )
+        got = np.stack([ctrl.step(t, counts[t], time_sums[t]).copy() for t in range(steps)])
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(
+            got, alg1_reference(timesteps, adjust_interval, counts, time_sums)
+        )
+
+
+def _batch_coupling_factory(layer):
+    return PerNeuronAdaptiveThreshold(num_neurons=layer.n_out, timesteps=20, adjust_interval=5)
+
+
+@pytest.mark.parametrize("synapse_alpha", [None, 0.6], ids=["lif", "cuba"])
+@pytest.mark.parametrize("layer", [1, 2, 3])
+@pytest.mark.parametrize("position", [0, 5, 11])
+class TestBatchCoupling:
+    """``step`` sees spike counts summed over the batch (the current
+    reading of Alg. 1, see the class docstring): under the controller a
+    sample's spikes depend on its batch-mates; without one they do not,
+    at any depth of the frozen front and any place in the batch."""
+
+    @staticmethod
+    def _frozen_front(controller, synapse_alpha, layer, position):
+        from repro.config import NetworkConfig
+        from repro.snn import SpikingNetwork
+
+        config = NetworkConfig(layer_sizes=(40, 32, 24, 16, 4), synapse_alpha=synapse_alpha)
+        net = SpikingNetwork(config, seed=0)
+        x = (np.random.default_rng(0).random((20, 12, 40)) < 0.2).astype(np.float32)
+        batch, _ = net.activations_at(layer, x, controller)
+        alone, _ = net.activations_at(layer, x[:, position : position + 1], controller)
+        assert batch.any()
+        return batch[:, position : position + 1], alone
+
+    def test_without_controller_a_sample_ignores_its_batch(
+        self, synapse_alpha, layer, position
+    ):
+        in_batch, alone = self._frozen_front(None, synapse_alpha, layer, position)
+        np.testing.assert_array_equal(in_batch, alone)
+
+    def test_controller_couples_a_sample_to_its_batch(self, synapse_alpha, layer, position):
+        in_batch, alone = self._frozen_front(
+            _batch_coupling_factory, synapse_alpha, layer, position
+        )
+        assert not np.array_equal(in_batch, alone)

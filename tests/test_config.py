@@ -33,8 +33,6 @@ class TestNetworkConfig:
             {"beta": 0.0},
             {"beta": 1.0},
             {"threshold": 0.0},
-            {"reset_mode": "bogus"},
-            {"readout_mode": "median"},
         ],
     )
     def test_rejects(self, kwargs):
