@@ -195,12 +195,12 @@ def test_backend_readout_forward_backward(benchmark, rng, backend_name, monkeypa
     t_long, _, batch = _sizes()
     x = (rng.random((t_long, batch, 64)) < 0.1).astype(np.float32)
     w = (np.random.default_rng(1).standard_normal((64, 10)) * 0.3).astype(np.float32)
-    g_up = np.ones((t_long, batch, 10), dtype=np.float32)
+    g_up = np.ones((batch, 10), dtype=np.float32)
 
     def run():
         w_out = Tensor(w, requires_grad=True)
-        trajectory = leaky_readout_sequence(Tensor(x), w_out, beta=0.9)
-        trajectory.backward(g_up)
+        logits = leaky_readout_sequence(Tensor(x), w_out, beta=0.9)
+        logits.backward(g_up)
 
     benchmark(run)
 

@@ -150,22 +150,29 @@ class _LIFSequence(Function):
 
 
 class _LeakyReadoutSequence(Function):
-    """Fused non-spiking leaky integrator: returns the full trajectory."""
+    """Fused non-spiking leaky integrator: returns the time-mean logits."""
 
     def forward(self, x, w_ff, beta):
-        """Run the leaky-integrator sweep on the active backend."""
+        """Integrate on the active backend, then average over time.
+
+        The mean is ``Tensor.mean(axis=0)``'s own ops, a sum then a 0-d
+        scale in the trajectory's dtype, so the logits match it bitwise.
+        """
         executor = backends.active()
         obs.count("kernel.calls", backend=executor.name, kernel="readout_forward")
         with obs.span("kernel.readout_forward", category="kernel", backend=executor.name):
             trajectory = executor.readout_forward(x @ w_ff, beta)
         self.saved = x, w_ff
         self.beta = beta
+        self.shape = trajectory.shape
+        self.scale = np.asarray(1.0 / trajectory.shape[0], trajectory.dtype)
         self.executor = executor
-        return trajectory
+        return trajectory.sum(axis=0) * self.scale
 
-    def backward(self, g_trajectory):
-        """Reverse-accumulate the decay chain, then the weight GEMMs."""
+    def backward(self, g_logits):
+        """Spread ``g * scale`` over time, reverse the decay chain, then the GEMMs."""
         x, w_ff = self.saved
+        g_trajectory = np.broadcast_to(g_logits * self.scale, self.shape).copy()
         obs.count("kernel.calls", backend=self.executor.name, kernel="readout_backward")
         with obs.span(
             "kernel.readout_backward", category="kernel", backend=self.executor.name
@@ -230,10 +237,17 @@ def leaky_readout_sequence(
     w_ff: Tensor | np.ndarray,
     beta: float,
 ) -> Tensor:
-    """Fused leaky-integrator readout: membrane trajectory ``[T, B, C]``.
+    """Fused leaky-integrator readout: logits ``[B, C]`` in one tape node.
 
-    The caller reduces the returned trajectory to logits (its mean over
-    time), a cheap single tape node.
+    Args:
+        x: Input spikes/activations ``[T, B, n_in]``.
+        w_ff: Feedforward weights ``[n_in, C]``.
+        beta: Membrane decay, in ``(0, 1)``.
+
+    Returns:
+        Each class membrane's mean over the ``T`` steps of
+        ``m[t] = beta * m[t-1] + x[t] @ w_ff``, bitwise equal to the
+        trajectory's ``Tensor.mean(axis=0)``.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     w_ff = w_ff if isinstance(w_ff, Tensor) else Tensor(w_ff)

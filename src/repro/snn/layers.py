@@ -266,4 +266,4 @@ class LeakyReadout:
 
     def _integrate(self, x: Tensor) -> Tensor:
         """Logits ``[B, C]``: the membrane trajectory's mean over time."""
-        return kernels.leaky_readout_sequence(x, self.w_ff, self.beta).mean(axis=0)
+        return kernels.leaky_readout_sequence(x, self.w_ff, self.beta)
