@@ -207,10 +207,11 @@ def test_backend_readout_forward_backward(benchmark, rng, backend_name, monkeypa
 
 # ----------------------------------------------------------------------
 # Tracing overhead: exactly the obs calls one fused LIF forward+backward
-# issues (2x counter + 2x span) with tracing disabled, i.e. the no-op
-# cost the instrumentation adds to every kernel sweep when REPRO_TRACE
-# is off.  check_regression.py gates this row at < 2% of the fused
-# kernel's own mean so the disabled path stays effectively free.
+# issues (per sweep: one recorder lookup, a counter and a span) with
+# tracing disabled, i.e. the no-op cost the instrumentation adds to every
+# kernel sweep when REPRO_TRACE is off.  check_regression.py gates this
+# row at < 2% of the fused kernel's own mean so the disabled path stays
+# effectively free.
 # ----------------------------------------------------------------------
 
 def test_trace_disabled_overhead(benchmark, monkeypatch):
@@ -220,11 +221,17 @@ def test_trace_disabled_overhead(benchmark, monkeypatch):
     assert not obs.enabled()
 
     def disabled_calls():
-        obs.count("kernel.calls", backend="numpy", kernel="lif_forward")
-        with obs.span("kernel.lif_forward", category="kernel", backend="numpy"):
+        recorder = obs.current()
+        recorder.count("kernel.calls", backend="numpy", kernel="lif_forward", dtype="float32")
+        with recorder.span(
+            "kernel.lif_forward", category="kernel", backend="numpy", dtype="float32"
+        ):
             pass
-        obs.count("kernel.calls", backend="numpy", kernel="lif_backward")
-        with obs.span("kernel.lif_backward", category="kernel", backend="numpy"):
+        recorder = obs.current()
+        recorder.count("kernel.calls", backend="numpy", kernel="lif_backward", dtype="float32")
+        with recorder.span(
+            "kernel.lif_backward", category="kernel", backend="numpy", dtype="float32"
+        ):
             pass
 
     benchmark(disabled_calls)

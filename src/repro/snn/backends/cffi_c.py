@@ -20,9 +20,9 @@ Only a forward sweep under a dynamic threshold controller (Alg. 1)
 loops in Python, calling the same C step once per timestep around
 ``controller.step``.
 
-The kernels come in float32 and float64 (see ``_DTYPES`` for why both
-run); arrays of any other dtype, or of mixed dtypes, take the numpy
-reference.
+The kernels are float32 only, the library's one dtype; arrays of any
+other dtype (float64 gradchecks, say), or of mixed dtypes, take the
+numpy reference.
 
 The shared library is built lazily on first use via the system C
 compiler, cached per process and on disk under ``$REPRO_CACHE/ckernels``.
@@ -39,7 +39,6 @@ reason — ``auto`` selection then falls back to numpy.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import subprocess
 import tempfile
@@ -53,227 +52,206 @@ from repro.snn.backends.base import SequenceExecutor, SweepSpec
 
 __all__ = ["CffiExecutor", "kernel_source"]
 
-_PRELUDE = r"""
-#include <string.h>
-typedef long long blasint;  /* numpy's OpenBLAS is the ILP64 build */
-enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
-"""
-
-# One macro-generated body per dtype: float ("f32") and double ("f64").
 # Arithmetic mirrors numpy_ref line for line; every expression relies on
 # C's left-to-right association for + and - so the accumulation order
 # matches the documented tape order.
-_TEMPLATE = r"""
-/* numpy's own CBLAS gemm/gemv, resolved once by set_blas_{suf}. */
-typedef void (*gemm_{suf}_t)(int, int, int, blasint, blasint, blasint, {ctype},
-                             const {ctype} *, blasint, const {ctype} *, blasint,
-                             {ctype}, {ctype} *, blasint);
-typedef void (*gemv_{suf}_t)(int, int, blasint, blasint, {ctype},
-                             const {ctype} *, blasint, const {ctype} *, blasint,
-                             {ctype}, {ctype} *, blasint);
-static gemm_{suf}_t gemm_{suf};
-static gemv_{suf}_t gemv_{suf};
+_SOURCE = r"""
+#include <string.h>
+typedef long long blasint;  /* numpy's OpenBLAS is the ILP64 build */
+enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
 
-void set_blas_{suf}(void *gemm, void *gemv)
-{{
-    gemm_{suf} = (gemm_{suf}_t)gemm;
-    gemv_{suf} = (gemv_{suf}_t)gemv;
-}}
+/* numpy's own CBLAS sgemm/sgemv, resolved once by set_blas. */
+typedef void (*gemm_t)(int, int, int, blasint, blasint, blasint, float,
+                       const float *, blasint, const float *, blasint,
+                       float, float *, blasint);
+typedef void (*gemv_t)(int, int, blasint, blasint, float,
+                       const float *, blasint, const float *, blasint,
+                       float, float *, blasint);
+static gemm_t blas_gemm;
+static gemv_t blas_gemv;
+
+void set_blas(void *gemm, void *gemv)
+{
+    blas_gemm = (gemm_t)gemm;
+    blas_gemv = (gemv_t)gemv;
+}
 
 /* out = s @ w for C-contiguous [B, N] s and [N, N] w: exactly the BLAS
    call numpy's matmul makes (gemv for a single row), so the bits match. */
-static void rec_gemm_{suf}(long B, long N, const {ctype} *s, const {ctype} *w,
-                           {ctype} *out)
-{{
+static void rec_gemm(long B, long N, const float *s, const float *w, float *out)
+{
     if (B == 1)
-        gemv_{suf}(ROW_MAJOR, TRANS, N, N, 1.0, w, N, s, 1, 0.0, out, 1);
+        blas_gemv(ROW_MAJOR, TRANS, N, N, 1.0, w, N, s, 1, 0.0, out, 1);
     else
-        gemm_{suf}(ROW_MAJOR, NO_TRANS, NO_TRANS, B, N, N, 1.0, s, N, w, N,
-                   0.0, out, N);
-}}
+        blas_gemm(ROW_MAJOR, NO_TRANS, NO_TRANS, B, N, N, 1.0, s, N, w, N,
+                  0.0, out, N);
+}
 
-static void lif_step_{suf}(
+static void lif_step(
     long B, long N,
-    const {ctype} *current, const {ctype} *v_prev, const {ctype} *s_prev,
-    const {ctype} *vthr, double beta, int has_alpha, double alpha, {ctype} *syn,
-    {ctype} *v_out, {ctype} *s_out)
-{{
-    const {ctype} beta_c = ({ctype})beta;
-    const {ctype} alpha_c = ({ctype})alpha;
+    const float *current, const float *v_prev, const float *s_prev,
+    const float *vthr, double beta, int has_alpha, double alpha, float *syn,
+    float *v_out, float *s_out)
+{
+    const float beta_c = (float)beta;
+    const float alpha_c = (float)alpha;
     long i = 0;
-    for (long b = 0; b < B; b++) {{
-        for (long n = 0; n < N; n++, i++) {{
-            {ctype} cur = current[i];
-            {ctype} vp = v_prev ? v_prev[i] : ({ctype})0.0;
-            {ctype} sp = s_prev ? s_prev[i] : ({ctype})0.0;
-            if (has_alpha) {{
+    for (long b = 0; b < B; b++) {
+        for (long n = 0; n < N; n++, i++) {
+            float cur = current[i];
+            float vp = v_prev ? v_prev[i] : 0.0f;
+            float sp = s_prev ? s_prev[i] : 0.0f;
+            if (has_alpha) {
                 syn[i] = syn[i] * alpha_c + cur;
                 cur = syn[i];
-            }}
-            {ctype} v = vp * (({ctype})1.0 - sp) * beta_c + cur;
+            }
+            float v = vp * (1.0f - sp) * beta_c + cur;
             v_out[i] = v;
-            s_out[i] = (v - vthr[n] > ({ctype})0.0) ? ({ctype})1.0 : ({ctype})0.0;
-        }}
-    }}
-}}
+            s_out[i] = (v - vthr[n] > 0.0f) ? 1.0f : 0.0f;
+        }
+    }
+}
 
 /* Step t of the forward sweep; rec is [B, N] scratch. */
-void lif_forward_step_{suf}(
+void lif_forward_step(
     long t, long B, long N,
-    const {ctype} *ff, const {ctype} *w_rec, const {ctype} *vthr,
+    const float *ff, const float *w_rec, const float *vthr,
     double beta, int has_alpha, double alpha,
-    {ctype} *syn, {ctype} *rec, {ctype} *membrane, {ctype} *spikes)
-{{
+    float *syn, float *rec, float *membrane, float *spikes)
+{
     const long BN = B * N;
-    const {ctype} *current = ff + t * BN;
+    const float *current = ff + t * BN;
     /* The reference's t = 0 GEMM runs on the zero state; spikes[0]
        holds it until this step writes the step's spikes there. */
-    if (!t) memset(spikes, 0, BN * sizeof({ctype}));
-    rec_gemm_{suf}(B, N, t ? spikes + (t - 1) * BN : spikes, w_rec, rec);
+    if (!t) memset(spikes, 0, BN * sizeof(float));
+    rec_gemm(B, N, t ? spikes + (t - 1) * BN : spikes, w_rec, rec);
     for (long i = 0; i < BN; i++) rec[i] = current[i] + rec[i];
-    lif_step_{suf}(B, N, rec,
-                   t ? membrane + (t - 1) * BN : 0,
-                   t ? spikes + (t - 1) * BN : 0,
-                   vthr, beta, has_alpha, alpha, syn,
-                   membrane + t * BN, spikes + t * BN);
-}}
+    lif_step(B, N, rec,
+             t ? membrane + (t - 1) * BN : 0,
+             t ? spikes + (t - 1) * BN : 0,
+             vthr, beta, has_alpha, alpha, syn,
+             membrane + t * BN, spikes + t * BN);
+}
 
-void lif_forward_{suf}(
+void lif_forward(
     long T, long B, long N,
-    const {ctype} *ff, const {ctype} *w_rec, const {ctype} *vthr,
+    const float *ff, const float *w_rec, const float *vthr,
     double beta, int has_alpha, double alpha,
-    {ctype} *syn, {ctype} *rec, {ctype} *membrane, {ctype} *spikes)
-{{
+    float *syn, float *rec, float *membrane, float *spikes)
+{
     for (long t = 0; t < T; t++)
-        lif_forward_step_{suf}(t, B, N, ff, w_rec, vthr, beta, has_alpha,
-                               alpha, syn, rec, membrane, spikes);
-}}
+        lif_forward_step(t, B, N, ff, w_rec, vthr, beta, has_alpha, alpha,
+                         syn, rec, membrane, spikes);
+}
 
-static void lif_backward_step_{suf}(
+static void lif_backward_step(
     long BN,
-    const {ctype} *g_spikes_t, const {ctype} *surrogate_t, const {ctype} *gs_rec,
-    const {ctype} *membrane_prev, const {ctype} *spikes_prev,
+    const float *g_spikes_t, const float *surrogate_t, const float *gs_rec,
+    const float *membrane_prev, const float *spikes_prev,
     double beta, int has_alpha, double alpha, int have_carry,
-    {ctype} *gs_reset, {ctype} *gv_carry, {ctype} *gj_carry, {ctype} *gj_out)
-{{
+    float *gs_reset, float *gv_carry, float *gj_carry, float *gj_out)
+{
     /* One branch-free loop per case; gj_out holds gV until read. */
-    const {ctype} beta_c = ({ctype})beta;
-    const {ctype} alpha_c = ({ctype})alpha;
-    {ctype} *gv = gj_out;
-    if (!have_carry) {{
+    const float beta_c = (float)beta;
+    const float alpha_c = (float)alpha;
+    float *gv = gj_out;
+    if (!have_carry) {
         for (long i = 0; i < BN; i++) gv[i] = g_spikes_t[i] * surrogate_t[i];
-    }} else {{
+    } else {
         for (long i = 0; i < BN; i++)
             gv[i] = ((g_spikes_t[i] + gs_reset[i]) + gs_rec[i]) * surrogate_t[i]
                     + gv_carry[i];
-    }}
-    if (membrane_prev) {{
-        for (long i = 0; i < BN; i++) {{
-            {ctype} gv_beta = gv[i] * beta_c;
+    }
+    if (membrane_prev) {
+        for (long i = 0; i < BN; i++) {
+            float gv_beta = gv[i] * beta_c;
             gs_reset[i] = -(gv_beta * membrane_prev[i]);
-            gv_carry[i] = gv_beta * (({ctype})1.0 - spikes_prev[i]);
-        }}
-    }}
-    if (has_alpha) {{
+            gv_carry[i] = gv_beta * (1.0f - spikes_prev[i]);
+        }
+    }
+    if (has_alpha) {
         /* J[t] feeds V[t] directly and J[t+1] through the alpha decay. */
         if (have_carry)
             for (long i = 0; i < BN; i++) gj_out[i] = gv[i] + gj_carry[i];
         for (long i = 0; i < BN; i++) gj_carry[i] = gj_out[i] * alpha_c;
-    }}
-}}
+    }
+}
 
 /* w_rec_t is the C-contiguous W_rec^T. */
-void lif_backward_{suf}(
+void lif_backward(
     long T, long B, long N,
-    const {ctype} *g_spikes, const {ctype} *surrogate,
-    const {ctype} *membrane, const {ctype} *spikes, const {ctype} *w_rec_t,
+    const float *g_spikes, const float *surrogate,
+    const float *membrane, const float *spikes, const float *w_rec_t,
     double beta, int has_alpha, double alpha,
-    {ctype} *gs_reset, {ctype} *gv_carry, {ctype} *gj_carry, {ctype} *gs_rec,
-    {ctype} *g_current)
-{{
+    float *gs_reset, float *gv_carry, float *gj_carry, float *gs_rec,
+    float *g_current)
+{
     const long BN = B * N;
-    for (long t = T - 1; t >= 0; t--) {{
-        lif_backward_step_{suf}(BN, g_spikes + t * BN, surrogate + t * BN,
-                                gs_rec,
-                                t ? membrane + (t - 1) * BN : 0,
-                                t ? spikes + (t - 1) * BN : 0,
-                                beta, has_alpha, alpha, t < T - 1,
-                                gs_reset, gv_carry, gj_carry, g_current + t * BN);
+    for (long t = T - 1; t >= 0; t--) {
+        lif_backward_step(BN, g_spikes + t * BN, surrogate + t * BN, gs_rec,
+                          t ? membrane + (t - 1) * BN : 0,
+                          t ? spikes + (t - 1) * BN : 0,
+                          beta, has_alpha, alpha, t < T - 1,
+                          gs_reset, gv_carry, gj_carry, g_current + t * BN);
         if (t > 0)
-            rec_gemm_{suf}(B, N, g_current + t * BN, w_rec_t, gs_rec);
-    }}
-}}
+            rec_gemm(B, N, g_current + t * BN, w_rec_t, gs_rec);
+    }
+}
 
-void readout_forward_{suf}(
-    long T, long BC, const {ctype} *projected, double beta,
-    {ctype} *trajectory)
-{{
-    const {ctype} beta_c = ({ctype})beta;
-    for (long t = 0; t < T; t++) {{
-        const {ctype} *prev = t ? trajectory + (t - 1) * BC : 0;
-        for (long i = 0; i < BC; i++) {{
-            {ctype} m = prev ? prev[i] : ({ctype})0.0;
+void readout_forward(
+    long T, long BC, const float *projected, double beta, float *trajectory)
+{
+    const float beta_c = (float)beta;
+    for (long t = 0; t < T; t++) {
+        const float *prev = t ? trajectory + (t - 1) * BC : 0;
+        for (long i = 0; i < BC; i++) {
+            float m = prev ? prev[i] : 0.0f;
             trajectory[t * BC + i] = m * beta_c + projected[t * BC + i];
-        }}
-    }}
-}}
+        }
+    }
+}
 
-void readout_backward_{suf}(
-    long T, long BC, const {ctype} *g_trajectory, double beta,
-    {ctype} *g_membrane)
-{{
-    const {ctype} beta_c = ({ctype})beta;
-    for (long t = T - 1; t >= 0; t--) {{
-        for (long i = 0; i < BC; i++) {{
-            {ctype} gm = g_trajectory[t * BC + i];
+void readout_backward(
+    long T, long BC, const float *g_trajectory, double beta, float *g_membrane)
+{
+    const float beta_c = (float)beta;
+    for (long t = T - 1; t >= 0; t--) {
+        for (long i = 0; i < BC; i++) {
+            float gm = g_trajectory[t * BC + i];
             if (t < T - 1) gm = gm + g_membrane[(t + 1) * BC + i] * beta_c;
             g_membrane[t * BC + i] = gm;
-        }}
-    }}
-}}
+        }
+    }
+}
 """
 
-_CDEF_TEMPLATE = """
-void set_blas_{suf}(void *, void *);
-void lif_forward_{suf}(long, long, long, const {ctype} *, const {ctype} *,
-                       const {ctype} *, double, int, double, {ctype} *,
-                       {ctype} *, {ctype} *, {ctype} *);
-void lif_forward_step_{suf}(long, long, long, const {ctype} *, const {ctype} *,
-                            const {ctype} *, double, int, double, {ctype} *,
-                            {ctype} *, {ctype} *, {ctype} *);
-void lif_backward_{suf}(long, long, long, const {ctype} *, const {ctype} *,
-                        const {ctype} *, const {ctype} *, const {ctype} *,
-                        double, int, double, {ctype} *, {ctype} *, {ctype} *,
-                        {ctype} *, {ctype} *);
-void readout_forward_{suf}(long, long, const {ctype} *, double, {ctype} *);
-void readout_backward_{suf}(long, long, const {ctype} *, double, {ctype} *);
+_CDEF = """
+void set_blas(void *, void *);
+void lif_forward(long, long, long, const float *, const float *, const float *,
+                 double, int, double, float *, float *, float *, float *);
+void lif_forward_step(long, long, long, const float *, const float *,
+                      const float *, double, int, double, float *, float *,
+                      float *, float *);
+void lif_backward(long, long, long, const float *, const float *, const float *,
+                  const float *, const float *, double, int, double, float *,
+                  float *, float *, float *, float *);
+void readout_forward(long, long, const float *, double, float *);
+void readout_backward(long, long, const float *, double, float *);
 """
-
-#: The compiled variants.  float32 is the library's dtype; float64 runs
-#: too: the trainer's gradient clip scales float32 gradients by a numpy
-#: float64 scalar, which promotes them (NEP 50), so a clipped layer's
-#: weights train on in float64 — in practice the NCL phase's learning
-#: layers, in every NCL step.
-_DTYPES = {"f32": "float", "f64": "double"}
 
 #: Compiler flags that make the C arithmetic IEEE-exact: no value
 #: reassociation, no contraction of a*b+c into fma(a, b, c) — either
 #: would change rounding and break bitwise parity with numpy.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 
-#: The ILP64 CBLAS entry points numpy's bundled OpenBLAS
-#: (scipy-openblas64) exports, as (gemm, gemv) per dtype suffix.
-_BLAS_SYMBOLS = {
-    "f32": ("scipy_cblas_sgemm64_", "scipy_cblas_sgemv64_"),
-    "f64": ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_"),
-}
+#: The float32 ILP64 CBLAS entry points numpy's bundled OpenBLAS
+#: (scipy-openblas64) exports, as (gemm, gemv).
+_BLAS_SYMBOLS = ("scipy_cblas_sgemm64_", "scipy_cblas_sgemv64_")
 
 
 def kernel_source() -> str:
-    """The complete C source of the kernels (both dtype variants)."""
-    return _PRELUDE + "\n".join(
-        _TEMPLATE.format(suf=suf, ctype=ctype) for suf, ctype in _DTYPES.items()
-    )
+    """The complete C source of the float32 kernels."""
+    return _SOURCE
 
 
 def _cache_dir() -> str:
@@ -295,11 +273,7 @@ def _cdef() -> str:
     The BLAS entry points are declared ``void f(void)`` only to take
     their addresses.
     """
-    kernels = "".join(
-        _CDEF_TEMPLATE.format(suf=suf, ctype=ctype) for suf, ctype in _DTYPES.items()
-    )
-    names = [name for pair in _BLAS_SYMBOLS.values() for name in pair]
-    return kernels + "".join(f"void {name}(void);\n" for name in names)
+    return _CDEF + "".join(f"void {name}(void);\n" for name in _BLAS_SYMBOLS)
 
 
 def _build_paths(compiler: str) -> tuple[str, str]:
@@ -382,10 +356,7 @@ def _bind_numpy_blas(ffi, lib) -> None:
     from numpy._core import _multiarray_umath
 
     blas = ffi.dlopen(_multiarray_umath.__file__)
-    for suf, names in _BLAS_SYMBOLS.items():
-        getattr(lib, f"set_blas_{suf}")(
-            *(ffi.cast("void *", getattr(blas, name)) for name in names)
-        )
+    lib.set_blas(*(ffi.cast("void *", getattr(blas, name)) for name in _BLAS_SYMBOLS))
 
 
 class CffiExecutor(SequenceExecutor):
@@ -457,17 +428,17 @@ class CffiExecutor(SequenceExecutor):
         # and the fixed seed carries no experiment state.
         rng = np.random.default_rng(0)  # repro-lint: disable=RPL001 -- fixed-seed toolchain probe, independent of experiment seeding
         # B = 1 takes BLAS's gemv, B >= 2 its gemm.
-        for dtype, batch in itertools.product((np.float32, np.float64), (1, 3)):
-            ff = rng.standard_normal((5, batch, 4)).astype(dtype)
-            w_rec = rng.standard_normal((4, 4)).astype(dtype) * dtype(0.3)
+        for batch in (1, 3):
+            ff = rng.standard_normal((5, batch, 4)).astype(np.float32)
+            w_rec = rng.standard_normal((4, 4)).astype(np.float32) * np.float32(0.3)
             for alpha in (None, 0.5):
                 spec = SweepSpec(beta=0.9, vthr=0.7, alpha=alpha)
                 want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)[:2]
                 got = self.lif_forward(ff, w_rec, spec)[:2]
                 if not all(np.array_equal(a, b) for a, b in zip(want, got)):
                     raise AssertionError("forward sweep mismatch")
-                g = rng.standard_normal(ff.shape).astype(dtype)
-                surrogate = rng.random(ff.shape).astype(dtype)
+                g = rng.standard_normal(ff.shape).astype(np.float32)
+                surrogate = rng.random(ff.shape).astype(np.float32)
                 want_g = numpy_ref.lif_reverse_sweep(g, surrogate, *want, w_rec, spec)
                 got_g = self.lif_backward(g, surrogate, *got, w_rec, spec)
                 if not np.array_equal(want_g, got_g):
@@ -482,9 +453,7 @@ class CffiExecutor(SequenceExecutor):
                 raise AssertionError("readout backward mismatch")
 
     # -- helpers -------------------------------------------------------
-    _SUFFIXES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-
-    def _kernel(self, name: str, dtype) -> tuple[object, str]:
+    def _kernel(self, name: str):
         if self._lib is None:
             # Reached only when a caller bypasses selection; the probe
             # (availability) is what normally builds the library.
@@ -493,28 +462,25 @@ class CffiExecutor(SequenceExecutor):
                 from repro.errors import ConfigError
 
                 raise ConfigError(f"C kernel backend unavailable: {reason}")
-        suf = self._SUFFIXES[np.dtype(dtype)]
-        ctype = "float[]" if suf == "f32" else "double[]"
-        return getattr(self._lib, f"{name}_{suf}"), ctype
+        return getattr(self._lib, name)
 
-    def _ptr(self, ctype: str, array: np.ndarray):
+    def _ptr(self, array: np.ndarray):
         # A view of the C-contiguous buffer (read-only ones too), which
         # decays to a pointer and supports ``p + offset``.
-        return self._ffi.from_buffer(ctype, array)
+        return self._ffi.from_buffer("float[]", array)
 
     def _supported(self, *arrays: np.ndarray, w_rec=None) -> bool:
         """True when the kernels take these arrays; else the reference does.
 
-        Every array must share one compiled dtype.  The kernels' GEMM is
-        matmul's call for a C-contiguous weight, so another layout takes
-        the reference too.
+        Every array must be float32, the kernels' one dtype.  Their GEMM
+        is matmul's call for a C-contiguous weight, so another layout
+        takes the reference too.
         """
         if w_rec is not None:
             if not w_rec.flags.c_contiguous:
                 return False
             arrays += (w_rec,)
-        dtype = arrays[0].dtype
-        return dtype in self._SUFFIXES and all(a.dtype == dtype for a in arrays)
+        return all(a.dtype == np.float32 for a in arrays)
 
     # -- contract ------------------------------------------------------
     def lif_forward(self, ff, w_rec, spec, controller=None):
@@ -522,26 +488,23 @@ class CffiExecutor(SequenceExecutor):
         if not self._supported(ff, w_rec=w_rec):
             return numpy_ref.lif_forward_sweep(ff, w_rec, spec, controller)
         timesteps, batch, n_out = ff.shape
-        dtype = ff.dtype
         ff = np.ascontiguousarray(ff)
         membrane = np.empty_like(ff)
         spikes = np.empty_like(ff)
-        syn = np.zeros((batch, n_out), dtype=dtype)
-        rec = np.empty((batch, n_out), dtype=dtype)
+        syn = np.zeros((batch, n_out), dtype=np.float32)
+        rec = np.empty((batch, n_out), dtype=np.float32)
         alpha = 0.0 if spec.alpha is None else float(spec.alpha)
         consts = (float(spec.beta), int(spec.alpha is not None), alpha)
         if controller is None:
             # numpy computes `v - vthr` with a python-float threshold by
             # value-casting it to the array dtype first (NEP 50) — the
             # same cast this fill performs.
-            vthr = np.full(n_out, spec.vthr, dtype=dtype)
+            vthr = np.full(n_out, spec.vthr, dtype=np.float32)
         else:
-            vthr = np.empty((timesteps, n_out), dtype=dtype)
-        kernel, ctype = self._kernel(
-            "lif_forward" if controller is None else "lif_forward_step", dtype
-        )
+            vthr = np.empty((timesteps, n_out), dtype=np.float32)
+        kernel = self._kernel("lif_forward" if controller is None else "lif_forward_step")
         p_ff, p_w, p_vthr, *p_state = (
-            self._ptr(ctype, a) for a in (ff, w_rec, vthr, syn, rec, membrane, spikes)
+            self._ptr(a) for a in (ff, w_rec, vthr, syn, rec, membrane, spikes)
         )
         if controller is None:
             kernel(timesteps, batch, n_out, p_ff, p_w, p_vthr, *consts, *p_state)
@@ -567,14 +530,13 @@ class CffiExecutor(SequenceExecutor):
         ]
         g_current = np.empty_like(arrays[3])
         alpha = 0.0 if spec.alpha is None else float(spec.alpha)
-        scratch = [np.empty((batch, n_out), dtype=spikes.dtype) for _ in range(4)]
-        kernel, ctype = self._kernel("lif_backward", spikes.dtype)
-        kernel(
+        scratch = [np.empty((batch, n_out), dtype=np.float32) for _ in range(4)]
+        self._kernel("lif_backward")(
             timesteps, batch, n_out,
-            *(self._ptr(ctype, a) for a in arrays),
+            *(self._ptr(a) for a in arrays),
             float(spec.beta), int(spec.alpha is not None), alpha,
-            *(self._ptr(ctype, s) for s in scratch),
-            self._ptr(ctype, g_current),
+            *(self._ptr(s) for s in scratch),
+            self._ptr(g_current),
         )
         return g_current
 
@@ -584,12 +546,10 @@ class CffiExecutor(SequenceExecutor):
             return numpy_ref.readout_forward_sweep(projected, beta)
         projected = np.ascontiguousarray(projected)
         trajectory = np.empty_like(projected)
-        kernel, ctype = self._kernel("readout_forward", projected.dtype)
         timesteps = projected.shape[0]
-        kernel(
+        self._kernel("readout_forward")(
             timesteps, projected.size // timesteps,
-            self._ptr(ctype, projected), float(beta),
-            self._ptr(ctype, trajectory),
+            self._ptr(projected), float(beta), self._ptr(trajectory),
         )
         return trajectory
 
@@ -599,11 +559,9 @@ class CffiExecutor(SequenceExecutor):
             return numpy_ref.readout_backward_sweep(g_trajectory, beta)
         g_trajectory = np.ascontiguousarray(g_trajectory)
         g_membrane = np.empty_like(g_trajectory)
-        kernel, ctype = self._kernel("readout_backward", g_trajectory.dtype)
         timesteps = g_trajectory.shape[0]
-        kernel(
+        self._kernel("readout_backward")(
             timesteps, g_trajectory.size // timesteps,
-            self._ptr(ctype, g_trajectory), float(beta),
-            self._ptr(ctype, g_membrane),
+            self._ptr(g_trajectory), float(beta), self._ptr(g_membrane),
         )
         return g_membrane

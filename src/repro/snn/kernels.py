@@ -44,6 +44,11 @@ Hand-derived BPTT (hard reset, Eq. 2; every hidden layer is recurrent)::
 The bitwise-discipline rules the reference sweeps obey (and bitwise
 backends must replicate) live in :mod:`repro.snn.backends.numpy_ref`
 and are documented in ``docs/reproducibility.md``.
+
+Every sweep runs in its input's dtype, float32 throughout the library
+(the C kernels exist for float32 only); each ``kernel.calls`` counter
+and ``kernel.*`` span carries that ``dtype`` as a tag, so a promoted
+layer shows in any trace.
 """
 
 from __future__ import annotations
@@ -84,6 +89,19 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _kernel_span(kernel: str, backend: str, dtype: np.dtype):
+    """Count one ``kernel`` sweep in ``kernel.calls`` and return its span.
+
+    Both carry the backend and the sweep's dtype.  One recorder lookup
+    keeps disabled tracing near free, and ``dtype.type.__name__`` is read
+    because numpy's ``dtype.name`` costs microseconds a call.
+    """
+    recorder = obs.current()
+    dtype = dtype.type.__name__
+    recorder.count("kernel.calls", backend=backend, kernel=kernel, dtype=dtype)
+    return recorder.span(f"kernel.{kernel}", category="kernel", backend=backend, dtype=dtype)
+
+
 def _sequence_weight_grads(node, x, w_ff, w_rec, spikes, g_current):
     """Input/weight gradients from ``gI``, one GEMM each over ``T·B``.
 
@@ -111,11 +129,9 @@ class _LIFSequence(Function):
         vthr = None if controller is not None else params.threshold
         spec = SweepSpec(beta=params.beta, vthr=vthr, alpha=alpha)
         kernel = "lif" if alpha is None else "cuba_lif"
-        obs.count("kernel.calls", backend=executor.name, kernel=f"{kernel}_forward")
-        with obs.span(f"kernel.{kernel}_forward", category="kernel", backend=executor.name):
-            membrane, spikes, used = executor.lif_forward(
-                x @ w_ff, w_rec, spec, controller
-            )
+        ff = x @ w_ff
+        with _kernel_span(f"{kernel}_forward", executor.name, ff.dtype):
+            membrane, spikes, used = executor.lif_forward(ff, w_rec, spec, controller)
         if controller is not None and np.any(used <= 0.0):
             raise ConfigError(f"{controller!r} produced a non-positive threshold")
         self.saved = x, w_ff, w_rec, membrane, spikes
@@ -135,12 +151,7 @@ class _LIFSequence(Function):
         if np.ndim(vthr) == 2:  # per-step [T, N] record -> [T, 1, N]
             vthr = vthr[:, None, :]
         surrogate = self.params.surrogate.derivative(membrane - vthr)
-        # A masked readout's float64 logits send a wider gradient down;
-        # the sweep runs in its own dtype on every backend.
-        g_spikes = np.asarray(g_spikes, dtype=spikes.dtype)
-        name = f"{self.kernel}_backward"
-        obs.count("kernel.calls", backend=self.executor.name, kernel=name)
-        with obs.span(f"kernel.{name}", category="kernel", backend=self.executor.name):
+        with _kernel_span(f"{self.kernel}_backward", self.executor.name, spikes.dtype):
             g_current = self.executor.lif_backward(
                 g_spikes, surrogate, membrane, spikes, w_rec, self.spec
             )
@@ -159,9 +170,9 @@ class _LeakyReadoutSequence(Function):
         scale in the trajectory's dtype, so the logits match it bitwise.
         """
         executor = backends.active()
-        obs.count("kernel.calls", backend=executor.name, kernel="readout_forward")
-        with obs.span("kernel.readout_forward", category="kernel", backend=executor.name):
-            trajectory = executor.readout_forward(x @ w_ff, beta)
+        projected = x @ w_ff
+        with _kernel_span("readout_forward", executor.name, projected.dtype):
+            trajectory = executor.readout_forward(projected, beta)
         self.saved = x, w_ff
         self.beta = beta
         self.shape = trajectory.shape
@@ -170,13 +181,15 @@ class _LeakyReadoutSequence(Function):
         return trajectory.sum(axis=0) * self.scale
 
     def backward(self, g_logits):
-        """Spread ``g * scale`` over time, reverse the decay chain, then the GEMMs."""
+        """Spread ``g * scale`` over time, reverse the decay chain, then the GEMMs.
+
+        The upstream gradient is cast to the sweep's dtype first, so a
+        wider gradient never promotes the readout's weight gradient.
+        """
         x, w_ff = self.saved
+        g_logits = np.asarray(g_logits, dtype=self.scale.dtype)
         g_trajectory = np.broadcast_to(g_logits * self.scale, self.shape).copy()
-        obs.count("kernel.calls", backend=self.executor.name, kernel="readout_backward")
-        with obs.span(
-            "kernel.readout_backward", category="kernel", backend=self.executor.name
-        ):
+        with _kernel_span("readout_backward", self.executor.name, self.scale.dtype):
             g_membrane = self.executor.readout_backward(g_trajectory, self.beta)
         gx = g_membrane @ w_ff.T if self.needs_input_grad[0] else None
         gw_ff = _flat(x).T @ _flat(g_membrane) if self.needs_input_grad[1] else None

@@ -27,7 +27,7 @@ __all__ = ["RecurrentLIFLayer", "LeakyReadout", "MASKED_LOGIT"]
 #: Additive logit penalty for classes outside an active ``class_mask``.
 #: Finite (not ``-inf``) so masked logits stay NaN-free under arithmetic,
 #: yet far below any reachable membrane value, so a masked class can
-#: never win an argmax.
+#: never win an argmax.  Exact in float32, the logits' dtype it is added in.
 MASKED_LOGIT = -1.0e9
 
 
@@ -226,8 +226,9 @@ class LeakyReadout:
         the classes the readout may answer with (task-incremental
         inference: the task id restricts the label space).  Classes
         outside the mask receive an additive :data:`MASKED_LOGIT` penalty
-        after integration, so gradients still flow to every logit.  A full mask is skipped entirely — the output is
-        bitwise-identical to passing ``None``.
+        after integration, in the logits' dtype, so gradients still flow
+        to every logit, in that dtype.  A full mask is skipped
+        entirely — the output is bitwise-identical to passing ``None``.
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
         if x.ndim != 3:
@@ -262,7 +263,7 @@ class LeakyReadout:
     def _mask(self, logits: Tensor, mask: np.ndarray | None) -> Tensor:
         if mask is None:
             return logits
-        return logits + Tensor(np.where(mask, 0.0, MASKED_LOGIT))
+        return logits + Tensor(np.where(mask, 0.0, MASKED_LOGIT).astype(logits.dtype))
 
     def _integrate(self, x: Tensor) -> Tensor:
         """Logits ``[B, C]``: the membrane trajectory's mean over time."""

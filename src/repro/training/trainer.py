@@ -119,7 +119,9 @@ class Trainer:
                 total += float((p.grad * p.grad).sum())
         norm = np.sqrt(total)
         if norm > self.config.grad_clip:
-            scale = self.config.grad_clip / (norm + 1e-12)
+            # A python float scales in the gradient's own dtype; the numpy
+            # float64 quotient would promote float32 gradients (NEP 50).
+            scale = float(self.config.grad_clip / (norm + 1e-12))
             for p in self.optimizer.parameters:
                 if p.grad is not None:
                     p.grad = p.grad * scale

@@ -159,3 +159,25 @@ class TestEnvExport:
         names = {s.name for s in spans}
         assert "scenario.run" in names and "kernel.lif_forward" in names
         assert any(m.name == "kernel.calls" for m in metrics)
+
+
+class TestDtypeCensus:
+    """Every kernel call of a ci-scale run, pre-training included, is
+    float32: ``kernel.calls`` counters and ``kernel.*`` spans carry the
+    sweep's ``dtype`` tag, so a promoted layer shows up in any trace."""
+
+    @pytest.mark.parametrize("insertion", [3, 2], ids=lambda i: f"L{i}")
+    def test_single_step_run_calls_only_float32_kernels(self, env, insertion):
+        generator, _ = env
+        experiment = get_scale("ci").experiment
+        experiment = experiment.replace(ncl=experiment.ncl.replace(insertion_layer=insertion))
+        with use_recorder(Recorder()) as recorder:
+            run_scenario(
+                get("single-step"), "replay4ncl", generator=generator, experiment=experiment
+            )
+        calls = [m for m in recorder.metrics() if m.name == "kernel.calls"]
+        kernels = {m.tag_dict()["kernel"] for m in calls}
+        assert {"lif_forward", "lif_backward", "readout_forward", "readout_backward"} <= kernels
+        assert {m.tag_dict()["dtype"] for m in calls} == {"float32"}
+        spans = [s for s in recorder.spans() if s.name.startswith("kernel.")]
+        assert spans and {s.attrs["dtype"] for s in spans} == {"float32"}

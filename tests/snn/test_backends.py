@@ -85,6 +85,11 @@ def _assert_parity(executor, got, want):
     assert np.array_equal(np.asarray(got), np.asarray(want)), "bitwise parity violated"
 
 
+def _assert_route(calls, dtype):
+    """float32 sweeps run the C kernels; float64 ones the reference only."""
+    assert bool(calls) == (np.dtype(dtype) == np.float32)
+
+
 class TestSweepParity:
     @pytest.mark.parametrize("executor", _executors())
     @pytest.mark.parametrize("spec_name", sorted(_SPECS))
@@ -92,8 +97,9 @@ class TestSweepParity:
     @pytest.mark.parametrize("timesteps", _TIMESTEPS, ids=lambda t: f"T{t}")
     @pytest.mark.parametrize("batch,n_out", _SHAPES)
     def test_lif_sweeps_match_reference(
-        self, executor, spec_name, dtype, timesteps, batch, n_out
+        self, monkeypatch, executor, spec_name, dtype, timesteps, batch, n_out
     ):
+        calls = _count_kernel_calls(monkeypatch, executor)
         spec = _SPECS[spec_name]
         rng = np.random.default_rng(7)
         ff = rng.standard_normal((timesteps, batch, n_out)).astype(dtype)
@@ -109,6 +115,7 @@ class TestSweepParity:
         want_g = numpy_ref.lif_reverse_sweep(g, surrogate, want_m, want_s, w_rec, spec)
         got_g = executor.lif_backward(g, surrogate, got_m, got_s, w_rec, spec)
         _assert_parity(executor, got_g, want_g)
+        _assert_route(calls, dtype)
 
     @pytest.mark.parametrize("executor", _executors())
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -117,8 +124,9 @@ class TestSweepParity:
         "batch,classes", [(1, 4), (3, 5), (36, 20)], ids=["B1-C4", "B3-C5", "B36-C20"]
     )
     def test_readout_sweeps_match_reference(
-        self, executor, dtype, timesteps, batch, classes
+        self, monkeypatch, executor, dtype, timesteps, batch, classes
     ):
+        calls = _count_kernel_calls(monkeypatch, executor)
         rng = np.random.default_rng(11)
         projected = rng.standard_normal((timesteps, batch, classes)).astype(dtype)
         _assert_parity(
@@ -132,6 +140,7 @@ class TestSweepParity:
             executor.readout_backward(g, 0.8),
             numpy_ref.readout_backward_sweep(g, 0.8),
         )
+        _assert_route(calls, dtype)
 
     @pytest.mark.parametrize("executor", _executors())
     @pytest.mark.parametrize("spec_name", sorted(_SPECS))
@@ -140,9 +149,10 @@ class TestSweepParity:
     @pytest.mark.parametrize("timesteps", [3, 8], ids=lambda t: f"T{t}")
     @pytest.mark.parametrize("batch,n_out", _SHAPES)
     def test_controller_sweeps_match_reference(
-        self, executor, spec_name, per_neuron, dtype, timesteps, batch, n_out
+        self, monkeypatch, executor, spec_name, per_neuron, dtype, timesteps, batch, n_out
     ):
         """A dynamic threshold drives both executors' sweeps identically."""
+        calls = _count_kernel_calls(monkeypatch, executor)
         spec = replace(_SPECS[spec_name], vthr=None)
         rng = np.random.default_rng(13)
         ff = (rng.standard_normal((timesteps, batch, n_out)) * 0.8).astype(dtype)
@@ -169,6 +179,7 @@ class TestSweepParity:
             executor.lif_backward(g, surrogate, got[0], got[1], w_rec, spec),
             numpy_ref.lif_reverse_sweep(g, surrogate, want[0], want[1], w_rec, spec),
         )
+        _assert_route(calls, dtype)
 
     @needs_c
     def test_single_timestep_edge(self):
@@ -266,9 +277,8 @@ class TestCBackendThroughKernels:
             assert np.array_equal(got, want)
 
     def test_masked_readout_gradients_bitwise(self, monkeypatch):
-        """A class mask makes the logits float64; the float64 gradient
-        reaching the last hidden layer is cast to the sweep dtype before
-        the reverse sweep on every backend, so c == numpy still holds."""
+        """A class mask keeps the logits and every gradient float32, so
+        the masked backward runs the kernels and c == numpy holds."""
         from repro.autograd import cross_entropy
         from repro.config import NetworkConfig
         from repro.snn.network import SpikingNetwork
@@ -279,9 +289,10 @@ class TestCBackendThroughKernels:
             monkeypatch.setenv("REPRO_BACKEND", name)
             net = SpikingNetwork(NetworkConfig(layer_sizes=(12, 8, 6, 4)), seed=1)
             logits = net.forward(x, class_mask=np.array([1, 1, 0, 0], bool)).logits
-            assert logits.dtype == np.float64
+            assert logits.dtype == np.float32
             cross_entropy(logits, np.array([0, 1, 0])).backward()
             grads[name] = [p.grad for p in net.parameters()]
+            assert all(g.dtype == np.float32 for g in grads[name])
         for got, want in zip(grads["c"], grads["numpy"]):
             assert np.array_equal(got, want)
 
@@ -322,9 +333,9 @@ class TestCBackendThroughKernels:
         ff = rng.standard_normal((20, 36, 64)).astype(np.float32)
         w_rec = (rng.standard_normal((64, 64)) * 0.2).astype(np.float32)
         membrane, spikes, _ = executor.lif_forward(ff, w_rec, spec)
-        assert calls == ["lif_forward_f32"]
+        assert calls == ["lif_forward"]
         executor.lif_backward(ff, np.ones_like(ff), membrane, spikes, w_rec, spec)
-        assert calls == ["lif_forward_f32", "lif_backward_f32"]
+        assert calls == ["lif_forward", "lif_backward"]
 
     def test_unsupported_dtype_falls_back_to_reference(self):
         executor = CffiExecutor()
@@ -365,26 +376,28 @@ def _forward_cases():
     """(case id, {arg: change}, dtype, takes the kernel) for ``lif_forward``."""
     return [
         ("float16", {"ff": "float16", "w_rec": "float16"}, np.float16, False),
+        ("float64", {}, np.float64, False),
         ("ff-f64-w_rec-f32", {"ff": "float64"}, np.float32, False),
         ("ff-f32-w_rec-f64", {"w_rec": "float64"}, np.float32, False),
         ("w_rec-fortran-f32", {"w_rec": "fortran"}, np.float32, False),
         ("w_rec-fortran-f64", {"w_rec": "fortran"}, np.float64, False),
         ("ff-strided-f32", {"ff": "strided"}, np.float32, True),
-        ("ff-strided-f64", {"ff": "strided"}, np.float64, True),
+        ("ff-strided-f64", {"ff": "strided"}, np.float64, False),
     ]
 
 
 def _backward_cases():
     """(case id, {arg: change}, dtype, takes the kernel) for ``lif_backward``."""
     every = dict.fromkeys(_BACKWARD_ARGS, "float16")
-    cases = [("float16", every, np.float16, False)]
+    cases = [("float16", every, np.float16, False), ("float64", {}, np.float64, False)]
     for name in _BACKWARD_ARGS:
         cases.append((f"{name}-f64-in-f32", {name: "float64"}, np.float32, False))
         cases.append((f"{name}-f32-in-f64", {name: "float32"}, np.float64, False))
     for dtype, suf in ((np.float32, "f32"), (np.float64, "f64")):
         cases.append((f"w_rec-fortran-{suf}", {"w_rec": "fortran"}, dtype, False))
         for name in _BACKWARD_ARGS[:-1]:
-            cases.append((f"{name}-strided-{suf}", {name: "strided"}, dtype, True))
+            takes_kernel = dtype == np.float32
+            cases.append((f"{name}-strided-{suf}", {name: "strided"}, dtype, takes_kernel))
     return cases
 
 
@@ -392,17 +405,13 @@ def _params(cases):
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
-def _suffix(dtype) -> str:
-    """The compiled-kernel name suffix of ``dtype``."""
-    return {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}[np.dtype(dtype)]
-
-
 @needs_c
 class TestReferenceFallback:
-    """The C executor takes only same-dtype float32/float64 inputs with a
-    C-contiguous ``w_rec``; it hands anything else to the numpy reference,
-    and copies a strided stack before its kernel runs.  Either way the
-    result is the reference's, bitwise, and in the reference's dtype."""
+    """The C executor takes only float32 inputs with a C-contiguous
+    ``w_rec``; it hands anything else (float64 in any layout included) to
+    the numpy reference, and copies a strided float32 stack before its
+    kernel runs.  Either way the result is the reference's, bitwise, and
+    in its dtype."""
 
     @staticmethod
     def _assert_same(got, want):
@@ -455,7 +464,7 @@ class TestReferenceFallback:
         want = numpy_ref.lif_reverse_sweep(**args, spec=spec)
         calls = _count_kernel_calls(monkeypatch, C_EXECUTOR)
         got = C_EXECUTOR.lif_backward(**args, spec=spec)
-        assert calls == (["lif_backward_" + _suffix(dtype)] if takes_kernel else [])
+        assert calls == (["lif_backward"] if takes_kernel else [])
         self._assert_same([got], [want])
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -463,8 +472,9 @@ class TestReferenceFallback:
         "case,dtype,takes_kernel",
         [
             pytest.param("float16", np.float16, False, id="float16"),
+            pytest.param("float64", np.float64, False, id="float64"),
             pytest.param("strided", np.float32, True, id="strided-f32"),
-            pytest.param("strided", np.float64, True, id="strided-f64"),
+            pytest.param("strided", np.float64, False, id="strided-f64"),
         ],
     )
     def test_readout(self, monkeypatch, direction, case, dtype, takes_kernel):
@@ -474,7 +484,7 @@ class TestReferenceFallback:
         want = reference(stack, 0.8)
         calls = _count_kernel_calls(monkeypatch, C_EXECUTOR)
         got = getattr(C_EXECUTOR, f"readout_{direction}")(stack, 0.8)
-        assert calls == ([f"readout_{direction}_" + _suffix(dtype)] if takes_kernel else [])
+        assert calls == ([f"readout_{direction}"] if takes_kernel else [])
         self._assert_same([got], [want])
 
 
@@ -581,9 +591,7 @@ class TestDegradation:
     def test_missing_blas_symbols_degrade(self, monkeypatch):
         if not C_AVAILABLE:
             pytest.skip(C_REASON)
-        monkeypatch.setitem(
-            cffi_c._BLAS_SYMBOLS, "f32", ("no_such_sgemm", "no_such_sgemv")
-        )
+        monkeypatch.setattr(cffi_c, "_BLAS_SYMBOLS", ("no_such_sgemm", "no_such_sgemv"))
         executor = CffiExecutor()
         monkeypatch.setitem(backends.BACKENDS, "c", executor)
         ok, reason = executor.availability()
@@ -621,20 +629,15 @@ class TestDegradation:
         monkeypatch.setattr(cffi_c, "_find_compiler", lambda: None)
         executor = CffiExecutor()
         with pytest.raises(ConfigError, match="unavailable"):
-            executor._kernel("lif_forward", np.float32)
+            executor._kernel("lif_forward")
 
 
 class TestKernelSource:
-    def test_both_dtype_variants_present(self):
+    def test_float32_kernels_only(self):
         source = cffi_c.kernel_source()
-        for suffix in ("f32", "f64"):
-            for name in (
-                "lif_forward",
-                "lif_backward",
-                "readout_forward",
-                "readout_backward",
-            ):
-                assert f"{name}_{suffix}" in source
+        for name in ("lif_forward", "lif_backward", "readout_forward", "readout_backward"):
+            assert f"void {name}(" in source
+        assert "double *" not in source
 
     def test_no_unprotected_fma_flags(self):
         assert "-ffp-contract=off" in cffi_c._CFLAGS
@@ -693,7 +696,7 @@ class TestBuildCache:
     def test_digest_covers_the_declarations(self, monkeypatch):
         compiler = cffi_c._find_compiler() or "cc"
         before = cffi_c._build_paths(compiler)
-        monkeypatch.setitem(cffi_c._BLAS_SYMBOLS, "f32", ("other_sgemm", "other_sgemv"))
+        monkeypatch.setattr(cffi_c, "_BLAS_SYMBOLS", ("other_sgemm", "other_sgemv"))
         after = cffi_c._build_paths(compiler)
         assert before[0] != after[0] and before[1] != after[1]
 

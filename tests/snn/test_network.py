@@ -278,6 +278,28 @@ class TestClassMask:
         for p in net.trainable_parameters():
             assert p.grad is not None
 
+    def test_training_through_mask_stays_float32(self, net, x):
+        """The penalty is built in the logits' dtype, so a masked step
+        keeps the readout weight and its gradient float32."""
+        from repro.training import Adam
+
+        mask = np.array([True, True, False, False, False])
+        opt = Adam(net.trainable_parameters(), learning_rate=1e-3)
+        logits = net.forward(x, class_mask=mask).logits
+        assert logits.dtype == np.float32
+        cross_entropy(logits, np.array([0, 1, 0, 1])).backward()
+        opt.step()
+        weight = net.readout.w_ff
+        assert weight.grad.dtype == weight.data.dtype == np.float32
+
+    def test_masked_argmax_matches_a_float64_penalty(self, net, x):
+        from repro.snn.layers import MASKED_LOGIT
+
+        mask = np.array([False, True, True, False, True])
+        plain = net.forward(x).logits.data.astype(np.float64)
+        want = (plain + np.where(mask, 0.0, MASKED_LOGIT)).argmax(axis=1)
+        np.testing.assert_array_equal(net.predict(x, class_mask=mask), want)
+
     def test_wrong_shape_rejected(self, net, x):
         with pytest.raises(ShapeError, match="class_mask"):
             net.forward(x, class_mask=np.ones(4, dtype=bool))

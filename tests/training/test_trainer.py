@@ -91,6 +91,10 @@ class TestTrainEpoch:
         opt.step = spy_step
         trainer.train_epoch(inputs, labels)
         assert all(norm <= 1.1e-9 for norm in clipped_norms)
+        # The clip scales in the gradient's dtype: nothing leaves float32.
+        for p in opt.parameters:
+            assert p.data.dtype == p.grad.dtype == np.float32
+            assert opt._m[id(p)].dtype == opt._v[id(p)].dtype == np.float32
 
 
 class TestFit:
