@@ -6,8 +6,8 @@
   once, so the row's ``extra_info`` records one shard decode per stored
   shard per step.
 - ``test_federated_rebalance`` times the between-steps budget-eviction
-  pass (policy sweep + cross-member shard rewrite), sized by
-  ``REPRO_BENCH_SCALE`` like the other storage benches.
+  pass (class-balanced survivor choice + cross-member shard rewrite),
+  sized by ``REPRO_BENCH_SCALE`` like the other storage benches.
 """
 
 import itertools
@@ -107,7 +107,7 @@ def federation(tmp_path_factory):
     frames, samples, channels, shard_samples = _sizes()
     rng = np.random.default_rng(0)
     root = tmp_path_factory.mktemp("bench-federation") / "fed"
-    fed = FederatedReplayStore.create(root, seed=0)
+    fed = FederatedReplayStore.create(root)
     for k in range(3):
         store = ReplayStore.create(
             root / f"task-{k}",
@@ -125,7 +125,7 @@ def federation(tmp_path_factory):
 
 
 def test_federated_rebalance(benchmark, federation, tmp_path):
-    """Budget-eviction pass between steps: policy sweep + member rewrite."""
+    """Budget-eviction pass between steps: survivor choice + member rewrite."""
     source = federation
 
     def rebalance():

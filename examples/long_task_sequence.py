@@ -105,7 +105,6 @@ def budgeted_run(exp, generator, pretrained, workdir: Path, reference) -> bool:
             store_dir=workdir / "budgeted",
             shard_samples=4,
             federation_budget_bytes=budget,
-            federation_policy="class-balanced",
         ),
     )
     federation = FederatedReplayStore.open(result.store_root)

@@ -3,8 +3,8 @@
 Three acts:
 
 1. **Budgeted federation** — latent task arrivals land as member stores
-   of a federation whose global byte budget each eviction policy
-   (FIFO / reservoir / class-balanced) enforces after every arrival.
+   of a federation whose global byte budget class-balanced eviction
+   enforces after every arrival, at two budgets.
 2. **Accounting** — the federation's one stats report sets the Fig. 12
    latent-memory model beside the actual codec payload and disk bytes.
 3. **Store-backed NCL** — a full Replay4NCL run with the replay buffer
@@ -26,14 +26,14 @@ from repro.replaystore import FederatedReplayStore, ReplayStore
 
 
 def streaming_budget_demo(workdir: Path) -> None:
-    """Stream 600 skewed task arrivals into a 12 KiB federation budget."""
+    """Stream 600 skewed task arrivals into 6 and 12 KiB federation budgets."""
     frames, channels = 40, 48
     print(f"streaming 600 arrivals of [{frames} x {channels}] latent rasters")
-    print("class skew 10:3:1, budget 12 KiB\n")
-    print(f"{'policy':16s} {'kept':>5s} {'evicted':>8s}  class counts")
-    for name in ("fifo", "reservoir", "class-balanced"):
+    print("class skew 10:3:1, class-balanced eviction\n")
+    print(f"{'budget':16s} {'kept':>5s} {'evicted':>8s}  class counts")
+    for kib in (6, 12):
         federation = FederatedReplayStore.create(
-            workdir / f"stream-{name}", budget_bytes=12 * 1024, policy=name, seed=7
+            workdir / f"stream-{kib}k", budget_bytes=kib * 1024
         )
         arrival_rng = np.random.default_rng(1)
         evicted = 0
@@ -53,14 +53,14 @@ def streaming_budget_demo(workdir: Path) -> None:
             federation.adopt(member)
             evicted += federation.rebalance()
         stats = federation.stats()
-        print(f"{name:16s} {stats.num_samples:5d} {evicted:8d}  {stats.class_counts}")
+        print(f"{f'{kib} KiB':16s} {stats.num_samples:5d} {evicted:8d}  {stats.class_counts}")
     print()
 
 
 def accounting_demo(workdir: Path) -> None:
     """Model, payload and disk bytes of one budgeted federation."""
-    stats = FederatedReplayStore.open(workdir / "stream-class-balanced").stats()
-    print("latent-memory accounting (class-balanced federation):")
+    stats = FederatedReplayStore.open(workdir / "stream-12k").stats()
+    print("latent-memory accounting (12 KiB federation):")
     print(f"  analytic model: {stats.modelled_bytes} B (bitmap + headers, "
           f"{stats.budget_utilization:.0%} of budget)")
     print(f"  codec payload:  {stats.payload_bytes} B "

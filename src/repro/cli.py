@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory holding <figure>.json results",
     )
 
-    store = sub.add_parser("store", help="inspect/maintain an on-disk replay store")
+    store = sub.add_parser("store", help="inspect on-disk replay stores and federate them")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     inspect = store_sub.add_parser("inspect", help="per-shard table of a store")
     inspect.add_argument("root", help="store directory (holds index.json)")
@@ -157,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="aggregate stats + latent-memory model cross-check"
     )
     stats.add_argument("root", help="store directory (holds index.json)")
-    compact = store_sub.add_parser(
-        "compact", help="rewrite shards at uniform occupancy"
-    )
-    compact.add_argument("root", help="store directory (holds index.json)")
-    compact.add_argument(
-        "--shard-samples", type=int, default=None,
-        help="retarget samples per shard (default: keep the store's setting)",
-    )
     federate = store_sub.add_parser(
         "federate",
         help="compose per-task stores under one budget (create/extend/rebalance)",
@@ -181,17 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-bytes", type=int, default=None,
         help="global byte budget enforced across all members "
         "(default: none; on an existing federation, updates its budget)",
-    )
-    federate.add_argument(
-        "--policy", default=None,
-        help="eviction policy for rebalancing (fifo | reservoir | "
-        "class-balanced; default class-balanced; on an existing "
-        "federation, updates its policy)",
-    )
-    federate.add_argument(
-        "--seed", type=int, default=None,
-        help="RNG seed of the rebalance passes (default 0; on an "
-        "existing federation, updates its seed)",
     )
     return parser
 
@@ -353,24 +334,11 @@ def _cmd_store_federate(args: argparse.Namespace) -> int:
     root = Path(args.root)
     if (root / FEDERATION_INDEX_NAME).exists():
         federation = FederatedReplayStore.open(root)
-        # Explicit flags retrofit the stored ledger; omitted ones keep it.
-        if (
-            args.budget_bytes is not None
-            or args.policy is not None
-            or args.seed is not None
-        ):
-            federation.configure(
-                budget_bytes=args.budget_bytes,
-                policy=args.policy,
-                seed=args.seed,
-            )
+        # An explicit budget retrofits the stored ledger; omitted, it stays.
+        if args.budget_bytes is not None:
+            federation.configure(budget_bytes=args.budget_bytes)
     else:
-        federation = FederatedReplayStore.create(
-            root,
-            budget_bytes=args.budget_bytes,
-            policy=args.policy or "class-balanced",
-            seed=args.seed if args.seed is not None else 0,
-        )
+        federation = FederatedReplayStore.create(root, budget_bytes=args.budget_bytes)
     if args.members is not None:
         candidates = list(args.members)
     else:
@@ -424,19 +392,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
                   f"{shard.codec:>8s} {shard.payload_bytes:10d} "
                   f"{shard.payload_offset:7d}")
         return 0
-    if args.store_command == "stats":
-        stats = store.stats()
-        print(f"samples:        {stats.num_samples} in {stats.num_shards} shards")
-        print(f"geometry:       T={stats.stored_frames} C={stats.num_channels}")
-        print(f"codec shards:   {stats.codec_shards}")
-        print(f"class counts:   {stats.class_counts}")
-        _print_bytes(stats)
-        print(f"payload/sample: {stats.bytes_per_sample:.1f} B")
-        return 0
-    before = store.num_shards
-    after = store.compact(args.shard_samples)
-    print(f"compacted {before} -> {after} shards "
-          f"({store.meta.shard_samples} samples/shard)")
+    stats = store.stats()
+    print(f"samples:        {stats.num_samples} in {stats.num_shards} shards")
+    print(f"geometry:       T={stats.stored_frames} C={stats.num_channels}")
+    print(f"codec shards:   {stats.codec_shards}")
+    print(f"class counts:   {stats.class_counts}")
+    _print_bytes(stats)
+    print(f"payload/sample: {stats.bytes_per_sample:.1f} B")
     return 0
 
 

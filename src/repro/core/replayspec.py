@@ -48,12 +48,8 @@ class ReplaySpec:
         requires ``store_dir``.
     federation_budget_bytes:
         Optional global byte budget enforced across all steps' member
-        stores by cross-member eviction (multi-step runs only).
-    federation_policy:
-        Eviction policy of the federation rebalance passes
-        (``fifo`` | ``reservoir`` | ``class-balanced``).
-    federation_seed:
-        RNG seed of the rebalance passes.
+        stores by class-balanced cross-member eviction (multi-step runs
+        only).
     """
 
     store_dir: str | Path | None = None
@@ -61,8 +57,6 @@ class ReplaySpec:
     overwrite: bool = False
     prefetch: bool | None = None
     federation_budget_bytes: int | None = None
-    federation_policy: str = "class-balanced"
-    federation_seed: int = 0
 
     def __post_init__(self):
         if self.store_dir is not None:
@@ -79,16 +73,6 @@ class ReplaySpec:
                 "federation_budget_bytes must be positive, got "
                 f"{self.federation_budget_bytes}"
             )
-        # Fail at construction on a misspelled policy, not steps later
-        # when the first rebalance runs.
-        from repro.replaystore.policies import get_policy
-
-        try:
-            get_policy(self.federation_policy)
-        except Exception as error:
-            raise ConfigError(
-                f"unknown federation_policy {self.federation_policy!r}"
-            ) from error
         if self.store_dir is None:
             stray = [
                 name
@@ -101,10 +85,6 @@ class ReplaySpec:
             ]
             if self.overwrite:
                 stray.append("overwrite")
-            if self.federation_policy != "class-balanced":
-                stray.append("federation_policy")
-            if self.federation_seed != 0:
-                stray.append("federation_seed")
             if stray:
                 raise ConfigError(
                     f"replay options {stray} require store_dir (a dense "
@@ -115,15 +95,6 @@ class ReplaySpec:
     def store_backed(self) -> bool:
         """Whether replay persists on disk instead of staying dense."""
         return self.store_dir is not None
-
-    @property
-    def has_federation_options(self) -> bool:
-        """Whether any multi-step federation field departs from default."""
-        return (
-            self.federation_budget_bytes is not None
-            or self.federation_policy != "class-balanced"
-            or self.federation_seed != 0
-        )
 
     def member(self, name: str) -> "ReplaySpec":
         """Spec for one federation member store under ``store_dir``.

@@ -179,9 +179,9 @@ class NCLMethod:
         replay = resolve_replay_spec(replay)
         if replay is None:
             replay = ReplaySpec()
-        if replay.has_federation_options:
+        if replay.federation_budget_bytes is not None:
             raise ConfigError(
-                "federation options only apply to multi-step runs "
+                "federation_budget_bytes only applies to multi-step runs "
                 "(run_scenario); a single NCL run has no federation to "
                 "configure"
             )

@@ -4,8 +4,8 @@ The paper's latent replay buffer, grown into a storage system: shards of
 codec-compressed binary rasters on disk (``format``/``store``),
 shard-granular reads that decode each touched shard once per call
 (``stream``), and multi-store federation for long task sequences, whose
-global byte budget caps the archive between steps under a pluggable
-admission/eviction policy (``federation``/``policies``).
+global byte budget caps the archive between steps by class-balanced
+eviction (``federation``).
 
 Bytes are counted one way: :func:`~repro.replaystore.format.latent_bytes`
 (the paper's Fig. 12 model, one bit per stored cell plus 8 B per sample)
@@ -18,7 +18,7 @@ store-backed spec — ``NCLMethod.run(...,
 replay=ReplaySpec(store_dir=...))`` and ``run_scenario`` likewise — are
 the high-level faces; ``repro store`` is the CLI one.
 
-Concurrency: mutations (append, filter, compact, adopt, rebalance) are
+Concurrency: mutations (append, filter, adopt, rebalance) are
 file-locked read-modify-writes committed by an atomic index rename, and
 a shard file name is never reused, so a reader with an old snapshot
 either reads that snapshot's bytes or gets a
@@ -38,13 +38,6 @@ from repro.replaystore.format import (
     latent_bytes,
     peek_header,
 )
-from repro.replaystore.policies import (
-    ClassBalancedPolicy,
-    EvictionPolicy,
-    FIFOPolicy,
-    ReservoirPolicy,
-    get_policy,
-)
 from repro.replaystore.store import (
     ReplayStore,
     ShardInfo,
@@ -63,11 +56,6 @@ __all__ = [
     "encode_shard",
     "decode_shard",
     "peek_header",
-    "EvictionPolicy",
-    "FIFOPolicy",
-    "ReservoirPolicy",
-    "ClassBalancedPolicy",
-    "get_policy",
     "ReplayStore",
     "ShardInfo",
     "StoreMeta",

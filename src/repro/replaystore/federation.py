@@ -5,18 +5,18 @@ per continual step.  The federation orders those member stores and owns
 the *global* memory invariant: the modelled bytes of all members
 together never exceed ``budget_bytes``.  When a new member pushes the total over budget,
 :meth:`FederatedReplayStore.rebalance` re-admits every stored sample —
-in global arrival order — through one of the existing
-:mod:`~repro.replaystore.policies` and rewrites each member to hold only
-its survivors (:meth:`~repro.replaystore.store.ReplayStore.filter`),
-deleting a member left with none, so eviction pressure flows *across*
-stores: a class-balanced policy will
-evict over-represented classes from old members to make room for a new
-task's samples.
+in global arrival order — under one class-balanced rule and rewrites
+each member to hold only its survivors
+(:meth:`~repro.replaystore.store.ReplayStore.filter`), deleting a member
+left with none, so eviction pressure flows *across* stores: an
+over-represented class loses samples from old members to make room for
+a new task's samples.  The survivors stay a class-stratified subset of
+what arrived, the paper's replay guarantee (Alg. 1 line 7).
 
 On disk a federation is a directory of member stores plus one index::
 
     root/
-      federation.json     # budget, policy, seed, member order
+      federation.json     # budget, member order, rebalance counter
       step-000/           # ordinary ReplayStore directories
         index.json
         shard-00000.bin
@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import operator
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from repro import obs
 from repro.errors import StoreError
 from repro.ioutil import atomic_write_json, locked
 from repro.replaystore.format import latent_bytes
-from repro.replaystore.policies import get_policy
 from repro.replaystore.store import (
     INDEX_NAME,
     ByteReport,
@@ -81,12 +81,52 @@ _GEOMETRY_FIELDS = (
     "generated_timesteps",
 )
 
+#: Index fields of earlier versions that chose the eviction rule, with
+#: the one value this version still honours.
+_FIXED_FIELDS = {"policy": "class-balanced", "seed": 0}
+
 
 def _names(value) -> list[str]:
     """A list of member directory names from a parsed index field."""
     if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
         raise StoreError(f"expected a list of member names, got {value!r}")
     return list(value)
+
+
+def _class_balanced_survivors(
+    labels: Sequence[int], capacity: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Sorted indices of the ``labels`` a ``capacity``-sample budget keeps.
+
+    Samples arrive in order and fill free slots first.  Once full, a
+    sample whose class is not (joint-)largest evicts a random member of
+    the largest class (smallest label on ties); a sample of a largest
+    class falls back to reservoir sampling within its class, so each
+    class stays a uniform sample of its own arrivals.
+    """
+    kept: list[int] = []  # slot -> arrival index
+    kept_labels: list[int] = []
+    seen: Counter = Counter()
+    for index, label in enumerate(map(int, labels)):
+        seen[label] += 1
+        if len(kept) < capacity:
+            kept.append(index)
+            kept_labels.append(label)
+            continue
+        counts = Counter(kept_labels)
+        largest = max(counts.values())
+        if counts[label] < largest:
+            victim = min(c for c, n in counts.items() if n == largest)
+            slots = [i for i, kept_label in enumerate(kept_labels) if kept_label == victim]
+            slot = slots[int(rng.integers(0, len(slots)))]
+        else:
+            draw = int(rng.integers(0, seen[label]))
+            if draw >= counts[label]:
+                continue
+            slot = [i for i, kept_label in enumerate(kept_labels) if kept_label == label][draw]
+        kept[slot] = index
+        kept_labels[slot] = label
+    return np.sort(np.asarray(kept, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -108,7 +148,6 @@ class FederationStats(ByteReport):
     payload_bytes: int
     disk_bytes: int
     budget_bytes: int | None
-    policy: str
     members: dict[str, StoreStats]
     class_counts: dict[int, int]
 
@@ -128,8 +167,6 @@ class FederatedReplayStore:
         root: Path,
         member_names: list[str],
         budget_bytes: int | None,
-        policy: str,
-        seed: int,
         rebalances: int = 0,
         pending_removal: list[str] | None = None,
         geometry: dict | None = None,
@@ -137,8 +174,6 @@ class FederatedReplayStore:
         self.root = Path(root)
         self.member_names = list(member_names)
         self.budget_bytes = None if budget_bytes is None else int(budget_bytes)
-        self.policy = policy
-        self.seed = int(seed)
         #: Count of completed rebalance passes; keys the rebalance RNG so
         #: repeated passes stay deterministic yet independent.
         self.rebalances = int(rebalances)
@@ -172,8 +207,6 @@ class FederatedReplayStore:
         root: str | Path,
         *,
         budget_bytes: int | None = None,
-        policy: str = "class-balanced",
-        seed: int = 0,
         overwrite: bool = False,
     ) -> "FederatedReplayStore":
         """Initialise an empty federation directory."""
@@ -181,8 +214,7 @@ class FederatedReplayStore:
         index_path = root / FEDERATION_INDEX_NAME
         if budget_bytes is not None and budget_bytes <= 0:
             raise StoreError(f"budget_bytes must be positive, got {budget_bytes}")
-        get_policy(policy)  # validate the name up front
-        federation = cls(root, [], budget_bytes, policy, seed)
+        federation = cls(root, [], budget_bytes)
         with locked(root / FEDERATION_LOCK_NAME):
             if index_path.exists() and not overwrite:
                 raise StoreError(
@@ -221,8 +253,11 @@ class FederatedReplayStore:
         """Load an existing federation from its index.
 
         The one parser of ``federation.json``.  Fields this version no
-        longer uses (e.g. ``member_samples``) are ignored; an index that
-        lists members without their shared ``geometry`` is damaged.
+        longer uses (e.g. ``member_samples``) are ignored, and so are an
+        earlier version's ``policy`` and ``seed`` while they name the one
+        rule this version runs (``"class-balanced"`` at seed 0); any other
+        value cannot be honoured and is a :class:`StoreError`.  An index
+        that lists members without their shared ``geometry`` is damaged.
         """
         root = Path(root)
 
@@ -230,8 +265,13 @@ class FederatedReplayStore:
             budget = payload["budget_bytes"]
             geometry = payload.get("geometry")
             members = _names(payload["members"])
-            if not isinstance(payload["policy"], str):
-                raise StoreError(f"policy must be a string, got {payload['policy']!r}")
+            for key, value in _FIXED_FIELDS.items():
+                if key in payload and payload[key] != value:
+                    raise StoreError(
+                        f"federation {key} {payload[key]!r} is not supported: "
+                        f"rebalancing runs the class-balanced rule only "
+                        f"({key} {value!r})"
+                    )
             if members and geometry is None:
                 raise StoreError(
                     f"federation index lists members {members} but no geometry"
@@ -240,8 +280,6 @@ class FederatedReplayStore:
                 root,
                 members,
                 None if budget is None else operator.index(budget),
-                payload["policy"],
-                operator.index(payload["seed"]),
                 rebalances=operator.index(payload.get("rebalances", 0)),
                 pending_removal=_names(payload.get("pending_removal", [])),
                 geometry=None if geometry is None else {
@@ -253,34 +291,21 @@ class FederatedReplayStore:
             root / FEDERATION_INDEX_NAME, FEDERATION_VERSION, "federation", parse
         )
 
-    def configure(
-        self,
-        *,
-        budget_bytes: int | None = None,
-        policy: str | None = None,
-        seed: int | None = None,
-    ) -> None:
-        """Update the budget ledger of an existing federation.
+    def configure(self, *, budget_bytes: int) -> None:
+        """Set the budget of an existing federation.
 
-        ``None`` keeps the stored value; explicit values are validated
-        and persisted immediately (the next :meth:`rebalance` enforces
-        them).  This is how ``repro store federate`` retrofits a budget
-        onto a federation created without one.
+        The budget is validated and persisted immediately (the next
+        :meth:`rebalance` enforces it).  This is how ``repro store
+        federate`` retrofits a budget onto a federation created without
+        one.
         """
-        if budget_bytes is not None and budget_bytes <= 0:
+        if budget_bytes <= 0:
             raise StoreError(
                 f"budget_bytes must be positive, got {budget_bytes}"
             )
-        if policy is not None:
-            get_policy(policy)  # validate the name
         with locked(self.root / FEDERATION_LOCK_NAME):
             self._reload()
-            if budget_bytes is not None:
-                self.budget_bytes = int(budget_bytes)
-            if policy is not None:
-                self.policy = policy
-            if seed is not None:
-                self.seed = int(seed)
+            self.budget_bytes = int(budget_bytes)
             self._write_index()
 
     def _write_index(self) -> None:
@@ -288,8 +313,6 @@ class FederatedReplayStore:
         payload = {
             "version": FEDERATION_VERSION,
             "budget_bytes": self.budget_bytes,
-            "policy": self.policy,
-            "seed": self.seed,
             "rebalances": self.rebalances,
             "members": list(self.member_names),
             "pending_removal": list(self.pending_removal),
@@ -437,7 +460,6 @@ class FederatedReplayStore:
             disk_bytes=(self.root / FEDERATION_INDEX_NAME).stat().st_size
             + sum(row.disk_bytes for row in members.values()),
             budget_bytes=self.budget_bytes,
-            policy=self.policy,
             members=members,
             class_counts=dict(sorted(class_counts.items())),
         )
@@ -454,17 +476,15 @@ class FederatedReplayStore:
     def rebalance(self) -> int:
         """Enforce the global budget across members; returns evictions.
 
-        Every stored sample is offered — in global arrival order — to a
-        fresh instance of the federation's
-        :class:`~repro.replaystore.policies.EvictionPolicy` at the
-        budget's capacity; survivors keep their member and storage
-        order, losers are evicted via
+        Every stored sample is offered — in global arrival order — to the
+        class-balanced rule at the budget's capacity; survivors keep
+        their member and storage order, losers are evicted via
         :meth:`~repro.replaystore.store.ReplayStore.filter`, and a
         member left with no survivors leaves the federation in the same
         index commit, after which its directory is deleted.  The pass
         is index-only until the per-member rewrites, so decision cost
         never touches shard payloads.  Deterministic: the RNG derives
-        from the federation seed and the rebalance counter.  A no-op
+        from the rebalance counter.  A no-op
         (returns 0) when unbudgeted or already within budget.
         """
         with locked(self.root / FEDERATION_LOCK_NAME):
@@ -495,24 +515,8 @@ class FederatedReplayStore:
                 f"budget of {self.budget_bytes} B holds no sample "
                 f"({self.bytes_for(1)} B for one)"
             )
-        policy = get_policy(self.policy)
-        policy.reset()
-        rng = spawn(self.seed, f"federation-rebalance:{self.rebalances}")
-
-        # Policy pass over (member, local index) in global arrival order.
-        kept_labels: list[int] = []
-        kept_sources: list[tuple[str, int]] = []
-        for name, store in self.members():
-            for local, label in enumerate(store.labels):
-                slot = policy.admit(int(label), kept_labels, capacity, rng)
-                if slot is None:
-                    continue
-                if slot == len(kept_labels):
-                    kept_labels.append(int(label))
-                    kept_sources.append((name, local))
-                else:
-                    kept_labels[slot] = int(label)
-                    kept_sources[slot] = (name, local)
+        rng = spawn(0, f"federation-rebalance:{self.rebalances}")
+        survivors = _class_balanced_survivors(self.labels, capacity, rng)
 
         # Rewrite each member with its survivors (storage order kept); a
         # member left with none leaves the federation.  An empty member
@@ -520,15 +524,15 @@ class FederatedReplayStore:
         # on the counter, so dropping it changes no later decision.
         evicted = 0
         emptied = []
+        offset = 0
         for name, store in self.members():
-            survivors = np.asarray(
-                sorted(local for member, local in kept_sources if member == name),
-                dtype=np.int64,
-            )
-            if survivors.size:
-                evicted += store.filter(survivors)
+            size = store.num_samples
+            local = survivors[(survivors >= offset) & (survivors < offset + size)] - offset
+            offset += size
+            if local.size:
+                evicted += store.filter(local)
             else:
-                evicted += store.num_samples
+                evicted += size
                 emptied.append(name)
         self.member_names = [n for n in self.member_names if n not in emptied]
         self.rebalances += 1
@@ -542,7 +546,6 @@ class FederatedReplayStore:
     def __repr__(self) -> str:
         return (
             f"FederatedReplayStore(root={str(self.root)!r}, "
-            f"members={self.num_members}, policy={self.policy!r}, "
-            f"budget={self.budget_bytes})"
+            f"members={self.num_members}, budget={self.budget_bytes})"
         )
 

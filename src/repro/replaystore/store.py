@@ -6,7 +6,7 @@ A store is a directory::
       index.json             # metadata + shard table (labels, sizes, offsets)
       shard-00000.bin        # one encoded shard per file (format.py)
       shard-00001.bin
-      shard-g001-00000.bin   # written after the first filter/compact
+      shard-g001-00000.bin   # written by the first filter
       ...
 
 The index is the lookup authority: it carries per-shard sample counts,
@@ -15,9 +15,9 @@ and class statistics never touch shard payloads.  Shard files are only
 read when their samples are actually replayed (see ``stream.py``).
 
 Shards are immutable once written; mutation happens by appending new
-shards or by :meth:`ReplayStore.filter` / :meth:`ReplayStore.compact`,
-which rewrite the shard set as the next *generation* (after evictions
-leave ragged shards behind).
+shards or by :meth:`ReplayStore.filter`, the one rewrite, which keeps a
+subset of the samples and re-shards them as the next *generation* at
+``meta.shard_samples`` per shard.
 
 Concurrency: every mutation is a read-modify-write of the on-disk
 index under an exclusive :class:`~repro.ioutil.FileLock`
@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -238,8 +238,8 @@ class ReplayStore:
         self.root = Path(root)
         self.meta = meta
         self.shards = shards
-        #: Bumped by every rewrite (:meth:`filter`, :meth:`compact`);
-        #: shard names carry it, so no file name is ever reused.
+        #: Bumped by every rewrite (:meth:`filter`); shard names carry
+        #: it, so no file name is ever reused.
         self.generation = int(generation)
 
     # ------------------------------------------------------------------
@@ -476,7 +476,7 @@ class ReplayStore:
             except OSError as error:
                 raise StoreError(
                     f"shard file {info.file} is gone — store was mutated by "
-                    f"another handle (compacted, filtered, or rebuilt); "
+                    f"another handle (filtered or rebuilt); "
                     f"reopen the store to see its current state: {error}"
                 ) from error
             sp.set(bytes=len(blob))
@@ -492,34 +492,6 @@ class ReplayStore:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _rewrite(
-        self, parts: Iterator[tuple[np.ndarray, np.ndarray]], target: int
-    ) -> None:
-        """Re-shard ``parts`` at ``target`` samples each as the next generation.
-
-        The staged-rewrite routine behind :meth:`filter` and
-        :meth:`compact`.  ``parts`` yields ``(raster, labels)`` column
-        blocks in storage order (typically decoded lazily from the
-        current shards), so peak memory stays at ~2 shards.  New files
-        carry the new generation, so they never collide with a name the
-        current index references; the caller sets any other changed
-        state and then commits with a sweep.  Caller holds the lock.
-        """
-        self.generation += 1
-        staged: list[ShardInfo] = []
-        frames, channels = self.meta.stored_frames, self.meta.num_channels
-        raster = np.zeros((frames, 0, channels), dtype=np.float32)
-        labels = np.zeros(0, dtype=np.int64)
-        for part_raster, part_labels in parts:
-            raster = np.concatenate([raster, part_raster], axis=1)
-            labels = np.concatenate([labels, part_labels])
-            while labels.size >= target:
-                staged.append(self._write_shard(raster[:, :target], labels[:target], len(staged)))
-                raster, labels = raster[:, target:], labels[target:]
-        if labels.size:
-            staged.append(self._write_shard(raster, labels, len(staged)))
-        self.shards = staged
-
     def filter(self, keep: np.ndarray) -> int:
         """Keep only the samples at global indices ``keep``; returns evictions.
 
@@ -527,10 +499,16 @@ class ReplayStore:
         the order :attr:`labels` uses); kept samples preserve that order.
         This is the eviction primitive of cross-store rebalancing: a
         federation decides *which* samples survive, ``filter`` rewrites
-        the shard set to hold exactly those.  Shares :meth:`compact`'s
-        staged rewrite and its crash-safety: new-generation files first,
-        atomic index rename as the commit point, old files removed last.
-        Filtering to the full index set is a no-op (no rewrite).
+        the shard set to hold exactly those at ``meta.shard_samples`` per
+        shard.  Filtering to the full index set is a no-op (no rewrite).
+
+        The rewrite streams shard by shard, so peak memory stays at ~2
+        shards, and is crash-safe: the survivors are written as the next
+        generation under names no committed index has referenced, the
+        atomic index rename is the commit point, and only then are the
+        old generation's files removed.  A crash anywhere leaves a store
+        that opens cleanly; the next rewrite removes the interrupted
+        generation's orphaned files.
         """
         keep = np.asarray(keep, dtype=np.int64)
         if keep.ndim != 1:
@@ -549,45 +527,33 @@ class ReplayStore:
             if keep.size == total:
                 return 0
 
-            def survivors():
-                offset = 0
-                for shard_id, info in enumerate(self.shards):
-                    local = keep[(keep >= offset) & (keep < offset + info.num_samples)]
-                    local -= offset
-                    offset += info.num_samples
-                    if local.size:
-                        raster, labels = self.read_shard(shard_id)
-                        yield raster[:, local, :], labels[local]
-
-            self._rewrite(survivors(), self.meta.shard_samples)
+            self.generation += 1
+            target = self.meta.shard_samples
+            staged: list[ShardInfo] = []
+            raster = np.zeros(
+                (self.meta.stored_frames, 0, self.meta.num_channels), dtype=np.float32
+            )
+            labels = np.zeros(0, dtype=np.int64)
+            offset = 0
+            for shard_id, info in enumerate(self.shards):
+                local = keep[(keep >= offset) & (keep < offset + info.num_samples)]
+                local -= offset
+                offset += info.num_samples
+                if not local.size:
+                    continue
+                part_raster, part_labels = self.read_shard(shard_id)
+                raster = np.concatenate([raster, part_raster[:, local, :]], axis=1)
+                labels = np.concatenate([labels, part_labels[local]])
+                while labels.size >= target:
+                    staged.append(
+                        self._write_shard(raster[:, :target], labels[:target], len(staged))
+                    )
+                    raster, labels = raster[:, target:], labels[target:]
+            if labels.size:
+                staged.append(self._write_shard(raster, labels, len(staged)))
+            self.shards = staged
             self._commit(sweep=True)
         return total - int(keep.size)
-
-    def compact(self, shard_samples: int | None = None) -> int:
-        """Rewrite all shards at uniform occupancy; returns the new count.
-
-        Used after budget evictions leave ragged shards, or to retarget
-        the decode granularity.  Streams shard-by-shard, so peak memory
-        stays at ~2 shards regardless of store size.
-
-        Crash-safe: the new generation's shard files are written under
-        names no committed index has referenced, the atomic index rename
-        is the commit point, and only then are the old generation's
-        files removed.  A crash anywhere leaves a store that opens
-        cleanly; the next rewrite removes the interrupted generation's
-        orphaned files.
-        """
-        if shard_samples is not None and shard_samples <= 0:
-            raise StoreError(f"shard_samples must be positive, got {shard_samples}")
-        with locked(self.root / LOCK_NAME):
-            self._reload()
-            target = shard_samples or self.meta.shard_samples
-            self._rewrite(
-                (self.read_shard(i) for i in range(len(self.shards))), target
-            )
-            self.meta = replace(self.meta, shard_samples=target)
-            self._commit(sweep=True)
-        return len(self.shards)
 
     def __repr__(self) -> str:
         return (

@@ -56,8 +56,8 @@ class ReplayStream:
         bounds = np.cumsum([n for _, n in self._signature])
         self._bounds = np.concatenate([[0], bounds]).astype(np.int64)
         # Every index commit is an atomic rename, so the index inode
-        # identifies the snapshot: a cross-handle mutation (a compaction
-        # in another thread or process) is one stat away.  Should the
+        # identifies the snapshot: a cross-handle mutation (a filter in
+        # another thread or process) is one stat away.  Should the
         # filesystem recycle an inode number, never-reused shard names
         # still keep reads on this snapshot's bytes (or a StoreError).
         stat = os.stat(store.root / INDEX_NAME)
@@ -67,7 +67,7 @@ class ReplayStream:
         current = [(s.file, s.num_samples) for s in self.store.shards]
         if current != self._signature:
             raise StoreError(
-                "store was mutated (append/compact) after this ReplayStream "
+                "store was mutated (append/filter) after this ReplayStream "
                 "was created; open a fresh stream"
             )
         try:

@@ -441,8 +441,6 @@ def run_scenario(
                 federation = FederatedReplayStore.create(
                     Path(replay.store_dir),
                     budget_bytes=replay.federation_budget_bytes,
-                    policy=replay.federation_policy,
-                    seed=replay.federation_seed,
                     overwrite=replay.overwrite,
                 )
             if store is not None:

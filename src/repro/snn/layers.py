@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.autograd.tensor import no_grad
 from repro.errors import ConfigError, DataError, ShapeError
 from repro.snn import kernels
 from repro.seeding import default_rng
@@ -35,7 +34,9 @@ def _load_weights(state: dict[str, np.ndarray], weights: list[tuple[str, Tensor]
     """Copy ``state[name]`` into each ``(name, weight)``, all checked first.
 
     Nothing is written unless every entry is present with its weight's
-    shape, so a bad state leaves the layer as it was.
+    shape, so a bad state leaves the layer as it was.  Each copy takes
+    the weight's current dtype, so a float64 state (an old checkpoint)
+    restores float32 weights that the compiled kernels run.
     """
     for name, weight in weights:
         if name not in state:
@@ -43,7 +44,7 @@ def _load_weights(state: dict[str, np.ndarray], weights: list[tuple[str, Tensor]
         if state[name].shape != weight.data.shape:
             raise ShapeError(f"{name} shape {state[name].shape} != {weight.data.shape}")
     for name, weight in weights:
-        weight.data = state[name].copy()
+        weight.data = state[name].astype(weight.data.dtype)
 
 
 class RecurrentLIFLayer:
@@ -108,11 +109,6 @@ class RecurrentLIFLayer:
         for p in self.parameters():
             p.requires_grad = bool(flag)
 
-    @property
-    def trainable(self) -> bool:
-        """True when any of this layer's weights require grad."""
-        return any(p.requires_grad for p in self.parameters())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of this layer's weights, keyed ``w_ff``/``w_rec``."""
         return {"w_ff": self.w_ff.data.copy(), "w_rec": self.w_rec.data.copy()}
@@ -137,7 +133,7 @@ class RecurrentLIFLayer:
         ``controller`` supplies the effective threshold per timestep
         (Alg. 1); None means the layer's static ``params.threshold``.
         When the layer is frozen (no trainable parameters) and the input
-        carries no gradient, the pass runs without building a tape.
+        carries no gradient, the sweep records no tape node.
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
         if x.ndim != 3:
@@ -146,13 +142,6 @@ class RecurrentLIFLayer:
             raise ShapeError(
                 f"input feature dim {x.shape[2]} != layer fan-in {self.n_in}"
             )
-        needs_graph = self.trainable or x.requires_grad
-        if needs_graph:
-            return self._sweep(x, controller)
-        with no_grad():
-            return self._sweep(x, controller)
-
-    def _sweep(self, x: Tensor, controller: ThresholdController | None) -> Tensor:
         if self.synapse_alpha is not None:
             return kernels.cuba_lif_sequence(
                 x, self.w_ff, self.params, self.synapse_alpha, self.w_rec, controller
@@ -197,11 +186,6 @@ class LeakyReadout:
         for p in self.parameters():
             p.requires_grad = bool(flag)
 
-    @property
-    def trainable(self) -> bool:
-        """True when the readout weights require grad."""
-        return self.w_ff.requires_grad
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of the readout weights, keyed ``w_ff``."""
         return {"w_ff": self.w_ff.data.copy()}
@@ -237,12 +221,7 @@ class LeakyReadout:
             raise ShapeError(
                 f"input feature dim {x.shape[2]} != readout fan-in {self.n_in}"
             )
-        mask = self._resolve_mask(class_mask)
-        needs_graph = self.trainable or x.requires_grad
-        if not needs_graph:
-            with no_grad():
-                return self._mask(self._integrate(x), mask)
-        return self._mask(self._integrate(x), mask)
+        return self._mask(self._integrate(x), self._resolve_mask(class_mask))
 
     def _resolve_mask(self, class_mask) -> np.ndarray | None:
         """Validate a class mask; None also for a full (no-op) mask."""

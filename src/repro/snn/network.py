@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.config import NetworkConfig
 from repro.errors import DataError, ShapeError, SplitError
 from repro.seeding import spawn
@@ -279,7 +279,7 @@ class SpikingNetwork:
         """Spike raster feeding weight layer ``insertion_layer``, and its trace.
 
         Runs the frozen front (layers ``0 .. insertion_layer-1``) once,
-        in inference mode.  ``insertion_layer=0`` returns the raw input —
+        under :func:`~repro.autograd.no_grad`.  ``insertion_layer=0`` returns the raw input —
         inserting LR data "at layer 0" replays input spikes themselves —
         with an empty trace.
 
@@ -290,17 +290,10 @@ class SpikingNetwork:
         of the hardware models.
         """
         self._check_layer_index(insertion_layer)
-        front = self.hidden_layers[:insertion_layer]
-        flags = [layer.trainable for layer in front]
-        for layer in front:
-            layer.set_trainable(False)
-        try:
+        with no_grad():
             out, trace, _ = self._run_hidden(
                 inputs, 0, insertion_layer, controller, 0
             )
-        finally:
-            for layer, flag in zip(front, flags):
-                layer.set_trainable(flag)
         return out.data.astype(np.float32, copy=True), trace
 
     def predict(
@@ -320,11 +313,7 @@ class SpikingNetwork:
         """
         x = inputs.data if isinstance(inputs, Tensor) else np.asarray(inputs)
         predictions: list[np.ndarray] = []
-        flags = [(layer, layer.trainable) for layer in self.hidden_layers]
-        flags.append((self.readout, self.readout.trainable))
-        for module, _ in flags:
-            module.set_trainable(False)
-        try:
+        with no_grad():
             for start in range(0, x.shape[1], batch_size):
                 chunk = x[:, start : start + batch_size]
                 result = self.forward(
@@ -335,7 +324,4 @@ class SpikingNetwork:
                     class_mask=class_mask,
                 )
                 predictions.append(result.logits.data.argmax(axis=1))
-        finally:
-            for module, flag in flags:
-                module.set_trainable(flag)
         return np.concatenate(predictions) if predictions else np.empty(0, dtype=int)

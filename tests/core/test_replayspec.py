@@ -42,8 +42,6 @@ class TestReplaySpecValidation:
             ReplaySpec(store_dir=tmp_path, shard_samples=0)
         with pytest.raises(ConfigError, match="federation_budget_bytes"):
             ReplaySpec(store_dir=tmp_path, federation_budget_bytes=-1)
-        with pytest.raises(ConfigError, match="federation_policy"):
-            ReplaySpec(store_dir=tmp_path, federation_policy="lru")
 
     def test_member_view(self, tmp_path):
         spec = ReplaySpec(
@@ -51,7 +49,6 @@ class TestReplaySpecValidation:
             shard_samples=8,
             prefetch=False,
             federation_budget_bytes=4096,
-            federation_seed=3,
         )
         member = spec.member("step-001")
         assert member.store_dir == tmp_path / "step-001"
@@ -59,7 +56,6 @@ class TestReplaySpecValidation:
         assert member.prefetch is False
         # Federation-level fields are stripped: the runner owns them.
         assert member.federation_budget_bytes is None
-        assert member.federation_seed == 0
 
     def test_prefetch_has_no_effect(
         self, ci_pretrained, ci_split, ci_preset, tmp_path, monkeypatch

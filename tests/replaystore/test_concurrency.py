@@ -49,7 +49,7 @@ def make_store(root, labels, *, seed=0, shard_samples=4):
 
 
 def make_federation(root, members=3, samples=8, seed=0):
-    fed = FederatedReplayStore.create(root, seed=seed)
+    fed = FederatedReplayStore.create(root)
     for k in range(members):
         make_store(
             root / f"task-{k}",
@@ -121,9 +121,9 @@ class TestNeverReusedNames:
                 raster = (rng.random((FRAMES, 4, CHANNELS)) < 0.2).astype(np.float32)
                 writer.append(raster, np.full(4, step % 4))
                 record()
-                writer.filter(np.arange(4, writer.num_samples))
+                writer.filter(np.arange(2, writer.num_samples))
                 record()
-                writer.compact(shard_samples=3 + step % 3)
+                writer.filter(np.arange(2, writer.num_samples))
                 record()
         finally:
             done.set()
@@ -142,7 +142,7 @@ class TestNeverReusedNames:
         store = make_store(root, np.arange(12) % 3)
         ones = np.ones((FRAMES, 6, CHANNELS), np.float32)
         steps = [
-            lambda: store.compact(shard_samples=5),
+            lambda: store.filter(np.arange(1, store.num_samples)),
             lambda: store.append(ones, np.zeros(6)),
             lambda: store.filter(np.arange(0, store.num_samples, 2)),
             lambda: ReplayStore.create(
@@ -176,7 +176,7 @@ class TestNeverReusedNames:
         stream.gather(np.arange(12))
         mutations = [
             lambda: store.filter(np.arange(0, 12, 2)),
-            lambda: store.compact(shard_samples=5),
+            lambda: store.filter(np.arange(1, store.num_samples)),
             lambda: store.append(
                 np.ones((FRAMES, 3, CHANNELS), np.float32), np.zeros(3)
             ),
@@ -221,7 +221,7 @@ MUTATIONS = {
         lambda store: store.filter(np.arange(0, 12, 2)),
         lambda dense: dense[:, 0:12:2, :],
     ),
-    "compact": (lambda store: store.compact(shard_samples=5), lambda dense: dense),
+    "evict-one": (lambda store: store.filter(np.arange(1, 12)), lambda dense: dense[:, 1:, :]),
     "overwrite": (_overwrite, lambda dense: dense[:, :0, :]),
 }
 
@@ -303,7 +303,7 @@ _CRASH_PATCHES = {
 
 _REWRITES = {
     "filter": ("store.filter(np.arange(0, 12, 2))", lambda dense: dense[:, 0:12:2, :]),
-    "compact": ("store.compact(shard_samples=5)", lambda dense: dense),
+    "evict-one": ("store.filter(np.arange(1, 12))", lambda dense: dense[:, 1:, :]),
 }
 
 
@@ -340,17 +340,17 @@ def test_rewrite_killed_mid_flight_leaves_an_openable_store(tmp_path, rewrite, p
     orphans = shard_names(root) - {s.file for s in store.shards}
     assert orphans
     # ...and the next rewrite removes them.
-    store.compact()
+    store.filter(np.arange(1, store.num_samples))
     assert shard_names(root) == {s.file for s in ReplayStore.open(root).shards}
-    np.testing.assert_array_equal(dense_of(ReplayStore.open(root)), want)
+    np.testing.assert_array_equal(dense_of(ReplayStore.open(root)), want[:, 1:, :])
 
 
-class TestTwoHandleCompaction:
+class TestTwoHandleRewrite:
     def test_stale_handle_reads_shard_as_store_error(self, tmp_path):
         store = make_store(tmp_path / "s", np.arange(8) % 2)
         stale = ReplayStore.open(tmp_path / "s")
         store.filter(np.arange(4))
-        store.compact()
+        store.filter(np.arange(1, 4))
         # The stale handle's shard list references unlinked files; the
         # read wraps the OSError into the taxonomy.
         try:

@@ -27,7 +27,7 @@ def make_member(root, labels, *, seed=0, shard_samples=4, frames=FRAMES):
 
 @pytest.fixture
 def federation(tmp_path):
-    fed = FederatedReplayStore.create(tmp_path / "fed", seed=3)
+    fed = FederatedReplayStore.create(tmp_path / "fed")
     make_member(tmp_path / "fed" / "task-0", [0] * 6 + [1] * 6, seed=1)
     make_member(tmp_path / "fed" / "task-1", [2] * 6, seed=2)
     fed.adopt("task-0")
@@ -93,10 +93,6 @@ class TestLifecycle:
         with pytest.raises(StoreError, match="budget_bytes"):
             FederatedReplayStore.create(tmp_path / "f", budget_bytes=0)
 
-    def test_unknown_policy_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="unknown eviction policy"):
-            FederatedReplayStore.create(tmp_path / "f", policy="lru")
-
     def test_member_names_must_be_plain(self, federation):
         for bad in ("", ".", "..", "a/b", "a\\b"):
             with pytest.raises(StoreError, match="plain directory name"):
@@ -113,23 +109,17 @@ class TestLifecycle:
         assert not (root / "task-1").exists()
 
     def test_configure_updates_and_persists(self, federation):
-        federation.configure(budget_bytes=1234, policy="fifo", seed=9)
-        twin = FederatedReplayStore.open(federation.root)
-        assert twin.budget_bytes == 1234
-        assert twin.policy == "fifo"
-        assert twin.seed == 9
+        federation.configure(budget_bytes=1234)
+        assert FederatedReplayStore.open(federation.root).budget_bytes == 1234
         with pytest.raises(StoreError, match="budget_bytes"):
             federation.configure(budget_bytes=0)
-        with pytest.raises(StoreError, match="unknown eviction policy"):
-            federation.configure(policy="lru")
 
 
 class TestGlobalBudget:
     """The core invariant: modelled bytes never exceed the budget."""
 
-    @pytest.mark.parametrize("policy", ["fifo", "reservoir", "class-balanced"])
-    def test_budget_holds_across_arrivals(self, tmp_path, policy):
-        fed = FederatedReplayStore.create(tmp_path / "fed", seed=5, policy=policy)
+    def test_budget_holds_across_arrivals(self, tmp_path):
+        fed = FederatedReplayStore.create(tmp_path / "fed")
         rng = np.random.default_rng(0)
         budget = None
         for step in range(5):
@@ -151,10 +141,10 @@ class TestGlobalBudget:
         assert federation.rebalance() == 0
         assert federation.num_samples == 18
 
-    def test_rebalance_deterministic_given_seed(self, tmp_path):
+    def test_rebalance_deterministic(self, tmp_path):
         kept = []
         for run in range(2):
-            fed = FederatedReplayStore.create(tmp_path / f"fed-{run}", seed=11)
+            fed = FederatedReplayStore.create(tmp_path / f"fed-{run}")
             make_member(fed.root / "a", [0] * 20, seed=1)
             make_member(fed.root / "b", [1] * 8, seed=2)
             fed.adopt("a")
@@ -165,7 +155,7 @@ class TestGlobalBudget:
         assert kept[0] == kept[1]
 
     def test_rebalance_counter_persists(self, tmp_path):
-        fed = FederatedReplayStore.create(tmp_path / "fed", seed=0)
+        fed = FederatedReplayStore.create(tmp_path / "fed")
         make_member(fed.root / "a", [0] * 20, seed=1)
         fed.adopt("a")
         fed.configure(budget_bytes=fed.bytes_for(4))
@@ -175,7 +165,7 @@ class TestGlobalBudget:
     def test_eviction_flows_across_members(self, tmp_path):
         # Class-balanced pressure must shrink the over-represented OLD
         # member when a new class arrives, not just trim the newcomer.
-        fed = FederatedReplayStore.create(tmp_path / "fed", seed=7)
+        fed = FederatedReplayStore.create(tmp_path / "fed")
         make_member(fed.root / "old", [0] * 16, seed=1)
         fed.adopt("old")
         fed.configure(budget_bytes=fed.bytes_for(16))
@@ -189,7 +179,7 @@ class TestGlobalBudget:
 
 
     def test_emptied_members_leave_the_federation(self, tmp_path):
-        fed = FederatedReplayStore.create(tmp_path / "fed", seed=5, policy="reservoir")
+        fed = FederatedReplayStore.create(tmp_path / "fed")
         rng = np.random.default_rng(0)
         for step in range(6):
             make_member(fed.root / f"task-{step}", rng.integers(0, step + 2, 8), seed=step)
@@ -197,11 +187,11 @@ class TestGlobalBudget:
             if step == 0:
                 fed.configure(budget_bytes=fed.bytes_for(9))
             fed.rebalance()
-        # The same survivors as when emptied members stayed on as
-        # zero-sample stores: dropping them changes no later decision.
+        # Emptied members leave (task-0, task-2); the survivors are the
+        # ones the earlier class-balanced policy kept at seed 0.
         kept = {name: store.labels.tolist() for name, store in fed.members()}
         assert kept == {
-            "task-2": [1], "task-3": [3], "task-4": [0, 3], "task-5": [2, 0, 0, 0, 3]
+            "task-1": [1], "task-3": [4], "task-4": [5, 3, 2], "task-5": [0, 0, 4, 3]
         }
         assert sorted(p.name for p in fed.root.iterdir() if p.is_dir()) == list(kept)
         assert list(fed.stats().members) == list(kept)
@@ -210,9 +200,7 @@ class TestGlobalBudget:
 
 class TestClassBalance:
     def test_balanced_across_skewed_members(self, tmp_path):
-        fed = FederatedReplayStore.create(
-            tmp_path / "fed", seed=13, policy="class-balanced"
-        )
+        fed = FederatedReplayStore.create(tmp_path / "fed")
         make_member(fed.root / "t0", [0] * 30, seed=1)
         fed.adopt("t0")
         make_member(fed.root / "t1", [1] * 30, seed=2)
@@ -227,9 +215,7 @@ class TestClassBalance:
         assert fed.num_samples == 12
 
     def test_minority_class_survives_majority_pressure(self, tmp_path):
-        fed = FederatedReplayStore.create(
-            tmp_path / "fed", seed=17, policy="class-balanced"
-        )
+        fed = FederatedReplayStore.create(tmp_path / "fed")
         make_member(fed.root / "rare", [5] * 2, seed=1)
         fed.adopt("rare")
         fed.configure(budget_bytes=fed.bytes_for(8))
@@ -255,7 +241,7 @@ class TestStats:
         assert stats.budget_utilization is None
 
     def test_stats_track_budget(self, tmp_path):
-        fed = FederatedReplayStore.create(tmp_path / "fed", seed=1)
+        fed = FederatedReplayStore.create(tmp_path / "fed")
         make_member(fed.root / "a", [0] * 10, seed=1)
         fed.adopt("a")
         fed.configure(budget_bytes=fed.bytes_for(20))

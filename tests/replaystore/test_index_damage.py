@@ -4,13 +4,16 @@ Each case opens a handle on a structurally or type-damaged index and
 asks for its stats: the damage must surface as the store's own error
 class, never as a raw ``AttributeError``/``TypeError``/``ValueError``.
 Indexes written by older versions that still carry fields this version
-dropped (``tombstones``, ``member_samples``) must keep opening.
+dropped (``tombstones``, ``member_samples``) must keep opening.  Random
+byte edits of either index must open or raise ``StoreError``, too.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StoreError
 from repro.replaystore import FederatedReplayStore, ReplayStore, ReplayStream
@@ -115,7 +118,7 @@ CASES = [
     # Federation ledger.
     pytest.param("federation", without("version"), id="federation-version-missing"),
     pytest.param("federation", field("version", 2), id="federation-version-foreign"),
-    pytest.param("federation", without("seed"), id="federation-seed-missing"),
+    pytest.param("federation", without("budget_bytes"), id="federation-budget-missing"),
     pytest.param("federation", field("budget_bytes", 1.5), id="federation-budget-float"),
     pytest.param("federation", field("policy", 3), id="federation-policy-int"),
     pytest.param("federation", without("members"), id="federation-members-missing"),
@@ -189,7 +192,7 @@ def test_legacy_store_index_with_tombstones_opens(federation):
     assert store.num_samples == 5
     np.testing.assert_array_equal(ReplayStream(store).materialize(), dense)
     # The next commit writes this version's index, without the field.
-    store.compact()
+    store.filter(np.arange(4))
     assert "tombstones" not in json.loads(path.read_text())
 
 
@@ -202,5 +205,34 @@ def test_legacy_federation_index_with_member_samples_opens(federation):
     fed = FederatedReplayStore.open(federation.root)
     assert fed.member_names == ["task-0"]
     assert fed.stats().num_samples == 5
-    fed.configure(seed=4)
+    fed.configure(budget_bytes=10_000)
     assert "member_samples" not in json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("target", ["store", "federation"])
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), min_size=1, max_size=3
+    )
+)
+def test_byte_edited_index_opens_or_raises_store_error(federation, target, edits):
+    path, _ = index_of(federation, target)
+    original = path.read_bytes()
+    blob = bytearray(original)
+    for position, value in edits:
+        blob[position % len(blob)] = value
+    path.write_bytes(bytes(blob))
+    try:
+        if target == "store":
+            ReplayStore.open(path.parent).labels
+        else:
+            FederatedReplayStore.open(path.parent)
+    except StoreError:
+        pass
+    finally:
+        path.write_bytes(original)

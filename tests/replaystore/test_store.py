@@ -1,4 +1,4 @@
-"""Tests for ReplayStore create/open/append/read/stats/compact."""
+"""Tests for ReplayStore create/open/append/read/stats/filter."""
 
 import json
 
@@ -141,53 +141,6 @@ class TestAccounting:
         assert stats.bytes_per_sample > 0
 
 
-class TestCompact:
-    def test_retargets_occupancy(self, store, raster, labels):
-        assert store.compact(shard_samples=10) == 3  # 10 + 10 + 3
-        assert [s.num_samples for s in store.shards] == [10, 10, 3]
-        assert store.meta.shard_samples == 10
-        np.testing.assert_array_equal(store.labels, labels)
-
-    def test_content_preserved(self, store, raster, tmp_path):
-        store.compact(shard_samples=5)
-        decoded = np.concatenate(
-            [store.read_shard(i)[0] for i in range(store.num_shards)], axis=1
-        )
-        np.testing.assert_array_equal(decoded, raster)
-
-    def test_persists_across_reopen(self, store, raster):
-        store.compact(shard_samples=23)
-        reopened = ReplayStore.open(store.root)
-        assert reopened.num_shards == 1
-        np.testing.assert_array_equal(reopened.read_shard(0)[0], raster)
-
-    def test_no_stale_files(self, store):
-        store.compact(shard_samples=23)
-        files = sorted(p.name for p in store.root.glob("*") if p.is_file())
-        # New generation's files replace the old ones; no tmp leftovers.
-        # (The lock file is permanent store infrastructure, not residue.)
-        assert files == [INDEX_NAME, LOCK_NAME, "shard-g001-00000.bin"]
-        assert store.generation == 1
-
-    def test_generations_never_collide(self, store, raster, labels):
-        # compact -> append -> compact again: every rewrite lands under
-        # fresh names, so an interrupted swap can never clobber files
-        # the live index still references.
-        store.compact(shard_samples=10)
-        store.append(raster[:, :3, :], labels[:3])
-        assert store.compact(shard_samples=13) == 2
-        reopened = ReplayStore.open(store.root)
-        assert reopened.generation == 2
-        assert reopened.num_samples == 26
-        np.testing.assert_array_equal(
-            reopened.labels, np.concatenate([labels, labels[:3]])
-        )
-
-    def test_rejects_bad_target(self, store):
-        with pytest.raises(StoreError):
-            store.compact(shard_samples=0)
-
-
 class TestShardNames:
     def test_generation_zero_is_unstamped(self):
         assert _shard_name(0, 7) == "shard-00007.bin"
@@ -245,6 +198,34 @@ class TestFilter:
         assert [s.num_samples for s in reopened.shards] == [8, 4]
         np.testing.assert_array_equal(reopened.labels, labels[keep])
         assert reopened.generation == 1
+
+    def test_no_stale_files(self, store):
+        store.filter(np.arange(1, 23))
+        files = sorted(p.name for p in store.root.glob("*") if p.is_file())
+        # New generation's files replace the old ones; no tmp leftovers.
+        # (The lock file is permanent store infrastructure, not residue.)
+        assert files == [
+            INDEX_NAME,
+            LOCK_NAME,
+            "shard-g001-00000.bin",
+            "shard-g001-00001.bin",
+            "shard-g001-00002.bin",
+        ]
+        assert store.generation == 1
+
+    def test_generations_never_collide(self, store, raster, labels):
+        # filter -> append -> filter again: every rewrite lands under
+        # fresh names, so an interrupted swap can never clobber files
+        # the live index still references.
+        store.filter(np.arange(1, 23))
+        store.append(raster[:, :3, :], labels[:3])
+        assert store.filter(np.arange(1, 25)) == 1
+        reopened = ReplayStore.open(store.root)
+        assert reopened.generation == 2
+        assert [s.num_samples for s in reopened.shards] == [8, 8, 8]
+        np.testing.assert_array_equal(
+            reopened.labels, np.concatenate([labels[2:], labels[:3]])
+        )
 
     def test_validates_indices(self, store):
         with pytest.raises(StoreError, match="out of range"):

@@ -13,6 +13,7 @@ step count must raise a clear :class:`~repro.errors.DataError` — never
 silently restart and discard completed work.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ import pytest
 from repro.core import ReplaySpec
 from repro.errors import ConfigError, DataError
 from repro.eval.scale import get_scale
+from repro.obs import Recorder, use_recorder
 from repro.scenario import ScenarioCheckpoint, run_scenario
 from repro.scenario.checkpoint import MANIFEST_NAME, run_fingerprint
 
@@ -146,6 +148,40 @@ class TestKillAtEveryBoundary:
             resume=True,
         )
         assert_results_identical(resumed, straight_through)
+
+
+class TestRestoredDtype:
+    def test_float64_checkpoint_resumes_on_float32_kernels(self, tmp_path):
+        # A checkpoint whose readout weights were saved float64 (as the
+        # NCL phase once left them) must resume on the float32 kernels,
+        # not on the numpy reference.
+        checkpoint_dir = tmp_path / "ckpt"
+        common = dict(experiment=make_experiment(), checkpoint=checkpoint_dir)
+        run_scenario("sequential", "replay4ncl", max_steps=1, **common)
+        manifest_path = checkpoint_dir / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        archive = checkpoint_dir / manifest["network_file"]
+        with np.load(archive) as data:
+            flat = {key: data[key] for key in data.files}
+        flat = {
+            key: value.astype(np.float64) if key.startswith("readout/") else value
+            for key, value in flat.items()
+        }
+        np.savez(archive, **flat)
+        manifest["network_sha256"] = hashlib.sha256(archive.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+
+        with use_recorder(Recorder()) as recorder:
+            resumed = run_scenario("sequential", "replay4ncl", resume=True, **common)
+        calls = [m for m in recorder.metrics() if m.name == "kernel.calls"]
+        assert {"readout_forward", "readout_backward"} <= {
+            m.tag_dict()["kernel"] for m in calls
+        }
+        assert {m.tag_dict()["dtype"] for m in calls} == {"float32"}
+        state = resumed.steps[-1].network.state_dict()
+        assert {w.dtype for params in state.values() for w in params.values()} == {
+            np.dtype(np.float32)
+        }
 
 
 class TestCleanInterruption:

@@ -323,7 +323,8 @@ class TestControllerSweep:
             assert np.array_equal(fused_logits, tape_logits)
             oracle.assert_grads_close(fused_grads, tape_grads)
             optimizer.step()  # p.grad holds the fused pass's gradients
-        assert net.hidden_layers[2].trainable and not net.hidden_layers[1].trainable
+        assert net.hidden_layers[2].w_ff.requires_grad
+        assert not net.hidden_layers[1].w_ff.requires_grad
         initial = SpikingNetwork(config, seed=3).hidden_layers[2].w_ff.data
         assert not np.array_equal(net.hidden_layers[2].w_ff.data, initial)
 

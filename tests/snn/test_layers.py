@@ -76,6 +76,16 @@ class TestRecurrentLIFLayer:
         np.testing.assert_array_equal(a.w_ff.data, b.w_ff.data)
         np.testing.assert_array_equal(a.w_rec.data, b.w_rec.data)
 
+    def test_float64_state_loads_as_float32(self):
+        a = make_layer(rng=np.random.default_rng(1))
+        state = {name: value.astype(np.float64) for name, value in a.state_dict().items()}
+        b = make_layer(rng=np.random.default_rng(2))
+        b.load_state_dict(state)
+        for name, value in state.items():
+            restored = b.state_dict()[name]
+            assert restored.dtype == np.float32
+            np.testing.assert_array_equal(restored, value.astype(np.float32))
+
     def test_state_dict_shape_mismatch_raises(self):
         a = make_layer(n_in=10)
         b = make_layer(n_in=12)
@@ -182,4 +192,11 @@ class TestLeakyReadout:
         a = LeakyReadout(6, 4, rng=np.random.default_rng(1))
         b = LeakyReadout(6, 4, rng=np.random.default_rng(2))
         b.load_state_dict(a.state_dict())
+        np.testing.assert_array_equal(a.w_ff.data, b.w_ff.data)
+
+    def test_float64_state_loads_as_float32(self):
+        a = LeakyReadout(6, 4, rng=np.random.default_rng(1))
+        b = LeakyReadout(6, 4, rng=np.random.default_rng(2))
+        b.load_state_dict({"w_ff": a.w_ff.data.astype(np.float64)})
+        assert b.w_ff.data.dtype == np.float32
         np.testing.assert_array_equal(a.w_ff.data, b.w_ff.data)

@@ -10,6 +10,11 @@ from repro.errors import DataError, ShapeError, SplitError
 from repro.snn import SpikeTrace, SpikingNetwork
 
 
+def trainable(layer):
+    """Whether any of ``layer``'s weights require grad."""
+    return any(p.requires_grad for p in layer.parameters())
+
+
 @pytest.fixture
 def config():
     return NetworkConfig(layer_sizes=(20, 16, 12, 8, 5), beta=0.9)
@@ -125,14 +130,14 @@ class TestForward:
 class TestSplit:
     def test_freeze_below_marks_layers(self, net):
         net.freeze_below(2)
-        assert not net.hidden_layers[0].trainable
-        assert not net.hidden_layers[1].trainable
-        assert net.hidden_layers[2].trainable
-        assert net.readout.trainable
+        assert not trainable(net.hidden_layers[0])
+        assert not trainable(net.hidden_layers[1])
+        assert trainable(net.hidden_layers[2])
+        assert trainable(net.readout)
 
     def test_freeze_below_zero_trains_everything(self, net):
         net.freeze_below(0)
-        assert all(layer.trainable for layer in net.hidden_layers)
+        assert all(trainable(layer) for layer in net.hidden_layers)
 
     def test_trainable_parameters_subset(self, net):
         net.freeze_below(2)
@@ -165,9 +170,9 @@ class TestSplit:
 
     def test_activations_do_not_flip_trainability(self, net, x):
         net.freeze_below(2)
-        before = [layer.trainable for layer in net.hidden_layers]
+        before = [trainable(layer) for layer in net.hidden_layers]
         net.activations_at(2, x)
-        after = [layer.trainable for layer in net.hidden_layers]
+        after = [trainable(layer) for layer in net.hidden_layers]
         assert before == after
 
 
@@ -217,10 +222,30 @@ class TestPredictAndController:
 
     def test_predict_restores_trainability(self, net, x):
         net.freeze_below(2)
-        before = [layer.trainable for layer in net.hidden_layers] + [net.readout.trainable]
+        before = [trainable(layer) for layer in net.hidden_layers] + [trainable(net.readout)]
         net.predict(x)
-        after = [layer.trainable for layer in net.hidden_layers] + [net.readout.trainable]
+        after = [trainable(layer) for layer in net.hidden_layers] + [trainable(net.readout)]
         assert before == after
+
+    def test_inference_records_no_tape_node(self, net, x, monkeypatch):
+        from repro.autograd.tensor import Function
+
+        nodes = []
+        apply = Function.apply.__func__
+
+        def recording_apply(cls, *args, **kwargs):
+            out = apply(cls, *args, **kwargs)
+            if out._ctx is not None:
+                nodes.append(cls.__name__)
+            return out
+
+        monkeypatch.setattr(Function, "apply", classmethod(recording_apply))
+        net.set_trainable(True)
+        net.predict(x, batch_size=3)
+        net.activations_at(3, x)
+        assert nodes == []
+        net.forward(x)  # the spy does see a training pass's nodes
+        assert nodes
 
     def test_predict_empty_batch(self, net):
         preds = net.predict(np.zeros((5, 0, 20), dtype=np.float32))

@@ -250,10 +250,6 @@ class TestStoreCommands:
         assert "samples:" in out and "11 in 3 shards" in out
         assert "model bytes:" in out
 
-    def test_compact(self, capsys, store_dir):
-        assert main(["store", "compact", store_dir, "--shard-samples", "11"]) == 0
-        assert "3 -> 1 shards" in capsys.readouterr().out
-
     def test_missing_store_is_clean_error(self, capsys, tmp_path):
         assert main(["store", "stats", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -335,11 +331,18 @@ class TestStoreFederate:
         ) == 0
         assert "adopted task-1" in capsys.readouterr().out
 
-    def test_unknown_policy_is_clean_error(self, capsys, federation_root):
-        assert main(
-            ["store", "federate", federation_root, "--policy", "lru"]
-        ) == 2
-        assert "unknown eviction policy" in capsys.readouterr().err
+    def test_unsupported_policy_index_is_clean_error(self, capsys, federation_root):
+        import json
+        from pathlib import Path
+
+        from repro.replaystore import FederatedReplayStore
+        from repro.replaystore.federation import FEDERATION_INDEX_NAME
+
+        FederatedReplayStore.create(federation_root)
+        index = Path(federation_root) / FEDERATION_INDEX_NAME
+        index.write_text(json.dumps({**json.loads(index.read_text()), "policy": "fifo"}))
+        assert main(["store", "federate", federation_root]) == 2
+        assert "federation policy 'fifo'" in capsys.readouterr().err
 
     def test_budget_retrofits_onto_existing_federation(
         self, capsys, federation_root
