@@ -88,6 +88,25 @@ class TestReplaySpecValidation:
         with pytest.raises(ConfigError, match="store-backed"):
             ReplaySpec().member("step-000")
 
+    def test_fields_are_the_five_store_options(self):
+        # run_fingerprint hashes repr(replay): these names are its input.
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(ReplaySpec)] == [
+            "store_dir",
+            "shard_samples",
+            "overwrite",
+            "prefetch",
+            "federation_budget_bytes",
+        ]
+
+    @pytest.mark.parametrize(
+        "knob, value", [("federation_policy", "fifo"), ("federation_seed", 7)]
+    )
+    def test_eviction_rule_knobs_are_gone(self, tmp_path, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            ReplaySpec(store_dir=tmp_path, **{knob: value})
+
     def test_federation_options_rejected_on_single_run(
         self, ci_pretrained, ci_split, ci_preset, tmp_path
     ):

@@ -114,6 +114,29 @@ class TestLifecycle:
         with pytest.raises(StoreError, match="budget_bytes"):
             federation.configure(budget_bytes=0)
 
+    @pytest.mark.parametrize("knob, value", [("policy", "fifo"), ("seed", 7)])
+    def test_create_takes_no_rule_knob(self, tmp_path, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            FederatedReplayStore.create(tmp_path / "fed", **{knob: value})
+        assert not (tmp_path / "fed").exists()
+
+    @pytest.mark.parametrize("knob, value", [("policy", "fifo"), ("seed", 7)])
+    def test_configure_takes_no_rule_knob(self, federation, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            federation.configure(budget_bytes=1234, **{knob: value})
+        assert FederatedReplayStore.open(federation.root).budget_bytes is None
+
+    def test_index_and_stats_name_no_rule(self, federation):
+        import json
+
+        from repro.replaystore.federation import FEDERATION_INDEX_NAME
+
+        federation.configure(budget_bytes=federation.bytes_for(10))
+        federation.rebalance()
+        index = json.loads((federation.root / FEDERATION_INDEX_NAME).read_text())
+        assert not {"policy", "seed"} & set(index)
+        assert not hasattr(federation.stats(), "policy")
+
 
 class TestGlobalBudget:
     """The core invariant: modelled bytes never exceed the budget."""

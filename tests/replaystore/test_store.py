@@ -199,6 +199,36 @@ class TestFilter:
         np.testing.assert_array_equal(reopened.labels, labels[keep])
         assert reopened.generation == 1
 
+    def test_reopened_bytes_match_the_survivors(self, store, raster):
+        keep = np.asarray([1, 2, 9, 10, 17, 20, 21])
+        store.filter(keep)
+        reopened = ReplayStore.open(store.root)
+        decoded = np.concatenate(
+            [reopened.read_shard(i)[0] for i in range(reopened.num_shards)], axis=1
+        )
+        np.testing.assert_array_equal(decoded, raster[:, keep, :])
+
+    def test_repacks_ragged_appends(self, tmp_path, raster, labels):
+        # Small appends leave a short shard each; a filter writes every
+        # survivor back into full shards at meta.shard_samples.
+        store = ReplayStore.create(
+            tmp_path / "ragged",
+            stored_frames=16,
+            num_channels=12,
+            generated_timesteps=16,
+            shard_samples=8,
+        )
+        for start in range(0, 23, 5):
+            store.append(raster[:, start : start + 5, :], labels[start : start + 5])
+        assert [s.num_samples for s in store.shards] == [5, 5, 5, 5, 3]
+        assert store.filter(np.arange(1, 23)) == 1
+        assert [s.num_samples for s in store.shards] == [8, 8, 6]
+        decoded = np.concatenate(
+            [store.read_shard(i)[0] for i in range(store.num_shards)], axis=1
+        )
+        np.testing.assert_array_equal(decoded, raster[:, 1:, :])
+        np.testing.assert_array_equal(store.labels, labels[1:])
+
     def test_no_stale_files(self, store):
         store.filter(np.arange(1, 23))
         files = sorted(p.name for p in store.root.glob("*") if p.is_file())

@@ -86,6 +86,18 @@ class TestRecurrentLIFLayer:
             assert restored.dtype == np.float32
             np.testing.assert_array_equal(restored, value.astype(np.float32))
 
+    def test_float32_state_loads_bitwise_as_a_copy(self):
+        a = make_layer(rng=np.random.default_rng(1))
+        state = a.state_dict()
+        b = make_layer(rng=np.random.default_rng(2))
+        b.load_state_dict(state)
+        for name, value in state.items():
+            restored = getattr(b, name).data
+            assert restored.dtype == np.float32
+            assert restored.tobytes() == value.tobytes()
+            value += 1.0  # the layer does not alias the caller's arrays
+            assert not np.array_equal(restored, value)
+
     def test_state_dict_shape_mismatch_raises(self):
         a = make_layer(n_in=10)
         b = make_layer(n_in=12)
@@ -199,4 +211,14 @@ class TestLeakyReadout:
         b = LeakyReadout(6, 4, rng=np.random.default_rng(2))
         b.load_state_dict({"w_ff": a.w_ff.data.astype(np.float64)})
         assert b.w_ff.data.dtype == np.float32
+        np.testing.assert_array_equal(a.w_ff.data, b.w_ff.data)
+
+    def test_float32_state_loads_bitwise_as_a_copy(self):
+        a = LeakyReadout(6, 4, rng=np.random.default_rng(1))
+        b = LeakyReadout(6, 4, rng=np.random.default_rng(2))
+        state = {"w_ff": a.w_ff.data.copy()}
+        b.load_state_dict(state)
+        assert b.w_ff.data.dtype == np.float32
+        assert b.w_ff.data.tobytes() == a.w_ff.data.tobytes()
+        state["w_ff"] += 1.0
         np.testing.assert_array_equal(a.w_ff.data, b.w_ff.data)

@@ -247,6 +247,14 @@ class TestPredictAndController:
         net.forward(x)  # the spy does see a training pass's nodes
         assert nodes
 
+    def test_failed_inference_leaves_recording_on(self, net, x):
+        net.set_trainable(True)
+        with pytest.raises(ShapeError):
+            net.predict(x[:, :, :7])
+        with pytest.raises(ShapeError):
+            net.activations_at(2, x[:, :, :7])
+        assert net.forward(x).logits.requires_grad
+
     def test_predict_empty_batch(self, net):
         preds = net.predict(np.zeros((5, 0, 20), dtype=np.float32))
         assert preds.shape == (0,)

@@ -254,6 +254,11 @@ class TestStoreCommands:
         assert main(["store", "stats", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_compact_is_not_a_command(self, capsys, store_dir):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["store", "compact", store_dir])
+        assert "invalid choice: 'compact'" in capsys.readouterr().err
+
 
 class TestStoreFederate:
     @pytest.fixture
@@ -330,6 +335,15 @@ class TestStoreFederate:
             ["store", "federate", federation_root, "--members", "task-1"]
         ) == 0
         assert "adopted task-1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--policy", "fifo"), ("--seed", "7")])
+    def test_rule_flags_are_gone(self, capsys, federation_root, flag, value):
+        from pathlib import Path
+
+        with pytest.raises(SystemExit):
+            main(["store", "federate", federation_root, flag, value])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (Path(federation_root) / "federation.json").exists()
 
     def test_unsupported_policy_index_is_clean_error(self, capsys, federation_root):
         import json
