@@ -14,13 +14,7 @@ from repro.core import Replay4NCL, SpikingLR
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
-from repro.hw import (
-    EnergyModel,
-    LatencyModel,
-    edge_gpu_like,
-    embedded_neuromorphic,
-    loihi_like,
-)
+from repro.hw import CostModel, edge_gpu_like, embedded_neuromorphic, loihi_like
 
 
 def main() -> None:
@@ -44,16 +38,15 @@ def main() -> None:
     print(f"{'profile':24s} {'method':12s} {'latency [s]':>12s} {'energy [J]':>12s} "
           f"{'speedup':>8s} {'saving':>8s}")
     for profile in (embedded_neuromorphic(), loihi_like(), edge_gpu_like()):
-        latency_model = LatencyModel(profile)
-        energy_model = EnergyModel(profile)
-        sota_lat = latency_model.run_latency(sota)
-        ours_lat = latency_model.run_latency(ours)
-        sota_en = energy_model.run_energy(sota)
-        ours_en = energy_model.run_energy(ours)
-        print(f"{profile.name:24s} {'spikinglr':12s} {sota_lat:12.4g} {sota_en:12.4g}")
+        model = CostModel(profile)
+        sota_cost, ours_cost = model.run_cost(sota), model.run_cost(ours)
+        print(f"{profile.name:24s} {'spikinglr':12s} "
+              f"{sota_cost.latency_s:12.4g} {sota_cost.energy_j:12.4g}")
         print(
-            f"{'':24s} {'replay4ncl':12s} {ours_lat:12.4g} {ours_en:12.4g} "
-            f"{sota_lat / ours_lat:7.2f}x {1 - ours_en / sota_en:7.1%}"
+            f"{'':24s} {'replay4ncl':12s} "
+            f"{ours_cost.latency_s:12.4g} {ours_cost.energy_j:12.4g} "
+            f"{sota_cost.latency_s / ours_cost.latency_s:7.2f}x "
+            f"{1 - ours_cost.energy_j / sota_cost.energy_j:7.1%}"
         )
 
 

@@ -18,7 +18,7 @@ from repro.core import NaiveFinetune, Replay4NCL, SpikingLR
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
-from repro.hw import EnergyModel, LatencyModel, build_cost_report, embedded_neuromorphic
+from repro.hw import CostModel
 
 
 def main() -> None:
@@ -56,20 +56,16 @@ def main() -> None:
               f"new command: {result.final_new_accuracy:.3f}")
 
     print("\n== Phase 3: mission readiness on the embedded target ==")
-    report = build_cost_report(results)
-    print(report.format_table())
-
-    profile = embedded_neuromorphic()
-    energy_model = EnergyModel(profile)
-    latency_model = LatencyModel(profile)
+    model = CostModel()
+    print(model.report(results).format_table())
     print(f"\n   adaptation budget: {args.battery_j:.0f} J")
     for name, result in results:
-        energy = energy_model.run_energy(result)
-        latency = latency_model.run_latency(result)
-        verdict = "OK" if energy <= args.battery_j else "EXCEEDS BUDGET"
+        cost = model.run_cost(result)
+        verdict = "OK" if cost.energy_j <= args.battery_j else "EXCEEDS BUDGET"
         forgot = result.final_old_accuracy < pretrained.test_accuracy - 0.35
         mission = "mission-ready" if not forgot else "FORGOT OLD COMMANDS"
-        print(f"   {name:14s} {energy:8.3g} J  {latency:8.3g} s  [{verdict}] [{mission}]")
+        print(f"   {name:14s} {cost.energy_j:8.3g} J  {cost.latency_s:8.3g} s  "
+              f"[{verdict}] [{mission}]")
 
 
 if __name__ == "__main__":

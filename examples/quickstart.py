@@ -19,7 +19,7 @@ import argparse
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD
 from repro.eval.scale import get_scale
-from repro.hw import build_cost_report
+from repro.hw import CostModel
 from repro.scenario import get as get_scenario
 from repro.scenario import run_scenario
 
@@ -51,7 +51,7 @@ def main() -> None:
           f"forgetting={ours.forgetting:+.3f} BWT={ours.backward_transfer:+.3f}")
 
     print("# 3. Embedded cost comparison (analytic hardware model)")
-    report = build_cost_report(
+    report = CostModel().report(
         [("spikinglr", sota.steps[0]), ("replay4ncl", ours.steps[0])]
     )
     print(report.format_table())

@@ -14,7 +14,7 @@ from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.ascii_plot import ascii_bars
 from repro.eval.scale import get_scale
-from repro.hw import LatencyModel, embedded_neuromorphic
+from repro.hw import CostModel
 
 
 def main() -> None:
@@ -36,7 +36,7 @@ def main() -> None:
     pretrained = pretrain(experiment, split)
     print(f"pre-train accuracy at T={t_pre}: {pretrained.test_accuracy:.3f}\n")
 
-    latency_model = LatencyModel(embedded_neuromorphic())
+    model = CostModel()
     fractions = (1.0, 0.6, 0.4, 0.2)
     rows = {}
     print(f"{'T*':>5s} {'old acc':>8s} {'new acc':>8s} {'epoch lat':>10s} {'latent B':>9s}")
@@ -45,7 +45,7 @@ def main() -> None:
         result = Replay4NCL(experiment, timesteps=timesteps).run(
             pretrained.network, split
         )
-        latency = latency_model.epoch_latency(result.epoch_costs[0])
+        latency = model.epoch_cost(result.epoch_costs[0]).latency_s
         rows[f"T{timesteps}"] = result.final_old_accuracy
         print(
             f"{timesteps:5d} {result.final_old_accuracy:8.3f} "

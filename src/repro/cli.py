@@ -206,7 +206,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.eval.experiments import run_scenario
+    from repro.eval.experiments import run_scenario_at_scale
 
     if args.scenario_command == "list":
         _print_registries()
@@ -260,7 +260,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         extra["resume"] = args.resume
     if args.stop_after is not None:
         extra["max_steps"] = args.stop_after
-    result = run_scenario(
+    result = run_scenario_at_scale(
         scenario, args.method, scale=args.scale, replay=replay, **extra
     )
     print(result.describe())

@@ -47,7 +47,7 @@ def frozen_front_trace(
     """Spike trace of one frozen-front pass over ``inputs``.
 
     The trace half of :meth:`SpikingNetwork.activations_at` (spike counts
-    per layer feed the hardware latency/energy models); empty for
+    per layer feed the hardware cost model); empty for
     ``insertion_layer=0``.  The NCL run takes its traces from the passes
     it already makes, so this is a recomputation for checks and tools.
     """

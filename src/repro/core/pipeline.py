@@ -8,7 +8,6 @@ from repro.config import ExperimentConfig
 from repro.data.tasks import ClassIncrementalSplit
 from repro.seeding import spawn
 from repro.snn.network import SpikingNetwork
-from repro.snn.state import SpikeTrace
 from repro.training.metrics import TrainingHistory, top1_accuracy
 from repro.training.optimizers import Adam
 from repro.training.trainer import Trainer, TrainerConfig
@@ -23,7 +22,6 @@ class PretrainResult:
     network: SpikingNetwork
     history: TrainingHistory
     test_accuracy: float
-    epoch_traces: list[list[SpikeTrace]]
 
 
 def pretrain(
@@ -57,5 +55,4 @@ def pretrain(
         network=network,
         history=history,
         test_accuracy=accuracy,
-        epoch_traces=trainer.epoch_traces,
     )

@@ -52,14 +52,11 @@ class EpochCost:
     decompressed_cells:
         Raster cells written by latent-data decompression this epoch
         (SpikingLR's Fig. 7 cycle; 0 for Replay4NCL).
-    timesteps:
-        The temporal resolution the epoch ran at.
     """
 
     train_traces: list[SpikeTrace] = field(default_factory=list)
     frozen_traces: list[SpikeTrace] = field(default_factory=list)
     decompressed_cells: int = 0
-    timesteps: int = 0
 
 
 @dataclass
@@ -194,7 +191,7 @@ class NCLMethod:
         network.freeze_below(insertion)
 
         rng = spawn(config.seed, f"ncl:{self.name}")
-        prepare_cost = EpochCost(timesteps=timesteps)
+        prepare_cost = EpochCost()
 
         # ---- prepare: latent replay buffer (Alg. 1 lines 6-20) --------
         buffer: LatentReplayBuffer | None = None
@@ -298,7 +295,7 @@ class NCLMethod:
         cells = (
             0 if buffer is None else buffer.decompressed_cells_per_replay(decompress)
         )
-        epoch_costs = self._collect_epoch_costs(trainer, new_trace, cells, timesteps)
+        epoch_costs = self._collect_epoch_costs(trainer, new_trace, cells)
 
         trace = obs.TraceReport.capture(recorder, trace_mark)
         obs.maybe_export()
@@ -327,7 +324,6 @@ class NCLMethod:
         trainer: Trainer,
         frozen: SpikeTrace,
         cells: int,
-        timesteps: int,
     ) -> list[EpochCost]:
         """Assemble per-epoch cost inputs from the trainer's traces.
 
@@ -347,7 +343,6 @@ class NCLMethod:
                     train_traces=list(traces),
                     frozen_traces=[frozen] if frozen.entries else [],
                     decompressed_cells=cells,
-                    timesteps=timesteps,
                 )
             )
         return costs

@@ -2,7 +2,7 @@
 
 Used by the analysis example and by tests to characterise workloads the
 way the SHD paper does (rates, occupancy, temporal structure), and to
-verify that synthetic data stays in the sparse regime the energy model
+verify that synthetic data stays in the sparse regime the cost model
 assumes.
 """
 

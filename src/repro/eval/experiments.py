@@ -17,7 +17,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
@@ -29,15 +28,14 @@ from repro.data.tasks import ClassIncrementalSplit, make_class_incremental
 from repro.errors import ConfigError, ReproError
 from repro.eval.results import ExperimentResult
 from repro.eval.scale import ScalePreset, get_scale
-from repro.ioutil import atomic_open
-from repro.snn.network import SpikingNetwork
+from repro.snn.network import SpikingNetwork, read_weights, write_weights
 from repro.training.metrics import TrainingHistory
 
 __all__ = [
     "ExperimentContext",
     "context",
     "run",
-    "run_scenario",
+    "run_scenario_at_scale",
     "available_experiments",
     "cache_dir",
 ]
@@ -97,37 +95,30 @@ def _load_pretrained(preset: ScalePreset) -> PretrainResult | None:
     fit the configured network — so :func:`context` pre-trains again and
     rewrites the file.
     """
-    path = cache_dir() / f"pretrain-{_config_digest(preset)}.npz"
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            state: dict[str, dict[str, np.ndarray]] = {}
-            for key in archive.files:
-                if key != "__test_accuracy__":
-                    layer, param = key.split("/", 1)
-                    state.setdefault(layer, {})[param] = archive[key]
-            test_accuracy = float(archive["__test_accuracy__"])
+        state, extra = read_weights(_pretrain_path(preset).read_bytes())
+        test_accuracy = float(extra["__test_accuracy__"])
         network = SpikingNetwork(preset.experiment.network, seed=preset.experiment.seed)
         network.load_state_dict(state)
-    except (OSError, EOFError, ValueError, KeyError, BadZipFile, ReproError):
+    except (OSError, KeyError, TypeError, ValueError, ReproError):
         return None
     return PretrainResult(
         network=network,
         history=TrainingHistory(),
         test_accuracy=test_accuracy,
-        epoch_traces=[],
     )
 
 
 def _store_pretrained(preset: ScalePreset, result: PretrainResult) -> None:
-    path = cache_dir() / f"pretrain-{_config_digest(preset)}.npz"
-    flat = {
-        f"{layer}/{param}": value
-        for layer, params in result.network.state_dict().items()
-        for param, value in params.items()
-    }
-    flat["__test_accuracy__"] = np.asarray(result.test_accuracy)
-    with atomic_open(path, "wb") as handle:
-        np.savez(handle, **flat)
+    write_weights(
+        _pretrain_path(preset),
+        result.network.state_dict(),
+        __test_accuracy__=np.asarray(result.test_accuracy),
+    )
+
+
+def _pretrain_path(preset: ScalePreset) -> Path:
+    return cache_dir() / f"pretrain-{_config_digest(preset)}.npz"
 
 
 def context(scale: str = "bench") -> ExperimentContext:
@@ -172,7 +163,9 @@ def run(experiment_id: str, scale: str = "bench", **kwargs) -> ExperimentResult:
     return fn(context(scale), **kwargs)
 
 
-def run_scenario(name: str, method: str = "replay4ncl", scale: str = "bench", **kwargs):
+def run_scenario_at_scale(
+    name: str, method: str = "replay4ncl", scale: str = "bench", **kwargs
+):
     """Run a built-in continual-learning scenario at a scale preset.
 
     Thin wiring into :func:`repro.scenario.run_scenario` that reuses

@@ -3,8 +3,8 @@
 Every function takes an :class:`~repro.eval.experiments.ExperimentContext`
 and returns an :class:`~repro.eval.results.ExperimentResult` whose series
 mirror the rows/curves the paper plots.  Latency/energy numbers come from
-the :mod:`repro.hw` models on the default embedded-neuromorphic profile;
-all normalisations follow the paper's (stated in each docstring).
+one :class:`~repro.hw.CostModel` on the default embedded-neuromorphic
+profile; all normalisations follow the paper's (stated in each docstring).
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from repro.core.spikinglr import SpikingLR
 from repro.core.strategies import NaiveFinetune, NCLResult
 from repro.eval.experiments import ExperimentContext
 from repro.eval.results import ExperimentResult, Series
-from repro.hw.energy import EnergyModel
-from repro.hw.latency import LatencyModel
-from repro.hw.profiles import embedded_neuromorphic
+from repro.hw.cost import CostModel
 
 __all__ = [
     "fig1a",
@@ -132,20 +130,16 @@ def fig2(ctx: ExperimentContext) -> ExperimentResult:
         title="Case study: SpikingLR overheads and timestep reduction",
         scale=ctx.preset.name,
     )
-    profile = embedded_neuromorphic()
-    latency_model = LatencyModel(profile)
-    energy_model = EnergyModel(profile)
+    model = CostModel()
 
-    baseline = _run_naive(ctx)
-    base_latency = latency_model.run_latency(baseline)
-    base_energy = energy_model.run_energy(baseline)
+    base = model.run_cost(_run_naive(ctx))
 
     layers = tuple(range(ctx.pretrained.network.num_weight_layers))
     latency_ratio, energy_ratio = [], []
     for lins in layers:
-        run = _run_spikinglr(ctx, lins)
-        latency_ratio.append(latency_model.run_latency(run) / base_latency)
-        energy_ratio.append(energy_model.run_energy(run) / base_energy)
+        cost = model.run_cost(_run_spikinglr(ctx, lins))
+        latency_ratio.append(cost.latency_s / base.latency_s)
+        energy_ratio.append(cost.energy_j / base.energy_j)
     result.add_series(Series(
         name="spikinglr-latency-vs-baseline", x=layers, y=tuple(latency_ratio),
         x_label="LR insertion layer", y_label="normalized latency",
@@ -197,7 +191,7 @@ def fig8(ctx: ExperimentContext) -> ExperimentResult:
     t_full = ctx.preset.experiment.pretrain.timesteps
     fractions = (1.0, 0.6, 0.4, 0.2)
     insertion = ctx.preset.experiment.ncl.insertion_layer
-    latency_model = LatencyModel(embedded_neuromorphic())
+    model = CostModel()
 
     latencies, finals_old, finals_new = [], [], []
     for fraction in fractions:
@@ -212,7 +206,7 @@ def fig8(ctx: ExperimentContext) -> ExperimentResult:
             name=f"new-acc-{label}", x=_epoch_axis(run.history),
             y=tuple(run.history.new_task_curve), x_label="epoch", y_label="top1",
         ))
-        latencies.append(latency_model.run_latency(run))
+        latencies.append(model.run_cost(run).latency_s)
         finals_old.append(run.final_old_accuracy)
         finals_new.append(run.final_new_accuracy)
 
@@ -255,9 +249,7 @@ def fig10(ctx: ExperimentContext) -> ExperimentResult:
         title="SpikingLR vs Replay4NCL across LR insertion layers",
         scale=ctx.preset.name,
     )
-    profile = embedded_neuromorphic()
-    latency_model = LatencyModel(profile)
-    energy_model = EnergyModel(profile)
+    model = CostModel()
     layers = tuple(range(ctx.pretrained.network.num_weight_layers))
 
     table: dict[str, list[float]] = {
@@ -273,10 +265,11 @@ def fig10(ctx: ExperimentContext) -> ExperimentResult:
         table["spikinglr-new"].append(sota.final_new_accuracy)
         table["replay4ncl-old"].append(ours.final_old_accuracy)
         table["replay4ncl-new"].append(ours.final_new_accuracy)
-        table["spikinglr-latency"].append(latency_model.run_latency(sota))
-        table["replay4ncl-latency"].append(latency_model.run_latency(ours))
-        table["spikinglr-energy"].append(energy_model.run_energy(sota))
-        table["replay4ncl-energy"].append(energy_model.run_energy(ours))
+        sota_cost, ours_cost = model.run_cost(sota), model.run_cost(ours)
+        table["spikinglr-latency"].append(sota_cost.latency_s)
+        table["replay4ncl-latency"].append(ours_cost.latency_s)
+        table["spikinglr-energy"].append(sota_cost.energy_j)
+        table["replay4ncl-energy"].append(ours_cost.energy_j)
 
     ref_latency = table["spikinglr-latency"][0]
     ref_energy = table["spikinglr-energy"][0]
@@ -332,12 +325,13 @@ def fig11(ctx: ExperimentContext) -> ExperimentResult:
         scale=ctx.preset.name,
     )
     insertion = ctx.preset.experiment.ncl.insertion_layer
-    profile = embedded_neuromorphic()
-    latency_model = LatencyModel(profile)
-    energy_model = EnergyModel(profile)
+    model = CostModel()
 
     sota = _run_spikinglr(ctx, insertion)
     ours = _run_replay4ncl(ctx, insertion)
+
+    def epochs_cost(run: NCLResult, epochs: int | None = None):
+        return model.run_cost(run, epochs, include_prepare=False)
 
     result.add_series(Series(
         name="spikinglr-old-acc", x=_epoch_axis(sota.history),
@@ -352,33 +346,26 @@ def fig11(ctx: ExperimentContext) -> ExperimentResult:
     checkpoints = tuple(
         max(1, int(round(epochs * f))) for f in (0.2, 0.6, 1.0)
     )  # the paper's 10/30/50 of a 50-epoch run
-    ref_latency = latency_model.cumulative_latency(sota, checkpoints[0])
-    ref_energy = energy_model.cumulative_energy(sota, checkpoints[0])
+    ref = epochs_cost(sota, checkpoints[0])
     for label, run in (("spikinglr", sota), ("replay4ncl", ours)):
+        cumulative = [epochs_cost(run, c) for c in checkpoints]
         result.add_series(Series(
             name=f"{label}-cumulative-latency", x=checkpoints,
-            y=tuple(
-                latency_model.cumulative_latency(run, c) / ref_latency
-                for c in checkpoints
-            ),
+            y=tuple(cost.latency_s / ref.latency_s for cost in cumulative),
             x_label="epoch", y_label="normalized latency",
         ))
         result.add_series(Series(
             name=f"{label}-cumulative-energy", x=checkpoints,
-            y=tuple(
-                energy_model.cumulative_energy(run, c) / ref_energy
-                for c in checkpoints
-            ),
+            y=tuple(cost.energy_j / ref.energy_j for cost in cumulative),
             x_label="epoch", y_label="normalized energy",
         ))
 
     result.scalars["spikinglr_final_old_acc"] = sota.final_old_accuracy
     result.scalars["replay4ncl_final_old_acc"] = ours.final_old_accuracy
-    per_epoch_speedup = (
-        latency_model.run_latency(sota, include_prepare=False)
-        / latency_model.run_latency(ours, include_prepare=False)
+    sota_cost, ours_cost = epochs_cost(sota), epochs_cost(ours)
+    result.scalars["per_epoch_latency_speedup"] = (
+        sota_cost.latency_s / ours_cost.latency_s
     )
-    result.scalars["per_epoch_latency_speedup"] = per_epoch_speedup
 
     # Time-to-quality: epochs each method needs to reach the SOTA final
     # old-task accuracy (minus a small tolerance), in cumulative seconds.
@@ -386,14 +373,11 @@ def fig11(ctx: ExperimentContext) -> ExperimentResult:
     sota_epoch = sota.history.epochs_to_reach(target, task="old")
     ours_epoch = ours.history.epochs_to_reach(target, task="old")
     if sota_epoch is not None and ours_epoch is not None:
-        sota_time = latency_model.cumulative_latency(sota, sota_epoch + 1)
-        ours_time = latency_model.cumulative_latency(ours, ours_epoch + 1)
+        sota_time = epochs_cost(sota, sota_epoch + 1).latency_s
+        ours_time = epochs_cost(ours, ours_epoch + 1).latency_s
         if ours_time > 0:
             result.scalars["time_to_quality_speedup"] = sota_time / ours_time
-    result.scalars["energy_saving"] = 1.0 - (
-        energy_model.run_energy(ours, include_prepare=False)
-        / energy_model.run_energy(sota, include_prepare=False)
-    )
+    result.scalars["energy_saving"] = 1.0 - ours_cost.energy_j / sota_cost.energy_j
     result.add_note(
         "paper markers: accuracy improvement for old tasks (4: 90.43% vs "
         "86.22%), latency saving (5, headline 4.88x incl. convergence), "
@@ -524,27 +508,22 @@ def headline(ctx: ExperimentContext) -> ExperimentResult:
         scale=ctx.preset.name,
     )
     insertion = ctx.preset.experiment.ncl.insertion_layer
-    profile = embedded_neuromorphic()
-    latency_model = LatencyModel(profile)
-    energy_model = EnergyModel(profile)
+    model = CostModel()
 
     sota = _run_spikinglr(ctx, insertion)
     ours = _run_replay4ncl(ctx, insertion)
+    sota_cost = model.run_cost(sota, include_prepare=False)
+    ours_cost = model.run_cost(ours, include_prepare=False)
 
     result.scalars["spikinglr_old_acc"] = sota.final_old_accuracy
     result.scalars["replay4ncl_old_acc"] = ours.final_old_accuracy
     result.scalars["spikinglr_new_acc"] = sota.final_new_accuracy
     result.scalars["replay4ncl_new_acc"] = ours.final_new_accuracy
-    result.scalars["latency_speedup"] = latency_model.run_latency(
-        sota, include_prepare=False
-    ) / latency_model.run_latency(ours, include_prepare=False)
+    result.scalars["latency_speedup"] = sota_cost.latency_s / ours_cost.latency_s
     result.scalars["memory_saving"] = (
         1.0 - ours.latent_storage_bytes / sota.latent_storage_bytes
     )
-    result.scalars["energy_saving"] = 1.0 - (
-        energy_model.run_energy(ours, include_prepare=False)
-        / energy_model.run_energy(sota, include_prepare=False)
-    )
+    result.scalars["energy_saving"] = 1.0 - ours_cost.energy_j / sota_cost.energy_j
 
     methods = ("spikinglr", "replay4ncl")
     result.add_series(Series(

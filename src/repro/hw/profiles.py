@@ -25,7 +25,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """An execution target for the latency/energy models.
+    """An execution target for the cost model.
 
     Attributes
     ----------
@@ -42,7 +42,7 @@ class HardwareProfile:
     energy_per_byte:
         Joules per byte of weight/activation memory traffic.
     sop_throughput / mac_throughput / update_throughput:
-        Operations per second available to the latency model.
+        Operations per second the cost model times ops at.
     codec_cell_throughput:
         Raster cells per second the (de)compression path processes.
     energy_per_codec_cell:

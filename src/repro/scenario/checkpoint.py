@@ -52,7 +52,8 @@ import numpy as np
 
 from repro.core.strategies import EpochCost, NCLResult
 from repro.errors import DataError
-from repro.ioutil import atomic_open, atomic_write_json
+from repro.ioutil import atomic_write_json
+from repro.snn.network import read_weights, write_weights
 from repro.training.metrics import EpochRecord, TrainingHistory
 
 __all__ = [
@@ -204,13 +205,7 @@ class ScenarioCheckpoint:
         self.root.mkdir(parents=True, exist_ok=True)
 
         archive = self._archive_name(steps_completed)
-        flat = {
-            f"{layer}/{param}": value
-            for layer, params in network.state_dict().items()
-            for param, value in params.items()
-        }
-        with atomic_open(self.root / archive, "wb") as handle:
-            np.savez(handle, **flat)
+        write_weights(self.root / archive, network.state_dict())
         digest = hashlib.sha256((self.root / archive).read_bytes()).hexdigest()
 
         manifest = {
@@ -321,6 +316,8 @@ class ScenarioCheckpoint:
                 f"checkpoint at {self.root} references missing network "
                 f"archive {archive}"
             )
+        # Parse the very bytes that were hashed: a second read of the
+        # file could see a different archive than the one verified.
         data = path.read_bytes()
         actual = hashlib.sha256(data).hexdigest()
         if actual != digest:
@@ -329,13 +326,9 @@ class ScenarioCheckpoint:
                 "(sha256 mismatch — truncated or damaged write)"
             )
         try:
-            archive_file = np.load(path, allow_pickle=False)
-        except (OSError, ValueError) as error:
+            state, _ = read_weights(data)
+        except DataError as error:
             raise DataError(
                 f"checkpoint network archive {path} is unreadable: {error}"
             ) from None
-        state: dict[str, dict[str, np.ndarray]] = {}
-        for key in archive_file.files:
-            layer, param = key.split("/", 1)
-            state.setdefault(layer, {})[param] = archive_file[key]
         return state

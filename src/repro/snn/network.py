@@ -17,14 +17,18 @@ Latent replay needs two partial passes, both provided here:
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
+from zipfile import BadZipFile
 
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
 from repro.config import NetworkConfig
 from repro.errors import DataError, ShapeError, SplitError
+from repro.ioutil import atomic_open
 from repro.seeding import spawn
 from repro.snn.layers import LeakyReadout, RecurrentLIFLayer
 from repro.snn.neurons import LIFParameters
@@ -35,7 +39,7 @@ from repro.autograd.surrogate import fast_sigmoid_surrogate
 #: A per-layer threshold-controller factory, ``layer -> controller``.
 ControllerFactory = Callable[[RecurrentLIFLayer], ThresholdController]
 
-__all__ = ["SpikingNetwork", "ForwardResult"]
+__all__ = ["SpikingNetwork", "ForwardResult", "write_weights", "read_weights"]
 
 #: Samples per :meth:`SpikingNetwork.predict` forward chunk.
 PREDICT_BATCH = 64
@@ -325,3 +329,48 @@ class SpikingNetwork:
                 )
                 predictions.append(result.logits.data.argmax(axis=1))
         return np.concatenate(predictions) if predictions else np.empty(0, dtype=int)
+
+
+#: A :meth:`SpikingNetwork.state_dict`: ``{layer: {param: array}}``.
+WeightState = dict[str, dict[str, np.ndarray]]
+
+
+def write_weights(path: str | Path, state: WeightState, **extra: np.ndarray) -> None:
+    """Atomically write ``state`` as an ``.npz`` weights archive.
+
+    Each weight is one ``{layer}/{param}`` member, in ``state``'s order;
+    the ``extra`` members (names without a ``/``) follow.
+    """
+    flat = {
+        f"{layer}/{param}": value
+        for layer, params in state.items()
+        for param, value in params.items()
+    }
+    flat.update(extra)
+    with atomic_open(path, "wb") as handle:
+        np.savez(handle, **flat)
+
+
+def read_weights(data: bytes) -> tuple[WeightState, dict[str, np.ndarray]]:
+    """Parse the bytes of a :func:`write_weights` archive.
+
+    Returns:
+        The weight state and the extra members, by name.
+
+    Raises:
+        DataError: If ``data`` is not a readable ``.npz`` archive
+            (truncated, not a zip, or a member failing its CRC).
+    """
+    state: WeightState = {}
+    extra: dict[str, np.ndarray] = {}
+    try:
+        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            for key in archive.files:
+                layer, slash, param = key.partition("/")
+                if slash:
+                    state.setdefault(layer, {})[param] = archive[key]
+                else:
+                    extra[key] = archive[key]
+    except (OSError, EOFError, ValueError, BadZipFile) as error:
+        raise DataError(f"not a readable weights archive: {error}") from None
+    return state, extra

@@ -1,9 +1,9 @@
-"""Simulation trace containers consumed by the hardware cost models.
+"""Simulation trace containers consumed by the hardware cost model.
 
 A forward pass optionally records a :class:`SpikeTrace`: per-layer spike
 counts and dimensions.  The :mod:`repro.hw` package turns these into
 synaptic-operation (SOP), MAC, and memory-traffic counts — the basis of
-the latency/energy models that substitute for the paper's GPU
+the latency/energy model that substitutes for the paper's GPU
 measurements.
 """
 
@@ -51,14 +51,4 @@ class SpikeTrace:
     def add(self, entry: LayerTraceEntry) -> None:
         """Append one layer's activity record."""
         self.entries.append(entry)
-
-    @property
-    def timesteps(self) -> int:
-        """Temporal extent of the traced pass (0 when empty)."""
-        return self.entries[0].timesteps if self.entries else 0
-
-    @property
-    def batch(self) -> int:
-        """Batch extent of the traced pass (0 when empty)."""
-        return self.entries[0].batch if self.entries else 0
 

@@ -11,7 +11,6 @@ from repro.training.losses import readout_cross_entropy
 from repro.training.metrics import (
     EpochRecord,
     TrainingHistory,
-    forgetting,
     top1_accuracy,
 )
 from repro.training.optimizers import Adam, Optimizer
@@ -26,5 +25,4 @@ __all__ = [
     "TrainingHistory",
     "EpochRecord",
     "top1_accuracy",
-    "forgetting",
 ]

@@ -10,7 +10,6 @@ from repro.errors import ShapeError
 
 __all__ = [
     "top1_accuracy",
-    "forgetting",
     "EpochRecord",
     "TrainingHistory",
 ]
@@ -27,11 +26,6 @@ def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if predictions.size == 0:
         return 0.0
     return float((predictions == labels).mean())
-
-
-def forgetting(accuracy_before: float, accuracy_after: float) -> float:
-    """Accuracy drop on old tasks after learning a new one (>= 0 means forgot)."""
-    return accuracy_before - accuracy_after
 
 
 @dataclass(frozen=True)

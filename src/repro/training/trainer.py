@@ -77,7 +77,7 @@ class Trainer:
         self.rng = rng or default_rng()
         self.controller = controller
         #: SpikeTraces of every forward pass, grouped per epoch — the raw
-        #: material of the hardware latency/energy models.
+        #: material of the hardware cost model.
         self.epoch_traces: list[list[SpikeTrace]] = []
 
     # ------------------------------------------------------------------

@@ -16,9 +16,6 @@ class TestPretrain:
         losses = ci_pretrained.history.losses
         assert losses[-1] < losses[0]
 
-    def test_traces_collected(self, ci_pretrained, ci_preset):
-        assert len(ci_pretrained.epoch_traces) == ci_preset.experiment.pretrain.epochs
-
     def test_deterministic_given_seed(self, ci_preset, ci_split, ci_pretrained):
         again = pretrain(ci_preset.experiment, ci_split)
         assert again.test_accuracy == pytest.approx(ci_pretrained.test_accuracy)

@@ -1,9 +1,15 @@
-"""Tests for OpCounts / OpsCounter."""
+"""Tests for OpCounts and the op-counting rules."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.hw import OpCounts, OpsCounter
+from repro.hw.cost import (
+    BACKWARD_MULTIPLIER,
+    OpCounts,
+    count_codec,
+    count_forward,
+    count_training,
+)
 from repro.snn.state import LayerTraceEntry, SpikeTrace
 
 
@@ -38,66 +44,60 @@ class TestOpCounts:
 class TestForwardCounts:
     def test_sop_rule(self):
         # feedforward: 100 spikes x fanout 5; recurrent: 50 x 5
-        counts = OpsCounter().count_forward(make_trace())
+        counts = count_forward(make_trace())
         assert counts.sops == 100 * 5 + 50 * 5
 
     def test_sop_rule_no_recurrent(self):
-        counts = OpsCounter().count_forward(make_trace(recurrent=False))
+        counts = count_forward(make_trace(recurrent=False))
         assert counts.sops == 100 * 5
 
     def test_mac_rule(self):
-        counts = OpsCounter().count_forward(make_trace())
+        counts = count_forward(make_trace())
         assert counts.macs == 8 * 2 * (10 * 5 + 5 * 5)
 
     def test_macs_independent_of_spikes(self):
-        dense = OpsCounter().count_forward(make_trace(input_spikes=1000.0))
-        sparse = OpsCounter().count_forward(make_trace(input_spikes=1.0))
+        dense = count_forward(make_trace(input_spikes=1000.0))
+        sparse = count_forward(make_trace(input_spikes=1.0))
         assert dense.macs == sparse.macs
         assert dense.sops > sparse.sops
 
     def test_neuron_update_rule(self):
-        counts = OpsCounter().count_forward(make_trace())
+        counts = count_forward(make_trace())
         assert counts.neuron_updates == 8 * 2 * 5
 
     def test_memory_positive(self):
-        assert OpsCounter().count_forward(make_trace()).memory_bytes > 0
+        assert count_forward(make_trace()).memory_bytes > 0
 
     def test_multi_layer_sums(self):
         trace = make_trace()
         trace.add(trace.entries[0])
-        double = OpsCounter().count_forward(trace)
-        single = OpsCounter().count_forward(make_trace())
+        double = count_forward(trace)
+        single = count_forward(make_trace())
         assert double.sops == 2 * single.sops
 
 
 class TestTrainingCounts:
     def test_backward_multiplier(self):
-        counter = OpsCounter(backward_multiplier=2.0)
-        fwd = counter.count_forward(make_trace())
-        train = counter.count_training(make_trace())
+        assert BACKWARD_MULTIPLIER == 2.0
+        fwd = count_forward(make_trace())
+        train = count_training(make_trace())
         assert train.sops == pytest.approx(3.0 * fwd.sops)
         assert train.macs == pytest.approx(3.0 * fwd.macs)
 
-    def test_zero_multiplier_is_forward(self):
-        counter = OpsCounter(backward_multiplier=0.0)
-        fwd = counter.count_forward(make_trace())
-        train = counter.count_training(make_trace())
-        assert train.sops == fwd.sops
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            OpsCounter(backward_multiplier=-1.0)
+    def test_training_is_forward_plus_scaled_backward(self):
+        fwd = count_forward(make_trace())
+        assert count_training(make_trace()) == fwd + fwd.scaled(BACKWARD_MULTIPLIER)
 
 
 class TestCodecCounts:
     def test_cells_counted(self):
-        counts = OpsCounter().count_codec(800)
+        counts = count_codec(800)
         assert counts.codec_cells == 800
         assert counts.memory_bytes == 100  # 1 bit per cell
 
     def test_zero_cells(self):
-        assert OpsCounter().count_codec(0).codec_cells == 0
+        assert count_codec(0).codec_cells == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
-            OpsCounter().count_codec(-1)
+            count_codec(-1)

@@ -29,6 +29,7 @@ from repro.eval.scale import get_scale
 from repro.obs import Recorder, use_recorder
 from repro.scenario import ScenarioCheckpoint, run_scenario
 from repro.scenario.checkpoint import MANIFEST_NAME, run_fingerprint
+from repro.snn.network import SpikingNetwork, write_weights
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -344,6 +345,40 @@ class TestCorruptionIsNeverSilent:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="stream changed"):
             resume(committed_checkpoint)
+
+
+class TestArchiveReadOnce:
+    def test_archive_edited_after_hash_is_not_read(self, tmp_path, monkeypatch):
+        # The archive bytes that pass the sha256 check are the bytes the
+        # weights come from: an archive swapped on disk after the hash
+        # was taken must not be the one loaded.
+        config = make_experiment().network
+        saved, other = SpikingNetwork(config, seed=0), SpikingNetwork(config, seed=1)
+        checkpoint = ScenarioCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(
+            fingerprint="run", scenario="s", method="m", steps_completed=0,
+            pretrain_accuracy=0.5, step_names=[], rows=[], results=[],
+            network=saved,
+        )
+        archive = next((tmp_path / "ckpt").glob("network-step-*.npz"))
+        write_weights(tmp_path / "other.npz", other.state_dict())
+        swapped = (tmp_path / "other.npz").read_bytes()
+        real_read_bytes = Path.read_bytes
+        reads = []
+
+        def read_then_swap(path):
+            data = real_read_bytes(path)
+            if path == archive:
+                reads.append(path)
+                path.write_bytes(swapped)
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_swap)
+        state = checkpoint.load(fingerprint="run").network_state
+        assert reads == [archive]
+        for layer, params in saved.state_dict().items():
+            for name, value in params.items():
+                np.testing.assert_array_equal(state[layer][name], value)
 
 
 class TestArgumentValidation:

@@ -255,7 +255,7 @@ class TestRunScenarioAPI:
 
 
 class TestExperimentsWiring:
-    def test_eval_run_scenario_reuses_context(self, monkeypatch, tmp_path):
+    def test_run_scenario_at_scale_reuses_context(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
         from repro.eval import experiments
         from repro.scenario import runner
@@ -266,11 +266,11 @@ class TestExperimentsWiring:
             raise AssertionError("pre-training must be reused, not re-run")
 
         monkeypatch.setattr(runner, "pretrain", no_pretrain)
-        result = experiments.run_scenario("single-step", "naive", scale="ci")
+        result = experiments.run_scenario_at_scale("single-step", "naive", scale="ci")
         assert result.scenario == "single-step"
         assert len(result.steps) == 1
 
-    def test_eval_run_scenario_skips_cache_on_override(
+    def test_run_scenario_at_scale_skips_cache_on_override(
         self, env, monkeypatch, tmp_path
     ):
         # A caller-supplied experiment changes the base split; the
@@ -290,7 +290,7 @@ class TestExperimentsWiring:
             return real_pretrain(*args, **kwargs)
 
         monkeypatch.setattr(runner, "pretrain", counting_pretrain)
-        result = experiments.run_scenario(
+        result = experiments.run_scenario_at_scale(
             "single-step", "naive", scale="ci", experiment=custom
         )
         assert len(calls) == 1

@@ -181,6 +181,26 @@ def test_every_export_has_a_caller(module_name):
     assert not uncalled, f"{module_name} exports names no run calls: {uncalled}"
 
 
+def test_no_public_name_is_defined_twice():
+    """A public function or class name is defined by one library module.
+
+    The export census matches bare names, so a second definition of a
+    name (``a.f`` beside ``b.f``) passes it on the other's callers alone.
+    """
+    if not (REPO / "src" / "repro").is_dir():
+        pytest.skip("source tree layout not available")
+    defined: dict[str, list[str]] = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                node.name.startswith("_")
+            ):
+                relative = path.relative_to(REPO / "src").as_posix()
+                defined.setdefault(node.name, []).append(relative)
+    twice = {name: paths for name, paths in defined.items() if len(paths) > 1}
+    assert not twice, f"public names defined by more than one module: {twice}"
+
+
 #: Public methods and properties with no caller outside the tests,
 #: each kept for a reason (``Class.name``).
 UNCALLED_METHODS = {

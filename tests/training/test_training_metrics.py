@@ -7,7 +7,6 @@ from repro.errors import ShapeError
 from repro.training import (
     EpochRecord,
     TrainingHistory,
-    forgetting,
     top1_accuracy,
 )
 
@@ -22,10 +21,6 @@ class TestAccuracy:
     def test_top1_shape_mismatch(self):
         with pytest.raises(ShapeError):
             top1_accuracy(np.array([1]), np.array([1, 2]))
-
-    def test_forgetting(self):
-        assert forgetting(0.9, 0.6) == pytest.approx(0.3)
-        assert forgetting(0.5, 0.7) == pytest.approx(-0.2)  # backward transfer
 
 
 class TestHistory:
