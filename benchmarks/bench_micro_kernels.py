@@ -19,11 +19,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.autograd import cross_entropy
 from repro.compression import BitpackCodec, TemporalSubsampleCodec
 from repro.config import NetworkConfig
 from repro.snn import LIFParameters, RecurrentLIFLayer, SpikingNetwork
-from repro.training import Adam
+from repro.training import Adam, readout_cross_entropy
 
 #: (T_pretrain, T_ncl, batch) per scale; mirrors Fig. 8's 100-vs-40
 #: timestep comparison at bench scale.
@@ -86,7 +85,7 @@ def test_bptt_training_step_t40(benchmark, network, rng):
 
     def step():
         result = network.forward(x)
-        loss = cross_entropy(result.logits, labels)
+        loss = readout_cross_entropy(result.logits, labels)
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()

@@ -5,7 +5,9 @@ continual learning (NCL) on embedded AI systems.  This package implements
 the paper's contribution **and every substrate it depends on**, from
 scratch on numpy:
 
-- :mod:`repro.autograd` — reverse-mode autodiff with surrogate gradients.
+- :mod:`repro.autograd` — the weight Tensor, the reverse walk over
+  saved layer passes (each layer is its own backward), and the
+  surrogate-gradient families.
 - :mod:`repro.snn` — recurrent LIF spiking layers and networks.
 - :mod:`repro.data` — a synthetic Spiking-Heidelberg-Digits generator and
   class-incremental task machinery.

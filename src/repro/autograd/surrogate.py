@@ -1,10 +1,12 @@
-"""Spike activation with surrogate gradients.
+"""Surrogate-gradient families for the spike function.
 
 The forward pass of a spiking neuron is the non-differentiable Heaviside
 step ``S = 1[V - Vthr > 0]`` (paper Fig. 5a).  Surrogate-gradient learning
 replaces the step's zero-almost-everywhere derivative with a smooth
-pseudo-derivative during the backward pass (Fig. 5b).  The paper — and the
-SpikingLR comparator it builds on — uses the *fast sigmoid*:
+pseudo-derivative during the backward pass (Fig. 5b): the LIF layer
+pass's backward evaluates it on ``V - Vthr`` over the whole sequence.
+The paper — and the SpikingLR comparator it builds on — uses the *fast
+sigmoid*:
 
     dS/dx ~= 1 / (scale * |x| + 1)^2
 
@@ -19,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.autograd.tensor import Function, Tensor
 from repro.errors import ConfigError
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "atan_surrogate",
     "boxcar_surrogate",
     "straight_through_surrogate",
-    "spike",
 ]
 
 
@@ -100,25 +100,3 @@ def straight_through_surrogate() -> SurrogateSpec:
         return np.ones_like(x)
 
     return SurrogateSpec(name="straight_through", derivative=derivative)
-
-
-class _Spike(Function):
-    def forward(self, x, derivative):
-        self.x, self.derivative = x, derivative
-        return (x > 0.0).astype(x.dtype)
-
-    def backward(self, g):
-        return g * self.derivative(self.x)
-
-
-def spike(membrane_minus_threshold: Tensor, surrogate: SurrogateSpec) -> Tensor:
-    """Heaviside forward / surrogate backward (paper Fig. 5).
-
-    Parameters
-    ----------
-    membrane_minus_threshold:
-        ``V - Vthr``; a spike fires where this is strictly positive.
-    surrogate:
-        The pseudo-derivative family to use in the backward pass.
-    """
-    return _Spike.apply(membrane_minus_threshold, derivative=surrogate.derivative)

@@ -22,7 +22,6 @@ runs are bitwise-identical (asserted at ci scale in the test suite).
 
 from repro.obs.clock import Clock, ManualClock, MonotonicClock
 from repro.obs.export import (
-    from_chrome,
     maybe_export,
     read_jsonl,
     to_chrome,
@@ -66,7 +65,6 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "to_chrome",
-    "from_chrome",
     "write_chrome",
     "maybe_export",
     "SpanAggregate",

@@ -6,8 +6,8 @@ header, then ``span`` and ``metric`` records) — and round-trips back to
 via :func:`read_jsonl`.  :func:`to_chrome` converts spans to the Chrome
 ``trace_event`` format (``"X"`` complete events with microsecond
 ``ts``/``dur``, plus ``"M"`` thread-name metadata) loadable in Perfetto
-or ``chrome://tracing``; span/parent ids ride along in ``args`` so
-:func:`from_chrome` can reconstruct the tree.  Metrics are JSONL-only —
+or ``chrome://tracing``; span/parent ids ride along in ``args``, so
+the tree survives the conversion.  Metrics are JSONL-only —
 the Chrome format has no aggregate-series notion worth abusing.
 """
 
@@ -26,7 +26,6 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "to_chrome",
-    "from_chrome",
     "write_chrome",
     "maybe_export",
 ]
@@ -178,42 +177,6 @@ def to_chrome(spans: tuple[SpanRecord, ...] | list[SpanRecord]) -> dict:
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def from_chrome(payload: dict) -> tuple[SpanRecord, ...]:
-    """Reconstruct spans from a :func:`to_chrome` payload.
-
-    Timestamps survive the seconds→microseconds→seconds round trip to
-    float precision; ids, names, categories, threads and attributes are
-    exact.
-    """
-    events = payload.get("traceEvents", [])
-    thread_of: dict[int, str] = {}
-    for event in events:
-        if event.get("ph") == "M" and event.get("name") == "thread_name":
-            thread_of[int(event["tid"])] = event["args"]["name"]
-    spans = []
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        args = dict(event.get("args", {}))
-        span_id = int(args.pop("span_id"))
-        parent_id = args.pop("parent_id")
-        start = float(event["ts"]) / 1e6
-        spans.append(
-            SpanRecord(
-                span_id=span_id,
-                parent_id=None if parent_id is None else int(parent_id),
-                name=event["name"],
-                category="" if event.get("cat") == "repro" else event.get("cat", ""),
-                thread=thread_of.get(int(event["tid"]), "MainThread"),
-                start=start,
-                end=start + float(event["dur"]) / 1e6,
-                attrs=args,
-            )
-        )
-    spans.sort(key=lambda s: s.span_id)
-    return tuple(spans)
 
 
 def write_chrome(

@@ -9,7 +9,10 @@ is trained during the NCL phase).
 
 The simulation hot path is one execution: fused sequence kernels
 (:mod:`repro.snn.kernels`) that run a layer's whole time loop — dynamic
-thresholds included — in one autograd tape node.
+thresholds included — in one pass.  Each layer is its own backward:
+while training, its pass is saved on the output Tensor, and
+``Tensor.backward`` on the loss runs the learning layers' passes in
+reverse, down to the frozen front.
 """
 
 from repro.snn.init import dense_init, recurrent_init

@@ -1,7 +1,7 @@
 """Kernel backends for the fused SNN sequence sweeps, and their selection.
 
 The fused kernels (:mod:`repro.snn.kernels`) define *what* runs as one
-autograd tape node; this package decides *who executes it*.  Mirroring
+layer pass; this package decides *who executes it*.  Mirroring
 tinygrad's ``runtime/ops_*.py`` split, each backend is a
 :class:`~repro.snn.backends.base.SequenceExecutor`, and
 :data:`BACKENDS` holds the two there are, in speed order:
@@ -90,7 +90,7 @@ def select_backend(name: str | None = None) -> SequenceExecutor:
 
 
 # The active executor is memoised per environment selection so the hot
-# path (one lookup per fused tape node) costs a string compare, while
+# path (one lookup per layer pass) costs a string compare, while
 # flipping REPRO_BACKEND mid-process still takes effect immediately.
 _ACTIVE: dict[str, SequenceExecutor | None] = {"selection": None, "backend": None}
 

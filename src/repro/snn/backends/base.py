@@ -1,8 +1,8 @@
 """The kernel-backend contract: sequence executors.
 
 The fused sequence kernels (:mod:`repro.snn.kernels`) collapse the SNN
-time loop into single autograd tape nodes.  *What runs inside* those
-nodes is pluggable: a :class:`SequenceExecutor` implements the four
+time loop into one pass per layer.  *What runs inside* those
+passes is pluggable: a :class:`SequenceExecutor` implements the four
 time-recurrent sweeps (LIF/CuBa forward, LIF/CuBa reverse, leaky-readout
 forward and reverse), mirroring tinygrad's ``runtime/ops_*.py`` split.
 The executors and their selection live in :mod:`repro.snn.backends`.

@@ -54,7 +54,7 @@ __all__ = ["CffiExecutor", "kernel_source"]
 
 # Arithmetic mirrors numpy_ref line for line; every expression relies on
 # C's left-to-right association for + and - so the accumulation order
-# matches the documented tape order.
+# matches the documented per-step order.
 _SOURCE = r"""
 #include <string.h>
 typedef long long blasint;  /* numpy's OpenBLAS is the ILP64 build */
@@ -511,7 +511,7 @@ class CffiExecutor(SequenceExecutor):
             return membrane, spikes, spec.vthr
         value = controller.value
         for t in range(timesteps):
-            vthr[t] = value  # the dtype cast the tape applies
+            vthr[t] = value  # the dtype cast the per-step oracle applies
             kernel(t, batch, n_out, p_ff, p_w, p_vthr + t * n_out, *consts, *p_state)
             counts = spikes[t].sum(axis=0)
             value = controller.step(t, counts, counts * t)

@@ -2,9 +2,9 @@
 
 This module *is* the semantics of the backend contract: the forward
 recurrence runs the same elementwise operations in the same order as
-the per-timestep autograd tape (kept readable as the test oracle,
-``tests/snn/oracle.py``), and the reverse sweep is the hand-derived BPTT
-documented in :mod:`repro.snn.kernels`.  Every other backend is pinned
+the per-timestep formulation (kept readable as the plain-numpy test
+oracle, ``tests/snn/oracle.py``), and the reverse sweep is the
+hand-derived BPTT documented in :mod:`repro.snn.kernels`.  Every other backend is pinned
 to these trajectories bitwise by the parity suite
 (``tests/snn/test_backends.py``).
 
@@ -12,15 +12,15 @@ to these trajectories bitwise by the parity suite
 trajectories* as this one, not just close ones: spiking networks are
 chaotic, so a one-ulp gradient difference grows into different spike
 rasters within a few optimizer steps.  Every elementwise accumulation
-below therefore replicates the association order of the per-step tape
+below therefore replicates the association order of the per-step oracle
 exactly (float addition commutes but does not associate):
 
 - ``gS[t] = (upstream + reset-path) + recurrent-path``,
 - ``gV[t] = surrogate-path + decay-path``,
-- partial products mirror the tape, e.g. the reset path is
+- partial products mirror the oracle, e.g. the reset path is
   ``(gV * beta) * V[t-1]`` — never ``gV * (beta * V[t-1])``.
 
-Products stay on BLAS, whose summation order is not the tape's: the
+Products stay on BLAS, whose summation order is not the oracle's: the
 weight gradients are one GEMM each (:mod:`repro.snn.kernels`), so they
 match the oracle to a stated tolerance while forward spikes stay bitwise.
 """
@@ -44,7 +44,7 @@ def lif_forward_sweep(
     """Forward recurrence shared by the LIF and CuBa kernels.
 
     Runs the same elementwise operations in the same order as ``T``
-    steps of the per-timestep tape on the already-projected feedforward
+    steps of the per-timestep oracle on the already-projected feedforward
     currents ``ff`` (the stacked GEMM is bitwise-equal to the per-step
     ``x[t] @ w_ff``).  A ``controller`` is consulted between timesteps
     (:meth:`SequenceExecutor.lif_forward` has the protocol).  Returns
@@ -67,7 +67,7 @@ def lif_forward_sweep(
         vthr = controller.value
     for t in range(timesteps):
         if thresholds is not None:
-            # The dtype cast the tape applies to the controller's value.
+            # The dtype cast the oracle applies to the controller's value.
             thresholds[t] = vthr
             vthr = thresholds[t]
         current = ff[t] + s @ w_rec

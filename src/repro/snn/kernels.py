@@ -1,15 +1,16 @@
 """Fused sequence kernels: the one execution path of the SNN time loop.
 
-Each kernel collapses a layer's whole ``[T, B, N]`` time loop into
-**one** :class:`repro.autograd.Function` — the autograd tape's only
-kind of node, so ``Tensor.backward`` calls it exactly once: the
-forward runs the recurrence over preallocated state arrays, and the
-backward is hand-derived BPTT through the decay/reset/recurrent/surrogate
-path.  The readable per-timestep formulation — one tape node per decay,
-reset, matmul and Heaviside — lives on only as the test oracle
-(``tests/snn/oracle.py``): forward spikes match it bitwise, weight
-gradients to a stated tolerance (they are one GEMM over ``T·B`` here,
-``T`` per-step products summed on the tape).
+Each kernel runs a layer's whole ``[T, B, N]`` time loop as one pass.
+The forward runs the recurrence over preallocated state arrays; while
+training it also saves a pass on its output
+:class:`~repro.autograd.Tensor` (see :mod:`repro.autograd.tensor`),
+whose backward is hand-derived BPTT through the
+decay/reset/recurrent/surrogate path.  ``Tensor.backward`` runs each
+layer's backward exactly once.  The readable per-timestep formulation
+lives on only as the test oracle (``tests/snn/oracle.py``), plain numpy
+one step at a time: forward spikes match it bitwise, weight gradients
+to a stated tolerance (they are one GEMM over ``T·B`` here, ``T``
+per-step products summed in the oracle).
 
 A sweep's threshold is the layer's ``params.threshold`` or, for Alg. 1's
 dynamic threshold, a :class:`~repro.snn.threshold.ThresholdController`:
@@ -23,7 +24,7 @@ the GEMMs (the stacked feedforward projection and one weight-gradient
 GEMM per weight — the bitwise anchor, always numpy) and hands the
 time-recurrent sweeps to the backend selected via ``REPRO_BACKEND``
 (see :mod:`repro.snn.backends`).  The numpy reference executor runs the
-same elementwise operations in the same order as the per-step tape; the
+same elementwise operations in the same order as the per-step oracle; the
 C executor replicates that association order bitwise in compiled code.
 
 Hand-derived BPTT (hard reset, Eq. 2; every hidden layer is recurrent)::
@@ -56,7 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.autograd import Function, Tensor
+from repro.autograd import Tensor
 from repro.errors import ConfigError, ShapeError
 from repro.snn import backends
 from repro.snn.backends import SweepSpec
@@ -102,104 +103,90 @@ def _kernel_span(kernel: str, backend: str, dtype: np.dtype):
     return recorder.span(f"kernel.{kernel}", category="kernel", backend=backend, dtype=dtype)
 
 
-def _sequence_weight_grads(node, x, w_ff, w_rec, spikes, g_current):
-    """Input/weight gradients from ``gI``, one GEMM each over ``T·B``.
+class _LIFPass:
+    """One (CuBa-)LIF layer pass: the saved sweep and its hand-derived BPTT."""
 
-    BLAS, not the per-step tape, picks the summation order (see the
-    oracle tolerance in ``docs/reproducibility.md``).  Gradients whose
-    ``node.needs_input_grad`` flag is False are skipped.
-    """
-    needs = node.needs_input_grad
-    gx = g_current @ w_ff.T if needs[0] else None
-    gw_ff = _flat(x).T @ _flat(g_current) if needs[1] else None
-    gw_rec = None
-    if needs[2]:
-        # S[-1] = 0: gI[0] never reaches Wrec, and at T == 1 the empty
-        # product is its zero gradient (not an absent one).
-        gw_rec = _flat(spikes[:-1]).T @ _flat(g_current[1:])
-    return gx, gw_ff, gw_rec
-
-
-class _LIFSequence(Function):
-    """Single tape node for a full (CuBa-)LIF layer pass (module docstring)."""
-
-    def forward(self, x, w_ff, w_rec, params, alpha, controller):
-        """Run the T-step membrane/spike sweep on the active backend."""
-        executor = backends.active()
-        vthr = None if controller is not None else params.threshold
-        spec = SweepSpec(beta=params.beta, vthr=vthr, alpha=alpha)
-        kernel = "lif" if alpha is None else "cuba_lif"
-        ff = x @ w_ff
-        with _kernel_span(f"{kernel}_forward", executor.name, ff.dtype):
-            membrane, spikes, used = executor.lif_forward(ff, w_rec, spec, controller)
-        if controller is not None and np.any(used <= 0.0):
-            raise ConfigError(f"{controller!r} produced a non-positive threshold")
-        self.saved = x, w_ff, w_rec, membrane, spikes
-        self.params = params
+    def __init__(self, x, w_ff, w_rec, membrane, spikes, vthr, params, spec, kernel, executor):
+        self.input, self.w_ff, self.w_rec = x, w_ff, w_rec
+        self.saved = x.data, w_ff.data, w_rec.data, membrane, spikes
+        self.vthr = vthr
+        self.surrogate = params.surrogate.derivative
         self.spec = spec
-        self.vthr = used
         self.kernel = kernel
         # The executor is pinned at forward time so backward runs on the
-        # same backend even if REPRO_BACKEND flips mid-graph.
+        # same backend even if REPRO_BACKEND flips in between.
         self.executor = executor
-        return spikes
 
-    def backward(self, g_spikes):
-        """Hand-derived BPTT: the tape's elementwise order, one GEMM per weight."""
+    def backward(self, g_spikes: np.ndarray) -> np.ndarray | None:
+        """The reverse sweep, then one GEMM per gradient over ``T·B``.
+
+        BLAS, not a per-step sum, picks the weight gradients' summation
+        order (see the oracle tolerance in ``docs/reproducibility.md``).
+        Sets the trainable weights' ``.grad``; returns the input's
+        gradient, or None when the input needs none.
+        """
         x, w_ff, w_rec, membrane, spikes = self.saved
         vthr = self.vthr
         if np.ndim(vthr) == 2:  # per-step [T, N] record -> [T, 1, N]
             vthr = vthr[:, None, :]
-        surrogate = self.params.surrogate.derivative(membrane - vthr)
+        surrogate = self.surrogate(membrane - vthr)
         with _kernel_span(f"{self.kernel}_backward", self.executor.name, spikes.dtype):
             g_current = self.executor.lif_backward(
                 g_spikes, surrogate, membrane, spikes, w_rec, self.spec
             )
-        return _sequence_weight_grads(self, x, w_ff, w_rec, spikes, g_current) + (
-            None,
-        ) * 3
+        if self.w_ff.requires_grad:
+            self.w_ff.grad = _flat(x).T @ _flat(g_current)
+        if self.w_rec.requires_grad:
+            # S[-1] = 0: gI[0] never reaches Wrec, and at T == 1 the empty
+            # product is its zero gradient (not an absent one).
+            self.w_rec.grad = _flat(spikes[:-1]).T @ _flat(g_current[1:])
+        return g_current @ w_ff.T if self.input.requires_grad else None
 
 
-class _LeakyReadoutSequence(Function):
-    """Fused non-spiking leaky integrator: returns the time-mean logits."""
+class _ReadoutPass:
+    """One leaky-readout pass: the saved integration and its backward."""
 
-    def forward(self, x, w_ff, beta):
-        """Integrate on the active backend, then average over time.
-
-        The mean is ``Tensor.mean(axis=0)``'s own ops, a sum then a 0-d
-        scale in the trajectory's dtype, so the logits match it bitwise.
-        """
-        executor = backends.active()
-        projected = x @ w_ff
-        with _kernel_span("readout_forward", executor.name, projected.dtype):
-            trajectory = executor.readout_forward(projected, beta)
-        self.saved = x, w_ff
-        self.beta = beta
-        self.shape = trajectory.shape
-        self.scale = np.asarray(1.0 / trajectory.shape[0], trajectory.dtype)
+    def __init__(self, x, w_ff, beta, shape, scale, executor):
+        self.input, self.w_ff = x, w_ff
+        self.saved = x.data, w_ff.data
+        self.beta, self.shape, self.scale = beta, shape, scale
         self.executor = executor
-        return trajectory.sum(axis=0) * self.scale
 
-    def backward(self, g_logits):
+    def backward(self, g_logits: np.ndarray) -> np.ndarray | None:
         """Spread ``g * scale`` over time, reverse the decay chain, then the GEMMs.
 
         The upstream gradient is cast to the sweep's dtype first, so a
-        wider gradient never promotes the readout's weight gradient.
+        wider gradient never promotes the readout's weight gradient.  A
+        class mask's additive penalty passes its gradient through
+        unchanged, so a masked readout runs this same backward.
         """
         x, w_ff = self.saved
         g_logits = np.asarray(g_logits, dtype=self.scale.dtype)
         g_trajectory = np.broadcast_to(g_logits * self.scale, self.shape).copy()
         with _kernel_span("readout_backward", self.executor.name, self.scale.dtype):
             g_membrane = self.executor.readout_backward(g_trajectory, self.beta)
-        gx = g_membrane @ w_ff.T if self.needs_input_grad[0] else None
-        gw_ff = _flat(x).T @ _flat(g_membrane) if self.needs_input_grad[1] else None
-        return gx, gw_ff, None
+        if self.w_ff.requires_grad:
+            self.w_ff.grad = _flat(x).T @ _flat(g_membrane)
+        return g_membrane @ w_ff.T if self.input.requires_grad else None
 
 
 def _lif_apply(x, w_ff, w_rec, params, alpha, controller) -> Tensor:
     x, w_ff, w_rec = (a if isinstance(a, Tensor) else Tensor(a) for a in (x, w_ff, w_rec))
     _check_sequence_args(x.data, w_ff.data, w_rec.data)
-    return _LIFSequence.apply(x, w_ff, w_rec, params, alpha, controller)
+    executor = backends.active()
+    vthr = None if controller is not None else params.threshold
+    spec = SweepSpec(beta=params.beta, vthr=vthr, alpha=alpha)
+    kernel = "lif" if alpha is None else "cuba_lif"
+    ff = x.data @ w_ff.data
+    with _kernel_span(f"{kernel}_forward", executor.name, ff.dtype):
+        membrane, spikes, used = executor.lif_forward(ff, w_rec.data, spec, controller)
+    if controller is not None and np.any(used <= 0.0):
+        raise ConfigError(f"{controller!r} produced a non-positive threshold")
+    layer_pass = _LIFPass(
+        x, w_ff, w_rec, membrane, spikes, used, params, spec, kernel, executor
+    )
+    needs_grad = x.requires_grad or w_ff.requires_grad or w_rec.requires_grad
+    return Tensor(spikes, needs_grad, layer_pass)
 
 
 def lif_sequence(
@@ -209,7 +196,7 @@ def lif_sequence(
     w_rec: Tensor | np.ndarray,
     controller: ThresholdController | None = None,
 ) -> Tensor:
-    """Run a whole recurrent LIF layer sequence as one fused tape node.
+    """Run a whole recurrent LIF layer sequence as one fused pass.
 
     Args:
         x: Input spikes/activations ``[T, B, n_in]``.
@@ -222,7 +209,9 @@ def lif_sequence(
 
     Returns:
         The output spike raster ``[T, B, n_out]``, numerically identical
-        to ``T`` steps of the per-timestep LIF update (Eq. 1-2).
+        to ``T`` steps of the per-timestep LIF update (Eq. 1-2).  It
+        carries the layer's pass when the input or a weight requires
+        grad (and not under :func:`~repro.autograd.no_grad`).
     """
     return _lif_apply(x, w_ff, w_rec, params, None, controller)
 
@@ -250,7 +239,7 @@ def leaky_readout_sequence(
     w_ff: Tensor | np.ndarray,
     beta: float,
 ) -> Tensor:
-    """Fused leaky-integrator readout: logits ``[B, C]`` in one tape node.
+    """Fused leaky-integrator readout: logits ``[B, C]`` in one pass.
 
     Args:
         x: Input spikes/activations ``[T, B, n_in]``.
@@ -259,12 +248,21 @@ def leaky_readout_sequence(
 
     Returns:
         Each class membrane's mean over the ``T`` steps of
-        ``m[t] = beta * m[t-1] + x[t] @ w_ff``, bitwise equal to the
-        trajectory's ``Tensor.mean(axis=0)``.
+        ``m[t] = beta * m[t-1] + x[t] @ w_ff``: the trajectory's sum over
+        time, times ``1/T`` in its dtype.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     w_ff = w_ff if isinstance(w_ff, Tensor) else Tensor(w_ff)
     _check_sequence_args(x.data, w_ff.data, None)
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"readout beta must lie in (0, 1), got {beta}")
-    return _LeakyReadoutSequence.apply(x, w_ff, float(beta))
+    beta = float(beta)
+    executor = backends.active()
+    projected = x.data @ w_ff.data
+    with _kernel_span("readout_forward", executor.name, projected.dtype):
+        trajectory = executor.readout_forward(projected, beta)
+    # The time mean is a sum then a 0-d scale in the trajectory's dtype.
+    scale = np.asarray(1.0 / trajectory.shape[0], trajectory.dtype)
+    layer_pass = _ReadoutPass(x, w_ff, beta, trajectory.shape, scale, executor)
+    logits = trajectory.sum(axis=0) * scale
+    return Tensor(logits, x.requires_grad or w_ff.requires_grad, layer_pass)

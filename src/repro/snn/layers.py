@@ -6,7 +6,9 @@ arrays or Tensors of shape ``[T, B, N]`` (timesteps, batch, neurons).
 Every layer pass runs as one fused sequence kernel
 (:mod:`repro.snn.kernels`), including passes under a dynamic
 :class:`~repro.snn.threshold.ThresholdController` (Alg. 1), which the
-kernel consults between timesteps.
+kernel consults between timesteps.  Each layer is its own backward:
+a training forward saves its pass on the output Tensor, and
+``Tensor.backward`` on the loss runs the passes in reverse.
 """
 
 from __future__ import annotations
@@ -132,11 +134,13 @@ class RecurrentLIFLayer:
 
         ``controller`` supplies the effective threshold per timestep
         (Alg. 1); None means the layer's static ``params.threshold``.
-        When the layer is frozen (no trainable parameters) and the input
-        carries no gradient, the sweep records no tape node.
+        While training, the output carries the layer's pass, whose
+        backward sets ``w_ff``/``w_rec`` gradients and returns the
+        input's.  When the layer is frozen (no trainable parameters) and
+        the input carries no gradient, the sweep saves no pass.
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        if x.ndim != 3:
+        if x.data.ndim != 3:
             raise ShapeError(f"expected [T, B, n_in] input, got shape {x.shape}")
         if x.shape[2] != self.n_in:
             raise ShapeError(
@@ -213,15 +217,25 @@ class LeakyReadout:
         after integration, in the logits' dtype, so gradients still flow
         to every logit, in that dtype.  A full mask is skipped
         entirely — the output is bitwise-identical to passing ``None``.
+        While training, the logits carry the readout's pass (mask
+        included), whose backward sets the ``w_ff`` gradient.
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        if x.ndim != 3:
+        if x.data.ndim != 3:
             raise ShapeError(f"expected [T, B, n_in] input, got shape {x.shape}")
         if x.shape[2] != self.n_in:
             raise ShapeError(
                 f"input feature dim {x.shape[2]} != readout fan-in {self.n_in}"
             )
-        return self._mask(self._integrate(x), self._resolve_mask(class_mask))
+        logits = kernels.leaky_readout_sequence(x, self.w_ff, self.beta)
+        mask = self._resolve_mask(class_mask)
+        if mask is not None:
+            # The penalty is a constant: the pass hands the gradient of the
+            # masked logits on to the integrator unchanged.
+            logits.data = logits.data + np.where(mask, 0.0, MASKED_LOGIT).astype(
+                logits.data.dtype
+            )
+        return logits
 
     def _resolve_mask(self, class_mask) -> np.ndarray | None:
         """Validate a class mask; None also for a full (no-op) mask."""
@@ -238,12 +252,3 @@ class LeakyReadout:
         if mask.all():
             return None
         return mask
-
-    def _mask(self, logits: Tensor, mask: np.ndarray | None) -> Tensor:
-        if mask is None:
-            return logits
-        return logits + Tensor(np.where(mask, 0.0, MASKED_LOGIT).astype(logits.dtype))
-
-    def _integrate(self, x: Tensor) -> Tensor:
-        """Logits ``[B, C]``: the membrane trajectory's mean over time."""
-        return kernels.leaky_readout_sequence(x, self.w_ff, self.beta)

@@ -189,7 +189,7 @@ class SpikingNetwork:
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
         self._check_layer_index(start)
         expected = self.layer_input_size(start)
-        if x.ndim != 3 or x.shape[2] != expected:
+        if x.data.ndim != 3 or x.shape[2] != expected:
             raise ShapeError(
                 f"weight layer {start} expects [T, B, {expected}] input, "
                 f"got shape {tuple(x.shape)}"
@@ -309,7 +309,7 @@ class SpikingNetwork:
         controller_from_layer: int = 0,
         class_mask: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Class predictions ``[B]`` without building a tape.
+        """Class predictions ``[B]``; the forward saves no pass for backward.
 
         ``class_mask`` restricts the argmax to the active task's classes
         (task-incremental inference); ``None``/full mask is a bitwise

@@ -63,17 +63,19 @@ class Adam(Optimizer):
     def step(self) -> None:
         """One bias-corrected Adam update over parameters with gradients.
 
+        Every gradient is checked before any parameter moves, so a
+        failed step leaves every weight and moment as it was.
+
         Raises:
             TrainingError: If any gradient is non-finite.
         """
-        for p in self.parameters:
-            if p.grad is None:
-                continue
-            if not np.all(np.isfinite(p.grad)):
-                raise TrainingError(
-                    "non-finite gradient encountered; lower the learning rate "
-                    "or check the loss"
-                )
+        live = [p for p in self.parameters if p.grad is not None]
+        if not all(np.all(np.isfinite(p.grad)) for p in live):
+            raise TrainingError(
+                "non-finite gradient encountered; lower the learning rate "
+                "or check the loss"
+            )
+        for p in live:
             key = id(p)
             t = self._t.get(key, 0) + 1
             m = self._m.get(key)

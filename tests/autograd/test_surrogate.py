@@ -1,4 +1,8 @@
-"""Tests for the spike op and surrogate-gradient families."""
+"""Tests for the surrogate-gradient families.
+
+Each family is the pseudo-derivative the LIF pass's backward evaluates
+on ``V - Vthr`` in place of the Heaviside's derivative.
+"""
 
 import numpy as np
 import pytest
@@ -7,11 +11,17 @@ from repro.autograd import (
     atan_surrogate,
     boxcar_surrogate,
     fast_sigmoid_surrogate,
-    spike,
     straight_through_surrogate,
-    tensor,
 )
 from repro.errors import ConfigError
+
+
+FAMILIES = [
+    fast_sigmoid_surrogate,
+    atan_surrogate,
+    boxcar_surrogate,
+    straight_through_surrogate,
+]
 
 
 @pytest.fixture
@@ -19,37 +29,11 @@ def rng():
     return np.random.default_rng(5)
 
 
-class TestSpikeForward:
-    def test_output_is_binary(self, rng):
-        x = tensor(rng.standard_normal((4, 7)))
-        s = spike(x, fast_sigmoid_surrogate())
-        assert set(np.unique(s.data)).issubset({0.0, 1.0})
-
-    def test_threshold_strict(self):
-        s = spike(tensor([-0.1, 0.0, 0.1]), fast_sigmoid_surrogate())
-        np.testing.assert_array_equal(s.data, [0.0, 0.0, 1.0])
-
-    def test_forward_identical_across_surrogates(self, rng):
-        x = tensor(rng.standard_normal((3, 3)))
-        outs = [
-            spike(x, fam).data
-            for fam in (
-                fast_sigmoid_surrogate(),
-                atan_surrogate(),
-                boxcar_surrogate(),
-                straight_through_surrogate(),
-            )
-        ]
-        for out in outs[1:]:
-            np.testing.assert_array_equal(outs[0], out)
-
-
 class TestSurrogateBackward:
     def test_fast_sigmoid_formula(self, rng):
-        x = tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        spike(x, fast_sigmoid_surrogate(scale=25.0)).sum().backward()
-        expected = 1.0 / (25.0 * np.abs(x.data) + 1.0) ** 2
-        np.testing.assert_allclose(x.grad, expected, rtol=1e-6)
+        x = rng.standard_normal((2, 3))
+        expected = 1.0 / (25.0 * np.abs(x) + 1.0) ** 2
+        np.testing.assert_allclose(fast_sigmoid_surrogate(scale=25.0)(x), expected, rtol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fast_sigmoid_in_place_is_bitwise_the_formula(self, rng, dtype):
@@ -83,18 +67,28 @@ class TestSurrogateBackward:
         np.testing.assert_allclose(d, [0.0, 2.0, 2.0, 2.0, 0.0])
 
     def test_straight_through_passes_gradient(self, rng):
-        x = tensor(rng.standard_normal((2, 2)), requires_grad=True)
-        spike(x, straight_through_surrogate()).sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((2, 2)))
+        x = rng.standard_normal((2, 2)).astype(np.float32)
+        d = straight_through_surrogate()(x)
+        assert d.dtype == np.float32
+        np.testing.assert_array_equal(d, np.ones((2, 2)))
 
-    def test_gradient_chains_through_spike(self):
-        # d/dv [sum(spike(v - thr))] with surrogate should equal surrogate(v - thr)
-        v = tensor([0.5, 1.5], requires_grad=True)
-        thr = 1.0
-        s = spike(v - thr, fast_sigmoid_surrogate(10.0))
-        (s * 2.0).sum().backward()
-        expected = 2.0 / (10.0 * np.abs(v.data - thr) + 1.0) ** 2
-        np.testing.assert_allclose(v.grad, expected, rtol=1e-6)
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_family_is_elementwise_in_dtype(self, rng, make, dtype):
+        """The fused backward evaluates a family once over the ``[T, B, N]``
+        stack, the oracle once per step: an elementwise family in the
+        input's dtype gives both the same bits."""
+        x = rng.standard_normal((5, 3, 4)).astype(dtype)
+        whole = make()(x)
+        assert whole.dtype == dtype and whole.shape == x.shape
+        for t in range(x.shape[0]):
+            assert whole[t].tobytes() == make()(x[t]).tobytes()
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    def test_family_is_positive_and_peaks_at_threshold(self, make):
+        d = make()(np.array([-0.2, -0.01, 0.0, 0.01, 0.2]))
+        assert np.all(d >= 0.0)
+        assert d[2] == d.max() > 0.0
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Exporter tests: JSONL round-trips, Chrome trace_event, maybe_export."""
 
 import json
+import threading
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.errors import ConfigError
 from repro.obs import (
     ManualClock,
     Recorder,
-    from_chrome,
     read_jsonl,
     to_chrome,
     use_recorder,
@@ -86,29 +86,62 @@ class TestChrome:
         assert outer["dur"] == pytest.approx(0.75e6)  # microseconds
         assert outer["args"]["scenario"] == "single-step"
 
-    def test_round_trip_reconstructs_tree(self, recorder):
-        spans = from_chrome(to_chrome(recorder.spans()))
-        originals = sorted(recorder.spans(), key=lambda s: s.span_id)
-        assert len(spans) == len(originals)
-        for restored, original in zip(spans, originals):
-            assert restored.span_id == original.span_id
-            assert restored.parent_id == original.parent_id
-            assert restored.name == original.name
-            assert restored.category == original.category
-            assert restored.thread == original.thread
-            assert restored.attrs == original.attrs
-            assert restored.start == pytest.approx(original.start)
-            assert restored.end == pytest.approx(original.end)
+    def test_events_carry_the_span_tree(self, recorder):
+        """Each span is one "X" event: ids, name, category, thread and
+        attributes ride along, and times are microseconds."""
+        payload = to_chrome(recorder.spans())
+        events = payload["traceEvents"]
+        threads = {
+            e["tid"]: e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        complete = {e["args"]["span_id"]: e for e in events if e["ph"] == "X"}
+        assert set(complete) == {s.span_id for s in recorder.spans()}
+        for span in recorder.spans():
+            event = complete[span.span_id]
+            assert event["args"] == {
+                **span.attrs, "span_id": span.span_id, "parent_id": span.parent_id
+            }
+            assert event["name"] == span.name
+            assert event["cat"] == span.category
+            assert threads[event["tid"]] == span.thread
+            assert event["pid"] == 1
+            assert event["ts"] == pytest.approx(span.start * 1e6)
+            assert event["dur"] == pytest.approx((span.end - span.start) * 1e6)
+        inner = next(e for e in complete.values() if e["name"] == "train.epoch")
+        outer = next(e for e in complete.values() if e["name"] == "scenario.run")
+        assert inner["args"]["parent_id"] == outer["args"]["span_id"]
+        assert outer["args"]["parent_id"] is None
 
-    def test_empty_category_maps_to_repro_and_back(self):
+    def test_one_tid_per_thread(self):
+        clock = ManualClock()
+        recorder = Recorder(clock=clock)
+        with recorder.span("main"):
+            clock.advance(0.1)
+
+        def work():
+            with recorder.span("worker"):
+                pass
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join()
+        events = to_chrome(recorder.spans())["traceEvents"]
+        named = {e["args"]["name"]: e["tid"] for e in events if e["ph"] == "M"}
+        assert len(named) == 2 and sorted(named.values()) == [1, 2]
+        for event in (e for e in events if e["ph"] == "X"):
+            thread = "MainThread" if event["name"] == "main" else worker.name
+            assert event["tid"] == named[thread]
+
+    def test_empty_category_maps_to_repro(self):
         clock = ManualClock()
         recorder = Recorder(clock=clock)
         with recorder.span("bare"):
             clock.advance(0.1)
         (event,) = [e for e in to_chrome(recorder.spans())["traceEvents"] if e["ph"] == "X"]
         assert event["cat"] == "repro"
-        (restored,) = from_chrome(to_chrome(recorder.spans()))
-        assert restored.category == ""
+        assert event["dur"] == pytest.approx(0.1e6)
 
     def test_write_chrome_is_loadable_json(self, recorder, tmp_path):
         path = write_chrome(tmp_path / "trace.chrome.json", recorder.spans())

@@ -117,7 +117,7 @@ class TestSeedSweepParity:
     def test_full_mask_logits_bitwise_equal_unmasked(self, sweep, seed):
         # Mask equivalence on the *trained* network of each seed: the
         # full mask must be skipped entirely, leaving logits bitwise
-        # untouched on the fused path and on the per-step tape oracle.
+        # untouched on the fused path and on the per-step oracle.
         dense, _, _ = sweep[seed]
         network = dense.steps[-1].network
         num_classes = network.readout.n_out
@@ -127,11 +127,11 @@ class TestSeedSweepParity:
         inputs = (rng.random((timesteps, 6, channels)) < 0.2).astype(np.float32)
         full = np.ones(num_classes, dtype=bool)
         for forward in (
-            lambda **kw: network.forward(inputs, **kw).logits,
-            lambda **kw: oracle.network_forward(network, inputs, **kw),
+            lambda **kw: network.forward(inputs, **kw).logits.data,
+            lambda **kw: oracle.network_forward(network, inputs, **kw)[0],
         ):
-            unmasked = forward().data
-            masked = forward(class_mask=full).data
+            unmasked = forward()
+            masked = forward(class_mask=full)
             np.testing.assert_array_equal(unmasked, masked)
 
     @pytest.mark.parametrize("seed", SEEDS)

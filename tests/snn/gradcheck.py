@@ -1,8 +1,9 @@
-"""Numerical gradient verification for the autograd engine.
+"""Finite-difference verification of a layer pass's backward.
 
-The test-suite certifies every primitive op with it: the analytic
-gradient from :meth:`Tensor.backward` is compared to central finite
-differences computed in float64.
+The analytic gradient comes from the pass itself: ``fn``'s output
+``Tensor`` runs its backward on an all-ones upstream gradient, which
+sets each input's ``.grad``.  It is compared to central differences
+computed in float64.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd import Tensor
 
 __all__ = ["gradcheck", "numerical_gradient"]
 
@@ -26,19 +27,14 @@ def numerical_gradient(
     inputs = [np.asarray(a, dtype=np.float64) for a in inputs]
     base = inputs[index]
     grad = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(base.shape):
         original = base[idx]
-
         base[idx] = original + eps
         plus = float(fn(*[Tensor(a) for a in inputs]).data.sum())
         base[idx] = original - eps
         minus = float(fn(*[Tensor(a) for a in inputs]).data.sum())
         base[idx] = original
-
         grad[idx] = (plus - minus) / (2.0 * eps)
-        it.iternext()
     return grad
 
 
@@ -49,27 +45,24 @@ def gradcheck(
     atol: float = 1e-3,
     rtol: float = 1e-2,
 ) -> bool:
-    """Verify analytic gradients of ``fn`` against finite differences.
+    """Verify the backward of the pass ``fn`` builds against finite differences.
 
-    ``fn`` must accept ``len(inputs)`` tensors and return a tensor of any
-    shape; the check differentiates ``sum(fn(...))``.  Raises
+    ``fn`` must accept ``len(inputs)`` tensors and return the output of
+    one pass; the check differentiates ``sum(fn(...))``.  Raises
     ``AssertionError`` with a diagnostic on mismatch, returns True on
     success (so it can be used directly in ``assert gradcheck(...)``).
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in inputs]
-    tensors = [Tensor(a) for a in arrays]
-    for t in tensors:
-        t.requires_grad = True
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
     out = fn(*tensors)
-    out.sum().backward()
+    out.backward(np.ones_like(out.data))
 
     for i, t in enumerate(tensors):
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         numeric = numerical_gradient(fn, arrays, i, eps=eps)
-        if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
-            worst = np.max(np.abs(analytic - numeric))
+        if not np.allclose(t.grad, numeric, atol=atol, rtol=rtol):
+            worst = np.max(np.abs(t.grad - numeric))
             raise AssertionError(
                 f"gradcheck failed for input {i}: max abs error {worst:.3e}\n"
-                f"analytic:\n{analytic}\nnumeric:\n{numeric}"
+                f"analytic:\n{t.grad}\nnumeric:\n{numeric}"
             )
     return True

@@ -1,24 +1,35 @@
-"""Per-timestep autograd-tape oracle for the fused SNN kernels.
+"""Plain-numpy per-timestep oracle for the fused SNN layer passes.
 
-The library runs every layer pass as one fused tape node
-(:mod:`repro.snn.kernels`).  This module keeps the readable formulation
-those kernels are pinned to: each timestep is a handful of primitive
-tape ops (decay, reset, matmul, surrogate Heaviside), so autograd
-derives BPTT by itself and a threshold controller is consulted between
-steps in plain Python.  Fused and oracle agree bitwise on forward
-spikes, with and without dynamic thresholds.  Their weight gradients are
-the same sums in a different order — the fused kernels take one GEMM
-over ``T·B``, the tape adds ``T`` per-step products — so they agree to
-``GRAD_RTOL``.
+The library runs every layer pass as one fused sweep
+(:mod:`repro.snn.kernels`) whose backward is hand-derived BPTT.  This
+module keeps the readable formulation those passes are pinned to, with
+no use of :mod:`repro.snn.kernels` or :mod:`repro.snn.backends`: the
+forward advances one timestep at a time (a controller is consulted
+between steps in plain Python), and each layer's backward is its own
+per-step reverse loop, written from the BPTT equations with the same
+float ops in the same order:
+
+    gS[t] = (dL/dS[t] + reset-path) + recurrent-path     (paths from t+1)
+    gV[t] = gS[t] * surrogate'(V[t] - vthr[t]) + decay-path
+    gJ[t] = gV[t] + alpha * gJ[t+1]                       (CuBa only)
+    gI[t] = gJ[t] (CuBa) or gV[t]
+
+Fused and oracle agree bitwise on forward spikes, with and without
+dynamic thresholds.  Their weight gradients are the same sums in a
+different order — the fused passes take one GEMM over ``T·B``, the
+oracle adds ``T`` per-step products as its reverse loop visits the
+steps — so they agree to ``GRAD_RTOL``.  The oracle's own BPTT is
+certified by finite differences (``test_oracle.py``): a smooth spike
+function, passed as ``spike=(function, derivative)``, replaces the
+Heaviside and its exact derivative replaces the surrogate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, stack, zeros
-from repro.autograd.surrogate import spike
 from repro.errors import ConfigError
+from repro.snn.layers import MASKED_LOGIT
 from repro.snn.neurons import LIFParameters
 from repro.snn.threshold import DECAY_RATE, GAIN, ThresholdController
 
@@ -27,41 +38,35 @@ from repro.snn.threshold import DECAY_RATE, GAIN, ThresholdController
 GRAD_RTOL = 1e-5
 
 
-def assert_grads_close(fused, tape) -> None:
-    """Each fused gradient is within ``GRAD_RTOL * max|tape grad|``."""
-    assert len(fused) == len(tape)
-    for got, want in zip(fused, tape):
+def assert_grads_close(fused, oracle) -> None:
+    """Each fused gradient is within ``GRAD_RTOL * max|oracle grad|``."""
+    assert len(fused) == len(oracle)
+    for got, want in zip(fused, oracle):
         assert got.shape == want.shape and got.dtype == want.dtype
         error = np.max(np.abs(got - want), initial=0.0)
         assert error <= GRAD_RTOL * np.max(np.abs(want), initial=0.0), error
 
 
-def lif_step(
-    membrane: Tensor,
-    prev_spikes: Tensor,
-    current: Tensor,
-    params: LIFParameters,
-    threshold=None,
-) -> tuple[Tensor, Tensor]:
+def heaviside(x: np.ndarray) -> np.ndarray:
+    """The spike function: 1 where ``V - Vthr`` is strictly positive."""
+    return (x > 0.0).astype(x.dtype)
+
+
+def lif_step(membrane, prev_spikes, current, params: LIFParameters, threshold=None,
+             spike=heaviside):
     """Advance one hard-reset LIF timestep (paper Eq. 1-2); return ``(V[t], S[t])``.
 
     ``threshold`` is this step's effective ``Vthr`` — a controller's
-    scalar or per-neuron ``[N]`` value; defaults to ``params.threshold``.
+    scalar or per-neuron ``[N]`` value, cast to the membrane's dtype;
+    defaults to ``params.threshold``.
     """
-    vthr = params.threshold if threshold is None else threshold
-    new_membrane = membrane * (1.0 - prev_spikes) * params.beta + current
-    return new_membrane, spike(new_membrane - vthr, params.surrogate)
+    vthr = np.asarray(params.threshold if threshold is None else threshold, membrane.dtype)
+    membrane = membrane * (1.0 - prev_spikes) * params.beta + current
+    return membrane, spike(membrane - vthr)
 
 
-def cuba_lif_step(
-    membrane: Tensor,
-    syn_current: Tensor,
-    prev_spikes: Tensor,
-    input_current: Tensor,
-    params: LIFParameters,
-    alpha: float,
-    threshold=None,
-) -> tuple[Tensor, Tensor, Tensor]:
+def cuba_lif_step(membrane, syn_current, prev_spikes, input_current,
+                  params: LIFParameters, alpha: float, threshold=None, spike=heaviside):
     """Advance one current-based LIF timestep.
 
     ``J[t] = alpha * J[t-1] + I[t]`` filters the input before it reaches
@@ -69,61 +74,142 @@ def cuba_lif_step(
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"synaptic alpha must lie in (0, 1), got {alpha}")
-    new_syn = syn_current * alpha + input_current
-    membrane, spikes = lif_step(membrane, prev_spikes, new_syn, params, threshold)
-    return membrane, new_syn, spikes
+    syn_current = syn_current * alpha + input_current
+    membrane, spikes = lif_step(membrane, prev_spikes, syn_current, params, threshold, spike)
+    return membrane, syn_current, spikes
 
 
-def layer_forward(layer, inputs, controller=None) -> Tensor:
-    """:meth:`RecurrentLIFLayer.forward`, one tape node per op per step."""
-    x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-    timesteps, batch = x.shape[0], x.shape[1]
-    membrane = zeros((batch, layer.n_out))
-    spikes = zeros((batch, layer.n_out))
-    syn = zeros((batch, layer.n_out)) if layer.synapse_alpha is not None else None
-    threshold = None if controller is None else controller.value
-    outputs: list[Tensor] = []
-    for t in range(timesteps):
-        current = x[t] @ layer.w_ff + spikes @ layer.w_rec
-        if syn is not None:
-            membrane, syn, spikes = cuba_lif_step(
-                membrane, syn, spikes, current, layer.params,
-                layer.synapse_alpha, threshold,
-            )
-        else:
-            membrane, spikes = lif_step(membrane, spikes, current, layer.params, threshold)
-        outputs.append(spikes)
-        if controller is not None:
-            counts = spikes.data.sum(axis=0)  # per-neuron, batch-summed
-            threshold = controller.step(t, counts, counts * t)
-    return stack(outputs, axis=0)
+def layer_forward(layer, x, controller=None, spike=None):
+    """:meth:`RecurrentLIFLayer.forward`, one timestep at a time.
 
-
-def readout_forward(readout, inputs, class_mask=None) -> Tensor:
-    """:meth:`LeakyReadout.forward`, one tape node per op per step."""
-    x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-    membrane = zeros((x.shape[1], readout.n_out))
-    trajectory: list[Tensor] = []
-    for t in range(x.shape[0]):
-        membrane = membrane * readout.beta + x[t] @ readout.w_ff
-        trajectory.append(membrane)
-    logits = stack(trajectory, axis=0).mean(axis=0)
-    return readout._mask(logits, readout._resolve_mask(class_mask))
-
-
-def network_forward(
-    network, inputs, start_layer=0, controller=None, class_mask=None
-) -> Tensor:
-    """Logits of :meth:`SpikingNetwork.forward` from the oracle layers.
-
-    The per-layer controller factory applies to every executed hidden layer.
+    ``spike`` is an optional ``(function, derivative)`` pair replacing
+    the Heaviside and the layer's surrogate.  Returns ``(spikes,
+    backward)``: the ``[T, B, N]`` raster and a function mapping its
+    gradient to ``(gx, gw_ff, gw_rec)``.
     """
-    activations = inputs
+    x = np.asarray(x)
+    w_ff, w_rec = layer.w_ff.data, layer.w_rec.data
+    params, alpha = layer.params, layer.synapse_alpha
+    fire, derivative = spike or (heaviside, params.surrogate.derivative)
+    dtype = np.result_type(x, w_ff)
+    state = np.zeros((x.shape[1], layer.n_out), dtype)
+    membrane, syn, spikes = state, state, state
+    threshold = params.threshold if controller is None else controller.value
+    membranes, rasters, thresholds = [], [], []
+    for t in range(x.shape[0]):
+        current = x[t] @ w_ff + spikes @ w_rec
+        threshold = np.asarray(threshold, dtype)
+        if alpha is None:
+            membrane, spikes = lif_step(membrane, spikes, current, params, threshold, fire)
+        else:
+            membrane, syn, spikes = cuba_lif_step(
+                membrane, syn, spikes, current, params, alpha, threshold, fire
+            )
+        membranes.append(membrane)
+        rasters.append(spikes)
+        thresholds.append(threshold)
+        if controller is not None:
+            counts = spikes.sum(axis=0)  # per-neuron, batch-summed
+            threshold = controller.step(t, counts, counts * t)
+
+    def backward(g_spikes):
+        gx = np.empty_like(x, dtype=dtype)
+        gw_ff = np.zeros_like(w_ff)
+        gw_rec = np.zeros_like(w_rec)
+        later = None  # (gV[t+1], gI[t+1]) once a later step exists
+        for t in range(x.shape[0] - 1, -1, -1):
+            gs = g_spikes[t]
+            if later is not None:
+                gv_next, gi_next = later
+                gs = gs + -((gv_next * params.beta) * membranes[t])
+                gs = gs + gi_next @ w_rec.T
+            gv = gs * derivative(membranes[t] - thresholds[t])
+            if later is not None:
+                gv = gv + (gv_next * params.beta) * (1.0 - rasters[t])
+            gi = gv if alpha is None or later is None else gv + gi_next * alpha
+            gw_ff = gw_ff + x[t].T @ gi
+            if t > 0:
+                gw_rec = gw_rec + rasters[t - 1].T @ gi
+            gx[t] = gi @ w_ff.T
+            later = gv, gi
+        return gx, gw_ff, gw_rec
+
+    return np.stack(rasters), backward
+
+
+def readout_forward(readout, x, class_mask=None):
+    """:meth:`LeakyReadout.forward`, one timestep at a time.
+
+    Returns ``(logits, backward)``; ``backward`` maps the logits'
+    gradient to ``(gx, gw_ff)``.  The class mask's penalty is a
+    constant, so its gradient passes through.
+    """
+    x = np.asarray(x)
+    w_ff, beta = readout.w_ff.data, readout.beta
+    dtype = np.result_type(x, w_ff)
+    membrane = np.zeros((x.shape[1], readout.n_out), dtype)
+    trajectory = []
+    for t in range(x.shape[0]):
+        membrane = membrane * beta + x[t] @ w_ff
+        trajectory.append(membrane)
+    scale = np.asarray(1.0 / x.shape[0], dtype)
+    logits = np.stack(trajectory).sum(axis=0) * scale
+    if class_mask is not None and not np.all(class_mask):
+        logits = logits + np.where(class_mask, 0.0, MASKED_LOGIT).astype(dtype)
+
+    def backward(g_logits):
+        g = g_logits * scale  # each step's share of the time mean
+        gx = np.empty_like(x, dtype=dtype)
+        gw_ff = np.zeros_like(w_ff)
+        carry = None  # the decay path from t+1
+        for t in range(x.shape[0] - 1, -1, -1):
+            gm = g if carry is None else g + carry
+            gw_ff = gw_ff + x[t].T @ gm
+            gx[t] = gm @ w_ff.T
+            carry = gm * beta
+        return gx, gw_ff
+
+    return logits, backward
+
+
+def network_forward(network, inputs, start_layer=0, controller=None, class_mask=None):
+    """:meth:`SpikingNetwork.forward` from the oracle layers.
+
+    The per-layer controller factory applies to every executed hidden
+    layer.  Returns ``(logits, backward)``; ``backward`` maps the
+    logits' gradient to the gradient of every executed weight, in
+    :meth:`SpikingNetwork.parameters` order.
+    """
+    activations, backwards = inputs, []
     for layer in network.hidden_layers[start_layer:]:
-        activations = layer_forward(
+        activations, backward = layer_forward(
             layer, activations, None if controller is None else controller(layer)
         )
-    return readout_forward(network.readout, activations, class_mask)
+        backwards.append(backward)
+    logits, readout_backward = readout_forward(network.readout, activations, class_mask)
+
+    def backward(g_logits):
+        g, gw_out = readout_backward(g_logits)
+        grads = [gw_out]
+        for layer_backward in reversed(backwards):
+            g, gw_ff, gw_rec = layer_backward(g)
+            grads[:0] = [gw_ff, gw_rec]
+        return grads
+
+    return logits, backward
+
+
+def cross_entropy_grad(logits, labels):
+    """Gradient of the mean softmax cross-entropy w.r.t. ``logits``.
+
+    ``(softmax - onehot) / N``, in the logits' dtype.
+    """
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    grad = np.exp(log_probs)
+    grad[np.arange(n), labels] -= 1.0
+    return grad * (np.ones((), logits.dtype) / n)
 
 
 class ScalarAdaptiveThreshold(ThresholdController):

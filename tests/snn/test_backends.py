@@ -244,8 +244,7 @@ class TestCBackendThroughKernels:
 
         spikes = lif_sequence(x, w_ff, params, w_rec=w_rec)
         trajectory = leaky_readout_sequence(spikes, w_out, beta=0.8)
-        loss = (trajectory * trajectory).sum()
-        loss.backward()
+        trajectory.backward(trajectory.data * 2.0)  # d sum(logits^2)
         return {
             "spikes": spikes.data.copy(),
             "trajectory": trajectory.data.copy(),
@@ -271,7 +270,7 @@ class TestCBackendThroughKernels:
             monkeypatch.setenv("REPRO_BACKEND", name)
             weight = Tensor(w_ff, requires_grad=True)
             out = cuba_lif_sequence(Tensor(x), weight, params, 0.45, w_rec)
-            out.sum().backward()
+            out.backward(np.ones_like(out.data))
             results[name] = (out.data.copy(), weight.grad.copy())
         for got, want in zip(results["c"], results["numpy"]):
             assert np.array_equal(got, want)
@@ -279,9 +278,9 @@ class TestCBackendThroughKernels:
     def test_masked_readout_gradients_bitwise(self, monkeypatch):
         """A class mask keeps the logits and every gradient float32, so
         the masked backward runs the kernels and c == numpy holds."""
-        from repro.autograd import cross_entropy
         from repro.config import NetworkConfig
         from repro.snn.network import SpikingNetwork
+        from repro.training.losses import readout_cross_entropy
 
         x = (np.random.default_rng(0).random((10, 3, 12)) < 0.3).astype(np.float32)
         grads = {}
@@ -289,8 +288,8 @@ class TestCBackendThroughKernels:
             monkeypatch.setenv("REPRO_BACKEND", name)
             net = SpikingNetwork(NetworkConfig(layer_sizes=(12, 8, 6, 4)), seed=1)
             logits = net.forward(x, class_mask=np.array([1, 1, 0, 0], bool)).logits
-            assert logits.dtype == np.float32
-            cross_entropy(logits, np.array([0, 1, 0])).backward()
+            assert logits.data.dtype == np.float32
+            readout_cross_entropy(logits, np.array([0, 1, 0])).backward()
             grads[name] = [p.grad for p in net.parameters()]
             assert all(g.dtype == np.float32 for g in grads[name])
         for got, want in zip(grads["c"], grads["numpy"]):
@@ -306,17 +305,17 @@ class TestCBackendThroughKernels:
             5, 6, LIFParameters(beta=0.9), rng=np.random.default_rng(4)
         )
         runs = {}
-        for name in ("numpy", "c", "oracle"):
-            monkeypatch.setenv("REPRO_BACKEND", "numpy" if name == "oracle" else name)
+        for name in ("numpy", "c"):
+            monkeypatch.setenv("REPRO_BACKEND", name)
             controller = PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=12)
-            if name == "oracle":
-                out = oracle.layer_forward(layer, x, controller)
-            else:
-                out = layer.forward(x, controller)
+            out = layer.forward(x, controller)
             out.backward(g_up)
-            runs[name] = [out.data.copy()] + [p.grad.copy() for p in layer.parameters()]
+            runs[name] = [out.data.copy()] + [p.grad for p in layer.parameters()]
             for p in layer.parameters():
                 p.zero_grad()
+        controller = PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=12)
+        spikes, backward = oracle.layer_forward(layer, x, controller)
+        runs["oracle"] = [spikes, *backward(g_up)[1:]]
         for got, want in zip(runs["c"], runs["numpy"]):
             assert np.array_equal(got, want), "c diverged bitwise"
         assert np.array_equal(runs["oracle"][0], runs["numpy"][0])

@@ -1,13 +1,19 @@
 """Tests for the current-based (CuBa) LIF variant."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from oracle import cuba_lif_step
-from repro.autograd import tensor, zeros
+from test_neurons import assert_input_gradient_matches_oracle
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
 from repro.snn import LIFParameters, RecurrentLIFLayer, SpikingNetwork
+
+#: The oracle steps take float32 state and currents, as the layers do.
+f32 = functools.partial(np.asarray, dtype=np.float32)
+zeros = functools.partial(np.zeros, dtype=np.float32)
 
 
 def params(**kwargs):
@@ -21,7 +27,7 @@ class TestCubaStep:
         membrane, syn = zeros((1, 1)), zeros((1, 1))
         spikes = zeros((1, 1))
         membrane, syn, spikes = cuba_lif_step(
-            membrane, syn, spikes, tensor([[1.0]]), p, alpha=0.5
+            membrane, syn, spikes, f32([[1.0]]), p, alpha=0.5
         )
         assert syn.item() == pytest.approx(1.0)
         membrane, syn, spikes = cuba_lif_step(
@@ -32,14 +38,14 @@ class TestCubaStep:
     def test_membrane_integrates_filtered_current(self):
         p = params(threshold=100.0)
         membrane, syn, spikes = cuba_lif_step(
-            zeros((1, 1)), zeros((1, 1)), zeros((1, 1)), tensor([[1.0]]), p, alpha=0.5
+            zeros((1, 1)), zeros((1, 1)), zeros((1, 1)), f32([[1.0]]), p, alpha=0.5
         )
         assert membrane.item() == pytest.approx(1.0)  # V = 0*beta + I
 
     def test_spikes_fire_at_threshold(self):
         p = params(threshold=0.5)
         _, _, spikes = cuba_lif_step(
-            zeros((1, 1)), zeros((1, 1)), zeros((1, 1)), tensor([[1.0]]), p, alpha=0.5
+            zeros((1, 1)), zeros((1, 1)), zeros((1, 1)), f32([[1.0]]), p, alpha=0.5
         )
         assert spikes.item() == 1.0
 
@@ -52,14 +58,9 @@ class TestCubaStep:
                     zeros((1, 1)), p, alpha=bad,
                 )
 
-    def test_gradient_flows(self):
-        p = params()
-        current = tensor([[0.8]], requires_grad=True)
-        membrane, syn, spikes = cuba_lif_step(
-            zeros((1, 1)), zeros((1, 1)), zeros((1, 1)), current, p, alpha=0.5
-        )
-        (membrane + spikes).sum().backward()
-        assert current.grad is not None
+
+def test_input_gradient_matches_oracle():
+    assert_input_gradient_matches_oracle(alpha=0.7)
 
 
 class TestCubaLayer:

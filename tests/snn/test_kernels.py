@@ -1,22 +1,21 @@
-"""Fused sequence kernels: parity with the per-step tape oracle, gradient
+"""Fused sequence kernels: parity with the per-step oracle, gradient
 checks, and the threshold-controller sweep.
 
 The fused kernels promise *bitwise* forward parity with the per-step
-tape (:mod:`oracle`; see the bitwise-discipline note in
+oracle (:mod:`oracle`; see the bitwise-discipline note in
 :mod:`repro.snn.backends.numpy_ref`).  Their weight gradients are one
-GEMM over the flattened ``T·B`` axis where the tape sums ``T`` per-step
-products, so gradients agree to ``oracle.GRAD_RTOL`` relative to the
-largest oracle gradient in float32, and to <= 1e-5 absolute in float64.
+GEMM over the flattened ``T·B`` axis where the oracle sums ``T``
+per-step products, so gradients agree to ``oracle.GRAD_RTOL`` relative
+to the largest oracle gradient in float32, and to <= 1e-5 absolute in
+float64.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracle
 from gradcheck import gradcheck
-from repro.autograd import Tensor, cross_entropy
+from repro.autograd import Tensor
 from repro.snn import (
     LeakyReadout,
     LIFParameters,
@@ -36,7 +35,7 @@ from repro.autograd.surrogate import (
 )
 from repro.config import NetworkConfig
 from repro.errors import ConfigError, ShapeError
-from repro.snn.kernels import _sequence_weight_grads
+from repro.training.losses import readout_cross_entropy
 from repro.training.optimizers import Adam
 
 
@@ -46,7 +45,7 @@ def rng():
 
 
 #: Every surrogate family: the fused backward evaluates it once over the
-#: whole ``[T, B, N]`` stack, the oracle once per step inside ``spike``.
+#: whole ``[T, B, N]`` stack, the oracle once per step.
 SURROGATES = {
     "atan": atan_surrogate,
     "boxcar": boxcar_surrogate,
@@ -63,19 +62,17 @@ def make_layer(synapse_alpha=None, n_in=10, n_out=7, surrogate="fast-sigmoid"):
 
 
 def run_both_paths(layer, x, g_up, make_controller=lambda: None):
-    """Forward+backward fused, then on the oracle; (out, grads) per path.
+    """Forward+backward fused, then on the oracle; ``(out, [gw_ff, gw_rec])`` each.
 
     ``make_controller`` builds a fresh threshold controller per path.
     """
-    results = []
-    for forward in (layer.forward, lambda x, c: oracle.layer_forward(layer, x, c)):
-        out = forward(x, make_controller())
-        out.backward(g_up)
-        grads = [p.grad.copy() for p in layer.parameters()]
-        for p in layer.parameters():
-            p.zero_grad()
-        results.append((out.data.copy(), grads))
-    return results
+    out = layer.forward(x, make_controller())
+    out.backward(g_up)
+    fused = out.data.copy(), [p.grad for p in layer.parameters()]
+    for p in layer.parameters():
+        p.zero_grad()
+    spikes, backward = oracle.layer_forward(layer, x, make_controller())
+    return fused, (spikes, list(backward(g_up)[1:]))
 
 
 @pytest.mark.parametrize("surrogate", sorted(SURROGATES))
@@ -101,9 +98,9 @@ class TestGradientParityFloat64:
     """Fused gradients vs. the per-step oracle at gradcheck tolerance.
 
     Finite differences cannot probe through the Heaviside forward, so
-    the per-step tape (the gradcheck-certified composition of primitive
-    ops) is the reference; in float64 both agree to ~1e-12, comfortably
-    within the 1e-5 budget.
+    the per-step oracle (whose BPTT ``test_oracle.py`` certifies by
+    finite differences through a smooth spike) is the reference; in
+    float64 both agree to ~1e-12, comfortably within the 1e-5 budget.
     """
 
     ATOL = 1e-5
@@ -128,23 +125,21 @@ class TestGradientParityFloat64:
 
 
 class TestReadoutParity:
-    def test_forward_bitwise_gradient_close(self, rng):
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    def test_forward_bitwise_gradient_close(self, rng, masked):
         readout = LeakyReadout(8, 5, beta=0.9, rng=np.random.default_rng(2))
         x = (rng.random((16, 3, 8)) < 0.4).astype(np.float32)
-        outputs, grads = [], []
-        for forward in (readout.forward, lambda x: oracle.readout_forward(readout, x)):
-            out = forward(x)
-            g = np.ones(out.shape, dtype=np.float32)
-            out.backward(g)
-            outputs.append(out.data.copy())
-            grads.append(readout.w_ff.grad.copy())
-            readout.w_ff.zero_grad()
-        assert np.array_equal(outputs[0], outputs[1])
-        oracle.assert_grads_close(grads[:1], grads[1:])
+        mask = np.array([True, False, True, True, False]) if masked else None
+        g = rng.standard_normal((3, 5)).astype(np.float32)
+        out = readout.forward(x, class_mask=mask)
+        out.backward(g)
+        logits, backward = oracle.readout_forward(readout, x, mask)
+        assert np.array_equal(out.data, logits)
+        oracle.assert_grads_close([readout.w_ff.grad], [backward(g)[1]])
 
     def test_numerical_gradcheck(self, rng):
         # The readout has no Heaviside, so true finite-difference
-        # verification applies to the fused kernel directly.
+        # verification applies to the fused pass directly.
         x = rng.standard_normal((6, 2, 4))
         w = rng.standard_normal((4, 3))
         assert gradcheck(lambda a, b: leaky_readout_sequence(a, b, 0.9), [x, w])
@@ -207,43 +202,29 @@ class TestKernelAPI:
         assert w.grad is None
 
 
-def tape_order_weight_grads(x, spikes, g_current):
-    """The per-step tape's recurrent-layer sums: ``T`` products, reverse in time."""
-    timesteps, _, n_out = g_current.shape
-    gw_ff = np.zeros((x.shape[2], n_out), dtype=g_current.dtype)
-    gw_rec = np.zeros((n_out, n_out), dtype=g_current.dtype)
-    for t in range(timesteps - 1, -1, -1):
-        gw_ff = gw_ff + x[t].T @ g_current[t]
-        if t > 0:
-            gw_rec = gw_rec + spikes[t - 1].T @ g_current[t]
-    return gw_ff, gw_rec
-
-
 class TestOneGemmWeightGrads:
-    """``_sequence_weight_grads`` reduces over ``T·B`` in one GEMM per weight."""
+    """The fused pass reduces each weight gradient over ``T·B`` in one GEMM;
+    the oracle adds ``T`` per-step products.  They agree to ``GRAD_RTOL``,
+    and exactly where one product is all there is."""
 
     @pytest.mark.parametrize(
         "timesteps, batch, n_in, n_out",
         [(1, 3, 10, 7), (2, 3, 10, 7), (100, 36, 140, 64), (100, 36, 64, 48)],
     )
-    def test_matches_tape_order_sum(self, rng, timesteps, batch, n_in, n_out):
-        x = (rng.random((timesteps, batch, n_in)) < 0.1).astype(np.float32)
-        spikes = (rng.random((timesteps, batch, n_out)) < 0.1).astype(np.float32)
-        g_current = rng.standard_normal((timesteps, batch, n_out)).astype(np.float32)
-        w_ff = np.zeros((n_in, n_out), dtype=np.float32)
-        w_rec = np.zeros((n_out, n_out), dtype=np.float32)
-        node = SimpleNamespace(needs_input_grad=(False, True, True))
-        gx, gw_ff, gw_rec = _sequence_weight_grads(
-            node, x, w_ff, w_rec, spikes, g_current
+    def test_matches_per_step_sum(self, rng, timesteps, batch, n_in, n_out):
+        layer = RecurrentLIFLayer(
+            n_in, n_out, LIFParameters(beta=0.9), rng=np.random.default_rng(1)
         )
-        want_ff, want_rec = tape_order_weight_grads(x, spikes, g_current)
-        assert gx is None
-        oracle.assert_grads_close([gw_ff, gw_rec], [want_ff, want_rec])
+        x = (rng.random((timesteps, batch, n_in)) < 0.1).astype(np.float32)
+        g_up = rng.standard_normal((timesteps, batch, n_out)).astype(np.float32)
+        (out_f, (gw_ff, gw_rec)), (out_s, oracle_grads) = run_both_paths(layer, x, g_up)
+        assert np.array_equal(out_f, out_s)
+        oracle.assert_grads_close([gw_ff, gw_rec], oracle_grads)
         if timesteps == 1:  # one product, and S[-1] = 0 never fires
-            assert np.array_equal(gw_ff, want_ff)
+            assert np.array_equal(gw_ff, oracle_grads[0])
             assert np.array_equal(gw_rec, np.zeros((n_out, n_out), np.float32))
         if timesteps == 2:  # only S[0] @ gI[1] reaches the recurrent weight
-            assert np.array_equal(gw_rec, want_rec)
+            assert np.array_equal(gw_rec, oracle_grads[1])
 
 
 class TestControllerSweep:
@@ -306,22 +287,17 @@ class TestControllerSweep:
         acts, _ = net.activations_at(2, x)
         optimizer = Adam(net.trainable_parameters(), learning_rate=0.01)
         for _ in range(3):
-            runs = []
-            for forward in (
-                lambda: oracle.network_forward(
-                    net, acts, start_layer=2, controller=factory
-                ),
-                lambda: net.forward(
-                    acts, start_layer=2, controller=factory, controller_from_layer=2
-                ).logits,
-            ):
-                optimizer.zero_grad()
-                logits = forward()
-                cross_entropy(logits, labels).backward()
-                runs.append((logits.data, [p.grad.copy() for p in optimizer.parameters]))
-            (tape_logits, tape_grads), (fused_logits, fused_grads) = runs
-            assert np.array_equal(fused_logits, tape_logits)
-            oracle.assert_grads_close(fused_grads, tape_grads)
+            optimizer.zero_grad()
+            logits = net.forward(
+                acts, start_layer=2, controller=factory, controller_from_layer=2
+            ).logits
+            readout_cross_entropy(logits, labels).backward()
+            oracle_logits, backward = oracle.network_forward(
+                net, acts, start_layer=2, controller=factory
+            )
+            assert np.array_equal(logits.data, oracle_logits)
+            oracle_grads = backward(oracle.cross_entropy_grad(oracle_logits, labels))
+            oracle.assert_grads_close([p.grad for p in optimizer.parameters], oracle_grads)
             optimizer.step()  # p.grad holds the fused pass's gradients
         assert net.hidden_layers[2].w_ff.requires_grad
         assert not net.hidden_layers[1].w_ff.requires_grad
@@ -335,4 +311,4 @@ def test_network_forward_bitwise_parity(rng):
     )
     x = (rng.random((10, 3, 12)) < 0.3).astype(np.float32)
     fused_logits = net.forward(x).logits.data
-    assert np.array_equal(fused_logits, oracle.network_forward(net, x).data)
+    assert np.array_equal(fused_logits, oracle.network_forward(net, x)[0])

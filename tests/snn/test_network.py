@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 import oracle
-from repro.autograd import cross_entropy
+from repro import obs
 from repro.config import NetworkConfig
 from repro.errors import DataError, ShapeError, SplitError
-from repro.snn import SpikingNetwork
+from repro.snn import (
+    LeakyReadout,
+    PerNeuronAdaptiveThreshold,
+    RecurrentLIFLayer,
+    SpikingNetwork,
+)
+from repro.training.losses import readout_cross_entropy
 
 
 def trainable(layer):
@@ -115,7 +121,7 @@ class TestForward:
 
     def test_backward_reaches_all_parameters(self, net, x):
         result = net.forward(x)
-        cross_entropy(result.logits, np.array([0, 1, 2, 3])).backward()
+        readout_cross_entropy(result.logits, np.array([0, 1, 2, 3])).backward()
         for p in net.parameters():
             assert p.grad is not None
 
@@ -123,6 +129,60 @@ class TestForward:
         a = net.forward(x).logits.data
         b = net.forward(x).logits.data
         np.testing.assert_array_equal(a, b)
+
+
+class TestBackwardWalk:
+    """The loss's backward walks the executed layers' passes in reverse,
+    handing each the input gradient of the one above, as the oracle's
+    chain does."""
+
+    LABELS = np.array([0, 1, 2, 3])
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["static", "alg1"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    @pytest.mark.parametrize("start_layer", [0, 1, 2, 3])
+    def test_chain_gradients_match_oracle(self, net, x, start_layer, masked, adaptive):
+        mask = np.array([True, True, True, True, False]) if masked else None
+        inputs, _ = net.activations_at(start_layer, x)
+
+        def factory(layer):
+            return PerNeuronAdaptiveThreshold(
+                num_neurons=layer.n_out, timesteps=12, adjust_interval=2
+            )
+
+        controller = factory if adaptive else None
+        logits = net.forward(
+            inputs, start_layer=start_layer, controller=controller,
+            controller_from_layer=start_layer, class_mask=mask,
+        ).logits
+        readout_cross_entropy(logits, self.LABELS).backward()
+        want_logits, backward = oracle.network_forward(
+            net, inputs, start_layer, controller, mask
+        )
+        assert np.array_equal(logits.data, want_logits)
+        want = backward(oracle.cross_entropy_grad(want_logits, self.LABELS))
+        params = net.parameters()
+        oracle.assert_grads_close([p.grad for p in params[2 * start_layer:]], want)
+        assert all(p.grad is None for p in params[: 2 * start_layer])
+
+    @pytest.mark.parametrize("frozen_below", [0, 1, 2, 3])
+    def test_frozen_front_runs_no_backward(self, net, x, frozen_below):
+        net.freeze_below(frozen_below)
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            result = net.forward(x)
+            readout_cross_entropy(result.logits, self.LABELS).backward()
+        backward_calls = {
+            metric.tag_dict()["kernel"]: metric.total
+            for metric in recorder.metrics()
+            if metric.tag_dict().get("kernel", "").endswith("_backward")
+        }
+        expected = {"readout_backward": 1.0}
+        if frozen_below < len(net.hidden_layers):
+            expected["lif_backward"] = len(net.hidden_layers) - frozen_below
+        assert backward_calls == expected
+        for i, layer in enumerate(net.hidden_layers):
+            assert all((p.grad is not None) == (i >= frozen_below) for p in layer.parameters())
 
 
 class TestSplit:
@@ -225,25 +285,23 @@ class TestPredictAndController:
         after = [trainable(layer) for layer in net.hidden_layers] + [trainable(net.readout)]
         assert before == after
 
-    def test_inference_records_no_tape_node(self, net, x, monkeypatch):
-        from repro.autograd.tensor import Function
+    def test_inference_saves_no_pass(self, net, x, monkeypatch):
+        saved = []
+        for cls in (RecurrentLIFLayer, LeakyReadout):
 
-        nodes = []
-        apply = Function.apply.__func__
+            def spy(layer, *args, _forward=cls.forward, **kwargs):
+                out = _forward(layer, *args, **kwargs)
+                saved.append(out._pass is not None)
+                return out
 
-        def recording_apply(cls, *args, **kwargs):
-            out = apply(cls, *args, **kwargs)
-            if out._ctx is not None:
-                nodes.append(cls.__name__)
-            return out
-
-        monkeypatch.setattr(Function, "apply", classmethod(recording_apply))
+            monkeypatch.setattr(cls, "forward", spy)
         net.set_trainable(True)
         net.predict(x, batch_size=3)
         net.activations_at(3, x)
-        assert nodes == []
-        net.forward(x)  # the spy does see a training pass's nodes
-        assert nodes
+        assert saved and not any(saved)
+        saved.clear()
+        net.forward(x)  # the spy does see a training pass save each layer's pass
+        assert saved == [True] * net.num_weight_layers
 
     def test_failed_inference_leaves_recording_on(self, net, x):
         net.set_trainable(True)
@@ -273,11 +331,11 @@ class TestClassMask:
     def test_full_mask_is_bitwise_noop_fused_and_per_step(self, net, x):
         full = np.ones(5, dtype=bool)
         for forward in (
-            lambda **kw: net.forward(x, **kw).logits,
-            lambda **kw: oracle.network_forward(net, x, **kw),
+            lambda **kw: net.forward(x, **kw).logits.data,
+            lambda **kw: oracle.network_forward(net, x, **kw)[0],
         ):
-            unmasked = forward().data
-            masked = forward(class_mask=full).data
+            unmasked = forward()
+            masked = forward(class_mask=full)
             np.testing.assert_array_equal(unmasked, masked)
 
     def test_mask_restricts_argmax_to_active_classes(self, net, x):
@@ -299,13 +357,13 @@ class TestClassMask:
     def test_mask_supported_on_both_readout_paths(self, net, x):
         mask = np.array([True, False, True, False, True])
         fused = net.forward(x, class_mask=mask).logits.data
-        steps = oracle.network_forward(net, x, class_mask=mask).data
+        steps = oracle.network_forward(net, x, class_mask=mask)[0]
         np.testing.assert_allclose(fused, steps, rtol=1e-10, atol=1e-12)
 
     def test_gradient_flows_through_masked_logits(self, net, x):
         mask = np.array([True, True, False, False, False])
         result = net.forward(x, class_mask=mask)
-        cross_entropy(result.logits, np.array([0, 1, 0, 1])).backward()
+        readout_cross_entropy(result.logits, np.array([0, 1, 0, 1])).backward()
         for p in net.trainable_parameters():
             assert p.grad is not None
 
@@ -317,8 +375,8 @@ class TestClassMask:
         mask = np.array([True, True, False, False, False])
         opt = Adam(net.trainable_parameters(), learning_rate=1e-3)
         logits = net.forward(x, class_mask=mask).logits
-        assert logits.dtype == np.float32
-        cross_entropy(logits, np.array([0, 1, 0, 1])).backward()
+        assert logits.data.dtype == np.float32
+        readout_cross_entropy(logits, np.array([0, 1, 0, 1])).backward()
         opt.step()
         weight = net.readout.w_ff
         assert weight.grad.dtype == weight.data.dtype == np.float32

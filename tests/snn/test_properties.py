@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) on SNN invariants."""
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import lif_step
-from repro.autograd import tensor, zeros
 from repro.config import NetworkConfig
 from repro.snn import (
     LIFParameters,
@@ -13,6 +14,10 @@ from repro.snn import (
     RecurrentLIFLayer,
     SpikingNetwork,
 )
+
+#: The oracle steps take float32 state and currents, as the layers do.
+f32 = functools.partial(np.asarray, dtype=np.float32)
+zeros = functools.partial(np.zeros, dtype=np.float32)
 
 
 class TestLIFInvariants:
@@ -25,23 +30,23 @@ class TestLIFInvariants:
     def test_spikes_always_binary(self, beta, threshold, seed):
         rng = np.random.default_rng(seed)
         params = LIFParameters(beta=beta, threshold=threshold)
-        membrane = tensor(rng.normal(0, 1, (3, 5)).astype(np.float32))
-        prev = tensor((rng.random((3, 5)) < 0.5).astype(np.float32))
-        current = tensor(rng.normal(0, 2, (3, 5)).astype(np.float32))
+        membrane = f32(rng.normal(0, 1, (3, 5)).astype(np.float32))
+        prev = f32((rng.random((3, 5)) < 0.5).astype(np.float32))
+        current = f32(rng.normal(0, 2, (3, 5)).astype(np.float32))
         _, spikes = lif_step(membrane, prev, current, params)
-        assert set(np.unique(spikes.data)).issubset({0.0, 1.0})
+        assert set(np.unique(spikes)).issubset({0.0, 1.0})
 
     @given(beta=st.floats(min_value=0.05, max_value=0.99))
     @settings(max_examples=20, deadline=None)
     def test_membrane_decays_geometrically_without_input(self, beta):
         steps = 50
         params = LIFParameters(beta=beta, threshold=10.0)  # never fires
-        membrane = tensor(np.ones((1, 4), dtype=np.float32))
+        membrane = f32(np.ones((1, 4), dtype=np.float32))
         prev = zeros((1, 4))
         for _ in range(steps):
             membrane, prev = lif_step(membrane, prev, zeros((1, 4)), params)
         expected = beta**steps
-        np.testing.assert_allclose(membrane.data, expected, rtol=1e-3, atol=1e-7)
+        np.testing.assert_allclose(membrane, expected, rtol=1e-3, atol=1e-7)
 
     @given(
         seed=st.integers(min_value=0, max_value=1000),
@@ -57,21 +62,21 @@ class TestLIFInvariants:
         prev = zeros((1, 3))
         rng = np.random.default_rng(seed)
         for _ in range(100):
-            current = tensor(rng.uniform(0, drive, (1, 3)).astype(np.float32))
+            current = f32(rng.uniform(0, drive, (1, 3)).astype(np.float32))
             membrane, prev = lif_step(membrane, prev, current, params)
-            assert np.all(membrane.data <= bound)
+            assert np.all(membrane <= bound)
 
     @given(threshold=st.floats(min_value=0.3, max_value=2.0))
     @settings(max_examples=20, deadline=None)
     def test_lower_threshold_never_fires_less(self, threshold):
         rng = np.random.default_rng(0)
         params = LIFParameters(beta=0.9, threshold=1.0)
-        current = tensor(rng.uniform(0, 2, (4, 16)).astype(np.float32))
+        current = f32(rng.uniform(0, 2, (4, 16)).astype(np.float32))
         _, s_hi = lif_step(zeros((4, 16)), zeros((4, 16)), current, params,
                            threshold=threshold)
         _, s_lo = lif_step(zeros((4, 16)), zeros((4, 16)), current, params,
                            threshold=threshold * 0.5)
-        assert s_lo.data.sum() >= s_hi.data.sum()
+        assert s_lo.sum() >= s_hi.sum()
 
 
 class TestLayerInvariants:

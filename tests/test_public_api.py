@@ -43,10 +43,7 @@ CALLER_DIRS = ("examples", "benchmarks", "e2ebench", "docs")
 
 #: Exports with no caller outside the tests, each kept for a reason.
 UNCALLED_EXPORTS = {
-    "spike": "per-step reference op of tests/snn/oracle.py and the test suite",
-    "tensor": "the leaf constructor the test suite builds its inputs with",
     "ManualClock": "the deterministic clock the trace tests drive",
-    "from_chrome": "round-trip inverse that checks to_chrome",
     "frozen_front_trace": "e2ebench patches it by name, a string the census cannot see",
 }
 

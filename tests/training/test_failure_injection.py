@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import tensor
+from repro.autograd import Tensor
 from repro.config import NetworkConfig
 from repro.errors import TrainingError
 from repro.snn import SpikingNetwork
@@ -30,7 +30,7 @@ class TestNonFiniteDetection:
             trainer.train_epoch(inputs, labels)
 
     def test_nan_gradient_raises_in_adam(self):
-        p = tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         opt = Adam([p], learning_rate=0.1)
         p.grad = np.array([np.inf, 0.0], dtype=np.float32)
         with pytest.raises(TrainingError):
