@@ -7,7 +7,7 @@ scratch on numpy:
 
 - :mod:`repro.autograd` — the weight Tensor, the reverse walk over
   saved layer passes (each layer is its own backward), and the
-  surrogate-gradient families.
+  fast-sigmoid surrogate gradient.
 - :mod:`repro.snn` — recurrent LIF spiking layers and networks.
 - :mod:`repro.data` — a synthetic Spiking-Heidelberg-Digits generator and
   class-incremental task machinery.

@@ -13,26 +13,15 @@ Public surface
 - :class:`Tensor` — the weight holder (``data``, ``grad``,
   ``requires_grad``, ``zero_grad``) that also carries the chain of passes.
 - :func:`no_grad` — context manager under which no forward saves a pass.
-- :mod:`repro.autograd.surrogate` — the pseudo-derivatives that replace
-  the Heaviside spike's derivative in BPTT (fast-sigmoid by default, as
-  in the paper).
+- :func:`fast_sigmoid_surrogate` — the pseudo-derivative that replaces
+  the Heaviside spike's derivative in BPTT (paper Fig. 5b).
 """
 
 from repro.autograd.tensor import Tensor, no_grad
-from repro.autograd.surrogate import (
-    SurrogateSpec,
-    atan_surrogate,
-    boxcar_surrogate,
-    fast_sigmoid_surrogate,
-    straight_through_surrogate,
-)
+from repro.autograd.surrogate import fast_sigmoid_surrogate
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "SurrogateSpec",
     "fast_sigmoid_surrogate",
-    "atan_surrogate",
-    "boxcar_surrogate",
-    "straight_through_surrogate",
 ]

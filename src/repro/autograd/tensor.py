@@ -6,7 +6,9 @@ The network this library trains is one fixed graph (paper Fig. 5-6):
 recurrent LIF layers, a leaky readout with an optional class mask, and
 the cross-entropy loss.  Each of them is its own backward.  While
 training, a forward saves what BPTT needs on a *pass* object attached
-to its output ``Tensor``.  A pass has
+to its output ``Tensor``; the forward hands the ``Tensor`` a function
+that builds the pass, called only when the output requires grad.  A
+pass has
 
 - ``input`` — the Tensor it consumed;
 - ``backward(grad)`` — given its output's gradient, sets the ``.grad``
@@ -63,21 +65,22 @@ class Tensor:
     requires_grad:
         Whether a gradient should reach this tensor.  Ignored (treated
         as False) inside a :func:`no_grad` block.
-    layer_pass:
-        The pass that produced ``data`` (module docstring); kept only
-        when the tensor requires grad.
+    make_pass:
+        Zero-argument function building the pass that produced ``data``
+        (module docstring); called only when the tensor requires grad,
+        so inference builds no pass.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_pass")
 
-    def __init__(self, data, requires_grad: bool = False, layer_pass=None):
+    def __init__(self, data, requires_grad: bool = False, make_pass=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
-        self._pass = layer_pass if self.requires_grad else None
+        self._pass = make_pass() if self.requires_grad and make_pass else None
 
     @property
     def shape(self) -> tuple[int, ...]:

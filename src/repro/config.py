@@ -52,24 +52,13 @@ class NetworkConfig:
         Membrane decay per timestep, ``exp(-dt/tau)`` in Eq. (1).
     threshold:
         Baseline neuron threshold potential ``Vthr`` (Eq. 2).
-    surrogate_scale:
-        Slope of the fast-sigmoid surrogate (Fig. 5b).
-    synapse_alpha:
-        None (default) — plain LIF (Eq. 1); in (0, 1) — current-based
-        (CuBa) LIF with synaptic decay ``alpha`` (neuron-model ablation).
     """
 
     layer_sizes: tuple[int, ...] = PAPER_LAYER_SIZES
     beta: float = 0.95
     threshold: float = 1.0
-    surrogate_scale: float = 25.0
-    synapse_alpha: float | None = None
 
     def __post_init__(self):
-        if self.synapse_alpha is not None and not 0.0 < self.synapse_alpha < 1.0:
-            raise ConfigError(
-                f"synapse_alpha must lie in (0, 1) or be None, got {self.synapse_alpha}"
-            )
         if len(self.layer_sizes) < 3:
             raise ConfigError(
                 "layer_sizes needs at least (input, hidden, classes); "

@@ -3,8 +3,8 @@
 The fused sequence kernels (:mod:`repro.snn.kernels`) collapse the SNN
 time loop into one pass per layer.  *What runs inside* those
 passes is pluggable: a :class:`SequenceExecutor` implements the four
-time-recurrent sweeps (LIF/CuBa forward, LIF/CuBa reverse, leaky-readout
-forward and reverse), mirroring tinygrad's ``runtime/ops_*.py`` split.
+time-recurrent sweeps (LIF forward and reverse, leaky-readout forward
+and reverse), mirroring tinygrad's ``runtime/ops_*.py`` split.
 The executors and their selection live in :mod:`repro.snn.backends`.
 
 **The contract** (see ``docs/backends.md`` for the full guide):
@@ -54,12 +54,10 @@ class SweepSpec:
         beta: Membrane decay per timestep.
         vthr: The static threshold ``params.threshold``, or ``None``
             under a controller, whose ``value`` the sweep starts at.
-        alpha: Synaptic decay of the CuBa variant, or None for plain LIF.
     """
 
     beta: float
     vthr: float | None
-    alpha: float | None = None
 
 
 class SequenceExecutor(ABC):
@@ -92,7 +90,7 @@ class SequenceExecutor(ABC):
         spec: SweepSpec,
         controller: ThresholdController | None = None,
     ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-        """Run the (CuBa-)LIF forward recurrence over a whole sequence.
+        """Run the LIF forward recurrence over a whole sequence.
 
         Args:
             ff: Projected feedforward currents ``[T, B, N]`` (the
@@ -125,11 +123,11 @@ class SequenceExecutor(ABC):
     ) -> np.ndarray:
         """Run the reverse BPTT sweep; return ``gI`` ``[T, B, N]``.
 
-        ``surrogate`` is the precomputed surrogate derivative at every
-        timestep (reference path), the only place the threshold enters
-        the backward.  The returned ``gI`` is the gradient w.r.t. the
-        projected input current, from which the reference path derives
-        all weight/input gradients as GEMMs.
+        ``surrogate`` is the precomputed fast-sigmoid derivative at
+        every timestep (reference path), the only place the threshold
+        enters the backward.  The returned ``gI`` is the gradient
+        w.r.t. the projected input current, from which the reference
+        path derives all weight/input gradients as GEMMs.
         """
 
     @abstractmethod

@@ -90,22 +90,15 @@ static void rec_gemm(long B, long N, const float *s, const float *w, float *out)
 static void lif_step(
     long B, long N,
     const float *current, const float *v_prev, const float *s_prev,
-    const float *vthr, double beta, int has_alpha, double alpha, float *syn,
-    float *v_out, float *s_out)
+    const float *vthr, double beta, float *v_out, float *s_out)
 {
     const float beta_c = (float)beta;
-    const float alpha_c = (float)alpha;
     long i = 0;
     for (long b = 0; b < B; b++) {
         for (long n = 0; n < N; n++, i++) {
-            float cur = current[i];
             float vp = v_prev ? v_prev[i] : 0.0f;
             float sp = s_prev ? s_prev[i] : 0.0f;
-            if (has_alpha) {
-                syn[i] = syn[i] * alpha_c + cur;
-                cur = syn[i];
-            }
-            float v = vp * (1.0f - sp) * beta_c + cur;
+            float v = vp * (1.0f - sp) * beta_c + current[i];
             v_out[i] = v;
             s_out[i] = (v - vthr[n] > 0.0f) ? 1.0f : 0.0f;
         }
@@ -115,9 +108,8 @@ static void lif_step(
 /* Step t of the forward sweep; rec is [B, N] scratch. */
 void lif_forward_step(
     long t, long B, long N,
-    const float *ff, const float *w_rec, const float *vthr,
-    double beta, int has_alpha, double alpha,
-    float *syn, float *rec, float *membrane, float *spikes)
+    const float *ff, const float *w_rec, const float *vthr, double beta,
+    float *rec, float *membrane, float *spikes)
 {
     const long BN = B * N;
     const float *current = ff + t * BN;
@@ -129,32 +121,27 @@ void lif_forward_step(
     lif_step(B, N, rec,
              t ? membrane + (t - 1) * BN : 0,
              t ? spikes + (t - 1) * BN : 0,
-             vthr, beta, has_alpha, alpha, syn,
-             membrane + t * BN, spikes + t * BN);
+             vthr, beta, membrane + t * BN, spikes + t * BN);
 }
 
 void lif_forward(
     long T, long B, long N,
-    const float *ff, const float *w_rec, const float *vthr,
-    double beta, int has_alpha, double alpha,
-    float *syn, float *rec, float *membrane, float *spikes)
+    const float *ff, const float *w_rec, const float *vthr, double beta,
+    float *rec, float *membrane, float *spikes)
 {
     for (long t = 0; t < T; t++)
-        lif_forward_step(t, B, N, ff, w_rec, vthr, beta, has_alpha, alpha,
-                         syn, rec, membrane, spikes);
+        lif_forward_step(t, B, N, ff, w_rec, vthr, beta, rec, membrane, spikes);
 }
 
 static void lif_backward_step(
     long BN,
     const float *g_spikes_t, const float *surrogate_t, const float *gs_rec,
     const float *membrane_prev, const float *spikes_prev,
-    double beta, int has_alpha, double alpha, int have_carry,
-    float *gs_reset, float *gv_carry, float *gj_carry, float *gj_out)
+    double beta, int have_carry,
+    float *gs_reset, float *gv_carry, float *gv)
 {
-    /* One branch-free loop per case; gj_out holds gV until read. */
+    /* One branch-free loop per case; gv is gI[t], written in place. */
     const float beta_c = (float)beta;
-    const float alpha_c = (float)alpha;
-    float *gv = gj_out;
     if (!have_carry) {
         for (long i = 0; i < BN; i++) gv[i] = g_spikes_t[i] * surrogate_t[i];
     } else {
@@ -169,12 +156,6 @@ static void lif_backward_step(
             gv_carry[i] = gv_beta * (1.0f - spikes_prev[i]);
         }
     }
-    if (has_alpha) {
-        /* J[t] feeds V[t] directly and J[t+1] through the alpha decay. */
-        if (have_carry)
-            for (long i = 0; i < BN; i++) gj_out[i] = gv[i] + gj_carry[i];
-        for (long i = 0; i < BN; i++) gj_carry[i] = gj_out[i] * alpha_c;
-    }
 }
 
 /* w_rec_t is the C-contiguous W_rec^T. */
@@ -182,8 +163,7 @@ void lif_backward(
     long T, long B, long N,
     const float *g_spikes, const float *surrogate,
     const float *membrane, const float *spikes, const float *w_rec_t,
-    double beta, int has_alpha, double alpha,
-    float *gs_reset, float *gv_carry, float *gj_carry, float *gs_rec,
+    double beta, float *gs_reset, float *gv_carry, float *gs_rec,
     float *g_current)
 {
     const long BN = B * N;
@@ -191,8 +171,7 @@ void lif_backward(
         lif_backward_step(BN, g_spikes + t * BN, surrogate + t * BN, gs_rec,
                           t ? membrane + (t - 1) * BN : 0,
                           t ? spikes + (t - 1) * BN : 0,
-                          beta, has_alpha, alpha, t < T - 1,
-                          gs_reset, gv_carry, gj_carry, g_current + t * BN);
+                          beta, t < T - 1, gs_reset, gv_carry, g_current + t * BN);
         if (t > 0)
             rec_gemm(B, N, g_current + t * BN, w_rec_t, gs_rec);
     }
@@ -228,13 +207,12 @@ void readout_backward(
 _CDEF = """
 void set_blas(void *, void *);
 void lif_forward(long, long, long, const float *, const float *, const float *,
-                 double, int, double, float *, float *, float *, float *);
+                 double, float *, float *, float *);
 void lif_forward_step(long, long, long, const float *, const float *,
-                      const float *, double, int, double, float *, float *,
-                      float *, float *);
+                      const float *, double, float *, float *, float *);
 void lif_backward(long, long, long, const float *, const float *, const float *,
-                  const float *, const float *, double, int, double, float *,
-                  float *, float *, float *, float *);
+                  const float *, const float *, double, float *, float *,
+                  float *, float *);
 void readout_forward(long, long, const float *, double, float *);
 void readout_backward(long, long, const float *, double, float *);
 """
@@ -431,18 +409,17 @@ class CffiExecutor(SequenceExecutor):
         for batch in (1, 3):
             ff = rng.standard_normal((5, batch, 4)).astype(np.float32)
             w_rec = rng.standard_normal((4, 4)).astype(np.float32) * np.float32(0.3)
-            for alpha in (None, 0.5):
-                spec = SweepSpec(beta=0.9, vthr=0.7, alpha=alpha)
-                want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)[:2]
-                got = self.lif_forward(ff, w_rec, spec)[:2]
-                if not all(np.array_equal(a, b) for a, b in zip(want, got)):
-                    raise AssertionError("forward sweep mismatch")
-                g = rng.standard_normal(ff.shape).astype(np.float32)
-                surrogate = rng.random(ff.shape).astype(np.float32)
-                want_g = numpy_ref.lif_reverse_sweep(g, surrogate, *want, w_rec, spec)
-                got_g = self.lif_backward(g, surrogate, *got, w_rec, spec)
-                if not np.array_equal(want_g, got_g):
-                    raise AssertionError("reverse sweep mismatch")
+            spec = SweepSpec(beta=0.9, vthr=0.7)
+            want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)[:2]
+            got = self.lif_forward(ff, w_rec, spec)[:2]
+            if not all(np.array_equal(a, b) for a, b in zip(want, got)):
+                raise AssertionError("forward sweep mismatch")
+            g = rng.standard_normal(ff.shape).astype(np.float32)
+            surrogate = rng.random(ff.shape).astype(np.float32)
+            want_g = numpy_ref.lif_reverse_sweep(g, surrogate, *want, w_rec, spec)
+            got_g = self.lif_backward(g, surrogate, *got, w_rec, spec)
+            if not np.array_equal(want_g, got_g):
+                raise AssertionError("reverse sweep mismatch")
             traj = numpy_ref.readout_forward_sweep(ff, 0.8)
             if not np.array_equal(traj, self.readout_forward(ff, 0.8)):
                 raise AssertionError("readout forward mismatch")
@@ -491,10 +468,8 @@ class CffiExecutor(SequenceExecutor):
         ff = np.ascontiguousarray(ff)
         membrane = np.empty_like(ff)
         spikes = np.empty_like(ff)
-        syn = np.zeros((batch, n_out), dtype=np.float32)
         rec = np.empty((batch, n_out), dtype=np.float32)
-        alpha = 0.0 if spec.alpha is None else float(spec.alpha)
-        consts = (float(spec.beta), int(spec.alpha is not None), alpha)
+        beta = float(spec.beta)
         if controller is None:
             # numpy computes `v - vthr` with a python-float threshold by
             # value-casting it to the array dtype first (NEP 50) — the
@@ -504,15 +479,15 @@ class CffiExecutor(SequenceExecutor):
             vthr = np.empty((timesteps, n_out), dtype=np.float32)
         kernel = self._kernel("lif_forward" if controller is None else "lif_forward_step")
         p_ff, p_w, p_vthr, *p_state = (
-            self._ptr(a) for a in (ff, w_rec, vthr, syn, rec, membrane, spikes)
+            self._ptr(a) for a in (ff, w_rec, vthr, rec, membrane, spikes)
         )
         if controller is None:
-            kernel(timesteps, batch, n_out, p_ff, p_w, p_vthr, *consts, *p_state)
+            kernel(timesteps, batch, n_out, p_ff, p_w, p_vthr, beta, *p_state)
             return membrane, spikes, spec.vthr
         value = controller.value
         for t in range(timesteps):
             vthr[t] = value  # the dtype cast the per-step oracle applies
-            kernel(t, batch, n_out, p_ff, p_w, p_vthr + t * n_out, *consts, *p_state)
+            kernel(t, batch, n_out, p_ff, p_w, p_vthr + t * n_out, beta, *p_state)
             counts = spikes[t].sum(axis=0)
             value = controller.step(t, counts, counts * t)
         return membrane, spikes, vthr
@@ -529,12 +504,11 @@ class CffiExecutor(SequenceExecutor):
             np.ascontiguousarray(a) for a in (g_spikes, surrogate, membrane, spikes, w_rec.T)
         ]
         g_current = np.empty_like(arrays[3])
-        alpha = 0.0 if spec.alpha is None else float(spec.alpha)
-        scratch = [np.empty((batch, n_out), dtype=np.float32) for _ in range(4)]
+        scratch = [np.empty((batch, n_out), dtype=np.float32) for _ in range(3)]
         self._kernel("lif_backward")(
             timesteps, batch, n_out,
             *(self._ptr(a) for a in arrays),
-            float(spec.beta), int(spec.alpha is not None), alpha,
+            float(spec.beta),
             *(self._ptr(s) for s in scratch),
             self._ptr(g_current),
         )

@@ -41,7 +41,7 @@ def lif_forward_sweep(
     spec: SweepSpec,
     controller: ThresholdController | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Forward recurrence shared by the LIF and CuBa kernels.
+    """The LIF forward recurrence over a whole sequence.
 
     Runs the same elementwise operations in the same order as ``T``
     steps of the per-timestep oracle on the already-projected feedforward
@@ -53,14 +53,12 @@ def lif_forward_sweep(
     """
     timesteps, batch, n_out = ff.shape
     dtype = ff.dtype
-    alpha = spec.alpha
     vthr = spec.vthr
     beta = spec.beta
     membrane = np.empty((timesteps, batch, n_out), dtype=dtype)
     spikes = np.empty((timesteps, batch, n_out), dtype=dtype)
     v = np.zeros((batch, n_out), dtype=dtype)
     s = np.zeros((batch, n_out), dtype=dtype)
-    syn = np.zeros((batch, n_out), dtype=dtype) if alpha is not None else None
     thresholds = None
     if controller is not None:
         thresholds = np.empty((timesteps, n_out), dtype=dtype)
@@ -71,9 +69,6 @@ def lif_forward_sweep(
             thresholds[t] = vthr
             vthr = thresholds[t]
         current = ff[t] + s @ w_rec
-        if alpha is not None:
-            syn = syn * alpha + current
-            current = syn
         v = v * (1.0 - s) * beta + current
         s = (v - vthr > 0.0).astype(dtype)
         membrane[t] = v
@@ -92,7 +87,7 @@ def lif_reverse_sweep(
     w_rec: np.ndarray,
     spec: SweepSpec,
 ) -> np.ndarray:
-    """Reverse BPTT sweep shared by the LIF and CuBa kernels.
+    """The LIF reverse BPTT sweep.
 
     Returns ``gI`` — the gradient of the loss w.r.t. the projected input
     current at every timestep — from which all weight/input gradients
@@ -102,7 +97,6 @@ def lif_reverse_sweep(
     """
     timesteps = spikes.shape[0]
     beta = spec.beta
-    alpha = spec.alpha
     # One contiguous copy (BLAS's no-trans path); the C executor's too.
     w_rec_t = np.ascontiguousarray(w_rec.T)
     g_current = np.empty_like(spikes)
@@ -112,15 +106,13 @@ def lif_reverse_sweep(
     # arrays, so per-step allocation overhead is comparable to the
     # arithmetic itself.  in-place ufuncs keep op order (hence bits)
     # identical.
-    gv = np.empty(state_shape, dtype)  # dL/dV[t]
     gv_beta = np.empty(state_shape, dtype)
     gv_carry = np.empty(state_shape, dtype)  # decay path into gV[t], from t+1
     gs_reset = np.empty(state_shape, dtype)  # reset path into gS[t], from t+1
     gs_rec = np.empty(state_shape, dtype)  # recurrent path into gS[t], from t+1
-    gj_carry = np.empty(state_shape, dtype)  # synaptic decay into gJ[t] (CuBa)
     have_carry = False
     for t in range(timesteps - 1, -1, -1):
-        gj = g_current[t]  # written in place below
+        gv = g_current[t]  # dL/dV[t] = dL/dI[t], written in place
         if have_carry:
             np.add(g_spikes[t], gs_reset, out=gv)  # gs = upstream + reset path
             np.add(gv, gs_rec, out=gv)  # ... + recurrent path
@@ -128,22 +120,13 @@ def lif_reverse_sweep(
             np.add(gv, gv_carry, out=gv)
         else:
             np.multiply(g_spikes[t], surrogate[t], out=gv)
-        if alpha is not None:
-            # J[t] feeds V[t] directly and J[t+1] through the alpha decay.
-            if have_carry:
-                np.add(gv, gj_carry, out=gj)
-            else:
-                gj[...] = gv
-            np.multiply(gj, alpha, out=gj_carry)
-        else:
-            gj[...] = gv
         if t > 0:
             np.multiply(gv, beta, out=gv_beta)
             np.multiply(gv_beta, membrane[t - 1], out=gs_reset)
             np.negative(gs_reset, out=gs_reset)
             np.subtract(1.0, spikes[t - 1], out=gv_carry)
             np.multiply(gv_beta, gv_carry, out=gv_carry)
-            np.matmul(gj, w_rec_t, out=gs_rec)
+            np.matmul(gv, w_rec_t, out=gs_rec)
             have_carry = True
     return g_current
 

@@ -2,15 +2,16 @@
 
 Each kernel runs a layer's whole ``[T, B, N]`` time loop as one pass.
 The forward runs the recurrence over preallocated state arrays; while
-training it also saves a pass on its output
+training it also builds a pass on its output
 :class:`~repro.autograd.Tensor` (see :mod:`repro.autograd.tensor`),
 whose backward is hand-derived BPTT through the
-decay/reset/recurrent/surrogate path.  ``Tensor.backward`` runs each
-layer's backward exactly once.  The readable per-timestep formulation
-lives on only as the test oracle (``tests/snn/oracle.py``), plain numpy
-one step at a time: forward spikes match it bitwise, weight gradients
-to a stated tolerance (they are one GEMM over ``T·B`` here, ``T``
-per-step products summed in the oracle).
+decay/reset/recurrent/surrogate path; inference builds none.
+``Tensor.backward`` runs each layer's backward exactly once.  The
+readable per-timestep formulation lives on only as the test oracle
+(``tests/snn/oracle.py``), plain numpy one step at a time: forward
+spikes match it bitwise, weight gradients to a stated tolerance (they
+are one GEMM over ``T·B`` here, ``T`` per-step products summed in the
+oracle).
 
 A sweep's threshold is the layer's ``params.threshold`` or, for Alg. 1's
 dynamic threshold, a :class:`~repro.snn.threshold.ThresholdController`:
@@ -34,7 +35,7 @@ Hand-derived BPTT (hard reset, Eq. 2; every hidden layer is recurrent)::
                S[t] = H(V[t] - vthr)
 
     reverse:   gS[t] = dL/dS[t] + Wrec^T-path + reset-path   (from t+1)
-               gV[t] = gS[t] * surrogate'(V[t] - vthr) + beta * (1 - S[t]) * gV[t+1]
+               gV[t] = gS[t] * fast_sigmoid'(V[t] - vthr) + beta * (1 - S[t]) * gV[t+1]
                gI[t] = gV[t]
                reset-path(t-1)     = -beta * V[t-1] * gV[t]
                Wrec^T-path(t-1)    = gI[t] @ Wrec^T
@@ -57,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.autograd import Tensor
+from repro.autograd import Tensor, fast_sigmoid_surrogate
 from repro.errors import ConfigError, ShapeError
 from repro.snn import backends
 from repro.snn.backends import SweepSpec
@@ -66,7 +67,6 @@ from repro.snn.threshold import ThresholdController
 
 __all__ = [
     "lif_sequence",
-    "cuba_lif_sequence",
     "leaky_readout_sequence",
 ]
 
@@ -104,15 +104,13 @@ def _kernel_span(kernel: str, backend: str, dtype: np.dtype):
 
 
 class _LIFPass:
-    """One (CuBa-)LIF layer pass: the saved sweep and its hand-derived BPTT."""
+    """One LIF layer pass: the saved sweep and its hand-derived BPTT."""
 
-    def __init__(self, x, w_ff, w_rec, membrane, spikes, vthr, params, spec, kernel, executor):
+    def __init__(self, x, w_ff, w_rec, membrane, spikes, vthr, spec, executor):
         self.input, self.w_ff, self.w_rec = x, w_ff, w_rec
         self.saved = x.data, w_ff.data, w_rec.data, membrane, spikes
         self.vthr = vthr
-        self.surrogate = params.surrogate.derivative
         self.spec = spec
-        self.kernel = kernel
         # The executor is pinned at forward time so backward runs on the
         # same backend even if REPRO_BACKEND flips in between.
         self.executor = executor
@@ -129,8 +127,8 @@ class _LIFPass:
         vthr = self.vthr
         if np.ndim(vthr) == 2:  # per-step [T, N] record -> [T, 1, N]
             vthr = vthr[:, None, :]
-        surrogate = self.surrogate(membrane - vthr)
-        with _kernel_span(f"{self.kernel}_backward", self.executor.name, spikes.dtype):
+        surrogate = fast_sigmoid_surrogate(membrane - vthr)
+        with _kernel_span("lif_backward", self.executor.name, spikes.dtype):
             g_current = self.executor.lif_backward(
                 g_spikes, surrogate, membrane, spikes, w_rec, self.spec
             )
@@ -170,25 +168,6 @@ class _ReadoutPass:
         return g_membrane @ w_ff.T if self.input.requires_grad else None
 
 
-def _lif_apply(x, w_ff, w_rec, params, alpha, controller) -> Tensor:
-    x, w_ff, w_rec = (a if isinstance(a, Tensor) else Tensor(a) for a in (x, w_ff, w_rec))
-    _check_sequence_args(x.data, w_ff.data, w_rec.data)
-    executor = backends.active()
-    vthr = None if controller is not None else params.threshold
-    spec = SweepSpec(beta=params.beta, vthr=vthr, alpha=alpha)
-    kernel = "lif" if alpha is None else "cuba_lif"
-    ff = x.data @ w_ff.data
-    with _kernel_span(f"{kernel}_forward", executor.name, ff.dtype):
-        membrane, spikes, used = executor.lif_forward(ff, w_rec.data, spec, controller)
-    if controller is not None and np.any(used <= 0.0):
-        raise ConfigError(f"{controller!r} produced a non-positive threshold")
-    layer_pass = _LIFPass(
-        x, w_ff, w_rec, membrane, spikes, used, params, spec, kernel, executor
-    )
-    needs_grad = x.requires_grad or w_ff.requires_grad or w_rec.requires_grad
-    return Tensor(spikes, needs_grad, layer_pass)
-
-
 def lif_sequence(
     x: Tensor | np.ndarray,
     w_ff: Tensor | np.ndarray,
@@ -201,7 +180,7 @@ def lif_sequence(
     Args:
         x: Input spikes/activations ``[T, B, n_in]``.
         w_ff: Feedforward weights ``[n_in, n_out]``.
-        params: Neuron constants (decay, threshold, surrogate family).
+        params: Neuron constants (decay, threshold).
         w_rec: Recurrent weights ``[n_out, n_out]``.
         controller: Optional :class:`~repro.snn.threshold.ThresholdController`
             that sets ``Vthr`` per timestep from the spike activity
@@ -213,25 +192,21 @@ def lif_sequence(
         carries the layer's pass when the input or a weight requires
         grad (and not under :func:`~repro.autograd.no_grad`).
     """
-    return _lif_apply(x, w_ff, w_rec, params, None, controller)
-
-
-def cuba_lif_sequence(
-    x: Tensor | np.ndarray,
-    w_ff: Tensor | np.ndarray,
-    params: LIFParameters,
-    alpha: float,
-    w_rec: Tensor | np.ndarray,
-    controller: ThresholdController | None = None,
-) -> Tensor:
-    """Fused current-based (CuBa) LIF sequence.
-
-    Same contract as :func:`lif_sequence` with the synaptic low-pass
-    state ``J[t] = alpha * J[t-1] + I[t]`` inserted before integration.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"synaptic alpha must lie in (0, 1), got {alpha}")
-    return _lif_apply(x, w_ff, w_rec, params, float(alpha), controller)
+    x, w_ff, w_rec = (a if isinstance(a, Tensor) else Tensor(a) for a in (x, w_ff, w_rec))
+    _check_sequence_args(x.data, w_ff.data, w_rec.data)
+    executor = backends.active()
+    vthr = None if controller is not None else params.threshold
+    spec = SweepSpec(beta=params.beta, vthr=vthr)
+    ff = x.data @ w_ff.data
+    with _kernel_span("lif_forward", executor.name, ff.dtype):
+        membrane, spikes, used = executor.lif_forward(ff, w_rec.data, spec, controller)
+    if controller is not None and np.any(used <= 0.0):
+        raise ConfigError(f"{controller!r} produced a non-positive threshold")
+    return Tensor(
+        spikes,
+        x.requires_grad or w_ff.requires_grad or w_rec.requires_grad,
+        lambda: _LIFPass(x, w_ff, w_rec, membrane, spikes, used, spec, executor),
+    )
 
 
 def leaky_readout_sequence(
@@ -263,6 +238,9 @@ def leaky_readout_sequence(
         trajectory = executor.readout_forward(projected, beta)
     # The time mean is a sum then a 0-d scale in the trajectory's dtype.
     scale = np.asarray(1.0 / trajectory.shape[0], trajectory.dtype)
-    layer_pass = _ReadoutPass(x, w_ff, beta, trajectory.shape, scale, executor)
     logits = trajectory.sum(axis=0) * scale
-    return Tensor(logits, x.requires_grad or w_ff.requires_grad, layer_pass)
+    return Tensor(
+        logits,
+        x.requires_grad or w_ff.requires_grad,
+        lambda: _ReadoutPass(x, w_ff, beta, trajectory.shape, scale, executor),
+    )

@@ -7,7 +7,7 @@ Every layer pass runs as one fused sequence kernel
 (:mod:`repro.snn.kernels`), including passes under a dynamic
 :class:`~repro.snn.threshold.ThresholdController` (Alg. 1), which the
 kernel consults between timesteps.  Each layer is its own backward:
-a training forward saves its pass on the output Tensor, and
+a training forward builds its pass on the output Tensor, and
 ``Tensor.backward`` on the loss runs the passes in reverse.
 """
 
@@ -60,11 +60,6 @@ class RecurrentLIFLayer:
 
     with Eq. 2's hard reset; every hidden layer of the paper's SHD
     architecture is recurrent.
-
-    With ``synapse_alpha`` set, the neurons follow the current-based
-    (CuBa) dynamics instead: the projected input is low-pass filtered
-    through a synaptic current state ``J[t] = alpha * J[t-1] + I[t]``
-    before integration.
     """
 
     #: Default feedforward init gain.  Plain 1/sqrt(fan_in) leaves deep
@@ -86,18 +81,12 @@ class RecurrentLIFLayer:
         rng: np.random.Generator | None = None,
         name: str = "lif",
         ff_gain: float | None = None,
-        synapse_alpha: float | None = None,
     ):
         rng = rng or default_rng()
-        if synapse_alpha is not None and not 0.0 < synapse_alpha < 1.0:
-            raise ConfigError(
-                f"synapse_alpha must lie in (0, 1) or be None, got {synapse_alpha}"
-            )
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self.params = params
         self.name = name
-        self.synapse_alpha = synapse_alpha
         self.w_ff = dense_init(rng, n_in, n_out, gain=ff_gain or self.FF_GAIN)
         self.w_rec = recurrent_init(rng, n_out)
 
@@ -137,7 +126,7 @@ class RecurrentLIFLayer:
         While training, the output carries the layer's pass, whose
         backward sets ``w_ff``/``w_rec`` gradients and returns the
         input's.  When the layer is frozen (no trainable parameters) and
-        the input carries no gradient, the sweep saves no pass.
+        the input carries no gradient, the sweep builds no pass.
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
         if x.data.ndim != 3:
@@ -145,10 +134,6 @@ class RecurrentLIFLayer:
         if x.shape[2] != self.n_in:
             raise ShapeError(
                 f"input feature dim {x.shape[2]} != layer fan-in {self.n_in}"
-            )
-        if self.synapse_alpha is not None:
-            return kernels.cuba_lif_sequence(
-                x, self.w_ff, self.params, self.synapse_alpha, self.w_rec, controller
             )
         return kernels.lif_sequence(x, self.w_ff, self.params, self.w_rec, controller)
 

@@ -34,7 +34,6 @@ from repro.snn.layers import LeakyReadout, RecurrentLIFLayer
 from repro.snn.neurons import LIFParameters
 from repro.snn.state import LayerTraceEntry, SpikeTrace
 from repro.snn.threshold import ThresholdController
-from repro.autograd.surrogate import fast_sigmoid_surrogate
 
 #: A per-layer threshold-controller factory, ``layer -> controller``.
 ControllerFactory = Callable[[RecurrentLIFLayer], ThresholdController]
@@ -65,13 +64,7 @@ class SpikingNetwork:
     def __init__(self, config: NetworkConfig, seed: int = 0):
         self.config = config
         self.seed = int(seed)
-        surrogate = fast_sigmoid_surrogate(config.surrogate_scale)
-        params = LIFParameters(
-            beta=config.beta,
-            threshold=config.threshold,
-            surrogate=surrogate,
-        )
-        self.neuron_params = params
+        params = LIFParameters(beta=config.beta, threshold=config.threshold)
 
         sizes = config.layer_sizes
         self.hidden_layers: list[RecurrentLIFLayer] = []
@@ -84,7 +77,6 @@ class SpikingNetwork:
                     params,
                     rng=rng,
                     name=f"hidden{i}",
-                    synapse_alpha=config.synapse_alpha,
                 )
             )
         self.readout = LeakyReadout(

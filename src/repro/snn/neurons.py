@@ -11,17 +11,16 @@ surrogate-gradient literature (and by the SpikingLR comparator):
     S[t] = Heaviside(V[t] - Vthr)
 
 with ``beta = exp(-dt / tau)``, ``Vrst = 0`` and ``reset(s) = 1 - s``.
-The Heaviside backward pass uses a surrogate gradient (see
-:mod:`repro.autograd.surrogate`).  The fused sequence kernels
+The Heaviside backward pass uses the fast-sigmoid surrogate gradient
+(see :mod:`repro.autograd.surrogate`).  The fused sequence kernels
 (:mod:`repro.snn.kernels`) run these dynamics; this module holds their
 constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.autograd.surrogate import SurrogateSpec, fast_sigmoid_surrogate
 from repro.errors import ConfigError
 
 __all__ = ["LIFParameters"]
@@ -35,12 +34,10 @@ class LIFParameters:
         beta: Membrane decay per timestep, ``exp(-dt/tau)`` in Eq. (1).
         threshold: Baseline threshold potential ``Vthr``; a threshold
             controller (Alg. 1) replaces it per timestep when given.
-        surrogate: Pseudo-derivative family for the backward pass.
     """
 
     beta: float = 0.95
     threshold: float = 1.0
-    surrogate: SurrogateSpec = field(default_factory=fast_sigmoid_surrogate)
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:

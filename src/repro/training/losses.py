@@ -48,4 +48,6 @@ def readout_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     shifted = data - data.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = np.asarray(-log_probs[np.arange(n), targets].mean(), dtype=data.dtype)
-    return Tensor(loss, logits.requires_grad, _CrossEntropyPass(logits, log_probs, targets))
+    return Tensor(
+        loss, logits.requires_grad, lambda: _CrossEntropyPass(logits, log_probs, targets)
+    )

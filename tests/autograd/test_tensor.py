@@ -26,7 +26,9 @@ class ScalePass:
 
 
 def scale(x, w, log):
-    return Tensor(x.data * w.data, x.requires_grad or w.requires_grad, ScalePass(x, w, log))
+    return Tensor(
+        x.data * w.data, x.requires_grad or w.requires_grad, lambda: ScalePass(x, w, log)
+    )
 
 
 def weight(value, trainable=True):
@@ -157,9 +159,17 @@ class TestWeightHolder:
         assert Tensor(np.zeros((2, 3))).shape == (2, 3)
 
     def test_pass_kept_only_when_grad_is_required(self, log):
-        x = Tensor(np.ones(1))
-        assert Tensor([1.0], False, ScalePass(x, weight(1.0), log))._pass is None
-        assert Tensor([1.0], True, ScalePass(x, weight(1.0), log))._pass is not None
+        built = []
+
+        def make_pass():
+            built.append(ScalePass(Tensor(np.ones(1)), weight(1.0), log))
+            return built[-1]
+
+        assert Tensor([1.0], False, make_pass)._pass is None
+        with no_grad():
+            assert Tensor([1.0], True, make_pass)._pass is None
+        assert not built  # no pass is built for a tensor that drops it
+        assert Tensor([1.0], True, make_pass)._pass is built[0]
 
 
 class TestNoGrad:

@@ -10,9 +10,8 @@ per-step reverse loop, written from the BPTT equations with the same
 float ops in the same order:
 
     gS[t] = (dL/dS[t] + reset-path) + recurrent-path     (paths from t+1)
-    gV[t] = gS[t] * surrogate'(V[t] - vthr[t]) + decay-path
-    gJ[t] = gV[t] + alpha * gJ[t+1]                       (CuBa only)
-    gI[t] = gJ[t] (CuBa) or gV[t]
+    gV[t] = gS[t] * fast_sigmoid'(V[t] - vthr[t]) + decay-path
+    gI[t] = gV[t]
 
 Fused and oracle agree bitwise on forward spikes, with and without
 dynamic thresholds.  Their weight gradients are the same sums in a
@@ -21,14 +20,14 @@ oracle adds ``T`` per-step products as its reverse loop visits the
 steps — so they agree to ``GRAD_RTOL``.  The oracle's own BPTT is
 certified by finite differences (``test_oracle.py``): a smooth spike
 function, passed as ``spike=(function, derivative)``, replaces the
-Heaviside and its exact derivative replaces the surrogate.
+Heaviside and its exact derivative replaces the fast-sigmoid surrogate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.autograd import fast_sigmoid_surrogate
 from repro.snn.layers import MASKED_LOGIT
 from repro.snn.neurons import LIFParameters
 from repro.snn.threshold import DECAY_RATE, GAIN, ThresholdController
@@ -65,46 +64,26 @@ def lif_step(membrane, prev_spikes, current, params: LIFParameters, threshold=No
     return membrane, spike(membrane - vthr)
 
 
-def cuba_lif_step(membrane, syn_current, prev_spikes, input_current,
-                  params: LIFParameters, alpha: float, threshold=None, spike=heaviside):
-    """Advance one current-based LIF timestep.
-
-    ``J[t] = alpha * J[t-1] + I[t]`` filters the input before it reaches
-    the membrane.  Returns ``(membrane, syn_current, spikes)``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"synaptic alpha must lie in (0, 1), got {alpha}")
-    syn_current = syn_current * alpha + input_current
-    membrane, spikes = lif_step(membrane, prev_spikes, syn_current, params, threshold, spike)
-    return membrane, syn_current, spikes
-
-
 def layer_forward(layer, x, controller=None, spike=None):
     """:meth:`RecurrentLIFLayer.forward`, one timestep at a time.
 
     ``spike`` is an optional ``(function, derivative)`` pair replacing
-    the Heaviside and the layer's surrogate.  Returns ``(spikes,
+    the Heaviside and the fast-sigmoid surrogate.  Returns ``(spikes,
     backward)``: the ``[T, B, N]`` raster and a function mapping its
     gradient to ``(gx, gw_ff, gw_rec)``.
     """
     x = np.asarray(x)
     w_ff, w_rec = layer.w_ff.data, layer.w_rec.data
-    params, alpha = layer.params, layer.synapse_alpha
-    fire, derivative = spike or (heaviside, params.surrogate.derivative)
+    params = layer.params
+    fire, derivative = spike or (heaviside, fast_sigmoid_surrogate)
     dtype = np.result_type(x, w_ff)
-    state = np.zeros((x.shape[1], layer.n_out), dtype)
-    membrane, syn, spikes = state, state, state
+    membrane = spikes = np.zeros((x.shape[1], layer.n_out), dtype)
     threshold = params.threshold if controller is None else controller.value
     membranes, rasters, thresholds = [], [], []
     for t in range(x.shape[0]):
         current = x[t] @ w_ff + spikes @ w_rec
         threshold = np.asarray(threshold, dtype)
-        if alpha is None:
-            membrane, spikes = lif_step(membrane, spikes, current, params, threshold, fire)
-        else:
-            membrane, syn, spikes = cuba_lif_step(
-                membrane, syn, spikes, current, params, alpha, threshold, fire
-            )
+        membrane, spikes = lif_step(membrane, spikes, current, params, threshold, fire)
         membranes.append(membrane)
         rasters.append(spikes)
         thresholds.append(threshold)
@@ -116,22 +95,20 @@ def layer_forward(layer, x, controller=None, spike=None):
         gx = np.empty_like(x, dtype=dtype)
         gw_ff = np.zeros_like(w_ff)
         gw_rec = np.zeros_like(w_rec)
-        later = None  # (gV[t+1], gI[t+1]) once a later step exists
+        gv_next = None  # gV[t+1] = gI[t+1] once a later step exists
         for t in range(x.shape[0] - 1, -1, -1):
             gs = g_spikes[t]
-            if later is not None:
-                gv_next, gi_next = later
+            if gv_next is not None:
                 gs = gs + -((gv_next * params.beta) * membranes[t])
-                gs = gs + gi_next @ w_rec.T
+                gs = gs + gv_next @ w_rec.T
             gv = gs * derivative(membranes[t] - thresholds[t])
-            if later is not None:
+            if gv_next is not None:
                 gv = gv + (gv_next * params.beta) * (1.0 - rasters[t])
-            gi = gv if alpha is None or later is None else gv + gi_next * alpha
-            gw_ff = gw_ff + x[t].T @ gi
+            gw_ff = gw_ff + x[t].T @ gv
             if t > 0:
-                gw_rec = gw_rec + rasters[t - 1].T @ gi
-            gx[t] = gi @ w_ff.T
-            later = gv, gi
+                gw_rec = gw_rec + rasters[t - 1].T @ gv
+            gx[t] = gv @ w_ff.T
+            gv_next = gv
         return gx, gw_ff, gw_rec
 
     return np.stack(rasters), backward

@@ -23,15 +23,8 @@ from repro.snn import (
     RecurrentLIFLayer,
     SpikingNetwork,
     ThresholdController,
-    cuba_lif_sequence,
     leaky_readout_sequence,
     lif_sequence,
-)
-from repro.autograd.surrogate import (
-    atan_surrogate,
-    boxcar_surrogate,
-    fast_sigmoid_surrogate,
-    straight_through_surrogate,
 )
 from repro.config import NetworkConfig
 from repro.errors import ConfigError, ShapeError
@@ -44,21 +37,13 @@ def rng():
     return np.random.default_rng(42)
 
 
-#: Every surrogate family: the fused backward evaluates it once over the
-#: whole ``[T, B, N]`` stack, the oracle once per step.
-SURROGATES = {
-    "atan": atan_surrogate,
-    "boxcar": boxcar_surrogate,
-    "fast-sigmoid": fast_sigmoid_surrogate,
-    "straight-through": straight_through_surrogate,
-}
+#: Two LIF operating points: a leakier neuron and ``NetworkConfig``'s
+#: default (beta 0.95, Vthr 1.0).
+NEURONS = {"lif": LIFParameters(beta=0.9), "lif-config": LIFParameters()}
 
 
-def make_layer(synapse_alpha=None, n_in=10, n_out=7, surrogate="fast-sigmoid"):
-    params = LIFParameters(beta=0.9, surrogate=SURROGATES[surrogate]())
-    return RecurrentLIFLayer(
-        n_in, n_out, params, rng=np.random.default_rng(5), synapse_alpha=synapse_alpha
-    )
+def make_layer(neuron="lif"):
+    return RecurrentLIFLayer(10, 7, NEURONS[neuron], rng=np.random.default_rng(5))
 
 
 def run_both_paths(layer, x, g_up, make_controller=lambda: None):
@@ -75,18 +60,10 @@ def run_both_paths(layer, x, g_up, make_controller=lambda: None):
     return fused, (spikes, list(backward(g_up)[1:]))
 
 
-@pytest.mark.parametrize("surrogate", sorted(SURROGATES))
 class TestLIFParity:
-    def test_forward_bitwise_gradient_close(self, rng, surrogate):
-        layer = make_layer(surrogate=surrogate)
-        x = (rng.random((18, 3, 10)) < 0.35).astype(np.float32)
-        g_up = rng.standard_normal((18, 3, 7)).astype(np.float32)
-        (out_f, grads_f), (out_s, grads_s) = run_both_paths(layer, x, g_up)
-        assert np.array_equal(out_f, out_s)
-        oracle.assert_grads_close(grads_f, grads_s)
-
-    def test_cuba_forward_bitwise_gradient_close(self, rng, surrogate):
-        layer = make_layer(synapse_alpha=0.7, surrogate=surrogate)
+    @pytest.mark.parametrize("neuron", sorted(NEURONS))
+    def test_forward_bitwise_gradient_close(self, rng, neuron):
+        layer = make_layer(neuron)
         x = (rng.random((18, 3, 10)) < 0.35).astype(np.float32)
         g_up = rng.standard_normal((18, 3, 7)).astype(np.float32)
         (out_f, grads_f), (out_s, grads_s) = run_both_paths(layer, x, g_up)
@@ -109,13 +86,9 @@ class TestGradientParityFloat64:
         for p in layer.parameters():
             p.data = p.data.astype(np.float64)
 
-    # The straight-through family is left to TestLIFParity's relative
-    # check: its unit pseudo-derivative lets BPTT grow these gradients to
-    # ~1e11 over 20 steps, where an absolute tolerance says nothing.
-    @pytest.mark.parametrize("surrogate", ["atan", "boxcar", "fast-sigmoid"])
-    @pytest.mark.parametrize("alpha", [None, 0.7])
-    def test_grads_within_tolerance(self, rng, alpha, surrogate):
-        layer = make_layer(synapse_alpha=alpha, surrogate=surrogate)
+    @pytest.mark.parametrize("neuron", sorted(NEURONS))
+    def test_grads_within_tolerance(self, rng, neuron):
+        layer = make_layer(neuron)
         self._to_f64(layer)
         x = (rng.random((20, 3, 10)) < 0.35).astype(np.float64)
         g_up = rng.standard_normal((20, 3, 7))
@@ -172,12 +145,6 @@ class TestKernelAPI:
                 w_rec=np.zeros((3, 3), dtype=np.float32),
             )
 
-    def test_cuba_rejects_bad_alpha(self):
-        x = np.zeros((4, 1, 6), dtype=np.float32)
-        w = np.zeros((6, 4), dtype=np.float32)
-        with pytest.raises(ConfigError):
-            cuba_lif_sequence(x, w, LIFParameters(), 1.5, W_REC)
-
     def test_single_timestep_recurrent_gradient(self, rng):
         # T=1 means the recurrent weight never fires (S[-1] = 0); its
         # gradient must be zero, not missing (regression: the fused
@@ -231,12 +198,12 @@ class TestControllerSweep:
     """Dynamic thresholds (Alg. 1) run inside the fused sweep."""
 
     # The backward reads the per-step threshold record only inside the
-    # surrogate, V[t] - vthr[t]: every family must see the same record.
-    @pytest.mark.parametrize("surrogate", sorted(SURROGATES))
-    @pytest.mark.parametrize("alpha", [None, 0.7], ids=["lif", "cuba"])
+    # surrogate, V[t] - vthr[t]: the fused pass and the oracle must see
+    # the same record.
+    @pytest.mark.parametrize("neuron", sorted(NEURONS))
     @pytest.mark.parametrize("per_neuron", [True, False], ids=["per-neuron", "scalar"])
-    def test_forward_bitwise_gradient_close(self, rng, alpha, per_neuron, surrogate):
-        layer = make_layer(synapse_alpha=alpha, surrogate=surrogate)
+    def test_forward_bitwise_gradient_close(self, rng, per_neuron, neuron):
+        layer = make_layer(neuron)
         x = (rng.random((18, 3, 10)) < 0.35).astype(np.float32)
         g_up = rng.standard_normal((18, 3, 7)).astype(np.float32)
 

@@ -7,6 +7,7 @@ import oracle
 from repro import obs
 from repro.config import NetworkConfig
 from repro.errors import DataError, ShapeError, SplitError
+from repro.snn import kernels
 from repro.snn import (
     LeakyReadout,
     PerNeuronAdaptiveThreshold,
@@ -302,6 +303,22 @@ class TestPredictAndController:
         saved.clear()
         net.forward(x)  # the spy does see a training pass save each layer's pass
         assert saved == [True] * net.num_weight_layers
+
+    def test_inference_builds_no_pass(self, net, x, monkeypatch):
+        """Inference and a frozen front build no pass only to drop it."""
+
+        class Unbuildable:
+            def __init__(self, *args):
+                raise AssertionError("a pass was built for an output that drops it")
+
+        monkeypatch.setattr(kernels, "_LIFPass", Unbuildable)
+        monkeypatch.setattr(kernels, "_ReadoutPass", Unbuildable)
+        net.set_trainable(True)
+        net.predict(x, batch_size=3)
+        net.freeze_below(2)
+        net.activations_at(2, x)
+        net.set_trainable(False)
+        net.forward(x)  # a frozen network outside no_grad
 
     def test_failed_inference_leaves_recording_on(self, net, x):
         net.set_trainable(True)

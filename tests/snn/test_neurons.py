@@ -72,24 +72,20 @@ class TestLIFStep:
         assert s_low.sum() >= s_high.sum()
 
 
-def assert_input_gradient_matches_oracle(alpha):
+def test_input_gradient_matches_oracle():
     """The fused layer pass hands its input the oracle's gradient.
 
     That gradient is what trains a learning layer below another one
     (NCL at insertion layers 1 and 2).
     """
     rng = np.random.default_rng(8)
-    layer = RecurrentLIFLayer(5, 4, make_params(), rng=rng, synapse_alpha=alpha)
+    layer = RecurrentLIFLayer(5, 4, make_params(), rng=rng)
     x = Tensor((rng.random((9, 2, 5)) < 0.5).astype(np.float32), requires_grad=True)
     g_up = rng.standard_normal((9, 2, 4)).astype(np.float32)
     layer.forward(x).backward(g_up)
     gx, _, _ = oracle.layer_forward(layer, x.data)[1](g_up)
     assert np.any(x.grad != 0)
     oracle.assert_grads_close([x.grad], [gx])
-
-
-def test_input_gradient_matches_oracle():
-    assert_input_gradient_matches_oracle(alpha=None)
 
 
 class TestLIFParameters:

@@ -3,8 +3,8 @@
 The Heaviside spike has no useful derivative, so these checks swap in a
 smooth spike function whose exact derivative replaces the surrogate:
 the oracle's reverse loop must then be the true gradient of its
-forward, through every path (decay, hard reset, recurrence, synaptic
-filter, per-step thresholds).  The fused passes are pinned to the
+forward, through every path (decay, hard reset, recurrence, per-step
+thresholds).  The fused passes are pinned to the
 oracle elsewhere (``test_kernels.py``, ``test_backends.py``).
 """
 
@@ -48,11 +48,8 @@ class ScheduleThreshold(ThresholdController):
         return self._value
 
 
-def float64_layer(alpha, seed=0):
-    layer = RecurrentLIFLayer(
-        4, 3, LIFParameters(beta=0.8, threshold=0.6),
-        rng=np.random.default_rng(seed), synapse_alpha=alpha, ff_gain=1.5,
-    )
+def float64_layer(params, seed=0):
+    layer = RecurrentLIFLayer(4, 3, params, rng=np.random.default_rng(seed), ff_gain=1.5)
     rng = np.random.default_rng(seed + 1)
     layer.w_ff.data = layer.w_ff.data.astype(np.float64)
     layer.w_rec.data = rng.standard_normal((3, 3)) * 0.6
@@ -76,13 +73,21 @@ def central_difference(loss, array, eps=1e-6):
 TIMESTEPS = 7
 
 
+#: Two operating points: a leaky, low-threshold neuron and
+#: ``NetworkConfig``'s default (beta 0.95, Vthr 1.0).
+PARAMS = [
+    pytest.param(LIFParameters(beta=0.8, threshold=0.6), id="lif"),
+    pytest.param(LIFParameters(beta=0.95, threshold=1.0), id="lif-config"),
+]
+
+
 # T = 1 and T = 2 are the reverse loop's edges: no later step, then one.
 @pytest.mark.parametrize("timesteps", [1, 2, TIMESTEPS], ids=lambda t: f"T{t}")
 @pytest.mark.parametrize("target", ["x", "w_ff", "w_rec"])
 @pytest.mark.parametrize("schedule", [False, True], ids=["static", "per-step"])
-@pytest.mark.parametrize("alpha", [None, 0.6], ids=["lif", "cuba"])
-def test_lif_backward_is_the_gradient(alpha, schedule, target, timesteps):
-    layer = float64_layer(alpha)
+@pytest.mark.parametrize("params", PARAMS)
+def test_lif_backward_is_the_gradient(params, schedule, target, timesteps):
+    layer = float64_layer(params)
     rng = np.random.default_rng(7)
     x = rng.random((timesteps, 2, 4)) * 1.5
     g_up = rng.standard_normal((timesteps, 2, 3))

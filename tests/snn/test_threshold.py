@@ -107,7 +107,12 @@ def _batch_coupling_factory(layer):
     return PerNeuronAdaptiveThreshold(num_neurons=layer.n_out, timesteps=20, adjust_interval=5)
 
 
-@pytest.mark.parametrize("synapse_alpha", [None, 0.6], ids=["lif", "cuba"])
+#: Two LIF operating points: ``NetworkConfig``'s default and a leakier,
+#: lower-threshold neuron.
+_OPERATING_POINTS = {"lif": {}, "lif-leaky": dict(beta=0.9, threshold=0.65)}
+
+
+@pytest.mark.parametrize("neuron", sorted(_OPERATING_POINTS))
 @pytest.mark.parametrize("layer", [1, 2, 3])
 @pytest.mark.parametrize("position", [0, 5, 11])
 class TestBatchCoupling:
@@ -117,11 +122,11 @@ class TestBatchCoupling:
     at any depth of the frozen front and any place in the batch."""
 
     @staticmethod
-    def _frozen_front(controller, synapse_alpha, layer, position):
+    def _frozen_front(controller, neuron, layer, position):
         from repro.config import NetworkConfig
         from repro.snn import SpikingNetwork
 
-        config = NetworkConfig(layer_sizes=(40, 32, 24, 16, 4), synapse_alpha=synapse_alpha)
+        config = NetworkConfig(layer_sizes=(40, 32, 24, 16, 4), **_OPERATING_POINTS[neuron])
         net = SpikingNetwork(config, seed=0)
         x = (np.random.default_rng(0).random((20, 12, 40)) < 0.2).astype(np.float32)
         batch, _ = net.activations_at(layer, x, controller)
@@ -129,14 +134,12 @@ class TestBatchCoupling:
         assert batch.any()
         return batch[:, position : position + 1], alone
 
-    def test_without_controller_a_sample_ignores_its_batch(
-        self, synapse_alpha, layer, position
-    ):
-        in_batch, alone = self._frozen_front(None, synapse_alpha, layer, position)
+    def test_without_controller_a_sample_ignores_its_batch(self, neuron, layer, position):
+        in_batch, alone = self._frozen_front(None, neuron, layer, position)
         np.testing.assert_array_equal(in_batch, alone)
 
-    def test_controller_couples_a_sample_to_its_batch(self, synapse_alpha, layer, position):
+    def test_controller_couples_a_sample_to_its_batch(self, neuron, layer, position):
         in_batch, alone = self._frozen_front(
-            _batch_coupling_factory, synapse_alpha, layer, position
+            _batch_coupling_factory, neuron, layer, position
         )
         assert not np.array_equal(in_batch, alone)

@@ -208,6 +208,31 @@ UNCALLED_METHODS = {
 }
 
 
+def test_census_exemptions_name_live_code():
+    """Each exemption names an export or method that still exists.
+
+    A stale key would exempt nothing today and silently exempt a future
+    name that happens to match.
+    """
+    if not (REPO / "src" / "repro").is_dir():
+        pytest.skip("source tree layout not available")
+    exported = {
+        name
+        for module_name in iter_modules()
+        for name in getattr(importlib.import_module(module_name), "__all__", [])
+    }
+    assert not set(UNCALLED_EXPORTS) - exported, "exempt exports no module exports"
+    methods = {
+        f"{cls.name}.{node.name}"
+        for path in (REPO / "src" / "repro").rglob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not set(UNCALLED_METHODS) - methods, "exempt methods no class defines"
+
+
 @pytest.mark.parametrize("module_name", iter_modules())
 def test_every_public_method_has_a_caller(module_name):
     """Each public method or property of a library class is used as code
