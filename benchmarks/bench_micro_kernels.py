@@ -127,24 +127,27 @@ def test_fused_lif_forward_backward(benchmark, lif_workload):
 
 
 # ----------------------------------------------------------------------
-# Per-backend rows: the same fused workloads pinned to each registered
-# kernel backend (REPRO_BACKEND).  Unavailable backends skip, so the
-# rows degrade gracefully on runners without a C compiler;
-# check_regression.py asserts the C backend beats numpy on at least one
-# kernel whenever its rows are present.
+# Per-path rows: the same fused workloads pinned to each sweep path, the
+# numpy reference by forcing a failed kernel probe.  The c rows skip
+# where the kernels did not build, so the rows degrade gracefully on
+# runners without a C compiler; check_regression.py asserts the C
+# kernels beat numpy on at least one kernel whenever their rows are
+# present.
 # ----------------------------------------------------------------------
 
 _BACKEND_NAMES = ("numpy", "c")
 
 
 def _require_backend(name, monkeypatch):
+    """The executor, pinned to path ``name`` through its probe result."""
     from repro.snn import backends
 
-    executor = backends.get_backend(name)
+    executor = backends.active()
     ok, reason = executor.availability()
-    if not ok:
-        pytest.skip(f"backend {name!r} unavailable: {reason}")
-    monkeypatch.setenv("REPRO_BACKEND", name)
+    if name == "c" and not ok:
+        pytest.skip(f"backend 'c' unavailable: {reason}")
+    monkeypatch.setattr(executor, "_probe", (name == "c", reason))
+    return executor
 
 
 @pytest.mark.parametrize("backend_name", _BACKEND_NAMES)
@@ -165,11 +168,9 @@ def test_backend_recurrent_sweep(backend_name, benchmark, monkeypatch):
     executor's own sweeps, without the feedforward and weight GEMMs the
     layer rows also time.
     """
-    from repro.snn import backends
     from repro.snn.backends import SweepSpec
 
-    _require_backend(backend_name, monkeypatch)
-    executor = backends.get_backend(backend_name)
+    executor = _require_backend(backend_name, monkeypatch)
     rng = np.random.default_rng(3)
     x = _raster(rng, 100, 36)
     ff = x @ (rng.standard_normal((140, 64)) * 0.3).astype(np.float32)

@@ -8,8 +8,7 @@ Usage::
     python -m repro scenario list             # scenarios and methods
     python -m repro scenario run sequential --scale ci   # CL metrics for one run
     python -m repro scenario run task-incremental --steps 2   # task-IL (masked readout)
-    python -m repro info                      # version + inventory
-    python -m repro backends                  # kernel backend table
+    python -m repro info                      # version, inventory, kernel path
     python -m repro store stats runs/buffer   # replay-store maintenance
     python -m repro store federate runs/seq   # compose per-task stores
     python -m repro trace summary runs/trace.jsonl   # top spans + metrics
@@ -35,10 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list available experiments and scales")
-    sub.add_parser("info", help="print version and system inventory")
-    sub.add_parser(
-        "backends", help="kernel backend availability and selection table"
-    )
+    sub.add_parser("info", help="print version, inventory and the kernel path in use")
 
     run = sub.add_parser("run", help="reproduce a paper figure/table")
     run.add_argument("experiment", help="figure id (fig1a, fig2, ..., headline) or 'all'")
@@ -272,37 +268,18 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_backends() -> int:
-    from repro.config import backend_selection
-    from repro.snn import backends
-
-    requested = backend_selection()
-    rows = backends.selection_report()
-    print(f"REPRO_BACKEND={requested}")
-    name_w = max(len(row["name"]) for row in rows)
-    for row in rows:
-        marker = "*" if row["selected"] else " "
-        status = "available" if row["available"] else "unavailable"
-        print(f"{marker} {row['name']:{name_w}s}  {status:11s}  {row['reason']}")
-    print("(* = selected; set REPRO_BACKEND=numpy|c|auto to override)")
-    if not any(row["selected"] for row in rows):
-        print(
-            f"error: requested backend {requested!r} is unavailable "
-            "(see its reason above)",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
-
-
 def _cmd_info() -> int:
     import repro
+    from repro.snn import backends
 
     print(f"repro {repro.__version__} — Replay4NCL (DAC 2025) reproduction")
     print(
         "packages: autograd, snn, data, compression, replaystore, training, "
         "core, scenario, hw, eval, obs, lint"
     )
+    # The sweep path in use (c or numpy) and why: the kernel probe's reason.
+    executor = backends.active()
+    print(f"kernels: {executor.name} ({executor.availability()[1]})")
     print("see docs/index.md for the documentation and README.md for the quickstart")
     return 0
 
@@ -458,8 +435,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list()
         if args.command == "info":
             return _cmd_info()
-        if args.command == "backends":
-            return _cmd_backends()
         if args.command == "compare":
             return _cmd_compare(args)
         if args.command == "scenario":

@@ -24,8 +24,6 @@ __all__ = [
     "ENV_FLAGS",
     "env_flag",
     "env_value",
-    "BACKEND_CHOICES",
-    "backend_selection",
     "trace_selection",
 ]
 
@@ -214,18 +212,14 @@ class ExperimentConfig:
 # ``os.environ`` for a REPRO_ flag directly.
 # ----------------------------------------------------------------------
 
-#: Valid values of ``REPRO_BACKEND`` (see :mod:`repro.snn.backends`).
-BACKEND_CHOICES: tuple[str, ...] = ("auto", "numpy", "c")
-
-
 @dataclass(frozen=True)
 class EnvFlag:
     """Declaration of one ``REPRO_*`` environment variable.
 
     Attributes:
-        name: The environment variable, e.g. ``"REPRO_BACKEND"``.
+        name: The environment variable, e.g. ``"REPRO_CACHE"``.
         default: Effective value when the variable is unset.
-        values: Human-readable domain, e.g. ``"numpy | c | auto"``.
+        values: Human-readable domain, e.g. ``"ci | bench | paper"``.
         description: One-line summary used by the docs reference.
     """
 
@@ -237,13 +231,6 @@ class EnvFlag:
 
 #: The consolidated registry of every environment flag the library reads.
 ENV_FLAGS: tuple[EnvFlag, ...] = (
-    EnvFlag(
-        "REPRO_BACKEND",
-        "auto",
-        "numpy | c | auto",
-        "Kernel backend executing the fused SNN sequence sweeps; "
-        "`auto` probes availability in speed order (c, numpy).",
-    ),
     EnvFlag(
         "REPRO_BENCH_SCALE",
         "bench",
@@ -305,27 +292,10 @@ def env_value(name: str) -> str:
     key, default = _ENV_KEYS[name]
     # os.environ's backing dict, which every os.environ write updates:
     # os.environ.get raises and catches two KeyErrors for an unset
-    # variable (~1.5 us), and tracing and backend selection read a flag
-    # on every kernel call.
+    # variable (~1.5 us), and tracing reads REPRO_TRACE on every
+    # recorder lookup (one per kernel sweep).
     raw = os.environ._data.get(key)
     return default if raw is None else os.environ.decodevalue(raw)
-
-
-def backend_selection() -> str:
-    """The validated ``REPRO_BACKEND`` selection for this process.
-
-    Returns one of :data:`BACKEND_CHOICES` (default ``"auto"``).
-
-    Raises:
-        ConfigError: If the environment names an unknown backend.
-    """
-    raw = env_value("REPRO_BACKEND").strip().lower()
-    if raw not in BACKEND_CHOICES:
-        raise ConfigError(
-            f"REPRO_BACKEND must be one of {' | '.join(BACKEND_CHOICES)}, "
-            f"got {raw!r}"
-        )
-    return raw
 
 
 def trace_selection() -> tuple[bool, str | None]:

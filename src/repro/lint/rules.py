@@ -372,7 +372,7 @@ class FrozenSpecRule(Rule):
     include = (
         "repro/core/replayspec.py",
         "repro/scenario/*",
-        "repro/snn/backends/base.py",
+        "repro/snn/backends/numpy_ref.py",
     )
     node_types = (ast.ClassDef,)
 

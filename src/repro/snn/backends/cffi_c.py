@@ -1,12 +1,12 @@
-"""Hand-written C executor for the fused sequence sweeps (via cffi).
+"""The executor of the fused sequence sweeps: hand-written C kernels via cffi.
 
 The interpreter-bound part of the fused kernels is the per-timestep
-chain of small elementwise ufunc calls; this backend runs that chain in
+chain of small elementwise ufunc calls; this executor runs that chain in
 compiled C.  The C kernels replicate the reference association order
 documented in :mod:`repro.snn.backends.numpy_ref` **exactly** and are
 compiled with ``-fno-fast-math -ffp-contract=off`` so the compiler can
-neither reassociate nor fuse multiplies and adds — the backend declares
-(and the parity suite enforces) *bitwise* parity with numpy.  ``-O3``
+neither reassociate nor fuse multiplies and adds — their self-check and
+the parity suite hold them *bitwise* to the numpy reference.  ``-O3``
 vectorizes the branch-free elementwise loops; each lane evaluates the
 same scalar expression on its own element, so nothing reassociates.
 
@@ -22,7 +22,8 @@ loops in Python, calling the same C step once per timestep around
 
 The kernels are float32 only, the library's one dtype; arrays of any
 other dtype (float64 gradchecks, say), or of mixed dtypes, take the
-numpy reference.
+numpy reference sweeps, as does every sweep when the kernels did not
+build or failed their self-check.
 
 The shared library is built lazily on first use via the system C
 compiler, cached per process and on disk under ``$REPRO_CACHE/ckernels``.
@@ -32,8 +33,8 @@ that module.  One digest of the C source, the declarations, the flags
 and the compiler names both files.  The bitwise self-check runs on
 every probe, cached files or not.  When cffi, a compiler or
 numpy's BLAS symbols are missing, or the compiled kernels fail their
-bitwise self-check, the backend reports itself unavailable with the
-reason — ``auto`` selection then falls back to numpy.
+bitwise self-check, the probe reports why and every sweep runs the
+numpy reference.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from repro.config import env_value
 from repro.snn.backends import numpy_ref
-from repro.snn.backends.base import SequenceExecutor, SweepSpec
+from repro.snn.backends.numpy_ref import SweepSpec
 
 __all__ = ["CffiExecutor", "kernel_source"]
 
@@ -337,25 +338,41 @@ def _bind_numpy_blas(ffi, lib) -> None:
     lib.set_blas(*(ffi.cast("void *", getattr(blas, name)) for name in _BLAS_SYMBOLS))
 
 
-class CffiExecutor(SequenceExecutor):
-    """Compiled-C executor (module docstring has the full story)."""
+class CffiExecutor:
+    """The four sweeps: on the C kernels where they run, else the reference.
 
-    name = "c"
+    A sweep runs the compiled kernels when the probe
+    (:meth:`availability`) built them and they passed their bitwise
+    self-check, and the arrays are ones the kernels take
+    (:meth:`_supported`).  Otherwise it returns the numpy reference
+    sweep's result, which is the same bits.  All array arguments and
+    results are numpy ``[T, B, N]`` stacks; the module docstring has
+    the full story.
+    """
 
     def __init__(self):
         self._ffi = None
         self._lib = None
         self._probe: tuple[bool, str] | None = None
 
+    @property
+    def name(self) -> str:
+        """The path a float32 sweep takes: ``"c"`` after a passed probe, else ``"numpy"``."""
+        return "c" if self.availability()[0] else "numpy"
+
+    def path(self, *arrays: np.ndarray, w_rec=None) -> str:
+        """The path a sweep of these arrays takes, ``"c"`` or ``"numpy"``."""
+        return "c" if self._supported(*arrays, w_rec=w_rec) else "numpy"
+
     # -- build / probe -------------------------------------------------
     def availability(self) -> tuple[bool, str]:
         """Probe cffi + a C compiler and build/self-check the kernels.
 
-        The probe runs once per process; its result (and reason) is
-        cached.  Any failure — missing cffi, no compiler on PATH, a
-        compile error, numpy's BLAS symbols not found, or a bitwise
-        self-check mismatch — makes the backend unavailable with that
-        reason.
+        The probe runs once per executor, on first use; its result (and
+        reason) is cached.  Any failure — missing cffi, no compiler on
+        PATH, a compile error, numpy's BLAS symbols not found, or a
+        bitwise self-check mismatch — returns ``(False, reason)`` and
+        leaves every sweep on the reference.  Never raises.
         """
         if self._probe is None:
             self._probe = self._probe_once()
@@ -378,11 +395,16 @@ class CffiExecutor(SequenceExecutor):
         except Exception as error:
             return False, f"numpy's BLAS (cblas gemm/gemv) is not resolvable: {error}"
         self._ffi, self._lib = ffi, lib
+        # Open the sweeps to the kernels so the self-check runs them; the
+        # caller overwrites this result with the one returned below.
+        self._probe = (
+            True, f"compiled C kernels via {compiler} on numpy's BLAS (bitwise vs numpy)"
+        )
         try:
             self._self_check()
         except Exception as error:
             return False, f"compiled kernels failed their bitwise self-check: {error}"
-        return True, f"compiled C kernels via {compiler} on numpy's BLAS (bitwise vs numpy)"
+        return self._probe
 
     def _build(self, compiler: str) -> tuple:
         lib_path, ffi_path = _build_paths(compiler)
@@ -398,11 +420,11 @@ class CffiExecutor(SequenceExecutor):
         """Assert bitwise parity with numpy on a canonical tiny workload.
 
         Guards against compilers that contract or reassociate despite
-        the flags: such a toolchain silently demotes this backend to
-        unavailable instead of corrupting trajectory reproducibility.
+        the flags: such a toolchain leaves every sweep on the reference
+        instead of corrupting trajectory reproducibility.
         """
         # The probe deliberately avoids repro.seeding: a broken toolchain
-        # must be diagnosed before this backend touches any repro module,
+        # must be diagnosed before the kernels touch any repro module,
         # and the fixed seed carries no experiment state.
         rng = np.random.default_rng(0)  # repro-lint: disable=RPL001 -- fixed-seed toolchain probe, independent of experiment seeding
         # B = 1 takes BLAS's gemv, B >= 2 its gemm.
@@ -430,17 +452,6 @@ class CffiExecutor(SequenceExecutor):
                 raise AssertionError("readout backward mismatch")
 
     # -- helpers -------------------------------------------------------
-    def _kernel(self, name: str):
-        if self._lib is None:
-            # Reached only when a caller bypasses selection; the probe
-            # (availability) is what normally builds the library.
-            ok, reason = self.availability()
-            if not ok:
-                from repro.errors import ConfigError
-
-                raise ConfigError(f"C kernel backend unavailable: {reason}")
-        return getattr(self._lib, name)
-
     def _ptr(self, array: np.ndarray):
         # A view of the C-contiguous buffer (read-only ones too), which
         # decays to a pointer and supports ``p + offset``.
@@ -449,17 +460,19 @@ class CffiExecutor(SequenceExecutor):
     def _supported(self, *arrays: np.ndarray, w_rec=None) -> bool:
         """True when the kernels take these arrays; else the reference does.
 
-        Every array must be float32, the kernels' one dtype.  Their GEMM
-        is matmul's call for a C-contiguous weight, so another layout
-        takes the reference too.
+        The probe must have passed.  Every array must be float32, the
+        kernels' one dtype.  Their GEMM is matmul's call for a
+        C-contiguous weight, so another layout takes the reference too.
         """
+        if not self.availability()[0]:
+            return False
         if w_rec is not None:
             if not w_rec.flags.c_contiguous:
                 return False
             arrays += (w_rec,)
         return all(a.dtype == np.float32 for a in arrays)
 
-    # -- contract ------------------------------------------------------
+    # -- sweeps (numpy_ref has the contract) ----------------------------
     def lif_forward(self, ff, w_rec, spec, controller=None):
         """Forward recurrence in one C call (per step under a controller)."""
         if not self._supported(ff, w_rec=w_rec):
@@ -477,7 +490,7 @@ class CffiExecutor(SequenceExecutor):
             vthr = np.full(n_out, spec.vthr, dtype=np.float32)
         else:
             vthr = np.empty((timesteps, n_out), dtype=np.float32)
-        kernel = self._kernel("lif_forward" if controller is None else "lif_forward_step")
+        kernel = self._lib.lif_forward if controller is None else self._lib.lif_forward_step
         p_ff, p_w, p_vthr, *p_state = (
             self._ptr(a) for a in (ff, w_rec, vthr, rec, membrane, spikes)
         )
@@ -505,7 +518,7 @@ class CffiExecutor(SequenceExecutor):
         ]
         g_current = np.empty_like(arrays[3])
         scratch = [np.empty((batch, n_out), dtype=np.float32) for _ in range(3)]
-        self._kernel("lif_backward")(
+        self._lib.lif_backward(
             timesteps, batch, n_out,
             *(self._ptr(a) for a in arrays),
             float(spec.beta),
@@ -521,7 +534,7 @@ class CffiExecutor(SequenceExecutor):
         projected = np.ascontiguousarray(projected)
         trajectory = np.empty_like(projected)
         timesteps = projected.shape[0]
-        self._kernel("readout_forward")(
+        self._lib.readout_forward(
             timesteps, projected.size // timesteps,
             self._ptr(projected), float(beta), self._ptr(trajectory),
         )
@@ -534,7 +547,7 @@ class CffiExecutor(SequenceExecutor):
         g_trajectory = np.ascontiguousarray(g_trajectory)
         g_membrane = np.empty_like(g_trajectory)
         timesteps = g_trajectory.shape[0]
-        self._kernel("readout_backward")(
+        self._lib.readout_backward(
             timesteps, g_trajectory.size // timesteps,
             self._ptr(g_trajectory), float(beta), self._ptr(g_membrane),
         )

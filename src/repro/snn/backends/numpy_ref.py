@@ -1,15 +1,28 @@
-"""The numpy reference executor — the bitwise anchor of every backend.
+"""The numpy reference sweeps: the contract the C kernels are pinned to.
 
-This module *is* the semantics of the backend contract: the forward
+The fused kernels (:mod:`repro.snn.kernels`) hand every layer pass's
+time-recurrent sweeps (LIF forward and reverse, leaky-readout forward
+and reverse) to :func:`repro.snn.backends.active`, which runs the C
+kernels of :mod:`~repro.snn.backends.cffi_c` where it can and these
+functions otherwise.  These functions *are* the semantics: the forward
 recurrence runs the same elementwise operations in the same order as
 the per-timestep formulation (kept readable as the plain-numpy test
 oracle, ``tests/snn/oracle.py``), and the reverse sweep is the
-hand-derived BPTT documented in :mod:`repro.snn.kernels`.  Every other backend is pinned
-to these trajectories bitwise by the parity suite
-(``tests/snn/test_backends.py``).
+hand-derived BPTT documented in :mod:`repro.snn.kernels`.  The C kernels
+are pinned to these trajectories bitwise by their self-check and by the
+parity suite (``tests/snn/test_backends.py``).
 
-**Bitwise discipline.**  Every backend must produce the *same training
-trajectories* as this one, not just close ones: spiking networks are
+**What a sweep receives.**  Projected currents: the stacked feedforward
+GEMM (``x @ w_ff``) and the weight-gradient reductions run on numpy in
+:mod:`repro.snn.kernels`, because BLAS accumulation order is the bitwise
+anchor of the whole reproduction and no naive loop reproduces it.  A
+sweep executes only the per-timestep recurrence: elementwise state
+updates plus the per-step recurrent projection, which is the call
+numpy's ``matmul`` makes into numpy's BLAS (the C kernels make the same
+call from C).
+
+**Bitwise discipline.**  The C kernels must produce the *same training
+trajectories* as these sweeps, not just close ones: spiking networks are
 chaotic, so a one-ulp gradient difference grows into different spike
 rasters within a few optimizer steps.  Every elementwise accumulation
 below therefore replicates the association order of the per-step oracle
@@ -27,12 +40,39 @@ match the oracle to a stated tolerance while forward spikes stay bitwise.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.snn.backends.base import SequenceExecutor, SweepSpec
 from repro.snn.threshold import ThresholdController
 
-__all__ = ["NumpyExecutor"]
+__all__ = [
+    "SweepSpec",
+    "lif_forward_sweep",
+    "lif_reverse_sweep",
+    "readout_forward_sweep",
+    "readout_backward_sweep",
+]
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Per-sequence neuron constants of one sweep.
+
+    One spec describes a whole ``[T, B, N]`` sweep of hard-reset (Eq. 2)
+    neurons.  A threshold that changes mid-sequence is not a constant:
+    the forward sweep takes the
+    :class:`~repro.snn.threshold.ThresholdController` itself and returns
+    the thresholds it used.  The reverse sweep reads no threshold.
+
+    Attributes:
+        beta: Membrane decay per timestep.
+        vthr: The static threshold ``params.threshold``, or ``None``
+            under a controller, whose ``value`` the sweep starts at.
+    """
+
+    beta: float
+    vthr: float | None
 
 
 def lif_forward_sweep(
@@ -45,11 +85,22 @@ def lif_forward_sweep(
 
     Runs the same elementwise operations in the same order as ``T``
     steps of the per-timestep oracle on the already-projected feedforward
-    currents ``ff`` (the stacked GEMM is bitwise-equal to the per-step
-    ``x[t] @ w_ff``).  A ``controller`` is consulted between timesteps
-    (:meth:`SequenceExecutor.lif_forward` has the protocol).  Returns
-    ``(membrane, spikes, vthr)``: stacks ``[T, B, N]`` and the threshold
-    used — ``spec.vthr``, or the ``[T, N]`` per-step record.
+    currents ``ff`` ``[T, B, N]`` (the stacked GEMM is bitwise-equal to
+    the per-step ``x[t] @ w_ff``), with recurrent weights ``w_rec``
+    ``[N, N]``.
+
+    Under a dynamic threshold ``controller`` (Alg. 1) the sweep starts
+    at ``controller.value``; after step ``t`` it calls
+    ``controller.step(t, counts, counts * t)`` exactly once, with
+    ``counts`` the step's spikes summed over the batch (per neuron), and
+    the returned value (scalar or ``[N]``) is the threshold of step
+    ``t + 1``.
+
+    Returns:
+        ``(membrane, spikes, vthr)``: the ``[T, B, N]`` stacks plus the
+        threshold the sweep used — ``spec.vthr`` itself for a static
+        sweep, or the ``[T, N]`` per-step record (sweep dtype) under a
+        controller.
     """
     timesteps, batch, n_out = ff.shape
     dtype = ff.dtype
@@ -90,10 +141,11 @@ def lif_reverse_sweep(
     """The LIF reverse BPTT sweep.
 
     Returns ``gI`` — the gradient of the loss w.r.t. the projected input
-    current at every timestep — from which all weight/input gradients
-    follow as matmuls (on the reference path, not in the executor).  See
-    the module docstring for the association-order rules every
-    accumulation obeys.
+    current at every timestep — from which :mod:`repro.snn.kernels`
+    derives all weight/input gradients as GEMMs.  ``surrogate`` is the
+    precomputed fast-sigmoid derivative at every timestep, the only
+    place the threshold enters the backward.  See the module docstring
+    for the association-order rules every accumulation obeys.
     """
     timesteps = spikes.shape[0]
     beta = spec.beta
@@ -155,30 +207,4 @@ def readout_backward_sweep(g_trajectory: np.ndarray, beta: float) -> np.ndarray:
         g_membrane[t] = gm
         carry = gm * beta
     return g_membrane
-
-
-class NumpyExecutor(SequenceExecutor):
-    """The always-available reference executor (raw numpy)."""
-
-    name = "numpy"
-
-    def availability(self) -> tuple[bool, str]:
-        """Always available — numpy is the library's only hard dependency."""
-        return True, "reference executor (numpy is always available)"
-
-    def lif_forward(self, ff, w_rec, spec, controller=None):
-        """Run the reference forward recurrence (module docstring)."""
-        return lif_forward_sweep(ff, w_rec, spec, controller)
-
-    def lif_backward(self, g_spikes, surrogate, membrane, spikes, w_rec, spec):
-        """Run the reference reverse BPTT sweep (module docstring)."""
-        return lif_reverse_sweep(g_spikes, surrogate, membrane, spikes, w_rec, spec)
-
-    def readout_forward(self, projected, beta):
-        """Run the reference readout integration."""
-        return readout_forward_sweep(projected, beta)
-
-    def readout_backward(self, g_trajectory, beta):
-        """Run the reference readout reverse sweep."""
-        return readout_backward_sweep(g_trajectory, beta)
 

@@ -20,13 +20,14 @@ at each step as a ``[T, N]`` array.  The backward reads that record only
 in the surrogate, ``V[t] - vthr[t]``, and does not differentiate the
 threshold.
 
-*Which executor* runs the recurrence is pluggable: this module computes
-the GEMMs (the stacked feedforward projection and one weight-gradient
-GEMM per weight — the bitwise anchor, always numpy) and hands the
-time-recurrent sweeps to the backend selected via ``REPRO_BACKEND``
-(see :mod:`repro.snn.backends`).  The numpy reference executor runs the
-same elementwise operations in the same order as the per-step oracle; the
-C executor replicates that association order bitwise in compiled code.
+This module computes the GEMMs (the stacked feedforward projection and
+one weight-gradient GEMM per weight — the bitwise anchor, always numpy)
+and hands the time-recurrent sweeps to the one executor
+(:func:`repro.snn.backends.active`): the C kernels where they built,
+passed their self-check and take the arrays, else the numpy reference
+sweeps.  The reference runs the same elementwise operations in the same
+order as the per-step oracle; the C kernels replicate that association
+order bitwise in compiled code.
 
 Hand-derived BPTT (hard reset, Eq. 2; every hidden layer is recurrent)::
 
@@ -43,14 +44,15 @@ Hand-derived BPTT (hard reset, Eq. 2; every hidden layer is recurrent)::
                gWff   = sum_t x[t]^T @ gI[t]      (one GEMM over T*B rows)
                gWrec  = sum_t S[t-1]^T @ gI[t]    (one GEMM over (T-1)*B rows)
 
-The bitwise-discipline rules the reference sweeps obey (and bitwise
-backends must replicate) live in :mod:`repro.snn.backends.numpy_ref`
-and are documented in ``docs/reproducibility.md``.
+The bitwise-discipline rules the reference sweeps obey (and the C
+kernels replicate) live in :mod:`repro.snn.backends.numpy_ref` and are
+documented in ``docs/reproducibility.md``.
 
 Every sweep runs in its input's dtype, float32 throughout the library
 (the C kernels exist for float32 only); each ``kernel.calls`` counter
-and ``kernel.*`` span carries that ``dtype`` as a tag, so a promoted
-layer shows in any trace.
+and ``kernel.*`` span carries that ``dtype`` and the path that ran the
+sweep (``backend``: ``c`` or ``numpy``) as tags, so a promoted layer
+shows in any trace.
 """
 
 from __future__ import annotations
@@ -93,9 +95,10 @@ def _flat(a: np.ndarray) -> np.ndarray:
 def _kernel_span(kernel: str, backend: str, dtype: np.dtype):
     """Count one ``kernel`` sweep in ``kernel.calls`` and return its span.
 
-    Both carry the backend and the sweep's dtype.  One recorder lookup
-    keeps disabled tracing near free, and ``dtype.type.__name__`` is read
-    because numpy's ``dtype.name`` costs microseconds a call.
+    Both carry the path that runs the sweep and the sweep's dtype.  One
+    recorder lookup keeps disabled tracing near free, and
+    ``dtype.type.__name__`` is read because numpy's ``dtype.name`` costs
+    microseconds a call.
     """
     recorder = obs.current()
     dtype = dtype.type.__name__
@@ -106,14 +109,11 @@ def _kernel_span(kernel: str, backend: str, dtype: np.dtype):
 class _LIFPass:
     """One LIF layer pass: the saved sweep and its hand-derived BPTT."""
 
-    def __init__(self, x, w_ff, w_rec, membrane, spikes, vthr, spec, executor):
+    def __init__(self, x, w_ff, w_rec, membrane, spikes, vthr, spec):
         self.input, self.w_ff, self.w_rec = x, w_ff, w_rec
         self.saved = x.data, w_ff.data, w_rec.data, membrane, spikes
         self.vthr = vthr
         self.spec = spec
-        # The executor is pinned at forward time so backward runs on the
-        # same backend even if REPRO_BACKEND flips in between.
-        self.executor = executor
 
     def backward(self, g_spikes: np.ndarray) -> np.ndarray | None:
         """The reverse sweep, then one GEMM per gradient over ``T·B``.
@@ -128,10 +128,10 @@ class _LIFPass:
         if np.ndim(vthr) == 2:  # per-step [T, N] record -> [T, 1, N]
             vthr = vthr[:, None, :]
         surrogate = fast_sigmoid_surrogate(membrane - vthr)
-        with _kernel_span("lif_backward", self.executor.name, spikes.dtype):
-            g_current = self.executor.lif_backward(
-                g_spikes, surrogate, membrane, spikes, w_rec, self.spec
-            )
+        executor = backends.active()
+        arrays = g_spikes, surrogate, membrane, spikes
+        with _kernel_span("lif_backward", executor.path(*arrays, w_rec=w_rec), spikes.dtype):
+            g_current = executor.lif_backward(*arrays, w_rec, self.spec)
         if self.w_ff.requires_grad:
             self.w_ff.grad = _flat(x).T @ _flat(g_current)
         if self.w_rec.requires_grad:
@@ -144,11 +144,10 @@ class _LIFPass:
 class _ReadoutPass:
     """One leaky-readout pass: the saved integration and its backward."""
 
-    def __init__(self, x, w_ff, beta, shape, scale, executor):
+    def __init__(self, x, w_ff, beta, shape, scale):
         self.input, self.w_ff = x, w_ff
         self.saved = x.data, w_ff.data
         self.beta, self.shape, self.scale = beta, shape, scale
-        self.executor = executor
 
     def backward(self, g_logits: np.ndarray) -> np.ndarray | None:
         """Spread ``g * scale`` over time, reverse the decay chain, then the GEMMs.
@@ -161,8 +160,9 @@ class _ReadoutPass:
         x, w_ff = self.saved
         g_logits = np.asarray(g_logits, dtype=self.scale.dtype)
         g_trajectory = np.broadcast_to(g_logits * self.scale, self.shape).copy()
-        with _kernel_span("readout_backward", self.executor.name, self.scale.dtype):
-            g_membrane = self.executor.readout_backward(g_trajectory, self.beta)
+        executor = backends.active()
+        with _kernel_span("readout_backward", executor.path(g_trajectory), self.scale.dtype):
+            g_membrane = executor.readout_backward(g_trajectory, self.beta)
         if self.w_ff.requires_grad:
             self.w_ff.grad = _flat(x).T @ _flat(g_membrane)
         return g_membrane @ w_ff.T if self.input.requires_grad else None
@@ -198,14 +198,14 @@ def lif_sequence(
     vthr = None if controller is not None else params.threshold
     spec = SweepSpec(beta=params.beta, vthr=vthr)
     ff = x.data @ w_ff.data
-    with _kernel_span("lif_forward", executor.name, ff.dtype):
+    with _kernel_span("lif_forward", executor.path(ff, w_rec=w_rec.data), ff.dtype):
         membrane, spikes, used = executor.lif_forward(ff, w_rec.data, spec, controller)
     if controller is not None and np.any(used <= 0.0):
         raise ConfigError(f"{controller!r} produced a non-positive threshold")
     return Tensor(
         spikes,
         x.requires_grad or w_ff.requires_grad or w_rec.requires_grad,
-        lambda: _LIFPass(x, w_ff, w_rec, membrane, spikes, used, spec, executor),
+        lambda: _LIFPass(x, w_ff, w_rec, membrane, spikes, used, spec),
     )
 
 
@@ -234,7 +234,7 @@ def leaky_readout_sequence(
     beta = float(beta)
     executor = backends.active()
     projected = x.data @ w_ff.data
-    with _kernel_span("readout_forward", executor.name, projected.dtype):
+    with _kernel_span("readout_forward", executor.path(projected), projected.dtype):
         trajectory = executor.readout_forward(projected, beta)
     # The time mean is a sum then a 0-d scale in the trajectory's dtype.
     scale = np.asarray(1.0 / trajectory.shape[0], trajectory.dtype)
@@ -242,5 +242,5 @@ def leaky_readout_sequence(
     return Tensor(
         logits,
         x.requires_grad or w_ff.requires_grad,
-        lambda: _ReadoutPass(x, w_ff, beta, trajectory.shape, scale, executor),
+        lambda: _ReadoutPass(x, w_ff, beta, trajectory.shape, scale),
     )

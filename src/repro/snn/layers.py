@@ -128,14 +128,7 @@ class RecurrentLIFLayer:
         input's.  When the layer is frozen (no trainable parameters) and
         the input carries no gradient, the sweep builds no pass.
         """
-        x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        if x.data.ndim != 3:
-            raise ShapeError(f"expected [T, B, n_in] input, got shape {x.shape}")
-        if x.shape[2] != self.n_in:
-            raise ShapeError(
-                f"input feature dim {x.shape[2]} != layer fan-in {self.n_in}"
-            )
-        return kernels.lif_sequence(x, self.w_ff, self.params, self.w_rec, controller)
+        return kernels.lif_sequence(inputs, self.w_ff, self.params, self.w_rec, controller)
 
 
 class LeakyReadout:
@@ -205,14 +198,7 @@ class LeakyReadout:
         While training, the logits carry the readout's pass (mask
         included), whose backward sets the ``w_ff`` gradient.
         """
-        x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        if x.data.ndim != 3:
-            raise ShapeError(f"expected [T, B, n_in] input, got shape {x.shape}")
-        if x.shape[2] != self.n_in:
-            raise ShapeError(
-                f"input feature dim {x.shape[2]} != readout fan-in {self.n_in}"
-            )
-        logits = kernels.leaky_readout_sequence(x, self.w_ff, self.beta)
+        logits = kernels.leaky_readout_sequence(inputs, self.w_ff, self.beta)
         mask = self._resolve_mask(class_mask)
         if mask is not None:
             # The penalty is a constant: the pass hands the gradient of the

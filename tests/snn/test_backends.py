@@ -1,7 +1,8 @@
-"""Parity, selection and degradation tests for the kernel backends.
+"""Parity, fallback and probe tests for the one kernel executor.
 
-Every backend is pinned bitwise (``np.array_equal``) to the
-numpy reference executor.
+The C kernels are pinned bitwise (``np.array_equal``) to the numpy
+reference sweeps; a failed probe, or arrays the kernels do not take,
+run those reference sweeps instead.
 """
 
 import json
@@ -17,10 +18,10 @@ import pytest
 
 import oracle
 import repro
+from repro import config, obs
 from repro.autograd import Tensor
-from repro.errors import ConfigError
 from repro.snn import backends
-from repro.snn.backends import CffiExecutor, SequenceExecutor, SweepSpec
+from repro.snn.backends import CffiExecutor, SweepSpec
 from repro.snn.backends import cffi_c, numpy_ref
 from repro.snn.kernels import leaky_readout_sequence, lif_sequence
 from repro.snn.layers import RecurrentLIFLayer
@@ -45,10 +46,14 @@ C_AVAILABLE, C_REASON = C_EXECUTOR.availability()
 needs_c = pytest.mark.skipif(not C_AVAILABLE, reason=f"C backend: {C_REASON}")
 
 
-@pytest.fixture(autouse=True)
-def _fresh_active_memo(monkeypatch):
-    """Every test resolves the active executor afresh."""
-    monkeypatch.setattr(backends, "_ACTIVE", {"selection": None, "backend": None})
+#: The active executor's own probe result (it builds the kernels).
+ACTIVE_PROBE = backends.active().availability()
+
+
+def _pin(monkeypatch, name):
+    """Run the active executor's sweeps on ``name`` by forcing its probe result."""
+    assert ACTIVE_PROBE[0] or name == "numpy", ACTIVE_PROBE[1]
+    monkeypatch.setattr(backends.active(), "_probe", (name == "c", ACTIVE_PROBE[1]))
 
 
 # ----------------------------------------------------------------------
@@ -232,10 +237,11 @@ def _count_kernel_calls(monkeypatch, executor) -> list:
 @needs_c
 class TestCBackendThroughKernels:
     """End-to-end: the fused kernels produce bitwise-identical training
-    quantities (outputs *and* gradients) under ``REPRO_BACKEND=c``."""
+    quantities (outputs *and* gradients) on the C kernels and on the
+    reference a failed probe leaves."""
 
     def _grads(self, monkeypatch, backend_name):
-        monkeypatch.setenv("REPRO_BACKEND", backend_name)
+        _pin(monkeypatch, backend_name)
         params = LIFParameters(beta=0.9, threshold=0.6)
         rng = np.random.default_rng(0)
         x = Tensor((rng.random((7, 3, 5)) < 0.3).astype(np.float32))
@@ -276,7 +282,7 @@ class TestCBackendThroughKernels:
         x = (np.random.default_rng(0).random((10, 3, 12)) < 0.3).astype(np.float32)
         grads = {}
         for name in ("numpy", "c"):
-            monkeypatch.setenv("REPRO_BACKEND", name)
+            _pin(monkeypatch, name)
             net = SpikingNetwork(NetworkConfig(layer_sizes=(12, 8, 6, 4)), seed=1)
             logits = net.forward(x, class_mask=np.array([1, 1, 0, 0], bool)).logits
             assert logits.data.dtype == np.float32
@@ -297,7 +303,7 @@ class TestCBackendThroughKernels:
         )
         runs = {}
         for name in ("numpy", "c"):
-            monkeypatch.setenv("REPRO_BACKEND", name)
+            _pin(monkeypatch, name)
             controller = PerNeuronAdaptiveThreshold(num_neurons=6, timesteps=12)
             out = layer.forward(x, controller)
             out.backward(g_up)
@@ -336,6 +342,192 @@ class TestCBackendThroughKernels:
         want = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
         got = executor.lif_forward(ff, w_rec, spec)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _kernel_tags(recorder) -> set:
+    """``(kernel, backend, dtype)`` of every ``kernel.calls`` series and span."""
+    calls = {
+        (m.tag_dict()["kernel"], m.tag_dict()["backend"], m.tag_dict()["dtype"])
+        for m in recorder.metrics()
+        if m.name == "kernel.calls"
+    }
+    spans = {
+        (s.name.removeprefix("kernel."), s.attrs["backend"], s.attrs["dtype"])
+        for s in recorder.spans()
+        if s.category == "kernel"
+    }
+    assert calls == spans
+    return calls
+
+
+def _network_pass(seed=1):
+    """One training forward + backward of a small network: logits and grads."""
+    from repro.config import NetworkConfig
+    from repro.snn.network import SpikingNetwork
+    from repro.training.losses import readout_cross_entropy
+
+    x = (np.random.default_rng(seed).random((10, 3, 12)) < 0.3).astype(np.float32)
+    net = SpikingNetwork(NetworkConfig(layer_sizes=(12, 8, 6, 4)), seed=seed)
+    logits = net.forward(x).logits
+    readout_cross_entropy(logits, np.array([0, 1, 3])).backward()
+    return [logits.data.copy()] + [p.grad.copy() for p in net.parameters()]
+
+
+def _raise(error):
+    def fail(*args):
+        raise error
+
+    return fail
+
+
+#: How a probe can fail: cause -> (setup on monkeypatch, needs a built
+#: library, a word its reason carries).
+_PROBE_FAILURES = {
+    "no-cffi": (lambda mp: mp.setitem(sys.modules, "cffi", None), False, "cffi"),
+    "no-compiler": (
+        lambda mp: mp.setattr(cffi_c, "_find_compiler", lambda: None), False, "compiler"
+    ),
+    "no-blas": (
+        lambda mp: mp.setattr(
+            cffi_c, "_bind_numpy_blas", _raise(OSError("undefined symbol: cblas_sgemm"))
+        ),
+        True,
+        "BLAS",
+    ),
+    "self-check": (
+        lambda mp: mp.setattr(
+            CffiExecutor, "_self_check", _raise(AssertionError("forward sweep mismatch"))
+        ),
+        True,
+        "self-check",
+    ),
+}
+
+
+def _failed_probe(monkeypatch, cause) -> CffiExecutor:
+    """A fresh executor whose probe failed for ``cause``, already probed."""
+    setup, _, word = _PROBE_FAILURES[cause]
+    setup(monkeypatch)
+    executor = CffiExecutor()
+    ok, reason = executor.availability()
+    assert not ok and word in reason
+    return executor
+
+
+def _float32_sweep(sweep):
+    """``(reference function, float32 arguments)`` of one of the four sweeps."""
+    rng = np.random.default_rng(17)
+    spec = _SPECS["lif"]
+    ff = rng.standard_normal((6, 2, 5)).astype(np.float32)
+    w_rec = _w_rec(rng, 5)
+    membrane, spikes, _ = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
+    g = rng.standard_normal(ff.shape).astype(np.float32)
+    surrogate = rng.random(ff.shape).astype(np.float32)
+    return {
+        "lif_forward": (numpy_ref.lif_forward_sweep, (ff, w_rec, spec)),
+        "lif_backward": (
+            numpy_ref.lif_reverse_sweep, (g, surrogate, membrane, spikes, w_rec, spec)
+        ),
+        "readout_forward": (numpy_ref.readout_forward_sweep, (ff, 0.8)),
+        "readout_backward": (numpy_ref.readout_backward_sweep, (g, 0.8)),
+    }[sweep]
+
+
+class TestOnePath:
+    """The one executor: C where the probe passed and the arrays fit, the
+    reference otherwise, with each sweep tagged by the path that ran it."""
+
+    @needs_c
+    def test_failed_probe_runs_the_reference_bitwise(self, monkeypatch):
+        runs = {}
+        for name in ("c", "numpy"):
+            _pin(monkeypatch, name)
+            assert backends.active().name == name
+            with obs.use_recorder(obs.Recorder()) as recorder:
+                runs[name] = _network_pass()
+            assert {backend for _, backend, _ in _kernel_tags(recorder)} == {name}
+        for got, want in zip(runs["numpy"], runs["c"]):
+            assert np.array_equal(got, want), "the reference diverged from C bitwise"
+
+    @needs_c
+    @pytest.mark.parametrize(
+        "dtype,probe,path",
+        [
+            pytest.param(np.float32, "c", "c", id="f32"),
+            pytest.param(np.float64, "c", "numpy", id="f64"),
+            pytest.param(np.float32, "numpy", "numpy", id="f32-failed-probe"),
+        ],
+    )
+    def test_kernel_tags_name_the_path_that_ran(self, monkeypatch, dtype, probe, path):
+        _pin(monkeypatch, probe)
+        rng = np.random.default_rng(5)
+        x = Tensor((rng.random((6, 2, 5)) < 0.4).astype(dtype))
+        w_ff = Tensor(rng.standard_normal((5, 4)).astype(dtype), requires_grad=True)
+        w_rec = Tensor((rng.standard_normal((4, 4)) * 0.3).astype(dtype), requires_grad=True)
+        w_out = Tensor(rng.standard_normal((4, 3)).astype(dtype), requires_grad=True)
+        with obs.use_recorder(obs.Recorder()) as recorder:
+            spikes = lif_sequence(x, w_ff, LIFParameters(beta=0.9, threshold=0.6), w_rec)
+            logits = leaky_readout_sequence(spikes, w_out, beta=0.8)
+            logits.backward(np.ones_like(logits.data))
+        kernels = ("lif_forward", "lif_backward", "readout_forward", "readout_backward")
+        dtype_name = np.dtype(dtype).name
+        assert _kernel_tags(recorder) == {(k, path, dtype_name) for k in kernels}
+
+    def test_a_network_pass_reads_no_environment(self, monkeypatch):
+        backends.active().availability()  # the probe reads REPRO_CACHE once
+        reads = []
+        original = config.env_value
+
+        def counted(name):
+            reads.append(name)
+            return original(name)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro") and getattr(module, "env_value", None) is original:
+                monkeypatch.setattr(module, "env_value", counted)
+        with obs.use_recorder(obs.Recorder()):
+            _network_pass()
+        assert reads == []
+
+    def test_active_is_the_one_executor(self):
+        executor = backends.active()
+        assert isinstance(executor, CffiExecutor) and backends.active() is executor
+        assert executor.name == ("c" if executor.availability()[0] else "numpy")
+
+    @pytest.mark.parametrize("value", ["numpy", "c", "torch", "cuda"])
+    def test_a_set_repro_backend_is_ignored(self, monkeypatch, value):
+        """The variable that once picked the path neither picks it nor raises."""
+        name = backends.active().name
+        want = _network_pass()
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        assert backends.active().name == name
+        for got, expected in zip(_network_pass(), want):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("cause", sorted(_PROBE_FAILURES))
+    @pytest.mark.parametrize(
+        "sweep", ["lif_forward", "lif_backward", "readout_forward", "readout_backward"]
+    )
+    def test_each_failed_probe_runs_every_sweep_on_the_reference(
+        self, monkeypatch, cause, sweep
+    ):
+        """However the probe fails, no sweep reaches a kernel, even one the
+        failed self-check left loaded, and each returns the reference's bits."""
+        if _PROBE_FAILURES[cause][1] and not C_AVAILABLE:
+            pytest.skip(C_REASON)
+        executor = _failed_probe(monkeypatch, cause)
+        reference, args = _float32_sweep(sweep)
+        calls = _count_kernel_calls(monkeypatch, executor)
+        got = getattr(executor, sweep)(*args)
+        want = reference(*args)
+        assert calls == []
+        assert executor.name == "numpy"
+        assert executor.path(*(a for a in args if isinstance(a, np.ndarray))) == "numpy"
+        got, want = (r if isinstance(r, tuple) else (r,) for r in (got, want))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.asarray(g).dtype == np.asarray(w).dtype
+            assert np.array_equal(g, w)
 
 
 def _strided(a: np.ndarray) -> np.ndarray:
@@ -478,91 +670,21 @@ class TestReferenceFallback:
         self._assert_same([got], [want])
 
 
-# ----------------------------------------------------------------------
-# Backend table + selection semantics.
-# ----------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_speed_order(self):
-        assert list(backends.BACKENDS) == ["c", "numpy"]
-
-    def test_table_keys_are_executor_names(self):
-        for name, executor in backends.BACKENDS.items():
-            assert isinstance(executor, SequenceExecutor)
-            assert executor.name == name
-            assert backends.get_backend(name) is executor
-
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(ConfigError, match="registered backends"):
-            backends.get_backend("cuda")
-
-    def test_torch_is_not_a_backend(self, monkeypatch):
-        with pytest.raises(ConfigError, match="registered backends"):
-            backends.get_backend("torch")
-        monkeypatch.setenv("REPRO_BACKEND", "torch")
-        with pytest.raises(ConfigError, match="REPRO_BACKEND"):
-            backends.active()
-
-    def test_numpy_always_available(self):
-        ok, reason = backends.get_backend("numpy").availability()
-        assert ok and "numpy" in reason
-
-
-class TestSelection:
-    def test_explicit_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert backends.active().name == "numpy"
-
-    def test_explicit_name_is_normalised(self):
-        assert backends.select_backend("  NumPy ") is backends.get_backend("numpy")
-
-    def test_active_memoised_until_env_changes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        first = backends.active()
-        assert backends.active() is first
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
-        assert backends.active().name in ("c", "numpy")
-
-    def test_unknown_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ConfigError, match="REPRO_BACKEND"):
-            backends.active()
-
-    def test_auto_prefers_fastest_available(self):
-        selected = backends.select_backend("auto")
-        for candidate in backends.BACKENDS.values():
-            if candidate.availability()[0]:
-                assert selected is candidate
-                break
-
-    def test_selection_report_shape(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
-        rows = backends.selection_report()
-        assert {row["name"] for row in rows} == {"numpy", "c"}
-        assert sum(row["selected"] for row in rows) == 1
-        for row in rows:
-            assert row["reason"]
-
-
 class TestDegradation:
-    """auto falls back gracefully; explicit requests fail loudly."""
-
-    def _force_unavailable(self, monkeypatch, name, reason):
-        executor = backends.get_backend(name)
-        monkeypatch.setattr(executor, "availability", lambda: (False, reason))
+    """A failed probe says why, and leaves every sweep on the reference."""
 
     def test_auto_falls_back_to_numpy(self, monkeypatch):
-        self._force_unavailable(monkeypatch, "c", "no C compiler (cc / gcc / clang)")
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
+        """With no compiler the one executor takes the reference by itself,
+        and a network pass keeps its bits."""
+        want = _network_pass()
+        monkeypatch.setattr(cffi_c, "_find_compiler", lambda: None)
+        monkeypatch.setattr(backends, "_EXECUTOR", CffiExecutor())
         assert backends.active().name == "numpy"
-
-    def test_explicit_unavailable_names_dependency(self, monkeypatch):
-        self._force_unavailable(
-            monkeypatch, "c", "no C compiler (cc / gcc / clang) on PATH"
-        )
-        with pytest.raises(ConfigError, match="no C compiler"):
-            backends.select_backend("c")
+        with obs.use_recorder(obs.Recorder()) as recorder:
+            got = _network_pass()
+        assert {backend for _, backend, _ in _kernel_tags(recorder)} == {"numpy"}
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_missing_cffi_probe(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "cffi", None)
@@ -583,11 +705,10 @@ class TestDegradation:
             pytest.skip(C_REASON)
         monkeypatch.setattr(cffi_c, "_BLAS_SYMBOLS", ("no_such_sgemm", "no_such_sgemv"))
         executor = CffiExecutor()
-        monkeypatch.setitem(backends.BACKENDS, "c", executor)
         ok, reason = executor.availability()
         assert not ok
         assert "BLAS" in reason
-        assert backends.select_backend("auto").name == "numpy"
+        assert executor.name == "numpy"
 
     def test_failing_self_check_degrades(self, monkeypatch):
         if not C_AVAILABLE:
@@ -614,12 +735,6 @@ class TestDegradation:
         executor.availability()
         executor.availability()
         assert len(calls) == 1
-
-    def test_kernel_access_when_unavailable_raises(self, monkeypatch):
-        monkeypatch.setattr(cffi_c, "_find_compiler", lambda: None)
-        executor = CffiExecutor()
-        with pytest.raises(ConfigError, match="unavailable"):
-            executor._kernel("lif_forward")
 
 
 class TestKernelSource:
@@ -767,17 +882,21 @@ def test_read_only_inputs_take_the_kernels():
 
 class TestExecutorContract:
     def test_abstract_surface(self):
-        assert {
-            "availability",
-            "lif_forward",
-            "lif_backward",
-            "readout_forward",
-            "readout_backward",
-        } <= {
-            name
-            for name in dir(SequenceExecutor)
-            if not name.startswith("_")
+        """The executor's public surface is the probe, the path and the four
+        sweeps, each taking its numpy_ref contract's arguments by name."""
+        import inspect
+
+        sweeps = {
+            "lif_forward": numpy_ref.lif_forward_sweep,
+            "lif_backward": numpy_ref.lif_reverse_sweep,
+            "readout_forward": numpy_ref.readout_forward_sweep,
+            "readout_backward": numpy_ref.readout_backward_sweep,
         }
+        public = {name for name in dir(CffiExecutor) if not name.startswith("_")}
+        assert public == {"availability", "name", "path", *sweeps}
+        for method, reference in sweeps.items():
+            params = list(inspect.signature(getattr(CffiExecutor, method)).parameters)
+            assert params[1:] == list(inspect.signature(reference).parameters)
 
     def test_sweep_spec_frozen(self):
         spec = SweepSpec(beta=0.9, vthr=0.5)

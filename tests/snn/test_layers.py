@@ -224,3 +224,17 @@ class TestLeakyReadout:
         assert b.w_ff.data.tobytes() == a.w_ff.data.tobytes()
         state["w_ff"] += 1.0
         np.testing.assert_array_equal(a.w_ff.data, b.w_ff.data)
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        pytest.param(lambda: make_layer(n_in=10), id="lif"),
+        pytest.param(lambda: LeakyReadout(10, 4, rng=np.random.default_rng(0)), id="readout"),
+    ],
+)
+def test_fanin_is_checked_by_the_kernels_alone(layer):
+    """A layer hands its input straight to its kernel, whose check names the
+    weights the input does not fit."""
+    with pytest.raises(ShapeError, match=r"feedforward weights \(10, \d+\) do not match"):
+        layer().forward(np.zeros((5, 2, 7), dtype=np.float32))

@@ -120,6 +120,23 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward(np.zeros((12, 4, 20), dtype=np.float32), start_layer=1)
 
+    @pytest.mark.parametrize("start_layer", [0, 2])
+    def test_each_layer_input_is_checked_once(self, net, x, monkeypatch, start_layer):
+        """Every layer pass reaches the kernels' shape check exactly once."""
+        checked = []
+        original = kernels._check_sequence_args
+
+        def counted(inputs, w_ff, w_rec):
+            checked.append(inputs.shape[2])
+            original(inputs, w_ff, w_rec)
+
+        monkeypatch.setattr(kernels, "_check_sequence_args", counted)
+        inputs = net.activations_at(start_layer, x)[0]
+        checked.clear()
+        net.forward(inputs, start_layer=start_layer)
+        sizes = net.config.layer_sizes
+        assert checked == list(sizes[start_layer:-1])
+
     def test_backward_reaches_all_parameters(self, net, x):
         result = net.forward(x)
         readout_cross_entropy(result.logits, np.array([0, 1, 2, 3])).backward()

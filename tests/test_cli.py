@@ -43,29 +43,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Replay4NCL" in out
 
-    def test_backends_table(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "REPRO_BACKEND=numpy" in out
-        for name in ("numpy", "c"):
-            assert name in out
-        assert "* numpy" in out  # the selected row is starred
-
-    def test_backends_unsatisfiable_selection(self, capsys, monkeypatch):
+    def test_info_prints_the_kernel_path(self, capsys, monkeypatch):
         from repro.snn import backends
 
-        monkeypatch.setattr(
-            backends.get_backend("c"),
-            "availability",
-            lambda: (False, "no C compiler (cc / gcc / clang) on PATH"),
-        )
-        monkeypatch.setenv("REPRO_BACKEND", "c")
-        assert main(["backends"]) == 2
-        captured = capsys.readouterr()
-        # The table still prints (diagnostic), the error goes to stderr.
-        assert "unavailable" in captured.out
-        assert "'c'" in captured.err
+        executor = backends.active()
+        ok, reason = executor.availability()
+        assert main(["info"]) == 0
+        assert f"kernels: {'c' if ok else 'numpy'} ({reason})" in capsys.readouterr().out
+        monkeypatch.setattr(executor, "_probe", (False, "no C compiler (cc / gcc / clang) on PATH"))
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        assert "kernels: numpy (no C compiler (cc / gcc / clang) on PATH)" in out
+
+    def test_backends_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["backends"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
 
     def test_run_fig12_ci(self, capsys, tmp_path):
         code = main(["run", "fig12", "--scale", "ci", "--save-dir", str(tmp_path),

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.config import (
-    BACKEND_CHOICES,
     ENV_FLAGS,
     PAPER_LAYER_SIZES,
     ExperimentConfig,
     NCLConfig,
     NetworkConfig,
     PretrainConfig,
-    backend_selection,
     env_flag,
     env_value,
     trace_selection,
@@ -125,7 +123,6 @@ class TestEnvFlags:
     def test_declared_flags_are_complete(self):
         names = [flag.name for flag in ENV_FLAGS]
         assert names == [
-            "REPRO_BACKEND",
             "REPRO_BENCH_SCALE",
             "REPRO_CACHE",
             "REPRO_TRACE",
@@ -138,7 +135,7 @@ class TestEnvFlags:
             assert flag.description and flag.values and flag.default is not None
 
     def test_env_flag_lookup(self):
-        assert env_flag("REPRO_BACKEND").default == "auto"
+        assert env_flag("REPRO_CACHE").default == "./.repro_cache"
         with pytest.raises(ConfigError, match="declared flags"):
             env_flag("REPRO_TURBO")
 
@@ -164,15 +161,6 @@ class TestEnvFlags:
         with pytest.raises(ConfigError, match="declared flags"):
             env_value("REPRO_PREFETCH")
 
-    def test_backend_selection_default_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert backend_selection() == "auto"
-        monkeypatch.setenv("REPRO_BACKEND", "  C  ")
-        assert backend_selection() == "c"
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ConfigError, match="REPRO_BACKEND"):
-            backend_selection()
-
     def test_trace_selection_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         assert trace_selection() == (False, None)
@@ -190,8 +178,3 @@ class TestEnvFlags:
     def test_trace_selection_path(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "  /tmp/run/trace.jsonl  ")
         assert trace_selection() == (True, "/tmp/run/trace.jsonl")
-
-    def test_backend_choices_match_registry_names(self):
-        from repro.snn import backends
-
-        assert set(backends.BACKENDS) == set(BACKEND_CHOICES) - {"auto"}
